@@ -7,13 +7,12 @@ Run:  python demos/04_constrained_bandit.py
 import numpy as np
 
 from prism.assignment import (
-    AssignmentRecord,
     BanditModel,
     CoachState,
     GroupState,
     PolicyConfig,
+    Roster,
     assign,
-    eligible_groups,
     feasibility_report,
 )
 from prism.features import LearningContext, goal_onehot
@@ -38,32 +37,47 @@ groups = {
     "g002": GroupState("g002", "c01", capacity=10, goal_category="maintenance"),
     "g003": GroupState("g003", "c01", capacity=2, goal_category="weight_loss"),
 }
-groups["g002"].members.add(token.value)          # current (mismatched) group
-groups["g003"].members.update({"u1", "u2"})      # full
 coaches = {
-    "c00": CoachState("c00", {"g000", "g001"}, load_limit=18),
-    "c01": CoachState("c01", {"g002", "g003"}, load_limit=18),
+    "c00": CoachState("c00", load_limit=18),
+    "c01": CoachState("c01", load_limit=18),
 }
-record = AssignmentRecord(token.value, "g002", last_change_epoch=0)
+
+
+def seated_roster(last_change: int) -> Roster:
+    """The user in g002 (goal-mismatched) since ``last_change``; g003 full."""
+    roster = Roster(groups, coaches, [token.value, "u1", "u2"])
+    roster.move(0, roster.group_row["g002"], last_change, dwell=0)
+    roster.move(1, roster.group_row["g003"], 0, dwell=0)
+    roster.move(2, roster.group_row["g003"], 0, dwell=0)
+    return roster
+
+
+def feasible(report: dict) -> list[str]:
+    return [gid for gid, reasons in report.items() if not reasons]
+
+
+roster = seated_roster(last_change=0)
 
 # ---------------------------------------------------------------------------
 # Hard constraints run before any learning-based scoring.
 # ---------------------------------------------------------------------------
+report = feasibility_report(context, roster, groups, 8, config)
 print("feasibility at epoch 8:")
-for gid, reasons in feasibility_report(context, record, groups, coaches, 8, config).items():
+for gid, reasons in report.items():
     print(f"  {gid}: {'feasible' if not reasons else ', '.join(reasons)}")
-print("eligible:", eligible_groups(context, record, groups, coaches, 8, config))
+print("eligible:", feasible(report))
+print("coach loads:", {cid: coach.load(roster) for cid, coach in coaches.items()})
 
 # Inside the dwell window the only admissible action is the current group.
-locked = AssignmentRecord(token.value, "g002", last_change_epoch=6)
-print("within dwell:", eligible_groups(context, locked, groups, coaches, 8, config))
+locked = feasibility_report(context, seated_roster(last_change=6), groups, 8, config)
+print("within dwell:", feasible(locked))
 
 # ---------------------------------------------------------------------------
 # Scoring: mean estimate + confidence width - churn penalty; the cold model
 # explores through the width term alone.
 # ---------------------------------------------------------------------------
 model = BanditModel(ridge=config.ridge)
-decision = assign(context, record, groups, coaches, model, 8, config)
+decision = assign(context, roster, groups, model, 8, config)
 print("\ndecision trace:")
 for row in decision.candidates:
     if row["score"] is None:

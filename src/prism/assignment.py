@@ -12,8 +12,7 @@ pending-observation queue owned by the caller.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -34,13 +33,12 @@ _THETA_RESYNC_EVERY = 512
 
 @dataclass
 class GroupState:
-    """Mutable membership and feasibility state for one peer group."""
+    """Static attributes of one peer group; who sits in it lives in the Roster."""
 
     group_id: str
     coach_id: str
     capacity: int
     goal_category: str
-    members: set[str] = field(default_factory=set)
     active: bool = True
     language_tags: frozenset[str] = frozenset()
 
@@ -50,40 +48,105 @@ class GroupState:
         if self.goal_category not in GOAL_CATEGORIES:
             raise ValidationError(f"unknown goal category: {self.goal_category!r}")
 
-    @property
-    def fill_ratio(self) -> float:
-        return len(self.members) / self.capacity
-
-    def check_invariant(self) -> None:
-        if len(self.members) > self.capacity:
-            raise ConstraintViolationError(
-                f"group {self.group_id} holds {len(self.members)} members over capacity {self.capacity}"
-            )
-
 
 @dataclass
 class CoachState:
     coach_id: str
-    groups: set[str] = field(default_factory=set)
     load_limit: int = 0
 
-    def load(self, groups: Mapping[str, GroupState]) -> int:
-        return sum(len(groups[g].members) for g in self.groups)
+    def load(self, roster: Roster) -> int:
+        """Members across this coach's groups, read from the roster's counter."""
+        return int(roster.load[roster.coach_row[self.coach_id]])
 
-    def check_invariant(self, groups: Mapping[str, GroupState]) -> None:
-        if self.load(groups) > self.load_limit:
+
+class Roster:
+    """Who sits in which group: the single placement state of a run.
+
+    Index-aligned arrays: per user, ``group_of`` (a group row, -1 while
+    unplaced) and ``last_change`` (epoch of the last move, the initial
+    placement included); per group, the member ``count``; per coach, the
+    ``load``. Users are rows in the order of ``user_tokens``; group rows
+    follow ``sorted(group_id)``, which is the lexicographic candidate
+    order. :meth:`move` is the only writer of all four.
+    """
+
+    def __init__(
+        self,
+        groups: Mapping[str, GroupState],
+        coaches: Mapping[str, CoachState],
+        user_tokens: Sequence[str],
+    ) -> None:
+        self.group_ids = sorted(groups)
+        self.group_row = {gid: g for g, gid in enumerate(self.group_ids)}
+        coach_ids = sorted(coaches)
+        self.coach_row = {cid: c for c, cid in enumerate(coach_ids)}
+        self.row_of = {token: u for u, token in enumerate(user_tokens)}
+        self.capacity = np.array([groups[gid].capacity for gid in self.group_ids], dtype=np.int64)
+        self.coach_of = np.array(
+            [self.coach_row[groups[gid].coach_id] for gid in self.group_ids], dtype=np.int64
+        )
+        self.load_limit = np.array([coaches[cid].load_limit for cid in coach_ids], dtype=np.int64)
+        self.group_of = np.full(len(user_tokens), -1, dtype=np.int64)
+        self.last_change = np.zeros(len(user_tokens), dtype=np.int64)
+        self.count = np.zeros(len(self.group_ids), dtype=np.int64)
+        self.load = np.zeros(len(coach_ids), dtype=np.int64)
+
+    def group_id(self, user: int) -> Optional[str]:
+        group = self.group_of[user]
+        return self.group_ids[group] if group >= 0 else None
+
+    def members(self, group: int) -> np.ndarray:
+        """Member rows of one group, in ascending user order."""
+        return np.flatnonzero(self.group_of == group)
+
+    def fill_ratio(self, group_id: str) -> float:
+        group = self.group_row[group_id]
+        return self.count[group] / self.capacity[group]
+
+    def full_for(self, user: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per group: is it at capacity, is its coach at the load limit.
+
+        Both exclude the user's own seat, so a member's own full group
+        stays open for staying put.
+        """
+        current = self.group_of[user]
+        own_group = np.arange(self.count.size) == current
+        own_coach = self.coach_of == (self.coach_of[current] if current >= 0 else -1)
+        capacity_full = self.count - own_group >= self.capacity
+        coach_full = self.load[self.coach_of] - own_coach >= self.load_limit[self.coach_of]
+        return capacity_full, coach_full
+
+    def move(self, user: int, group: int, epoch: int, dwell: int) -> None:
+        """Seat ``user`` in ``group`` at ``epoch``.
+
+        Raises ConstraintViolationError, with nothing changed, when the
+        move would overfill the group, push a different coach over their
+        load limit, or move a placed user while ``epoch - last_change <
+        dwell``.
+        """
+        old = self.group_of[user]
+        if old >= 0 and epoch - self.last_change[user] < dwell:
             raise ConstraintViolationError(
-                f"coach {self.coach_id} load {self.load(groups)} exceeds limit {self.load_limit}"
+                f"user row {user} moved at epoch {epoch}, inside dwell {dwell} "
+                f"of the change at epoch {self.last_change[user]}"
             )
-
-
-@dataclass
-class AssignmentRecord:
-    """Where a user currently sits and when they last moved."""
-
-    user_token: str
-    current_group: Optional[str] = None
-    last_change_epoch: int = 0
+        if self.count[group] >= self.capacity[group]:
+            raise ConstraintViolationError(
+                f"group {self.group_ids[group]} is full at capacity {self.capacity[group]}"
+            )
+        coach = self.coach_of[group]
+        old_coach = self.coach_of[old] if old >= 0 else -1
+        if coach != old_coach and self.load[coach] >= self.load_limit[coach]:
+            raise ConstraintViolationError(
+                f"coach of group {self.group_ids[group]} is at load limit {self.load_limit[coach]}"
+            )
+        if old >= 0:
+            self.count[old] -= 1
+            self.load[old_coach] -= 1
+        self.count[group] += 1
+        self.load[coach] += 1
+        self.group_of[user] = group
+        self.last_change[user] = epoch
 
 
 @dataclass(frozen=True)
@@ -133,7 +196,10 @@ FEATURE_DIM = _USER_BLOCK + _GROUP_BLOCK + len(GOAL_CATEGORIES)
 
 
 def joint_features(
-    context: LearningContext, group: GroupState, group_engagement: float = 0.5
+    context: LearningContext,
+    group: GroupState,
+    fill_ratio: float,
+    group_engagement: float = 0.5,
 ) -> np.ndarray:
     """Concatenate user features, group aggregates, and a goal-interaction block.
 
@@ -154,7 +220,7 @@ def joint_features(
         ]
     )
     group_block = np.concatenate(
-        [[float(np.clip(group_engagement, 0.0, 1.0)), group.fill_ratio], group_goal]
+        [[float(np.clip(group_engagement, 0.0, 1.0)), fill_ratio], group_goal]
     )
     return np.concatenate([user_block, group_block, user_goal * group_goal])
 
@@ -182,8 +248,6 @@ class BanditModel:
         self._a_inv = np.eye(dim) / ridge
         self._theta = np.zeros(dim)
         self._updates = 0
-        # Single-writer contract; readers score against an epoch-start snapshot.
-        self._write_lock = threading.Lock()
 
     @property
     def theta(self) -> np.ndarray:
@@ -202,17 +266,16 @@ class BanditModel:
             raise InternalError(f"feature dimension {phi.shape} does not match model dim {self.dim}")
         if not np.all(np.isfinite(phi)) or not np.isfinite(reward):
             raise ValidationError("update requires finite features and reward")
-        with self._write_lock:
-            self.A += np.outer(phi, phi)
-            self.b += reward * phi
-            # Sherman-Morrison keeps the inverse O(d^2) per update; periodic
-            # resync bounds accumulated drift.
-            av = self._a_inv @ phi
-            self._a_inv -= np.outer(av, av) / (1.0 + phi @ av)
-            self._updates += 1
-            if self._updates % _THETA_RESYNC_EVERY == 0:
-                self._a_inv = np.linalg.inv(self.A)
-            self._theta = self._a_inv @ self.b
+        self.A += np.outer(phi, phi)
+        self.b += reward * phi
+        # Sherman-Morrison keeps the inverse O(d^2) per update; periodic
+        # resync bounds accumulated drift.
+        av = self._a_inv @ phi
+        self._a_inv -= np.outer(av, av) / (1.0 + phi @ av)
+        self._updates += 1
+        if self._updates % _THETA_RESYNC_EVERY == 0:
+            self._a_inv = np.linalg.inv(self.A)
+        self._theta = self._a_inv @ self.b
 
     def solve_theta(self) -> np.ndarray:
         """Coefficients from a direct solve of A theta = b (reference path)."""
@@ -233,28 +296,30 @@ REASON_COACH_LOAD = "coach_load_full"
 
 def feasibility_report(
     context: LearningContext,
-    record: AssignmentRecord,
+    roster: Roster,
     groups: Mapping[str, GroupState],
-    coaches: Mapping[str, CoachState],
     epoch: int,
     config: PolicyConfig,
     user_tags: frozenset[str] = frozenset(),
 ) -> dict[str, list[str]]:
-    """Per-group list of violated constraints; empty list means feasible.
+    """Per-group list of violated constraints, in group-id order; an empty
+    list means feasible.
 
     Inside the dwell window every group except the current one is locked
     out. Capacity and coach-load checks exclude the user themself, so a
     member's own full group stays feasible for staying put.
     """
-    token = context.user_token.value
-    current = record.current_group
-    in_dwell = current is not None and (epoch - record.last_change_epoch) < config.dwell
-    if in_dwell:
+    user = roster.row_of[context.user_token.value]
+    current = roster.group_id(user)
+    if current is not None and (epoch - roster.last_change[user]) < config.dwell:
         # The dwell rule overrides every other filter: staying put is the
         # only admissible action, whatever the current group looks like.
-        return {gid: ([] if gid == current else [REASON_DWELL]) for gid in sorted(groups)}
+        return {gid: ([] if gid == current else [REASON_DWELL]) for gid in roster.group_ids}
+    capacity_full, coach_full = roster.full_for(user)
     report: dict[str, list[str]] = {}
-    for group_id in sorted(groups):
+    for group_id, at_capacity, coach_at_limit in zip(
+        roster.group_ids, capacity_full.tolist(), coach_full.tolist()
+    ):
         group = groups[group_id]
         reasons = []
         if group.goal_category != context.goal_category:
@@ -263,31 +328,12 @@ def feasibility_report(
             reasons.append(REASON_INACTIVE)
         if user_tags and group.language_tags and not (user_tags & group.language_tags):
             reasons.append(REASON_LANGUAGE)
-        members_excl = len(group.members) - (1 if token in group.members else 0)
-        if members_excl >= group.capacity:
+        if at_capacity:
             reasons.append(REASON_CAPACITY)
-        coach = coaches[group.coach_id]
-        load_excl = coach.load(groups) - (
-            1 if any(token in groups[g].members for g in coach.groups) else 0
-        )
-        if load_excl >= coach.load_limit:
+        if coach_at_limit:
             reasons.append(REASON_COACH_LOAD)
         report[group_id] = reasons
     return report
-
-
-def eligible_groups(
-    context: LearningContext,
-    record: AssignmentRecord,
-    groups: Mapping[str, GroupState],
-    coaches: Mapping[str, CoachState],
-    epoch: int,
-    config: PolicyConfig,
-    user_tags: frozenset[str] = frozenset(),
-) -> list[str]:
-    """Feasible group ids in deterministic (lexicographic) order."""
-    report = feasibility_report(context, record, groups, coaches, epoch, config, user_tags)
-    return [gid for gid in sorted(report) if not report[gid]]
 
 
 # ---------------------------------------------------------------------------
@@ -306,18 +352,19 @@ class CandidateScore:
 
 
 def _churn_penalty(
-    group_id: str, record: AssignmentRecord, epoch: int, config: PolicyConfig
+    group_id: str, roster: Roster, user: int, epoch: int, config: PolicyConfig
 ) -> int:
-    if record.current_group is None or group_id == record.current_group:
+    current = roster.group_id(user)
+    if current is None or group_id == current:
         return 0
-    return 1 if (epoch - record.last_change_epoch) < config.oscillation else 0
+    return 1 if (epoch - roster.last_change[user]) < config.oscillation else 0
 
 
 def score_and_select(
     context: LearningContext,
     candidates: Sequence[GroupState],
     model: BanditModel,
-    record: AssignmentRecord,
+    roster: Roster,
     epoch: int,
     config: PolicyConfig,
     feature_map: Optional[Callable[[LearningContext, GroupState], np.ndarray]] = None,
@@ -330,7 +377,8 @@ def score_and_select(
     """
     if not candidates:
         raise ValidationError("score_and_select requires a non-empty candidate set")
-    fmap = feature_map or joint_features
+    user = roster.row_of[context.user_token.value]
+    fmap = feature_map or (lambda ctx, grp: joint_features(ctx, grp, roster.fill_ratio(grp.group_id)))
     rows = []
     for group in candidates:
         phi = np.asarray(fmap(context, group), dtype=float)
@@ -340,7 +388,7 @@ def score_and_select(
             )
         mu = model.mean(phi)
         sigma = model.width(phi)
-        penalty = _churn_penalty(group.group_id, record, epoch, config)
+        penalty = _churn_penalty(group.group_id, roster, user, epoch, config)
         rows.append(
             CandidateScore(
                 group_id=group.group_id,
@@ -348,7 +396,7 @@ def score_and_select(
                 sigma=sigma,
                 churn_penalty=penalty,
                 score=mu + config.beta * sigma - config.lam * penalty,
-                load=len(group.members),
+                load=int(roster.count[roster.group_row[group.group_id]]),
             )
         )
     best = min(rows, key=lambda r: (-r.score, r.load, r.group_id))
@@ -445,9 +493,8 @@ class AssignmentDecision:
 
 def assign(
     context: LearningContext,
-    record: AssignmentRecord,
+    roster: Roster,
     groups: Mapping[str, GroupState],
-    coaches: Mapping[str, CoachState],
     model: BanditModel,
     epoch: int,
     config: PolicyConfig,
@@ -457,17 +504,18 @@ def assign(
 ) -> AssignmentDecision:
     """Filter, score, select, and apply one assignment decision.
 
-    Membership and the assignment record mutate only when the chosen
-    group differs from the current one. A placed user with no feasible
-    alternative stays put; an unplaced user with no feasible group is
-    waitlisted for the next epoch.
+    The roster changes only when the chosen group differs from the
+    current one. A placed user with no feasible alternative stays put; an
+    unplaced user with no feasible group is waitlisted for the next epoch.
     """
-    report = feasibility_report(context, record, groups, coaches, epoch, config, user_tags)
-    feasible_ids = [gid for gid in sorted(report) if not report[gid]]
+    report = feasibility_report(context, roster, groups, epoch, config, user_tags)
+    feasible_ids = [gid for gid, reasons in report.items() if not reasons]
     engagement_by_group = group_engagement or {}
+    user = roster.row_of[context.user_token.value]
+    current = roster.group_id(user)
 
-    trace: dict[str, dict] = {
-        gid: {
+    trace = [
+        {
             "group": gid,
             "mu": None,
             "sigma": None,
@@ -477,47 +525,40 @@ def assign(
             "reasons": reasons,
         }
         for gid, reasons in report.items()
-    }
+    ]
 
     if not feasible_ids:
-        chosen = record.current_group
         return AssignmentDecision(
             epoch=epoch,
             user_token=context.user_token.value,
-            candidates=[trace[g] for g in sorted(trace)],
-            chosen=chosen,
+            candidates=trace,
+            chosen=current,
             changed=False,
-            waitlisted=chosen is None,
+            waitlisted=current is None,
         )
 
     fmap = lambda ctx, grp: joint_features(
-        ctx, grp, engagement_by_group.get(grp.group_id, 0.5)
+        ctx, grp, roster.fill_ratio(grp.group_id), engagement_by_group.get(grp.group_id, 0.5)
     )
     chosen_id, scores = score_and_select(
-        context, [groups[g] for g in feasible_ids], model, record, epoch, config, feature_map=fmap
+        context, [groups[g] for g in feasible_ids], model, roster, epoch, config, feature_map=fmap
     )
     for row in scores:
-        trace[row.group_id].update(
+        trace[roster.group_row[row.group_id]].update(
             mu=row.mu, sigma=row.sigma, penalty=row.churn_penalty, score=row.score
         )
     chosen_row = next(r for r in scores if r.group_id == chosen_id)
-    # Capture the features as scored, before membership mutates fill ratios.
+    # Capture the features as scored, before the move changes fill ratios.
     phi_chosen = fmap(context, groups[chosen_id])
 
-    changed = chosen_id != record.current_group
+    changed = chosen_id != current
     if changed:
-        if record.current_group is not None:
-            groups[record.current_group].members.discard(context.user_token.value)
-        groups[chosen_id].members.add(context.user_token.value)
-        groups[chosen_id].check_invariant()
-        coaches[groups[chosen_id].coach_id].check_invariant(groups)
-        record.current_group = chosen_id
-        record.last_change_epoch = epoch
+        roster.move(user, roster.group_row[chosen_id], epoch, config.dwell)
 
     return AssignmentDecision(
         epoch=epoch,
         user_token=context.user_token.value,
-        candidates=[trace[g] for g in sorted(trace)],
+        candidates=trace,
         chosen=chosen_id,
         changed=changed,
         phi_chosen=phi_chosen,

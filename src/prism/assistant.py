@@ -12,13 +12,12 @@ from __future__ import annotations
 import json
 import logging
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import LeakageError, StateError, ValidationError
 from .features import LearningContext
 from .redaction import DeidText, RedactionRule, default_rules, scan_for_identifiers
-from .vault import UserToken
 
 logger = logging.getLogger(__name__)
 

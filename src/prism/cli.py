@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from typing import Optional, Sequence
 
 from ._version import __version__

@@ -11,7 +11,7 @@ is a ``UserToken``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
@@ -59,20 +59,6 @@ class NormalizationWindow:
                 raise ValidationError(
                     f"window bounds for {feature_id!r} must be finite with min <= max"
                 )
-
-    @classmethod
-    def from_samples(
-        cls,
-        samples: Mapping[str, Sequence[float]],
-        window_length_weeks: int = DEFAULT_WINDOW_WEEKS,
-    ) -> "NormalizationWindow":
-        bounds = {}
-        for feature_id, values in samples.items():
-            arr = np.asarray(values, dtype=float)
-            if arr.size == 0:
-                raise ValidationError(f"no samples for feature {feature_id!r}")
-            bounds[feature_id] = (float(arr.min()), float(arr.max()))
-        return cls(bounds=bounds, window_length_weeks=window_length_weeks)
 
 
 def normalize(x: float, window: NormalizationWindow, feature_id: str) -> float:

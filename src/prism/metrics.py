@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 

@@ -186,16 +186,14 @@ def _probe_restorations(world: World, epoch: int, counters: dict) -> None:
 
 
 def _deliver(
-    world: World, draft: Draft, counters: dict, delivered: list[tuple[str, str]]
+    world: World, draft: Draft, coach_id: str, counters: dict, delivered: list[tuple[str, str]]
 ) -> None:
-    record = world.records[draft.user_token]
-    coach_id = world.groups[record.current_group].coach_id if record.current_group else "c00"
     result = world.vault.restore_identity(
         RestorationRequest(
             requester_id=coach_id,
             role="coach",
             mfa_verified=True,
-            user_token=world.users[world.user_index(draft.user_token)].token,
+            user_token=world.users[world.roster.row_of[draft.user_token]].token,
             purpose="deliver coaching message",
         )
     )
@@ -238,8 +236,7 @@ def _assistant_pass(
             created_at=created_at,
         )
         drafts.append(draft)
-        record = world.records[user.token.value]
-        coach_id = world.groups[record.current_group].coach_id if record.current_group else "c00"
+        coach_id = world.groups[world.roster.group_id(user.index)].coach_id
         u = float(rng.random())
         if u < scenario.review_approve_prob:
             review(draft, coach_id, "approve", decided_at=created_at)
@@ -249,7 +246,7 @@ def _assistant_pass(
             review(draft, coach_id, "discard", decided_at=created_at)
         # else: stays pending in the review queue
         if draft.status in DELIVERABLE_STATUSES:
-            _deliver(world, draft, counters, delivered)
+            _deliver(world, draft, coach_id, counters, delivered)
 
 
 def run_experiment(
@@ -271,8 +268,6 @@ def run_experiment(
     config = policy or PolicyConfig()
     world = generate_cohort(scenario, keys)
     adaptive = scenario.policy == POLICY_ADAPTIVE
-    horizon = scenario.horizon_weeks
-    t0 = scenario.w_pre
 
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -382,12 +377,10 @@ def _run_epochs(
                 for user in world.users
             }
             for user in world.users:
-                record = world.records[user.token.value]
                 decision = assign(
                     contexts[user.index],
-                    record,
+                    world.roster,
                     world.groups,
-                    world.coaches,
                     model,
                     epoch,
                     config,
@@ -398,7 +391,6 @@ def _run_epochs(
                 sink.write(decision.to_trace_dict())
                 if decision.changed:
                     counters["reassignments"] += 1
-                    world.change_history[user.token.value].append((epoch, decision.chosen))
                 if decision.phi_chosen is not None:
                     pending.append(
                         _PendingObservation(
@@ -415,7 +407,7 @@ def _run_epochs(
         step_week(world, epoch, flags)
         step_messages(world, epoch)
 
-        epoch_violations = world.audit_constraints(config)
+        epoch_violations = world.audit_constraints(config, epoch)
         if epoch_violations:
             counters["violations"] += epoch_violations
             raise ConstraintViolationError(
@@ -451,7 +443,7 @@ def _build_report(
     eng_idx = engagement_index(scores_pre, scores_post)
 
     corpus = list(world.deid_messages) + [
-        _rehydrate_deid(d.rendered_text, world.users[world.user_index(d.user_token)].token)
+        _rehydrate_deid(d.rendered_text, world.users[world.roster.row_of[d.user_token]].token)
         for d in drafts
     ]
     leak = leak_audit(corpus, world.rules)
@@ -466,7 +458,7 @@ def _build_report(
     delivered_leak = None
     if delivered:
         delivered_docs = [
-            _rehydrate_deid(text, world.users[world.user_index(token)].token)
+            _rehydrate_deid(text, world.users[world.roster.row_of[token]].token)
             for token, text in delivered
         ]
         delivered_leak = leak_audit(delivered_docs, world.rules).leak_rate

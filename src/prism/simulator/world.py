@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Optional
 
 import numpy as np
 
-from ..assignment import AssignmentRecord, BanditModel, CoachState, GroupState, PolicyConfig
-from ..errors import ConstraintViolationError, ValidationError
+from ..assignment import CoachState, GroupState, PolicyConfig, Roster
+from ..errors import ValidationError
 from ..features import ACTION_TYPES, DAYS_PER_WEEK, GOAL_CATEGORIES
 from ..redaction import DeidText, RedactionRule, default_rules, redact
 from ..vault import KeyRing, UserToken, Vault
@@ -93,18 +92,6 @@ class SimUser:
     engagement_rates: np.ndarray
     language_tags: frozenset[str] = frozenset({"en"})
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "token": self.token.value,
-            "goal": self.goal,
-            "base_logit": self.base_logit,
-            "match_sensitivity": self.match_sensitivity,
-            "fatigue_rate": self.fatigue_rate,
-            "engagement_rates": list(map(float, self.engagement_rates)),
-            "language_tags": sorted(self.language_tags),
-        }
-
 
 @dataclass
 class World:
@@ -116,7 +103,7 @@ class World:
     users: list[SimUser]
     groups: dict[str, GroupState]
     coaches: dict[str, CoachState]
-    records: dict[str, AssignmentRecord]
+    roster: Roster              # placement; user rows follow ``users``
     rules: tuple[RedactionRule, ...]
     # Behavior arrays (index-aligned with users)
     checkins: np.ndarray        # (n, horizon*7) int8
@@ -126,18 +113,13 @@ class World:
     # Environment-private registration payloads, kept only for message
     # synthesis; never serialized into any output.
     _raw_identities: dict[str, dict] = field(default_factory=dict)
-    change_history: dict[str, list[tuple[int, str]]] = field(default_factory=dict)
     deid_messages: list[DeidText] = field(default_factory=list)
+    # (group_of, last_change) as of the last constraint audit.
+    _audited: tuple[np.ndarray, np.ndarray] = field(init=False)
 
     @property
     def n_users(self) -> int:
         return len(self.users)
-
-    def user_index(self, token_value: str) -> int:
-        return self._index_by_token[token_value]
-
-    def __post_init__(self) -> None:
-        self._index_by_token = {u.token.value: u.index for u in self.users}
 
     # -- oracles used by tests ------------------------------------------------
 
@@ -153,24 +135,28 @@ class World:
                     values.add("".join(ch for ch in value if ch.isdigit()))
         return values
 
-    def audit_constraints(self, policy: PolicyConfig) -> int:
+    def audit_constraints(self, policy: PolicyConfig, epoch: int) -> int:
         """Independent re-check of capacity, coach-load, and dwell invariants.
 
+        Occupancy is recounted from ``group_of`` and checked against the
+        limits and the roster's own counters. Moves are found by comparing
+        ``group_of`` and ``last_change`` with their values at the previous
+        audit, and each must lie outside dwell of the move before it.
         Returns the number of violations found (0 in a correct run).
         """
-        violations = 0
-        for group in self.groups.values():
-            if len(group.members) > group.capacity:
-                violations += 1
-        for coach in self.coaches.values():
-            if coach.load(self.groups) > coach.load_limit:
-                violations += 1
-        for changes in self.change_history.values():
-            epochs = [e for e, _ in changes[1:]]  # skip initial placement
-            for prev, nxt in zip(epochs, epochs[1:]):
-                if nxt - prev < policy.dwell:
-                    violations += 1
-        return violations
+        roster = self.roster
+        seated = roster.group_of[roster.group_of >= 0]
+        count = np.bincount(seated, minlength=roster.count.size)
+        load = np.bincount(roster.coach_of[seated], minlength=roster.load.size)
+        violations = (count > roster.capacity).sum() + (load > roster.load_limit).sum()
+        violations += (count != roster.count).sum() + (load != roster.load).sum()
+        prev_group, prev_change = self._audited
+        moved = roster.group_of != prev_group
+        violations += (moved & (prev_group >= 0) & (epoch - prev_change < policy.dwell)).sum()
+        violations += (moved & (roster.last_change != epoch)).sum()
+        violations += (~moved & (roster.last_change != prev_change)).sum()
+        self._audited = (roster.group_of.copy(), roster.last_change.copy())
+        return int(violations)
 
 
 def generate_cohort(scenario: Scenario, keys: KeyRing) -> World:
@@ -192,9 +178,6 @@ def generate_cohort(scenario: Scenario, keys: KeyRing) -> World:
             f"total group capacity {total_capacity}"
         )
     groups: dict[str, GroupState] = {}
-    coaches: dict[str, CoachState] = {
-        f"c{i:02d}": CoachState(coach_id=f"c{i:02d}") for i in range(scenario.n_coaches)
-    }
     for g in range(scenario.n_groups):
         gid = f"g{g:03d}"
         coach_id = f"c{g % scenario.n_coaches:02d}"
@@ -205,10 +188,14 @@ def generate_cohort(scenario: Scenario, keys: KeyRing) -> World:
             goal_category=GOAL_CATEGORIES[g % len(GOAL_CATEGORIES)],
             language_tags=frozenset({"en"}),
         )
-        coaches[coach_id].groups.add(gid)
-    for coach in coaches.values():
-        cap_sum = sum(groups[g].capacity for g in coach.groups)
-        coach.load_limit = max(1, int(np.floor(scenario.coach_load_factor * cap_sum)))
+    coaches: dict[str, CoachState] = {}
+    for i in range(scenario.n_coaches):
+        coach_id = f"c{i:02d}"
+        cap_sum = sum(g.capacity for g in groups.values() if g.coach_id == coach_id)
+        coaches[coach_id] = CoachState(
+            coach_id=coach_id,
+            load_limit=max(1, int(np.floor(scenario.coach_load_factor * cap_sum))),
+        )
     total_load = sum(c.load_limit for c in coaches.values())
     if scenario.n_users > total_load:
         raise ValidationError(
@@ -253,7 +240,7 @@ def generate_cohort(scenario: Scenario, keys: KeyRing) -> World:
         users=users,
         groups=groups,
         coaches=coaches,
-        records={},
+        roster=Roster(groups, coaches, [u.token.value for u in users]),
         rules=default_rules(),
         checkins=np.zeros((scenario.n_users, horizon * DAYS_PER_WEEK), dtype=np.int8),
         actions=np.zeros((scenario.n_users, horizon, len(ACTION_TYPES)), dtype=np.int32),
@@ -270,16 +257,19 @@ def generate_cohort(scenario: Scenario, keys: KeyRing) -> World:
 def _place_initially(world: World) -> None:
     """Seed placement; a configured fraction lands in goal-mismatched groups."""
     scenario = world.scenario
+    roster = world.roster
     rng = substream(scenario.seed, _STREAM_PLACEMENT)
-    sorted_gids = sorted(world.groups)
+    goals = [world.groups[gid].goal_category for gid in roster.group_ids]
     for user in world.users:
         mismatched = rng.random() < scenario.misgroup_fraction
-        right = [g for g in sorted_gids if world.groups[g].goal_category == user.goal]
-        wrong = [g for g in sorted_gids if world.groups[g].goal_category != user.goal]
+        right = [g for g, goal in enumerate(goals) if goal == user.goal]
+        wrong = [g for g, goal in enumerate(goals) if goal != user.goal]
         pools = (wrong, right) if mismatched else (right, wrong)
+        capacity_full, coach_full = roster.full_for(user.index)
+        blocked = (capacity_full | coach_full).tolist()
         placed = None
         for pool in pools:
-            open_groups = [g for g in pool if _has_room(world, g)]
+            open_groups = [g for g in pool if not blocked[g]]
             if open_groups:
                 placed = open_groups[int(rng.integers(len(open_groups)))]
                 break
@@ -287,19 +277,8 @@ def _place_initially(world: World) -> None:
             raise ValidationError(
                 "placement infeasible: no group has both capacity and coach headroom"
             )
-        world.groups[placed].members.add(user.token.value)
-        world.records[user.token.value] = AssignmentRecord(
-            user_token=user.token.value, current_group=placed, last_change_epoch=0
-        )
-        world.change_history[user.token.value] = [(0, placed)]
-
-
-def _has_room(world: World, gid: str) -> bool:
-    group = world.groups[gid]
-    if len(group.members) >= group.capacity:
-        return False
-    coach = world.coaches[group.coach_id]
-    return coach.load(world.groups) < coach.load_limit
+        roster.move(user.index, placed, 0, dwell=0)
+    world._audited = (roster.group_of.copy(), roster.last_change.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -313,28 +292,31 @@ def group_activity_flags(world: World, epoch: int) -> dict[str, bool]:
     Before engagement scores exist (the pre-period), occupied groups
     count as active.
     """
+    roster = world.roster
+    unscored = epoch == 0 or np.isnan(world.weekly_scores[:, epoch - 1]).all()
     flags = {}
-    for gid, group in world.groups.items():
-        if not group.members:
+    for g, gid in enumerate(roster.group_ids):
+        members = roster.members(g)
+        if members.size == 0:
             flags[gid] = False
-            continue
-        if epoch == 0 or np.isnan(world.weekly_scores[:, epoch - 1]).all():
+        elif unscored:
             flags[gid] = True
-            continue
-        idx = [world.user_index(tok) for tok in group.members]
-        flags[gid] = float(np.mean(world.weekly_scores[idx, epoch - 1])) >= world.scenario.activity_threshold
+        else:
+            mean = float(np.mean(world.weekly_scores[members, epoch - 1]))
+            flags[gid] = mean >= world.scenario.activity_threshold
     return flags
 
 
 def group_engagement_means(world: World, epoch: int) -> dict[str, float]:
     """Mean member engagement last week, as the group aggregate feature."""
+    roster = world.roster
     means = {}
-    for gid, group in world.groups.items():
-        if not group.members or epoch == 0:
+    for g, gid in enumerate(roster.group_ids):
+        members = roster.members(g)
+        if members.size == 0 or epoch == 0:
             means[gid] = 0.5
             continue
-        idx = [world.user_index(tok) for tok in group.members]
-        scores = world.weekly_scores[idx, epoch - 1]
+        scores = world.weekly_scores[members, epoch - 1]
         means[gid] = 0.5 if np.isnan(scores).all() else float(np.nanmean(scores))
     return means
 
@@ -358,15 +340,13 @@ def step_week(world: World, epoch: int, active_flags: dict[str, bool]) -> None:
     u_actions = rng.random((n, len(ACTION_TYPES)))
     weight_noise = rng.normal(size=n) * scenario.weight_noise_sd
 
-    match = np.zeros(n)
-    active = np.zeros(n)
-    for user in world.users:
-        record = world.records[user.token.value]
-        if record.current_group is None:
-            continue
-        group = world.groups[record.current_group]
-        match[user.index] = 1.0 if group.goal_category == user.goal else 0.0
-        active[user.index] = 1.0 if active_flags.get(record.current_group, False) else 0.0
+    roster = world.roster
+    group_goal = np.array([world.groups[gid].goal_category for gid in roster.group_ids])
+    group_active = np.array([active_flags.get(gid, False) for gid in roster.group_ids])
+    user_goal = np.array([u.goal for u in world.users])
+    seated = roster.group_of >= 0
+    match = (seated & (group_goal[roster.group_of] == user_goal)).astype(float)
+    active = (seated & group_active[roster.group_of]).astype(float)
 
     base = np.array([u.base_logit for u in world.users])
     sensitivity = np.array([u.match_sensitivity for u in world.users])

@@ -9,6 +9,8 @@ import json
 import os
 import pathlib
 import string
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -18,7 +20,6 @@ import pytest
 from conftest import ACCEPTANCE_LINES, ENC_KEY_HEX, TOKEN_KEY_HEX
 
 from prism.assignment import BanditModel, PolicyConfig
-from prism.cli import main as cli_main
 from prism.features import EngagementWeights, adherence, engagement_index, engagement_score
 from prism.metrics import mann_whitney_u
 from prism.redaction import _rehydrate_deid, default_rules, leak_audit, redact
@@ -35,6 +36,7 @@ from prism.vault import (
 )
 
 KEYS = KeyRing.from_hex(TOKEN_KEY_HEX, ENC_KEY_HEX)
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 N_SEEDS = 20
 
@@ -340,9 +342,9 @@ def test_criterion_09_review_gate(paired_effect_runs):
 # -- 10: determinism -------------------------------------------------------------------
 
 
-def test_criterion_10_determinism(tmp_path, monkeypatch):
-    monkeypatch.setenv("PRISM_TOKEN_KEY", TOKEN_KEY_HEX)
-    monkeypatch.setenv("PRISM_ENC_KEY", ENC_KEY_HEX)
+def test_criterion_10_determinism(tmp_path):
+    # Separate interpreters with different string-hash seeds: anything that
+    # iterates a set or hash order into an output shows up as a byte diff.
     scenario = {
         "name": "determinism",
         "seed": 12,
@@ -359,15 +361,30 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
     spath.write_text(json.dumps(scenario))
     identical = True
     dirs = [str(tmp_path / "r1"), str(tmp_path / "r2")]
-    for out in dirs:
-        code = cli_main(["simulate", "--scenario", str(spath), "--out", out])
-        assert code == 0
+    for hash_seed, out in enumerate(dirs):
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=str(hash_seed),
+            PYTHONPATH=str(SRC),
+            PRISM_TOKEN_KEY=TOKEN_KEY_HEX,
+            PRISM_ENC_KEY=ENC_KEY_HEX,
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "prism.cli", "simulate", "--scenario", str(spath), "--out", out],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
     for name in ("metrics.json", "traces.jsonl"):
         identical &= (
             pathlib.Path(dirs[0], name).read_bytes()
             == pathlib.Path(dirs[1], name).read_bytes()
         )
-    record(10, identical, "repeated simulate produced byte-identical metrics.json and traces.jsonl")
+    record(
+        10,
+        identical,
+        "simulate under PYTHONHASHSEED=0 and =1 produced byte-identical "
+        "metrics.json and traces.jsonl",
+    )
 
 
 # -- 11: metric formulas -----------------------------------------------------------------

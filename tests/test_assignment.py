@@ -3,31 +3,26 @@ incremental-vs-batch ridge oracle, reward arithmetic, end-to-end assign."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prism.assignment import (
     FEATURE_DIM,
-    AssignmentRecord,
     BanditModel,
     CoachState,
     GroupState,
     PolicyConfig,
+    Roster,
     assign,
     compute_reward,
-    eligible_groups,
     feasibility_report,
-    joint_features,
     score_and_select,
 )
-from prism.errors import InternalError, ValidationError
-from prism.features import (
-    ACTION_TYPES,
-    EngagementWeights,
-    NormalizationWindow,
-    UserEvents,
-    goal_onehot,
-    LearningContext,
-)
+from prism.errors import ConstraintViolationError, InternalError, ValidationError
+from prism.features import EngagementWeights, LearningContext, UserEvents, goal_onehot
 from prism.vault import UserToken
+
+USER = "aa" * 32
 
 
 def make_context(goal="fitness", streak=0, slope=0.0, token_byte="aa", epoch=8):
@@ -41,15 +36,27 @@ def make_context(goal="fitness", streak=0, slope=0.0, token_byte="aa", epoch=8):
     )
 
 
-def make_world(n_groups=3, capacity=5, goal="fitness", coach_limit=50):
+def make_world(n_groups=3, capacity=5, goal="fitness", coach_limit=50, seats=()):
+    """Groups under one coach, and a roster of USER plus every seated token.
+
+    ``seats`` is a sequence of (token, group_id, epoch) placements.
+    """
     groups = {
         f"g{i:03d}": GroupState(
             group_id=f"g{i:03d}", coach_id="c00", capacity=capacity, goal_category=goal
         )
         for i in range(n_groups)
     }
-    coaches = {"c00": CoachState(coach_id="c00", groups=set(groups), load_limit=coach_limit)}
-    return groups, coaches
+    coaches = {"c00": CoachState(coach_id="c00", load_limit=coach_limit)}
+    tokens = [USER] + [token for token, _, _ in seats if token != USER]
+    roster = Roster(groups, coaches, tokens)
+    for token, gid, epoch in seats:
+        roster.move(roster.row_of[token], roster.group_row[gid], epoch, dwell=0)
+    return groups, roster
+
+
+def feasible(report):
+    return [gid for gid, reasons in report.items() if not reasons]
 
 
 CONFIG = PolicyConfig()
@@ -74,92 +81,76 @@ class TestPolicyConfig:
 
 class TestEligibility:
     def test_dwell_lock_returns_only_current_group(self):
-        groups, coaches = make_world()
-        groups["g001"].members.add("aa" * 32)
-        record = AssignmentRecord("aa" * 32, "g001", last_change_epoch=7)
-        out = eligible_groups(make_context(), record, groups, coaches, epoch=8, config=CONFIG)
-        assert out == ["g001"]
+        groups, roster = make_world(seats=[(USER, "g001", 7)])
+        report = feasibility_report(make_context(), roster, groups, epoch=8, config=CONFIG)
+        assert feasible(report) == ["g001"]
 
     def test_dwell_overrides_eligibility_for_current_group(self):
         # Even a goal-mismatched current group is the whole set inside dwell.
-        groups, coaches = make_world()
+        groups, roster = make_world(seats=[(USER, "g001", 7)])
         groups["g001"].goal_category = "maintenance"
-        groups["g001"].members.add("aa" * 32)
-        record = AssignmentRecord("aa" * 32, "g001", last_change_epoch=7)
-        out = eligible_groups(
-            make_context(goal="fitness"), record, groups, coaches, epoch=8, config=CONFIG
+        report = feasibility_report(
+            make_context(goal="fitness"), roster, groups, epoch=8, config=CONFIG
         )
-        assert out == ["g001"]
+        assert feasible(report) == ["g001"]
 
     def test_past_dwell_opens_alternatives(self):
-        groups, coaches = make_world()
-        groups["g001"].members.add("aa" * 32)
-        record = AssignmentRecord("aa" * 32, "g001", last_change_epoch=4)
-        out = eligible_groups(make_context(), record, groups, coaches, epoch=8, config=CONFIG)
-        assert out == ["g000", "g001", "g002"]
+        groups, roster = make_world(seats=[(USER, "g001", 4)])
+        report = feasibility_report(make_context(), roster, groups, epoch=8, config=CONFIG)
+        assert feasible(report) == ["g000", "g001", "g002"]
 
     def test_full_group_excluded_for_non_members(self):
-        groups, coaches = make_world(capacity=2)
-        groups["g000"].members.update({"x1", "x2"})
-        record = AssignmentRecord("aa" * 32, "g001", last_change_epoch=0)
-        groups["g001"].members.add("aa" * 32)
-        out = eligible_groups(make_context(), record, groups, coaches, epoch=8, config=CONFIG)
-        assert "g000" not in out
+        groups, roster = make_world(
+            capacity=2, seats=[("x1", "g000", 0), ("x2", "g000", 0), (USER, "g001", 0)]
+        )
+        report = feasibility_report(make_context(), roster, groups, epoch=8, config=CONFIG)
+        assert "g000" not in feasible(report)
 
     def test_member_keeps_own_full_group(self):
-        groups, coaches = make_world(capacity=2)
-        groups["g001"].members.update({"aa" * 32, "x2"})
-        record = AssignmentRecord("aa" * 32, "g001", last_change_epoch=0)
-        out = eligible_groups(make_context(), record, groups, coaches, epoch=8, config=CONFIG)
-        assert "g001" in out
+        groups, roster = make_world(capacity=2, seats=[(USER, "g001", 0), ("x2", "g001", 0)])
+        report = feasibility_report(make_context(), roster, groups, epoch=8, config=CONFIG)
+        assert "g001" in feasible(report)
 
     def test_eligibility_truth_table(self):
         # goal-match+active, goal-match+inactive, mismatch+active: only the first survives.
-        groups, coaches = make_world()
+        groups, roster = make_world()
         groups["g001"].active = False
         groups["g002"].goal_category = "maintenance"
-        record = AssignmentRecord("aa" * 32, None, last_change_epoch=0)
-        out = eligible_groups(make_context(), record, groups, coaches, epoch=8, config=CONFIG)
-        assert out == ["g000"]
+        report = feasibility_report(make_context(), roster, groups, epoch=8, config=CONFIG)
+        assert feasible(report) == ["g000"]
 
     def test_coach_load_binding(self):
-        groups, coaches = make_world(n_groups=2, capacity=5, coach_limit=3)
-        groups["g000"].members.update({"x1", "x2", "x3"})
-        record = AssignmentRecord("aa" * 32, None, last_change_epoch=0)
-        out = eligible_groups(make_context(), record, groups, coaches, epoch=8, config=CONFIG)
-        assert out == []
+        groups, roster = make_world(
+            n_groups=2, capacity=5, coach_limit=3,
+            seats=[("x1", "g000", 0), ("x2", "g000", 0), ("x3", "g000", 0)],
+        )
+        report = feasibility_report(make_context(), roster, groups, epoch=8, config=CONFIG)
+        assert feasible(report) == []
 
     def test_language_intersection(self):
-        groups, coaches = make_world(n_groups=2)
+        groups, roster = make_world(n_groups=2)
         groups["g000"].language_tags = frozenset({"fr"})
         groups["g001"].language_tags = frozenset({"en", "fr"})
-        record = AssignmentRecord("aa" * 32, None, last_change_epoch=0)
-        out = eligible_groups(
-            make_context(), record, groups, coaches, epoch=8, config=CONFIG,
+        report = feasibility_report(
+            make_context(), roster, groups, epoch=8, config=CONFIG,
             user_tags=frozenset({"en"}),
         )
-        assert out == ["g001"]
+        assert feasible(report) == ["g001"]
 
     def test_reasons_reported(self):
-        groups, coaches = make_world()
+        groups, roster = make_world()
         groups["g001"].active = False
-        record = AssignmentRecord("aa" * 32, None, last_change_epoch=0)
-        report = feasibility_report(
-            make_context(), record, groups, coaches, epoch=8, config=CONFIG
-        )
+        report = feasibility_report(make_context(), roster, groups, epoch=8, config=CONFIG)
         assert report["g001"] == ["inactive"]
         assert report["g000"] == []
 
 
 class TestScoring:
     def test_cold_model_tie_breaks_to_lowest_load_then_id(self):
-        groups, coaches = make_world()
-        groups["g000"].members.update({"m1", "m2"})
-        groups["g002"].members.add("m3")
+        groups, roster = make_world(seats=[("m1", "g000", 0), ("m2", "g000", 0), ("m3", "g002", 0)])
         model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
-        record = AssignmentRecord("aa" * 32, None, last_change_epoch=0)
         chosen, rows = score_and_select(
-            make_context(), list(groups.values()), model, record, epoch=8, config=CONFIG,
+            make_context(), list(groups.values()), model, roster, epoch=8, config=CONFIG,
             feature_map=lambda ctx, g: np.ones(FEATURE_DIM) / np.sqrt(FEATURE_DIM),
         )
         # equal unit-norm features -> equal scores -> lowest load wins
@@ -169,12 +160,11 @@ class TestScoring:
     def test_pure_exploitation_with_zero_beta(self):
         model = BanditModel(dim=2, ridge=1.0)
         model.update(np.array([1.0, 0.0]), 1.0)
-        groups, coaches = make_world(n_groups=2)
-        record = AssignmentRecord("aa" * 32, None, last_change_epoch=0)
+        groups, roster = make_world(n_groups=2)
         config = PolicyConfig(beta=0.0)
         phi = {"g000": np.array([1.0, 0.0]), "g001": np.array([0.0, 1.0])}
         chosen, rows = score_and_select(
-            make_context(), list(groups.values()), model, record, epoch=8, config=config,
+            make_context(), list(groups.values()), model, roster, epoch=8, config=config,
             feature_map=lambda ctx, g: phi[g.group_id],
         )
         assert chosen == "g000"
@@ -183,11 +173,10 @@ class TestScoring:
         # Joint map with disjoint per-group basis vectors; one update on g000.
         model = BanditModel(dim=2, ridge=1.0)
         model.update(np.array([1.0, 0.0]), 1.0)
-        groups, coaches = make_world(n_groups=2)
-        record = AssignmentRecord("aa" * 32, None, last_change_epoch=0)
+        groups, roster = make_world(n_groups=2)
         phi = {"g000": np.array([1.0, 0.0]), "g001": np.array([0.0, 1.0])}
         chosen, rows = score_and_select(
-            make_context(), list(groups.values()), model, record, epoch=8,
+            make_context(), list(groups.values()), model, roster, epoch=8,
             config=PolicyConfig(beta=1.0, lam=0.0),
             feature_map=lambda ctx, g: phi[g.group_id],
         )
@@ -202,11 +191,9 @@ class TestScoring:
 
     def test_churn_penalty_applies_inside_oscillation_horizon(self):
         model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
-        groups, coaches = make_world(n_groups=2)
-        groups["g000"].members.add("aa" * 32)
-        record = AssignmentRecord("aa" * 32, "g000", last_change_epoch=4)
+        groups, roster = make_world(n_groups=2, seats=[(USER, "g000", 4)])
         chosen, rows = score_and_select(
-            make_context(), list(groups.values()), model, record, epoch=8,
+            make_context(), list(groups.values()), model, roster, epoch=8,
             config=PolicyConfig(lam=0.5),
         )
         by_id = {r.group_id: r for r in rows}
@@ -218,12 +205,10 @@ class TestScoring:
         rng = np.random.default_rng(0)
         for _ in range(50):
             model.update(rng.normal(size=FEATURE_DIM) * 0.3, rng.normal())
-        groups, coaches = make_world()
-        record = AssignmentRecord("aa" * 32, "g000", last_change_epoch=6)
-        groups["g000"].members.add("aa" * 32)
+        groups, roster = make_world(seats=[(USER, "g000", 6)])
         config = PolicyConfig(beta=0.7, lam=0.3)
         _, rows = score_and_select(
-            make_context(), list(groups.values()), model, record, epoch=8, config=config
+            make_context(), list(groups.values()), model, roster, epoch=8, config=config
         )
         for row in rows:
             expected = row.mu + config.beta * row.sigma - config.lam * row.churn_penalty
@@ -231,17 +216,16 @@ class TestScoring:
 
     def test_empty_candidates_rejected(self):
         model = BanditModel(dim=FEATURE_DIM)
-        record = AssignmentRecord("aa" * 32, None, 0)
+        _, roster = make_world()
         with pytest.raises(ValidationError):
-            score_and_select(make_context(), [], model, record, 8, CONFIG)
+            score_and_select(make_context(), [], model, roster, 8, CONFIG)
 
     def test_dimension_mismatch_is_internal_error(self):
         model = BanditModel(dim=3)
-        groups, coaches = make_world(n_groups=1)
-        record = AssignmentRecord("aa" * 32, None, 0)
+        groups, roster = make_world(n_groups=1)
         with pytest.raises(InternalError):
             score_and_select(
-                make_context(), list(groups.values()), model, record, 8, CONFIG,
+                make_context(), list(groups.values()), model, roster, 8, CONFIG,
                 feature_map=lambda ctx, g: np.ones(5),
             )
 
@@ -368,60 +352,43 @@ class TestReward:
 
 class TestAssign:
     def test_dwell_locked_user_stays_with_zero_mutation(self):
-        groups, coaches = make_world()
-        token = "aa" * 32
-        groups["g001"].members.add(token)
-        record = AssignmentRecord(token, "g001", last_change_epoch=7)
+        groups, roster = make_world(seats=[(USER, "g001", 7)])
         model = BanditModel(dim=FEATURE_DIM)
-        before = {g: set(grp.members) for g, grp in groups.items()}
-        decision = assign(
-            make_context(), record, groups, coaches, model, epoch=8, config=CONFIG
-        )
+        before = [a.copy() for a in (roster.group_of, roster.last_change, roster.count, roster.load)]
+        decision = assign(make_context(), roster, groups, model, epoch=8, config=CONFIG)
         assert decision.chosen == "g001"
         assert not decision.changed
-        assert {g: set(grp.members) for g, grp in groups.items()} == before
-        assert record.last_change_epoch == 7
+        after = (roster.group_of, roster.last_change, roster.count, roster.load)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert roster.last_change[roster.row_of[USER]] == 7
 
     def test_waitlist_for_unplaced_user_with_no_feasible_group(self):
-        groups, coaches = make_world(goal="maintenance")
-        record = AssignmentRecord("aa" * 32, None, last_change_epoch=0)
+        groups, roster = make_world(goal="maintenance")
         model = BanditModel(dim=FEATURE_DIM)
-        decision = assign(
-            make_context(goal="fitness"), record, groups, coaches, model, 8, CONFIG
-        )
+        decision = assign(make_context(goal="fitness"), roster, groups, model, 8, CONFIG)
         assert decision.waitlisted
         assert decision.chosen is None
-        assert record.current_group is None
+        assert roster.group_id(roster.row_of[USER]) is None
 
     def test_placed_user_with_no_feasible_alternative_stays(self):
-        groups, coaches = make_world(n_groups=1, goal="maintenance")
-        token = "aa" * 32
-        groups["g000"].members.add(token)
-        record = AssignmentRecord(token, "g000", last_change_epoch=0)
+        groups, roster = make_world(n_groups=1, goal="maintenance", seats=[(USER, "g000", 0)])
         model = BanditModel(dim=FEATURE_DIM)
-        decision = assign(
-            make_context(goal="fitness"), record, groups, coaches, model, 8, CONFIG
-        )
+        decision = assign(make_context(goal="fitness"), roster, groups, model, 8, CONFIG)
         assert decision.chosen == "g000"
         assert not decision.changed and not decision.waitlisted
 
     def test_mutation_and_trace_on_change(self):
-        groups, coaches = make_world()
-        token = "aa" * 32
+        groups, roster = make_world(seats=[(USER, "g001", 0)])
         groups["g002"].goal_category = "maintenance"
-        groups["g001"].members.add(token)
         groups["g001"].goal_category = "maintenance"
-        record = AssignmentRecord(token, "g001", last_change_epoch=0)
         model = BanditModel(dim=FEATURE_DIM)
-        decision = assign(
-            make_context(goal="fitness"), record, groups, coaches, model, 8, CONFIG
-        )
+        decision = assign(make_context(goal="fitness"), roster, groups, model, 8, CONFIG)
         assert decision.chosen == "g000"
         assert decision.changed
-        assert token in groups["g000"].members
-        assert token not in groups["g001"].members
-        assert record.current_group == "g000"
-        assert record.last_change_epoch == 8
+        user = roster.row_of[USER]
+        assert roster.group_id(user) == "g000"
+        assert roster.count.tolist() == [1, 0, 0]
+        assert roster.last_change[user] == 8
         trace = decision.to_trace_dict()
         assert set(trace) == {"epoch", "user_token", "candidates", "chosen", "changed"}
         by_group = {c["group"]: c for c in trace["candidates"]}
@@ -431,46 +398,113 @@ class TestAssign:
         assert by_group["g001"]["reasons"] == ["goal_mismatch"]
         assert by_group["g001"]["score"] is None
 
-    def test_feasibility_safety_under_random_worlds(self):
-        rng = np.random.default_rng(2024)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_feasibility_safety_under_random_worlds(self, data):
         goals = ("weight_loss", "healthy_eating", "maintenance", "fitness")
-        for trial in range(60):
-            n_groups = int(rng.integers(2, 7))
-            groups = {
-                f"g{i:03d}": GroupState(
-                    group_id=f"g{i:03d}",
-                    coach_id=f"c{i % 2:02d}",
-                    capacity=int(rng.integers(1, 5)),
-                    goal_category=goals[int(rng.integers(4))],
-                    active=bool(rng.random() > 0.2),
+        n_coaches = data.draw(st.integers(1, 3))
+        specs = data.draw(
+            st.lists(
+                st.tuples(st.integers(1, 4), st.sampled_from(goals), st.booleans()),
+                min_size=1, max_size=6,
+            )
+        )
+        groups = {
+            f"g{i:03d}": GroupState(
+                group_id=f"g{i:03d}", coach_id=f"c{i % n_coaches:02d}",
+                capacity=capacity, goal_category=goal, active=active,
+            )
+            for i, (capacity, goal, active) in enumerate(specs)
+        }
+        coaches = {
+            f"c{c:02d}": CoachState(f"c{c:02d}", load_limit=data.draw(st.integers(1, 8)))
+            for c in range(n_coaches)
+        }
+        user_goals = data.draw(st.lists(st.sampled_from(goals), min_size=1, max_size=12))
+        tokens = [f"{u:02x}" * 32 for u in range(len(user_goals))]
+        roster = Roster(groups, coaches, tokens)
+        dwell = data.draw(st.integers(0, 4))
+        config = PolicyConfig(dwell=dwell, oscillation=dwell + data.draw(st.integers(0, 4)))
+        start = data.draw(st.integers(0, 10))
+        steps = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        model = BanditModel(dim=FEATURE_DIM)
+        last_move = {}
+        epoch = start
+        for step in steps:
+            epoch += step
+            for u in data.draw(st.permutations(range(len(tokens)))):
+                context = LearningContext(
+                    user_token=UserToken(tokens[u]),
+                    epoch=epoch,
+                    numeric_features=rng.random(5),
+                    categorical_features=goal_onehot(user_goals[u]),
+                    missed_checkin_streak=int(rng.integers(0, 10)),
+                    engagement_slope=float(rng.normal() * 0.1),
                 )
-                for i in range(n_groups)
-            }
-            coaches = {
-                cid: CoachState(
-                    coach_id=cid,
-                    groups={g for g, grp in groups.items() if grp.coach_id == cid},
-                    load_limit=int(rng.integers(2, 8)),
-                )
-                for cid in ("c00", "c01")
-            }
-            model = BanditModel(dim=FEATURE_DIM)
-            records = {}
-            for u in range(12):
-                token_hex = f"{u:02x}" * 32
-                records[token_hex] = AssignmentRecord(token_hex, None, 0)
-            for epoch in range(8, 14):
-                for u, (token_hex, record) in enumerate(records.items()):
-                    context = LearningContext(
-                        user_token=UserToken(token_hex),
-                        epoch=epoch,
-                        numeric_features=rng.random(5),
-                        categorical_features=goal_onehot(goals[u % 4]),
-                        missed_checkin_streak=int(rng.integers(0, 10)),
-                        engagement_slope=float(rng.normal() * 0.1),
-                    )
-                    assign(context, record, groups, coaches, model, epoch, CONFIG)
-                    for grp in groups.values():
-                        assert len(grp.members) <= grp.capacity
-                    for coach in coaches.values():
-                        assert coach.load(groups) <= coach.load_limit
+                decision = assign(context, roster, groups, model, epoch, config)
+                if decision.changed:
+                    if u in last_move:
+                        assert epoch - last_move[u] >= dwell
+                    last_move[u] = epoch
+                assert roster.group_id(u) == decision.chosen
+                seated = roster.group_of[roster.group_of >= 0]
+                count = np.bincount(seated, minlength=len(groups))
+                load = np.bincount(roster.coach_of[seated], minlength=n_coaches)
+                assert np.array_equal(count, roster.count)
+                assert np.array_equal(load, roster.load)
+                assert (roster.count <= roster.capacity).all()
+                assert (roster.load <= roster.load_limit).all()
+
+
+class TestRosterMove:
+    def make(self, capacity=2, coach_limit=10):
+        groups = {
+            "g000": GroupState("g000", "c00", capacity=capacity, goal_category="fitness"),
+            "g001": GroupState("g001", "c01", capacity=capacity, goal_category="fitness"),
+        }
+        coaches = {
+            "c00": CoachState("c00", load_limit=coach_limit),
+            "c01": CoachState("c01", load_limit=coach_limit),
+        }
+        return Roster(groups, coaches, ["u0", "u1", "u2"])
+
+    def assert_raises_unchanged(self, roster, *move_args):
+        before = [a.copy() for a in (roster.group_of, roster.last_change, roster.count, roster.load)]
+        with pytest.raises(ConstraintViolationError):
+            roster.move(*move_args)
+        after = (roster.group_of, roster.last_change, roster.count, roster.load)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    def test_move_updates_every_counter(self):
+        roster = self.make()
+        roster.move(0, 0, 0, dwell=4)
+        roster.move(0, 1, 4, dwell=4)
+        assert roster.group_of.tolist() == [1, -1, -1]
+        assert roster.last_change.tolist() == [4, 0, 0]
+        assert roster.count.tolist() == [0, 1]
+        assert roster.load.tolist() == [0, 1]
+
+    def test_capacity_breach_raises(self):
+        roster = self.make(capacity=1)
+        roster.move(0, 0, 0, dwell=0)
+        self.assert_raises_unchanged(roster, 1, 0, 0, 0)
+
+    def test_coach_load_breach_raises(self):
+        roster = self.make(coach_limit=1)
+        roster.move(0, 0, 0, dwell=0)
+        roster.move(1, 1, 0, dwell=0)
+        self.assert_raises_unchanged(roster, 2, 1, 0, 0)
+
+    def test_dwell_breach_raises_counting_from_initial_placement(self):
+        roster = self.make()
+        roster.move(0, 0, 0, dwell=4)
+        self.assert_raises_unchanged(roster, 0, 1, 3, 4)
+        roster.move(0, 1, 4, dwell=4)
+
+    def test_coach_load_is_a_counter_read(self):
+        roster = self.make()
+        roster.move(0, 0, 0, dwell=0)
+        roster.move(1, 0, 0, dwell=0)
+        assert CoachState("c00", load_limit=10).load(roster) == 2
+        assert CoachState("c01", load_limit=10).load(roster) == 0

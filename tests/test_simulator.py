@@ -43,24 +43,16 @@ def small_scenario(**overrides):
 
 def cohort_fingerprint(world) -> str:
     doc = {
-        "users": [u.to_dict() for u in world.users],
+        "users": [
+            [u.index, u.token.value, u.goal, u.base_logit, u.match_sensitivity,
+             u.fatigue_rate, u.engagement_rates.tolist(), sorted(u.language_tags)]
+            for u in world.users
+        ],
         "groups": {
-            gid: {
-                "coach": g.coach_id,
-                "capacity": g.capacity,
-                "goal": g.goal_category,
-                "members": sorted(g.members),
-            }
-            for gid, g in world.groups.items()
+            gid: [g.coach_id, g.capacity, g.goal_category] for gid, g in world.groups.items()
         },
-        "coaches": {
-            cid: {"groups": sorted(c.groups), "load_limit": c.load_limit}
-            for cid, c in world.coaches.items()
-        },
-        "records": {
-            tok: [rec.current_group, rec.last_change_epoch]
-            for tok, rec in world.records.items()
-        },
+        "coaches": {cid: c.load_limit for cid, c in world.coaches.items()},
+        "placement": [world.roster.group_of.tolist(), world.roster.last_change.tolist()],
     }
     return json.dumps(doc, sort_keys=True)
 
@@ -80,7 +72,8 @@ class TestGeneration:
     def test_capacity_feasible(self, keys):
         scenario = small_scenario(n_users=100, n_groups=10, capacity_min=12, capacity_max=12)
         world = generate_cohort(scenario, keys)
-        assert sum(len(g.members) for g in world.groups.values()) == 100
+        assert world.roster.count.sum() == 100
+        assert (world.roster.group_of >= 0).all()
 
     def test_over_capacity_rejected(self, keys):
         scenario = small_scenario(n_users=200, n_groups=10, capacity_min=15, capacity_max=15)
@@ -101,7 +94,7 @@ class TestGeneration:
         mismatched = sum(
             1
             for u in world.users
-            if world.groups[world.records[u.token.value].current_group].goal_category != u.goal
+            if world.groups[world.roster.group_id(u.index)].goal_category != u.goal
         )
         assert 0.2 <= mismatched / 200 <= 0.4
 
@@ -197,7 +190,7 @@ class TestBehaviorModel:
             step_week(world, epoch, group_activity_flags(world, epoch))
         matched, mismatched = [], []
         for u in world.users:
-            gid = world.records[u.token.value].current_group
+            gid = world.roster.group_id(u.index)
             rate = world.checkins[u.index, : 6 * 7].mean()
             (matched if world.groups[gid].goal_category == u.goal else mismatched).append(rate)
         assert np.mean(matched) > np.mean(mismatched) + 0.15
@@ -238,13 +231,18 @@ class TestRunExperiment:
         _, adaptive_pen = run_paired(scenario, keys, policy=penalized)
         assert adaptive_pen.reassignments <= adaptive_base.reassignments
 
-    def test_dwell_respected_in_change_history(self, keys):
-        result = run_experiment(small_scenario(seed=13, policy="adaptive"), keys)
+    def test_dwell_respected_in_traces(self, keys):
+        # Counted from the initial placement at epoch 0, as the filter does.
+        result = run_experiment(small_scenario(seed=13, policy="adaptive"), keys, keep_traces=True)
         dwell = PolicyConfig().dwell
-        for changes in result.world.change_history.values():
-            epochs = [e for e, _ in changes[1:]]
-            for prev, nxt in zip(epochs, epochs[1:]):
-                assert nxt - prev >= dwell
+        last_change = {u.token.value: 0 for u in result.world.users}
+        moves = 0
+        for trace in result.traces:
+            if trace["changed"]:
+                assert trace["epoch"] - last_change[trace["user_token"]] >= dwell
+                last_change[trace["user_token"]] = trace["epoch"]
+                moves += 1
+        assert moves > 0
 
     def test_governance_counters(self, keys):
         report = run_experiment(small_scenario(seed=21), keys).report
@@ -270,6 +268,81 @@ class TestRunExperiment:
     def test_violations_always_reported_zero(self, keys):
         report = run_experiment(small_scenario(seed=51), keys).report
         assert report.violations == 0
+
+
+class TestConstraintAudit:
+    """The audit recounts from ``group_of`` and never trusts Roster.move()."""
+
+    def world(self, keys):
+        world = generate_cohort(small_scenario(n_users=24, capacity_min=5, capacity_max=5), keys)
+        assert world.audit_constraints(PolicyConfig(), 0) == 0
+        return world
+
+    @staticmethod
+    def write_around_move(roster, user, group, epoch):
+        old = roster.group_of[user]
+        roster.count[old] -= 1
+        roster.load[roster.coach_of[old]] -= 1
+        roster.count[group] += 1
+        roster.load[roster.coach_of[group]] += 1
+        roster.group_of[user] = group
+        roster.last_change[user] = epoch
+
+    def test_clean_moves_pass(self, keys):
+        world = self.world(keys)
+        roster = world.roster
+        target = int(np.argmin(roster.count))
+        same_coach = roster.coach_of[roster.group_of] == roster.coach_of[target]
+        user = int(np.flatnonzero(same_coach & (roster.group_of != target))[0])
+        roster.move(user, target, 4, dwell=4)
+        assert world.audit_constraints(PolicyConfig(dwell=4), 4) == 0
+
+    def test_capacity_breach_caught(self, keys):
+        world = self.world(keys)
+        roster = world.roster
+        roster.load_limit[:] = 10**6
+        for user in np.flatnonzero(roster.group_of != 0)[: roster.capacity[0]]:
+            self.write_around_move(roster, user, 0, 6)
+        assert roster.count[0] > roster.capacity[0]
+        assert world.audit_constraints(PolicyConfig(dwell=4), 6) > 0
+
+    def test_coach_load_breach_caught(self, keys):
+        world = self.world(keys)
+        roster = world.roster
+        roster.capacity[:] = 10**6
+        roster.load_limit[:] = roster.load
+        coach0 = np.flatnonzero(roster.coach_of == 0)[0]
+        user = np.flatnonzero(roster.coach_of[roster.group_of] != 0)[0]
+        self.write_around_move(roster, user, coach0, 6)
+        assert world.audit_constraints(PolicyConfig(dwell=4), 6) > 0
+
+    def test_dwell_breach_caught(self, keys):
+        world = self.world(keys)
+        roster = world.roster
+        roster.capacity[:] = 10**6
+        roster.load_limit[:] = 10**6
+        user = int(np.flatnonzero(roster.group_of != 0)[0])
+        self.write_around_move(roster, user, 0, 3)
+        assert world.audit_constraints(PolicyConfig(dwell=4), 3) == 1
+
+    def test_counter_drift_caught(self, keys):
+        world = self.world(keys)
+        world.roster.count[0] -= 1
+        assert world.audit_constraints(PolicyConfig(), 1) > 0
+
+    def test_unrecorded_move_caught(self, keys):
+        world = self.world(keys)
+        roster = world.roster
+        roster.capacity[:] = 10**6
+        roster.load_limit[:] = 10**6
+        user = int(np.flatnonzero(roster.group_of != 0)[0])
+        self.write_around_move(roster, user, 0, 0)  # last_change left at the old epoch
+        assert world.audit_constraints(PolicyConfig(dwell=0), 5) == 1
+
+    def test_rewritten_last_change_caught(self, keys):
+        world = self.world(keys)
+        world.roster.last_change[0] = 5  # a dwell reset with no move
+        assert world.audit_constraints(PolicyConfig(), 5) == 1
 
 
 class TestDeterminismAndPrivacy:
