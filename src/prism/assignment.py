@@ -12,8 +12,9 @@ pending-observation queue owned by the caller.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -31,9 +32,12 @@ _STREAK_CAP_DAYS = 14
 _THETA_RESYNC_EVERY = 512
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupState:
-    """Static attributes of one peer group; who sits in it lives in the Roster."""
+    """Static attributes of one peer group; who sits in it lives in the Roster.
+
+    Frozen because the roster copies these attributes into arrays once.
+    """
 
     group_id: str
     coach_id: str
@@ -68,6 +72,10 @@ class Roster:
     ``load``. Users are rows in the order of ``user_tokens``; group rows
     follow ``sorted(group_id)``, which is the lexicographic candidate
     order. :meth:`move` is the only writer of all four.
+
+    The groups' static attributes are arrays too: ``capacity``,
+    ``coach_of``, ``goal_index`` (into ``GOAL_CATEGORIES``), ``active``,
+    and ``speaks``, a group-by-language-tag mask.
     """
 
     def __init__(
@@ -86,6 +94,18 @@ class Roster:
             [self.coach_row[groups[gid].coach_id] for gid in self.group_ids], dtype=np.int64
         )
         self.load_limit = np.array([coaches[cid].load_limit for cid in coach_ids], dtype=np.int64)
+        self.goal_index = np.array(
+            [GOAL_CATEGORIES.index(groups[gid].goal_category) for gid in self.group_ids],
+            dtype=np.int64,
+        )
+        self.active = np.array([groups[gid].active for gid in self.group_ids], dtype=bool)
+        tags = sorted(set().union(*(groups[gid].language_tags for gid in self.group_ids)))
+        self._tag_col = {tag: t for t, tag in enumerate(tags)}
+        self.speaks = np.array(
+            [[tag in groups[gid].language_tags for tag in tags] for gid in self.group_ids],
+            dtype=bool,
+        ).reshape(len(self.group_ids), len(tags))
+        self._eligibility: dict[tuple[int, frozenset[str]], np.ndarray] = {}
         self.group_of = np.full(len(user_tokens), -1, dtype=np.int64)
         self.last_change = np.zeros(len(user_tokens), dtype=np.int64)
         self.count = np.zeros(len(self.group_ids), dtype=np.int64)
@@ -99,10 +119,6 @@ class Roster:
         """Member rows of one group, in ascending user order."""
         return np.flatnonzero(self.group_of == group)
 
-    def fill_ratio(self, group_id: str) -> float:
-        group = self.group_row[group_id]
-        return self.count[group] / self.capacity[group]
-
     def full_for(self, user: int) -> tuple[np.ndarray, np.ndarray]:
         """Per group: is it at capacity, is its coach at the load limit.
 
@@ -115,6 +131,26 @@ class Roster:
         capacity_full = self.count - own_group >= self.capacity
         coach_full = self.load[self.coach_of] - own_coach >= self.load_limit[self.coach_of]
         return capacity_full, coach_full
+
+    def eligibility_codes(self, goal: int, user_tags: frozenset[str]) -> np.ndarray:
+        """Per group, the goal, inactive and language reason bits for a user
+        with goal index ``goal`` (-1 for none) and language ``user_tags``.
+
+        They depend only on static attributes, so each (goal, tags) pair
+        is computed once and the read-only result is reused.
+        """
+        codes = self._eligibility.get((goal, user_tags))
+        if codes is None:
+            shared = self.speaks[:, [self._tag_col[t] for t in user_tags if t in self._tag_col]]
+            language = bool(user_tags) & self.speaks.any(axis=1) & ~shared.any(axis=1)
+            codes = (
+                (self.goal_index != goal) * CODE_GOAL
+                | ~self.active * CODE_INACTIVE
+                | language * CODE_LANGUAGE
+            )
+            codes.flags.writeable = False
+            self._eligibility[(goal, user_tags)] = codes
+        return codes
 
     def move(self, user: int, group: int, epoch: int, dwell: int) -> None:
         """Seat ``user`` in ``group`` at ``epoch``.
@@ -197,19 +233,24 @@ FEATURE_DIM = _USER_BLOCK + _GROUP_BLOCK + len(GOAL_CATEGORIES)
 
 def joint_features(
     context: LearningContext,
-    group: GroupState,
-    fill_ratio: float,
-    group_engagement: float = 0.5,
+    roster: Roster,
+    rows: np.ndarray,
+    group_engagement: Optional[Mapping[str, float]] = None,
 ) -> np.ndarray:
-    """Concatenate user features, group aggregates, and a goal-interaction block.
+    """One joint feature row per group row in ``rows``, as a (k, FEATURE_DIM) matrix.
 
-    The interaction block is the elementwise product of the user and
-    group goal one-hots, so goal agreement is directly learnable.
+    A row concatenates the user features, the group aggregates (last
+    week's member engagement, 0.5 when ``group_engagement`` has no entry,
+    and the fill ratio), the group goal one-hot, and a goal-interaction
+    block: the elementwise product of the user and group goal one-hots,
+    so goal agreement is directly learnable.
     """
+    engagement = group_engagement or {}
     user_goal = context.categorical_features
-    group_goal = np.zeros(len(GOAL_CATEGORIES))
-    group_goal[GOAL_CATEGORIES.index(group.goal_category)] = 1.0
-    user_block = np.concatenate(
+    group_goal = np.zeros((rows.size, len(GOAL_CATEGORIES)))
+    group_goal[np.arange(rows.size), roster.goal_index[rows]] = 1.0
+    phi = np.empty((rows.size, FEATURE_DIM))
+    phi[:, :_USER_BLOCK] = np.concatenate(
         [
             context.numeric_features,
             user_goal,
@@ -219,10 +260,13 @@ def joint_features(
             ],
         ]
     )
-    group_block = np.concatenate(
-        [[float(np.clip(group_engagement, 0.0, 1.0)), fill_ratio], group_goal]
+    phi[:, _USER_BLOCK] = np.clip(
+        [engagement.get(roster.group_ids[r], 0.5) for r in rows.tolist()], 0.0, 1.0
     )
-    return np.concatenate([user_block, group_block, user_goal * group_goal])
+    phi[:, _USER_BLOCK + 1] = roster.count[rows] / roster.capacity[rows]
+    phi[:, _USER_BLOCK + 2 : _USER_BLOCK + _GROUP_BLOCK] = group_goal
+    phi[:, _USER_BLOCK + _GROUP_BLOCK :] = user_goal * group_goal
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +321,6 @@ class BanditModel:
             self._a_inv = np.linalg.inv(self.A)
         self._theta = self._a_inv @ self.b
 
-    def solve_theta(self) -> np.ndarray:
-        """Coefficients from a direct solve of A theta = b (reference path)."""
-        return np.linalg.solve(self.A, self.b)
-
 
 # ---------------------------------------------------------------------------
 # Feasibility filtering
@@ -293,6 +333,45 @@ REASON_LANGUAGE = "language_mismatch"
 REASON_CAPACITY = "capacity_full"
 REASON_COACH_LOAD = "coach_load_full"
 
+# A reason code per group: one bit per reason, in report order, and 0
+# for feasible. Dwell is a code of its own because it overrides every
+# other filter.
+_REASON_BITS = (REASON_GOAL, REASON_INACTIVE, REASON_LANGUAGE, REASON_CAPACITY, REASON_COACH_LOAD)
+CODE_GOAL, CODE_INACTIVE, CODE_LANGUAGE, CODE_CAPACITY, CODE_COACH_LOAD = (
+    1 << bit for bit in range(len(_REASON_BITS))
+)
+CODE_DWELL = 1 << len(_REASON_BITS)
+N_REASON_CODES = CODE_DWELL + 1
+REASONS_OF_CODE: tuple[tuple[str, ...], ...] = tuple(
+    tuple(reason for bit, reason in enumerate(_REASON_BITS) if code >> bit & 1)
+    for code in range(CODE_DWELL)
+) + ((REASON_DWELL,),)
+
+
+class FeasibilityReport(Mapping[str, list]):
+    """Per-group list of violated constraints, in group-id order; an empty
+    list means feasible.
+
+    Holds one reason code per group row (``codes``) and decodes a group's
+    list only when it is read.
+    """
+
+    def __init__(self, roster: Roster, codes: np.ndarray) -> None:
+        self._roster = roster
+        self.codes = codes
+
+    def __getitem__(self, group_id: str) -> list[str]:
+        return list(REASONS_OF_CODE[self.codes[self._roster.group_row[group_id]]])
+
+    def __iter__(self):
+        return iter(self._roster.group_ids)
+
+    def __len__(self) -> int:
+        return len(self._roster.group_ids)
+
+    def values(self) -> list[list[str]]:
+        return [list(REASONS_OF_CODE[code]) for code in self.codes.tolist()]
+
 
 def feasibility_report(
     context: LearningContext,
@@ -301,39 +380,31 @@ def feasibility_report(
     epoch: int,
     config: PolicyConfig,
     user_tags: frozenset[str] = frozenset(),
-) -> dict[str, list[str]]:
-    """Per-group list of violated constraints, in group-id order; an empty
-    list means feasible.
+) -> FeasibilityReport:
+    """Which constraints each group violates for this user at ``epoch``.
 
     Inside the dwell window every group except the current one is locked
     out. Capacity and coach-load checks exclude the user themself, so a
-    member's own full group stays feasible for staying put.
+    member's own full group stays feasible for staying put. The group
+    attributes are the ones the roster copied from ``groups`` when it
+    was built.
     """
     user = roster.row_of[context.user_token.value]
-    current = roster.group_id(user)
-    if current is not None and (epoch - roster.last_change[user]) < config.dwell:
+    current = roster.group_of[user]
+    if current >= 0 and (epoch - roster.last_change[user]) < config.dwell:
         # The dwell rule overrides every other filter: staying put is the
         # only admissible action, whatever the current group looks like.
-        return {gid: ([] if gid == current else [REASON_DWELL]) for gid in roster.group_ids}
+        codes = np.full(len(roster.group_ids), CODE_DWELL)
+        codes[current] = 0
+        return FeasibilityReport(roster, codes)
+    goal = context.goal_category
     capacity_full, coach_full = roster.full_for(user)
-    report: dict[str, list[str]] = {}
-    for group_id, at_capacity, coach_at_limit in zip(
-        roster.group_ids, capacity_full.tolist(), coach_full.tolist()
-    ):
-        group = groups[group_id]
-        reasons = []
-        if group.goal_category != context.goal_category:
-            reasons.append(REASON_GOAL)
-        if not group.active:
-            reasons.append(REASON_INACTIVE)
-        if user_tags and group.language_tags and not (user_tags & group.language_tags):
-            reasons.append(REASON_LANGUAGE)
-        if at_capacity:
-            reasons.append(REASON_CAPACITY)
-        if coach_at_limit:
-            reasons.append(REASON_COACH_LOAD)
-        report[group_id] = reasons
-    return report
+    codes = (
+        roster.eligibility_codes(-1 if goal is None else GOAL_CATEGORIES.index(goal), user_tags)
+        | capacity_full * CODE_CAPACITY
+        | coach_full * CODE_COACH_LOAD
+    )
+    return FeasibilityReport(roster, codes)
 
 
 # ---------------------------------------------------------------------------
@@ -351,56 +422,57 @@ class CandidateScore:
     load: int
 
 
-def _churn_penalty(
-    group_id: str, roster: Roster, user: int, epoch: int, config: PolicyConfig
-) -> int:
-    current = roster.group_id(user)
-    if current is None or group_id == current:
-        return 0
-    return 1 if (epoch - roster.last_change[user]) < config.oscillation else 0
-
-
 def score_and_select(
     context: LearningContext,
-    candidates: Sequence[GroupState],
+    candidates: Sequence[int],
     model: BanditModel,
     roster: Roster,
     epoch: int,
     config: PolicyConfig,
-    feature_map: Optional[Callable[[LearningContext, GroupState], np.ndarray]] = None,
-) -> tuple[str, list[CandidateScore]]:
-    """UCB-score every candidate and pick the argmax.
+    feature_map: Optional[Callable[[LearningContext, np.ndarray], np.ndarray]] = None,
+    group_engagement: Optional[Mapping[str, float]] = None,
+) -> tuple[str, list[CandidateScore], np.ndarray]:
+    """UCB-score every candidate group row and pick the argmax.
 
     Score is mean estimate plus beta times the confidence width, minus
     the churn penalty for moves inside the oscillation horizon. Ties
     break to the lowest current load, then lexicographic group id.
+    ``feature_map`` maps the candidate rows to their feature matrix and
+    defaults to :func:`joint_features`. Returns the chosen group id, the
+    scores in candidate order, and the chosen row's features as scored.
     """
-    if not candidates:
+    rows = np.asarray(candidates, dtype=np.int64)
+    if rows.size == 0:
         raise ValidationError("score_and_select requires a non-empty candidate set")
+    if feature_map is None:
+        phi = joint_features(context, roster, rows, group_engagement)
+    else:
+        phi = np.asarray(feature_map(context, rows), dtype=float)
+    if phi.shape != (rows.size, model.dim):
+        raise InternalError(f"feature map produced shape {phi.shape}, model expects dim {model.dim}")
     user = roster.row_of[context.user_token.value]
-    fmap = feature_map or (lambda ctx, grp: joint_features(ctx, grp, roster.fill_ratio(grp.group_id)))
-    rows = []
-    for group in candidates:
-        phi = np.asarray(fmap(context, group), dtype=float)
-        if phi.shape != (model.dim,):
-            raise InternalError(
-                f"feature map produced dim {phi.shape}, model expects {model.dim}"
-            )
-        mu = model.mean(phi)
-        sigma = model.width(phi)
-        penalty = _churn_penalty(group.group_id, roster, user, epoch, config)
-        rows.append(
+    current = roster.group_of[user]
+    may_churn = current >= 0 and (epoch - roster.last_change[user]) < config.oscillation
+    scores = []
+    for i, (row, load) in enumerate(zip(rows.tolist(), roster.count[rows].tolist())):
+        mu = model.mean(phi[i])
+        sigma = model.width(phi[i])
+        penalty = 1 if may_churn and row != current else 0
+        scores.append(
             CandidateScore(
-                group_id=group.group_id,
+                group_id=roster.group_ids[row],
                 mu=mu,
                 sigma=sigma,
                 churn_penalty=penalty,
                 score=mu + config.beta * sigma - config.lam * penalty,
-                load=int(roster.count[roster.group_row[group.group_id]]),
+                load=load,
             )
         )
-    best = min(rows, key=lambda r: (-r.score, r.load, r.group_id))
-    return best.group_id, rows
+    best = min(
+        range(len(scores)), key=lambda i: (-scores[i].score, scores[i].load, scores[i].group_id)
+    )
+    # A copy, so a pending observation does not keep the whole matrix alive.
+    return scores[best].group_id, scores, phi[best].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -468,27 +540,58 @@ def compute_reward(
 # ---------------------------------------------------------------------------
 
 
+def trace_candidate(group_id: str, code: int, score: Optional[CandidateScore]) -> dict:
+    """One group's entry in a decision trace; ``score`` is None unless scored."""
+    return {
+        "group": group_id,
+        "mu": None if score is None else score.mu,
+        "sigma": None if score is None else score.sigma,
+        "penalty": None if score is None else score.churn_penalty,
+        "score": None if score is None else score.score,
+        "feasible": code == 0,
+        "reasons": list(REASONS_OF_CODE[code]),
+    }
+
+
 @dataclass
 class AssignmentDecision:
-    """Result of one assign() call plus the coach-facing rationale trace."""
+    """Result of one assign() call plus the coach-facing rationale trace.
+
+    The trace is kept compact: a reason code per group row, in
+    ``group_ids`` order, and the scores of the feasible rows (code 0) in
+    the same order. :attr:`candidates` expands them to one dict per group.
+    """
 
     epoch: int
     user_token: str
-    candidates: list[dict]
+    group_ids: Sequence[str]
+    reason_codes: np.ndarray
+    scores: list[CandidateScore]
     chosen: Optional[str]
     changed: bool
     waitlisted: bool = False
     phi_chosen: Optional[np.ndarray] = None
     churn_penalty: int = 0
 
-    def to_trace_dict(self) -> dict:
+    @property
+    def candidates(self) -> list[dict]:
+        scored = iter(self.scores)
+        return [
+            trace_candidate(group_id, code, next(scored) if code == 0 else None)
+            for group_id, code in zip(self.group_ids, self.reason_codes.tolist())
+        ]
+
+    def trace_fields(self) -> dict:
+        """The trace's fields other than ``candidates``."""
         return {
             "epoch": self.epoch,
             "user_token": self.user_token,
-            "candidates": self.candidates,
             "chosen": self.chosen,
             "changed": self.changed,
         }
+
+    def to_trace_dict(self) -> dict:
+        return {"candidates": self.candidates, **self.trace_fields()}
 
 
 def assign(
@@ -508,49 +611,27 @@ def assign(
     current one. A placed user with no feasible alternative stays put; an
     unplaced user with no feasible group is waitlisted for the next epoch.
     """
-    report = feasibility_report(context, roster, groups, epoch, config, user_tags)
-    feasible_ids = [gid for gid, reasons in report.items() if not reasons]
-    engagement_by_group = group_engagement or {}
+    codes = feasibility_report(context, roster, groups, epoch, config, user_tags).codes
+    feasible = np.flatnonzero(codes == 0)
     user = roster.row_of[context.user_token.value]
     current = roster.group_id(user)
 
-    trace = [
-        {
-            "group": gid,
-            "mu": None,
-            "sigma": None,
-            "penalty": None,
-            "score": None,
-            "feasible": not reasons,
-            "reasons": reasons,
-        }
-        for gid, reasons in report.items()
-    ]
-
-    if not feasible_ids:
+    if feasible.size == 0:
         return AssignmentDecision(
             epoch=epoch,
             user_token=context.user_token.value,
-            candidates=trace,
+            group_ids=roster.group_ids,
+            reason_codes=codes,
+            scores=[],
             chosen=current,
             changed=False,
             waitlisted=current is None,
         )
 
-    fmap = lambda ctx, grp: joint_features(
-        ctx, grp, roster.fill_ratio(grp.group_id), engagement_by_group.get(grp.group_id, 0.5)
+    chosen_id, scores, phi_chosen = score_and_select(
+        context, feasible, model, roster, epoch, config, group_engagement=group_engagement
     )
-    chosen_id, scores = score_and_select(
-        context, [groups[g] for g in feasible_ids], model, roster, epoch, config, feature_map=fmap
-    )
-    for row in scores:
-        trace[roster.group_row[row.group_id]].update(
-            mu=row.mu, sigma=row.sigma, penalty=row.churn_penalty, score=row.score
-        )
     chosen_row = next(r for r in scores if r.group_id == chosen_id)
-    # Capture the features as scored, before the move changes fill ratios.
-    phi_chosen = fmap(context, groups[chosen_id])
-
     changed = chosen_id != current
     if changed:
         roster.move(user, roster.group_row[chosen_id], epoch, config.dwell)
@@ -558,7 +639,9 @@ def assign(
     return AssignmentDecision(
         epoch=epoch,
         user_token=context.user_token.value,
-        candidates=trace,
+        group_ids=roster.group_ids,
+        reason_codes=codes,
+        scores=scores,
         chosen=chosen_id,
         changed=changed,
         phi_chosen=phi_chosen,

@@ -10,10 +10,8 @@ is a ``UserToken``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from datetime import date, datetime
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -186,10 +184,6 @@ def engagement_index(pre_scores: Sequence[float], post_scores: Sequence[float]) 
 # Event history and context assembly
 # ---------------------------------------------------------------------------
 
-EVENT_KINDS = ("checkin",) + ACTION_TYPES + ("weight",)
-
-_ACTION_INDEX = {kind: i for i, kind in enumerate(ACTION_TYPES)}
-
 
 @dataclass
 class UserEvents:
@@ -215,68 +209,8 @@ class UserEvents:
             first_day=-1,
         )
 
-    @classmethod
-    def from_event_dicts(
-        cls,
-        events: Iterable[Mapping[str, Any]],
-        *,
-        start_date: date,
-        horizon_weeks: int,
-    ) -> "UserEvents":
-        """Build from JSON-lines style event dicts ``{user_token, ts, kind, payload}``.
-
-        ``ts`` is an ISO date or datetime; events outside the horizon are
-        rejected.
-        """
-        out = cls.empty(horizon_weeks)
-        first = None
-        for event in events:
-            kind = event.get("kind")
-            if kind not in EVENT_KINDS:
-                raise ValidationError(f"unknown event kind: {kind!r}")
-            day = _day_index(event["ts"], start_date)
-            if not (0 <= day < horizon_weeks * DAYS_PER_WEEK):
-                raise ValidationError(f"event at {event['ts']!r} falls outside the horizon")
-            week = day // DAYS_PER_WEEK
-            if kind == "checkin":
-                out.checkins[day] = 1
-            elif kind == "weight":
-                payload = event.get("payload") or {}
-                out.weights_kg[week] = float(payload["kg"])
-            else:
-                out.action_counts[week, _ACTION_INDEX[kind]] += 1
-            first = day if first is None else min(first, day)
-        out.first_day = -1 if first is None else first
-        return out
-
     def has_history_before(self, epoch: int) -> bool:
         return self.first_day >= 0 and self.first_day < epoch * DAYS_PER_WEEK
-
-
-def _day_index(ts: Any, start_date: date) -> int:
-    if isinstance(ts, (int, np.integer)):
-        return int(ts)
-    parsed = datetime.fromisoformat(str(ts).replace("Z", "+00:00"))
-    return (parsed.date() - start_date).days
-
-
-def load_events_jsonl(
-    path: str, *, start_date: date, horizon_weeks: int
-) -> dict[str, UserEvents]:
-    """Ingest a JSON-lines event file, grouped per user token."""
-    by_user: dict[str, list[dict]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            event = json.loads(line)
-            by_user.setdefault(event["user_token"], []).append(event)
-    return {
-        token: UserEvents.from_event_dicts(
-            events, start_date=start_date, horizon_weeks=horizon_weeks
-        )
-        for token, events in by_user.items()
-    }
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,16 @@ from typing import Optional
 import numpy as np
 
 from .._version import __version__
-from ..assignment import BanditModel, FEATURE_DIM, PolicyConfig, assign, compute_reward
+from ..assignment import (
+    FEATURE_DIM,
+    N_REASON_CODES,
+    AssignmentDecision,
+    BanditModel,
+    PolicyConfig,
+    assign,
+    compute_reward,
+    trace_candidate,
+)
 from ..assistant import (
     DELIVERABLE_STATUSES,
     DRAFT_APPROVED,
@@ -78,20 +87,49 @@ class _PendingObservation:
 
 
 class _TraceSink:
-    """Streams decision traces to JSONL, keeps them in memory, or just counts."""
+    """Streams decision traces to JSONL, keeps them in memory, or just counts.
 
-    def __init__(self, path: Optional[str], keep: bool) -> None:
+    A JSONL line is assembled from JSON fragments. An unscored candidate's
+    fragment depends only on its group and reason code, so it is encoded
+    once per run and reused; scored candidates and the other trace fields
+    are encoded per decision. The in-memory traces are the reference
+    ``to_trace_dict()``, whose ``json.dumps(..., sort_keys=True)`` equals
+    :meth:`encode`.
+    """
+
+    def __init__(self, path: Optional[str], keep: bool, group_ids: list[str]) -> None:
         self._fh = open(path, "w", encoding="utf-8") if path else None
         self._keep = keep
         self.traces: list[dict] = []
         self.count = 0
+        self._group_ids = group_ids
+        self._rows = np.arange(len(group_ids))
+        # Fragments by (group row, reason code); code 0 is always scored.
+        self._fragments = np.empty((len(group_ids), N_REASON_CODES), dtype=object)
+        self._known = np.zeros(self._fragments.shape, dtype=bool)
+        self._known[:, 0] = True
 
-    def write(self, trace: dict) -> None:
+    def encode(self, decision: AssignmentDecision) -> str:
+        codes = decision.reason_codes
+        for row in np.flatnonzero(~self._known[self._rows, codes]).tolist():
+            code = int(codes[row])
+            self._fragments[row, code] = json.dumps(
+                trace_candidate(self._group_ids[row], code, None), sort_keys=True
+            )
+            self._known[row, code] = True
+        parts = self._fragments[self._rows, codes]
+        for row, score in zip(np.flatnonzero(codes == 0).tolist(), decision.scores):
+            parts[row] = json.dumps(trace_candidate(score.group_id, 0, score), sort_keys=True)
+        # "candidates" sorts before every other trace field.
+        fields = json.dumps(decision.trace_fields(), sort_keys=True)
+        return '{"candidates": [' + ", ".join(parts.tolist()) + "], " + fields[1:]
+
+    def write(self, decision: AssignmentDecision) -> None:
         self.count += 1
         if self._fh is not None:
-            self._fh.write(json.dumps(trace, sort_keys=True) + "\n")
+            self._fh.write(self.encode(decision) + "\n")
         if self._keep:
-            self.traces.append(trace)
+            self.traces.append(decision.to_trace_dict())
 
     def close(self) -> None:
         if self._fh is not None:
@@ -271,7 +309,11 @@ def run_experiment(
 
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    sink = _TraceSink(os.path.join(out_dir, "traces.jsonl") if out_dir else None, keep_traces)
+    sink = _TraceSink(
+        os.path.join(out_dir, "traces.jsonl") if out_dir else None,
+        keep_traces,
+        world.roster.group_ids,
+    )
 
     model = BanditModel(dim=FEATURE_DIM, ridge=config.ridge)
     pending: list[_PendingObservation] = []
@@ -388,7 +430,7 @@ def _run_epochs(
                     group_engagement=engagement_by_group,
                 )
                 counters["decisions"] += 1
-                sink.write(decision.to_trace_dict())
+                sink.write(decision)
                 if decision.changed:
                     counters["reassignments"] += 1
                 if decision.phi_chosen is not None:

@@ -121,20 +121,6 @@ class World:
     def n_users(self) -> int:
         return len(self.users)
 
-    # -- oracles used by tests ------------------------------------------------
-
-    def registered_identity_strings(self) -> set[str]:
-        """Raw and normalized identity values, for output-separation scans."""
-        values: set[str] = set()
-        for identity in self._raw_identities.values():
-            for key, value in identity.items():
-                values.add(value)
-                if key in ("email", "full_name", "first_name", "last_name"):
-                    values.add(value.lower())
-                if key == "phone":
-                    values.add("".join(ch for ch in value if ch.isdigit()))
-        return values
-
     def audit_constraints(self, policy: PolicyConfig, epoch: int) -> int:
         """Independent re-check of capacity, coach-load, and dwell invariants.
 

@@ -36,3 +36,22 @@ def any_token() -> UserToken:
 
 def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def solve_theta(model) -> np.ndarray:
+    """A bandit model's coefficients from a direct solve of A theta = b."""
+    return np.linalg.solve(model.A, model.b)
+
+
+def registered_identity_strings(world) -> set[str]:
+    """Raw and normalized identity values of a simulated cohort, for
+    output-separation scans."""
+    values: set[str] = set()
+    for identity in world._raw_identities.values():
+        for key, value in identity.items():
+            values.add(value)
+            if key in ("email", "full_name", "first_name", "last_name"):
+                values.add(value.lower())
+            if key == "phone":
+                values.add("".join(ch for ch in value if ch.isdigit()))
+    return values

@@ -1,10 +1,14 @@
 """Constrained bandit tests: feasibility filtering, UCB scoring, the
 incremental-vs-batch ridge oracle, reward arithmetic, end-to-end assign."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import solve_theta
 
 from prism.assignment import (
     FEATURE_DIM,
@@ -36,16 +40,19 @@ def make_context(goal="fitness", streak=0, slope=0.0, token_byte="aa", epoch=8):
     )
 
 
-def make_world(n_groups=3, capacity=5, goal="fitness", coach_limit=50, seats=()):
+def make_world(n_groups=3, capacity=5, goal="fitness", coach_limit=50, seats=(), edits=None):
     """Groups under one coach, and a roster of USER plus every seated token.
 
-    ``seats`` is a sequence of (token, group_id, epoch) placements.
+    ``seats`` is a sequence of (token, group_id, epoch) placements;
+    ``edits`` maps a group id to attributes that differ from the defaults.
     """
+    edits = edits or {}
     groups = {
-        f"g{i:03d}": GroupState(
-            group_id=f"g{i:03d}", coach_id="c00", capacity=capacity, goal_category=goal
+        gid: replace(
+            GroupState(group_id=gid, coach_id="c00", capacity=capacity, goal_category=goal),
+            **edits.get(gid, {}),
         )
-        for i in range(n_groups)
+        for gid in (f"g{i:03d}" for i in range(n_groups))
     }
     coaches = {"c00": CoachState(coach_id="c00", load_limit=coach_limit)}
     tokens = [USER] + [token for token, _, _ in seats if token != USER]
@@ -87,8 +94,9 @@ class TestEligibility:
 
     def test_dwell_overrides_eligibility_for_current_group(self):
         # Even a goal-mismatched current group is the whole set inside dwell.
-        groups, roster = make_world(seats=[(USER, "g001", 7)])
-        groups["g001"].goal_category = "maintenance"
+        groups, roster = make_world(
+            seats=[(USER, "g001", 7)], edits={"g001": {"goal_category": "maintenance"}}
+        )
         report = feasibility_report(
             make_context(goal="fitness"), roster, groups, epoch=8, config=CONFIG
         )
@@ -113,9 +121,9 @@ class TestEligibility:
 
     def test_eligibility_truth_table(self):
         # goal-match+active, goal-match+inactive, mismatch+active: only the first survives.
-        groups, roster = make_world()
-        groups["g001"].active = False
-        groups["g002"].goal_category = "maintenance"
+        groups, roster = make_world(
+            edits={"g001": {"active": False}, "g002": {"goal_category": "maintenance"}}
+        )
         report = feasibility_report(make_context(), roster, groups, epoch=8, config=CONFIG)
         assert feasible(report) == ["g000"]
 
@@ -128,9 +136,13 @@ class TestEligibility:
         assert feasible(report) == []
 
     def test_language_intersection(self):
-        groups, roster = make_world(n_groups=2)
-        groups["g000"].language_tags = frozenset({"fr"})
-        groups["g001"].language_tags = frozenset({"en", "fr"})
+        groups, roster = make_world(
+            n_groups=2,
+            edits={
+                "g000": {"language_tags": frozenset({"fr"})},
+                "g001": {"language_tags": frozenset({"en", "fr"})},
+            },
+        )
         report = feasibility_report(
             make_context(), roster, groups, epoch=8, config=CONFIG,
             user_tags=frozenset({"en"}),
@@ -138,20 +150,25 @@ class TestEligibility:
         assert feasible(report) == ["g001"]
 
     def test_reasons_reported(self):
-        groups, roster = make_world()
-        groups["g001"].active = False
+        groups, roster = make_world(edits={"g001": {"active": False}})
         report = feasibility_report(make_context(), roster, groups, epoch=8, config=CONFIG)
         assert report["g001"] == ["inactive"]
         assert report["g000"] == []
+
+    def test_group_attributes_are_frozen(self):
+        # The roster copies them into arrays once, so an edit could not reach feasibility.
+        groups, _ = make_world()
+        with pytest.raises(FrozenInstanceError):
+            groups["g001"].active = False
 
 
 class TestScoring:
     def test_cold_model_tie_breaks_to_lowest_load_then_id(self):
         groups, roster = make_world(seats=[("m1", "g000", 0), ("m2", "g000", 0), ("m3", "g002", 0)])
         model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
-        chosen, rows = score_and_select(
-            make_context(), list(groups.values()), model, roster, epoch=8, config=CONFIG,
-            feature_map=lambda ctx, g: np.ones(FEATURE_DIM) / np.sqrt(FEATURE_DIM),
+        chosen, rows, _ = score_and_select(
+            make_context(), np.arange(len(groups)), model, roster, epoch=8, config=CONFIG,
+            feature_map=lambda ctx, r: np.ones((r.size, FEATURE_DIM)) / np.sqrt(FEATURE_DIM),
         )
         # equal unit-norm features -> equal scores -> lowest load wins
         assert chosen == "g001"
@@ -162,10 +179,10 @@ class TestScoring:
         model.update(np.array([1.0, 0.0]), 1.0)
         groups, roster = make_world(n_groups=2)
         config = PolicyConfig(beta=0.0)
-        phi = {"g000": np.array([1.0, 0.0]), "g001": np.array([0.0, 1.0])}
-        chosen, rows = score_and_select(
-            make_context(), list(groups.values()), model, roster, epoch=8, config=config,
-            feature_map=lambda ctx, g: phi[g.group_id],
+        # g000 -> [1, 0], g001 -> [0, 1]
+        chosen, rows, _ = score_and_select(
+            make_context(), np.arange(2), model, roster, epoch=8, config=config,
+            feature_map=lambda ctx, r: np.eye(2)[r],
         )
         assert chosen == "g000"
 
@@ -174,11 +191,10 @@ class TestScoring:
         model = BanditModel(dim=2, ridge=1.0)
         model.update(np.array([1.0, 0.0]), 1.0)
         groups, roster = make_world(n_groups=2)
-        phi = {"g000": np.array([1.0, 0.0]), "g001": np.array([0.0, 1.0])}
-        chosen, rows = score_and_select(
-            make_context(), list(groups.values()), model, roster, epoch=8,
+        chosen, rows, phi_chosen = score_and_select(
+            make_context(), np.arange(2), model, roster, epoch=8,
             config=PolicyConfig(beta=1.0, lam=0.0),
-            feature_map=lambda ctx, g: phi[g.group_id],
+            feature_map=lambda ctx, r: np.eye(2)[r],
         )
         by_id = {r.group_id: r for r in rows}
         assert by_id["g000"].mu == pytest.approx(0.5)
@@ -188,13 +204,13 @@ class TestScoring:
         assert by_id["g001"].sigma == pytest.approx(1.0)
         assert by_id["g001"].score == pytest.approx(1.0)
         assert chosen == "g000"
+        assert phi_chosen.tolist() == [1.0, 0.0]
 
     def test_churn_penalty_applies_inside_oscillation_horizon(self):
         model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
         groups, roster = make_world(n_groups=2, seats=[(USER, "g000", 4)])
-        chosen, rows = score_and_select(
-            make_context(), list(groups.values()), model, roster, epoch=8,
-            config=PolicyConfig(lam=0.5),
+        chosen, rows, _ = score_and_select(
+            make_context(), np.arange(2), model, roster, epoch=8, config=PolicyConfig(lam=0.5),
         )
         by_id = {r.group_id: r for r in rows}
         assert by_id["g000"].churn_penalty == 0
@@ -207,8 +223,8 @@ class TestScoring:
             model.update(rng.normal(size=FEATURE_DIM) * 0.3, rng.normal())
         groups, roster = make_world(seats=[(USER, "g000", 6)])
         config = PolicyConfig(beta=0.7, lam=0.3)
-        _, rows = score_and_select(
-            make_context(), list(groups.values()), model, roster, epoch=8, config=config
+        _, rows, _ = score_and_select(
+            make_context(), np.arange(len(groups)), model, roster, epoch=8, config=config
         )
         for row in rows:
             expected = row.mu + config.beta * row.sigma - config.lam * row.churn_penalty
@@ -225,8 +241,8 @@ class TestScoring:
         groups, roster = make_world(n_groups=1)
         with pytest.raises(InternalError):
             score_and_select(
-                make_context(), list(groups.values()), model, roster, 8, CONFIG,
-                feature_map=lambda ctx, g: np.ones(5),
+                make_context(), np.arange(1), model, roster, 8, CONFIG,
+                feature_map=lambda ctx, r: np.ones((r.size, 5)),
             )
 
 
@@ -271,7 +287,7 @@ class TestModelUpdate:
         model = BanditModel(dim=6, ridge=0.5)
         for _ in range(300):
             model.update(rng.normal(size=6), rng.normal())
-        assert np.max(np.abs(model.theta - model.solve_theta())) < 1e-9
+        assert np.max(np.abs(model.theta - solve_theta(model))) < 1e-9
 
 
 def _events_with_adherence(pre_rate: float, post_rate: float, epoch: int, config: PolicyConfig):
@@ -378,9 +394,10 @@ class TestAssign:
         assert not decision.changed and not decision.waitlisted
 
     def test_mutation_and_trace_on_change(self):
-        groups, roster = make_world(seats=[(USER, "g001", 0)])
-        groups["g002"].goal_category = "maintenance"
-        groups["g001"].goal_category = "maintenance"
+        groups, roster = make_world(
+            seats=[(USER, "g001", 0)],
+            edits={gid: {"goal_category": "maintenance"} for gid in ("g001", "g002")},
+        )
         model = BanditModel(dim=FEATURE_DIM)
         decision = assign(make_context(goal="fitness"), roster, groups, model, 8, CONFIG)
         assert decision.chosen == "g000"

@@ -17,7 +17,6 @@ from prism.features import (
     engagement_score,
     engagement_scores,
     goal_onehot,
-    load_events_jsonl,
     normalize,
     weekly_slope,
 )
@@ -295,45 +294,3 @@ class TestLearningContextBoundary:
             "user_token", "epoch", "numeric_features", "categorical_features",
             "missed_checkin_streak", "engagement_slope",
         }
-
-
-class TestEventIngestion:
-    def test_jsonl_round_trip(self, tmp_path):
-        import json
-        from datetime import date
-
-        lines = [
-            {"user_token": TOKEN.value, "ts": "2025-01-06", "kind": "checkin", "payload": {}},
-            {"user_token": TOKEN.value, "ts": "2025-01-07", "kind": "post", "payload": {}},
-            {"user_token": TOKEN.value, "ts": "2025-01-08", "kind": "weight",
-             "payload": {"kg": 80.5}},
-        ]
-        path = tmp_path / "events.jsonl"
-        path.write_text("\n".join(json.dumps(e) for e in lines) + "\n")
-        events = load_events_jsonl(
-            str(path), start_date=date(2025, 1, 6), horizon_weeks=2
-        )[TOKEN.value]
-        assert events.checkins[0] == 1
-        assert events.action_counts[0, 0] == 1  # one post in week 0
-        assert events.weights_kg[0] == pytest.approx(80.5)
-        assert events.first_day == 0
-
-    def test_unknown_kind_rejected(self):
-        from datetime import date
-
-        with pytest.raises(ValidationError):
-            UserEvents.from_event_dicts(
-                [{"user_token": "x", "ts": "2025-01-06", "kind": "selfie"}],
-                start_date=date(2025, 1, 6),
-                horizon_weeks=1,
-            )
-
-    def test_out_of_horizon_event_rejected(self):
-        from datetime import date
-
-        with pytest.raises(ValidationError):
-            UserEvents.from_event_dicts(
-                [{"user_token": "x", "ts": "2025-03-01", "kind": "checkin"}],
-                start_date=date(2025, 1, 6),
-                horizon_weeks=2,
-            )

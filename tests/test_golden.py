@@ -1,4 +1,9 @@
-"""Golden digests: the exact bytes of one effect and one null adaptive run.
+"""Golden digests: the exact bytes of a few adaptive runs.
+
+The effect and null runs are the acceptance scenarios. The coach-bound
+run has a coach load factor low enough that ``coach_load_full`` appears
+in its traces, alone and together with ``capacity_full`` and
+``goal_mismatch``, so every reason the simulator emits is pinned.
 
 A change that alters these bytes on purpose updates the digest here and
 says why in CHANGES.md. Floating-point reductions are part of the bytes,
@@ -13,7 +18,7 @@ import pytest
 
 from test_acceptance import KEYS, effect_scenario, null_scenario
 
-from prism.simulator import run_experiment
+from prism.simulator import Scenario, run_experiment
 
 GOLDEN = {
     "effect-seed-1": (
@@ -25,6 +30,15 @@ GOLDEN = {
         null_scenario(201),
         "ac77c62a374e489c395a1b53154c4e60facb96acd95b1cbb37ae1da3233b81d3",
         "4e89481264450a1ddf29a67725257816d062728b80ebe6ab608c6f343b19ee9d",
+    ),
+    "coach-bound-seed-1": (
+        Scenario(
+            name="coach-bound", seed=1, n_users=150, n_groups=8, n_coaches=2,
+            capacity_min=20, capacity_max=26, coach_load_factor=0.9,
+            horizon_weeks=10, w_pre=4, w_post=5,
+        ),
+        "3fe09370ccdd2c7ff8517384c2ebe5315681cee467b299e0f8f3f8057660960b",
+        "ae3adaa53ea80f4a7da45d3e0302a744a222d74e1f8d4458583bfe5683505983",
     ),
 }
 

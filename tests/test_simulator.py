@@ -8,6 +8,8 @@ import pathlib
 import numpy as np
 import pytest
 
+from conftest import registered_identity_strings
+
 from prism.assignment import PolicyConfig
 from prism.errors import ValidationError
 from prism.metrics import MetricsReport
@@ -359,7 +361,7 @@ class TestDeterminismAndPrivacy:
     def test_outputs_contain_no_registered_identity(self, keys, tmp_path):
         out = str(tmp_path / "run")
         result = run_experiment(small_scenario(seed=7), keys, out_dir=out)
-        identity_strings = result.world.registered_identity_strings()
+        identity_strings = registered_identity_strings(result.world)
         assert identity_strings  # the oracle actually has content
         for name in os.listdir(out):
             blob = pathlib.Path(out, name).read_text(encoding="utf-8")

@@ -1,0 +1,101 @@
+"""The benchmark's per-layer tracer still finds the names it wraps.
+
+``perfbench/tracing.py`` replaces public names of the ``prism`` layers
+and reads the results of some of them. A renamed function or a changed
+result shape would only show under ``perfbench/run.py --trace 1``; these
+tests make it show in the unit suite too.
+"""
+
+import importlib.util
+import pathlib
+from collections import Counter
+
+import numpy as np
+
+import prism.assignment
+import prism.simulator.experiment
+from prism.assignment import (
+    FEATURE_DIM,
+    BanditModel,
+    CoachState,
+    GroupState,
+    PolicyConfig,
+    Roster,
+    feasibility_report,
+)
+from prism.features import LearningContext, goal_onehot
+from prism.vault import UserToken
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def small_world():
+    groups = {
+        "g000": GroupState("g000", "c00", capacity=3, goal_category="fitness"),
+        "g001": GroupState("g001", "c00", capacity=3, goal_category="maintenance"),
+        "g002": GroupState("g002", "c00", capacity=3, goal_category="fitness"),
+    }
+    roster = Roster(groups, {"c00": CoachState("c00", load_limit=9)}, ["aa" * 32])
+    context = LearningContext(
+        user_token=UserToken("aa" * 32),
+        epoch=8,
+        numeric_features=np.full(5, 0.5),
+        categorical_features=goal_onehot("fitness"),
+        missed_checkin_streak=0,
+        engagement_slope=0.0,
+    )
+    return groups, roster, context
+
+
+def test_tracer_installs_every_name_and_restores_it():
+    tracing = load_tracing()
+    targets = [(tracing._resolve(owner), attr) for specs in (tracing.SPANS, tracing.COUNTED)
+               for _, owner, attr in specs]
+    before = [getattr(target, attr) for target, attr in targets]
+    with tracing.Tracer().installed():  # raises AttributeError on a missing name
+        assert all(getattr(t, a) is not b for (t, a), b in zip(targets, before))
+    assert all(getattr(t, a) is b for (t, a), b in zip(targets, before))
+
+
+def test_feasibility_observer_reads_a_real_report():
+    tracing = load_tracing()
+    groups, roster, context = small_world()
+    counts = Counter()
+    report = feasibility_report(context, roster, groups, 8, PolicyConfig())
+    tracing._observe_feasibility(counts, (), report)
+    assert counts == Counter(groups_checked=3, groups_feasible=2, dwell_locked=0)
+
+    roster.move(0, 0, 7, dwell=0)
+    report = feasibility_report(context, roster, groups, 8, PolicyConfig(dwell=4))
+    tracing._observe_feasibility(counts, (), report)
+    assert counts == Counter(groups_checked=6, groups_feasible=3, dwell_locked=1)
+
+
+def test_one_traced_decision_reaches_every_assignment_span():
+    tracing = load_tracing()
+    groups, roster, context = small_world()
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        tracer.arm = "adaptive"
+        decision = prism.simulator.experiment.assign(
+            context, roster, groups, BanditModel(dim=FEATURE_DIM), 8, PolicyConfig()
+        )
+        tracer.arm = None
+    assert prism.assignment.assign is prism.simulator.experiment.assign
+    names = Counter(span[0] for span in tracer.spans)
+    assert names == Counter({
+        "assignment.assign": 1,
+        "assignment.feasibility_report": 1,
+        "assignment.score_and_select": 1,
+        "assignment.joint_features": 1,
+    })
+    assert tracer.counts["groups_checked"] == 3
+    assert tracer.counts["groups_feasible"] == 2
+    assert tracer.counts["moves"] == int(decision.changed) == 1
