@@ -61,7 +61,7 @@ roster = seated_roster(last_change=0)
 # ---------------------------------------------------------------------------
 # Hard constraints run before any learning-based scoring.
 # ---------------------------------------------------------------------------
-report = feasibility_report(context, roster, groups, 8, config)
+report = feasibility_report(context, roster, 8, config)
 print("feasibility at epoch 8:")
 for gid, reasons in report.items():
     print(f"  {gid}: {'feasible' if not reasons else ', '.join(reasons)}")
@@ -69,7 +69,7 @@ print("eligible:", feasible(report))
 print("coach loads:", {cid: coach.load(roster) for cid, coach in coaches.items()})
 
 # Inside the dwell window the only admissible action is the current group.
-locked = feasibility_report(context, seated_roster(last_change=6), groups, 8, config)
+locked = feasibility_report(context, seated_roster(last_change=6), 8, config)
 print("within dwell:", feasible(locked))
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,7 @@ print("within dwell:", feasible(locked))
 # explores through the width term alone.
 # ---------------------------------------------------------------------------
 model = BanditModel(ridge=config.ridge)
-decision = assign(context, roster, groups, model, 8, config)
+decision = assign(context, roster, model, 8, config)
 print("\ndecision trace:")
 for row in decision.candidates:
     if row["score"] is None:

@@ -12,7 +12,7 @@ pending-observation queue owned by the caller.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,14 +86,16 @@ class Roster:
     ) -> None:
         self.group_ids = sorted(groups)
         self.group_row = {gid: g for g, gid in enumerate(self.group_ids)}
-        coach_ids = sorted(coaches)
-        self.coach_row = {cid: c for c, cid in enumerate(coach_ids)}
+        self.coach_ids = sorted(coaches)
+        self.coach_row = {cid: c for c, cid in enumerate(self.coach_ids)}
         self.row_of = {token: u for u, token in enumerate(user_tokens)}
         self.capacity = np.array([groups[gid].capacity for gid in self.group_ids], dtype=np.int64)
         self.coach_of = np.array(
             [self.coach_row[groups[gid].coach_id] for gid in self.group_ids], dtype=np.int64
         )
-        self.load_limit = np.array([coaches[cid].load_limit for cid in coach_ids], dtype=np.int64)
+        self.load_limit = np.array(
+            [coaches[cid].load_limit for cid in self.coach_ids], dtype=np.int64
+        )
         self.goal_index = np.array(
             [GOAL_CATEGORIES.index(groups[gid].goal_category) for gid in self.group_ids],
             dtype=np.int64,
@@ -109,15 +111,11 @@ class Roster:
         self.group_of = np.full(len(user_tokens), -1, dtype=np.int64)
         self.last_change = np.zeros(len(user_tokens), dtype=np.int64)
         self.count = np.zeros(len(self.group_ids), dtype=np.int64)
-        self.load = np.zeros(len(coach_ids), dtype=np.int64)
+        self.load = np.zeros(len(self.coach_ids), dtype=np.int64)
 
     def group_id(self, user: int) -> Optional[str]:
         group = self.group_of[user]
         return self.group_ids[group] if group >= 0 else None
-
-    def members(self, group: int) -> np.ndarray:
-        """Member rows of one group, in ascending user order."""
-        return np.flatnonzero(self.group_of == group)
 
     def full_for(self, user: int) -> tuple[np.ndarray, np.ndarray]:
         """Per group: is it at capacity, is its coach at the load limit.
@@ -235,17 +233,16 @@ def joint_features(
     context: LearningContext,
     roster: Roster,
     rows: np.ndarray,
-    group_engagement: Optional[Mapping[str, float]] = None,
+    group_engagement: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """One joint feature row per group row in ``rows``, as a (k, FEATURE_DIM) matrix.
 
     A row concatenates the user features, the group aggregates (last
-    week's member engagement, 0.5 when ``group_engagement`` has no entry,
-    and the fill ratio), the group goal one-hot, and a goal-interaction
-    block: the elementwise product of the user and group goal one-hots,
-    so goal agreement is directly learnable.
+    week's member engagement from ``group_engagement``, indexed by group
+    row, 0.5 when it is None; and the fill ratio), the group goal one-hot,
+    and a goal-interaction block: the elementwise product of the user and
+    group goal one-hots, so goal agreement is directly learnable.
     """
-    engagement = group_engagement or {}
     user_goal = context.categorical_features
     group_goal = np.zeros((rows.size, len(GOAL_CATEGORIES)))
     group_goal[np.arange(rows.size), roster.goal_index[rows]] = 1.0
@@ -260,9 +257,8 @@ def joint_features(
             ],
         ]
     )
-    phi[:, _USER_BLOCK] = np.clip(
-        [engagement.get(roster.group_ids[r], 0.5) for r in rows.tolist()], 0.0, 1.0
-    )
+    engagement = np.full(rows.size, 0.5) if group_engagement is None else group_engagement[rows]
+    phi[:, _USER_BLOCK] = np.clip(engagement, 0.0, 1.0)
     phi[:, _USER_BLOCK + 1] = roster.count[rows] / roster.capacity[rows]
     phi[:, _USER_BLOCK + 2 : _USER_BLOCK + _GROUP_BLOCK] = group_goal
     phi[:, _USER_BLOCK + _GROUP_BLOCK :] = user_goal * group_goal
@@ -376,7 +372,6 @@ class FeasibilityReport(Mapping[str, list]):
 def feasibility_report(
     context: LearningContext,
     roster: Roster,
-    groups: Mapping[str, GroupState],
     epoch: int,
     config: PolicyConfig,
     user_tags: frozenset[str] = frozenset(),
@@ -385,9 +380,8 @@ def feasibility_report(
 
     Inside the dwell window every group except the current one is locked
     out. Capacity and coach-load checks exclude the user themself, so a
-    member's own full group stays feasible for staying put. The group
-    attributes are the ones the roster copied from ``groups`` when it
-    was built.
+    member's own full group stays feasible for staying put. Every check
+    reads the roster's arrays.
     """
     user = roster.row_of[context.user_token.value]
     current = roster.group_of[user]
@@ -429,25 +423,20 @@ def score_and_select(
     roster: Roster,
     epoch: int,
     config: PolicyConfig,
-    feature_map: Optional[Callable[[LearningContext, np.ndarray], np.ndarray]] = None,
-    group_engagement: Optional[Mapping[str, float]] = None,
+    group_engagement: Optional[np.ndarray] = None,
 ) -> tuple[str, list[CandidateScore], np.ndarray]:
     """UCB-score every candidate group row and pick the argmax.
 
     Score is mean estimate plus beta times the confidence width, minus
     the churn penalty for moves inside the oscillation horizon. Ties
     break to the lowest current load, then lexicographic group id.
-    ``feature_map`` maps the candidate rows to their feature matrix and
-    defaults to :func:`joint_features`. Returns the chosen group id, the
-    scores in candidate order, and the chosen row's features as scored.
+    Returns the chosen group id, the scores in candidate order, and the
+    chosen row's features as scored.
     """
     rows = np.asarray(candidates, dtype=np.int64)
     if rows.size == 0:
         raise ValidationError("score_and_select requires a non-empty candidate set")
-    if feature_map is None:
-        phi = joint_features(context, roster, rows, group_engagement)
-    else:
-        phi = np.asarray(feature_map(context, rows), dtype=float)
+    phi = joint_features(context, roster, rows, group_engagement)
     if phi.shape != (rows.size, model.dim):
         raise InternalError(f"feature map produced shape {phi.shape}, model expects dim {model.dim}")
     user = roster.row_of[context.user_token.value]
@@ -597,13 +586,12 @@ class AssignmentDecision:
 def assign(
     context: LearningContext,
     roster: Roster,
-    groups: Mapping[str, GroupState],
     model: BanditModel,
     epoch: int,
     config: PolicyConfig,
     *,
     user_tags: frozenset[str] = frozenset(),
-    group_engagement: Optional[Mapping[str, float]] = None,
+    group_engagement: Optional[np.ndarray] = None,
 ) -> AssignmentDecision:
     """Filter, score, select, and apply one assignment decision.
 
@@ -611,7 +599,7 @@ def assign(
     current one. A placed user with no feasible alternative stays put; an
     unplaced user with no feasible group is waitlisted for the next epoch.
     """
-    codes = feasibility_report(context, roster, groups, epoch, config, user_tags).codes
+    codes = feasibility_report(context, roster, epoch, config, user_tags).codes
     feasible = np.flatnonzero(codes == 0)
     user = roster.row_of[context.user_token.value]
     current = roster.group_id(user)

@@ -100,21 +100,6 @@ def default_templates() -> dict[str, DraftTemplate]:
     return {t.template_id: t for t in templates}
 
 
-def load_templates(path: str) -> dict[str, DraftTemplate]:
-    """Load and lint templates from a JSON array of {template_id, category, body}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        docs = json.load(fh)
-    if not isinstance(docs, list) or not docs:
-        raise ValidationError("template file must be a non-empty JSON array")
-    out = {}
-    for doc in docs:
-        template = DraftTemplate(
-            template_id=doc["template_id"], category=doc["category"], body=doc["body"]
-        )
-        out[template.template_id] = template
-    return out
-
-
 @dataclass
 class Draft:
     """One generated message moving through the review workflow."""
@@ -293,23 +278,6 @@ def review(
         "review decision=%s draft=%s reviewer=%s", draft.status, draft.draft_id, reviewer_id
     )
     return draft
-
-
-def decision_labels(drafts: Iterable[Draft]) -> dict[str, int]:
-    """Coach decisions as actionability labels for suggestion-quality audits.
-
-    Approved or edited drafts count as actionable, discarded as not;
-    pending drafts are unlabeled.
-    """
-    labels = {"actionable": 0, "not_actionable": 0, "unlabeled": 0}
-    for draft in drafts:
-        if draft.status in DELIVERABLE_STATUSES:
-            labels["actionable"] += 1
-        elif draft.status == DRAFT_DISCARDED:
-            labels["not_actionable"] += 1
-        else:
-            labels["unlabeled"] += 1
-    return labels
 
 
 def save_drafts(drafts: Iterable[Draft], path: str) -> None:

@@ -200,15 +200,6 @@ class UserEvents:
     weights_kg: np.ndarray
     first_day: int = 0
 
-    @classmethod
-    def empty(cls, horizon_weeks: int) -> "UserEvents":
-        return cls(
-            checkins=np.zeros(horizon_weeks * DAYS_PER_WEEK, dtype=np.int8),
-            action_counts=np.zeros((horizon_weeks, len(ACTION_TYPES)), dtype=np.int32),
-            weights_kg=np.full(horizon_weeks, np.nan),
-            first_day=-1,
-        )
-
     def has_history_before(self, epoch: int) -> bool:
         return self.first_day >= 0 and self.first_day < epoch * DAYS_PER_WEEK
 

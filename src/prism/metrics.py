@@ -203,14 +203,10 @@ def format_eng_index(value: float) -> str:
     return f"{value:.2f} ({(value - 1.0) * 100:+.0f}%)"
 
 
-@dataclass(frozen=True)
-class RenderConfig:
-    precision: int = 4
-
-
-def render_report(report: MetricsReport, config: RenderConfig = RenderConfig()) -> dict[str, str]:
-    """Render a report as JSON, a fixed-column CSV row, and a text table."""
-    p = config.precision
+def render_report(report: MetricsReport) -> dict[str, str]:
+    """Render a report as JSON, a fixed-column CSV row, and a text table,
+    with 4 decimals for every rate and mean."""
+    p = 4
     csv_buf = io.StringIO()
     writer = csv.writer(csv_buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)

@@ -87,21 +87,17 @@ class _PendingObservation:
 
 
 class _TraceSink:
-    """Streams decision traces to JSONL, keeps them in memory, or just counts.
+    """Streams decision traces to a JSONL file; without a path it drops them.
 
     A JSONL line is assembled from JSON fragments. An unscored candidate's
     fragment depends only on its group and reason code, so it is encoded
     once per run and reused; scored candidates and the other trace fields
-    are encoded per decision. The in-memory traces are the reference
-    ``to_trace_dict()``, whose ``json.dumps(..., sort_keys=True)`` equals
-    :meth:`encode`.
+    are encoded per decision. :meth:`encode` equals
+    ``json.dumps(decision.to_trace_dict(), sort_keys=True)``.
     """
 
-    def __init__(self, path: Optional[str], keep: bool, group_ids: list[str]) -> None:
+    def __init__(self, path: Optional[str], group_ids: list[str]) -> None:
         self._fh = open(path, "w", encoding="utf-8") if path else None
-        self._keep = keep
-        self.traces: list[dict] = []
-        self.count = 0
         self._group_ids = group_ids
         self._rows = np.arange(len(group_ids))
         # Fragments by (group row, reason code); code 0 is always scored.
@@ -125,11 +121,8 @@ class _TraceSink:
         return '{"candidates": [' + ", ".join(parts.tolist()) + "], " + fields[1:]
 
     def write(self, decision: AssignmentDecision) -> None:
-        self.count += 1
         if self._fh is not None:
             self._fh.write(self.encode(decision) + "\n")
-        if self._keep:
-            self.traces.append(decision.to_trace_dict())
 
     def close(self) -> None:
         if self._fh is not None:
@@ -169,7 +162,6 @@ class RunResult:
     manifest: RunManifest
     world: World
     drafts: list[Draft]
-    traces: list[dict]
 
 
 def _user_events_view(world: World, index: int) -> UserEvents:
@@ -250,6 +242,7 @@ def _assistant_pass(
     delivered: list[tuple[str, str]],
 ) -> None:
     scenario = world.scenario
+    roster = world.roster
     templates = default_templates()
     rng = substream(scenario.seed, STREAM_REVIEW, epoch)
     created_at = rfc3339(SIM_EPOCH_BASE + epoch * WEEK_SECONDS)
@@ -274,7 +267,7 @@ def _assistant_pass(
             created_at=created_at,
         )
         drafts.append(draft)
-        coach_id = world.groups[world.roster.group_id(user.index)].coach_id
+        coach_id = roster.coach_ids[roster.coach_of[roster.group_of[user.index]]]
         u = float(rng.random())
         if u < scenario.review_approve_prob:
             review(draft, coach_id, "approve", decided_at=created_at)
@@ -294,7 +287,6 @@ def run_experiment(
     policy: Optional[PolicyConfig] = None,
     engagement_alphas: Optional[tuple] = None,
     out_dir: Optional[str] = None,
-    keep_traces: bool = False,
     key_source: str = "explicit",
 ) -> RunResult:
     """Run one arm end-to-end and assemble its metrics report.
@@ -310,9 +302,7 @@ def run_experiment(
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     sink = _TraceSink(
-        os.path.join(out_dir, "traces.jsonl") if out_dir else None,
-        keep_traces,
-        world.roster.group_ids,
+        os.path.join(out_dir, "traces.jsonl") if out_dir else None, world.roster.group_ids
     )
 
     model = BanditModel(dim=FEATURE_DIM, ridge=config.ridge)
@@ -353,9 +343,7 @@ def run_experiment(
 
     if out_dir:
         _write_run_dir(out_dir, world, report, manifest, drafts)
-    return RunResult(
-        report=report, manifest=manifest, world=world, drafts=drafts, traces=sink.traces
-    )
+    return RunResult(report=report, manifest=manifest, world=world, drafts=drafts)
 
 
 def _run_epochs(
@@ -406,7 +394,7 @@ def _run_epochs(
             pending[:] = still_pending
 
             window = _normalization_window(world, epoch)
-            engagement_by_group = group_engagement_means(world, epoch)
+            group_engagement = group_engagement_means(world, epoch)
             contexts = {
                 user.index: build_context(
                     _user_events_view(world, user.index),
@@ -422,12 +410,11 @@ def _run_epochs(
                 decision = assign(
                     contexts[user.index],
                     world.roster,
-                    world.groups,
                     model,
                     epoch,
                     config,
                     user_tags=user.language_tags,
-                    group_engagement=engagement_by_group,
+                    group_engagement=group_engagement,
                 )
                 counters["decisions"] += 1
                 sink.write(decision)

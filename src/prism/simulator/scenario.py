@@ -9,6 +9,7 @@ to a zero leak rate on generated traffic.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Mapping
 
@@ -24,6 +25,22 @@ STREET_SUFFIXES = ("Street", "Avenue", "Road", "Lane", "Drive", "Court")
 POLICY_STATIC = "static"
 POLICY_ADAPTIVE = "adaptive"
 POLICIES = (POLICY_STATIC, POLICY_ADAPTIVE)
+
+
+def _is_number(value: Any) -> bool:
+    return not isinstance(value, bool) and (
+        isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    )
+
+
+# Accepted values per field annotation: bools are not numbers, floats
+# must be finite, and an int field takes no float.
+_FIELD_CHECKS = {
+    "str": lambda value: isinstance(value, str),
+    "int": lambda value: isinstance(value, int) and not isinstance(value, bool),
+    "float": _is_number,
+    "tuple[float, ...]": lambda value: isinstance(value, tuple) and all(map(_is_number, value)),
+}
 
 
 @dataclass(frozen=True)
@@ -68,6 +85,12 @@ class Scenario:
     weight_noise_sd: float = 0.05
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _FIELD_CHECKS[f.type](value):
+                raise ValidationError(f"scenario field {f.name} must be {f.type}, got {value!r}")
+        if self.seed < 0:
+            raise ValidationError("seed must be a non-negative integer")
         if self.policy not in POLICIES:
             raise ValidationError(f"policy must be one of {POLICIES}, got {self.policy!r}")
         if self.w_pre < 1 or self.w_post < 1:
@@ -93,6 +116,10 @@ class Scenario:
             raise ValidationError("review probabilities must be non-negative and sum to <= 1")
         if not (0 < self.coach_load_factor <= 1.0):
             raise ValidationError("coach_load_factor must lie in (0, 1]")
+        if not (0.0 <= self.message_prob <= 1.0):
+            raise ValidationError("message_prob must lie in [0, 1]")
+        if self.analyst_probes_per_week < 0:
+            raise ValidationError("analyst_probes_per_week must be non-negative")
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -103,13 +130,15 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "Scenario":
+        if not isinstance(doc, Mapping):
+            raise ValidationError("a scenario must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:
             raise ValidationError(f"unknown scenario keys: {sorted(unknown)}")
         coerced = dict(doc)
         for key in ("goal_weights", "engagement_rate_means"):
-            if key in coerced:
+            if isinstance(coerced.get(key), list):
                 coerced[key] = tuple(coerced[key])
         return cls(**coerced)
 

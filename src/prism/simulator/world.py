@@ -63,48 +63,58 @@ def poisson_from_uniform(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 class SimClock:
-    """Deterministic clock: fixed base date, one tick per vault interaction."""
+    """Deterministic, monotone clock: a fixed base date and one tick of
+    ``_RESTORE_SPACING_SECONDS`` per vault interaction.
+
+    :meth:`set_week` moves the clock forward to the start of a week, or
+    leaves it where it is when the previous weeks' interactions already
+    ran past that start; time never runs backwards.
+    """
+
+    _TICKS_PER_WEEK = int(WEEK_SECONDS // _RESTORE_SPACING_SECONDS)
 
     def __init__(self) -> None:
-        self._week = 0
         self._tick = 0
 
     def set_week(self, week: int) -> None:
-        self._week = week
-        self._tick = 0
+        self._tick = max(self._tick, week * self._TICKS_PER_WEEK)
 
     def __call__(self) -> float:
-        t = SIM_EPOCH_BASE + self._week * WEEK_SECONDS + self._tick * _RESTORE_SPACING_SECONDS
+        t = SIM_EPOCH_BASE + self._tick * _RESTORE_SPACING_SECONDS
         self._tick += 1
         return t
 
 
 @dataclass
 class SimUser:
-    """Behavioral parameters for one synthetic user (identity lives in the vault)."""
+    """One synthetic user's token and goal (identity lives in the vault,
+    behavioral parameters in the world's arrays)."""
 
     index: int
     token: UserToken
     goal: str
-    base_logit: float
-    match_sensitivity: float
-    fatigue_rate: float
-    engagement_rates: np.ndarray
     language_tags: frozenset[str] = frozenset({"en"})
 
 
 @dataclass
 class World:
-    """Full mutable state of one simulated run."""
+    """Full mutable state of one simulated run.
+
+    Group and coach state lives in the roster, keyed by row; group and
+    coach ids only label the rows (``roster.group_ids``, ``roster.coach_ids``).
+    """
 
     scenario: Scenario
     vault: Vault
     clock: SimClock
     users: list[SimUser]
-    groups: dict[str, GroupState]
-    coaches: dict[str, CoachState]
     roster: Roster              # placement; user rows follow ``users``
     rules: tuple[RedactionRule, ...]
+    # Per-user draws, fixed at generation (index-aligned with users)
+    goal_index: np.ndarray      # (n,) int, into GOAL_CATEGORIES
+    base_logit: np.ndarray      # (n,)
+    fatigue_rate: np.ndarray    # (n,)
+    engagement_rates: np.ndarray  # (n, K)
     # Behavior arrays (index-aligned with users)
     checkins: np.ndarray        # (n, horizon*7) int8
     actions: np.ndarray         # (n, horizon, K) int32
@@ -190,33 +200,27 @@ def generate_cohort(scenario: Scenario, keys: KeyRing) -> World:
         )
 
     # Users: identity through the vault, behavioral parameters kept.
+    n = scenario.n_users
     users: list[SimUser] = []
     raw_identities: dict[str, dict] = {}
     goal_weights = np.asarray(scenario.goal_weights)
-    weights0_col = np.empty(scenario.n_users)
-    for i in range(scenario.n_users):
+    goal_index = np.empty(n, dtype=np.int64)
+    base_logit = np.empty(n)
+    fatigue_rate = np.empty(n)
+    engagement_rates = np.empty((n, len(ACTION_TYPES)))
+    weights0_col = np.empty(n)
+    for i in range(n):
         identity = synth_identity(rng, i)
-        goal = GOAL_CATEGORIES[int(rng.choice(len(GOAL_CATEGORIES), p=goal_weights))]
-        base_logit = scenario.base_logit_mean + scenario.base_logit_sd * float(rng.normal())
-        fatigue = scenario.fatigue_mean * float(rng.uniform(0.5, 1.5))
-        rates = np.asarray(scenario.engagement_rate_means) * np.exp(
+        goal_index[i] = int(rng.choice(len(GOAL_CATEGORIES), p=goal_weights))
+        base_logit[i] = scenario.base_logit_mean + scenario.base_logit_sd * float(rng.normal())
+        fatigue_rate[i] = scenario.fatigue_mean * float(rng.uniform(0.5, 1.5))
+        engagement_rates[i] = np.asarray(scenario.engagement_rate_means) * np.exp(
             0.3 * rng.normal(size=len(ACTION_TYPES))
         )
-        weight0 = scenario.weight_start_mean + scenario.weight_start_sd * float(rng.normal())
+        weights0_col[i] = scenario.weight_start_mean + scenario.weight_start_sd * float(rng.normal())
         token = vault.register(identity)
-        users.append(
-            SimUser(
-                index=i,
-                token=token,
-                goal=goal,
-                base_logit=base_logit,
-                match_sensitivity=scenario.match_uplift,
-                fatigue_rate=fatigue,
-                engagement_rates=rates,
-            )
-        )
+        users.append(SimUser(index=i, token=token, goal=GOAL_CATEGORIES[goal_index[i]]))
         raw_identities[token.value] = identity
-        weights0_col[i] = weight0
 
     horizon = scenario.horizon_weeks
     world = World(
@@ -224,14 +228,16 @@ def generate_cohort(scenario: Scenario, keys: KeyRing) -> World:
         vault=vault,
         clock=clock,
         users=users,
-        groups=groups,
-        coaches=coaches,
         roster=Roster(groups, coaches, [u.token.value for u in users]),
         rules=default_rules(),
-        checkins=np.zeros((scenario.n_users, horizon * DAYS_PER_WEEK), dtype=np.int8),
-        actions=np.zeros((scenario.n_users, horizon, len(ACTION_TYPES)), dtype=np.int32),
-        weights_kg=np.zeros((scenario.n_users, horizon + 1)),
-        weekly_scores=np.full((scenario.n_users, horizon), np.nan),
+        goal_index=goal_index,
+        base_logit=base_logit,
+        fatigue_rate=fatigue_rate,
+        engagement_rates=engagement_rates,
+        checkins=np.zeros((n, horizon * DAYS_PER_WEEK), dtype=np.int8),
+        actions=np.zeros((n, horizon, len(ACTION_TYPES)), dtype=np.int32),
+        weights_kg=np.zeros((n, horizon + 1)),
+        weekly_scores=np.full((n, horizon), np.nan),
         _raw_identities=raw_identities,
     )
     world.weights_kg[:, 0] = weights0_col
@@ -245,25 +251,21 @@ def _place_initially(world: World) -> None:
     scenario = world.scenario
     roster = world.roster
     rng = substream(scenario.seed, _STREAM_PLACEMENT)
-    goals = [world.groups[gid].goal_category for gid in roster.group_ids]
-    for user in world.users:
+    for user in range(world.n_users):
         mismatched = rng.random() < scenario.misgroup_fraction
-        right = [g for g, goal in enumerate(goals) if goal == user.goal]
-        wrong = [g for g, goal in enumerate(goals) if goal != user.goal]
-        pools = (wrong, right) if mismatched else (right, wrong)
-        capacity_full, coach_full = roster.full_for(user.index)
-        blocked = (capacity_full | coach_full).tolist()
-        placed = None
+        right = roster.goal_index == world.goal_index[user]
+        pools = (~right, right) if mismatched else (right, ~right)
+        capacity_full, coach_full = roster.full_for(user)
+        blocked = capacity_full | coach_full
         for pool in pools:
-            open_groups = [g for g in pool if not blocked[g]]
-            if open_groups:
-                placed = open_groups[int(rng.integers(len(open_groups)))]
+            open_rows = np.flatnonzero(pool & ~blocked)
+            if open_rows.size:
                 break
-        if placed is None:
+        else:
             raise ValidationError(
                 "placement infeasible: no group has both capacity and coach headroom"
             )
-        roster.move(user.index, placed, 0, dwell=0)
+        roster.move(user, open_rows[rng.integers(open_rows.size)], 0, dwell=0)
     world._audited = (roster.group_of.copy(), roster.last_change.copy())
 
 
@@ -272,42 +274,44 @@ def _place_initially(world: World) -> None:
 # ---------------------------------------------------------------------------
 
 
-def group_activity_flags(world: World, epoch: int) -> dict[str, bool]:
-    """Active iff the group has members whose last-week mean score clears the bar.
+def _member_scores(world: World, week: int) -> list[np.ndarray]:
+    """Per group row, its members' scores for ``week`` in ascending user order."""
+    group_of = world.roster.group_of
+    order = np.argsort(group_of, kind="stable")
+    bounds = np.searchsorted(group_of[order], np.arange(world.roster.count.size + 1))
+    scores = world.weekly_scores[order, week]
+    return [scores[lo:hi] for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+
+
+def group_activity_flags(world: World, epoch: int) -> np.ndarray:
+    """Per group row: active iff it has members whose last-week mean score
+    clears the bar.
 
     Before engagement scores exist (the pre-period), occupied groups
     count as active.
     """
-    roster = world.roster
-    unscored = epoch == 0 or np.isnan(world.weekly_scores[:, epoch - 1]).all()
-    flags = {}
-    for g, gid in enumerate(roster.group_ids):
-        members = roster.members(g)
-        if members.size == 0:
-            flags[gid] = False
-        elif unscored:
-            flags[gid] = True
-        else:
-            mean = float(np.mean(world.weekly_scores[members, epoch - 1]))
-            flags[gid] = mean >= world.scenario.activity_threshold
-    return flags
+    if epoch == 0 or np.isnan(world.weekly_scores[:, epoch - 1]).all():
+        return world.roster.count > 0
+    threshold = world.scenario.activity_threshold
+    return np.array(
+        [s.size > 0 and float(np.mean(s)) >= threshold for s in _member_scores(world, epoch - 1)],
+        dtype=bool,
+    )
 
 
-def group_engagement_means(world: World, epoch: int) -> dict[str, float]:
-    """Mean member engagement last week, as the group aggregate feature."""
-    roster = world.roster
-    means = {}
-    for g, gid in enumerate(roster.group_ids):
-        members = roster.members(g)
-        if members.size == 0 or epoch == 0:
-            means[gid] = 0.5
-            continue
-        scores = world.weekly_scores[members, epoch - 1]
-        means[gid] = 0.5 if np.isnan(scores).all() else float(np.nanmean(scores))
+def group_engagement_means(world: World, epoch: int) -> np.ndarray:
+    """Per group row, mean member engagement last week, as the group
+    aggregate feature; 0.5 for a group with no scored member."""
+    means = np.full(world.roster.count.size, 0.5)
+    if epoch == 0:
+        return means
+    for g, scores in enumerate(_member_scores(world, epoch - 1)):
+        if scores.size and not np.isnan(scores).all():
+            means[g] = np.nanmean(scores)
     return means
 
 
-def step_week(world: World, epoch: int, active_flags: dict[str, bool]) -> None:
+def step_week(world: World, epoch: int, active_flags: np.ndarray) -> None:
     """Simulate one week of check-ins, engagement actions, and weight drift.
 
     Check-in probability is a logistic model: base propensity plus a
@@ -327,23 +331,22 @@ def step_week(world: World, epoch: int, active_flags: dict[str, bool]) -> None:
     weight_noise = rng.normal(size=n) * scenario.weight_noise_sd
 
     roster = world.roster
-    group_goal = np.array([world.groups[gid].goal_category for gid in roster.group_ids])
-    group_active = np.array([active_flags.get(gid, False) for gid in roster.group_ids])
-    user_goal = np.array([u.goal for u in world.users])
     seated = roster.group_of >= 0
-    match = (seated & (group_goal[roster.group_of] == user_goal)).astype(float)
-    active = (seated & group_active[roster.group_of]).astype(float)
+    match = (seated & (roster.goal_index[roster.group_of] == world.goal_index)).astype(float)
+    active = (seated & active_flags[roster.group_of]).astype(float)
 
-    base = np.array([u.base_logit for u in world.users])
-    sensitivity = np.array([u.match_sensitivity for u in world.users])
-    fatigue = np.array([u.fatigue_rate for u in world.users])
-    logits = base + sensitivity * match + scenario.activity_uplift * active - fatigue * epoch + noise
+    logits = (
+        world.base_logit
+        + scenario.match_uplift * match
+        + scenario.activity_uplift * active
+        - world.fatigue_rate * epoch
+        + noise
+    )
     p = sigmoid(logits)
     week_checkins = (u_checkin < p[:, None]).astype(np.int8)
     world.checkins[:, epoch * DAYS_PER_WEEK : (epoch + 1) * DAYS_PER_WEEK] = week_checkins
 
-    rates = np.stack([u.engagement_rates for u in world.users])
-    lam = rates * (1.0 + scenario.engagement_match_bonus * match)[:, None]
+    lam = world.engagement_rates * (1.0 + scenario.engagement_match_bonus * match)[:, None]
     world.actions[:, epoch, :] = poisson_from_uniform(u_actions, lam)
 
     week_adherence = week_checkins.mean(axis=1)

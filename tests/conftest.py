@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from prism.features import ACTION_TYPES, DAYS_PER_WEEK, UserEvents
 from prism.vault import ENC_KEY_ENV, TOKEN_KEY_ENV, KeyRing, UserToken
 
 TOKEN_KEY_HEX = "11" * 32
@@ -36,6 +37,16 @@ def any_token() -> UserToken:
 
 def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def empty_events(horizon_weeks: int) -> UserEvents:
+    """The event history of a user with no events over ``horizon_weeks``."""
+    return UserEvents(
+        checkins=np.zeros(horizon_weeks * DAYS_PER_WEEK, dtype=np.int8),
+        action_counts=np.zeros((horizon_weeks, len(ACTION_TYPES)), dtype=np.int32),
+        weights_kg=np.full(horizon_weeks, np.nan),
+        first_day=-1,
+    )
 
 
 def solve_theta(model) -> np.ndarray:

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import solve_theta
+from conftest import empty_events, solve_theta
 
+import prism.assignment
 from prism.assignment import (
     FEATURE_DIM,
     BanditModel,
@@ -23,7 +24,7 @@ from prism.assignment import (
     score_and_select,
 )
 from prism.errors import ConstraintViolationError, InternalError, ValidationError
-from prism.features import EngagementWeights, LearningContext, UserEvents, goal_onehot
+from prism.features import EngagementWeights, LearningContext, goal_onehot
 from prism.vault import UserToken
 
 USER = "aa" * 32
@@ -41,7 +42,7 @@ def make_context(goal="fitness", streak=0, slope=0.0, token_byte="aa", epoch=8):
 
 
 def make_world(n_groups=3, capacity=5, goal="fitness", coach_limit=50, seats=(), edits=None):
-    """Groups under one coach, and a roster of USER plus every seated token.
+    """A roster of groups under one coach, with USER plus every seated token.
 
     ``seats`` is a sequence of (token, group_id, epoch) placements;
     ``edits`` maps a group id to attributes that differ from the defaults.
@@ -59,7 +60,7 @@ def make_world(n_groups=3, capacity=5, goal="fitness", coach_limit=50, seats=(),
     roster = Roster(groups, coaches, tokens)
     for token, gid, epoch in seats:
         roster.move(roster.row_of[token], roster.group_row[gid], epoch, dwell=0)
-    return groups, roster
+    return roster
 
 
 def feasible(report):
@@ -88,55 +89,55 @@ class TestPolicyConfig:
 
 class TestEligibility:
     def test_dwell_lock_returns_only_current_group(self):
-        groups, roster = make_world(seats=[(USER, "g001", 7)])
-        report = feasibility_report(make_context(), roster, groups, epoch=8, config=CONFIG)
+        roster = make_world(seats=[(USER, "g001", 7)])
+        report = feasibility_report(make_context(), roster, epoch=8, config=CONFIG)
         assert feasible(report) == ["g001"]
 
     def test_dwell_overrides_eligibility_for_current_group(self):
         # Even a goal-mismatched current group is the whole set inside dwell.
-        groups, roster = make_world(
+        roster = make_world(
             seats=[(USER, "g001", 7)], edits={"g001": {"goal_category": "maintenance"}}
         )
         report = feasibility_report(
-            make_context(goal="fitness"), roster, groups, epoch=8, config=CONFIG
+            make_context(goal="fitness"), roster, epoch=8, config=CONFIG
         )
         assert feasible(report) == ["g001"]
 
     def test_past_dwell_opens_alternatives(self):
-        groups, roster = make_world(seats=[(USER, "g001", 4)])
-        report = feasibility_report(make_context(), roster, groups, epoch=8, config=CONFIG)
+        roster = make_world(seats=[(USER, "g001", 4)])
+        report = feasibility_report(make_context(), roster, epoch=8, config=CONFIG)
         assert feasible(report) == ["g000", "g001", "g002"]
 
     def test_full_group_excluded_for_non_members(self):
-        groups, roster = make_world(
+        roster = make_world(
             capacity=2, seats=[("x1", "g000", 0), ("x2", "g000", 0), (USER, "g001", 0)]
         )
-        report = feasibility_report(make_context(), roster, groups, epoch=8, config=CONFIG)
+        report = feasibility_report(make_context(), roster, epoch=8, config=CONFIG)
         assert "g000" not in feasible(report)
 
     def test_member_keeps_own_full_group(self):
-        groups, roster = make_world(capacity=2, seats=[(USER, "g001", 0), ("x2", "g001", 0)])
-        report = feasibility_report(make_context(), roster, groups, epoch=8, config=CONFIG)
+        roster = make_world(capacity=2, seats=[(USER, "g001", 0), ("x2", "g001", 0)])
+        report = feasibility_report(make_context(), roster, epoch=8, config=CONFIG)
         assert "g001" in feasible(report)
 
     def test_eligibility_truth_table(self):
         # goal-match+active, goal-match+inactive, mismatch+active: only the first survives.
-        groups, roster = make_world(
+        roster = make_world(
             edits={"g001": {"active": False}, "g002": {"goal_category": "maintenance"}}
         )
-        report = feasibility_report(make_context(), roster, groups, epoch=8, config=CONFIG)
+        report = feasibility_report(make_context(), roster, epoch=8, config=CONFIG)
         assert feasible(report) == ["g000"]
 
     def test_coach_load_binding(self):
-        groups, roster = make_world(
+        roster = make_world(
             n_groups=2, capacity=5, coach_limit=3,
             seats=[("x1", "g000", 0), ("x2", "g000", 0), ("x3", "g000", 0)],
         )
-        report = feasibility_report(make_context(), roster, groups, epoch=8, config=CONFIG)
+        report = feasibility_report(make_context(), roster, epoch=8, config=CONFIG)
         assert feasible(report) == []
 
     def test_language_intersection(self):
-        groups, roster = make_world(
+        roster = make_world(
             n_groups=2,
             edits={
                 "g000": {"language_tags": frozenset({"fr"})},
@@ -144,57 +145,64 @@ class TestEligibility:
             },
         )
         report = feasibility_report(
-            make_context(), roster, groups, epoch=8, config=CONFIG,
+            make_context(), roster, epoch=8, config=CONFIG,
             user_tags=frozenset({"en"}),
         )
         assert feasible(report) == ["g001"]
 
     def test_reasons_reported(self):
-        groups, roster = make_world(edits={"g001": {"active": False}})
-        report = feasibility_report(make_context(), roster, groups, epoch=8, config=CONFIG)
+        roster = make_world(edits={"g001": {"active": False}})
+        report = feasibility_report(make_context(), roster, epoch=8, config=CONFIG)
         assert report["g001"] == ["inactive"]
         assert report["g000"] == []
 
     def test_group_attributes_are_frozen(self):
         # The roster copies them into arrays once, so an edit could not reach feasibility.
-        groups, _ = make_world()
+        group = GroupState(group_id="g001", coach_id="c00", capacity=5, goal_category="fitness")
         with pytest.raises(FrozenInstanceError):
-            groups["g001"].active = False
+            group.active = False
+
+
+def use_feature_map(monkeypatch, feature_map):
+    """Score with a toy map of the candidate rows in place of joint_features."""
+    monkeypatch.setattr(
+        prism.assignment, "joint_features", lambda ctx, roster, rows, engagement: feature_map(rows)
+    )
 
 
 class TestScoring:
-    def test_cold_model_tie_breaks_to_lowest_load_then_id(self):
-        groups, roster = make_world(seats=[("m1", "g000", 0), ("m2", "g000", 0), ("m3", "g002", 0)])
+    def test_cold_model_tie_breaks_to_lowest_load_then_id(self, monkeypatch):
+        roster = make_world(seats=[("m1", "g000", 0), ("m2", "g000", 0), ("m3", "g002", 0)])
         model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
+        use_feature_map(monkeypatch, lambda r: np.ones((r.size, FEATURE_DIM)) / np.sqrt(FEATURE_DIM))
         chosen, rows, _ = score_and_select(
-            make_context(), np.arange(len(groups)), model, roster, epoch=8, config=CONFIG,
-            feature_map=lambda ctx, r: np.ones((r.size, FEATURE_DIM)) / np.sqrt(FEATURE_DIM),
+            make_context(), np.arange(3), model, roster, epoch=8, config=CONFIG
         )
         # equal unit-norm features -> equal scores -> lowest load wins
         assert chosen == "g001"
         assert len({round(r.score, 12) for r in rows}) == 1
 
-    def test_pure_exploitation_with_zero_beta(self):
+    def test_pure_exploitation_with_zero_beta(self, monkeypatch):
         model = BanditModel(dim=2, ridge=1.0)
         model.update(np.array([1.0, 0.0]), 1.0)
-        groups, roster = make_world(n_groups=2)
+        roster = make_world(n_groups=2)
         config = PolicyConfig(beta=0.0)
         # g000 -> [1, 0], g001 -> [0, 1]
+        use_feature_map(monkeypatch, lambda r: np.eye(2)[r])
         chosen, rows, _ = score_and_select(
-            make_context(), np.arange(2), model, roster, epoch=8, config=config,
-            feature_map=lambda ctx, r: np.eye(2)[r],
+            make_context(), np.arange(2), model, roster, epoch=8, config=config
         )
         assert chosen == "g000"
 
-    def test_one_dimensional_toy_example(self):
+    def test_one_dimensional_toy_example(self, monkeypatch):
         # Joint map with disjoint per-group basis vectors; one update on g000.
         model = BanditModel(dim=2, ridge=1.0)
         model.update(np.array([1.0, 0.0]), 1.0)
-        groups, roster = make_world(n_groups=2)
+        roster = make_world(n_groups=2)
+        use_feature_map(monkeypatch, lambda r: np.eye(2)[r])
         chosen, rows, phi_chosen = score_and_select(
             make_context(), np.arange(2), model, roster, epoch=8,
             config=PolicyConfig(beta=1.0, lam=0.0),
-            feature_map=lambda ctx, r: np.eye(2)[r],
         )
         by_id = {r.group_id: r for r in rows}
         assert by_id["g000"].mu == pytest.approx(0.5)
@@ -208,7 +216,7 @@ class TestScoring:
 
     def test_churn_penalty_applies_inside_oscillation_horizon(self):
         model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
-        groups, roster = make_world(n_groups=2, seats=[(USER, "g000", 4)])
+        roster = make_world(n_groups=2, seats=[(USER, "g000", 4)])
         chosen, rows, _ = score_and_select(
             make_context(), np.arange(2), model, roster, epoch=8, config=PolicyConfig(lam=0.5),
         )
@@ -221,10 +229,10 @@ class TestScoring:
         rng = np.random.default_rng(0)
         for _ in range(50):
             model.update(rng.normal(size=FEATURE_DIM) * 0.3, rng.normal())
-        groups, roster = make_world(seats=[(USER, "g000", 6)])
+        roster = make_world(seats=[(USER, "g000", 6)])
         config = PolicyConfig(beta=0.7, lam=0.3)
         _, rows, _ = score_and_select(
-            make_context(), np.arange(len(groups)), model, roster, epoch=8, config=config
+            make_context(), np.arange(3), model, roster, epoch=8, config=config
         )
         for row in rows:
             expected = row.mu + config.beta * row.sigma - config.lam * row.churn_penalty
@@ -232,18 +240,16 @@ class TestScoring:
 
     def test_empty_candidates_rejected(self):
         model = BanditModel(dim=FEATURE_DIM)
-        _, roster = make_world()
+        roster = make_world()
         with pytest.raises(ValidationError):
             score_and_select(make_context(), [], model, roster, 8, CONFIG)
 
-    def test_dimension_mismatch_is_internal_error(self):
+    def test_dimension_mismatch_is_internal_error(self, monkeypatch):
         model = BanditModel(dim=3)
-        groups, roster = make_world(n_groups=1)
+        roster = make_world(n_groups=1)
+        use_feature_map(monkeypatch, lambda r: np.ones((r.size, 5)))
         with pytest.raises(InternalError):
-            score_and_select(
-                make_context(), np.arange(1), model, roster, 8, CONFIG,
-                feature_map=lambda ctx, r: np.ones((r.size, 5)),
-            )
+            score_and_select(make_context(), np.arange(1), model, roster, 8, CONFIG)
 
 
 class TestModelUpdate:
@@ -292,7 +298,7 @@ class TestModelUpdate:
 
 def _events_with_adherence(pre_rate: float, post_rate: float, epoch: int, config: PolicyConfig):
     horizon = epoch + config.w_post
-    events = UserEvents.empty(horizon)
+    events = empty_events(horizon)
     events.first_day = 0
     pre_days = np.arange((epoch - config.w_pre) * 7, epoch * 7)
     post_days = np.arange(epoch * 7, horizon * 7)
@@ -349,7 +355,7 @@ class TestReward:
 
     def test_insufficient_history_defers(self):
         config = PolicyConfig()
-        events = UserEvents.empty(6)  # shorter than epoch + w_post
+        events = empty_events(6)  # shorter than epoch + w_post
         assert (
             compute_reward(
                 events, user_token="t", group_id="g", epoch=8, churn_penalty=0,
@@ -368,10 +374,10 @@ class TestReward:
 
 class TestAssign:
     def test_dwell_locked_user_stays_with_zero_mutation(self):
-        groups, roster = make_world(seats=[(USER, "g001", 7)])
+        roster = make_world(seats=[(USER, "g001", 7)])
         model = BanditModel(dim=FEATURE_DIM)
         before = [a.copy() for a in (roster.group_of, roster.last_change, roster.count, roster.load)]
-        decision = assign(make_context(), roster, groups, model, epoch=8, config=CONFIG)
+        decision = assign(make_context(), roster, model, epoch=8, config=CONFIG)
         assert decision.chosen == "g001"
         assert not decision.changed
         after = (roster.group_of, roster.last_change, roster.count, roster.load)
@@ -379,27 +385,27 @@ class TestAssign:
         assert roster.last_change[roster.row_of[USER]] == 7
 
     def test_waitlist_for_unplaced_user_with_no_feasible_group(self):
-        groups, roster = make_world(goal="maintenance")
+        roster = make_world(goal="maintenance")
         model = BanditModel(dim=FEATURE_DIM)
-        decision = assign(make_context(goal="fitness"), roster, groups, model, 8, CONFIG)
+        decision = assign(make_context(goal="fitness"), roster, model, 8, CONFIG)
         assert decision.waitlisted
         assert decision.chosen is None
         assert roster.group_id(roster.row_of[USER]) is None
 
     def test_placed_user_with_no_feasible_alternative_stays(self):
-        groups, roster = make_world(n_groups=1, goal="maintenance", seats=[(USER, "g000", 0)])
+        roster = make_world(n_groups=1, goal="maintenance", seats=[(USER, "g000", 0)])
         model = BanditModel(dim=FEATURE_DIM)
-        decision = assign(make_context(goal="fitness"), roster, groups, model, 8, CONFIG)
+        decision = assign(make_context(goal="fitness"), roster, model, 8, CONFIG)
         assert decision.chosen == "g000"
         assert not decision.changed and not decision.waitlisted
 
     def test_mutation_and_trace_on_change(self):
-        groups, roster = make_world(
+        roster = make_world(
             seats=[(USER, "g001", 0)],
             edits={gid: {"goal_category": "maintenance"} for gid in ("g001", "g002")},
         )
         model = BanditModel(dim=FEATURE_DIM)
-        decision = assign(make_context(goal="fitness"), roster, groups, model, 8, CONFIG)
+        decision = assign(make_context(goal="fitness"), roster, model, 8, CONFIG)
         assert decision.chosen == "g000"
         assert decision.changed
         user = roster.row_of[USER]
@@ -459,7 +465,7 @@ class TestAssign:
                     missed_checkin_streak=int(rng.integers(0, 10)),
                     engagement_slope=float(rng.normal() * 0.1),
                 )
-                decision = assign(context, roster, groups, model, epoch, config)
+                decision = assign(context, roster, model, epoch, config)
                 if decision.changed:
                     if u in last_move:
                         assert epoch - last_move[u] >= dwell

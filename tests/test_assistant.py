@@ -8,7 +8,6 @@ from prism.assistant import (
     default_templates,
     flag_risks,
     generate_draft,
-    load_templates,
     review,
     save_drafts,
     load_drafts,
@@ -70,15 +69,6 @@ class TestTemplateLint:
         assert {t.category for t in templates.values()} <= {
             "reengagement", "milestone", "checkin_reminder"
         }
-
-    def test_load_from_file(self, tmp_path):
-        import json
-
-        path = tmp_path / "templates.json"
-        path.write_text(json.dumps([
-            {"template_id": "x", "category": "milestone", "body": "nice: {summary}"}
-        ]))
-        assert "x" in load_templates(str(path))
 
 
 class TestGenerateDraft:
@@ -165,18 +155,3 @@ class TestReview:
         loaded = load_drafts(path)
         assert [d.status for d in loaded] == ["pending", "approved"]
         assert loaded[0].rendered_text == drafts[0].rendered_text
-
-    def test_decision_labels_for_quality_audits(self):
-        from prism.assistant import decision_labels
-
-        drafts = [
-            review(self._pending(), "c", "approve"),
-            review(self._pending(), "c", "edit", new_text="one small goal this week?"),
-            review(self._pending(), "c", "discard"),
-            self._pending(),
-        ]
-        assert decision_labels(drafts) == {
-            "actionable": 2,
-            "not_actionable": 1,
-            "unlabeled": 1,
-        }

@@ -74,6 +74,29 @@ class TestSimulate:
         assert code == 1
         assert "capacity" in stderr
 
+    @pytest.mark.parametrize(
+        "doc, argv, expected",
+        [
+            (dict(SCENARIO, seed=-1), (), 1),
+            (SCENARIO, ("--seed", "-1"), 1),
+            (dict(SCENARIO, n_users="abc"), (), 1),
+            (dict(SCENARIO, message_prob=2.0), (), 1),
+            (dict(SCENARIO, analyst_probes_per_week=-5), (), 1),
+            (dict(SCENARIO, goal_weights=5), (), 1),
+            ([SCENARIO], (), 1),
+            (dict(SCENARIO, n_coaches=9), (), 0),  # more coaches than groups runs
+        ],
+    )
+    def test_scenario_values_exit_one_or_run(self, keys_env, tmp_path, capsys, doc, argv, expected):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, _, stderr = run_cli(
+            capsys, "simulate", "--scenario", str(path), "--out", str(tmp_path / "x"), *argv
+        )
+        assert code == expected
+        assert "Traceback" not in stderr
+        assert stderr.startswith("error: ") == (expected == 1)
+
     def test_missing_keys_exits_one(self, monkeypatch, scenario_file, tmp_path, capsys):
         monkeypatch.delenv("PRISM_TOKEN_KEY", raising=False)
         monkeypatch.delenv("PRISM_ENC_KEY", raising=False)

@@ -158,7 +158,7 @@ def test_feasibility_report_matches_per_group_rules(world, queries):
         user %= len(roster.row_of)
         context = context_for(user, onehot)
         config = PolicyConfig(dwell=dwell, oscillation=dwell)
-        report = feasibility_report(context, roster, groups, epoch, config, user_tags)
+        report = feasibility_report(context, roster, epoch, config, user_tags)
         expected = reference_report(
             context.goal_category, roster, groups, coaches, user, epoch, dwell, user_tags
         )
@@ -174,30 +174,28 @@ def test_feasibility_report_matches_per_group_rules(world, queries):
     onehot=st.one_of(goal_vectors, st.lists(st.floats(0, 1), min_size=4, max_size=4).map(np.array)),
     streak=st.integers(0, 40),
     slope=st.floats(-5, 5) | st.sampled_from([-1.0, 1.0, -0.0]),
-    engagement=st.dictionaries(
-        st.sampled_from([f"g{i:03d}" for i in range(8)]), st.floats(-1, 2), max_size=8
-    ),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_joint_feature_rows_match_per_candidate_map(
-    world, onehot, streak, slope, engagement, seed, data
-):
+def test_joint_feature_rows_match_per_candidate_map(world, onehot, streak, slope, seed, data):
     groups, _, roster = world
     context = context_for(0, onehot, np.random.default_rng(seed), streak, slope)
     rows = np.array(
         data.draw(st.lists(st.integers(0, len(groups) - 1), min_size=1, max_size=8)),
         dtype=np.int64,
     )
+    engagement = data.draw(
+        st.none()
+        | st.lists(st.floats(-1, 2), min_size=len(groups), max_size=len(groups)).map(np.array)
+    )
     phi = joint_features(context, roster, rows, engagement)
     assert phi.shape == (rows.size, FEATURE_DIM)
     for i, row in enumerate(rows.tolist()):
-        gid = roster.group_ids[row]
         expected = reference_features(
             context,
-            groups[gid].goal_category,
+            groups[roster.group_ids[row]].goal_category,
             roster.count[row] / roster.capacity[row],
-            engagement.get(gid, 0.5),
+            0.5 if engagement is None else engagement[row],
         )
         assert np.array_equal(phi[i], expected)
 
@@ -239,7 +237,7 @@ def assert_encodes_like_reference(sink, decision):
     n_decisions=st.integers(1, 4),
 )
 def test_trace_line_matches_reference_dump(ids, data, n_decisions):
-    sink = _TraceSink(None, False, ids)
+    sink = _TraceSink(None, ids)
     draw_score = lambda: data.draw(floats)
     for _ in range(n_decisions):
         kind = data.draw(st.sampled_from(["any", "dwell", "waitlisted"]))
@@ -262,7 +260,7 @@ def test_trace_line_matches_reference_dump(ids, data, n_decisions):
 
 def test_trace_line_covers_every_reason_code():
     ids = [f"g{c:02d}" for c in range(N_REASON_CODES)]
-    sink = _TraceSink(None, False, ids)
+    sink = _TraceSink(None, ids)
     values = iter(SPECIAL_FLOATS * 3)
     decision = decision_with(ids, range(N_REASON_CODES), lambda: next(values), "g00", True)
     for _ in range(2):  # the second pass reads every fragment from the cache
@@ -278,9 +276,10 @@ def test_trace_line_covers_every_reason_code():
 
 
 def test_sink_writes_encoded_lines_and_keeps_reference_dicts(tmp_path):
+    # The lines on disk are the reference dicts, encoded.
     ids = ["g000", "g001", "g002"]
     path = tmp_path / "traces.jsonl"
-    sink = _TraceSink(str(path), True, ids)
+    sink = _TraceSink(str(path), ids)
     decisions = [
         decision_with(ids, [1, 0, 8], lambda: 0.25, "g001", True),
         decision_with(ids, [CODE_DWELL, CODE_DWELL, 0], lambda: -0.0, "g002", False),
@@ -289,8 +288,6 @@ def test_sink_writes_encoded_lines_and_keeps_reference_dicts(tmp_path):
     for decision in decisions:
         sink.write(decision)
     sink.close()
-    assert sink.count == 3
-    assert sink.traces == [d.to_trace_dict() for d in decisions]
     assert path.read_text(encoding="utf-8").splitlines() == [
         json.dumps(d.to_trace_dict(), sort_keys=True) for d in decisions
     ]

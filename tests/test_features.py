@@ -4,13 +4,14 @@ engagement scores, the engagement index, and context assembly."""
 import numpy as np
 import pytest
 
+from conftest import empty_events
+
 from prism.errors import ValidationError
 from prism.features import (
     ACTION_TYPES,
     EngagementWeights,
     LearningContext,
     NormalizationWindow,
-    UserEvents,
     adherence,
     build_context,
     engagement_index,
@@ -182,7 +183,7 @@ class TestSlopeAndStreak:
         assert weekly_slope([0.4]) == 0.0
 
     def test_streak_of_seven(self):
-        events = UserEvents.empty(4)
+        events = empty_events(4)
         events.first_day = 0
         events.checkins[: 3 * 7] = 1
         events.checkins[21 - 7 : 21] = 0  # miss the last 7 days of week 3
@@ -199,7 +200,7 @@ class TestBuildContext:
 
     def test_cold_start_user(self):
         context = build_context(
-            UserEvents.empty(8),
+            empty_events(8),
             user_token=TOKEN,
             epoch=4,
             goal="fitness",
@@ -214,7 +215,7 @@ class TestBuildContext:
         assert context.goal_category == "fitness"
 
     def test_active_user_features(self):
-        events = UserEvents.empty(8)
+        events = empty_events(8)
         events.first_day = 0
         events.checkins[:28] = 1
         events.action_counts[:4] = [[1, 1, 1, 1, 1]] * 4
@@ -231,7 +232,7 @@ class TestBuildContext:
         assert context.missed_checkin_streak == 0
 
     def test_increasing_scores_positive_slope(self):
-        events = UserEvents.empty(8)
+        events = empty_events(8)
         events.first_day = 0
         events.checkins[:28] = 1
         # weekly totals rise linearly; score is monotone in counts
@@ -248,7 +249,7 @@ class TestBuildContext:
         assert context.engagement_slope > 0
 
     def test_streak_in_context(self):
-        events = UserEvents.empty(8)
+        events = empty_events(8)
         events.first_day = 0
         events.checkins[:14] = 1
         events.checkins[14:28] = 0

@@ -13,7 +13,6 @@ from prism.errors import ValidationError
 from prism.metrics import (
     CSV_COLUMNS,
     MetricsReport,
-    RenderConfig,
     format_eng_index,
     mann_whitney_u,
     render_report,
@@ -145,10 +144,6 @@ class TestRendering:
         row = rendered["csv"].splitlines()[1].split(",")
         assert row[0] == "adaptive"
         assert row[1] == "0.4000"
-
-    def test_precision_configurable(self):
-        rendered = render_report(make_report(), RenderConfig(precision=2))
-        assert rendered["csv"].splitlines()[1].split(",")[1] == "0.40"
 
     def test_json_round_trip_identity(self):
         report = make_report()

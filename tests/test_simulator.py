@@ -4,6 +4,7 @@ properties, output privacy, and the comparison table."""
 import json
 import os
 import pathlib
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from prism.simulator import (
     step_week,
     group_activity_flags,
 )
+from prism.simulator.world import group_engagement_means
 
 
 def small_scenario(**overrides):
@@ -44,19 +46,33 @@ def small_scenario(**overrides):
 
 
 def cohort_fingerprint(world) -> str:
+    roster = world.roster
     doc = {
         "users": [
-            [u.index, u.token.value, u.goal, u.base_logit, u.match_sensitivity,
-             u.fatigue_rate, u.engagement_rates.tolist(), sorted(u.language_tags)]
-            for u in world.users
+            [u.index, u.token.value, u.goal, sorted(u.language_tags)] for u in world.users
         ],
-        "groups": {
-            gid: [g.coach_id, g.capacity, g.goal_category] for gid, g in world.groups.items()
-        },
-        "coaches": {cid: c.load_limit for cid, c in world.coaches.items()},
-        "placement": [world.roster.group_of.tolist(), world.roster.last_change.tolist()],
+        "draws": [
+            a.tolist()
+            for a in (world.goal_index, world.base_logit, world.fatigue_rate, world.engagement_rates)
+        ],
+        "groups": [
+            roster.group_ids, roster.coach_of.tolist(), roster.capacity.tolist(),
+            roster.goal_index.tolist(),
+        ],
+        "coaches": [roster.coach_ids, roster.load_limit.tolist()],
+        "placement": [roster.group_of.tolist(), roster.last_change.tolist()],
     }
     return json.dumps(doc, sort_keys=True)
+
+
+def goal_matched(world) -> np.ndarray:
+    """Per user: does their group's goal equal their own."""
+    return world.roster.goal_index[world.roster.group_of] == world.goal_index
+
+
+def read_traces(out_dir) -> list[dict]:
+    with open(os.path.join(out_dir, "traces.jsonl"), encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
 
 
 class TestGeneration:
@@ -93,11 +109,7 @@ class TestGeneration:
                            misgroup_fraction=0.3),
             keys,
         )
-        mismatched = sum(
-            1
-            for u in world.users
-            if world.groups[world.roster.group_id(u.index)].goal_category != u.goal
-        )
+        mismatched = (~goal_matched(world)).sum()
         assert 0.2 <= mismatched / 200 <= 0.4
 
 
@@ -190,12 +202,44 @@ class TestBehaviorModel:
         world = generate_cohort(scenario, keys)
         for epoch in range(6):
             step_week(world, epoch, group_activity_flags(world, epoch))
-        matched, mismatched = [], []
-        for u in world.users:
-            gid = world.roster.group_id(u.index)
-            rate = world.checkins[u.index, : 6 * 7].mean()
-            (matched if world.groups[gid].goal_category == u.goal else mismatched).append(rate)
-        assert np.mean(matched) > np.mean(mismatched) + 0.15
+        rate = world.checkins[:, : 6 * 7].mean(axis=1)
+        matched = goal_matched(world)
+        assert np.mean(rate[matched]) > np.mean(rate[~matched]) + 0.15
+
+
+class TestGroupAggregates:
+    """The row-aligned group aggregates against a per-group reference."""
+
+    @staticmethod
+    def reference(world, epoch):
+        unscored = epoch == 0 or np.isnan(world.weekly_scores[:, epoch - 1]).all()
+        flags, means = [], []
+        for g in range(len(world.roster.group_ids)):
+            members = np.flatnonzero(world.roster.group_of == g)
+            scores = world.weekly_scores[members, epoch - 1]
+            if members.size == 0:
+                flags.append(False)
+                means.append(0.5)
+                continue
+            mean = float(np.mean(scores))
+            flags.append(unscored or mean >= world.scenario.activity_threshold)
+            means.append(0.5 if epoch == 0 or np.isnan(scores).all() else float(np.nanmean(scores)))
+        return flags, means
+
+    def test_match_per_group_reference(self, keys):
+        world = generate_cohort(
+            small_scenario(n_users=12, n_groups=8, activity_threshold=0.5), keys
+        )
+        assert (world.roster.count == 0).any()
+        rng = np.random.default_rng(3)
+        scores = rng.random(world.weekly_scores.shape)
+        scores[rng.random(scores.shape) < 0.3] = np.nan
+        scores[:, 2] = np.nan
+        world.weekly_scores[:] = scores
+        for epoch in range(6):
+            flags, means = self.reference(world, epoch)
+            assert group_activity_flags(world, epoch).tolist() == flags
+            assert group_engagement_means(world, epoch).tolist() == means
 
 
 class TestRunExperiment:
@@ -233,13 +277,15 @@ class TestRunExperiment:
         _, adaptive_pen = run_paired(scenario, keys, policy=penalized)
         assert adaptive_pen.reassignments <= adaptive_base.reassignments
 
-    def test_dwell_respected_in_traces(self, keys):
+    def test_dwell_respected_in_traces(self, keys, tmp_path):
         # Counted from the initial placement at epoch 0, as the filter does.
-        result = run_experiment(small_scenario(seed=13, policy="adaptive"), keys, keep_traces=True)
+        result = run_experiment(
+            small_scenario(seed=13, policy="adaptive"), keys, out_dir=str(tmp_path)
+        )
         dwell = PolicyConfig().dwell
         last_change = {u.token.value: 0 for u in result.world.users}
         moves = 0
-        for trace in result.traces:
+        for trace in read_traces(tmp_path):
             if trace["changed"]:
                 assert trace["epoch"] - last_change[trace["user_token"]] >= dwell
                 last_change[trace["user_token"]] = trace["epoch"]
@@ -368,6 +414,18 @@ class TestDeterminismAndPrivacy:
             for value in identity_strings:
                 assert value not in blob, f"{value!r} leaked into {name}"
 
+    def test_audit_timestamps_never_decrease(self, keys, tmp_path):
+        # 1100 vault calls a week overrun the week's 1008 clock ticks.
+        scenario = small_scenario(
+            n_users=40, policy="static", horizon_weeks=2, w_pre=1, w_post=1,
+            analyst_probes_per_week=1100,
+        )
+        run_experiment(scenario, keys, out_dir=str(tmp_path))
+        with open(tmp_path / "audit.jsonl", encoding="utf-8") as fh:
+            stamps = [datetime.fromisoformat(json.loads(line)["ts"]) for line in fh]
+        assert len(stamps) == 2200
+        assert stamps == sorted(stamps)
+
     def test_traces_match_schema(self, keys, tmp_path):
         out = str(tmp_path / "run")
         run_experiment(small_scenario(seed=9), keys, out_dir=out)
@@ -379,11 +437,11 @@ class TestDeterminismAndPrivacy:
             "group", "mu", "sigma", "penalty", "score", "feasible", "reasons"
         }
 
-    def test_score_decomposition_in_traces(self, keys):
-        result = run_experiment(small_scenario(seed=17), keys, keep_traces=True)
+    def test_score_decomposition_in_traces(self, keys, tmp_path):
+        run_experiment(small_scenario(seed=17), keys, out_dir=str(tmp_path))
         config = PolicyConfig()
         checked = 0
-        for trace in result.traces[:500]:
+        for trace in read_traces(tmp_path)[:500]:
             for cand in trace["candidates"]:
                 if cand["score"] is None:
                     continue

@@ -51,7 +51,7 @@ def small_world():
         missed_checkin_streak=0,
         engagement_slope=0.0,
     )
-    return groups, roster, context
+    return roster, context
 
 
 def test_tracer_installs_every_name_and_restores_it():
@@ -66,26 +66,26 @@ def test_tracer_installs_every_name_and_restores_it():
 
 def test_feasibility_observer_reads_a_real_report():
     tracing = load_tracing()
-    groups, roster, context = small_world()
+    roster, context = small_world()
     counts = Counter()
-    report = feasibility_report(context, roster, groups, 8, PolicyConfig())
+    report = feasibility_report(context, roster, 8, PolicyConfig())
     tracing._observe_feasibility(counts, (), report)
     assert counts == Counter(groups_checked=3, groups_feasible=2, dwell_locked=0)
 
     roster.move(0, 0, 7, dwell=0)
-    report = feasibility_report(context, roster, groups, 8, PolicyConfig(dwell=4))
+    report = feasibility_report(context, roster, 8, PolicyConfig(dwell=4))
     tracing._observe_feasibility(counts, (), report)
     assert counts == Counter(groups_checked=6, groups_feasible=3, dwell_locked=1)
 
 
 def test_one_traced_decision_reaches_every_assignment_span():
     tracing = load_tracing()
-    groups, roster, context = small_world()
+    roster, context = small_world()
     tracer = tracing.Tracer()
     with tracer.installed():
         tracer.arm = "adaptive"
         decision = prism.simulator.experiment.assign(
-            context, roster, groups, BanditModel(dim=FEATURE_DIM), 8, PolicyConfig()
+            context, roster, BanditModel(dim=FEATURE_DIM), 8, PolicyConfig()
         )
         tracer.arm = None
     assert prism.assignment.assign is prism.simulator.experiment.assign

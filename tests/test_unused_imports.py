@@ -1,0 +1,37 @@
+"""No module under ``src/prism`` imports a name it never uses.
+
+Package ``__init__.py`` files re-export names and ``from __future__``
+imports switch on compiler features, so neither counts.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "prism"
+MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_the_scan_finds_an_unused_import():
+    source = "import os\nfrom typing import Optional, Sequence\nx: Sequence = os.sep\n"
+    assert unused_imports(source) == ["line 2: Optional"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
