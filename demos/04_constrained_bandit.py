@@ -7,6 +7,7 @@ Run:  python demos/04_constrained_bandit.py
 import numpy as np
 
 from prism.assignment import (
+    REASONS_OF_CODE,
     BanditModel,
     CoachState,
     GroupState,
@@ -79,14 +80,13 @@ print("within dwell:", feasible(locked))
 model = BanditModel(ridge=config.ridge)
 decision = assign(context, roster, model, 8, config)
 print("\ndecision trace:")
-for row in decision.candidates:
-    if row["score"] is None:
-        print(f"  {row['group']}: infeasible ({', '.join(row['reasons'])})")
+scored = zip(*decision.scores)  # the feasible groups' terms, in group order
+for gid, code in zip(decision.group_ids, decision.reason_codes.tolist()):
+    if code:
+        print(f"  {gid}: infeasible ({', '.join(REASONS_OF_CODE[code])})")
     else:
-        print(
-            f"  {row['group']}: mu={row['mu']:+.3f} sigma={row['sigma']:.3f} "
-            f"penalty={row['penalty']} score={row['score']:+.3f}"
-        )
+        mu, sigma, penalty, score = next(scored)
+        print(f"  {gid}: mu={mu:+.3f} sigma={sigma:.3f} penalty={penalty} score={score:+.3f}")
 print("chosen:", decision.chosen, "changed:", decision.changed)
 
 # ---------------------------------------------------------------------------

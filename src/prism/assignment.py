@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -406,14 +406,13 @@ def feasibility_report(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CandidateScore:
-    group_id: str
-    mu: float
-    sigma: float
-    churn_penalty: int
-    score: float
-    load: int
+class CandidateScores(NamedTuple):
+    """The UCB terms of the scored group rows, one array each, in candidate order."""
+
+    mu: np.ndarray
+    sigma: np.ndarray
+    penalty: np.ndarray
+    score: np.ndarray
 
 
 def score_and_select(
@@ -424,14 +423,14 @@ def score_and_select(
     epoch: int,
     config: PolicyConfig,
     group_engagement: Optional[np.ndarray] = None,
-) -> tuple[str, list[CandidateScore], np.ndarray]:
+) -> tuple[int, CandidateScores, np.ndarray]:
     """UCB-score every candidate group row and pick the argmax.
 
     Score is mean estimate plus beta times the confidence width, minus
     the churn penalty for moves inside the oscillation horizon. Ties
     break to the lowest current load, then lexicographic group id.
-    Returns the chosen group id, the scores in candidate order, and the
-    chosen row's features as scored.
+    Returns the index of the chosen candidate, the scores in candidate
+    order, and the chosen row's features as scored.
     """
     rows = np.asarray(candidates, dtype=np.int64)
     if rows.size == 0:
@@ -442,26 +441,15 @@ def score_and_select(
     user = roster.row_of[context.user_token.value]
     current = roster.group_of[user]
     may_churn = current >= 0 and (epoch - roster.last_change[user]) < config.oscillation
-    scores = []
-    for i, (row, load) in enumerate(zip(rows.tolist(), roster.count[rows].tolist())):
-        mu = model.mean(phi[i])
-        sigma = model.width(phi[i])
-        penalty = 1 if may_churn and row != current else 0
-        scores.append(
-            CandidateScore(
-                group_id=roster.group_ids[row],
-                mu=mu,
-                sigma=sigma,
-                churn_penalty=penalty,
-                score=mu + config.beta * sigma - config.lam * penalty,
-                load=load,
-            )
-        )
-    best = min(
-        range(len(scores)), key=lambda i: (-scores[i].score, scores[i].load, scores[i].group_id)
-    )
+    # Row by row: the matrix forms round differently and flip exact ties.
+    mu = np.array([model.mean(row) for row in phi])
+    sigma = np.array([model.width(row) for row in phi])
+    penalty = ((rows != current) & may_churn).astype(np.int64)
+    score = mu + config.beta * sigma - config.lam * penalty
+    # Least significant key first; group rows are in group-id order.
+    best = int(np.lexsort((rows, roster.count[rows], -score))[0])
     # A copy, so a pending observation does not keep the whole matrix alive.
-    return scores[best].group_id, scores, phi[best].copy()
+    return best, CandidateScores(mu, sigma, penalty, score), phi[best].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -529,58 +517,26 @@ def compute_reward(
 # ---------------------------------------------------------------------------
 
 
-def trace_candidate(group_id: str, code: int, score: Optional[CandidateScore]) -> dict:
-    """One group's entry in a decision trace; ``score`` is None unless scored."""
-    return {
-        "group": group_id,
-        "mu": None if score is None else score.mu,
-        "sigma": None if score is None else score.sigma,
-        "penalty": None if score is None else score.churn_penalty,
-        "score": None if score is None else score.score,
-        "feasible": code == 0,
-        "reasons": list(REASONS_OF_CODE[code]),
-    }
-
-
 @dataclass
 class AssignmentDecision:
     """Result of one assign() call plus the coach-facing rationale trace.
 
-    The trace is kept compact: a reason code per group row, in
-    ``group_ids`` order, and the scores of the feasible rows (code 0) in
-    the same order. :attr:`candidates` expands them to one dict per group.
+    The trace is held as arrays: a reason code per group row, in
+    ``group_ids`` order (0 for feasible), and ``scores``, the UCB terms of
+    the feasible rows in the same order, or None when no group was
+    feasible and nothing was scored.
     """
 
     epoch: int
     user_token: str
     group_ids: Sequence[str]
     reason_codes: np.ndarray
-    scores: list[CandidateScore]
+    scores: Optional[CandidateScores]
     chosen: Optional[str]
     changed: bool
     waitlisted: bool = False
     phi_chosen: Optional[np.ndarray] = None
     churn_penalty: int = 0
-
-    @property
-    def candidates(self) -> list[dict]:
-        scored = iter(self.scores)
-        return [
-            trace_candidate(group_id, code, next(scored) if code == 0 else None)
-            for group_id, code in zip(self.group_ids, self.reason_codes.tolist())
-        ]
-
-    def trace_fields(self) -> dict:
-        """The trace's fields other than ``candidates``."""
-        return {
-            "epoch": self.epoch,
-            "user_token": self.user_token,
-            "chosen": self.chosen,
-            "changed": self.changed,
-        }
-
-    def to_trace_dict(self) -> dict:
-        return {"candidates": self.candidates, **self.trace_fields()}
 
 
 def assign(
@@ -602,27 +558,16 @@ def assign(
     codes = feasibility_report(context, roster, epoch, config, user_tags).codes
     feasible = np.flatnonzero(codes == 0)
     user = roster.row_of[context.user_token.value]
-    current = roster.group_id(user)
-
-    if feasible.size == 0:
-        return AssignmentDecision(
-            epoch=epoch,
-            user_token=context.user_token.value,
-            group_ids=roster.group_ids,
-            reason_codes=codes,
-            scores=[],
-            chosen=current,
-            changed=False,
-            waitlisted=current is None,
+    current = chosen = int(roster.group_of[user])
+    scores = phi_chosen = None
+    penalty = 0
+    if feasible.size:
+        best, scores, phi_chosen = score_and_select(
+            context, feasible, model, roster, epoch, config, group_engagement=group_engagement
         )
-
-    chosen_id, scores, phi_chosen = score_and_select(
-        context, feasible, model, roster, epoch, config, group_engagement=group_engagement
-    )
-    chosen_row = next(r for r in scores if r.group_id == chosen_id)
-    changed = chosen_id != current
-    if changed:
-        roster.move(user, roster.group_row[chosen_id], epoch, config.dwell)
+        chosen, penalty = int(feasible[best]), int(scores.penalty[best])
+        if chosen != current:
+            roster.move(user, chosen, epoch, config.dwell)
 
     return AssignmentDecision(
         epoch=epoch,
@@ -630,8 +575,9 @@ def assign(
         group_ids=roster.group_ids,
         reason_codes=codes,
         scores=scores,
-        chosen=chosen_id,
-        changed=changed,
+        chosen=roster.group_id(user),
+        changed=chosen != current,
+        waitlisted=chosen < 0,
         phi_chosen=phi_chosen,
-        churn_penalty=chosen_row.churn_penalty,
+        churn_penalty=penalty,
     )

@@ -85,17 +85,18 @@ def adherence(series: Iterable[Sequence[int]]) -> float:
     User-weighted by construction: every user contributes equally no
     matter how many days their bitmap covers.
     """
-    per_user = []
-    for bitmap in series:
-        arr = np.asarray(bitmap)
-        if arr.size == 0:
-            raise ValidationError("each adherence bitmap needs at least one day")
-        if not np.isin(arr, (0, 1)).all():
-            raise ValidationError("adherence bitmaps must contain only 0/1 entries")
-        per_user.append(float(arr.mean()))
-    if not per_user:
+    bitmaps = [np.asarray(bitmap).ravel() for bitmap in series]
+    if not bitmaps:
         raise ValidationError("adherence needs at least one user")
-    return float(np.mean(per_user))
+    days = np.array([bitmap.size for bitmap in bitmaps])
+    if not days.all():
+        raise ValidationError("each adherence bitmap needs at least one day")
+    checkins = np.concatenate(bitmaps)
+    if not np.isin(checkins, (0, 1)).all():
+        raise ValidationError("adherence bitmaps must contain only 0/1 entries")
+    # Sums of 0/1 are exact, so each rate equals the bitmap's own mean().
+    per_user = np.add.reduceat(checkins, np.cumsum(days) - days, dtype=float) / days
+    return float(per_user.mean())
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,12 @@ from .._version import __version__
 from ..assignment import (
     FEATURE_DIM,
     N_REASON_CODES,
+    REASONS_OF_CODE,
     AssignmentDecision,
     BanditModel,
     PolicyConfig,
     assign,
     compute_reward,
-    trace_candidate,
 )
 from ..assistant import (
     DELIVERABLE_STATUSES,
@@ -49,6 +49,7 @@ from ..features import (
     EngagementWeights,
     NormalizationWindow,
     UserEvents,
+    adherence,
     build_context,
     engagement_index,
     engagement_scores,
@@ -86,39 +87,58 @@ class _PendingObservation:
     churn_penalty: int
 
 
+# One trace candidate, in the key order of json.dumps(..., sort_keys=True).
+_UNSCORED = (
+    '{"feasible": false, "group": %s, "mu": null, "penalty": null, '
+    '"reasons": %s, "score": null, "sigma": null}'
+)
+_SCORED = (
+    '{"feasible": true, "group": %s, "mu": %s, "penalty": %d, '
+    '"reasons": [], "score": %s, "sigma": %s}'
+)
+
+
+def _json_floats(values: np.ndarray) -> list:
+    """Values whose ``%s`` is their JSON text: floats, or strings if one is not finite."""
+    floats = values.tolist()
+    return floats if np.isfinite(values).all() else [json.dumps(v) for v in floats]
+
+
 class _TraceSink:
     """Streams decision traces to a JSONL file; without a path it drops them.
 
-    A JSONL line is assembled from JSON fragments. An unscored candidate's
-    fragment depends only on its group and reason code, so it is encoded
-    once per run and reused; scored candidates and the other trace fields
-    are encoded per decision. :meth:`encode` equals
-    ``json.dumps(decision.to_trace_dict(), sort_keys=True)``.
+    A line is the ``json.dumps(..., sort_keys=True)`` text of the trace as
+    a dict: one candidate per group row, then the other fields. Unscored
+    candidates are formatted once per run into a (group row, reason code)
+    table; each line indexes the table and formats its scored rows from
+    the arrays of ``decision.scores``.
     """
 
     def __init__(self, path: Optional[str], group_ids: list[str]) -> None:
         self._fh = open(path, "w", encoding="utf-8") if path else None
-        self._group_ids = group_ids
+        self._groups = [json.dumps(group_id) for group_id in group_ids]
         self._rows = np.arange(len(group_ids))
-        # Fragments by (group row, reason code); code 0 is always scored.
-        self._fragments = np.empty((len(group_ids), N_REASON_CODES), dtype=object)
-        self._known = np.zeros(self._fragments.shape, dtype=bool)
-        self._known[:, 0] = True
+        # Code 0 is always scored, so its column stays empty.
+        self._unscored = np.empty((len(group_ids), N_REASON_CODES), dtype=object)
+        for code in range(1, N_REASON_CODES):
+            reasons = json.dumps(list(REASONS_OF_CODE[code]))
+            self._unscored[:, code] = [_UNSCORED % (group, reasons) for group in self._groups]
 
     def encode(self, decision: AssignmentDecision) -> str:
         codes = decision.reason_codes
-        for row in np.flatnonzero(~self._known[self._rows, codes]).tolist():
-            code = int(codes[row])
-            self._fragments[row, code] = json.dumps(
-                trace_candidate(self._group_ids[row], code, None), sort_keys=True
-            )
-            self._known[row, code] = True
-        parts = self._fragments[self._rows, codes]
-        for row, score in zip(np.flatnonzero(codes == 0).tolist(), decision.scores):
-            parts[row] = json.dumps(trace_candidate(score.group_id, 0, score), sort_keys=True)
+        parts = self._unscored[self._rows, codes].tolist()
+        if decision.scores is not None:
+            mu, sigma, penalty, score = decision.scores
+            for row, *values in zip(
+                np.flatnonzero(codes == 0).tolist(),
+                _json_floats(mu), penalty.tolist(), _json_floats(score), _json_floats(sigma),
+            ):
+                parts[row] = _SCORED % (self._groups[row], *values)
+        fields = {"epoch": decision.epoch, "user_token": decision.user_token,
+                  "chosen": decision.chosen, "changed": decision.changed}
+        tail = json.dumps(fields, sort_keys=True)
         # "candidates" sorts before every other trace field.
-        fields = json.dumps(decision.trace_fields(), sort_keys=True)
-        return '{"candidates": [' + ", ".join(parts.tolist()) + "], " + fields[1:]
+        return '{"candidates": [' + ", ".join(parts) + "], " + tail[1:]
 
     def write(self, decision: AssignmentDecision) -> None:
         if self._fh is not None:
@@ -462,10 +482,8 @@ def _build_report(
     t0 = scenario.w_pre
     post_end = t0 + scenario.w_post
 
-    pre_days = world.checkins[:, : t0 * DAYS_PER_WEEK]
-    post_days = world.checkins[:, t0 * DAYS_PER_WEEK : post_end * DAYS_PER_WEEK]
-    adh_pre = float(pre_days.mean(axis=1).mean())
-    adh_post = float(post_days.mean(axis=1).mean())
+    adh_pre = adherence(world.checkins[:, : t0 * DAYS_PER_WEEK])
+    adh_post = adherence(world.checkins[:, t0 * DAYS_PER_WEEK : post_end * DAYS_PER_WEEK])
 
     scores_pre = world.weekly_scores[:, :t0].ravel()
     scores_post = world.weekly_scores[:, t0:post_end].ravel()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from prism.assignment import REASONS_OF_CODE
 from prism.features import ACTION_TYPES, DAYS_PER_WEEK, UserEvents
 from prism.vault import ENC_KEY_ENV, TOKEN_KEY_ENV, KeyRing, UserToken
 
@@ -66,3 +67,30 @@ def registered_identity_strings(world) -> set[str]:
             if key == "phone":
                 values.add("".join(ch for ch in value if ch.isdigit()))
     return values
+
+
+def trace_dict(decision) -> dict:
+    """A decision's rationale trace as a dict with one entry per group: the
+    reference that each trace line must equal as
+    ``json.dumps(trace_dict(decision), sort_keys=True)``."""
+    scores = decision.scores
+    scored = iter(zip(*(a.tolist() for a in scores)) if scores is not None else ())
+    candidates = []
+    for group_id, code in zip(decision.group_ids, decision.reason_codes.tolist()):
+        mu, sigma, penalty, score = next(scored) if code == 0 else (None,) * 4
+        candidates.append({
+            "group": group_id,
+            "mu": mu,
+            "sigma": sigma,
+            "penalty": penalty,
+            "score": score,
+            "feasible": code == 0,
+            "reasons": list(REASONS_OF_CODE[code]),
+        })
+    return {
+        "candidates": candidates,
+        "epoch": decision.epoch,
+        "user_token": decision.user_token,
+        "chosen": decision.chosen,
+        "changed": decision.changed,
+    }

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import empty_events, solve_theta
+from conftest import empty_events, solve_theta, trace_dict
 
 import prism.assignment
 from prism.assignment import (
@@ -175,12 +175,12 @@ class TestScoring:
         roster = make_world(seats=[("m1", "g000", 0), ("m2", "g000", 0), ("m3", "g002", 0)])
         model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
         use_feature_map(monkeypatch, lambda r: np.ones((r.size, FEATURE_DIM)) / np.sqrt(FEATURE_DIM))
-        chosen, rows, _ = score_and_select(
+        best, scores, _ = score_and_select(
             make_context(), np.arange(3), model, roster, epoch=8, config=CONFIG
         )
         # equal unit-norm features -> equal scores -> lowest load wins
-        assert chosen == "g001"
-        assert len({round(r.score, 12) for r in rows}) == 1
+        assert roster.group_ids[best] == "g001"
+        assert len({round(score, 12) for score in scores.score.tolist()}) == 1
 
     def test_pure_exploitation_with_zero_beta(self, monkeypatch):
         model = BanditModel(dim=2, ridge=1.0)
@@ -189,10 +189,10 @@ class TestScoring:
         config = PolicyConfig(beta=0.0)
         # g000 -> [1, 0], g001 -> [0, 1]
         use_feature_map(monkeypatch, lambda r: np.eye(2)[r])
-        chosen, rows, _ = score_and_select(
+        best, _, _ = score_and_select(
             make_context(), np.arange(2), model, roster, epoch=8, config=config
         )
-        assert chosen == "g000"
+        assert roster.group_ids[best] == "g000"
 
     def test_one_dimensional_toy_example(self, monkeypatch):
         # Joint map with disjoint per-group basis vectors; one update on g000.
@@ -200,29 +200,78 @@ class TestScoring:
         model.update(np.array([1.0, 0.0]), 1.0)
         roster = make_world(n_groups=2)
         use_feature_map(monkeypatch, lambda r: np.eye(2)[r])
-        chosen, rows, phi_chosen = score_and_select(
+        best, scores, phi_chosen = score_and_select(
             make_context(), np.arange(2), model, roster, epoch=8,
             config=PolicyConfig(beta=1.0, lam=0.0),
         )
-        by_id = {r.group_id: r for r in rows}
-        assert by_id["g000"].mu == pytest.approx(0.5)
-        assert by_id["g000"].sigma == pytest.approx(1 / np.sqrt(2))
-        assert by_id["g000"].score == pytest.approx(1.2071067811865475)
-        assert by_id["g001"].mu == pytest.approx(0.0)
-        assert by_id["g001"].sigma == pytest.approx(1.0)
-        assert by_id["g001"].score == pytest.approx(1.0)
-        assert chosen == "g000"
+        g000, g001 = 0, 1  # candidate order is group-id order
+        assert scores.mu[g000] == pytest.approx(0.5)
+        assert scores.sigma[g000] == pytest.approx(1 / np.sqrt(2))
+        assert scores.score[g000] == pytest.approx(1.2071067811865475)
+        assert scores.mu[g001] == pytest.approx(0.0)
+        assert scores.sigma[g001] == pytest.approx(1.0)
+        assert scores.score[g001] == pytest.approx(1.0)
+        assert roster.group_ids[best] == "g000"
         assert phi_chosen.tolist() == [1.0, 0.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_tie_break_matches_reference_order(self, data):
+        # Few distinct terms force exact ties in score and in load, so many
+        # draws are decided by the load or by the group id alone.
+        n_groups = data.draw(st.integers(1, 6))
+        terms = st.sampled_from([0.0, 0.25, 0.5])
+        mu = np.array(data.draw(st.lists(terms, min_size=n_groups, max_size=n_groups)))
+        sigma = np.array(data.draw(st.lists(terms, min_size=n_groups, max_size=n_groups)))
+        loads = data.draw(st.lists(st.integers(0, 2), min_size=n_groups, max_size=n_groups))
+        seats = [
+            (f"{g:02x}{k:02x}" * 16, f"g{g:03d}", 0)
+            for g, load in enumerate(loads) for k in range(load)
+        ]
+        user_seat = data.draw(st.none() | st.tuples(st.integers(0, n_groups - 1), st.integers(0, 8)))
+        if user_seat is not None:
+            seats.append((USER, f"g{user_seat[0]:03d}", user_seat[1]))
+        roster = make_world(n_groups=n_groups, seats=seats)
+        candidates = np.array(
+            data.draw(st.permutations(range(n_groups)).flatmap(
+                lambda rows: st.integers(1, n_groups).map(lambda k: rows[:k])
+            )),
+            dtype=np.int64,
+        )
+        config = PolicyConfig(beta=data.draw(st.sampled_from([0.0, 0.5, 1.0])), lam=data.draw(terms))
+
+        class TermModel:
+            """mu and sigma are a feature row's two entries."""
+            dim = 2
+            mean = staticmethod(lambda phi: float(phi[0]))
+            width = staticmethod(lambda phi: float(phi[1]))
+
+        with pytest.MonkeyPatch.context() as patch:
+            use_feature_map(patch, lambda rows: np.column_stack([mu[rows], sigma[rows]]))
+            best, scores, _ = score_and_select(
+                make_context(), candidates, TermModel(), roster, epoch=8, config=config
+            )
+        rows = candidates.tolist()
+        reference = min(
+            range(len(rows)),
+            key=lambda i: (-scores.score[i], roster.count[rows[i]], roster.group_ids[rows[i]]),
+        )
+        assert best == reference
+        for i, row in enumerate(rows):
+            seat, since = user_seat if user_seat is not None else (row, 0)
+            penalty = int(row != seat and 8 - since < config.oscillation)
+            assert scores.penalty[i] == penalty
+            assert scores.score[i] == mu[row] + config.beta * sigma[row] - config.lam * penalty
 
     def test_churn_penalty_applies_inside_oscillation_horizon(self):
         model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
         roster = make_world(n_groups=2, seats=[(USER, "g000", 4)])
-        chosen, rows, _ = score_and_select(
+        _, scores, _ = score_and_select(
             make_context(), np.arange(2), model, roster, epoch=8, config=PolicyConfig(lam=0.5),
         )
-        by_id = {r.group_id: r for r in rows}
-        assert by_id["g000"].churn_penalty == 0
-        assert by_id["g001"].churn_penalty == 1
+        g000, g001 = 0, 1
+        assert scores.penalty[g000] == 0
+        assert scores.penalty[g001] == 1
 
     def test_score_decomposition(self):
         model = BanditModel(dim=FEATURE_DIM, ridge=2.0)
@@ -231,12 +280,12 @@ class TestScoring:
             model.update(rng.normal(size=FEATURE_DIM) * 0.3, rng.normal())
         roster = make_world(seats=[(USER, "g000", 6)])
         config = PolicyConfig(beta=0.7, lam=0.3)
-        _, rows, _ = score_and_select(
+        _, scores, _ = score_and_select(
             make_context(), np.arange(3), model, roster, epoch=8, config=config
         )
-        for row in rows:
-            expected = row.mu + config.beta * row.sigma - config.lam * row.churn_penalty
-            assert abs(row.score - expected) < 1e-12
+        for mu, sigma, penalty, score in zip(*(a.tolist() for a in scores)):
+            expected = mu + config.beta * sigma - config.lam * penalty
+            assert abs(score - expected) < 1e-12
 
     def test_empty_candidates_rejected(self):
         model = BanditModel(dim=FEATURE_DIM)
@@ -412,7 +461,7 @@ class TestAssign:
         assert roster.group_id(user) == "g000"
         assert roster.count.tolist() == [1, 0, 0]
         assert roster.last_change[user] == 8
-        trace = decision.to_trace_dict()
+        trace = trace_dict(decision)
         assert set(trace) == {"epoch", "user_token", "candidates", "chosen", "changed"}
         by_group = {c["group"]: c for c in trace["candidates"]}
         assert by_group["g000"]["feasible"]

@@ -1,8 +1,9 @@
 """The array-at-a-time decision path against per-group references.
 
 Feasibility reason codes, the batch joint feature matrix and the trace
-line assembled from cached JSON fragments are each checked against a
-test-local copy of the per-group rule they replace.
+line formatted from the decision's arrays are each checked against a
+per-group reference: a test-local copy of the rule they replace, or
+``trace_dict`` from conftest for the trace line.
 """
 
 import json
@@ -11,13 +12,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import trace_dict
+
 from prism.assignment import (
     CODE_DWELL,
     FEATURE_DIM,
     GOAL_CATEGORIES,
     N_REASON_CODES,
     AssignmentDecision,
-    CandidateScore,
+    CandidateScores,
     CoachState,
     GroupState,
     PolicyConfig,
@@ -213,13 +216,11 @@ group_ids = st.lists(
 
 def decision_with(group_ids, codes, draw_score, chosen, changed, epoch=5, token="t0"):
     codes = np.asarray(codes, dtype=np.int64)
-    scores = [
-        CandidateScore(
-            group_id=group_ids[row], mu=draw_score(), sigma=draw_score(),
-            churn_penalty=row % 2, score=draw_score(), load=row,
-        )
-        for row in np.flatnonzero(codes == 0).tolist()
-    ]
+    rows = np.flatnonzero(codes == 0)
+    scores = None
+    if rows.size:
+        draw = lambda: np.array([draw_score() for _ in rows.tolist()], dtype=float)
+        scores = CandidateScores(mu=draw(), sigma=draw(), penalty=rows % 2, score=draw())
     return AssignmentDecision(
         epoch=epoch, user_token=token, group_ids=group_ids, reason_codes=codes,
         scores=scores, chosen=chosen, changed=changed, waitlisted=chosen is None,
@@ -227,7 +228,7 @@ def decision_with(group_ids, codes, draw_score, chosen, changed, epoch=5, token=
 
 
 def assert_encodes_like_reference(sink, decision):
-    assert sink.encode(decision) == json.dumps(decision.to_trace_dict(), sort_keys=True)
+    assert sink.encode(decision) == json.dumps(trace_dict(decision), sort_keys=True)
 
 
 @settings(max_examples=200, deadline=None)
@@ -263,11 +264,11 @@ def test_trace_line_covers_every_reason_code():
     sink = _TraceSink(None, ids)
     values = iter(SPECIAL_FLOATS * 3)
     decision = decision_with(ids, range(N_REASON_CODES), lambda: next(values), "g00", True)
-    for _ in range(2):  # the second pass reads every fragment from the cache
+    for _ in range(2):  # the second pass finds the shared table unchanged
         assert_encodes_like_reference(sink, decision)
     line = json.loads(sink.encode(decision))
     assert [c["reasons"] for c in line["candidates"]][1:] == [
-        c["reasons"] for c in decision.candidates[1:]
+        c["reasons"] for c in trace_dict(decision)["candidates"][1:]
     ]
     assert line["candidates"][N_REASON_CODES - 1]["reasons"] == ["dwell_lock"]
     assert line["candidates"][31]["reasons"] == [
@@ -289,5 +290,5 @@ def test_sink_writes_encoded_lines_and_keeps_reference_dicts(tmp_path):
         sink.write(decision)
     sink.close()
     assert path.read_text(encoding="utf-8").splitlines() == [
-        json.dumps(d.to_trace_dict(), sort_keys=True) for d in decisions
+        json.dumps(trace_dict(d), sort_keys=True) for d in decisions
     ]

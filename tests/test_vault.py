@@ -4,6 +4,8 @@ import base64
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prism.errors import (
     ConfigurationError,
@@ -269,6 +271,37 @@ class TestRestorationPolicy:
         assert not vault.restore_identity(_request(token)).granted
         now[0] = 150.0  # both grants aged out
         assert vault.restore_identity(_request(token)).granted
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        max_events=st.integers(1, 4),
+        window=st.sampled_from([1.0, 2.5, 10.0]),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from("abc"),
+                st.sampled_from([0.0, 0.5, 1.0, 2.5, 10.0]) | st.floats(0, 20),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_rate_limiter_contract_over_monotone_time(self, max_events, window, steps):
+        # The caller's contract: time never decreases, and a request that is
+        # allowed is recorded, as restore_identity does for a grant.
+        limiter = SlidingWindowRateLimiter(max_events=max_events, window_seconds=window)
+        granted = {key: [] for key in "abc"}
+        now = 0.0
+        for key, dt in steps:
+            now += dt
+            room = sum(1 for t in granted[key] if t > now - window) < max_events
+            allowed = limiter.would_allow(key, now)
+            assert allowed == room  # allowed exactly when the window has room
+            if allowed:
+                limiter.record(key, now)
+                granted[key].append(now)
+        for times in granted.values():
+            for end in times:
+                assert sum(1 for t in times if end - window < t <= end) <= max_events
 
 
 class _FailingAuditLog(AuditLog):
