@@ -11,10 +11,9 @@ from prism.features import (
     NormalizationWindow,
     adherence,
     engagement_index,
-    engagement_score,
     engagement_scores,
     normalize,
-    weekly_slope,
+    weekly_slopes,
 )
 
 # ---------------------------------------------------------------------------
@@ -42,9 +41,10 @@ rng = np.random.default_rng(7)
 pre_counts = rng.poisson((2.0, 3.0, 5.0, 4.0, 1.0), size=(400, 5))
 weights = EngagementWeights.from_pre_period(pre_counts)
 print("\npre-period p95 per action type:", [round(v, 1) for v in weights.p95])
-print("typical week  :", round(engagement_score((2, 3, 5, 4, 1), weights), 3))
-print("quiet week    :", round(engagement_score((0, 0, 0, 0, 0), weights), 3))
-print("loud week     :", round(engagement_score((40, 40, 40, 40, 40), weights), 3), "(clamped)")
+typical, quiet, loud = engagement_scores([(2, 3, 5, 4, 1), (0, 0, 0, 0, 0), (40, 40, 40, 40, 40)], weights)
+print("typical week  :", round(float(typical), 3))
+print("quiet week    :", round(float(quiet), 3))
+print("loud week     :", round(float(loud), 3), "(clamped)")
 
 # ---------------------------------------------------------------------------
 # The engagement index is the post/pre ratio of cohort-level mean scores.
@@ -56,4 +56,5 @@ idx = engagement_index(
 print(f"\nengagement index: {idx:.2f}  ({(idx - 1) * 100:+.0f}% vs baseline)")
 
 # Disengagement signal: least-squares slope of the trailing weekly scores.
-print("slope of (0.10, 0.20, 0.30, 0.40):", weekly_slope([0.1, 0.2, 0.3, 0.4]), "per week")
+(slope,) = weekly_slopes([[0.1, 0.2, 0.3, 0.4]])
+print("slope of (0.10, 0.20, 0.30, 0.40):", float(slope), "per week")

@@ -15,22 +15,25 @@ from prism.assignment import (
     Roster,
     assign,
     feasibility_report,
+    feature_tables,
 )
-from prism.features import LearningContext, goal_onehot
+from prism.features import GOAL_CATEGORIES, ContextBatch
 from prism.vault import UserToken
 
 config = PolicyConfig()
-token = UserToken("cd" * 32)
+tokens = [UserToken(byte * 32) for byte in ("cd", "ce", "cf")]
 
-# A user four weeks past their last move, currently mis-grouped.
-context = LearningContext(
-    user_token=token,
+# This week's decision contexts, one row per user. The first user is four
+# weeks past their last move, currently mis-grouped.
+week = ContextBatch(
+    user_tokens=tokens,
     epoch=8,
-    numeric_features=np.array([0.35, 0.2, 0.4, 0.5, 0.0]),
-    categorical_features=goal_onehot("weight_loss"),
-    missed_checkin_streak=4,
-    engagement_slope=-0.06,
+    numeric=[[0.35, 0.2, 0.4, 0.5, 0.0], [0.8, 0.6, 0.7, 0.5, 0.0], [0.7, 0.5, 0.6, 0.5, 0.0]],
+    goal=[GOAL_CATEGORIES.index("weight_loss")] * 3,
+    streak=[4, 0, 1],
+    slope=[-0.06, 0.02, 0.0],
 )
+context = week[0]
 
 groups = {
     "g000": GroupState("g000", "c00", capacity=10, goal_category="weight_loss"),
@@ -46,7 +49,7 @@ coaches = {
 
 def seated_roster(last_change: int) -> Roster:
     """The user in g002 (goal-mismatched) since ``last_change``; g003 full."""
-    roster = Roster(groups, coaches, [token.value, "u1", "u2"])
+    roster = Roster(groups, coaches, [token.value for token in tokens])
     roster.move(0, roster.group_row["g002"], last_change, dwell=0)
     roster.move(1, roster.group_row["g003"], 0, dwell=0)
     roster.move(2, roster.group_row["g003"], 0, dwell=0)
@@ -75,10 +78,11 @@ print("within dwell:", feasible(locked))
 
 # ---------------------------------------------------------------------------
 # Scoring: mean estimate + confidence width - churn penalty; the cold model
-# explores through the width term alone.
+# explores through the width term alone. The feature tables hold what stays
+# fixed through the week; each decision adds the groups' fill ratios.
 # ---------------------------------------------------------------------------
 model = BanditModel(ridge=config.ridge)
-decision = assign(context, roster, model, 8, config)
+decision = assign(context, roster, model, 8, config, tables=feature_tables(week, roster))
 print("\ndecision trace:")
 scored = zip(*decision.scores)  # the feasible groups' terms, in group order
 for gid, code in zip(decision.group_ids, decision.reason_codes.tolist()):

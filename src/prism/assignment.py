@@ -22,6 +22,7 @@ from .errors import ConstraintViolationError, InternalError, ValidationError
 from .features import (
     DAYS_PER_WEEK,
     GOAL_CATEGORIES,
+    ContextBatch,
     EngagementWeights,
     LearningContext,
     UserEvents,
@@ -229,39 +230,71 @@ _GROUP_BLOCK = 2 + len(GOAL_CATEGORIES)
 FEATURE_DIM = _USER_BLOCK + _GROUP_BLOCK + len(GOAL_CATEGORIES)
 
 
-def joint_features(
-    context: LearningContext,
-    roster: Roster,
-    rows: np.ndarray,
-    group_engagement: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """One joint feature row per group row in ``rows``, as a (k, FEATURE_DIM) matrix.
+_FILL_RATIO = _USER_BLOCK + 1
 
-    A row concatenates the user features, the group aggregates (last
-    week's member engagement from ``group_engagement``, indexed by group
-    row, 0.5 when it is None; and the fill ratio), the group goal one-hot,
-    and a goal-interaction block: the elementwise product of the user and
-    group goal one-hots, so goal agreement is directly learnable.
+
+class FeatureTables(NamedTuple):
+    """The parts of the joint feature map that stay fixed through an epoch.
+
+    ``user_block`` holds a user block per roster user row: the numeric
+    features, the goal one-hot, the capped missed-check-in streak and the
+    clipped engagement slope. ``goal`` is each user row's goal index.
+    ``group_block[goal, group row]`` is the rest of a row for a user with
+    that goal: the group aggregates (last week's member engagement,
+    clipped to [0, 1], and the fill ratio, left at 0 here), the group goal
+    one-hot, and the goal interaction, the elementwise product of the user
+    and group goal one-hots, so goal agreement is directly learnable.
     """
-    user_goal = context.categorical_features
-    group_goal = np.zeros((rows.size, len(GOAL_CATEGORIES)))
-    group_goal[np.arange(rows.size), roster.goal_index[rows]] = 1.0
-    phi = np.empty((rows.size, FEATURE_DIM))
-    phi[:, :_USER_BLOCK] = np.concatenate(
+
+    user_block: np.ndarray
+    goal: np.ndarray
+    group_block: np.ndarray
+
+
+def feature_tables(
+    contexts: ContextBatch, roster: Roster, group_engagement: Optional[np.ndarray] = None
+) -> FeatureTables:
+    """The epoch's feature tables for every user of ``roster``.
+
+    ``contexts`` must hold one context per roster user, in any order.
+    ``group_engagement`` is indexed by group row; None means 0.5 for
+    every group.
+    """
+    users = np.array([roster.row_of.get(token.value, -1) for token in contexts.user_tokens])
+    if np.sort(users).tolist() != list(range(len(roster.row_of))):
+        raise ValidationError("feature tables need exactly one context per roster user")
+    user_block = np.empty((users.size, _USER_BLOCK))
+    user_block[users] = np.column_stack(
         [
-            context.numeric_features,
-            user_goal,
-            [
-                min(context.missed_checkin_streak, _STREAK_CAP_DAYS) / _STREAK_CAP_DAYS,
-                float(np.clip(context.engagement_slope, -1.0, 1.0)),
-            ],
+            contexts.numeric,
+            contexts.categorical,
+            np.minimum(contexts.streak, _STREAK_CAP_DAYS) / _STREAK_CAP_DAYS,
+            np.clip(contexts.slope, -1.0, 1.0),
         ]
     )
-    engagement = np.full(rows.size, 0.5) if group_engagement is None else group_engagement[rows]
-    phi[:, _USER_BLOCK] = np.clip(engagement, 0.0, 1.0)
-    phi[:, _USER_BLOCK + 1] = roster.count[rows] / roster.capacity[rows]
-    phi[:, _USER_BLOCK + 2 : _USER_BLOCK + _GROUP_BLOCK] = group_goal
-    phi[:, _USER_BLOCK + _GROUP_BLOCK :] = user_goal * group_goal
+    goal = np.empty(users.size, dtype=np.int64)
+    goal[users] = contexts.goal
+    n_groups = len(roster.group_ids)
+    engagement = np.full(n_groups, 0.5) if group_engagement is None else group_engagement
+    onehots = np.eye(len(GOAL_CATEGORIES))
+    group_goal = onehots[roster.goal_index]
+    group_block = np.zeros((len(GOAL_CATEGORIES), n_groups, FEATURE_DIM - _USER_BLOCK))
+    group_block[:, :, 0] = np.clip(engagement, 0.0, 1.0)
+    group_block[:, :, 2:_GROUP_BLOCK] = group_goal
+    group_block[:, :, _GROUP_BLOCK:] = onehots[:, None, :] * group_goal
+    return FeatureTables(user_block, goal, group_block)
+
+
+def joint_features(
+    tables: FeatureTables, user: int, roster: Roster, rows: np.ndarray
+) -> np.ndarray:
+    """The joint feature rows of user row ``user`` and each group row in
+    ``rows``, as a (k, FEATURE_DIM) matrix: the user's block, the group
+    part for the user's goal, and each group's current fill ratio."""
+    phi = np.empty((rows.size, FEATURE_DIM))
+    phi[:, :_USER_BLOCK] = tables.user_block[user]
+    phi[:, _USER_BLOCK:] = tables.group_block[tables.goal[user], rows]
+    phi[:, _FILL_RATIO] = roster.count[rows] / roster.capacity[rows]
     return phi
 
 
@@ -293,12 +326,15 @@ class BanditModel:
     def theta(self) -> np.ndarray:
         return self._theta.copy()
 
-    def mean(self, phi: np.ndarray) -> float:
-        return float(self._theta @ phi)
+    # Both run einsum's fixed per-row loop: a BLAS product would block the
+    # rows and give identical rows different values, breaking exact ties.
+    def means(self, phi: np.ndarray) -> np.ndarray:
+        """Mean estimate theta^T phi of each row of ``phi``."""
+        return np.einsum("ij,j->i", phi, self._theta)
 
-    def width(self, phi: np.ndarray) -> float:
-        """Ellipsoidal confidence width sqrt(phi^T A^-1 phi)."""
-        return float(np.sqrt(max(0.0, phi @ self._a_inv @ phi)))
+    def widths(self, phi: np.ndarray) -> np.ndarray:
+        """Ellipsoidal confidence width sqrt(phi^T A^-1 phi) of each row of ``phi``."""
+        return np.sqrt(np.maximum(0.0, np.einsum("ij,jk,ik->i", phi, self._a_inv, phi)))
 
     def update(self, phi: np.ndarray, reward: float) -> None:
         phi = np.asarray(phi, dtype=float)
@@ -422,7 +458,7 @@ def score_and_select(
     roster: Roster,
     epoch: int,
     config: PolicyConfig,
-    group_engagement: Optional[np.ndarray] = None,
+    tables: FeatureTables,
 ) -> tuple[int, CandidateScores, np.ndarray]:
     """UCB-score every candidate group row and pick the argmax.
 
@@ -430,20 +466,22 @@ def score_and_select(
     the churn penalty for moves inside the oscillation horizon. Ties
     break to the lowest current load, then lexicographic group id.
     Returns the index of the chosen candidate, the scores in candidate
-    order, and the chosen row's features as scored.
+    order, and the chosen row's features as scored. ``tables`` are the
+    epoch's :func:`feature_tables`.
     """
     rows = np.asarray(candidates, dtype=np.int64)
     if rows.size == 0:
         raise ValidationError("score_and_select requires a non-empty candidate set")
-    phi = joint_features(context, roster, rows, group_engagement)
+    user = roster.row_of[context.user_token.value]
+    phi = joint_features(tables, user, roster, rows)
     if phi.shape != (rows.size, model.dim):
         raise InternalError(f"feature map produced shape {phi.shape}, model expects dim {model.dim}")
-    user = roster.row_of[context.user_token.value]
     current = roster.group_of[user]
     may_churn = current >= 0 and (epoch - roster.last_change[user]) < config.oscillation
-    # Row by row: the matrix forms round differently and flip exact ties.
-    mu = np.array([model.mean(row) for row in phi])
-    sigma = np.array([model.width(row) for row in phi])
+    # Each term is one per-row einsum pass, so identical rows get identical
+    # terms and exact ties reach the tie-break below.
+    mu = model.means(phi)
+    sigma = model.widths(phi)
     penalty = ((rows != current) & may_churn).astype(np.int64)
     score = mu + config.beta * sigma - config.lam * penalty
     # Least significant key first; group rows are in group-id order.
@@ -546,14 +584,15 @@ def assign(
     epoch: int,
     config: PolicyConfig,
     *,
+    tables: FeatureTables,
     user_tags: frozenset[str] = frozenset(),
-    group_engagement: Optional[np.ndarray] = None,
 ) -> AssignmentDecision:
     """Filter, score, select, and apply one assignment decision.
 
     The roster changes only when the chosen group differs from the
     current one. A placed user with no feasible alternative stays put; an
     unplaced user with no feasible group is waitlisted for the next epoch.
+    ``tables`` are the epoch's :func:`feature_tables`.
     """
     codes = feasibility_report(context, roster, epoch, config, user_tags).codes
     feasible = np.flatnonzero(codes == 0)
@@ -563,7 +602,7 @@ def assign(
     penalty = 0
     if feasible.size:
         best, scores, phi_chosen = score_and_select(
-            context, feasible, model, roster, epoch, config, group_engagement=group_engagement
+            context, feasible, model, roster, epoch, config, tables
         )
         chosen, penalty = int(feasible[best]), int(scores.penalty[best])
         if chosen != current:

@@ -3,7 +3,8 @@
 This module owns the numeric contracts the rest of the pipeline leans
 on: min-max normalization against a rolling cohort window, user-weighted
 daily adherence, winsorized weekly engagement scores, the post/pre
-engagement index, and assembly of the per-user decision context. Nothing
+engagement index, and assembly of every user's decision context for an
+epoch in one pass. Nothing
 here accepts or emits a raw-identity value; the only handle for a person
 is a ``UserToken``.
 """
@@ -59,8 +60,9 @@ class NormalizationWindow:
                 )
 
 
-def normalize(x: float, window: NormalizationWindow, feature_id: str) -> float:
-    """Min-max scale ``x`` into [0, 1] against the window bounds.
+def normalize(x, window: NormalizationWindow, feature_id: str):
+    """Min-max scale ``x``, a number or an array, into [0, 1] against the
+    window bounds; a number gives a float, an array an array.
 
     Out-of-window inputs clamp to the boundary; a degenerate window
     (min == max) maps everything to the uninformative midpoint 0.5.
@@ -68,10 +70,9 @@ def normalize(x: float, window: NormalizationWindow, feature_id: str) -> float:
     if feature_id not in window.bounds:
         raise ValidationError(f"unknown feature id: {feature_id!r}")
     lo, hi = window.bounds[feature_id]
-    if hi == lo:
-        return 0.5
-    scaled = (float(x) - lo) / (hi - lo)
-    return min(1.0, max(0.0, scaled))
+    x = np.asarray(x, dtype=float)
+    scaled = np.full(x.shape, 0.5) if hi == lo else np.clip((x - lo) / (hi - lo), 0.0, 1.0)
+    return float(scaled) if scaled.ndim == 0 else scaled
 
 
 # ---------------------------------------------------------------------------
@@ -142,20 +143,13 @@ class EngagementWeights:
         return cls(action_types=action_types, alphas=tuple(alphas), p5=p5, p95=p95, epsilon=epsilon)
 
 
-def engagement_score(counts: Sequence[float], weights: EngagementWeights) -> float:
-    """Weekly engagement score: weighted sum of winsorized, rescaled counts.
+def engagement_scores(counts: np.ndarray, weights: EngagementWeights) -> np.ndarray:
+    """Weekly engagement score of each row of a (n, K) count matrix: a
+    weighted sum of winsorized, rescaled counts.
 
     Each raw count clamps to the pre-period [p5, p95] band and rescales
-    by (x - p5) / (p95 - p5 + eps), so the result sits in [0, 1).
+    by (x - p5) / (p95 - p5 + eps), so a score sits in [0, 1).
     """
-    arr = np.asarray(counts, dtype=float)
-    if arr.shape != (len(weights.action_types),):
-        raise ValidationError("counts must align with the configured action types")
-    return float(engagement_scores(arr[None, :], weights)[0])
-
-
-def engagement_scores(counts: np.ndarray, weights: EngagementWeights) -> np.ndarray:
-    """Vectorized :func:`engagement_score` over rows of a (n, K) count matrix."""
     arr = np.asarray(counts, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != len(weights.action_types):
         raise ValidationError("counts must be (rows, action_types)")
@@ -201,8 +195,15 @@ class UserEvents:
     weights_kg: np.ndarray
     first_day: int = 0
 
-    def has_history_before(self, epoch: int) -> bool:
-        return self.first_day >= 0 and self.first_day < epoch * DAYS_PER_WEEK
+
+def _check_context_values(numeric: np.ndarray, streak, *finite: np.ndarray) -> None:
+    """The context invariants, over one context's values or a batch's arrays."""
+    if not all(np.isfinite(values).all() for values in (numeric, *finite)):
+        raise ValidationError("context features must be finite")
+    if numeric.size and (numeric.min() < -_RANGE_TOL or numeric.max() > 1 + _RANGE_TOL):
+        raise ValidationError("numeric features must lie in [0, 1]")
+    if np.any(np.asarray(streak) < 0):
+        raise ValidationError("missed check-in streak cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -225,12 +226,7 @@ class LearningContext:
             raise ValidationError("user_token must be a UserToken")
         numeric = np.asarray(self.numeric_features, dtype=float)
         categorical = np.asarray(self.categorical_features, dtype=float)
-        if not np.all(np.isfinite(numeric)) or not np.all(np.isfinite(categorical)):
-            raise ValidationError("context features must be finite")
-        if numeric.size and (numeric.min() < -_RANGE_TOL or numeric.max() > 1 + _RANGE_TOL):
-            raise ValidationError("numeric features must lie in [0, 1]")
-        if self.missed_checkin_streak < 0:
-            raise ValidationError("missed check-in streak cannot be negative")
+        _check_context_values(numeric, self.missed_checkin_streak, categorical)
         object.__setattr__(self, "numeric_features", numeric)
         object.__setattr__(self, "categorical_features", categorical)
 
@@ -250,81 +246,151 @@ def goal_onehot(goal: str) -> np.ndarray:
     return onehot
 
 
-def missed_streak(checkins: np.ndarray, *, upto_day: int, first_day: int) -> int:
-    """Consecutive missed days ending at ``upto_day`` (exclusive)."""
-    start = max(0, first_day)
-    streak = 0
-    for day in range(upto_day - 1, start - 1, -1):
-        if checkins[day]:
-            break
-        streak += 1
-    return streak
+_GOAL_ONEHOTS = np.eye(len(GOAL_CATEGORIES))
+_GOAL_ONEHOTS.flags.writeable = False
 
 
-def weekly_slope(scores: Sequence[float]) -> float:
-    """Ordinary least-squares slope of weekly scores; 0 when under two points."""
-    arr = np.asarray(scores, dtype=float)
-    if arr.size < 2:
-        return 0.0
-    t = np.arange(arr.size, dtype=float)
+@dataclass(frozen=True)
+class ContextBatch:
+    """Every user's decision context at one epoch, as row-aligned arrays.
+
+    Row ``u`` holds user ``user_tokens[u]``: ``numeric`` (n, N) features
+    in [0, 1], ``goal`` an index into :data:`GOAL_CATEGORIES`, ``streak``
+    the missed check-in streak and ``slope`` the engagement slope. The
+    arrays are made read-only and checked once, as a whole, against the
+    conditions a :class:`LearningContext` checks per row; ``batch[u]`` is
+    then user ``u``'s context, holding views of the batch's rows.
+    """
+
+    user_tokens: Sequence[UserToken]
+    epoch: int
+    numeric: np.ndarray
+    goal: np.ndarray
+    streak: np.ndarray
+    slope: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = len(self.user_tokens)
+        if not all(isinstance(token, UserToken) for token in self.user_tokens):
+            raise ValidationError("user_token must be a UserToken")
+        goal = np.array(self.goal, dtype=np.int64)
+        if goal.shape != (n,) or ((goal < 0) | (goal >= len(GOAL_CATEGORIES))).any():
+            raise ValidationError("each context needs a goal index into GOAL_CATEGORIES")
+        arrays = {
+            "numeric": np.array(self.numeric, dtype=float).reshape(n, -1),
+            "goal": goal,
+            "streak": np.array(self.streak, dtype=np.int64).reshape(n),
+            "slope": np.array(self.slope, dtype=float).reshape(n),
+        }
+        # The goal one-hots are finite by construction.
+        _check_context_values(arrays["numeric"], arrays["streak"])
+        for name, array in arrays.items():
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "user_tokens", tuple(self.user_tokens))
+
+    @property
+    def categorical(self) -> np.ndarray:
+        """The (n, len(GOAL_CATEGORIES)) goal one-hot rows."""
+        return _GOAL_ONEHOTS[self.goal]
+
+    def __len__(self) -> int:
+        return len(self.user_tokens)
+
+    def __getitem__(self, row: int) -> LearningContext:
+        # The batch passed the checks as a whole, so the row skips
+        # LearningContext.__post_init__; Python scalars keep the fields'
+        # types (a streak must serialize as a JSON int).
+        context = object.__new__(LearningContext)
+        context.__dict__.update(
+            user_token=self.user_tokens[row],
+            epoch=self.epoch,
+            numeric_features=self.numeric[row],
+            categorical_features=_GOAL_ONEHOTS[self.goal[row]],
+            missed_checkin_streak=int(self.streak[row]),
+            engagement_slope=float(self.slope[row]),
+        )
+        return context
+
+
+def _missed_streaks(checkins: np.ndarray, upto_day: int, first_day: np.ndarray) -> np.ndarray:
+    """Per row, consecutive missed days ending at ``upto_day`` (exclusive),
+    counting back no further than the row's first day, which lies in
+    [0, upto_day)."""
+    recent_first = checkins[:, upto_day - 1 :: -1] != 0
+    # Days since the latest check-in, or every day when there was none.
+    since = np.where(recent_first.any(axis=1), recent_first.argmax(axis=1), upto_day)
+    return np.minimum(since, upto_day - first_day)
+
+
+def weekly_slopes(scores: np.ndarray) -> np.ndarray:
+    """Ordinary least-squares slope of each row of a (n, weeks) matrix of
+    weekly scores; 0 when a row has under two points."""
+    scores = np.asarray(scores, dtype=float)
+    n, weeks = scores.shape
+    if weeks < 2:
+        return np.zeros(n)
+    t = np.arange(weeks, dtype=float)
     t_centered = t - t.mean()
-    return float((t_centered @ (arr - arr.mean())) / (t_centered @ t_centered))
+    centered = scores - scores.mean(axis=1, keepdims=True)
+    # A stack of (1, weeks) @ (weeks,) products takes each row through the
+    # 1-D dot kernel, the one a single row's ``t_centered @ row`` takes, so
+    # a row's slope does not depend on the other rows.
+    return np.matmul(centered[:, None, :], t_centered)[:, 0] / (t_centered @ t_centered)
 
 
 def build_context(
-    events: UserEvents,
+    checkins: np.ndarray,
+    action_counts: np.ndarray,
+    weekly_scores: np.ndarray,
+    first_day: np.ndarray,
     *,
-    user_token: UserToken,
+    user_tokens: Sequence[UserToken],
+    goals: np.ndarray,
     epoch: int,
-    goal: str,
     window: NormalizationWindow,
-    weights: EngagementWeights,
-) -> LearningContext:
-    """Assemble the decision context from one user's history up to ``epoch``.
+) -> ContextBatch:
+    """Assemble every user's decision context at ``epoch`` in one pass.
 
-    Cold-start users (no events yet) get zero numerics plus an explicit
-    indicator feature instead of fabricated signals.
+    Row ``u`` of each array is user ``user_tokens[u]``: ``checkins`` (n,
+    days) daily 0/1, ``action_counts`` (n, weeks, K), ``weekly_scores``
+    (n, weeks) holding each week's engagement score (every week before
+    ``epoch`` must be scored), ``first_day`` (-1 for a user with no
+    events) and ``goals``, indices into :data:`GOAL_CATEGORIES`.
+
+    Cold-start users (no events before ``epoch``, or ``epoch`` 0) get zero
+    numerics plus an explicit indicator feature instead of fabricated
+    signals.
     """
     if epoch < 0:
         raise ValidationError("epoch must be non-negative")
-    onehot = goal_onehot(goal)
-    if not events.has_history_before(epoch) or epoch == 0:
-        numeric = np.zeros(len(NUMERIC_FEATURE_NAMES))
-        numeric[NUMERIC_FEATURE_NAMES.index("cold_start")] = 1.0
-        return LearningContext(
-            user_token=user_token,
-            epoch=epoch,
-            numeric_features=numeric,
-            categorical_features=onehot,
-            missed_checkin_streak=0,
-            engagement_slope=0.0,
-        )
-
+    n = len(user_tokens)
+    first_day = np.asarray(first_day, dtype=np.int64)
     upto_day = epoch * DAYS_PER_WEEK
-    recent_days = min(TRAILING_WEEKS * DAYS_PER_WEEK, upto_day)
-    recent_adh = float(events.checkins[upto_day - recent_days : upto_day].mean())
-
-    trailing = events.action_counts[max(0, epoch - TRAILING_WEEKS) : epoch]
-    weekly = engagement_scores(trailing, weights)
-    recent_eng = min(1.0, float(weekly.mean())) if weekly.size else 0.0
-
-    last_week_actions = float(events.action_counts[epoch - 1].sum())
-    numeric = np.array(
-        [
-            recent_adh,
-            recent_eng,
-            normalize(last_week_actions, window, "weekly_actions"),
-            normalize(epoch - (events.first_day / DAYS_PER_WEEK), window, "tenure_weeks"),
-            0.0,
-        ]
-    )
-    return LearningContext(
-        user_token=user_token,
+    numeric = np.zeros((n, len(NUMERIC_FEATURE_NAMES)))
+    numeric[:, NUMERIC_FEATURE_NAMES.index("cold_start")] = 1.0
+    streak = np.zeros(n, dtype=np.int64)
+    slope = np.zeros(n)
+    warm = (first_day >= 0) & (first_day < upto_day)
+    if warm.any():
+        recent_days = min(TRAILING_WEEKS * DAYS_PER_WEEK, upto_day)
+        weekly = weekly_scores[warm, max(0, epoch - TRAILING_WEEKS) : epoch]
+        numeric[warm] = np.column_stack(
+            [
+                checkins[warm, upto_day - recent_days : upto_day].mean(axis=1),
+                np.minimum(1.0, weekly.mean(axis=1)),
+                normalize(action_counts[warm, epoch - 1].sum(axis=1), window, "weekly_actions"),
+                normalize(epoch - first_day[warm] / DAYS_PER_WEEK, window, "tenure_weeks"),
+                np.zeros(int(warm.sum())),
+            ]
+        )
+        streak[warm] = _missed_streaks(checkins[warm], upto_day, first_day[warm])
+        slope[warm] = weekly_slopes(weekly)
+    return ContextBatch(
+        user_tokens=user_tokens,
         epoch=epoch,
-        numeric_features=numeric,
-        categorical_features=onehot,
-        missed_checkin_streak=missed_streak(
-            events.checkins, upto_day=upto_day, first_day=events.first_day
-        ),
-        engagement_slope=weekly_slope(weekly),
+        numeric=numeric,
+        goal=goals,
+        streak=streak,
+        slope=slope,
     )

@@ -28,6 +28,7 @@ from ..assignment import (
     PolicyConfig,
     assign,
     compute_reward,
+    feature_tables,
 )
 from ..assistant import (
     DELIVERABLE_STATUSES,
@@ -46,6 +47,7 @@ from ..errors import ConstraintViolationError, InternalError, ValidationError
 from ..features import (
     ACTION_TYPES,
     DAYS_PER_WEEK,
+    ContextBatch,
     EngagementWeights,
     NormalizationWindow,
     UserEvents,
@@ -256,7 +258,7 @@ def _deliver(
 def _assistant_pass(
     world: World,
     epoch: int,
-    contexts: dict[int, object],
+    contexts: ContextBatch,
     drafts: list[Draft],
     counters: dict,
     delivered: list[tuple[str, str]],
@@ -413,19 +415,18 @@ def _run_epochs(
                     still_pending.append(obs)
             pending[:] = still_pending
 
-            window = _normalization_window(world, epoch)
-            group_engagement = group_engagement_means(world, epoch)
-            contexts = {
-                user.index: build_context(
-                    _user_events_view(world, user.index),
-                    user_token=user.token,
-                    epoch=epoch,
-                    goal=user.goal,
-                    window=window,
-                    weights=eng_weights,
-                )
-                for user in world.users
-            }
+            # Every simulated user has events from day 0.
+            contexts = build_context(
+                world.checkins,
+                world.actions,
+                world.weekly_scores,
+                np.zeros(world.n_users, dtype=np.int64),
+                user_tokens=[user.token for user in world.users],
+                goals=world.goal_index,
+                epoch=epoch,
+                window=_normalization_window(world, epoch),
+            )
+            tables = feature_tables(contexts, world.roster, group_engagement_means(world, epoch))
             for user in world.users:
                 decision = assign(
                     contexts[user.index],
@@ -433,8 +434,8 @@ def _run_epochs(
                     model,
                     epoch,
                     config,
+                    tables=tables,
                     user_tags=user.language_tags,
-                    group_engagement=group_engagement,
                 )
                 counters["decisions"] += 1
                 sink.write(decision)

@@ -312,19 +312,28 @@ class AuditLog:
 
 
 def verify_audit_chain(entries: Sequence[AuditEntry]) -> tuple[bool, Optional[int]]:
-    """Recompute the hash chain; ``(True, None)`` iff intact and gapless.
+    """Recompute the hash chain; ``(True, None)`` iff intact, gapless and
+    in time order.
 
-    On any violation returns ``(False, index_of_first_bad_entry)``.
-    An empty log is vacuously valid.
+    On any violation returns ``(False, index_of_first_bad_entry)``: a
+    sequence gap, a hash mismatch, or a timestamp that is unreadable or
+    earlier than the one before it. An empty log is vacuously valid.
     """
     prev = GENESIS_HASH
+    prev_ts = None
     for i, entry in enumerate(entries):
         if entry.seq != i:
             return False, i
         expected = _chain_hash(prev, entry.to_dict())
         if entry.chain_hash != expected:
             return False, i
-        prev = entry.chain_hash
+        try:
+            ts = datetime.fromisoformat(entry.ts)
+            if prev_ts is not None and ts < prev_ts:
+                return False, i
+        except (TypeError, ValueError):
+            return False, i
+        prev, prev_ts = entry.chain_hash, ts
     return True, None
 
 

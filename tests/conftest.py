@@ -1,8 +1,26 @@
 import numpy as np
 import pytest
 
-from prism.assignment import REASONS_OF_CODE
-from prism.features import ACTION_TYPES, DAYS_PER_WEEK, UserEvents
+from prism.assignment import (
+    _GROUP_BLOCK,
+    _STREAK_CAP_DAYS,
+    _USER_BLOCK,
+    FEATURE_DIM,
+    GOAL_CATEGORIES,
+    REASONS_OF_CODE,
+    feature_tables,
+)
+from prism.errors import ValidationError
+from prism.features import (
+    ACTION_TYPES,
+    DAYS_PER_WEEK,
+    NUMERIC_FEATURE_NAMES,
+    TRAILING_WEEKS,
+    ContextBatch,
+    LearningContext,
+    UserEvents,
+    goal_onehot,
+)
 from prism.vault import ENC_KEY_ENV, TOKEN_KEY_ENV, KeyRing, UserToken
 
 TOKEN_KEY_HEX = "11" * 32
@@ -94,3 +112,127 @@ def trace_dict(decision) -> dict:
         "chosen": decision.chosen,
         "changed": decision.changed,
     }
+
+
+# -- per-user references for the epoch-batched decision path ---------------------
+
+
+def reference_normalize(x, window, feature_id) -> float:
+    """Min-max scaling of one number, clamped to [0, 1]; 0.5 for a degenerate window."""
+    lo, hi = window.bounds[feature_id]
+    if hi == lo:
+        return 0.5
+    scaled = (float(x) - lo) / (hi - lo)
+    return min(1.0, max(0.0, scaled))
+
+
+def reference_missed_streak(checkins, *, upto_day: int, first_day: int) -> int:
+    """Consecutive missed days ending at ``upto_day`` (exclusive)."""
+    start = max(0, first_day)
+    streak = 0
+    for day in range(upto_day - 1, start - 1, -1):
+        if checkins[day]:
+            break
+        streak += 1
+    return streak
+
+
+def reference_slope(scores) -> float:
+    """Ordinary least-squares slope of weekly scores; 0 when under two points."""
+    arr = np.asarray(scores, dtype=float)
+    if arr.size < 2:
+        return 0.0
+    t = np.arange(arr.size, dtype=float)
+    t_centered = t - t.mean()
+    return float((t_centered @ (arr - arr.mean())) / (t_centered @ t_centered))
+
+
+def reference_context(events, scored_weeks, *, user_token, epoch, goal, window) -> LearningContext:
+    """One user's decision context, built from that user's history alone:
+    the reference each row of a ``build_context`` batch must equal bit for
+    bit. ``scored_weeks`` is the user's row of weekly engagement scores."""
+    if epoch < 0:
+        raise ValidationError("epoch must be non-negative")
+    onehot = goal_onehot(goal)
+    has_history = 0 <= events.first_day < epoch * DAYS_PER_WEEK
+    if not has_history or epoch == 0:
+        numeric = np.zeros(len(NUMERIC_FEATURE_NAMES))
+        numeric[NUMERIC_FEATURE_NAMES.index("cold_start")] = 1.0
+        return LearningContext(
+            user_token=user_token,
+            epoch=epoch,
+            numeric_features=numeric,
+            categorical_features=onehot,
+            missed_checkin_streak=0,
+            engagement_slope=0.0,
+        )
+
+    upto_day = epoch * DAYS_PER_WEEK
+    recent_days = min(TRAILING_WEEKS * DAYS_PER_WEEK, upto_day)
+    recent_adh = float(events.checkins[upto_day - recent_days : upto_day].mean())
+
+    weekly = scored_weeks[max(0, epoch - TRAILING_WEEKS) : epoch]
+    recent_eng = min(1.0, float(weekly.mean())) if weekly.size else 0.0
+
+    last_week_actions = float(events.action_counts[epoch - 1].sum())
+    numeric = np.array(
+        [
+            recent_adh,
+            recent_eng,
+            reference_normalize(last_week_actions, window, "weekly_actions"),
+            reference_normalize(epoch - (events.first_day / DAYS_PER_WEEK), window, "tenure_weeks"),
+            0.0,
+        ]
+    )
+    return LearningContext(
+        user_token=user_token,
+        epoch=epoch,
+        numeric_features=numeric,
+        categorical_features=onehot,
+        missed_checkin_streak=reference_missed_streak(
+            events.checkins, upto_day=upto_day, first_day=events.first_day
+        ),
+        engagement_slope=reference_slope(weekly),
+    )
+
+
+def reference_joint_features(context, roster, rows, group_engagement=None) -> np.ndarray:
+    """One decision's joint feature matrix built from scratch: the reference
+    each ``joint_features`` gather from the epoch's tables must equal."""
+    user_goal = context.categorical_features
+    group_goal = np.zeros((rows.size, len(GOAL_CATEGORIES)))
+    group_goal[np.arange(rows.size), roster.goal_index[rows]] = 1.0
+    phi = np.empty((rows.size, FEATURE_DIM))
+    phi[:, :_USER_BLOCK] = np.concatenate(
+        [
+            context.numeric_features,
+            user_goal,
+            [
+                min(context.missed_checkin_streak, _STREAK_CAP_DAYS) / _STREAK_CAP_DAYS,
+                float(np.clip(context.engagement_slope, -1.0, 1.0)),
+            ],
+        ]
+    )
+    engagement = np.full(rows.size, 0.5) if group_engagement is None else group_engagement[rows]
+    phi[:, _USER_BLOCK] = np.clip(engagement, 0.0, 1.0)
+    phi[:, _USER_BLOCK + 1] = roster.count[rows] / roster.capacity[rows]
+    phi[:, _USER_BLOCK + 2 : _USER_BLOCK + _GROUP_BLOCK] = group_goal
+    phi[:, _USER_BLOCK + _GROUP_BLOCK :] = user_goal * group_goal
+    return phi
+
+
+def tables_for(roster, context, group_engagement=None):
+    """Feature tables for a decision on ``context``: every other roster user
+    gets the same context values under their own token."""
+
+    tokens = sorted(roster.row_of, key=roster.row_of.get)
+    n = len(tokens)
+    batch = ContextBatch(
+        user_tokens=[UserToken(token) for token in tokens],
+        epoch=context.epoch,
+        numeric=np.tile(context.numeric_features, (n, 1)),
+        goal=np.full(n, GOAL_CATEGORIES.index(context.goal_category)),
+        streak=np.full(n, context.missed_checkin_streak),
+        slope=np.full(n, context.engagement_slope),
+    )
+    return feature_tables(batch, roster, group_engagement)

@@ -20,7 +20,7 @@ import pytest
 from conftest import ACCEPTANCE_LINES, ENC_KEY_HEX, TOKEN_KEY_HEX
 
 from prism.assignment import BanditModel, PolicyConfig
-from prism.features import EngagementWeights, adherence, engagement_index, engagement_score
+from prism.features import EngagementWeights, adherence, engagement_index, engagement_scores
 from prism.metrics import mann_whitney_u
 from prism.redaction import _rehydrate_deid, default_rules, leak_audit, redact
 from prism.simulator import Scenario, run_paired
@@ -399,8 +399,7 @@ def test_criterion_11_metric_formulas():
     index_ok = abs(idx - 1.0) <= 1e-9
 
     weights = EngagementWeights(p5=(2.0,) * 5, p95=(12.0,) * 5)
-    lower = engagement_score((0, 1, 2, 2, 0), weights)
-    upper = engagement_score((99, 99, 99, 99, 99), weights)
+    lower, upper = engagement_scores([(0, 1, 2, 2, 0), (99, 99, 99, 99, 99)], weights)
     score_ok = lower == 0.0 and 0.999 < upper < 1.0
 
     rng = np.random.default_rng(1111)

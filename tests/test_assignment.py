@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import empty_events, solve_theta, trace_dict
+from conftest import empty_events, solve_theta, tables_for, trace_dict
 
 import prism.assignment
 from prism.assignment import (
@@ -21,10 +21,11 @@ from prism.assignment import (
     assign,
     compute_reward,
     feasibility_report,
+    feature_tables,
     score_and_select,
 )
 from prism.errors import ConstraintViolationError, InternalError, ValidationError
-from prism.features import EngagementWeights, LearningContext, goal_onehot
+from prism.features import ContextBatch, EngagementWeights, LearningContext, goal_onehot
 from prism.vault import UserToken
 
 USER = "aa" * 32
@@ -166,7 +167,7 @@ class TestEligibility:
 def use_feature_map(monkeypatch, feature_map):
     """Score with a toy map of the candidate rows in place of joint_features."""
     monkeypatch.setattr(
-        prism.assignment, "joint_features", lambda ctx, roster, rows, engagement: feature_map(rows)
+        prism.assignment, "joint_features", lambda tables, user, roster, rows: feature_map(rows)
     )
 
 
@@ -176,7 +177,7 @@ class TestScoring:
         model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
         use_feature_map(monkeypatch, lambda r: np.ones((r.size, FEATURE_DIM)) / np.sqrt(FEATURE_DIM))
         best, scores, _ = score_and_select(
-            make_context(), np.arange(3), model, roster, epoch=8, config=CONFIG
+            make_context(), np.arange(3), model, roster, epoch=8, config=CONFIG, tables=None
         )
         # equal unit-norm features -> equal scores -> lowest load wins
         assert roster.group_ids[best] == "g001"
@@ -190,7 +191,7 @@ class TestScoring:
         # g000 -> [1, 0], g001 -> [0, 1]
         use_feature_map(monkeypatch, lambda r: np.eye(2)[r])
         best, _, _ = score_and_select(
-            make_context(), np.arange(2), model, roster, epoch=8, config=config
+            make_context(), np.arange(2), model, roster, epoch=8, config=config, tables=None
         )
         assert roster.group_ids[best] == "g000"
 
@@ -202,7 +203,7 @@ class TestScoring:
         use_feature_map(monkeypatch, lambda r: np.eye(2)[r])
         best, scores, phi_chosen = score_and_select(
             make_context(), np.arange(2), model, roster, epoch=8,
-            config=PolicyConfig(beta=1.0, lam=0.0),
+            config=PolicyConfig(beta=1.0, lam=0.0), tables=None,
         )
         g000, g001 = 0, 1  # candidate order is group-id order
         assert scores.mu[g000] == pytest.approx(0.5)
@@ -243,13 +244,13 @@ class TestScoring:
         class TermModel:
             """mu and sigma are a feature row's two entries."""
             dim = 2
-            mean = staticmethod(lambda phi: float(phi[0]))
-            width = staticmethod(lambda phi: float(phi[1]))
+            means = staticmethod(lambda phi: phi[:, 0])
+            widths = staticmethod(lambda phi: phi[:, 1])
 
         with pytest.MonkeyPatch.context() as patch:
             use_feature_map(patch, lambda rows: np.column_stack([mu[rows], sigma[rows]]))
             best, scores, _ = score_and_select(
-                make_context(), candidates, TermModel(), roster, epoch=8, config=config
+                make_context(), candidates, TermModel(), roster, epoch=8, config=config, tables=None
             )
         rows = candidates.tolist()
         reference = min(
@@ -263,11 +264,50 @@ class TestScoring:
             assert scores.penalty[i] == penalty
             assert scores.score[i] == mu[row] + config.beta * sigma[row] - config.lam * penalty
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 99),
+        offset=st.integers(0, 7),
+        updates=st.integers(0, 40),
+    )
+    def test_identical_rows_get_identical_terms(self, seed, k, offset, updates):
+        # Exact ties must stay ties wherever a row sits, so the tie-break
+        # decides them: a row's terms may not depend on its position, on k
+        # or on the alignment of the matrix in memory.
+        rng = np.random.default_rng(seed)
+        model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
+        for _ in range(updates):
+            model.update(rng.uniform(-1, 1, FEATURE_DIM), rng.normal())
+        distinct = rng.uniform(-1, 1, (int(rng.integers(1, 4)), FEATURE_DIM))
+        which = rng.integers(0, len(distinct), size=k)
+        buffer = np.empty(k * FEATURE_DIM + offset)
+        phi = buffer[offset:].reshape(k, FEATURE_DIM)
+        phi[:] = distinct[which]
+        roster = make_world(n_groups=k, capacity=k)
+        with pytest.MonkeyPatch.context() as patch:
+            use_feature_map(patch, lambda rows: phi[rows])
+            _, scores, _ = score_and_select(
+                make_context(), np.arange(k), model, roster, epoch=8, config=CONFIG, tables=None
+            )
+        alone = {
+            d: (model.means(row[None])[0], model.widths(row[None])[0])
+            for d, row in enumerate(distinct)
+        }
+        for d in range(len(distinct)):
+            same = which == d
+            for terms in (scores.mu, scores.sigma, scores.score):
+                assert np.unique(terms[same]).size <= 1
+            if same.any():
+                assert scores.mu[same][0] == alone[d][0]
+                assert scores.sigma[same][0] == alone[d][1]
+
     def test_churn_penalty_applies_inside_oscillation_horizon(self):
         model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
         roster = make_world(n_groups=2, seats=[(USER, "g000", 4)])
         _, scores, _ = score_and_select(
             make_context(), np.arange(2), model, roster, epoch=8, config=PolicyConfig(lam=0.5),
+            tables=tables_for(roster, make_context()),
         )
         g000, g001 = 0, 1
         assert scores.penalty[g000] == 0
@@ -281,7 +321,8 @@ class TestScoring:
         roster = make_world(seats=[(USER, "g000", 6)])
         config = PolicyConfig(beta=0.7, lam=0.3)
         _, scores, _ = score_and_select(
-            make_context(), np.arange(3), model, roster, epoch=8, config=config
+            make_context(), np.arange(3), model, roster, epoch=8, config=config,
+            tables=tables_for(roster, make_context()),
         )
         for mu, sigma, penalty, score in zip(*(a.tolist() for a in scores)):
             expected = mu + config.beta * sigma - config.lam * penalty
@@ -291,14 +332,14 @@ class TestScoring:
         model = BanditModel(dim=FEATURE_DIM)
         roster = make_world()
         with pytest.raises(ValidationError):
-            score_and_select(make_context(), [], model, roster, 8, CONFIG)
+            score_and_select(make_context(), [], model, roster, 8, CONFIG, tables_for(roster, make_context()))
 
     def test_dimension_mismatch_is_internal_error(self, monkeypatch):
         model = BanditModel(dim=3)
         roster = make_world(n_groups=1)
         use_feature_map(monkeypatch, lambda r: np.ones((r.size, 5)))
         with pytest.raises(InternalError):
-            score_and_select(make_context(), np.arange(1), model, roster, 8, CONFIG)
+            score_and_select(make_context(), np.arange(1), model, roster, 8, CONFIG, None)
 
 
 class TestModelUpdate:
@@ -336,6 +377,17 @@ class TestModelUpdate:
         rhs = phis.T @ rewards
         theta_star = np.linalg.solve(gram, rhs)
         assert np.max(np.abs(model.theta - theta_star)) < 1e-8
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_sherman_morrison_drift_before_first_resync(self, seed):
+        # 511 rank-1 updates is the longest run without a resync.
+        rng = np.random.default_rng(seed)
+        model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
+        for _ in range(511):
+            model.update(rng.uniform(-1, 1, FEATURE_DIM), rng.normal())
+        assert np.max(np.abs(model._a_inv @ model.A - np.eye(FEATURE_DIM))) <= 1e-10
+        assert np.max(np.abs(model.theta - solve_theta(model))) <= 1e-10
 
     def test_theta_consistent_with_direct_solve(self):
         rng = np.random.default_rng(1)
@@ -426,7 +478,10 @@ class TestAssign:
         roster = make_world(seats=[(USER, "g001", 7)])
         model = BanditModel(dim=FEATURE_DIM)
         before = [a.copy() for a in (roster.group_of, roster.last_change, roster.count, roster.load)]
-        decision = assign(make_context(), roster, model, epoch=8, config=CONFIG)
+        decision = assign(
+            make_context(), roster, model, epoch=8, config=CONFIG,
+            tables=tables_for(roster, make_context()),
+        )
         assert decision.chosen == "g001"
         assert not decision.changed
         after = (roster.group_of, roster.last_change, roster.count, roster.load)
@@ -436,7 +491,8 @@ class TestAssign:
     def test_waitlist_for_unplaced_user_with_no_feasible_group(self):
         roster = make_world(goal="maintenance")
         model = BanditModel(dim=FEATURE_DIM)
-        decision = assign(make_context(goal="fitness"), roster, model, 8, CONFIG)
+        context = make_context(goal="fitness")
+        decision = assign(context, roster, model, 8, CONFIG, tables=tables_for(roster, context))
         assert decision.waitlisted
         assert decision.chosen is None
         assert roster.group_id(roster.row_of[USER]) is None
@@ -444,7 +500,8 @@ class TestAssign:
     def test_placed_user_with_no_feasible_alternative_stays(self):
         roster = make_world(n_groups=1, goal="maintenance", seats=[(USER, "g000", 0)])
         model = BanditModel(dim=FEATURE_DIM)
-        decision = assign(make_context(goal="fitness"), roster, model, 8, CONFIG)
+        context = make_context(goal="fitness")
+        decision = assign(context, roster, model, 8, CONFIG, tables=tables_for(roster, context))
         assert decision.chosen == "g000"
         assert not decision.changed and not decision.waitlisted
 
@@ -454,7 +511,8 @@ class TestAssign:
             edits={gid: {"goal_category": "maintenance"} for gid in ("g001", "g002")},
         )
         model = BanditModel(dim=FEATURE_DIM)
-        decision = assign(make_context(goal="fitness"), roster, model, 8, CONFIG)
+        context = make_context(goal="fitness")
+        decision = assign(context, roster, model, 8, CONFIG, tables=tables_for(roster, context))
         assert decision.chosen == "g000"
         assert decision.changed
         user = roster.row_of[USER]
@@ -505,16 +563,17 @@ class TestAssign:
         epoch = start
         for step in steps:
             epoch += step
+            contexts = ContextBatch(
+                user_tokens=[UserToken(token) for token in tokens],
+                epoch=epoch,
+                numeric=rng.random((len(tokens), 5)),
+                goal=[goals.index(goal) for goal in user_goals],
+                streak=rng.integers(0, 10, size=len(tokens)),
+                slope=rng.normal(size=len(tokens)) * 0.1,
+            )
+            tables = feature_tables(contexts, roster)
             for u in data.draw(st.permutations(range(len(tokens)))):
-                context = LearningContext(
-                    user_token=UserToken(tokens[u]),
-                    epoch=epoch,
-                    numeric_features=rng.random(5),
-                    categorical_features=goal_onehot(user_goals[u]),
-                    missed_checkin_streak=int(rng.integers(0, 10)),
-                    engagement_slope=float(rng.normal() * 0.1),
-                )
-                decision = assign(context, roster, model, epoch, config)
+                decision = assign(contexts[u], roster, model, epoch, config, tables=tables)
                 if decision.changed:
                     if u in last_move:
                         assert epoch - last_move[u] >= dwell

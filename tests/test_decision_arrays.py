@@ -1,18 +1,20 @@
-"""The array-at-a-time decision path against per-group references.
+"""The array-at-a-time decision path against per-group and per-user references.
 
-Feasibility reason codes, the batch joint feature matrix and the trace
-line formatted from the decision's arrays are each checked against a
-per-group reference: a test-local copy of the rule they replace, or
-``trace_dict`` from conftest for the trace line.
+Feasibility reason codes, the joint feature rows gathered from the
+epoch's feature tables, the epoch's batch of contexts and the trace line
+formatted from the decision's arrays are each checked against a
+reference: a test-local copy of the rule they replace, or the per-user
+and per-decision builders and ``trace_dict`` from conftest.
 """
 
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import trace_dict
+from conftest import reference_context, reference_joint_features, trace_dict
 
 from prism.assignment import (
     CODE_DWELL,
@@ -26,10 +28,19 @@ from prism.assignment import (
     PolicyConfig,
     Roster,
     feasibility_report,
+    feature_tables,
     joint_features,
 )
-from prism.errors import ConstraintViolationError
-from prism.features import LearningContext
+from prism.errors import ConstraintViolationError, ValidationError
+from prism.features import (
+    ContextBatch,
+    EngagementWeights,
+    LearningContext,
+    NormalizationWindow,
+    UserEvents,
+    build_context,
+    engagement_scores,
+)
 from prism.simulator.experiment import _TraceSink
 from prism.vault import UserToken
 
@@ -172,35 +183,164 @@ def test_feasibility_report_matches_per_group_rules(world, queries):
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    world=worlds(),
-    onehot=st.one_of(goal_vectors, st.lists(st.floats(0, 1), min_size=4, max_size=4).map(np.array)),
-    streak=st.integers(0, 40),
-    slope=st.floats(-5, 5) | st.sampled_from([-1.0, 1.0, -0.0]),
-    seed=st.integers(0, 2**32 - 1),
-    data=st.data(),
-)
-def test_joint_feature_rows_match_per_candidate_map(world, onehot, streak, slope, seed, data):
+@given(world=worlds(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_joint_feature_rows_match_per_candidate_map(world, seed, data):
+    # Tables built once per epoch, then decisions with moves in between:
+    # only the fill ratios change, and each gather must equal the matrix
+    # built from scratch for that decision.
     groups, _, roster = world
-    context = context_for(0, onehot, np.random.default_rng(seed), streak, slope)
-    rows = np.array(
-        data.draw(st.lists(st.integers(0, len(groups) - 1), min_size=1, max_size=8)),
-        dtype=np.int64,
+    rng = np.random.default_rng(seed)
+    n = len(roster.row_of)
+    contexts = ContextBatch(
+        user_tokens=[UserToken(token) for token in roster.row_of],
+        epoch=data.draw(st.integers(0, 20)),
+        numeric=rng.random((n, 5)),
+        goal=rng.integers(0, len(GOAL_CATEGORIES), size=n),
+        streak=data.draw(st.lists(st.integers(0, 40), min_size=n, max_size=n)),
+        slope=data.draw(
+            st.lists(st.floats(-5, 5) | st.sampled_from([-1.0, 1.0, -0.0]), min_size=n, max_size=n)
+        ),
     )
     engagement = data.draw(
         st.none()
         | st.lists(st.floats(-1, 2), min_size=len(groups), max_size=len(groups)).map(np.array)
     )
-    phi = joint_features(context, roster, rows, engagement)
-    assert phi.shape == (rows.size, FEATURE_DIM)
-    for i, row in enumerate(rows.tolist()):
-        expected = reference_features(
-            context,
-            groups[roster.group_ids[row]].goal_category,
-            roster.count[row] / roster.capacity[row],
-            0.5 if engagement is None else engagement[row],
+    tables = feature_tables(contexts, roster, engagement)
+    for _ in range(data.draw(st.integers(1, 4))):
+        user = data.draw(st.integers(0, n - 1))
+        rows = np.array(
+            data.draw(st.lists(st.integers(0, len(groups) - 1), min_size=1, max_size=8)),
+            dtype=np.int64,
         )
-        assert np.array_equal(phi[i], expected)
+        phi = joint_features(tables, user, roster, rows)
+        assert phi.shape == (rows.size, FEATURE_DIM)
+        assert phi.tobytes() == reference_joint_features(contexts[user], roster, rows, engagement).tobytes()
+        for i, row in enumerate(rows.tolist()):
+            expected = reference_features(
+                contexts[user],
+                groups[roster.group_ids[row]].goal_category,
+                roster.count[row] / roster.capacity[row],
+                0.5 if engagement is None else engagement[row],
+            )
+            assert np.array_equal(phi[i], expected)
+        mover, group = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, len(groups) - 1))
+        try:
+            roster.move(mover, group, 99, dwell=0)
+        except ConstraintViolationError:
+            pass
+
+
+# -- contexts ------------------------------------------------------------------
+
+
+@st.composite
+def cohorts(draw):
+    """Random count and check-in arrays, every week before the epoch scored
+    the way the simulator scores it: one week for all users at once."""
+    n = draw(st.integers(1, 6))
+    weeks = draw(st.integers(1, 13))
+    epoch = draw(st.integers(0, min(12, weeks)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Per-user check-in rates from 0 up, so streaks run from none to every day.
+    rates = rng.random(n) ** 2
+    checkins = (rng.random((n, weeks * 7)) < rates[:, None]).astype(np.int8)
+    counts = rng.poisson(rng.random(5) * 8, size=(n, weeks, 5)).astype(np.int32)
+    first_day = np.array(
+        draw(st.lists(st.sampled_from([-1, 0]) | st.integers(1, weeks * 7 + 7), min_size=n, max_size=n))
+    )
+    weights = EngagementWeights.from_pre_period(counts.reshape(-1, 5))
+    scores = np.full((n, weeks), np.nan)
+    for week in range(epoch):
+        scores[:, week] = engagement_scores(counts[:, week], weights)
+    lo = draw(st.floats(0, 30))
+    width = draw(st.just(0.0) | st.floats(1e-3, 60))
+    tenure_hi = draw(st.sampled_from([0.0, float(weeks), 20.0]))
+    window = NormalizationWindow(
+        bounds={"weekly_actions": (lo, lo + width), "tenure_weeks": (0.0, tenure_hi)}
+    )
+    goals = rng.integers(0, len(GOAL_CATEGORIES), size=n)
+    return checkins, counts, scores, first_day, goals, epoch, window
+
+
+def bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(cohort=cohorts())
+def test_batch_contexts_match_per_user_reference(cohort):
+    checkins, counts, scores, first_day, goals, epoch, window = cohort
+    tokens = [UserToken(f"{u:02x}" * 32) for u in range(len(goals))]
+    batch = build_context(
+        checkins, counts, scores, first_day,
+        user_tokens=tokens, goals=goals, epoch=epoch, window=window,
+    )
+    assert len(batch) == len(tokens)
+    for u, token in enumerate(tokens):
+        events = UserEvents(checkins[u], counts[u], np.full(counts.shape[1], np.nan), int(first_day[u]))
+        expected = reference_context(
+            events, scores[u], user_token=token, epoch=epoch,
+            goal=GOAL_CATEGORIES[goals[u]], window=window,
+        )
+        context = batch[u]
+        assert context.user_token == token and context.epoch == epoch
+        assert bits(context.numeric_features) == bits(expected.numeric_features)
+        assert bits(context.categorical_features) == bits(expected.categorical_features)
+        assert type(context.missed_checkin_streak) is int
+        assert context.missed_checkin_streak == expected.missed_checkin_streak
+        assert type(context.engagement_slope) is float
+        assert bits(context.engagement_slope) == bits(expected.engagement_slope)
+        assert context.goal_category == expected.goal_category
+
+
+def test_batch_rejects_every_value_a_context_rejects():
+    good = dict(
+        user_tokens=[UserToken("ab" * 32), UserToken("cd" * 32)],
+        epoch=3,
+        numeric=np.full((2, 5), 0.5),
+        goal=[0, 3],
+        streak=[0, 2],
+        slope=[0.0, -0.1],
+    )
+    ContextBatch(**good)
+    ContextBatch(**dict(good, numeric=np.full((2, 5), 1 + 0.5e-9)))  # within tolerance
+    bad = [
+        ("numeric", np.nan),
+        ("numeric", np.inf),
+        ("numeric", 1 + 2e-9),
+        ("numeric", -2e-9),
+        ("streak", -1),
+    ]
+    for field, value in bad:
+        values = np.array(good[field], dtype=float if field == "numeric" else np.int64)
+        values[1] = value
+        with pytest.raises(ValidationError):
+            ContextBatch(**dict(good, **{field: values}))
+        row = dict(
+            user_token=good["user_tokens"][1], epoch=3, numeric_features=good["numeric"][1],
+            categorical_features=np.eye(4)[3], missed_checkin_streak=2, engagement_slope=-0.1,
+        )
+        row["numeric_features" if field == "numeric" else "missed_checkin_streak"] = values[1]
+        with pytest.raises(ValidationError):
+            LearningContext(**row)
+    with pytest.raises(ValidationError):
+        ContextBatch(**dict(good, goal=[0, 4]))
+    with pytest.raises(ValidationError):
+        ContextBatch(**dict(good, user_tokens=["ab" * 32, "cd" * 32]))
+
+
+def test_an_unscored_week_fails_the_batch():
+    checkins = np.ones((2, 28), dtype=np.int8)
+    counts = np.ones((2, 4, 5), dtype=np.int32)
+    scores = np.full((2, 4), 0.25)
+    scores[1, 2] = np.nan
+    window = NormalizationWindow(bounds={"weekly_actions": (0.0, 9.0), "tenure_weeks": (0.0, 9.0)})
+    with pytest.raises(ValidationError):
+        build_context(
+            checkins, counts, scores, np.zeros(2, dtype=np.int64),
+            user_tokens=[UserToken("ab" * 32), UserToken("cd" * 32)],
+            goals=[0, 1], epoch=4, window=window,
+        )
 
 
 # -- trace lines ---------------------------------------------------------------

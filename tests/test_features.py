@@ -9,21 +9,41 @@ from conftest import empty_events
 from prism.errors import ValidationError
 from prism.features import (
     ACTION_TYPES,
+    GOAL_CATEGORIES,
     EngagementWeights,
     LearningContext,
     NormalizationWindow,
     adherence,
     build_context,
     engagement_index,
-    engagement_score,
     engagement_scores,
     goal_onehot,
     normalize,
-    weekly_slope,
+    weekly_slopes,
 )
 from prism.vault import UserToken
 
 TOKEN = UserToken("ab" * 32)
+
+
+def engagement_score(counts, weights) -> float:
+    """The score of one week's counts."""
+    return float(engagement_scores(np.asarray(counts)[None, :], weights)[0])
+
+
+def context_of(events, *, epoch, goal, window, weights):
+    """One user's context, from a batch of one with every week scored."""
+    batch = build_context(
+        events.checkins[None],
+        events.action_counts[None],
+        engagement_scores(events.action_counts, weights)[None],
+        np.array([events.first_day]),
+        user_tokens=[TOKEN],
+        goals=[GOAL_CATEGORIES.index(goal)],
+        epoch=epoch,
+        window=window,
+    )
+    return batch[0]
 
 
 class TestNormalize:
@@ -142,11 +162,19 @@ class TestEngagementScore:
         assert (scores >= 0).all() and (scores < 1).all()
 
     def test_vector_matches_scalar(self):
+        # A row scores the same inside a matrix as on its own.
         w = EngagementWeights(p5=(0,) * 5, p95=(7, 8, 9, 10, 11))
         counts = np.array([[1, 2, 3, 4, 5], [9, 9, 9, 9, 9]], dtype=float)
         vec = engagement_scores(counts, w)
         assert vec[0] == pytest.approx(engagement_score(counts[0], w))
         assert vec[1] == pytest.approx(engagement_score(counts[1], w))
+
+    def test_counts_must_align_with_action_types(self):
+        w = EngagementWeights()
+        with pytest.raises(ValidationError):
+            engagement_scores(np.zeros((2, 4)), w)
+        with pytest.raises(ValidationError):
+            engagement_scores(np.zeros(5), w)
 
 
 class TestEngagementIndex:
@@ -177,19 +205,22 @@ class TestEngagementIndex:
 
 class TestSlopeAndStreak:
     def test_linear_scores_slope(self):
-        assert weekly_slope([0.1, 0.2, 0.3, 0.4]) == pytest.approx(0.1)
+        slopes = weekly_slopes([[0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]])
+        assert slopes == pytest.approx([0.1, -0.1])
 
     def test_single_point_slope_zero(self):
-        assert weekly_slope([0.4]) == 0.0
+        assert weekly_slopes([[0.4], [0.7]]).tolist() == [0.0, 0.0]
 
     def test_streak_of_seven(self):
         events = empty_events(4)
         events.first_day = 0
         events.checkins[: 3 * 7] = 1
         events.checkins[21 - 7 : 21] = 0  # miss the last 7 days of week 3
-        from prism.features import missed_streak
-
-        assert missed_streak(events.checkins, upto_day=21, first_day=0) == 7
+        context = context_of(
+            events, epoch=3, goal="fitness",
+            window=TestBuildContext.WINDOW, weights=TestBuildContext.WEIGHTS,
+        )
+        assert context.missed_checkin_streak == 7
 
 
 class TestBuildContext:
@@ -199,9 +230,8 @@ class TestBuildContext:
     WEIGHTS = EngagementWeights(p5=(0,) * 5, p95=(10.0,) * 5)
 
     def test_cold_start_user(self):
-        context = build_context(
+        context = context_of(
             empty_events(8),
-            user_token=TOKEN,
             epoch=4,
             goal="fitness",
             window=self.WINDOW,
@@ -219,9 +249,8 @@ class TestBuildContext:
         events.first_day = 0
         events.checkins[:28] = 1
         events.action_counts[:4] = [[1, 1, 1, 1, 1]] * 4
-        context = build_context(
+        context = context_of(
             events,
-            user_token=TOKEN,
             epoch=4,
             goal="weight_loss",
             window=self.WINDOW,
@@ -238,9 +267,8 @@ class TestBuildContext:
         # weekly totals rise linearly; score is monotone in counts
         for week, total in enumerate((1, 2, 3, 4)):
             events.action_counts[week] = [total] * 5
-        context = build_context(
+        context = context_of(
             events,
-            user_token=TOKEN,
             epoch=4,
             goal="fitness",
             window=self.WINDOW,
@@ -253,9 +281,8 @@ class TestBuildContext:
         events.first_day = 0
         events.checkins[:14] = 1
         events.checkins[14:28] = 0
-        context = build_context(
+        context = context_of(
             events,
-            user_token=TOKEN,
             epoch=4,
             goal="fitness",
             window=self.WINDOW,

@@ -24,12 +24,12 @@ GOLDEN = {
     "effect-seed-1": (
         effect_scenario(1),
         "372e6991f1637f6e297925e97f60c3f4bc8b60c09b43e91b1913d21feec46fcf",
-        "a1cc8d387c59cb11a65c1aa35e74f0adf9e7f87c69b15160e552118ace7585c2",
+        "e3768c0757241186789db50c01799e2140fc277e89645649389e88316f958108",
     ),
     "null-seed-201": (
         null_scenario(201),
         "ac77c62a374e489c395a1b53154c4e60facb96acd95b1cbb37ae1da3233b81d3",
-        "4e89481264450a1ddf29a67725257816d062728b80ebe6ab608c6f343b19ee9d",
+        "af607c5ad816483eb121d3c187aa0ca0ab1a6435f56b98c1b73c1532dc2acff8",
     ),
     "coach-bound-seed-1": (
         Scenario(
@@ -38,7 +38,7 @@ GOLDEN = {
             horizon_weeks=10, w_pre=4, w_post=5,
         ),
         "3fe09370ccdd2c7ff8517384c2ebe5315681cee467b299e0f8f3f8057660960b",
-        "ae3adaa53ea80f4a7da45d3e0302a744a222d74e1f8d4458583bfe5683505983",
+        "e1ee7155e9c9843cb4904a49017a82205d7a371cb3edcd368263ee3c073cf25f",
     ),
 }
 

@@ -12,6 +12,8 @@ from collections import Counter
 
 import numpy as np
 
+from conftest import tables_for
+
 import prism.assignment
 import prism.simulator.experiment
 from prism.assignment import (
@@ -81,11 +83,12 @@ def test_feasibility_observer_reads_a_real_report():
 def test_one_traced_decision_reaches_every_assignment_span():
     tracing = load_tracing()
     roster, context = small_world()
+    tables = tables_for(roster, context)
     tracer = tracing.Tracer()
     with tracer.installed():
         tracer.arm = "adaptive"
         decision = prism.simulator.experiment.assign(
-            context, roster, BanditModel(dim=FEATURE_DIM), 8, PolicyConfig()
+            context, roster, BanditModel(dim=FEATURE_DIM), 8, PolicyConfig(), tables=tables
         )
         tracer.arm = None
     assert prism.assignment.assign is prism.simulator.experiment.assign

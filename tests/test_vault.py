@@ -367,6 +367,33 @@ class TestGovernance:
         ok, bad = verify_audit_chain(entries)
         assert not ok and bad == 2
 
+    def test_time_running_backwards_detected(self, keys):
+        # A log re-chained after an edit has valid hashes, so only the
+        # timestamp order shows the edit.
+        from dataclasses import replace
+
+        from prism.vault import GENESIS_HASH, _chain_hash, rfc3339
+
+        def rechained(entries):
+            prev, out = GENESIS_HASH, []
+            for entry in entries:
+                out.append(replace(entry, chain_hash=_chain_hash(prev, entry.to_dict())))
+                prev = out[-1].chain_hash
+            return out
+
+        ticks = iter(range(100))
+        vault = Vault(keys, clock=lambda: 1_700_000_000.0 + 60 * next(ticks))
+        token = vault.register(IDENTITY)
+        for _ in range(6):
+            vault.restore_identity(_request(token))
+        entries = list(vault.audit_log.entries())
+        k = 4
+        earlier = replace(entries[k], ts=rfc3339(1_700_000_000.0 - 1))
+        assert verify_audit_chain(rechained(entries[:k] + [earlier] + entries[k + 1 :])) == (False, k)
+        # Equal stamps are in order.
+        level = replace(entries[k], ts=entries[k - 1].ts)
+        assert verify_audit_chain(rechained(entries[:k] + [level] + entries[k + 1 :])) == (True, None)
+
     def test_jsonl_round_trip_and_field_names(self, keys, tmp_path):
         vault = Vault(keys)
         token = vault.register(IDENTITY)
