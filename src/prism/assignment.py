@@ -263,11 +263,12 @@ def feature_tables(
     users = np.array([roster.row_of.get(token.value, -1) for token in contexts.user_tokens])
     if np.sort(users).tolist() != list(range(len(roster.row_of))):
         raise ValidationError("feature tables need exactly one context per roster user")
+    onehots = np.eye(len(GOAL_CATEGORIES))
     user_block = np.empty((users.size, _USER_BLOCK))
     user_block[users] = np.column_stack(
         [
             contexts.numeric,
-            contexts.categorical,
+            onehots[contexts.goal],
             np.minimum(contexts.streak, _STREAK_CAP_DAYS) / _STREAK_CAP_DAYS,
             np.clip(contexts.slope, -1.0, 1.0),
         ]
@@ -276,7 +277,6 @@ def feature_tables(
     goal[users] = contexts.goal
     n_groups = len(roster.group_ids)
     engagement = np.full(n_groups, 0.5) if group_engagement is None else group_engagement
-    onehots = np.eye(len(GOAL_CATEGORIES))
     group_goal = onehots[roster.goal_index]
     group_block = np.zeros((len(GOAL_CATEGORIES), n_groups, FEATURE_DIM - _USER_BLOCK))
     group_block[:, :, 0] = np.clip(engagement, 0.0, 1.0)

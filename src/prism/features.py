@@ -4,9 +4,8 @@ This module owns the numeric contracts the rest of the pipeline leans
 on: min-max normalization against a rolling cohort window, user-weighted
 daily adherence, winsorized weekly engagement scores, the post/pre
 engagement index, and assembly of every user's decision context for an
-epoch in one pass. Nothing
-here accepts or emits a raw-identity value; the only handle for a person
-is a ``UserToken``.
+epoch in one pass. Nothing here accepts or emits a raw-identity value;
+the only handle for a person is a ``UserToken``.
 """
 
 from __future__ import annotations
@@ -238,14 +237,6 @@ class LearningContext:
         return GOAL_CATEGORIES[int(onehot.argmax())]
 
 
-def goal_onehot(goal: str) -> np.ndarray:
-    if goal not in GOAL_CATEGORIES:
-        raise ValidationError(f"unknown goal category: {goal!r}")
-    onehot = np.zeros(len(GOAL_CATEGORIES))
-    onehot[GOAL_CATEGORIES.index(goal)] = 1.0
-    return onehot
-
-
 _GOAL_ONEHOTS = np.eye(len(GOAL_CATEGORIES))
 _GOAL_ONEHOTS.flags.writeable = False
 
@@ -288,11 +279,6 @@ class ContextBatch:
             array.flags.writeable = False
             object.__setattr__(self, name, array)
         object.__setattr__(self, "user_tokens", tuple(self.user_tokens))
-
-    @property
-    def categorical(self) -> np.ndarray:
-        """The (n, len(GOAL_CATEGORIES)) goal one-hot rows."""
-        return _GOAL_ONEHOTS[self.goal]
 
     def __len__(self) -> int:
         return len(self.user_tokens)

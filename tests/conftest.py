@@ -19,7 +19,6 @@ from prism.features import (
     ContextBatch,
     LearningContext,
     UserEvents,
-    goal_onehot,
 )
 from prism.vault import ENC_KEY_ENV, TOKEN_KEY_ENV, KeyRing, UserToken
 
@@ -66,6 +65,15 @@ def empty_events(horizon_weeks: int) -> UserEvents:
         weights_kg=np.full(horizon_weeks, np.nan),
         first_day=-1,
     )
+
+
+def goal_onehot(goal: str) -> np.ndarray:
+    """The one-hot categorical features of a user with goal ``goal``."""
+    if goal not in GOAL_CATEGORIES:
+        raise ValidationError(f"unknown goal category: {goal!r}")
+    onehot = np.zeros(len(GOAL_CATEGORIES))
+    onehot[GOAL_CATEGORIES.index(goal)] = 1.0
+    return onehot
 
 
 def solve_theta(model) -> np.ndarray:
@@ -224,7 +232,6 @@ def reference_joint_features(context, roster, rows, group_engagement=None) -> np
 def tables_for(roster, context, group_engagement=None):
     """Feature tables for a decision on ``context``: every other roster user
     gets the same context values under their own token."""
-
     tokens = sorted(roster.row_of, key=roster.row_of.get)
     n = len(tokens)
     batch = ContextBatch(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import empty_events, solve_theta, tables_for, trace_dict
+from conftest import empty_events, goal_onehot, solve_theta, tables_for, trace_dict
 
 import prism.assignment
 from prism.assignment import (
@@ -25,7 +25,7 @@ from prism.assignment import (
     score_and_select,
 )
 from prism.errors import ConstraintViolationError, InternalError, ValidationError
-from prism.features import ContextBatch, EngagementWeights, LearningContext, goal_onehot
+from prism.features import ContextBatch, EngagementWeights, LearningContext
 from prism.vault import UserToken
 
 USER = "aa" * 32

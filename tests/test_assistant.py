@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import goal_onehot
+
 from prism.assistant import (
     DraftTemplate,
     default_templates,
@@ -13,7 +15,7 @@ from prism.assistant import (
     load_drafts,
 )
 from prism.errors import LeakageError, StateError, ValidationError
-from prism.features import LearningContext, goal_onehot
+from prism.features import LearningContext
 from prism.redaction import _rehydrate_deid, redact
 from prism.vault import UserToken
 

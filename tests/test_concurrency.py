@@ -6,9 +6,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from conftest import goal_onehot
+
 from prism.assistant import default_templates, generate_draft, review
 from prism.errors import StateError
-from prism.features import LearningContext, goal_onehot
+from prism.features import LearningContext
 from prism.redaction import redact
 from prism.vault import (
     RestorationRequest,

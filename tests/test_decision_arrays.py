@@ -230,6 +230,26 @@ def test_joint_feature_rows_match_per_candidate_map(world, seed, data):
             pass
 
 
+def test_feature_tables_need_one_context_per_roster_user():
+    groups = {"g000": GroupState("g000", "c00", capacity=3, goal_category="fitness")}
+    tokens = [UserToken(f"{u:02x}" * 32) for u in range(3)]
+    roster = Roster(groups, {"c00": CoachState("c00", load_limit=9)}, [t.value for t in tokens])
+
+    def batch(rows):
+        return ContextBatch(
+            user_tokens=[tokens[u] for u in rows], epoch=0,
+            numeric=np.array([[0.1 * u] * 5 for u in rows]), goal=np.array(rows) % 4,
+            streak=np.array(rows), slope=np.zeros(len(rows)),
+        )
+
+    in_order = feature_tables(batch([0, 1, 2]), roster)
+    shuffled = feature_tables(batch([2, 0, 1]), roster)
+    assert all(np.array_equal(a, b) for a, b in zip(in_order, shuffled))
+    for rows in ([0, 1], [0, 1, 1], [0, 1, 2, 2]):
+        with pytest.raises(ValidationError):
+            feature_tables(batch(rows), roster)
+
+
 # -- contexts ------------------------------------------------------------------
 
 
@@ -293,40 +313,48 @@ def test_batch_contexts_match_per_user_reference(cohort):
         assert context.goal_category == expected.goal_category
 
 
-def test_batch_rejects_every_value_a_context_rejects():
-    good = dict(
+def good_batch() -> dict:
+    return dict(
         user_tokens=[UserToken("ab" * 32), UserToken("cd" * 32)],
         epoch=3,
         numeric=np.full((2, 5), 0.5),
-        goal=[0, 3],
-        streak=[0, 2],
-        slope=[0.0, -0.1],
+        goal=np.array([0, 3]),
+        streak=np.array([0, 2]),
+        slope=np.array([0.0, -0.1]),
     )
-    ContextBatch(**good)
-    ContextBatch(**dict(good, numeric=np.full((2, 5), 1 + 0.5e-9)))  # within tolerance
-    bad = [
-        ("numeric", np.nan),
-        ("numeric", np.inf),
-        ("numeric", 1 + 2e-9),
-        ("numeric", -2e-9),
-        ("streak", -1),
-    ]
-    for field, value in bad:
-        values = np.array(good[field], dtype=float if field == "numeric" else np.int64)
-        values[1] = value
-        with pytest.raises(ValidationError):
-            ContextBatch(**dict(good, **{field: values}))
-        row = dict(
-            user_token=good["user_tokens"][1], epoch=3, numeric_features=good["numeric"][1],
-            categorical_features=np.eye(4)[3], missed_checkin_streak=2, engagement_slope=-0.1,
+
+
+def test_batch_accepts_numerics_within_tolerance():
+    ContextBatch(**good_batch())
+    ContextBatch(**dict(good_batch(), numeric=np.full((2, 5), 1 + 0.5e-9)))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("numeric", np.nan), ("numeric", np.inf), ("numeric", 1 + 2e-9), ("numeric", -2e-9), ("streak", -1)],
+)
+def test_batch_rejects_every_value_a_context_rejects(field, value):
+    batch = good_batch()
+    batch[field][1] = value
+    with pytest.raises(ValidationError):
+        ContextBatch(**batch)
+    with pytest.raises(ValidationError):
+        LearningContext(
+            user_token=batch["user_tokens"][1],
+            epoch=3,
+            numeric_features=batch["numeric"][1],
+            categorical_features=np.eye(len(GOAL_CATEGORIES))[3],
+            missed_checkin_streak=int(batch["streak"][1]),
+            engagement_slope=-0.1,
         )
-        row["numeric_features" if field == "numeric" else "missed_checkin_streak"] = values[1]
-        with pytest.raises(ValidationError):
-            LearningContext(**row)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("goal", np.array([0, 4])), ("user_tokens", ["ab" * 32, "cd" * 32])]
+)
+def test_batch_rejects_unknown_goals_and_raw_tokens(field, value):
     with pytest.raises(ValidationError):
-        ContextBatch(**dict(good, goal=[0, 4]))
-    with pytest.raises(ValidationError):
-        ContextBatch(**dict(good, user_tokens=["ab" * 32, "cd" * 32]))
+        ContextBatch(**dict(good_batch(), **{field: value}))
 
 
 def test_an_unscored_week_fails_the_batch():

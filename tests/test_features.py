@@ -4,7 +4,7 @@ engagement scores, the engagement index, and context assembly."""
 import numpy as np
 import pytest
 
-from conftest import empty_events
+from conftest import empty_events, goal_onehot
 
 from prism.errors import ValidationError
 from prism.features import (
@@ -17,7 +17,6 @@ from prism.features import (
     build_context,
     engagement_index,
     engagement_scores,
-    goal_onehot,
     normalize,
     weekly_slopes,
 )
@@ -162,7 +161,6 @@ class TestEngagementScore:
         assert (scores >= 0).all() and (scores < 1).all()
 
     def test_vector_matches_scalar(self):
-        # A row scores the same inside a matrix as on its own.
         w = EngagementWeights(p5=(0,) * 5, p95=(7, 8, 9, 10, 11))
         counts = np.array([[1, 2, 3, 4, 5], [9, 9, 9, 9, 9]], dtype=float)
         vec = engagement_scores(counts, w)

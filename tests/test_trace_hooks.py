@@ -12,7 +12,7 @@ from collections import Counter
 
 import numpy as np
 
-from conftest import tables_for
+from conftest import goal_onehot, tables_for
 
 import prism.assignment
 import prism.simulator.experiment
@@ -25,7 +25,7 @@ from prism.assignment import (
     Roster,
     feasibility_report,
 )
-from prism.features import LearningContext, goal_onehot
+from prism.features import LearningContext
 from prism.vault import UserToken
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
