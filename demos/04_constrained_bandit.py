@@ -85,7 +85,7 @@ model = BanditModel(ridge=config.ridge)
 decision = assign(context, roster, model, 8, config, tables=feature_tables(week, roster))
 print("\ndecision trace:")
 scored = zip(*decision.scores)  # the feasible groups' terms, in group order
-for gid, code in zip(decision.group_ids, decision.reason_codes.tolist()):
+for gid, code in zip(roster.group_ids, decision.reason_codes.tolist()):
     if code:
         print(f"  {gid}: infeasible ({', '.join(REASONS_OF_CODE[code])})")
     else:

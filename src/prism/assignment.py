@@ -559,20 +559,18 @@ def compute_reward(
 class AssignmentDecision:
     """Result of one assign() call plus the coach-facing rationale trace.
 
-    The trace is held as arrays: a reason code per group row, in
-    ``group_ids`` order (0 for feasible), and ``scores``, the UCB terms of
-    the feasible rows in the same order, or None when no group was
-    feasible and nothing was scored.
+    The trace is held as arrays: a reason code per roster group row (0
+    for feasible), and ``scores``, the UCB terms of the feasible rows in
+    row order, or None when no group was feasible and nothing was scored.
+    ``chosen`` is None for a waitlisted user.
     """
 
     epoch: int
     user_token: str
-    group_ids: Sequence[str]
     reason_codes: np.ndarray
     scores: Optional[CandidateScores]
     chosen: Optional[str]
     changed: bool
-    waitlisted: bool = False
     phi_chosen: Optional[np.ndarray] = None
     churn_penalty: int = 0
 
@@ -611,12 +609,10 @@ def assign(
     return AssignmentDecision(
         epoch=epoch,
         user_token=context.user_token.value,
-        group_ids=roster.group_ids,
         reason_codes=codes,
         scores=scores,
         chosen=roster.group_id(user),
         changed=chosen != current,
-        waitlisted=chosen < 0,
         phi_chosen=phi_chosen,
         churn_penalty=penalty,
     )

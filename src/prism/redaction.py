@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 from .errors import ConfigurationError, ValidationError
 from .vault import UserToken
@@ -141,15 +141,6 @@ def load_rules(path: str) -> tuple[RedactionRule, ...]:
         except KeyError as exc:
             raise ConfigurationError(f"rule object missing key {exc}") from exc
     return tuple(rules)
-
-
-def dump_rules(rules: Iterable[RedactionRule], path: str) -> None:
-    docs = [
-        {"entity_type": r.entity_type, "pattern": r.pattern.pattern, "placeholder": r.placeholder}
-        for r in rules
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(docs, fh, indent=2)
 
 
 @dataclass(frozen=True)

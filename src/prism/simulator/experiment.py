@@ -14,14 +14,13 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, TextIO
 
 import numpy as np
 
 from .._version import __version__
 from ..assignment import (
     FEATURE_DIM,
-    N_REASON_CODES,
     REASONS_OF_CODE,
     AssignmentDecision,
     BanditModel,
@@ -89,72 +88,36 @@ class _PendingObservation:
     churn_penalty: int
 
 
-# One trace candidate, in the key order of json.dumps(..., sort_keys=True).
-_UNSCORED = (
-    '{"feasible": false, "group": %s, "mu": null, "penalty": null, '
-    '"reasons": %s, "score": null, "sigma": null}'
-)
-_SCORED = (
-    '{"feasible": true, "group": %s, "mu": %s, "penalty": %d, '
-    '"reasons": [], "score": %s, "sigma": %s}'
-)
+TRACE_SCHEMA = 2
 
 
-def _json_floats(values: np.ndarray) -> list:
-    """Values whose ``%s`` is their JSON text: floats, or strings if one is not finite."""
-    floats = values.tolist()
-    return floats if np.isfinite(values).all() else [json.dumps(v) for v in floats]
+def _trace_line(decision: AssignmentDecision) -> str:
+    """A decision's rationale as one line of trace schema 2.
 
-
-class _TraceSink:
-    """Streams decision traces to a JSONL file; without a path it drops them.
-
-    A line is the ``json.dumps(..., sort_keys=True)`` text of the trace as
-    a dict: one candidate per group row, then the other fields. Unscored
-    candidates are formatted once per run into a (group row, reason code)
-    table; each line indexes the table and formats its scored rows from
-    the arrays of ``decision.scores``.
+    ``codes`` holds one reason code per group row (0 for scored), and
+    ``mu``, ``sigma``, ``penalty`` and ``score`` one value per code-0 row,
+    in row order. The run manifest holds the legend that decodes them.
     """
-
-    def __init__(self, path: Optional[str], group_ids: list[str]) -> None:
-        self._fh = open(path, "w", encoding="utf-8") if path else None
-        self._groups = [json.dumps(group_id) for group_id in group_ids]
-        self._rows = np.arange(len(group_ids))
-        # Code 0 is always scored, so its column stays empty.
-        self._unscored = np.empty((len(group_ids), N_REASON_CODES), dtype=object)
-        for code in range(1, N_REASON_CODES):
-            reasons = json.dumps(list(REASONS_OF_CODE[code]))
-            self._unscored[:, code] = [_UNSCORED % (group, reasons) for group in self._groups]
-
-    def encode(self, decision: AssignmentDecision) -> str:
-        codes = decision.reason_codes
-        parts = self._unscored[self._rows, codes].tolist()
-        if decision.scores is not None:
-            mu, sigma, penalty, score = decision.scores
-            for row, *values in zip(
-                np.flatnonzero(codes == 0).tolist(),
-                _json_floats(mu), penalty.tolist(), _json_floats(score), _json_floats(sigma),
-            ):
-                parts[row] = _SCORED % (self._groups[row], *values)
-        fields = {"epoch": decision.epoch, "user_token": decision.user_token,
-                  "chosen": decision.chosen, "changed": decision.changed}
-        tail = json.dumps(fields, sort_keys=True)
-        # "candidates" sorts before every other trace field.
-        return '{"candidates": [' + ", ".join(parts) + "], " + tail[1:]
-
-    def write(self, decision: AssignmentDecision) -> None:
-        if self._fh is not None:
-            self._fh.write(self.encode(decision) + "\n")
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
+    scores = decision.scores
+    mu, sigma, penalty, score = ([],) * 4 if scores is None else (a.tolist() for a in scores)
+    return json.dumps({
+        "epoch": decision.epoch,
+        "user_token": decision.user_token,
+        "chosen": decision.chosen,
+        "changed": decision.changed,
+        "codes": decision.reason_codes.tolist(),
+        "mu": mu,
+        "sigma": sigma,
+        "penalty": penalty,
+        "score": score,
+    }) + "\n"
 
 
 @dataclass
 class RunManifest:
     """Everything needed to reproduce a run bit-exactly (keys come from the
-    named source, never from the manifest itself)."""
+    named source, never from the manifest itself), and the legend of its
+    trace lines: the group ids in row order and the reasons of each code."""
 
     scenario: dict
     policy: dict
@@ -163,6 +126,7 @@ class RunManifest:
     code_version: str
     seed: int
     key_source: str
+    group_ids: list[str]
     outputs: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -175,6 +139,9 @@ class RunManifest:
             "seed": self.seed,
             "key_source": self.key_source,
             "outputs": self.outputs,
+            "trace_schema": TRACE_SCHEMA,
+            "group_ids": self.group_ids,
+            "reasons_of_code": [list(reasons) for reasons in REASONS_OF_CODE],
         }
 
 
@@ -323,9 +290,6 @@ def run_experiment(
 
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    sink = _TraceSink(
-        os.path.join(out_dir, "traces.jsonl") if out_dir else None, world.roster.group_ids
-    )
 
     model = BanditModel(dim=FEATURE_DIM, ridge=config.ridge)
     pending: list[_PendingObservation] = []
@@ -341,13 +305,15 @@ def run_experiment(
         "violations": 0,
     }
 
+    traces = open(os.path.join(out_dir, "traces.jsonl"), "w", encoding="utf-8") if out_dir else None
     try:
         eng_weights = _run_epochs(
-            world, config, adaptive, sink, model, pending, drafts, delivered,
+            world, config, adaptive, traces, model, pending, drafts, delivered,
             counters, engagement_alphas,
         )
     finally:
-        sink.close()
+        if traces is not None:
+            traces.close()
 
     report = _build_report(world, config, counters, drafts, delivered)
     manifest = RunManifest(
@@ -361,6 +327,7 @@ def run_experiment(
         code_version=__version__,
         seed=scenario.seed,
         key_source=key_source,
+        group_ids=list(world.roster.group_ids),
     )
 
     if out_dir:
@@ -372,7 +339,7 @@ def _run_epochs(
     world: World,
     config: PolicyConfig,
     adaptive: bool,
-    sink: _TraceSink,
+    traces: Optional[TextIO],
     model: BanditModel,
     pending: list,
     drafts: list,
@@ -438,7 +405,8 @@ def _run_epochs(
                     user_tags=user.language_tags,
                 )
                 counters["decisions"] += 1
-                sink.write(decision)
+                if traces is not None:
+                    traces.write(_trace_line(decision))
                 if decision.changed:
                     counters["reassignments"] += 1
                 if decision.phi_chosen is not None:

@@ -12,7 +12,6 @@ any response is returned.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import hmac
 import json
@@ -486,9 +485,6 @@ class Vault:
         self.store_identity(token, identity_fields)
         return token
 
-    def has_token(self, user_token: UserToken) -> bool:
-        return user_token.value in self._records
-
     def _decrypt(self, record: VaultRecord) -> dict:
         nonce, body = record.ciphertext[:_GCM_NONCE_BYTES], record.ciphertext[_GCM_NONCE_BYTES:]
         try:
@@ -544,61 +540,3 @@ class Vault:
             self._limiter.record(request.requester_id, now)
             fields = self._decrypt(self._records[request.user_token.value])
             return RestorationResult(True, fields, None, entry.seq)
-
-    # -- persistence ----------------------------------------------------------
-
-    def save(self, path: str) -> None:
-        doc = {
-            "schema_version": VAULT_SCHEMA_VERSION,
-            "key_version": self._keys.key_version,
-            "subjects": dict(self._subjects),
-            "records": {
-                token: {
-                    "ciphertext": base64.b64encode(rec.ciphertext).decode("ascii"),
-                    "created_at": rec.created_at,
-                    "schema_version": rec.schema_version,
-                }
-                for token, rec in self._records.items()
-            },
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-
-    @classmethod
-    def load(
-        cls,
-        path: str,
-        keys: KeyRing,
-        *,
-        audit_log: Optional[AuditLog] = None,
-        rate_limiter: Optional[SlidingWindowRateLimiter] = None,
-        clock: Callable[[], float] = time.time,
-        entropy: Callable[[int], bytes] = secrets.token_bytes,
-    ) -> "Vault":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("schema_version") != VAULT_SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"unsupported vault schema version {doc.get('schema_version')!r}"
-            )
-        if doc.get("key_version") != keys.key_version:
-            raise ConfigurationError(
-                "vault was written under a different key version; records would not decrypt"
-            )
-        vault = cls(
-            keys,
-            audit_log=audit_log,
-            rate_limiter=rate_limiter,
-            clock=clock,
-            entropy=entropy,
-        )
-        vault._subjects = dict(doc["subjects"])
-        vault._token_to_sid = {tok: sid for sid, tok in vault._subjects.items()}
-        for token, rec in doc["records"].items():
-            vault._records[token] = VaultRecord(
-                user_token=UserToken(token),
-                ciphertext=base64.b64decode(rec["ciphertext"]),
-                created_at=float(rec["created_at"]),
-                schema_version=int(rec["schema_version"]),
-            )
-        return vault

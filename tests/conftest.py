@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -95,14 +97,25 @@ def registered_identity_strings(world) -> set[str]:
     return values
 
 
-def trace_dict(decision) -> dict:
-    """A decision's rationale trace as a dict with one entry per group: the
-    reference that each trace line must equal as
-    ``json.dumps(trace_dict(decision), sort_keys=True)``."""
+def write_rules(rules, path) -> None:
+    """Write redaction rules as the JSON array that ``load_rules`` reads."""
+    docs = [
+        {"entity_type": r.entity_type, "pattern": r.pattern.pattern, "placeholder": r.placeholder}
+        for r in rules
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(docs, fh, indent=2)
+
+
+def trace_dict(decision, group_ids) -> dict:
+    """A decision's rationale trace as a dict with one entry per group, in
+    the order of the roster's ``group_ids``: the reference that each trace
+    line must decode to. Its ``json.dumps(..., sort_keys=True)`` text is
+    the line of trace schema 1."""
     scores = decision.scores
     scored = iter(zip(*(a.tolist() for a in scores)) if scores is not None else ())
     candidates = []
-    for group_id, code in zip(decision.group_ids, decision.reason_codes.tolist()):
+    for group_id, code in zip(group_ids, decision.reason_codes.tolist()):
         mu, sigma, penalty, score = next(scored) if code == 0 else (None,) * 4
         candidates.append({
             "group": group_id,
@@ -119,6 +132,34 @@ def trace_dict(decision) -> dict:
         "user_token": decision.user_token,
         "chosen": decision.chosen,
         "changed": decision.changed,
+    }
+
+
+def decode_trace_line(line: str, legend: dict) -> dict:
+    """A trace-schema-2 line expanded to the ``trace_dict`` form, with the
+    legend from the run's ``manifest.json``."""
+    doc = json.loads(line)
+    scored = zip(doc["mu"], doc["sigma"], doc["penalty"], doc["score"], strict=True)
+    candidates = []
+    for group_id, code in zip(legend["group_ids"], doc["codes"], strict=True):
+        mu, sigma, penalty, score = next(scored) if code == 0 else (None,) * 4
+        candidates.append({
+            "group": group_id,
+            "mu": mu,
+            "sigma": sigma,
+            "penalty": penalty,
+            "score": score,
+            "feasible": code == 0,
+            "reasons": legend["reasons_of_code"][code],
+        })
+    if next(scored, None) is not None:
+        raise ValueError("more scored values than code-0 rows")
+    return {
+        "candidates": candidates,
+        "epoch": doc["epoch"],
+        "user_token": doc["user_token"],
+        "chosen": doc["chosen"],
+        "changed": doc["changed"],
     }
 
 

@@ -374,7 +374,8 @@ def test_criterion_10_determinism(tmp_path):
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-    for name in ("metrics.json", "traces.jsonl"):
+    # A trace line is read with the manifest's legend, so both are compared.
+    for name in ("metrics.json", "traces.jsonl", "manifest.json"):
         identical &= (
             pathlib.Path(dirs[0], name).read_bytes()
             == pathlib.Path(dirs[1], name).read_bytes()
@@ -383,7 +384,7 @@ def test_criterion_10_determinism(tmp_path):
         10,
         identical,
         "simulate under PYTHONHASHSEED=0 and =1 produced byte-identical "
-        "metrics.json and traces.jsonl",
+        "metrics.json, traces.jsonl and manifest.json",
     )
 
 

@@ -493,7 +493,6 @@ class TestAssign:
         model = BanditModel(dim=FEATURE_DIM)
         context = make_context(goal="fitness")
         decision = assign(context, roster, model, 8, CONFIG, tables=tables_for(roster, context))
-        assert decision.waitlisted
         assert decision.chosen is None
         assert roster.group_id(roster.row_of[USER]) is None
 
@@ -503,7 +502,7 @@ class TestAssign:
         context = make_context(goal="fitness")
         decision = assign(context, roster, model, 8, CONFIG, tables=tables_for(roster, context))
         assert decision.chosen == "g000"
-        assert not decision.changed and not decision.waitlisted
+        assert not decision.changed
 
     def test_mutation_and_trace_on_change(self):
         roster = make_world(
@@ -519,7 +518,7 @@ class TestAssign:
         assert roster.group_id(user) == "g000"
         assert roster.count.tolist() == [1, 0, 0]
         assert roster.last_change[user] == 8
-        trace = trace_dict(decision)
+        trace = trace_dict(decision, roster.group_ids)
         assert set(trace) == {"epoch", "user_token", "candidates", "chosen", "changed"}
         by_group = {c["group"]: c for c in trace["candidates"]}
         assert by_group["g000"]["feasible"]

@@ -6,8 +6,10 @@ import pathlib
 
 import pytest
 
+from conftest import write_rules
+
 from prism.cli import main
-from prism.redaction import default_rules, dump_rules
+from prism.redaction import default_rules
 
 SCENARIO = {
     "name": "cli",
@@ -216,7 +218,7 @@ class TestLeakAudit:
         out = str(tmp_path / "run")
         run_cli(capsys, "simulate", "--scenario", scenario_file, "--out", out)
         rules_path = str(tmp_path / "rules.json")
-        dump_rules(default_rules(), rules_path)
+        write_rules(default_rules(), rules_path)
         code, stdout, _ = run_cli(
             capsys, "leak-audit",
             "--in", os.path.join(out, "deid_messages.jsonl"),

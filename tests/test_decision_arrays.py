@@ -1,8 +1,8 @@
 """The array-at-a-time decision path against per-group and per-user references.
 
 Feasibility reason codes, the joint feature rows gathered from the
-epoch's feature tables, the epoch's batch of contexts and the trace line
-formatted from the decision's arrays are each checked against a
+epoch's feature tables, the epoch's batch of contexts and the trace line,
+decoded with the manifest's legend, are each checked against a
 reference: a test-local copy of the rule they replace, or the per-user
 and per-decision builders and ``trace_dict`` from conftest.
 """
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_context, reference_joint_features, trace_dict
+from conftest import decode_trace_line, reference_context, reference_joint_features, trace_dict
 
 from prism.assignment import (
     CODE_DWELL,
@@ -41,7 +41,7 @@ from prism.features import (
     build_context,
     engagement_scores,
 )
-from prism.simulator.experiment import _TraceSink
+from prism.simulator.experiment import RunManifest, _trace_line
 from prism.vault import UserToken
 
 TAGS = ("en", "fr", "de")
@@ -373,7 +373,9 @@ def test_an_unscored_week_fails_the_batch():
 
 # -- trace lines ---------------------------------------------------------------
 
-SPECIAL_FLOATS = [-0.0, 0.0, 1e-05, 1e16, 1.5e-300, -2.5, float("nan"), float("inf")]
+SPECIAL_FLOATS = [
+    -0.0, 0.0, 1e-05, 1e16, 1.5e-300, -2.5, float("nan"), float("inf"), float("-inf"),
+]
 floats = st.sampled_from(SPECIAL_FLOATS) | st.floats()
 group_ids = st.lists(
     st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6)
@@ -382,7 +384,7 @@ group_ids = st.lists(
 )
 
 
-def decision_with(group_ids, codes, draw_score, chosen, changed, epoch=5, token="t0"):
+def decision_with(codes, draw_score, chosen, changed, epoch=5, token="t0"):
     codes = np.asarray(codes, dtype=np.int64)
     rows = np.flatnonzero(codes == 0)
     scores = None
@@ -390,13 +392,29 @@ def decision_with(group_ids, codes, draw_score, chosen, changed, epoch=5, token=
         draw = lambda: np.array([draw_score() for _ in rows.tolist()], dtype=float)
         scores = CandidateScores(mu=draw(), sigma=draw(), penalty=rows % 2, score=draw())
     return AssignmentDecision(
-        epoch=epoch, user_token=token, group_ids=group_ids, reason_codes=codes,
-        scores=scores, chosen=chosen, changed=changed, waitlisted=chosen is None,
+        epoch=epoch, user_token=token, reason_codes=codes,
+        scores=scores, chosen=chosen, changed=changed,
     )
 
 
-def assert_encodes_like_reference(sink, decision):
-    assert sink.encode(decision) == json.dumps(trace_dict(decision), sort_keys=True)
+def legend_of(ids) -> dict:
+    """The legend as a reader gets it: a run manifest over ``ids``, through
+    the JSON text that ``manifest.json`` holds."""
+    manifest = RunManifest(
+        scenario={}, policy={}, engagement_alphas=[], redaction_rules={}, code_version="",
+        seed=0, key_source="", group_ids=list(ids),
+    )
+    return json.loads(json.dumps(manifest.to_dict(), sort_keys=True, indent=2))
+
+
+def assert_decodes_to_reference(decision, ids, legend):
+    line = _trace_line(decision)
+    assert line.endswith("\n") and "\n" not in line[:-1]
+    # Compared as text: dict equality would take -0.0 for 0.0 and fail NaN
+    # against NaN. The text is the trace-schema-1 line.
+    assert json.dumps(decode_trace_line(line, legend), sort_keys=True) == json.dumps(
+        trace_dict(decision, ids), sort_keys=True
+    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -405,8 +423,8 @@ def assert_encodes_like_reference(sink, decision):
     data=st.data(),
     n_decisions=st.integers(1, 4),
 )
-def test_trace_line_matches_reference_dump(ids, data, n_decisions):
-    sink = _TraceSink(None, ids)
+def test_trace_line_decodes_to_reference(ids, data, n_decisions):
+    legend = legend_of(ids)
     draw_score = lambda: data.draw(floats)
     for _ in range(n_decisions):
         kind = data.draw(st.sampled_from(["any", "dwell", "waitlisted"]))
@@ -421,42 +439,24 @@ def test_trace_line_matches_reference_dump(ids, data, n_decisions):
             codes = data.draw(st.lists(st.integers(0, N_REASON_CODES - 1), min_size=len(ids), max_size=len(ids)))
             chosen = data.draw(st.sampled_from(ids))
         decision = decision_with(
-            ids, codes, draw_score, chosen, data.draw(st.booleans()),
+            codes, draw_score, chosen, data.draw(st.booleans()),
             epoch=data.draw(st.integers(0, 10**6)), token=data.draw(st.text(max_size=8)),
         )
-        assert_encodes_like_reference(sink, decision)
+        assert_decodes_to_reference(decision, ids, legend)
 
 
 def test_trace_line_covers_every_reason_code():
     ids = [f"g{c:02d}" for c in range(N_REASON_CODES)]
-    sink = _TraceSink(None, ids)
+    legend = legend_of(ids)
     values = iter(SPECIAL_FLOATS * 3)
-    decision = decision_with(ids, range(N_REASON_CODES), lambda: next(values), "g00", True)
-    for _ in range(2):  # the second pass finds the shared table unchanged
-        assert_encodes_like_reference(sink, decision)
-    line = json.loads(sink.encode(decision))
-    assert [c["reasons"] for c in line["candidates"]][1:] == [
-        c["reasons"] for c in trace_dict(decision)["candidates"][1:]
-    ]
-    assert line["candidates"][N_REASON_CODES - 1]["reasons"] == ["dwell_lock"]
-    assert line["candidates"][31]["reasons"] == [
+    decision = decision_with(range(N_REASON_CODES), lambda: next(values), "g00", True)
+    assert_decodes_to_reference(decision, ids, legend)
+    line = json.loads(_trace_line(decision))
+    assert line["codes"] == list(range(N_REASON_CODES))
+    assert len(line["mu"]) == len(line["sigma"]) == len(line["penalty"]) == len(line["score"]) == 1
+    reasons = [c["reasons"] for c in decode_trace_line(_trace_line(decision), legend)["candidates"]]
+    assert reasons[0] == []
+    assert reasons[N_REASON_CODES - 1] == ["dwell_lock"]
+    assert reasons[31] == [
         "goal_mismatch", "inactive", "language_mismatch", "capacity_full", "coach_load_full",
-    ]
-
-
-def test_sink_writes_encoded_lines_and_keeps_reference_dicts(tmp_path):
-    # The lines on disk are the reference dicts, encoded.
-    ids = ["g000", "g001", "g002"]
-    path = tmp_path / "traces.jsonl"
-    sink = _TraceSink(str(path), ids)
-    decisions = [
-        decision_with(ids, [1, 0, 8], lambda: 0.25, "g001", True),
-        decision_with(ids, [CODE_DWELL, CODE_DWELL, 0], lambda: -0.0, "g002", False),
-        decision_with(ids, [1, 3, 24], lambda: 1e16, None, False),
-    ]
-    for decision in decisions:
-        sink.write(decision)
-    sink.close()
-    assert path.read_text(encoding="utf-8").splitlines() == [
-        json.dumps(trace_dict(d), sort_keys=True) for d in decisions
     ]

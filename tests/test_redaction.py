@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from conftest import write_rules
+
 from prism.errors import ConfigurationError, ValidationError
 from prism.redaction import (
     DEFAULT_FIRST_NAMES,
@@ -16,7 +18,6 @@ from prism.redaction import (
     _rehydrate_deid,
     default_rules,
     detect,
-    dump_rules,
     leak_audit,
     load_deid_corpus,
     load_rules,
@@ -153,7 +154,7 @@ class TestDeidBoundary:
 class TestRulesLoading:
     def test_round_trip_file(self, tmp_path):
         path = str(tmp_path / "rules.json")
-        dump_rules(default_rules(), path)
+        write_rules(default_rules(), path)
         rules = load_rules(path)
         assert redact("bob@x.org", TOKEN, rules).text == "[EMAIL]"
 

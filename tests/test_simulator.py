@@ -11,7 +11,7 @@ import pytest
 
 from conftest import registered_identity_strings
 
-from prism.assignment import PolicyConfig
+from prism.assignment import REASONS_OF_CODE, PolicyConfig
 from prism.errors import ValidationError
 from prism.metrics import MetricsReport
 from prism.simulator import (
@@ -26,6 +26,7 @@ from prism.simulator import (
     group_activity_flags,
 )
 from prism.simulator.world import group_engagement_means
+from prism.vault import RestorationRequest
 
 
 def small_scenario(**overrides):
@@ -101,7 +102,11 @@ class TestGeneration:
     def test_all_users_tokenized_through_vault(self, keys):
         world = generate_cohort(small_scenario(), keys)
         for user in world.users:
-            assert world.vault.has_token(user.token)
+            result = world.vault.restore_identity(
+                RestorationRequest(f"coach-{user.index}", "coach", True, user.token, "check")
+            )
+            assert result.granted
+            assert result.fields == world._raw_identities[user.token.value]
 
     def test_misgroup_fraction_realized(self, keys):
         world = generate_cohort(
@@ -428,27 +433,30 @@ class TestDeterminismAndPrivacy:
 
     def test_traces_match_schema(self, keys, tmp_path):
         out = str(tmp_path / "run")
-        run_experiment(small_scenario(seed=9), keys, out_dir=out)
-        with open(os.path.join(out, "traces.jsonl")) as fh:
-            first = json.loads(fh.readline())
-        assert set(first) == {"epoch", "user_token", "candidates", "chosen", "changed"}
-        candidate = first["candidates"][0]
-        assert set(candidate) == {
-            "group", "mu", "sigma", "penalty", "score", "feasible", "reasons"
-        }
+        result = run_experiment(small_scenario(seed=9), keys, out_dir=out)
+        manifest = json.loads(pathlib.Path(out, "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["trace_schema"] == 2
+        assert manifest["group_ids"] == result.world.roster.group_ids
+        assert manifest["reasons_of_code"] == [list(reasons) for reasons in REASONS_OF_CODE]
+        traces = read_traces(out)
+        assert len(traces) == result.report.decisions > 0
+        for trace in traces:
+            assert set(trace) == {
+                "epoch", "user_token", "chosen", "changed", "codes", "mu", "sigma", "penalty", "score",
+            }
+            assert len(trace["codes"]) == len(manifest["group_ids"])
+            n_scored = trace["codes"].count(0)
+            assert [len(trace[k]) for k in ("mu", "sigma", "penalty", "score")] == [n_scored] * 4
 
     def test_score_decomposition_in_traces(self, keys, tmp_path):
         run_experiment(small_scenario(seed=17), keys, out_dir=str(tmp_path))
         config = PolicyConfig()
         checked = 0
         for trace in read_traces(tmp_path)[:500]:
-            for cand in trace["candidates"]:
-                if cand["score"] is None:
-                    continue
-                expected = (
-                    cand["mu"] + config.beta * cand["sigma"] - config.lam * cand["penalty"]
-                )
-                assert abs(cand["score"] - expected) < 1e-12
+            terms = (trace["mu"], trace["sigma"], trace["penalty"], trace["score"])
+            for mu, sigma, penalty, score in zip(*terms, strict=True):
+                expected = mu + config.beta * sigma - config.lam * penalty
+                assert abs(score - expected) < 1e-12
                 checked += 1
         assert checked > 100
 
