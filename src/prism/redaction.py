@@ -6,6 +6,13 @@ leftmost, then by a fixed entity-type priority, so output never depends
 on rule ordering. Matches are replaced by typed placeholders; rare
 identifiers (long digit runs) and sub-city geolocation are generalized
 rather than deleted so sentence structure survives.
+
+Two rewrites keep scans cheap without changing a span. The NAME
+dictionary is factored by first letter behind a lookahead on those
+letters. Each built-in pattern that cannot match without an ``@`` or a
+``\\d`` is skipped on text that has none; these prefilters are
+necessary conditions, keyed by the exact built-in pattern text, so a
+rule loaded with any other pattern always runs.
 """
 
 from __future__ import annotations
@@ -75,15 +82,52 @@ _GEO_PATTERN = r"[-+]?\d{1,3}\.\d{3,}\s*,\s*[-+]?\d{1,3}\.\d{3,}"
 # Lookarounds keep decimals and word-embedded digits out.
 _ID_PATTERN = r"(?<![\w.\-])\d{6,}(?![\w.\-])"
 
+# Necessary conditions of the built-in patterns, keyed by pattern text: a
+# text the condition does not find cannot match the pattern. The digit
+# test is the same Unicode ``\d`` the patterns use.
+_HAS_AT = re.compile("@")
+_HAS_DIGIT = re.compile(r"\d")
+_PREFILTERS = {
+    _EMAIL_PATTERN: _HAS_AT,
+    _PHONE_PATTERN: _HAS_DIGIT,
+    _ADDRESS_PATTERN: _HAS_DIGIT,
+    _DOB_PATTERN: _HAS_DIGIT,
+    _ID_PATTERN: _HAS_DIGIT,
+    _GEO_PATTERN: _HAS_DIGIT,
+}
+
 
 def name_pattern(
     first_names: Sequence[str] = DEFAULT_FIRST_NAMES,
     last_names: Sequence[str] = DEFAULT_LAST_NAMES,
 ) -> str:
-    """Dictionary matcher: a known first name, optionally followed by a known last name."""
-    first = "|".join(re.escape(n) for n in sorted(first_names))
-    last = "|".join(re.escape(n) for n in sorted(last_names))
-    return rf"(?i)\b(?:{first})(?:\s+(?:{last}))?\b"
+    """Dictionary matcher: a known first name, optionally followed by a known last name.
+
+    Names are tried in sorted order, grouped by first character; a
+    lookahead on the first characters rejects most positions before any
+    name is tried.
+    """
+    first = _first_letter_alternation(first_names)
+    last = _first_letter_alternation(last_names)
+    heads = sorted(set(n[:1] for n in first_names))
+    # An empty first name matches without a first character, so it
+    # (like an empty list) leaves no lookahead.
+    lookahead = f"(?=[{''.join(map(re.escape, heads))}])" if heads and heads[0] else ""
+    return rf"(?i)\b{lookahead}(?:{first})(?:\s+(?:{last}))?\b"
+
+
+def _first_letter_alternation(names: Sequence[str]) -> str:
+    """``sorted(names)`` as one alternation, factored by first character.
+
+    Names that share a first character are contiguous in sorted order,
+    so the alternatives are tried in the same order as the flat
+    ``a|b|c`` form, which makes the two match identically. An empty
+    name stays an empty alternative.
+    """
+    tails: dict[str, list[str]] = {}
+    for name in sorted(names):
+        tails.setdefault(name[:1], []).append(re.escape(name[1:]))
+    return "|".join(f"{re.escape(head)}(?:{'|'.join(t)})" for head, t in tails.items())
 
 
 @dataclass(frozen=True)
@@ -160,9 +204,16 @@ class EntitySpan:
 def detect(text: str, rules: Sequence[RedactionRule]) -> list[EntitySpan]:
     """All candidate matches from all rules, unresolved."""
     spans = []
+    found: dict["re.Pattern[str]", bool] = {}
     for rule in rules:
+        condition = _PREFILTERS.get(rule.pattern.pattern)
+        if condition is not None:
+            if condition not in found:
+                found[condition] = condition.search(text) is not None
+            if not found[condition]:
+                continue
+        group = "entity" if "entity" in rule.pattern.groupindex else 0
         for m in rule.pattern.finditer(text):
-            group = "entity" if "entity" in rule.pattern.groupindex else 0
             start, end = m.span(group)
             if start == end:
                 continue
@@ -172,6 +223,8 @@ def detect(text: str, rules: Sequence[RedactionRule]) -> list[EntitySpan]:
 
 def resolve_spans(spans: Sequence[EntitySpan]) -> list[EntitySpan]:
     """Non-overlapping subset: longest match first, then leftmost, then type priority."""
+    if len(spans) < 2:
+        return list(spans)
     ordered = sorted(
         spans,
         key=lambda s: (-(s.end - s.start), s.start, _TYPE_PRIORITY[s.entity_type]),

@@ -50,8 +50,6 @@ _GCM_NONCE_BYTES = 12
 _KEY_BYTES = 32
 _SID_BYTES = 16
 
-VAULT_SCHEMA_VERSION = 1
-
 
 def hmac_sha256(key: bytes, data: bytes) -> bytes:
     """HMAC-SHA-256 of ``data`` under ``key`` (the keyed-tag primitive)."""
@@ -141,19 +139,18 @@ class KeyRing:
 
     token_key: bytes
     encryption_key: bytes
-    key_version: int = 1
 
     def __post_init__(self) -> None:
         if len(self.token_key) != _KEY_BYTES or len(self.encryption_key) != _KEY_BYTES:
             raise ConfigurationError("keys must be exactly 32 bytes each")
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"KeyRing(key_version={self.key_version})"
+        return "KeyRing(<redacted>)"
 
     @classmethod
-    def from_hex(cls, token_hex: str, enc_hex: str, key_version: int = 1) -> "KeyRing":
+    def from_hex(cls, token_hex: str, enc_hex: str) -> "KeyRing":
         try:
-            return cls(bytes.fromhex(token_hex), bytes.fromhex(enc_hex), key_version)
+            return cls(bytes.fromhex(token_hex), bytes.fromhex(enc_hex))
         except ValueError as exc:
             raise ConfigurationError("keys must be 64 hex characters each") from exc
 
@@ -177,9 +174,7 @@ class KeyRing:
             raise ConfigurationError(f"cannot read key config {path}: {exc}") from exc
         if "token_key" not in doc or "encryption_key" not in doc:
             raise ConfigurationError("key config must provide token_key and encryption_key")
-        return cls.from_hex(
-            doc["token_key"], doc["encryption_key"], int(doc.get("key_version", 1))
-        )
+        return cls.from_hex(doc["token_key"], doc["encryption_key"])
 
 
 def tokenize_field(value: str, field_context: str, keys: KeyRing) -> FieldToken:
@@ -376,7 +371,6 @@ class VaultRecord:
     user_token: UserToken
     ciphertext: bytes
     created_at: float
-    schema_version: int = VAULT_SCHEMA_VERSION
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,13 @@ from prism.features import (
     ContextBatch,
     LearningContext,
     UserEvents,
+)
+from prism.redaction import (
+    DEFAULT_FIRST_NAMES,
+    DEFAULT_LAST_NAMES,
+    EntitySpan,
+    RedactionRule,
+    default_rules,
 )
 from prism.vault import ENC_KEY_ENV, TOKEN_KEY_ENV, KeyRing, UserToken
 
@@ -105,6 +113,45 @@ def write_rules(rules, path) -> None:
     ]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(docs, fh, indent=2)
+
+
+# -- references for the redaction scan ---------------------------------------------
+
+
+def reference_name_pattern(
+    first_names=DEFAULT_FIRST_NAMES, last_names=DEFAULT_LAST_NAMES
+) -> str:
+    """The flat NAME alternation that ``name_pattern`` factors by first letter."""
+    first = "|".join(re.escape(n) for n in sorted(first_names))
+    last = "|".join(re.escape(n) for n in sorted(last_names))
+    return rf"(?i)\b(?:{first})(?:\s+(?:{last}))?\b"
+
+
+def reference_rules(first_names=DEFAULT_FIRST_NAMES, last_names=DEFAULT_LAST_NAMES):
+    """``default_rules`` with the flat NAME alternation."""
+    return tuple(
+        RedactionRule.compile(
+            r.entity_type,
+            reference_name_pattern(first_names, last_names)
+            if r.entity_type == "NAME"
+            else r.pattern.pattern,
+            r.placeholder,
+        )
+        for r in default_rules(first_names, last_names)
+    )
+
+
+def reference_detect(text, rules) -> list[EntitySpan]:
+    """``detect`` without prefilters: every rule runs over the whole text."""
+    spans = []
+    for rule in rules:
+        for m in rule.pattern.finditer(text):
+            group = "entity" if "entity" in rule.pattern.groupindex else 0
+            start, end = m.span(group)
+            if start == end:
+                continue
+            spans.append(EntitySpan(start, end, rule.entity_type, m.group(group)))
+    return spans
 
 
 def trace_dict(decision, group_ids) -> dict:

@@ -209,7 +209,7 @@ def _random_email(rng) -> str:
 
 def test_criterion_06_tokenization_properties():
     rng = np.random.default_rng(606)
-    rotated = KeyRing.from_hex("33" * 32, ENC_KEY_HEX, key_version=2)
+    rotated = KeyRing.from_hex("33" * 32, ENC_KEY_HEX)
     deterministic = equivalent = separated = diverged = 0
     for _ in range(N_TOKEN_TRIALS):
         email = _random_email(rng)

@@ -4,9 +4,12 @@ and leak-rate arithmetic."""
 import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import write_rules
+from conftest import reference_detect, reference_rules, write_rules
 
 from prism.errors import ConfigurationError, ValidationError
 from prism.redaction import (
@@ -21,10 +24,12 @@ from prism.redaction import (
     leak_audit,
     load_deid_corpus,
     load_rules,
+    name_pattern,
     redact,
     resolve_spans,
     scan_for_identifiers,
 )
+from prism.simulator.scenario import N_MESSAGE_VARIANTS, synth_identity, synth_message
 from prism.vault import UserToken
 
 TOKEN = UserToken("cd" * 32)
@@ -228,3 +233,110 @@ class TestDictionaryHygiene:
         placeholder_words = {p.strip("[]").lower() for p in PLACEHOLDERS.values()}
         for name in DEFAULT_FIRST_NAMES + DEFAULT_LAST_NAMES:
             assert name.lower() not in placeholder_words
+
+
+# Characters whose case folding meets an ASCII letter under (?i): KELVIN
+# SIGN, LONG S, dotted capital I and dotless small i.
+_FOLD_TRAPS = {"k": "\u212a", "s": "\u017f", "i": "\u0130\u0131"}
+_DIGITS = "0123456789\u0663\u0966"  # ASCII, ARABIC-INDIC THREE, DEVANAGARI ZERO
+_IDENTIFIER_PIECES = (
+    "@", "bob@x.org", "x@y", "613-555-0142", "(613) 555-0142", "born ", "dob: ",
+    "birthday ", "1985-03-12", "\u0663\u0663/\u0663/1990", "12 Maple Street",
+    "45.1234, -75.5678", "12345678", "\u0663\u0663\u0663\u0663\u0663\u0663",
+)
+
+
+@st.composite
+def _spelled(draw, names):
+    """One of ``names``, each letter in a random case or a fold-equivalent trap."""
+    name = draw(st.sampled_from(names))
+    return "".join(
+        draw(st.sampled_from(sorted({c, c.lower(), c.upper()} | set(_FOLD_TRAPS.get(c.lower(), "")))))
+        for c in name
+    )
+
+
+def _texts(names):
+    """Texts joined from names, placeholders, identifier pieces, digits and traps."""
+    piece = st.one_of(
+        _spelled(names),
+        st.sampled_from(sorted(PLACEHOLDERS.values())),
+        st.sampled_from(_IDENTIFIER_PIECES),
+        st.text(alphabet="ab KMs.-@,\n" + _DIGITS + "".join(_FOLD_TRAPS.values()), max_size=4),
+    )
+    separator = st.sampled_from(["", " ", " ", ", ", "\n", "-"])
+    return st.lists(st.tuples(piece, separator), max_size=10).map(
+        lambda parts: "".join(p + sep for p, sep in parts)
+    )
+
+
+# Custom dictionaries: the empty name, duplicates, case pairs, regex
+# metacharacters and non-ASCII first letters.
+_CUSTOM_NAME = st.one_of(
+    st.sampled_from(["", "kate", "Kate", "KATE", "\u212aate", "\u017fam", "Sam", "\u0130lker",
+                     "\u0131lker", "\u00c9mile", "\u00e9mile", "Marisol", "a.b", "(x", "]y", "^z"]),
+    st.text(
+        alphabet="aIkKsS\u212a\u017f\u0130\u0131\u00c9\u00df\u03a9.*+?()[]{}|^$\\-#&~ ",
+        max_size=5,
+    ),
+)
+_CUSTOM_NAMES = st.lists(_CUSTOM_NAME, max_size=6)
+
+
+class TestScanMatchesReference:
+    def test_name_pattern_groups_by_first_letter(self):
+        assert name_pattern(["Matteo", "Omar", "Marisol"], ["Ogawa"]) == (
+            r"(?i)\b(?=[MO])(?:M(?:arisol|atteo)|O(?:mar))(?:\s+(?:O(?:gawa)))?\b"
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_texts(DEFAULT_FIRST_NAMES + DEFAULT_LAST_NAMES))
+    def test_default_rules(self, text):
+        assert detect(text, default_rules()) == reference_detect(text, reference_rules())
+
+    @settings(max_examples=300, deadline=None)
+    @given(first=_CUSTOM_NAMES, last=_CUSTOM_NAMES, data=st.data())
+    def test_custom_name_lists(self, first, last, data):
+        text = data.draw(_texts(tuple(first) + tuple(last) + ("Kate",)))
+        assert detect(text, default_rules(first, last)) == reference_detect(
+            text, reference_rules(first, last)
+        )
+
+
+class TestGeneratedTraffic:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        index=st.integers(0, 10**6),
+        variant=st.integers(0, N_MESSAGE_VARIANTS - 1),
+        aux_id=st.integers(0, 10**8 - 1),
+        lat=st.integers(0, 9999),
+        lon=st.integers(0, 9999),
+    )
+    def test_redaction_is_idempotent_and_leaves_nothing(self, seed, index, variant, aux_id, lat, lon):
+        identity = synth_identity(np.random.default_rng(seed), index)
+        for text in (synth_message(variant, identity, aux_id, lat, lon), *identity.values()):
+            once = redact(text, TOKEN)
+            twice = redact(once.text, TOKEN)
+            assert twice.text == once.text
+            assert not any(twice.redaction_count_by_type.values())
+            assert leak_audit([once]).leak_rate == 0
+
+
+class TestUserRulesUnfiltered:
+    def test_loaded_pattern_fires_on_digit_and_at_free_text(self, tmp_path):
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps([
+            {"entity_type": "PHONE", "pattern": r"\bhotline\b", "placeholder": "[PHONE]"},
+            {"entity_type": "EMAIL", "pattern": r"\binbox\b", "placeholder": "[EMAIL]"},
+        ]))
+        out = redact("call the hotline or check the inbox", TOKEN, load_rules(str(path)))
+        assert out.text == "call the [PHONE] or check the [EMAIL]"
+
+    def test_loaded_builtin_email_pattern_matches_builtin_rule(self, tmp_path):
+        (builtin,) = [r for r in default_rules() if r.entity_type == "EMAIL"]
+        path = str(tmp_path / "rules.json")
+        write_rules([builtin], path)
+        (loaded,) = load_rules(path)
+        for text in ("bob@x.org", "no sign here", "a@b.cd, c@d.ef", "x@y", "@", "\u0663@example.test"):
+            assert detect(text, (loaded,)) == detect(text, (builtin,))
