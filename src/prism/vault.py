@@ -151,7 +151,7 @@ class KeyRing:
     def from_hex(cls, token_hex: str, enc_hex: str) -> "KeyRing":
         try:
             return cls(bytes.fromhex(token_hex), bytes.fromhex(enc_hex))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigurationError("keys must be 64 hex characters each") from exc
 
     @classmethod
@@ -172,7 +172,7 @@ class KeyRing:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"cannot read key config {path}: {exc}") from exc
-        if "token_key" not in doc or "encryption_key" not in doc:
+        if not isinstance(doc, dict) or "token_key" not in doc or "encryption_key" not in doc:
             raise ConfigurationError("key config must provide token_key and encryption_key")
         return cls.from_hex(doc["token_key"], doc["encryption_key"])
 

@@ -162,18 +162,19 @@ class TestSimulate:
         manifest = json.loads(pathlib.Path(out, "manifest.json").read_text())
         assert manifest["key_source"] == str(keys_file)
 
-    def test_key_file_extra_fields_are_not_parsed(self, monkeypatch, scenario_file, tmp_path, capsys):
-        monkeypatch.delenv("PRISM_TOKEN_KEY", raising=False)
-        monkeypatch.delenv("PRISM_ENC_KEY", raising=False)
+    @pytest.mark.parametrize("doc, expected", [
+        ({"token_key": "11" * 32, "encryption_key": "22" * 32, "key_version": "x"}, 0),
+        (5, 1),
+        ({"token_key": 11, "encryption_key": "22" * 32}, 1),
+    ])
+    def test_key_file_exits_zero_or_one(self, scenario_file, tmp_path, capsys, doc, expected):
         keys_file = tmp_path / "keys.json"
-        keys_file.write_text(json.dumps(
-            {"token_key": "11" * 32, "encryption_key": "22" * 32, "key_version": "x"}
-        ))
-        code, _, err = run_cli(
+        keys_file.write_text(json.dumps(doc))
+        code, _, stderr = run_cli(
             capsys, "simulate", "--scenario", scenario_file, "--out", str(tmp_path / "run"),
             "--keys", str(keys_file),
         )
-        assert code == 0, err
+        assert code == expected, stderr
 
     def test_unknown_policy_key_rejected(self, keys_env, scenario_file, tmp_path, capsys):
         config_path = tmp_path / "policy.json"
