@@ -12,8 +12,9 @@ pending-observation queue owned by the caller.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -25,7 +26,6 @@ from .features import (
     ContextBatch,
     EngagementWeights,
     LearningContext,
-    UserEvents,
     engagement_scores,
 )
 
@@ -199,6 +199,11 @@ class PolicyConfig:
     w_post: int = 4             # reward evaluation window (epochs)
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = int if f.type == "int" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+                raise ValidationError(f"policy field {f.name} must be a finite {f.type}, got {value!r}")
         if self.w_adh < 0 or self.w_eng < 0 or self.lam < 0:
             raise ValidationError("reward and churn weights must be non-negative")
         if self.oscillation < self.dwell:
@@ -495,59 +500,38 @@ def score_and_select(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RewardObservation:
-    """Observed short-horizon reward for one assignment decision."""
-
-    user_token: str
-    group_id: str
-    delta_adh: float
-    delta_eng: float
-    churn_penalty: int
-    reward: float
-    epoch: int
-
-
 def compute_reward(
-    events: UserEvents,
+    checkins: np.ndarray,
+    action_counts: np.ndarray,
     *,
-    user_token: str,
-    group_id: str,
     epoch: int,
     churn_penalty: int,
     weights: EngagementWeights,
     config: PolicyConfig,
-) -> Optional[RewardObservation]:
-    """Within-user deltas across the assignment boundary, or None if deferred.
+) -> Optional[float]:
+    """One user's reward for the decision at ``epoch``, or None if deferred.
 
-    Adherence and engagement both compare the evaluation window
-    [epoch, epoch + w_post) against the fixed pre-assignment baseline
-    [epoch - w_pre, epoch). Insufficient history on either side defers
-    the observation; no model update should happen for it.
+    ``checkins`` is the user's daily 0/1 array and ``action_counts`` their
+    (weeks, K) matrix of weekly action counts. Adherence and engagement
+    both compare the evaluation window [epoch, epoch + w_post) against the
+    fixed pre-assignment baseline [epoch - w_pre, epoch). Insufficient
+    history on either side defers the observation; no model update should
+    happen for it.
     """
     if epoch < config.w_pre:
         return None
     end_week = epoch + config.w_post
-    if events.checkins.size < end_week * DAYS_PER_WEEK:
+    if checkins.size < end_week * DAYS_PER_WEEK:
         return None
-    pre_days = events.checkins[(epoch - config.w_pre) * DAYS_PER_WEEK : epoch * DAYS_PER_WEEK]
-    post_days = events.checkins[epoch * DAYS_PER_WEEK : end_week * DAYS_PER_WEEK]
+    pre_days = checkins[(epoch - config.w_pre) * DAYS_PER_WEEK : epoch * DAYS_PER_WEEK]
+    post_days = checkins[epoch * DAYS_PER_WEEK : end_week * DAYS_PER_WEEK]
     delta_adh = float(post_days.mean() - pre_days.mean())
 
-    pre_scores = engagement_scores(events.action_counts[epoch - config.w_pre : epoch], weights)
-    post_scores = engagement_scores(events.action_counts[epoch:end_week], weights)
+    pre_scores = engagement_scores(action_counts[epoch - config.w_pre : epoch], weights)
+    post_scores = engagement_scores(action_counts[epoch:end_week], weights)
     delta_eng = float(post_scores.mean() - pre_scores.mean())
 
-    reward = config.w_adh * delta_adh + config.w_eng * delta_eng - config.lam * churn_penalty
-    return RewardObservation(
-        user_token=user_token,
-        group_id=group_id,
-        delta_adh=delta_adh,
-        delta_eng=delta_eng,
-        churn_penalty=churn_penalty,
-        reward=reward,
-        epoch=epoch,
-    )
+    return config.w_adh * delta_adh + config.w_eng * delta_eng - config.lam * churn_penalty
 
 
 # ---------------------------------------------------------------------------

@@ -289,7 +289,10 @@ def save_drafts(drafts: Iterable[Draft], path: str) -> None:
 def load_drafts(path: str) -> list[Draft]:
     drafts = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             if line.strip():
-                drafts.append(Draft.from_dict(json.loads(line)))
+                try:
+                    drafts.append(Draft.from_dict(json.loads(line)))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ValidationError(f"{path} line {number} is not a draft: {exc!r}") from exc
     return drafts

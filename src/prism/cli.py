@@ -112,8 +112,13 @@ def _load_config(config_path: Optional[str]) -> dict:
     merged = {"policy": None, "engagement_alphas": None, "keys": None}
     if not config_path:
         return merged
-    with open(config_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(config_path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read config file {config_path}: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("policy", {}), dict):
+        raise ValidationError("config file and its policy section must be JSON objects")
     unknown_sections = set(doc) - set(_CONFIG_SECTIONS)
     if unknown_sections:
         raise ValidationError(f"unknown config sections: {sorted(unknown_sections)}")
@@ -125,8 +130,13 @@ def _load_config(config_path: Optional[str]) -> dict:
         base.update(doc["policy"])
         merged["policy"] = PolicyConfig(**base)
     if "engagement_alphas" in doc:
-        merged["engagement_alphas"] = tuple(float(a) for a in doc["engagement_alphas"])
+        try:
+            merged["engagement_alphas"] = tuple(float(a) for a in doc["engagement_alphas"])
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"engagement_alphas must be a list of numbers: {exc}") from exc
     if "keys" in doc:
+        if not isinstance(doc["keys"], str):
+            raise ValidationError("config keys section must be a key file path")
         merged["keys"] = doc["keys"]
     return merged
 
@@ -200,6 +210,8 @@ def _cmd_compare(args) -> int:
                 reports.append(MetricsReport.from_json(fh.read()))
         except OSError as exc:
             raise ValidationError(f"cannot read {path}: {exc}") from exc
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValidationError(f"{path} is not a metrics report: {exc!r}") from exc
     table = compare_arms(reports[0], reports[1])
     print(json.dumps(table.to_dict(), sort_keys=True))
     print(table.render_text())

@@ -32,7 +32,6 @@ NUMERIC_FEATURE_NAMES = (
 )
 
 DAYS_PER_WEEK = 7
-DEFAULT_WINDOW_WEEKS = 8
 TRAILING_WEEKS = 4
 
 _WEIGHT_SUM_TOL = 1e-12
@@ -49,7 +48,6 @@ class NormalizationWindow:
     """Per-feature (min, max) bounds from a rolling cohort-level window."""
 
     bounds: Mapping[str, tuple[float, float]]
-    window_length_weeks: int = DEFAULT_WINDOW_WEEKS
 
     def __post_init__(self) -> None:
         for feature_id, (lo, hi) in self.bounds.items():
@@ -175,24 +173,8 @@ def engagement_index(pre_scores: Sequence[float], post_scores: Sequence[float]) 
 
 
 # ---------------------------------------------------------------------------
-# Event history and context assembly
+# Context assembly
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class UserEvents:
-    """Compact per-user event history.
-
-    ``checkins`` is a daily 0/1 array, ``action_counts`` a (weeks, K)
-    matrix aligned with :data:`ACTION_TYPES`, ``weights_kg`` one reading
-    per week (NaN when absent). ``first_day`` is -1 for users with no
-    events at all.
-    """
-
-    checkins: np.ndarray
-    action_counts: np.ndarray
-    weights_kg: np.ndarray
-    first_day: int = 0
 
 
 def _check_context_values(numeric: np.ndarray, streak, *finite: np.ndarray) -> None:

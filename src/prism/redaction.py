@@ -180,10 +180,15 @@ def load_rules(path: str) -> tuple[RedactionRule, ...]:
         raise ConfigurationError("rules file must be a non-empty JSON array")
     rules = []
     for doc in docs:
+        if not isinstance(doc, dict):
+            raise ConfigurationError(f"rule must be a JSON object, got {type(doc).__name__}")
         try:
-            rules.append(RedactionRule.compile(doc["entity_type"], doc["pattern"], doc["placeholder"]))
+            fields = [doc[key] for key in ("entity_type", "pattern", "placeholder")]
         except KeyError as exc:
             raise ConfigurationError(f"rule object missing key {exc}") from exc
+        if not all(isinstance(value, str) for value in fields):
+            raise ConfigurationError("rule entity_type, pattern and placeholder must be strings")
+        rules.append(RedactionRule.compile(*fields))
     return tuple(rules)
 
 
@@ -357,17 +362,18 @@ def load_deid_corpus(path: str) -> list[DeidText]:
     """Rehydrate a JSON-lines corpus previously written by this pipeline."""
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            doc = json.loads(line)
+            try:
+                doc = json.loads(line)
+                text, token = doc["text"], doc["user_token"]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValidationError(f"{path} line {number} is not a record: {exc!r}") from exc
+            if not (isinstance(text, str) and isinstance(token, str)):
+                raise ValidationError(f"{path} line {number}: text and user_token must be strings")
             samples.append(
-                _rehydrate_deid(
-                    doc["text"],
-                    UserToken(doc["user_token"]),
-                    doc.get("cohort"),
-                    doc.get("counts"),
-                )
+                _rehydrate_deid(text, UserToken(token), doc.get("cohort"), doc.get("counts"))
             )
     return samples
 

@@ -49,7 +49,6 @@ from ..features import (
     ContextBatch,
     EngagementWeights,
     NormalizationWindow,
-    UserEvents,
     adherence,
     build_context,
     engagement_index,
@@ -84,7 +83,6 @@ class _PendingObservation:
     user_index: int
     phi: np.ndarray
     epoch: int
-    group_id: str
     churn_penalty: int
 
 
@@ -153,15 +151,6 @@ class RunResult:
     drafts: list[Draft]
 
 
-def _user_events_view(world: World, index: int) -> UserEvents:
-    return UserEvents(
-        checkins=world.checkins[index],
-        action_counts=world.actions[index],
-        weights_kg=world.weights_kg[index, 1:],
-        first_day=0,
-    )
-
-
 def _normalization_window(world: World, epoch: int) -> NormalizationWindow:
     start = max(0, epoch - _WINDOW_WEEKS)
     weekly_totals = world.actions[:, start:epoch, :].sum(axis=2)
@@ -169,8 +158,7 @@ def _normalization_window(world: World, epoch: int) -> NormalizationWindow:
         bounds={
             "weekly_actions": (float(weekly_totals.min()), float(weekly_totals.max())),
             "tenure_weeks": (0.0, float(world.scenario.horizon_weeks)),
-        },
-        window_length_weeks=_WINDOW_WEEKS,
+        }
     )
 
 
@@ -204,9 +192,7 @@ def _probe_restorations(world: World, epoch: int, counters: dict) -> None:
             counters["analyst_denials"] += 1
 
 
-def _deliver(
-    world: World, draft: Draft, coach_id: str, counters: dict, delivered: list[tuple[str, str]]
-) -> None:
+def _deliver(world: World, draft: Draft, coach_id: str, counters: dict) -> None:
     result = world.vault.restore_identity(
         RestorationRequest(
             requester_id=coach_id,
@@ -219,16 +205,10 @@ def _deliver(
     counters["restoration_attempts"] += 1
     if not result.granted:
         raise InternalError(f"delivery restoration unexpectedly denied: {result.denial_reason}")
-    delivered.append((draft.user_token, draft.rendered_text))
 
 
 def _assistant_pass(
-    world: World,
-    epoch: int,
-    contexts: ContextBatch,
-    drafts: list[Draft],
-    counters: dict,
-    delivered: list[tuple[str, str]],
+    world: World, epoch: int, contexts: ContextBatch, drafts: list[Draft], counters: dict
 ) -> None:
     scenario = world.scenario
     roster = world.roster
@@ -266,7 +246,7 @@ def _assistant_pass(
             review(draft, coach_id, "discard", decided_at=created_at)
         # else: stays pending in the review queue
         if draft.status in DELIVERABLE_STATUSES:
-            _deliver(world, draft, coach_id, counters, delivered)
+            _deliver(world, draft, coach_id, counters)
 
 
 def run_experiment(
@@ -286,16 +266,11 @@ def run_experiment(
     """
     config = policy or PolicyConfig()
     world = generate_cohort(scenario, keys)
-    adaptive = scenario.policy == POLICY_ADAPTIVE
 
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
-    model = BanditModel(dim=FEATURE_DIM, ridge=config.ridge)
-    pending: list[_PendingObservation] = []
     drafts: list[Draft] = []
-    delivered: list[tuple[str, str]] = []
-    eng_weights: Optional[EngagementWeights] = None
     counters = {
         "decisions": 0,
         "reassignments": 0,
@@ -307,15 +282,12 @@ def run_experiment(
 
     traces = open(os.path.join(out_dir, "traces.jsonl"), "w", encoding="utf-8") if out_dir else None
     try:
-        eng_weights = _run_epochs(
-            world, config, adaptive, traces, model, pending, drafts, delivered,
-            counters, engagement_alphas,
-        )
+        eng_weights = _run_epochs(world, config, traces, drafts, counters, engagement_alphas)
     finally:
         if traces is not None:
             traces.close()
 
-    report = _build_report(world, config, counters, drafts, delivered)
+    report = _build_report(world, counters, drafts)
     manifest = RunManifest(
         scenario=scenario.to_dict(),
         policy=config.to_dict(),
@@ -338,28 +310,19 @@ def run_experiment(
 def _run_epochs(
     world: World,
     config: PolicyConfig,
-    adaptive: bool,
     traces: Optional[TextIO],
-    model: BanditModel,
-    pending: list,
-    drafts: list,
-    delivered: list,
+    drafts: list[Draft],
     counters: dict,
-    engagement_alphas,
+    engagement_alphas: Optional[tuple],
 ) -> EngagementWeights:
     scenario = world.scenario
-    horizon = scenario.horizon_weeks
     t0 = scenario.w_pre
-    eng_weights: Optional[EngagementWeights] = None
+    adaptive = scenario.policy == POLICY_ADAPTIVE
+    model = BanditModel(dim=FEATURE_DIM, ridge=config.ridge)
+    pending: list[_PendingObservation] = []
 
-    for epoch in range(horizon):
+    for epoch in range(scenario.horizon_weeks):
         world.clock.set_week(epoch)
-        if epoch == t0:
-            eng_weights = _freeze_engagement_weights(world, engagement_alphas)
-        if eng_weights is not None and epoch > t0:
-            world.weekly_scores[:, epoch - 1] = engagement_scores(
-                world.actions[:, epoch - 1, :], eng_weights
-            )
         flags = group_activity_flags(world, epoch)
 
         if adaptive and epoch >= t0:
@@ -368,19 +331,18 @@ def _run_epochs(
             for obs in pending:
                 if obs.epoch + config.w_post <= epoch:
                     reward = compute_reward(
-                        _user_events_view(world, obs.user_index),
-                        user_token=world.users[obs.user_index].token.value,
-                        group_id=obs.group_id,
+                        world.checkins[obs.user_index],
+                        world.actions[obs.user_index],
                         epoch=obs.epoch,
                         churn_penalty=obs.churn_penalty,
                         weights=eng_weights,
                         config=config,
                     )
                     if reward is not None:
-                        model.update(obs.phi, reward.reward)
+                        model.update(obs.phi, reward)
                 else:
                     still_pending.append(obs)
-            pending[:] = still_pending
+            pending = still_pending
 
             # Every simulated user has events from day 0.
             contexts = build_context(
@@ -415,14 +377,20 @@ def _run_epochs(
                             user_index=user.index,
                             phi=decision.phi_chosen,
                             epoch=epoch,
-                            group_id=decision.chosen,
                             churn_penalty=decision.churn_penalty,
                         )
                     )
-            _assistant_pass(world, epoch, contexts, drafts, counters, delivered)
+            _assistant_pass(world, epoch, contexts, drafts, counters)
 
         _probe_restorations(world, epoch, counters)
         step_week(world, epoch, flags)
+        # Each week is scored as soon as it is simulated, so every reader of
+        # an earlier week finds it scored. The weights freeze on the last
+        # pre-period week; a scenario always has one (w_pre < horizon_weeks).
+        if epoch + 1 == t0:
+            eng_weights = _freeze_engagement_weights(world, engagement_alphas)
+        elif epoch >= t0:
+            world.weekly_scores[:, epoch] = engagement_scores(world.actions[:, epoch, :], eng_weights)
         step_messages(world, epoch)
 
         epoch_violations = world.audit_constraints(config, epoch)
@@ -432,21 +400,10 @@ def _run_epochs(
                 f"constraint violation detected at epoch {epoch}; aborting run"
             )
 
-    if eng_weights is None:
-        eng_weights = _freeze_engagement_weights(world, engagement_alphas)
-    for w in range(t0, horizon):
-        if np.isnan(world.weekly_scores[:, w]).any():
-            world.weekly_scores[:, w] = engagement_scores(world.actions[:, w, :], eng_weights)
     return eng_weights
 
 
-def _build_report(
-    world: World,
-    config: PolicyConfig,
-    counters: dict,
-    drafts: list[Draft],
-    delivered: list[tuple[str, str]],
-) -> MetricsReport:
+def _build_report(world: World, counters: dict, drafts: list[Draft]) -> MetricsReport:
     scenario = world.scenario
     t0 = scenario.w_pre
     post_end = t0 + scenario.w_post
@@ -458,11 +415,11 @@ def _build_report(
     scores_post = world.weekly_scores[:, t0:post_end].ravel()
     eng_idx = engagement_index(scores_pre, scores_post)
 
-    corpus = list(world.deid_messages) + [
+    draft_docs = [
         _rehydrate_deid(d.rendered_text, world.users[world.roster.row_of[d.user_token]].token)
         for d in drafts
     ]
-    leak = leak_audit(corpus, world.rules)
+    leak = leak_audit(list(world.deid_messages) + draft_docs, world.rules)
 
     chain_ok, _ = verify_audit_chain(world.vault.audit_log.entries())
     status_counts = {
@@ -471,13 +428,10 @@ def _build_report(
         "discarded": sum(1 for d in drafts if d.status == DRAFT_DISCARDED),
         "pending": sum(1 for d in drafts if d.status == DRAFT_PENDING),
     }
-    delivered_leak = None
-    if delivered:
-        delivered_docs = [
-            _rehydrate_deid(text, world.users[world.roster.row_of[token]].token)
-            for token, text in delivered
-        ]
-        delivered_leak = leak_audit(delivered_docs, world.rules).leak_rate
+    # A draft is delivered right after its only review, so the deliverable
+    # drafts are exactly the delivered ones.
+    delivered = [doc for d, doc in zip(drafts, draft_docs) if d.status in DELIVERABLE_STATUSES]
+    delivered_leak = leak_audit(delivered, world.rules).leak_rate if delivered else None
 
     return MetricsReport(
         arm=scenario.policy,

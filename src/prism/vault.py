@@ -451,9 +451,6 @@ class Vault:
             self._token_to_sid[token.value] = sid.value
             return sid, token
 
-    def tokenize_field(self, value: str, field_context: str) -> FieldToken:
-        return tokenize_field(value, field_context, self._keys)
-
     def store_identity(self, user_token: UserToken, identity_fields: Mapping[str, str]) -> VaultRecord:
         """Encrypt and index identity fields under an already-minted token."""
         with self._lock:

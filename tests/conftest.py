@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from prism.features import (
     TRAILING_WEEKS,
     ContextBatch,
     LearningContext,
-    UserEvents,
 )
 from prism.redaction import (
     DEFAULT_FIRST_NAMES,
@@ -67,12 +67,25 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+@dataclass
+class UserEvents:
+    """One user's event history, the input of the per-user references.
+
+    ``checkins`` is a daily 0/1 array, ``action_counts`` a (weeks, K)
+    matrix aligned with ``ACTION_TYPES``. ``first_day`` is -1 for a user
+    with no events at all.
+    """
+
+    checkins: np.ndarray
+    action_counts: np.ndarray
+    first_day: int = 0
+
+
 def empty_events(horizon_weeks: int) -> UserEvents:
     """The event history of a user with no events over ``horizon_weeks``."""
     return UserEvents(
         checkins=np.zeros(horizon_weeks * DAYS_PER_WEEK, dtype=np.int8),
         action_counts=np.zeros((horizon_weeks, len(ACTION_TYPES)), dtype=np.int32),
-        weights_kg=np.full(horizon_weeks, np.nan),
         first_day=-1,
     )
 

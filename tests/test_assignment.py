@@ -25,7 +25,7 @@ from prism.assignment import (
     score_and_select,
 )
 from prism.errors import ConstraintViolationError, InternalError, ValidationError
-from prism.features import ContextBatch, EngagementWeights, LearningContext
+from prism.features import ContextBatch, EngagementWeights, LearningContext, engagement_scores
 from prism.vault import UserToken
 
 USER = "aa" * 32
@@ -81,6 +81,13 @@ class TestPolicyConfig:
             PolicyConfig(w_adh=-0.1)
         with pytest.raises(ValidationError):
             PolicyConfig(lam=-1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("dwell", "x"), ("dwell", 4.0), ("dwell", True), ("beta", "x"), ("beta", float("nan")),
+    ])
+    def test_field_types_checked(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            PolicyConfig(**{field: value})
 
     def test_defaults_echoable(self):
         doc = PolicyConfig().to_dict()
@@ -411,66 +418,54 @@ def _events_with_adherence(pre_rate: float, post_rate: float, epoch: int, config
 WEIGHTS = EngagementWeights(p5=(0.0,) * 5, p95=(10.0,) * 5)
 
 
+def reward_of(events, *, epoch, churn_penalty, config):
+    return compute_reward(
+        events.checkins, events.action_counts, epoch=epoch, churn_penalty=churn_penalty,
+        weights=WEIGHTS, config=config,
+    )
+
+
 class TestReward:
     def test_identical_pre_post_no_churn_is_zero(self):
         config = PolicyConfig(w_adh=1.0, w_eng=0.0, lam=0.0)
         events = _events_with_adherence(0.5, 0.5, epoch=8, config=config)
-        obs = compute_reward(
-            events, user_token="t", group_id="g", epoch=8, churn_penalty=0,
-            weights=WEIGHTS, config=config,
-        )
-        assert obs.reward == pytest.approx(0.0)
+        assert reward_of(events, epoch=8, churn_penalty=0, config=config) == pytest.approx(0.0)
 
     def test_adherence_delta(self):
         config = PolicyConfig(w_adh=1.0, w_eng=0.0, lam=0.0, w_pre=5, w_post=5)
         events = _events_with_adherence(0.4, 0.6, epoch=8, config=config)
-        obs = compute_reward(
-            events, user_token="t", group_id="g", epoch=8, churn_penalty=0,
-            weights=WEIGHTS, config=config,
-        )
-        assert obs.delta_adh == pytest.approx(0.2)
-        assert obs.reward == pytest.approx(0.2)
+        assert reward_of(events, epoch=8, churn_penalty=0, config=config) == pytest.approx(0.2)
 
     def test_churn_penalty_subtracts(self):
         config = PolicyConfig(w_adh=1.0, w_eng=0.0, lam=0.5, w_pre=5, w_post=5)
         events = _events_with_adherence(0.4, 0.6, epoch=8, config=config)
-        obs = compute_reward(
-            events, user_token="t", group_id="g", epoch=8, churn_penalty=1,
-            weights=WEIGHTS, config=config,
-        )
-        assert obs.reward == pytest.approx(0.2 - 0.5)
+        reward = reward_of(events, epoch=8, churn_penalty=1, config=config)
+        assert reward == pytest.approx(0.2 - 0.5)
 
     def test_reward_recomputable_from_components(self):
         config = PolicyConfig()
-        events = _events_with_adherence(0.3, 0.7, epoch=8, config=config)
-        obs = compute_reward(
-            events, user_token="t", group_id="g", epoch=8, churn_penalty=1,
-            weights=WEIGHTS, config=config,
+        epoch = 8
+        events = _events_with_adherence(0.3, 0.7, epoch=epoch, config=config)
+        events.action_counts[:] = np.arange(events.action_counts.size).reshape(-1, 5) % 7
+        pre = slice(epoch - config.w_pre, epoch)
+        post = slice(epoch, epoch + config.w_post)
+        days = events.checkins.reshape(-1, 7)
+        delta_adh = days[post].mean() - days[pre].mean()
+        delta_eng = (
+            engagement_scores(events.action_counts[post], WEIGHTS).mean()
+            - engagement_scores(events.action_counts[pre], WEIGHTS).mean()
         )
-        expected = (
-            config.w_adh * obs.delta_adh
-            + config.w_eng * obs.delta_eng
-            - config.lam * obs.churn_penalty
-        )
-        assert obs.reward == pytest.approx(expected, abs=1e-15)
+        assert delta_adh > 0.0 and delta_eng != 0.0
+        expected = config.w_adh * delta_adh + config.w_eng * delta_eng - config.lam * 1
+        reward = reward_of(events, epoch=epoch, churn_penalty=1, config=config)
+        assert type(reward) is float
+        assert reward == pytest.approx(expected, abs=1e-15)
 
     def test_insufficient_history_defers(self):
         config = PolicyConfig()
         events = empty_events(6)  # shorter than epoch + w_post
-        assert (
-            compute_reward(
-                events, user_token="t", group_id="g", epoch=8, churn_penalty=0,
-                weights=WEIGHTS, config=config,
-            )
-            is None
-        )
-        assert (
-            compute_reward(
-                events, user_token="t", group_id="g", epoch=2, churn_penalty=0,
-                weights=WEIGHTS, config=config,  # epoch < w_pre
-            )
-            is None
-        )
+        assert reward_of(events, epoch=8, churn_penalty=0, config=config) is None
+        assert reward_of(events, epoch=2, churn_penalty=0, config=config) is None  # epoch < w_pre
 
 
 class TestAssign:

@@ -38,6 +38,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_exits_one(capsys, *argv):
+    """The command rejects its input: exit 1 and one ``error:`` line."""
+    code, _, stderr = run_cli(capsys, *argv)
+    assert code == 1, stderr
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+
+
+CORPUS_LINE = json.dumps({"text": "see you at the walk", "user_token": "ab" * 32})
+
+
 class TestSimulate:
     def test_run_directory_contract(self, keys_env, scenario_file, tmp_path, capsys):
         out = str(tmp_path / "run")
@@ -176,6 +186,22 @@ class TestSimulate:
         )
         assert code == expected, stderr
 
+    @pytest.mark.parametrize("text", [
+        None,
+        "{not json",
+        json.dumps({"engagement_alphas": 5}),
+        json.dumps({"policy": {"dwell": "x"}}),
+        json.dumps({"keys": 5}),
+    ], ids=["missing", "not-json", "alphas-not-a-list", "dwell-not-an-int", "keys-not-a-path"])
+    def test_bad_config_file_exits_one(self, keys_env, scenario_file, tmp_path, capsys, text):
+        config_path = tmp_path / "config.json"
+        if text is not None:
+            config_path.write_text(text)
+        assert_exits_one(
+            capsys, "simulate", "--scenario", scenario_file,
+            "--out", str(tmp_path / "x"), "--config", str(config_path),
+        )
+
     def test_unknown_policy_key_rejected(self, keys_env, scenario_file, tmp_path, capsys):
         config_path = tmp_path / "policy.json"
         config_path.write_text(json.dumps({"policy": {"explore_bonus": 2.0}}))
@@ -215,6 +241,13 @@ class TestCompare:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("text", ["{not json", "{}"], ids=["not-json", "empty-object"])
+    def test_bad_metrics_file_exits_one(self, capsys, tmp_path, text):
+        for run in ("a", "b"):
+            (tmp_path / run).mkdir()
+            (tmp_path / run / "metrics.json").write_text(text)
+        assert_exits_one(capsys, "compare", "--a", str(tmp_path / "a"), "--b", str(tmp_path / "b"))
+
 
 class TestLeakAudit:
     def test_clean_corpus_reports_zero(self, keys_env, scenario_file, tmp_path, capsys):
@@ -240,6 +273,25 @@ class TestLeakAudit:
         )
         assert code == 0
         assert json.loads(stdout)["leak_rate"] == 0.0
+
+    @pytest.mark.parametrize("rules", [
+        ["x"],
+        [{"entity_type": "EMAIL", "pattern": 5, "placeholder": "[EMAIL]"}],
+    ], ids=["entry-not-an-object", "pattern-not-a-string"])
+    def test_bad_rules_file_exits_one(self, capsys, tmp_path, rules):
+        corpus, rules_path = tmp_path / "corpus.jsonl", tmp_path / "rules.json"
+        corpus.write_text(CORPUS_LINE + "\n")
+        rules_path.write_text(json.dumps(rules))
+        assert_exits_one(capsys, "leak-audit", "--in", str(corpus), "--rules", str(rules_path))
+
+    @pytest.mark.parametrize("line", [
+        "{not json",
+        json.dumps({"user_token": "ab" * 32}),
+    ], ids=["not-json", "no-text"])
+    def test_bad_corpus_line_exits_one(self, capsys, tmp_path, line):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(CORPUS_LINE + "\n" + line + "\n")
+        assert_exits_one(capsys, "leak-audit", "--in", str(corpus))
 
 
 class TestDemos:
@@ -324,6 +376,12 @@ class TestReview:
             capsys, "review", "--run", out, "--draft", draft_id, "--decision", "approve"
         )
         assert code == 1
+
+    def test_bad_drafts_line_exits_one(self, capsys, tmp_path):
+        (tmp_path / "drafts.jsonl").write_text("{not json\n")
+        assert_exits_one(
+            capsys, "review", "--run", str(tmp_path), "--draft", "d-1", "--decision", "approve"
+        )
 
     def test_unknown_draft_exits_one(self, keys_env, tmp_path, capsys):
         out, _ = self._run_with_pending(capsys, keys_env, tmp_path)

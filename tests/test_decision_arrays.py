@@ -14,7 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import decode_trace_line, reference_context, reference_joint_features, trace_dict
+from conftest import (
+    UserEvents,
+    decode_trace_line,
+    reference_context,
+    reference_joint_features,
+    trace_dict,
+)
 
 from prism.assignment import (
     CODE_DWELL,
@@ -37,7 +43,6 @@ from prism.features import (
     EngagementWeights,
     LearningContext,
     NormalizationWindow,
-    UserEvents,
     build_context,
     engagement_scores,
 )
@@ -297,7 +302,7 @@ def test_batch_contexts_match_per_user_reference(cohort):
     )
     assert len(batch) == len(tokens)
     for u, token in enumerate(tokens):
-        events = UserEvents(checkins[u], counts[u], np.full(counts.shape[1], np.nan), int(first_day[u]))
+        events = UserEvents(checkins[u], counts[u], int(first_day[u]))
         expected = reference_context(
             events, scores[u], user_token=token, epoch=epoch,
             goal=GOAL_CATEGORIES[goals[u]], window=window,

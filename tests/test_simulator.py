@@ -4,12 +4,15 @@ properties, output privacy, and the comparison table."""
 import json
 import os
 import pathlib
+from collections import defaultdict
+from dataclasses import replace
 from datetime import datetime
 
 import numpy as np
 import pytest
 
 from conftest import registered_identity_strings
+from test_golden import GOLDEN
 
 from prism.assignment import REASONS_OF_CODE, PolicyConfig
 from prism.errors import ValidationError
@@ -26,7 +29,7 @@ from prism.simulator import (
     group_activity_flags,
 )
 from prism.simulator.world import group_engagement_means
-from prism.vault import RestorationRequest
+from prism.vault import RestorationRequest, SlidingWindowRateLimiter
 
 
 def small_scenario(**overrides):
@@ -430,6 +433,31 @@ class TestDeterminismAndPrivacy:
             stamps = [datetime.fromisoformat(json.loads(line)["ts"]) for line in fh]
         assert len(stamps) == 2200
         assert stamps == sorted(stamps)
+
+    @pytest.mark.parametrize("scenario", [
+        replace(GOLDEN["coach-bound-seed-1"][0], policy="adaptive"),
+        small_scenario(horizon_weeks=6, w_pre=3, w_post=3, analyst_probes_per_week=50),
+    ], ids=["coach-bound", "analyst-probes-50"])
+    def test_deliveries_stay_under_the_rate_limit(self, keys, tmp_path, scenario):
+        # One 600 s clock tick per vault call puts at most 6 calls of any
+        # requester in an hour, under the limiter's 10, so a delivery is
+        # never rate limited and its restoration is never denied.
+        run_experiment(scenario, keys, out_dir=str(tmp_path))
+        with open(tmp_path / "audit.jsonl", encoding="utf-8") as fh:
+            entries = [json.loads(line) for line in fh]
+        stamps = np.array([datetime.fromisoformat(e["ts"]).timestamp() for e in entries])
+        assert np.diff(stamps).min() >= 600.0
+        granted = defaultdict(list)
+        for entry, stamp in zip(entries, stamps):
+            assert entry["denial_reason"] != "rate_limited"
+            if entry["decision"] == "granted":
+                granted[entry["requester_id"]].append(stamp)
+        assert granted, "the run should deliver drafts"
+        busiest = max(
+            int((np.searchsorted(times, np.add(times, 3600.0)) - np.arange(len(times))).max())
+            for times in granted.values()
+        )
+        assert busiest <= 6 < SlidingWindowRateLimiter().max_events
 
     def test_traces_match_schema(self, keys, tmp_path):
         out = str(tmp_path / "run")
