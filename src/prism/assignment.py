@@ -72,7 +72,11 @@ class Roster:
     placement included); per group, the member ``count``; per coach, the
     ``load``. Users are rows in the order of ``user_tokens``; group rows
     follow ``sorted(group_id)``, which is the lexicographic candidate
-    order. :meth:`move` is the only writer of all four.
+    order. :meth:`move` is the only writer of these four and of what it
+    keeps current from them: per group, ``capacity_code``
+    (``CODE_CAPACITY`` when the group is at capacity, else 0) and
+    ``fill`` (count over capacity); per coach, ``load_code``
+    (``CODE_COACH_LOAD`` when the coach is at the load limit, else 0).
 
     The groups' static attributes are arrays too: ``capacity``,
     ``coach_of``, ``goal_index`` (into ``GOAL_CATEGORIES``), ``active``,
@@ -113,23 +117,13 @@ class Roster:
         self.last_change = np.zeros(len(user_tokens), dtype=np.int64)
         self.count = np.zeros(len(self.group_ids), dtype=np.int64)
         self.load = np.zeros(len(self.coach_ids), dtype=np.int64)
+        self.capacity_code = (self.count >= self.capacity) * CODE_CAPACITY
+        self.fill = self.count / self.capacity
+        self.load_code = (self.load >= self.load_limit) * CODE_COACH_LOAD
 
     def group_id(self, user: int) -> Optional[str]:
         group = self.group_of[user]
         return self.group_ids[group] if group >= 0 else None
-
-    def full_for(self, user: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per group: is it at capacity, is its coach at the load limit.
-
-        Both exclude the user's own seat, so a member's own full group
-        stays open for staying put.
-        """
-        current = self.group_of[user]
-        own_group = np.arange(self.count.size) == current
-        own_coach = self.coach_of == (self.coach_of[current] if current >= 0 else -1)
-        capacity_full = self.count - own_group >= self.capacity
-        coach_full = self.load[self.coach_of] - own_coach >= self.load_limit[self.coach_of]
-        return capacity_full, coach_full
 
     def eligibility_codes(self, goal: int, user_tags: frozenset[str]) -> np.ndarray:
         """Per group, the goal, inactive and language reason bits for a user
@@ -178,10 +172,18 @@ class Roster:
         if old >= 0:
             self.count[old] -= 1
             self.load[old_coach] -= 1
+            self._refresh(old, old_coach)
         self.count[group] += 1
         self.load[coach] += 1
+        self._refresh(group, coach)
         self.group_of[user] = group
         self.last_change[user] = epoch
+
+    def _refresh(self, group: int, coach: int) -> None:
+        """Recompute the kept fullness state of one group and one coach."""
+        self.capacity_code[group] = CODE_CAPACITY if self.count[group] >= self.capacity[group] else 0
+        self.fill[group] = self.count[group] / self.capacity[group]
+        self.load_code[coach] = CODE_COACH_LOAD if self.load[coach] >= self.load_limit[coach] else 0
 
 
 @dataclass(frozen=True)
@@ -299,7 +301,7 @@ def joint_features(
     phi = np.empty((rows.size, FEATURE_DIM))
     phi[:, :_USER_BLOCK] = tables.user_block[user]
     phi[:, _USER_BLOCK:] = tables.group_block[tables.goal[user], rows]
-    phi[:, _FILL_RATIO] = roster.count[rows] / roster.capacity[rows]
+    phi[:, _FILL_RATIO] = roster.fill[rows]
     return phi
 
 
@@ -331,15 +333,23 @@ class BanditModel:
     def theta(self) -> np.ndarray:
         return self._theta.copy()
 
-    # Both run einsum's fixed per-row loop: a BLAS product would block the
-    # rows and give identical rows different values, breaking exact ties.
+    # Both use einsum without its optimizer, which computes every output
+    # element by the same loop over the summed index: a BLAS product would
+    # block the rows and give identical rows different values, breaking
+    # exact ties.
     def means(self, phi: np.ndarray) -> np.ndarray:
         """Mean estimate theta^T phi of each row of ``phi``."""
         return np.einsum("ij,j->i", phi, self._theta)
 
     def widths(self, phi: np.ndarray) -> np.ndarray:
-        """Ellipsoidal confidence width sqrt(phi^T A^-1 phi) of each row of ``phi``."""
-        return np.sqrt(np.maximum(0.0, np.einsum("ij,jk,ik->i", phi, self._a_inv, phi)))
+        """Ellipsoidal confidence width sqrt(phi^T A^-1 phi) of each row of ``phi``.
+
+        ``phi A^-1`` first, then a row-wise dot with ``phi``: a single
+        three-operand einsum does the same O(k d^2) work several times
+        slower.
+        """
+        quad = np.einsum("ik,ik->i", np.einsum("ij,jk->ik", phi, self._a_inv), phi)
+        return np.sqrt(np.maximum(0.0, quad))
 
     def update(self, phi: np.ndarray, reward: float) -> None:
         phi = np.asarray(phi, dtype=float)
@@ -422,7 +432,8 @@ def feasibility_report(
     Inside the dwell window every group except the current one is locked
     out. Capacity and coach-load checks exclude the user themself, so a
     member's own full group stays feasible for staying put. Every check
-    reads the roster's arrays.
+    reads the roster's arrays; the capacity and coach-load bits are the
+    codes :meth:`Roster.move` keeps.
     """
     user = roster.row_of[context.user_token.value]
     current = roster.group_of[user]
@@ -433,12 +444,18 @@ def feasibility_report(
         codes[current] = 0
         return FeasibilityReport(roster, codes)
     goal = context.goal_category
-    capacity_full, coach_full = roster.full_for(user)
     codes = (
         roster.eligibility_codes(-1 if goal is None else GOAL_CATEGORIES.index(goal), user_tags)
-        | capacity_full * CODE_CAPACITY
-        | coach_full * CODE_COACH_LOAD
+        | roster.capacity_code
+        | roster.load_code[roster.coach_of]
     )
+    if current >= 0:
+        # A placed user's own seat counts against neither limit; a move
+        # never overfills, so their group and coach have room for them.
+        codes[current] &= ~CODE_CAPACITY
+        coach = roster.coach_of[current]
+        if roster.load_code[coach]:
+            codes[roster.coach_of == coach] &= ~CODE_COACH_LOAD
     return FeasibilityReport(roster, codes)
 
 

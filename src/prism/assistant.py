@@ -37,6 +37,8 @@ DRAFT_EDITED = "edited"
 DRAFT_DISCARDED = "discarded"
 TERMINAL_STATUSES = frozenset({DRAFT_APPROVED, DRAFT_EDITED, DRAFT_DISCARDED})
 DELIVERABLE_STATUSES = frozenset({DRAFT_APPROVED, DRAFT_EDITED})
+DRAFT_STATUSES = TERMINAL_STATUSES | {DRAFT_PENDING}
+_NULLABLE_FIELDS = frozenset({"reviewer_id", "created_at", "decided_at"})
 
 
 def _slot_names(body: str) -> list[str]:
@@ -127,10 +129,22 @@ class Draft:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "Draft":
-        return cls(**{k: doc[k] for k in (
+        """A draft from its :meth:`to_dict` form.
+
+        Every field must be a string; ``reviewer_id``, ``created_at`` and
+        ``decided_at`` may also be None. Raises ValidationError on a field
+        of another type or an unknown status.
+        """
+        values = {k: doc[k] for k in (
             "draft_id", "user_token", "template_id", "rendered_text",
             "status", "reviewer_id", "created_at", "decided_at",
-        )})
+        )}
+        for key, value in values.items():
+            if not (isinstance(value, str) or (value is None and key in _NULLABLE_FIELDS)):
+                raise ValidationError(f"draft field {key} must be a string, got {type(value).__name__}")
+        if values["status"] not in DRAFT_STATUSES:
+            raise ValidationError(f"unknown draft status: {values['status']!r}")
+        return cls(**values)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
 
 from ._version import __version__
-from .assistant import load_drafts, review, save_drafts
+from .assistant import _leak_check, load_drafts, review, save_drafts
 from .errors import (
     ConstraintViolationError,
     LeakageError,
@@ -277,6 +277,10 @@ def _cmd_review(args) -> int:
     if target is None:
         raise ValidationError(f"draft {args.draft} not found in {path}")
     rules = load_rules(args.rules) if args.rules else default_rules()
+    if args.decision == "approve":
+        # The file may have been edited since the run wrote it, so an
+        # approve re-scans the text; a hit leaves the file untouched.
+        _leak_check(target.rendered_text, rules, f"draft {target.draft_id}")
     review(target, args.reviewer, args.decision, new_text=args.text, rules=rules)
     save_drafts(drafts, path)
     print(json.dumps(target.to_dict(), sort_keys=True))

@@ -9,10 +9,13 @@ rather than deleted so sentence structure survives.
 
 Two rewrites keep scans cheap without changing a span. The NAME
 dictionary is factored by first letter behind a lookahead on those
-letters. Each built-in pattern that cannot match without an ``@`` or a
-``\\d`` is skipped on text that has none; these prefilters are
-necessary conditions, keyed by the exact built-in pattern text, so a
-rule loaded with any other pattern always runs.
+letters. Each other built-in pattern runs only on text that passes its
+prefilters, necessary conditions that every match satisfies: EMAIL
+needs an ``@``; each digit pattern needs a ``\\d``, one test shared by all
+five, and then a longer piece of its own, such as six digits in a row
+for ID_NUMBER. Each condition runs at most once per text. The
+prefilters are keyed by the exact built-in pattern text, so a rule
+loaded with any other pattern always runs.
 """
 
 from __future__ import annotations
@@ -83,17 +86,19 @@ _GEO_PATTERN = r"[-+]?\d{1,3}\.\d{3,}\s*,\s*[-+]?\d{1,3}\.\d{3,}"
 _ID_PATTERN = r"(?<![\w.\-])\d{6,}(?![\w.\-])"
 
 # Necessary conditions of the built-in patterns, keyed by pattern text: a
-# text the condition does not find cannot match the pattern. The digit
-# test is the same Unicode ``\d`` the patterns use.
+# text in which one of a pattern's conditions finds nothing cannot match
+# the pattern. They are tried in order, so the cheap shared digit test
+# rejects most digit-free text before any longer one runs. ``\d`` and
+# ``\s`` are the same Unicode classes the patterns use.
 _HAS_AT = re.compile("@")
 _HAS_DIGIT = re.compile(r"\d")
 _PREFILTERS = {
-    _EMAIL_PATTERN: _HAS_AT,
-    _PHONE_PATTERN: _HAS_DIGIT,
-    _ADDRESS_PATTERN: _HAS_DIGIT,
-    _DOB_PATTERN: _HAS_DIGIT,
-    _ID_PATTERN: _HAS_DIGIT,
-    _GEO_PATTERN: _HAS_DIGIT,
+    _EMAIL_PATTERN: (_HAS_AT,),
+    _PHONE_PATTERN: (_HAS_DIGIT, re.compile(r"\d{3}[\s.-]\d{4}")),  # the last two parts
+    _ADDRESS_PATTERN: (_HAS_DIGIT, re.compile(r"\d\s")),  # house number, then space
+    _DOB_PATTERN: (_HAS_DIGIT, re.compile(r"\d(?:/|\d{3})")),  # d/m/y, or a 4-digit year
+    _ID_PATTERN: (_HAS_DIGIT, re.compile(r"\d{6}")),
+    _GEO_PATTERN: (_HAS_DIGIT, re.compile(r"\d\.\d{3}")),  # the first coordinate
 }
 
 
@@ -211,18 +216,19 @@ def detect(text: str, rules: Sequence[RedactionRule]) -> list[EntitySpan]:
     spans = []
     found: dict["re.Pattern[str]", bool] = {}
     for rule in rules:
-        condition = _PREFILTERS.get(rule.pattern.pattern)
-        if condition is not None:
-            if condition not in found:
-                found[condition] = condition.search(text) is not None
-            if not found[condition]:
-                continue
-        group = "entity" if "entity" in rule.pattern.groupindex else 0
-        for m in rule.pattern.finditer(text):
-            start, end = m.span(group)
-            if start == end:
-                continue
-            spans.append(EntitySpan(start, end, rule.entity_type, m.group(group)))
+        for condition in _PREFILTERS.get(rule.pattern.pattern, ()):
+            hit = found.get(condition)
+            if hit is None:
+                hit = found[condition] = condition.search(text) is not None
+            if not hit:
+                break
+        else:
+            group = "entity" if "entity" in rule.pattern.groupindex else 0
+            for m in rule.pattern.finditer(text):
+                start, end = m.span(group)
+                if start == end:
+                    continue
+                spans.append(EntitySpan(start, end, rule.entity_type, m.group(group)))
     return spans
 
 
@@ -372,9 +378,16 @@ def load_deid_corpus(path: str) -> list[DeidText]:
                 raise ValidationError(f"{path} line {number} is not a record: {exc!r}") from exc
             if not (isinstance(text, str) and isinstance(token, str)):
                 raise ValidationError(f"{path} line {number}: text and user_token must be strings")
-            samples.append(
-                _rehydrate_deid(text, UserToken(token), doc.get("cohort"), doc.get("counts"))
-            )
+            cohort, counts = doc.get("cohort", {}), doc.get("counts", {})
+            if not (isinstance(cohort, dict) and isinstance(counts, dict)):
+                raise ValidationError(f"{path} line {number}: cohort and counts must be objects")
+            try:
+                _validate_metadata(cohort)
+            except ValidationError as exc:
+                raise ValidationError(f"{path} line {number}: {exc}") from exc
+            if not all(type(n) is int for n in counts.values()):
+                raise ValidationError(f"{path} line {number}: counts must be integers")
+            samples.append(_rehydrate_deid(text, UserToken(token), cohort, counts))
     return samples
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Optional, TextIO
 
 import numpy as np
@@ -89,26 +90,32 @@ class _PendingObservation:
 TRACE_SCHEMA = 2
 
 
-def _trace_line(decision: AssignmentDecision) -> str:
+def _trace_line(decision: AssignmentDecision, encoded_codes: dict[bytes, str]) -> str:
     """A decision's rationale as one line of trace schema 2.
 
     ``codes`` holds one reason code per group row (0 for scored), and
     ``mu``, ``sigma``, ``penalty`` and ``score`` one value per code-0 row,
     in row order. The run manifest holds the legend that decodes them.
+
+    The line is the text ``json.dumps`` gives for those fields in this
+    order. Many decisions of an epoch share a code row, so
+    ``encoded_codes`` keeps the JSON text of every row written so far,
+    keyed by the row's bytes; it must only see rows of one roster.
     """
+    codes = decision.reason_codes
+    key = codes.tobytes()
+    codes_text = encoded_codes.get(key)
+    if codes_text is None:
+        codes_text = encoded_codes[key] = json.dumps(codes.tolist())
     scores = decision.scores
     mu, sigma, penalty, score = ([],) * 4 if scores is None else (a.tolist() for a in scores)
-    return json.dumps({
-        "epoch": decision.epoch,
-        "user_token": decision.user_token,
-        "chosen": decision.chosen,
-        "changed": decision.changed,
-        "codes": decision.reason_codes.tolist(),
-        "mu": mu,
-        "sigma": sigma,
-        "penalty": penalty,
-        "score": score,
-    }) + "\n"
+    chosen = "null" if decision.chosen is None else encode_basestring_ascii(decision.chosen)
+    scored = json.dumps({"mu": mu, "sigma": sigma, "penalty": penalty, "score": score})
+    return (
+        f'{{"epoch": {decision.epoch}, "user_token": {encode_basestring_ascii(decision.user_token)}, '
+        f'"chosen": {chosen}, "changed": {"true" if decision.changed else "false"}, '
+        f'"codes": {codes_text}, {scored[1:]}\n'
+    )
 
 
 @dataclass
@@ -356,6 +363,7 @@ def _run_epochs(
                 window=_normalization_window(world, epoch),
             )
             tables = feature_tables(contexts, world.roster, group_engagement_means(world, epoch))
+            encoded_codes: dict[bytes, str] = {}  # this epoch's code rows, for _trace_line
             for user in world.users:
                 decision = assign(
                     contexts[user.index],
@@ -368,7 +376,7 @@ def _run_epochs(
                 )
                 counters["decisions"] += 1
                 if traces is not None:
-                    traces.write(_trace_line(decision))
+                    traces.write(_trace_line(decision, encoded_codes))
                 if decision.changed:
                     counters["reassignments"] += 1
                 if decision.phi_chosen is not None:

@@ -255,8 +255,8 @@ def _place_initially(world: World) -> None:
         mismatched = rng.random() < scenario.misgroup_fraction
         right = roster.goal_index == world.goal_index[user]
         pools = (~right, right) if mismatched else (right, ~right)
-        capacity_full, coach_full = roster.full_for(user)
-        blocked = capacity_full | coach_full
+        # The user is still unplaced, so no own seat needs excluding.
+        blocked = (roster.capacity_code | roster.load_code[roster.coach_of]) != 0
         for pool in pools:
             open_rows = np.flatnonzero(pool & ~blocked)
             if open_rows.size:

@@ -167,6 +167,27 @@ def reference_detect(text, rules) -> list[EntitySpan]:
     return spans
 
 
+# -- references for the decision path ----------------------------------------------
+
+
+def reference_full_for(roster, user) -> tuple[np.ndarray, np.ndarray]:
+    """Per group: is it at capacity, is its coach at the load limit, from
+    the roster's counters. Both exclude ``user``'s own seat, so a member's
+    own full group stays open for staying put: the reference for the
+    fullness codes ``Roster.move`` keeps."""
+    current = roster.group_of[user]
+    own_group = np.arange(roster.count.size) == current
+    own_coach = roster.coach_of == (roster.coach_of[current] if current >= 0 else -1)
+    capacity_full = roster.count - own_group >= roster.capacity
+    coach_full = roster.load[roster.coach_of] - own_coach >= roster.load_limit[roster.coach_of]
+    return capacity_full, coach_full
+
+
+def reference_widths(model, phi) -> np.ndarray:
+    """Confidence widths from the single three-operand einsum."""
+    return np.sqrt(np.maximum(0.0, np.einsum("ij,jk,ik->i", phi, model._a_inv, phi)))
+
+
 def trace_dict(decision, group_ids) -> dict:
     """A decision's rationale trace as a dict with one entry per group, in
     the order of the roster's ``group_ids``: the reference that each trace

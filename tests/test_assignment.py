@@ -8,10 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import empty_events, goal_onehot, solve_theta, tables_for, trace_dict
+from conftest import (
+    empty_events,
+    goal_onehot,
+    reference_full_for,
+    reference_widths,
+    solve_theta,
+    tables_for,
+    trace_dict,
+)
 
 import prism.assignment
 from prism.assignment import (
+    CODE_CAPACITY,
+    CODE_COACH_LOAD,
     FEATURE_DIM,
     BanditModel,
     CoachState,
@@ -308,6 +318,23 @@ class TestScoring:
             if same.any():
                 assert scores.mu[same][0] == alone[d][0]
                 assert scores.sigma[same][0] == alone[d][1]
+
+    # Fixed before measuring: float64 sums of 21 products taken in another
+    # order differ by a few ulps (up to about 3e-15 relative was seen), so
+    # 1e-12 leaves over two orders of magnitude to spare.
+    WIDTH_RTOL = 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_widths_match_three_operand_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
+        for _ in range(40):
+            model.update(rng.uniform(-1, 1, FEATURE_DIM), rng.normal())
+        for k in range(1, 100):
+            phi = rng.uniform(-1, 1, (k, FEATURE_DIM))
+            np.testing.assert_allclose(
+                model.widths(phi), reference_widths(model, phi), rtol=self.WIDTH_RTOL, atol=0
+            )
 
     def test_churn_penalty_applies_inside_oscillation_horizon(self):
         model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
@@ -626,6 +653,41 @@ class TestRosterMove:
         roster.move(0, 0, 0, dwell=4)
         self.assert_raises_unchanged(roster, 0, 1, 3, 4)
         roster.move(0, 1, 4, dwell=4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_kept_fullness_matches_recount(self, data):
+        # Small capacities and load limits, so groups fill and coaches hit
+        # their limit; refused moves change nothing.
+        n_coaches = data.draw(st.integers(1, 3))
+        capacities = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+        groups = {
+            f"g{i:03d}": GroupState(f"g{i:03d}", f"c{i % n_coaches:02d}", capacity=c, goal_category="fitness")
+            for i, c in enumerate(capacities)
+        }
+        coaches = {
+            f"c{c:02d}": CoachState(f"c{c:02d}", load_limit=data.draw(st.integers(0, 5)))
+            for c in range(n_coaches)
+        }
+        n_users = data.draw(st.integers(1, 10))
+        roster = Roster(groups, coaches, [f"{u:02x}" * 32 for u in range(n_users)])
+        config = PolicyConfig(dwell=0, oscillation=0)
+        moves = st.tuples(st.integers(0, n_users - 1), st.integers(0, len(groups) - 1))
+        for user, group in data.draw(st.lists(moves, max_size=30)):
+            try:
+                roster.move(user, group, 0, dwell=0)
+            except ConstraintViolationError:
+                pass
+            assert np.array_equal(roster.fill, roster.count / roster.capacity)
+            for u in range(n_users):
+                capacity_full, coach_full = reference_full_for(roster, u)
+                if roster.group_of[u] < 0:
+                    assert np.array_equal(roster.capacity_code != 0, capacity_full)
+                    assert np.array_equal(roster.load_code[roster.coach_of] != 0, coach_full)
+                context = make_context(token_byte=f"{u:02x}")
+                codes = feasibility_report(context, roster, 0, config).codes
+                assert np.array_equal(codes & CODE_CAPACITY != 0, capacity_full)
+                assert np.array_equal(codes & CODE_COACH_LOAD != 0, coach_full)
 
     def test_coach_load_is_a_counter_read(self):
         roster = self.make()

@@ -5,9 +5,12 @@ import os
 import pathlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import write_rules
 
+from prism.assistant import DRAFT_STATUSES
 from prism.cli import main
 from prism.redaction import default_rules
 
@@ -46,6 +49,15 @@ def assert_exits_one(capsys, *argv):
 
 
 CORPUS_LINE = json.dumps({"text": "see you at the walk", "user_token": "ab" * 32})
+DRAFT = {
+    "draft_id": "d-1", "user_token": "ab" * 32, "template_id": "reengage-streak",
+    "rendered_text": "see you at the walk", "status": "pending",
+    "reviewer_id": None, "created_at": None, "decided_at": None,
+}
+CORPUS_RECORD = {
+    "text": "see you at the walk", "user_token": "ab" * 32,
+    "cohort": {"goal": "fitness"}, "counts": {"NAME": 1},
+}
 
 
 class TestSimulate:
@@ -383,12 +395,74 @@ class TestReview:
             capsys, "review", "--run", str(tmp_path), "--draft", "d-1", "--decision", "approve"
         )
 
+    def test_approve_rescans_a_loaded_draft(self, tmp_path, capsys):
+        # A hand-edited file can hold an identifier the run never wrote.
+        path = tmp_path / "drafts.jsonl"
+        path.write_text(json.dumps(dict(DRAFT, rendered_text="call me at 613-555-0142")) + "\n")
+        before = path.read_bytes()
+        code, _, stderr = run_cli(
+            capsys, "review", "--run", str(tmp_path), "--draft", "d-1", "--decision", "approve"
+        )
+        assert code == 3
+        assert "613-555-0142" not in stderr
+        assert path.read_bytes() == before
+
     def test_unknown_draft_exits_one(self, keys_env, tmp_path, capsys):
         out, _ = self._run_with_pending(capsys, keys_env, tmp_path)
         code, _, _ = run_cli(
             capsys, "review", "--run", out, "--draft", "d-nope", "--decision", "approve"
         )
         assert code == 1
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _draft_field_ok(field, value):
+    if value is None:
+        return field in ("reviewer_id", "created_at", "decided_at")
+    return isinstance(value, str) and (field != "status" or value in DRAFT_STATUSES)
+
+
+def _corpus_field_ok(field, value):
+    if field == "cohort":
+        return isinstance(value, dict) and all(
+            isinstance(v, (str, int, float, bool)) for v in value.values()
+        )
+    if field == "counts":
+        return isinstance(value, dict) and all(type(v) is int for v in value.values())
+    return isinstance(value, str)
+
+
+@st.composite
+def _spoiled(draw, record, field_ok):
+    """``record`` with one field replaced by a value of the wrong type."""
+    field = draw(st.sampled_from(sorted(record)))
+    value = draw(_JSON_VALUES.filter(lambda v: not field_ok(field, v)))
+    return dict(record, **{field: value})
+
+
+class TestMalformedRecords:
+    """A record line with one wrongly typed field is rejected with exit 1."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(draft=_spoiled(DRAFT, _draft_field_ok))
+    def test_draft_field_types(self, capsys, tmp_path, draft):
+        (tmp_path / "drafts.jsonl").write_text(json.dumps(draft) + "\n")
+        assert_exits_one(
+            capsys, "review", "--run", str(tmp_path), "--draft", "d-1", "--decision", "approve"
+        )
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(record=_spoiled(CORPUS_RECORD, _corpus_field_ok))
+    def test_corpus_field_types(self, capsys, tmp_path, record):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps(CORPUS_RECORD) + "\n" + json.dumps(record) + "\n")
+        assert_exits_one(capsys, "leak-audit", "--in", str(corpus))
 
 
 class TestUsageAndHygiene:

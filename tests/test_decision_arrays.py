@@ -412,8 +412,26 @@ def legend_of(ids) -> dict:
     return json.loads(json.dumps(manifest.to_dict(), sort_keys=True, indent=2))
 
 
-def assert_decodes_to_reference(decision, ids, legend):
-    line = _trace_line(decision)
+def reference_trace_line(decision) -> str:
+    """The trace line as one ``json.dumps`` of its fields."""
+    scores = decision.scores
+    mu, sigma, penalty, score = ([],) * 4 if scores is None else (a.tolist() for a in scores)
+    return json.dumps({
+        "epoch": decision.epoch,
+        "user_token": decision.user_token,
+        "chosen": decision.chosen,
+        "changed": decision.changed,
+        "codes": decision.reason_codes.tolist(),
+        "mu": mu,
+        "sigma": sigma,
+        "penalty": penalty,
+        "score": score,
+    }) + "\n"
+
+
+def assert_decodes_to_reference(decision, ids, legend, encoded_codes=None):
+    line = _trace_line(decision, {} if encoded_codes is None else encoded_codes)
+    assert line == reference_trace_line(decision)
     assert line.endswith("\n") and "\n" not in line[:-1]
     # Compared as text: dict equality would take -0.0 for 0.0 and fail NaN
     # against NaN. The text is the trace-schema-1 line.
@@ -431,9 +449,16 @@ def assert_decodes_to_reference(decision, ids, legend):
 def test_trace_line_decodes_to_reference(ids, data, n_decisions):
     legend = legend_of(ids)
     draw_score = lambda: data.draw(floats)
+    # One epoch's cache of encoded code rows, shared by its decisions; a
+    # "repeat" decision reuses the previous code row, so its text comes
+    # from the cache.
+    encoded_codes = {}
+    codes = None
     for _ in range(n_decisions):
-        kind = data.draw(st.sampled_from(["any", "dwell", "waitlisted"]))
-        if kind == "dwell":
+        kind = data.draw(st.sampled_from(["any", "dwell", "waitlisted", "repeat"]))
+        if kind == "repeat" and codes is not None:
+            chosen = data.draw(st.sampled_from(ids))
+        elif kind == "dwell":
             current = data.draw(st.integers(0, len(ids) - 1))
             codes = [0 if g == current else CODE_DWELL for g in range(len(ids))]
             chosen = ids[current]
@@ -447,7 +472,7 @@ def test_trace_line_decodes_to_reference(ids, data, n_decisions):
             codes, draw_score, chosen, data.draw(st.booleans()),
             epoch=data.draw(st.integers(0, 10**6)), token=data.draw(st.text(max_size=8)),
         )
-        assert_decodes_to_reference(decision, ids, legend)
+        assert_decodes_to_reference(decision, ids, legend, encoded_codes)
 
 
 def test_trace_line_covers_every_reason_code():
@@ -456,10 +481,10 @@ def test_trace_line_covers_every_reason_code():
     values = iter(SPECIAL_FLOATS * 3)
     decision = decision_with(range(N_REASON_CODES), lambda: next(values), "g00", True)
     assert_decodes_to_reference(decision, ids, legend)
-    line = json.loads(_trace_line(decision))
+    line = json.loads(_trace_line(decision, {}))
     assert line["codes"] == list(range(N_REASON_CODES))
     assert len(line["mu"]) == len(line["sigma"]) == len(line["penalty"]) == len(line["score"]) == 1
-    reasons = [c["reasons"] for c in decode_trace_line(_trace_line(decision), legend)["candidates"]]
+    reasons = [c["reasons"] for c in decode_trace_line(_trace_line(decision, {}), legend)["candidates"]]
     assert reasons[0] == []
     assert reasons[N_REASON_CODES - 1] == ["dwell_lock"]
     assert reasons[31] == [

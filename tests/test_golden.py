@@ -32,14 +32,14 @@ GOLDEN = {
     "effect-seed-1": (
         effect_scenario(1),
         "372e6991f1637f6e297925e97f60c3f4bc8b60c09b43e91b1913d21feec46fcf",
-        "bdae3d1e0f207a10bc562845675ce4fb3e97105510caedbfadd11deaab3314cf",
-        "e3768c0757241186789db50c01799e2140fc277e89645649389e88316f958108",
+        "038f8c6696f4b89130d08ea29447a0b3712c35ca1a36440bbe6c021c97e0c23d",
+        "3391fac91c935e4846babf95af2b65519736d4415cead17f7f9aa899df376cea",
     ),
     "null-seed-201": (
         null_scenario(201),
         "ac77c62a374e489c395a1b53154c4e60facb96acd95b1cbb37ae1da3233b81d3",
-        "e07f11bbffcc35fd66bced111bb20b18322899d04b6d121520e7385d0e0035cf",
-        "af607c5ad816483eb121d3c187aa0ca0ab1a6435f56b98c1b73c1532dc2acff8",
+        "8ba4082e510d81c60d0f9cdcc34fd4871879d3b64dcbc161c4ef5223693d293b",
+        "7c57114163a8caad5672d4f3a966e2962f44808da4ccb960f4f15855888ac38b",
     ),
     "coach-bound-seed-1": (
         Scenario(
@@ -48,8 +48,8 @@ GOLDEN = {
             horizon_weeks=10, w_pre=4, w_post=5,
         ),
         "3fe09370ccdd2c7ff8517384c2ebe5315681cee467b299e0f8f3f8057660960b",
-        "a042edc1ce8cb327f1853c9ffdc096cd640d584ba4f90c5f0dfcd8c09e7a5c62",
-        "e1ee7155e9c9843cb4904a49017a82205d7a371cb3edcd368263ee3c073cf25f",
+        "d36094aced43e0110b707d4cee84d917319887cf7e2c534f94876c570bef6a10",
+        "b2b33a154c24f9914f319911e8497f0dce94abb4a619543c5de0308382563024",
     ),
 }
 

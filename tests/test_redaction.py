@@ -243,6 +243,11 @@ _IDENTIFIER_PIECES = (
     "@", "bob@x.org", "x@y", "613-555-0142", "(613) 555-0142", "born ", "dob: ",
     "birthday ", "1985-03-12", "\u0663\u0663/\u0663/1990", "12 Maple Street",
     "45.1234, -75.5678", "12345678", "\u0663\u0663\u0663\u0663\u0663\u0663",
+    # Just on each side of the digit rules' second prefilters.
+    "123 4567", "123 456", "123-4567", "123.456",
+    "\u0663\u0663\u0663\u2003\u0663\u0663\u0663\u0663", "12 3456", "12a", "7\u00a0Elm Rd",
+    "1/2", "born 3/4/56", "dob 1985-03-12", "12345", "123", "1.23", "1.234", "1.234, 5.678",
+    "123456",
 )
 
 
