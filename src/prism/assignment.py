@@ -473,6 +473,15 @@ class CandidateScores(NamedTuple):
     score: np.ndarray
 
 
+def ucb_score(
+    mu: np.ndarray, sigma: np.ndarray, penalty: np.ndarray, beta: float, lam: float
+) -> np.ndarray:
+    """Mean estimate plus ``beta`` times the confidence width, minus ``lam``
+    per unit of churn penalty. Trace decoding recomputes each score with
+    this same function, so a trace holds no score of its own."""
+    return mu + beta * sigma - lam * penalty
+
+
 def score_and_select(
     context: LearningContext,
     candidates: Sequence[int],
@@ -505,7 +514,7 @@ def score_and_select(
     mu = model.means(phi)
     sigma = model.widths(phi)
     penalty = ((rows != current) & may_churn).astype(np.int64)
-    score = mu + config.beta * sigma - config.lam * penalty
+    score = ucb_score(mu, sigma, penalty, config.beta, config.lam)
     # Least significant key first; group rows are in group-id order.
     best = int(np.lexsort((rows, roster.count[rows], -score))[0])
     # A copy, so a pending observation does not keep the whole matrix alive.

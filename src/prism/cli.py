@@ -1,5 +1,5 @@
-"""Single entry point: simulate / compare / leak-audit / tokenize-demo /
-restore-demo / review.
+"""Single entry point: simulate / compare / inspect / leak-audit /
+tokenize-demo / restore-demo / review.
 
 Exit codes: 0 success, 1 validation or configuration error, 2 internal
 error, 3 privacy-violation abort (constraint breach or leakage), so CI
@@ -26,7 +26,7 @@ from .errors import (
 )
 from .metrics import MetricsReport
 from .redaction import default_rules, leak_audit, load_deid_corpus, load_rules
-from .simulator import Scenario, compare_arms, run_experiment
+from .simulator import Scenario, TraceLegend, compare_arms, run_experiment
 from .vault import (
     FIELD_CONTEXTS,
     KeyRing,
@@ -66,6 +66,11 @@ def _build_parser() -> _Parser:
     p_cmp = sub.add_parser("compare", help="compare two run directories")
     p_cmp.add_argument("--a", required=True, help="first run directory")
     p_cmp.add_argument("--b", required=True, help="second run directory")
+
+    p_ins = sub.add_parser("inspect", help="print a run's trace lines as trace schema 2 fields")
+    p_ins.add_argument("run", help="run directory")
+    p_ins.add_argument("--epoch", type=int, default=None, help="only decisions of this epoch")
+    p_ins.add_argument("--user", default=None, help="only decisions of this user token")
 
     p_leak = sub.add_parser("leak-audit", help="leak-audit a de-identified JSONL corpus")
     p_leak.add_argument("--in", dest="infile", required=True)
@@ -218,6 +223,35 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _cmd_inspect(args) -> int:
+    path = os.path.join(args.run, "manifest.json")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            legend = TraceLegend.from_manifest(json.load(fh))
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"{path} is not JSON: {exc}") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    path = os.path.join(args.run, "traces.jsonl")
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        # Every line is decoded, so a malformed line fails the command
+        # whether or not it is selected.
+        for number, raw in enumerate(fh, 1):
+            try:
+                doc = legend.decode(raw.decode("utf-8"))
+            except (ValidationError, UnicodeDecodeError) as exc:
+                raise ValidationError(f"{path} line {number}: {exc}") from exc
+            if args.epoch in (None, doc["epoch"]) and args.user in (None, doc["user_token"]):
+                print(json.dumps(doc))
+    return EXIT_OK
+
+
 def _cmd_leak_audit(args) -> int:
     rules = load_rules(args.rules) if args.rules else default_rules()
     try:
@@ -290,6 +324,7 @@ def _cmd_review(args) -> int:
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "compare": _cmd_compare,
+    "inspect": _cmd_inspect,
     "leak-audit": _cmd_leak_audit,
     "tokenize-demo": _cmd_tokenize_demo,
     "restore-demo": _cmd_restore_demo,
@@ -316,6 +351,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PrismError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except BrokenPipeError:
+        # The reader of stdout left early, as in ``prism inspect RUN | head``.
+        # Point stdout at devnull so the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

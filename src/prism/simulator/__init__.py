@@ -4,6 +4,7 @@ from .experiment import (
     ComparisonTable,
     RunManifest,
     RunResult,
+    TraceLegend,
     compare_arms,
     run_experiment,
     run_paired,
@@ -32,6 +33,7 @@ __all__ = [
     "Scenario",
     "SimClock",
     "SimUser",
+    "TraceLegend",
     "World",
     "compare_arms",
     "generate_cohort",

@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+from binascii import Error as BinasciiError
+from binascii import a2b_base64, b2a_base64
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Optional, TextIO
@@ -29,6 +32,7 @@ from ..assignment import (
     assign,
     compute_reward,
     feature_tables,
+    ucb_score,
 )
 from ..assistant import (
     DELIVERABLE_STATUSES,
@@ -87,42 +91,185 @@ class _PendingObservation:
     churn_penalty: int
 
 
-TRACE_SCHEMA = 2
+TRACE_SCHEMA = 3
+TRACE_FIELDS = ("epoch", "user_token", "chosen", "changed", "codes", "mu", "sigma", "penalty")
+_ZERO = ord("0")
+_DIGIT_OF_BYTE = bytes((_ZERO + b) % 256 for b in range(256))
 
 
-def _trace_line(decision: AssignmentDecision, encoded_codes: dict[bytes, str]) -> str:
-    """A decision's rationale as one line of trace schema 2.
+def _digits(values: np.ndarray) -> str:
+    """Small non-negative integers as one character each, ``chr(48 + v)``.
 
-    ``codes`` holds one reason code per group row (0 for scored), and
-    ``mu``, ``sigma``, ``penalty`` and ``score`` one value per code-0 row,
-    in row order. The run manifest holds the legend that decodes them.
+    Reason codes are at most ``CODE_DWELL`` (32), so every character lies
+    in ``0``..``P`` and needs no JSON escape. One byte translation is
+    cheaper than adding 48 in numpy."""
+    return values.astype(np.uint8).tobytes().translate(_DIGIT_OF_BYTE).decode("ascii")
 
-    The line is the text ``json.dumps`` gives for those fields in this
-    order. Many decisions of an epoch share a code row, so
-    ``encoded_codes`` keeps the JSON text of every row written so far,
-    keyed by the row's bytes; it must only see rows of one roster.
+
+def _b64(values: np.ndarray) -> str:
+    """Little-endian float64 bytes of ``values`` as base64 text."""
+    return b2a_base64(values.astype("<f8", copy=False).tobytes(), newline=False).decode("ascii")
+
+
+def _trace_line(decision: AssignmentDecision) -> str:
+    """A decision's rationale as one line of trace schema 3.
+
+    ``codes`` holds one reason code per group row (``0`` for scored) as
+    the character ``chr(48 + code)``. ``mu`` and ``sigma`` are base64 of
+    the little-endian float64 terms of the code-0 rows, in row order, and
+    ``penalty`` one ``0``/``1`` character per code-0 row. ``score`` is not
+    written: :meth:`TraceLegend.decode` recomputes it bit for bit from the
+    other three terms and the manifest's policy, through ``ucb_score`` as
+    the policy scored it. The line is the text
+    ``json.dumps`` gives for the fields of ``TRACE_FIELDS`` in that order.
     """
-    codes = decision.reason_codes
-    key = codes.tobytes()
-    codes_text = encoded_codes.get(key)
-    if codes_text is None:
-        codes_text = encoded_codes[key] = json.dumps(codes.tolist())
     scores = decision.scores
-    mu, sigma, penalty, score = ([],) * 4 if scores is None else (a.tolist() for a in scores)
+    if scores is None:
+        mu = sigma = penalty = ""
+    else:
+        mu, sigma, penalty = _b64(scores.mu), _b64(scores.sigma), _digits(scores.penalty)
     chosen = "null" if decision.chosen is None else encode_basestring_ascii(decision.chosen)
-    scored = json.dumps({"mu": mu, "sigma": sigma, "penalty": penalty, "score": score})
     return (
         f'{{"epoch": {decision.epoch}, "user_token": {encode_basestring_ascii(decision.user_token)}, '
         f'"chosen": {chosen}, "changed": {"true" if decision.changed else "false"}, '
-        f'"codes": {codes_text}, {scored[1:]}\n'
+        f'"codes": "{_digits(decision.reason_codes)}", "mu": "{mu}", "sigma": "{sigma}", '
+        f'"penalty": "{penalty}"}}\n'
     )
+
+
+def _trace_fields_in_order(pairs: list) -> dict:
+    keys = tuple(key for key, _ in pairs)
+    if keys != TRACE_FIELDS:
+        raise ValidationError(f"trace line fields are {list(keys)}, expected {list(TRACE_FIELDS)}")
+    return dict(pairs)
+
+
+def _is_finite_number(value) -> bool:
+    # A comparison, not math.isfinite: a JSON integer may be too large for a float.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return abs(value) <= sys.float_info.max
+
+
+@dataclass
+class TraceLegend:
+    """What a run's ``manifest.json`` says about its trace lines: the group
+    of each row, the reasons of each code, and the policy's ``beta`` and
+    ``lam``, with which :meth:`decode` recomputes ``score``."""
+
+    group_ids: tuple[str, ...]
+    reasons_of_code: tuple[tuple[str, ...], ...]
+    beta: float
+    lam: float
+    _group_set: frozenset = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._group_set = frozenset(self.group_ids)
+
+    @classmethod
+    def from_manifest(cls, manifest) -> "TraceLegend":
+        """The legend of a parsed ``manifest.json``. Raises
+        ``ValidationError`` unless it is a well-formed schema-3 manifest."""
+        if not isinstance(manifest, dict):
+            raise ValidationError("manifest is not a JSON object")
+        schema = manifest.get("trace_schema")
+        if schema != TRACE_SCHEMA or isinstance(schema, bool):
+            raise ValidationError(f"manifest trace_schema is {schema!r}, expected {TRACE_SCHEMA}")
+        group_ids, reasons = manifest.get("group_ids"), manifest.get("reasons_of_code")
+        if not isinstance(group_ids, list) or not all(isinstance(g, str) for g in group_ids):
+            raise ValidationError("manifest group_ids must be a list of strings")
+        if not isinstance(reasons, list) or not all(
+            isinstance(r, list) and all(isinstance(x, str) for x in r) for r in reasons
+        ):
+            raise ValidationError("manifest reasons_of_code must be a list of string lists")
+        policy = manifest.get("policy")
+        if not isinstance(policy, dict) or not all(
+            _is_finite_number(policy.get(k)) for k in ("beta", "lam")
+        ):
+            raise ValidationError("manifest policy must give finite numbers beta and lam")
+        return cls(
+            group_ids=tuple(group_ids),
+            reasons_of_code=tuple(tuple(r) for r in reasons),
+            beta=policy["beta"],
+            lam=policy["lam"],
+        )
+
+    @staticmethod
+    def _digit_values(text, name: str, limit: int, size: int) -> np.ndarray:
+        """The inverse of :func:`_digits`, for ``size`` values below ``limit``."""
+        if not isinstance(text, str) or len(text) != size:
+            raise ValidationError(f"trace {name} must be a string of {size} characters")
+        if not text.isascii():
+            raise ValidationError(f"trace {name} holds a non-ASCII character")
+        values = np.frombuffer(text.encode("ascii"), dtype=np.uint8).astype(np.int64) - _ZERO
+        if np.any((values < 0) | (values >= limit)):
+            raise ValidationError(f"trace {name} holds a character outside 0..{chr(_ZERO + limit - 1)}")
+        return values
+
+    @staticmethod
+    def _float_values(text, name: str, size: int) -> np.ndarray:
+        """The inverse of :func:`_b64`, for ``size`` values. Only the text
+        ``_b64`` writes is accepted, so a line decodes one way or not at all."""
+        if not isinstance(text, str) or not text.isascii():
+            raise ValidationError(f"trace {name} must be an ASCII base64 string")
+        try:
+            raw = a2b_base64(text)
+        except BinasciiError as exc:
+            raise ValidationError(f"trace {name} is not valid base64: {exc}") from exc
+        if len(raw) != 8 * size:
+            raise ValidationError(
+                f"trace {name} holds {len(raw)} bytes, expected {8 * size} for {size} scored rows"
+            )
+        if b2a_base64(raw, newline=False) != text.encode("ascii"):
+            raise ValidationError(f"trace {name} is not the canonical base64 of its bytes")
+        return np.frombuffer(raw, dtype="<f8")
+
+    def decode(self, line: str) -> dict:
+        """A schema-3 line as the fields of trace schema 2: ``codes`` as a
+        list of ints, and ``mu``, ``sigma``, ``penalty`` and ``score`` as
+        lists over the code-0 rows. ``json.dumps`` of the result is the line
+        schema 2 wrote for the same decision. Raises ``ValidationError`` on
+        a malformed line."""
+        try:
+            doc = json.loads(line, object_pairs_hook=_trace_fields_in_order)
+        except (ValueError, RecursionError) as exc:
+            raise ValidationError(f"trace line is not JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ValidationError("trace line is not a JSON object")
+        epoch, token, chosen, changed = (doc[k] for k in TRACE_FIELDS[:4])
+        if not isinstance(epoch, int) or isinstance(epoch, bool) or epoch < 0:
+            raise ValidationError("trace epoch must be a non-negative integer")
+        if not isinstance(token, str):
+            raise ValidationError("trace user_token must be a string")
+        if chosen is not None and chosen not in self._group_set:
+            raise ValidationError("trace chosen must be null or a group id of the manifest")
+        if not isinstance(changed, bool):
+            raise ValidationError("trace changed must be true or false")
+        codes = self._digit_values(doc["codes"], "codes", len(self.reasons_of_code), len(self.group_ids))
+        n_scored = int(np.count_nonzero(codes == 0))
+        mu = self._float_values(doc["mu"], "mu", n_scored)
+        sigma = self._float_values(doc["sigma"], "sigma", n_scored)
+        penalty = self._digit_values(doc["penalty"], "penalty", 2, n_scored)
+        score = ucb_score(mu, sigma, penalty, self.beta, self.lam)
+        return {
+            "epoch": epoch,
+            "user_token": token,
+            "chosen": chosen,
+            "changed": changed,
+            "codes": codes.tolist(),
+            "mu": mu.tolist(),
+            "sigma": sigma.tolist(),
+            "penalty": penalty.tolist(),
+            "score": score.tolist(),
+        }
 
 
 @dataclass
 class RunManifest:
     """Everything needed to reproduce a run bit-exactly (keys come from the
     named source, never from the manifest itself), and the legend of its
-    trace lines: the group ids in row order and the reasons of each code."""
+    trace lines: the group ids in row order, the reasons of each code, and
+    the policy whose ``beta`` and ``lam`` derive each ``score``."""
 
     scenario: dict
     policy: dict
@@ -363,7 +510,6 @@ def _run_epochs(
                 window=_normalization_window(world, epoch),
             )
             tables = feature_tables(contexts, world.roster, group_engagement_means(world, epoch))
-            encoded_codes: dict[bytes, str] = {}  # this epoch's code rows, for _trace_line
             for user in world.users:
                 decision = assign(
                     contexts[user.index],
@@ -376,7 +522,7 @@ def _run_epochs(
                 )
                 counters["decisions"] += 1
                 if traces is not None:
-                    traces.write(_trace_line(decision, encoded_codes))
+                    traces.write(_trace_line(decision))
                 if decision.changed:
                     counters["reassignments"] += 1
                 if decision.phi_chosen is not None:

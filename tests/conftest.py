@@ -30,6 +30,7 @@ from prism.redaction import (
     RedactionRule,
     default_rules,
 )
+from prism.simulator.experiment import TraceLegend
 from prism.vault import ENC_KEY_ENV, TOKEN_KEY_ENV, KeyRing, UserToken
 
 TOKEN_KEY_HEX = "11" * 32
@@ -217,12 +218,14 @@ def trace_dict(decision, group_ids) -> dict:
 
 
 def decode_trace_line(line: str, legend: dict) -> dict:
-    """A trace-schema-2 line expanded to the ``trace_dict`` form, with the
-    legend from the run's ``manifest.json``."""
-    doc = json.loads(line)
-    scored = zip(doc["mu"], doc["sigma"], doc["penalty"], doc["score"], strict=True)
+    """A trace line expanded to the ``trace_dict`` form, with the legend
+    from the run's ``manifest.json``: the schema-2 fields that
+    ``TraceLegend.decode`` gives, one entry per group."""
+    decoder = TraceLegend.from_manifest(legend)
+    doc = decoder.decode(line)
+    scored = zip(doc["mu"], doc["sigma"], doc["penalty"], doc["score"])
     candidates = []
-    for group_id, code in zip(legend["group_ids"], doc["codes"], strict=True):
+    for group_id, code in zip(decoder.group_ids, doc["codes"]):
         mu, sigma, penalty, score = next(scored) if code == 0 else (None,) * 4
         candidates.append({
             "group": group_id,
@@ -231,10 +234,8 @@ def decode_trace_line(line: str, legend: dict) -> dict:
             "penalty": penalty,
             "score": score,
             "feasible": code == 0,
-            "reasons": legend["reasons_of_code"][code],
+            "reasons": list(decoder.reasons_of_code[code]),
         })
-    if next(scored, None) is not None:
-        raise ValueError("more scored values than code-0 rows")
     return {
         "candidates": candidates,
         "epoch": doc["epoch"],

@@ -3,16 +3,22 @@
 import json
 import os
 import pathlib
+import shutil
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import write_rules
+from conftest import ENC_KEY_HEX, TOKEN_KEY_HEX, write_rules
 
+from prism.assignment import PolicyConfig
 from prism.assistant import DRAFT_STATUSES
 from prism.cli import main
 from prism.redaction import default_rules
+from prism.simulator import Scenario, TraceLegend, run_experiment
+from prism.vault import KeyRing
 
 SCENARIO = {
     "name": "cli",
@@ -261,6 +267,160 @@ class TestCompare:
         assert_exits_one(capsys, "compare", "--a", str(tmp_path / "a"), "--b", str(tmp_path / "b"))
 
 
+@pytest.fixture(scope="module")
+def inspected_run(tmp_path_factory):
+    """An adaptive run directory with a non-default beta and lam, and its
+    trace lines; the tests copy it before they break it."""
+    out = tmp_path_factory.mktemp("inspect") / "run"
+    policy = PolicyConfig(beta=0.7, lam=0.35)
+    run_experiment(Scenario.from_dict(SCENARIO), KeyRing.from_hex(TOKEN_KEY_HEX, ENC_KEY_HEX),
+                   policy=policy, out_dir=str(out))
+    lines = (out / "traces.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    return out, lines
+
+
+def broken_copy(run, tmp_path, name, text):
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    (copy / name).write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    return str(copy)
+
+
+class TestInspect:
+    def test_prints_every_line_as_schema_2_fields(self, inspected_run, capsys):
+        run, lines = inspected_run
+        legend = TraceLegend.from_manifest(json.loads((run / "manifest.json").read_text()))
+        code, stdout, stderr = run_cli(capsys, "inspect", str(run))
+        assert code == 0 and stderr == ""
+        assert stdout == "".join(json.dumps(legend.decode(line)) + "\n" for line in lines)
+        first = json.loads(stdout.splitlines()[0])
+        assert list(first) == [
+            "epoch", "user_token", "chosen", "changed", "codes", "mu", "sigma", "penalty", "score",
+        ]
+        assert len(stdout.splitlines()) == len(lines) == 50 * (15 - 6)
+
+    def test_epoch_and_user_select_lines(self, inspected_run, capsys):
+        run, lines = inspected_run
+        token = json.loads(lines[-1])["user_token"]
+        _, by_epoch, _ = run_cli(capsys, "inspect", str(run), "--epoch", "8")
+        assert {json.loads(line)["epoch"] for line in by_epoch.splitlines()} == {8}
+        assert len(by_epoch.splitlines()) == 50
+        _, by_user, _ = run_cli(capsys, "inspect", str(run), "--user", token)
+        assert [json.loads(line)["epoch"] for line in by_user.splitlines()] == list(range(6, 15))
+        assert {json.loads(line)["user_token"] for line in by_user.splitlines()} == {token}
+        code, both, _ = run_cli(capsys, "inspect", str(run), "--epoch", "8", "--user", token)
+        assert code == 0 and both.splitlines() == [
+            line for line in by_epoch.splitlines() if json.loads(line)["user_token"] == token
+        ]
+
+    @pytest.mark.parametrize(
+        "argv", [("--epoch", "3"), ("--epoch", "-1"), ("--user", "ab" * 32), ("--user", "")]
+    )
+    def test_unknown_epoch_or_token_prints_nothing(self, inspected_run, capsys, argv):
+        code, stdout, stderr = run_cli(capsys, "inspect", str(inspected_run[0]), *argv)
+        assert (code, stdout, stderr) == (0, "", "")
+
+    def test_static_run_prints_nothing(self, keys_env, scenario_file, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        run_cli(capsys, "simulate", "--scenario", scenario_file, "--out", out, "--policy", "static")
+        assert run_cli(capsys, "inspect", out) == (0, "", "")
+
+    @pytest.mark.parametrize("missing", ["run", "manifest.json", "traces.jsonl"])
+    def test_missing_run_dir_or_file_exits_one(self, inspected_run, tmp_path, capsys, missing):
+        copy = tmp_path / "run"
+        shutil.copytree(inspected_run[0], copy)
+        if missing == "run":
+            shutil.rmtree(copy)
+        else:
+            (copy / missing).unlink()
+        assert_exits_one(capsys, "inspect", str(copy))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: "{not json",
+            lambda m: "[]",
+            lambda m: {**m, "trace_schema": 2},
+            lambda m: {**m, "trace_schema": True},
+            lambda m: {k: v for k, v in m.items() if k != "group_ids"},
+            lambda m: {**m, "group_ids": [1, 2]},
+            lambda m: {**m, "reasons_of_code": "goal_mismatch"},
+            lambda m: {**m, "policy": {**m["policy"], "beta": "1.0"}},
+            lambda m: {**m, "policy": {k: v for k, v in m["policy"].items() if k != "lam"}},
+            lambda m: {**m, "policy": {**m["policy"], "lam": 10**400}},
+        ],
+        ids=[
+            "not-json", "array", "schema-2", "schema-true", "no-group-ids", "int-group-ids",
+            "reasons-string", "beta-string", "no-lam", "huge-lam",
+        ],
+    )
+    def test_malformed_manifest_exits_one(self, inspected_run, tmp_path, capsys, edit):
+        run = inspected_run[0]
+        doc = edit(json.loads((run / "manifest.json").read_text()))
+        text = doc if isinstance(doc, str) else json.dumps(doc)
+        assert_exits_one(capsys, "inspect", broken_copy(run, tmp_path, "manifest.json", text))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: "",
+            lambda d: "not json",
+            lambda d: "[]",
+            lambda d: {**d, "score": ""},
+            lambda d: {k: v for k, v in d.items() if k != "penalty"},
+            lambda d: dict(reversed(list(d.items()))),
+            lambda d: {**d, "epoch": "8"},
+            lambda d: {**d, "epoch": -1},
+            lambda d: {**d, "user_token": None},
+            lambda d: {**d, "chosen": "g999"},
+            lambda d: {**d, "changed": 0},
+            lambda d: {**d, "codes": d["codes"][:-1]},
+            lambda d: {**d, "codes": "Q" + d["codes"][1:]},
+            lambda d: {**d, "mu": d["mu"][:-4]},
+            lambda d: {**d, "sigma": d["sigma"] + "AAAAAAAAAAA="},
+            lambda d: {**d, "penalty": d["penalty"] + "0"},
+            lambda d: {**d, "penalty": "2" * len(d["penalty"])},
+            b"\xff\xfe",
+        ],
+        ids=[
+            "empty", "not-json", "array", "extra-field", "missing-field", "reordered",
+            "epoch-string", "epoch-negative", "token-null", "unknown-chosen", "changed-int",
+            "short-codes", "code-out-of-range", "short-mu", "long-sigma", "long-penalty",
+            "penalty-out-of-range", "not-utf8",
+        ],
+    )
+    def test_malformed_line_exits_one(self, inspected_run, tmp_path, capsys, edit):
+        # The broken line is the last: every line is checked, selected or not.
+        run, lines = inspected_run
+        if isinstance(edit, bytes):
+            last = edit
+        else:
+            doc = edit(json.loads(lines[-1]))
+            last = (doc if isinstance(doc, str) else json.dumps(doc)).encode("utf-8") + b"\n"
+        copy = broken_copy(run, tmp_path, "traces.jsonl", "".join(lines[:-1]).encode("utf-8") + last)
+        code, stdout, stderr = run_cli(capsys, "inspect", copy, "--epoch", "3")
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith("error: ") and f"line {len(lines)}" in stderr, stderr
+
+    def test_bad_epoch_value_exits_one(self, inspected_run, capsys):
+        code, _, stderr = run_cli(capsys, "inspect", str(inspected_run[0]), "--epoch", "x")
+        assert code == 1 and "usage" in stderr
+
+    def test_reader_leaving_early_exits_zero(self, inspected_run):
+        # More output than a pipe buffers, so the write after close fails.
+        run, lines = inspected_run
+        assert sum(map(len, lines)) * 2 > 1 << 16
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "prism.cli", "inspect", str(run)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        proc.stdout.readline()
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+        assert (proc.returncode, stderr) == (0, b"")
+
+
 class TestLeakAudit:
     def test_clean_corpus_reports_zero(self, keys_env, scenario_file, tmp_path, capsys):
         out = str(tmp_path / "run")
@@ -483,6 +643,7 @@ class TestUsageAndHygiene:
             ("tokenize-demo", "--value", "a@b.test", "--context", "email"),
             ("restore-demo", "--role", "coach"),
             ("leak-audit", "--in", os.path.join(out, "deid_messages.jsonl")),
+            ("inspect", out),
         ):
             _, stdout, stderr = run_cli(capsys, *argv)
             blobs.append(stdout + stderr)

@@ -7,7 +7,9 @@ reference: a test-local copy of the rule they replace, or the per-user
 and per-decision builders and ``trace_dict`` from conftest.
 """
 
+import base64
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -46,7 +48,7 @@ from prism.features import (
     build_context,
     engagement_scores,
 )
-from prism.simulator.experiment import RunManifest, _trace_line
+from prism.simulator.experiment import RunManifest, TraceLegend, _trace_line
 from prism.vault import UserToken
 
 TAGS = ("en", "fr", "de")
@@ -379,7 +381,8 @@ def test_an_unscored_week_fails_the_batch():
 # -- trace lines ---------------------------------------------------------------
 
 SPECIAL_FLOATS = [
-    -0.0, 0.0, 1e-05, 1e16, 1.5e-300, -2.5, float("nan"), float("inf"), float("-inf"),
+    -0.0, 0.0, 1e-05, 1e16, 1.5e-300, 5e-324, -2.5e-310, -2.5,
+    float("nan"), float("inf"), float("-inf"),
 ]
 floats = st.sampled_from(SPECIAL_FLOATS) | st.floats()
 group_ids = st.lists(
@@ -389,31 +392,58 @@ group_ids = st.lists(
 )
 
 
-def decision_with(codes, draw_score, chosen, changed, epoch=5, token="t0"):
+def decision_with(codes, draw_float, chosen, changed, legend, epoch=5, token="t0"):
+    """A decision over ``codes`` with drawn ``mu`` and ``sigma``, and the
+    score derived as ``score_and_select`` derives it, with the legend's
+    ``beta`` and ``lam``."""
     codes = np.asarray(codes, dtype=np.int64)
     rows = np.flatnonzero(codes == 0)
     scores = None
     if rows.size:
-        draw = lambda: np.array([draw_score() for _ in rows.tolist()], dtype=float)
-        scores = CandidateScores(mu=draw(), sigma=draw(), penalty=rows % 2, score=draw())
+        draw = lambda: np.array([draw_float() for _ in rows.tolist()], dtype=float)
+        mu, sigma, penalty = draw(), draw(), rows % 2
+        policy = legend["policy"]
+        score = mu + policy["beta"] * sigma - policy["lam"] * penalty
+        scores = CandidateScores(mu=mu, sigma=sigma, penalty=penalty, score=score)
     return AssignmentDecision(
         epoch=epoch, user_token=token, reason_codes=codes,
         scores=scores, chosen=chosen, changed=changed,
     )
 
 
-def legend_of(ids) -> dict:
+def legend_of(ids, policy=PolicyConfig()) -> dict:
     """The legend as a reader gets it: a run manifest over ``ids``, through
     the JSON text that ``manifest.json`` holds."""
     manifest = RunManifest(
-        scenario={}, policy={}, engagement_alphas=[], redaction_rules={}, code_version="",
-        seed=0, key_source="", group_ids=list(ids),
+        scenario={}, policy=policy.to_dict(), engagement_alphas=[], redaction_rules={},
+        code_version="", seed=0, key_source="", group_ids=list(ids),
     )
     return json.loads(json.dumps(manifest.to_dict(), sort_keys=True, indent=2))
 
 
+def pack_floats(values) -> str:
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+
+
 def reference_trace_line(decision) -> str:
-    """The trace line as one ``json.dumps`` of its fields."""
+    """The schema-3 line as one ``json.dumps`` of its fields, the floats
+    packed by ``struct`` and encoded by ``base64``."""
+    scores = decision.scores
+    mu, sigma, penalty = ([],) * 3 if scores is None else (a.tolist() for a in scores[:3])
+    return json.dumps({
+        "epoch": decision.epoch,
+        "user_token": decision.user_token,
+        "chosen": decision.chosen,
+        "changed": decision.changed,
+        "codes": "".join(chr(48 + code) for code in decision.reason_codes.tolist()),
+        "mu": pack_floats(mu),
+        "sigma": pack_floats(sigma),
+        "penalty": "".join(str(p) for p in penalty),
+    }) + "\n"
+
+
+def reference_schema2_line(decision) -> str:
+    """The line trace schema 2 wrote: one ``json.dumps`` of its fields."""
     scores = decision.scores
     mu, sigma, penalty, score = ([],) * 4 if scores is None else (a.tolist() for a in scores)
     return json.dumps({
@@ -429,64 +459,131 @@ def reference_trace_line(decision) -> str:
     }) + "\n"
 
 
-def assert_decodes_to_reference(decision, ids, legend, encoded_codes=None):
-    line = _trace_line(decision, {} if encoded_codes is None else encoded_codes)
+def assert_decodes_to_reference(decision, ids, legend):
+    line = _trace_line(decision)
     assert line == reference_trace_line(decision)
     assert line.endswith("\n") and "\n" not in line[:-1]
     # Compared as text: dict equality would take -0.0 for 0.0 and fail NaN
-    # against NaN. The text is the trace-schema-1 line.
+    # against NaN. The derived score must come back bit for bit.
+    decoded = TraceLegend.from_manifest(legend).decode(line)
+    assert json.dumps(decoded) + "\n" == reference_schema2_line(decision)
+    assert bits(decoded["score"]) == bits([] if decision.scores is None else decision.scores.score)
+    # The schema-1 text.
     assert json.dumps(decode_trace_line(line, legend), sort_keys=True) == json.dumps(
         trace_dict(decision, ids), sort_keys=True
     )
 
 
+policies = st.builds(PolicyConfig, beta=st.floats(0, 10), lam=st.floats(0, 10))
+
+
+def draw_codes(data, ids):
+    """A decision's code row and chosen group: any codes, a dwell lock, or
+    a waitlisted user with no code-0 row."""
+    n = len(ids)
+    kind = data.draw(st.sampled_from(["any", "dwell", "waitlisted"]))
+    if kind == "dwell":
+        current = data.draw(st.integers(0, n - 1))
+        return [0 if g == current else CODE_DWELL for g in range(n)], ids[current]
+    if kind == "waitlisted":
+        return data.draw(st.lists(st.integers(1, N_REASON_CODES - 1), min_size=n, max_size=n)), None
+    codes = data.draw(st.lists(st.integers(0, N_REASON_CODES - 1), min_size=n, max_size=n))
+    return codes, data.draw(st.sampled_from(ids))
+
+
+# A zero penalty or width times an infinite term is NaN, in score_and_select too.
+@pytest.mark.filterwarnings("ignore:(invalid value|overflow) encountered:RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(
     ids=group_ids,
+    policy=policies,
     data=st.data(),
     n_decisions=st.integers(1, 4),
 )
-def test_trace_line_decodes_to_reference(ids, data, n_decisions):
-    legend = legend_of(ids)
-    draw_score = lambda: data.draw(floats)
-    # One epoch's cache of encoded code rows, shared by its decisions; a
-    # "repeat" decision reuses the previous code row, so its text comes
-    # from the cache.
-    encoded_codes = {}
+def test_trace_line_decodes_to_reference(ids, policy, data, n_decisions):
+    legend = legend_of(ids, policy)
+    draw_float = lambda: data.draw(floats)
     codes = None
     for _ in range(n_decisions):
-        kind = data.draw(st.sampled_from(["any", "dwell", "waitlisted", "repeat"]))
-        if kind == "repeat" and codes is not None:
-            chosen = data.draw(st.sampled_from(ids))
-        elif kind == "dwell":
-            current = data.draw(st.integers(0, len(ids) - 1))
-            codes = [0 if g == current else CODE_DWELL for g in range(len(ids))]
-            chosen = ids[current]
-        elif kind == "waitlisted":
-            codes = data.draw(st.lists(st.integers(1, N_REASON_CODES - 1), min_size=len(ids), max_size=len(ids)))
-            chosen = None
-        else:
-            codes = data.draw(st.lists(st.integers(0, N_REASON_CODES - 1), min_size=len(ids), max_size=len(ids)))
-            chosen = data.draw(st.sampled_from(ids))
+        # A "repeat" decision reuses the previous code row, as many
+        # decisions of an epoch do.
+        if codes is None or not data.draw(st.booleans()):
+            codes, chosen = draw_codes(data, ids)
         decision = decision_with(
-            codes, draw_score, chosen, data.draw(st.booleans()),
+            codes, draw_float, chosen, data.draw(st.booleans()), legend,
             epoch=data.draw(st.integers(0, 10**6)), token=data.draw(st.text(max_size=8)),
         )
-        assert_decodes_to_reference(decision, ids, legend, encoded_codes)
+        assert_decodes_to_reference(decision, ids, legend)
 
 
 def test_trace_line_covers_every_reason_code():
     ids = [f"g{c:02d}" for c in range(N_REASON_CODES)]
     legend = legend_of(ids)
     values = iter(SPECIAL_FLOATS * 3)
-    decision = decision_with(range(N_REASON_CODES), lambda: next(values), "g00", True)
+    decision = decision_with(range(N_REASON_CODES), lambda: next(values), "g00", True, legend)
     assert_decodes_to_reference(decision, ids, legend)
-    line = json.loads(_trace_line(decision, {}))
-    assert line["codes"] == list(range(N_REASON_CODES))
-    assert len(line["mu"]) == len(line["sigma"]) == len(line["penalty"]) == len(line["score"]) == 1
-    reasons = [c["reasons"] for c in decode_trace_line(_trace_line(decision, {}), legend)["candidates"]]
+    line = json.loads(_trace_line(decision))
+    assert line["codes"] == "".join(chr(48 + code) for code in range(N_REASON_CODES))
+    assert line["codes"][-1] == "P" and line["penalty"] == "0"
+    assert len(line["mu"]) == len(line["sigma"]) == 12 and "score" not in line
+    reasons = [c["reasons"] for c in decode_trace_line(_trace_line(decision), legend)["candidates"]]
     assert reasons[0] == []
     assert reasons[N_REASON_CODES - 1] == ["dwell_lock"]
     assert reasons[31] == [
         "goal_mismatch", "inactive", "language_mismatch", "capacity_full", "coach_load_full",
     ]
+
+
+def outside(valid: str):
+    """One character that is not in ``valid``."""
+    return st.characters().filter(lambda ch: ch not in valid)
+
+
+@st.composite
+def malformed_fields(draw, doc):
+    """``doc``, a decoded schema-3 line with at least one scored row, with
+    one field broken: a truncated, extended or non-base64 float field, a
+    float field over another number of values, or a code or penalty
+    character out of range."""
+    n_scored = doc["codes"].count("0")
+    field = draw(st.sampled_from(["mu", "sigma", "codes", "penalty"]))
+    text = doc[field]
+    # Padding means the last data character has unused low bits.
+    kinds = ["truncate", "insert", "resize"] + (["retail"] if text.endswith("=") else [])
+    kind = draw(st.sampled_from(kinds))
+    if field == "codes":
+        valid = "".join(chr(48 + code) for code in range(N_REASON_CODES))
+        at = draw(st.integers(0, len(text) - 1))
+        text = text[:at] + draw(outside(valid)) + text[at + 1 :]
+    elif field == "penalty":
+        at = draw(st.integers(0, n_scored - 1))
+        text = text[:at] + draw(outside("01")) + text[at + 1 :]
+    elif kind == "truncate":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    elif kind == "insert":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.characters()) + text[at:]
+    elif kind == "resize":
+        size = draw(st.integers(0, n_scored + 3).filter(lambda k: k != n_scored))
+        text = pack_floats([0.5] * size)
+    else:
+        # The last data character with an unused bit set: the same bytes,
+        # but not the text the encoder writes.
+        data = text.rstrip("=")
+        alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+        text = data[:-1] + alphabet[alphabet.index(data[-1]) | 1] + text[len(data) :]
+    return {**doc, field: text}
+
+
+@pytest.mark.filterwarnings("ignore:(invalid value|overflow) encountered:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(ids=group_ids, data=st.data())
+def test_malformed_trace_line_raises(ids, data):
+    legend = legend_of(ids)
+    codes, chosen = draw_codes(data, ids)
+    codes[0] = 0  # at least one scored row
+    decision = decision_with(codes, lambda: data.draw(floats), chosen or ids[0], False, legend)
+    doc = json.loads(_trace_line(decision))
+    broken = data.draw(malformed_fields(doc))
+    with pytest.raises(ValidationError):
+        TraceLegend.from_manifest(legend).decode(json.dumps(broken))

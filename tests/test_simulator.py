@@ -1,6 +1,7 @@
 """Simulator tests: seeded determinism, behavioral dynamics, paired-arm
 properties, output privacy, and the comparison table."""
 
+import base64
 import json
 import os
 import pathlib
@@ -14,11 +15,12 @@ import pytest
 from conftest import registered_identity_strings
 from test_golden import GOLDEN
 
-from prism.assignment import REASONS_OF_CODE, PolicyConfig
+from prism.assignment import REASONS_OF_CODE, CandidateScores, PolicyConfig, assign
 from prism.errors import ValidationError
 from prism.metrics import MetricsReport
 from prism.simulator import (
     Scenario,
+    TraceLegend,
     compare_arms,
     generate_cohort,
     poisson_from_uniform,
@@ -28,8 +30,9 @@ from prism.simulator import (
     step_week,
     group_activity_flags,
 )
+from prism.simulator import experiment
 from prism.simulator.world import group_engagement_means
-from prism.vault import RestorationRequest, SlidingWindowRateLimiter
+from prism.vault import AuditLog, RestorationRequest, SlidingWindowRateLimiter, verify_audit_chain
 
 
 def small_scenario(**overrides):
@@ -74,9 +77,17 @@ def goal_matched(world) -> np.ndarray:
     return world.roster.goal_index[world.roster.group_of] == world.goal_index
 
 
-def read_traces(out_dir) -> list[dict]:
+def iter_traces(out_dir):
+    """A run's trace lines decoded to the schema-2 fields with its manifest."""
+    manifest = json.loads(pathlib.Path(out_dir, "manifest.json").read_text(encoding="utf-8"))
+    legend = TraceLegend.from_manifest(manifest)
     with open(os.path.join(out_dir, "traces.jsonl"), encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh]
+        for line in fh:
+            yield legend.decode(line)
+
+
+def read_traces(out_dir) -> list[dict]:
+    return list(iter_traces(out_dir))
 
 
 class TestGeneration:
@@ -463,30 +474,73 @@ class TestDeterminismAndPrivacy:
         out = str(tmp_path / "run")
         result = run_experiment(small_scenario(seed=9), keys, out_dir=out)
         manifest = json.loads(pathlib.Path(out, "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["trace_schema"] == 2
+        assert manifest["trace_schema"] == 3
         assert manifest["group_ids"] == result.world.roster.group_ids
         assert manifest["reasons_of_code"] == [list(reasons) for reasons in REASONS_OF_CODE]
-        traces = read_traces(out)
-        assert len(traces) == result.report.decisions > 0
-        for trace in traces:
-            assert set(trace) == {
-                "epoch", "user_token", "chosen", "changed", "codes", "mu", "sigma", "penalty", "score",
-            }
-            assert len(trace["codes"]) == len(manifest["group_ids"])
+        with open(os.path.join(out, "traces.jsonl"), encoding="utf-8") as fh:
+            lines = [json.loads(line) for line in fh]
+        assert len(lines) == result.report.decisions > 0
+        n_groups = len(manifest["group_ids"])
+        for line in lines:
+            assert list(line) == [
+                "epoch", "user_token", "chosen", "changed", "codes", "mu", "sigma", "penalty",
+            ]
+            assert len(line["codes"]) == n_groups
+            assert set(line["codes"]) <= {chr(48 + code) for code in range(len(REASONS_OF_CODE))}
+            n_scored = line["codes"].count("0")
+            for k in ("mu", "sigma"):
+                assert len(base64.b64decode(line[k], validate=True)) == 8 * n_scored
+            assert len(line["penalty"]) == n_scored and set(line["penalty"]) <= {"0", "1"}
+        for trace in read_traces(out):
             n_scored = trace["codes"].count(0)
             assert [len(trace[k]) for k in ("mu", "sigma", "penalty", "score")] == [n_scored] * 4
 
-    def test_score_decomposition_in_traces(self, keys, tmp_path):
-        run_experiment(small_scenario(seed=17), keys, out_dir=str(tmp_path))
-        config = PolicyConfig()
+    def test_score_decomposition_in_traces(self, keys, tmp_path, monkeypatch):
+        # The decoder derives score from mu, sigma, penalty and the
+        # manifest's policy; every term must come back with the bits the
+        # decision held.
+        decisions = []
+
+        def recording_assign(*args, **kwargs):
+            decisions.append(assign(*args, **kwargs))
+            return decisions[-1]
+
+        monkeypatch.setattr(experiment, "assign", recording_assign)
+        config = PolicyConfig(beta=0.6, lam=0.45)
+        run_experiment(small_scenario(seed=17), keys, policy=config, out_dir=str(tmp_path))
+        traces = read_traces(tmp_path)
+        assert len(traces) == len(decisions)
         checked = 0
-        for trace in read_traces(tmp_path)[:500]:
-            terms = (trace["mu"], trace["sigma"], trace["penalty"], trace["score"])
-            for mu, sigma, penalty, score in zip(*terms, strict=True):
-                expected = mu + config.beta * sigma - config.lam * penalty
-                assert abs(score - expected) < 1e-12
-                checked += 1
-        assert checked > 100
+        for trace, decision in zip(traces, decisions):
+            assert trace["codes"] == decision.reason_codes.tolist()
+            assert (trace["chosen"], trace["changed"]) == (decision.chosen, decision.changed)
+            terms = [] if decision.scores is None else decision.scores
+            for name, values in zip(CandidateScores._fields, terms):
+                assert np.asarray(trace[name], dtype=float).tobytes() == values.astype(float).tobytes()
+            checked += len(trace["score"])
+        assert checked > 100 and any(any(trace["penalty"]) for trace in traces)
+
+
+class TestScaleLadder:
+    def test_384_groups_hold_every_invariant(self, keys, tmp_path):
+        # The 1880-user, 96-group benchmark shape scaled 4x, over two
+        # adaptive epochs: the largest rung of the ladder.
+        scenario = Scenario(
+            name="ladder-384", seed=1001, n_users=7520, n_groups=384, n_coaches=64,
+            capacity_min=26, capacity_max=34, horizon_weeks=6, w_pre=4, w_post=2,
+        )
+        result = run_experiment(scenario, keys, out_dir=str(tmp_path))
+        report = result.report
+        assert report.violations == 0
+        assert report.governance["audit_chain_ok"]
+        entries = AuditLog.from_jsonl(str(tmp_path / "audit.jsonl")).entries()
+        assert len(entries) == report.governance["audit_entries"] > 0
+        assert verify_audit_chain(entries) == (True, None)
+        stamps = [datetime.fromisoformat(entry.ts) for entry in entries]
+        assert stamps == sorted(stamps)
+        code_lengths = [len(trace["codes"]) for trace in iter_traces(tmp_path)]
+        assert len(code_lengths) == report.decisions == 7520 * 2
+        assert set(code_lengths) == {384}
 
 
 class TestCompareArms:
