@@ -12,6 +12,7 @@ from prism.assignment import (
     FEATURE_DIM,
     GOAL_CATEGORIES,
     REASONS_OF_CODE,
+    PolicyConfig,
     feature_tables,
 )
 from prism.errors import ValidationError
@@ -30,7 +31,7 @@ from prism.redaction import (
     RedactionRule,
     default_rules,
 )
-from prism.simulator.experiment import TraceLegend
+from prism.simulator.experiment import RunManifest, TraceLegend
 from prism.vault import ENC_KEY_ENV, TOKEN_KEY_ENV, KeyRing, UserToken
 
 TOKEN_KEY_HEX = "11" * 32
@@ -215,6 +216,16 @@ def trace_dict(decision, group_ids) -> dict:
         "chosen": decision.chosen,
         "changed": decision.changed,
     }
+
+
+def legend_of(ids, policy=PolicyConfig()) -> dict:
+    """The legend as a reader gets it: a run manifest over ``ids``, through
+    the JSON text that ``manifest.json`` holds."""
+    manifest = RunManifest(
+        scenario={}, policy=policy.to_dict(), engagement_alphas=[], redaction_rules={},
+        code_version="", seed=0, key_source="", group_ids=list(ids),
+    )
+    return json.loads(json.dumps(manifest.to_dict(), sort_keys=True, indent=2))
 
 
 def decode_trace_line(line: str, legend: dict) -> dict:

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    decode_trace_line,
     empty_events,
     goal_onehot,
+    legend_of,
     reference_full_for,
     reference_widths,
     solve_theta,
@@ -36,6 +38,7 @@ from prism.assignment import (
 )
 from prism.errors import ConstraintViolationError, InternalError, ValidationError
 from prism.features import ContextBatch, EngagementWeights, LearningContext, engagement_scores
+from prism.simulator.experiment import _trace_line
 from prism.vault import UserToken
 
 USER = "aa" * 32
@@ -540,7 +543,9 @@ class TestAssign:
         assert roster.group_id(user) == "g000"
         assert roster.count.tolist() == [1, 0, 0]
         assert roster.last_change[user] == 8
-        trace = trace_dict(decision, roster.group_ids)
+        # Read back through the trace line, as a coach's tool reads it.
+        trace = decode_trace_line(_trace_line(decision), legend_of(roster.group_ids, CONFIG))
+        assert trace == trace_dict(decision, roster.group_ids)
         assert set(trace) == {"epoch", "user_token", "candidates", "chosen", "changed"}
         by_group = {c["group"]: c for c in trace["candidates"]}
         assert by_group["g000"]["feasible"]

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from conftest import (
     UserEvents,
     decode_trace_line,
+    legend_of,
     reference_context,
     reference_joint_features,
     trace_dict,
@@ -48,7 +49,7 @@ from prism.features import (
     build_context,
     engagement_scores,
 )
-from prism.simulator.experiment import RunManifest, TraceLegend, _trace_line
+from prism.simulator.experiment import TraceLegend, _trace_line
 from prism.vault import UserToken
 
 TAGS = ("en", "fr", "de")
@@ -409,16 +410,6 @@ def decision_with(codes, draw_float, chosen, changed, legend, epoch=5, token="t0
         epoch=epoch, user_token=token, reason_codes=codes,
         scores=scores, chosen=chosen, changed=changed,
     )
-
-
-def legend_of(ids, policy=PolicyConfig()) -> dict:
-    """The legend as a reader gets it: a run manifest over ``ids``, through
-    the JSON text that ``manifest.json`` holds."""
-    manifest = RunManifest(
-        scenario={}, policy=policy.to_dict(), engagement_alphas=[], redaction_rules={},
-        code_version="", seed=0, key_source="", group_ids=list(ids),
-    )
-    return json.loads(json.dumps(manifest.to_dict(), sort_keys=True, indent=2))
 
 
 def pack_floats(values) -> str:
