@@ -12,9 +12,8 @@ pending-observation queue owned by the caller.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -28,6 +27,7 @@ from .features import (
     LearningContext,
     engagement_scores,
 )
+from .records import Record
 
 _STREAK_CAP_DAYS = 14
 _THETA_RESYNC_EVERY = 512
@@ -187,7 +187,7 @@ class Roster:
 
 
 @dataclass(frozen=True)
-class PolicyConfig:
+class PolicyConfig(Record):
     """Assignment policy knobs; every default is echoed into run manifests."""
 
     w_adh: float = 0.6          # reward weight on adherence delta
@@ -201,30 +201,13 @@ class PolicyConfig:
     w_post: int = 4             # reward evaluation window (epochs)
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind = int if f.type == "int" else (int, float)
-            if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
-                raise ValidationError(f"policy field {f.name} must be a finite {f.type}, got {value!r}")
+        self.check_fields()
         if self.w_adh < 0 or self.w_eng < 0 or self.lam < 0:
             raise ValidationError("reward and churn weights must be non-negative")
         if self.oscillation < self.dwell:
             raise ValidationError("oscillation horizon must be at least the dwell time")
         if self.dwell < 0 or self.w_pre < 1 or self.w_post < 1 or self.ridge <= 0:
             raise ValidationError("invalid policy window or ridge configuration")
-
-    def to_dict(self) -> dict:
-        return {
-            "w_adh": self.w_adh,
-            "w_eng": self.w_eng,
-            "lam": self.lam,
-            "dwell": self.dwell,
-            "oscillation": self.oscillation,
-            "beta": self.beta,
-            "ridge": self.ridge,
-            "w_pre": self.w_pre,
-            "w_post": self.w_post,
-        }
 
 
 # ---------------------------------------------------------------------------

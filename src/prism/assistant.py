@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import LeakageError, StateError, ValidationError
 from .features import LearningContext
+from .records import Record, field_names
 from .redaction import DeidText, RedactionRule, default_rules, scan_for_identifiers
 
 logger = logging.getLogger(__name__)
@@ -38,7 +39,6 @@ DRAFT_DISCARDED = "discarded"
 TERMINAL_STATUSES = frozenset({DRAFT_APPROVED, DRAFT_EDITED, DRAFT_DISCARDED})
 DELIVERABLE_STATUSES = frozenset({DRAFT_APPROVED, DRAFT_EDITED})
 DRAFT_STATUSES = TERMINAL_STATUSES | {DRAFT_PENDING}
-_NULLABLE_FIELDS = frozenset({"reviewer_id", "created_at", "decided_at"})
 
 
 def _slot_names(body: str) -> list[str]:
@@ -103,7 +103,7 @@ def default_templates() -> dict[str, DraftTemplate]:
 
 
 @dataclass
-class Draft:
+class Draft(Record):
     """One generated message moving through the review workflow."""
 
     draft_id: str
@@ -115,36 +115,14 @@ class Draft:
     created_at: Optional[str] = None
     decided_at: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        if self.status not in DRAFT_STATUSES:
+            raise ValidationError(f"unknown draft status: {self.status!r}")
+
     def to_dict(self) -> dict:
-        return {
-            "draft_id": self.draft_id,
-            "user_token": self.user_token,
-            "template_id": self.template_id,
-            "rendered_text": self.rendered_text,
-            "status": self.status,
-            "reviewer_id": self.reviewer_id,
-            "created_at": self.created_at,
-            "decided_at": self.decided_at,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "Draft":
-        """A draft from its :meth:`to_dict` form.
-
-        Every field must be a string; ``reviewer_id``, ``created_at`` and
-        ``decided_at`` may also be None. Raises ValidationError on a field
-        of another type or an unknown status.
-        """
-        values = {k: doc[k] for k in (
-            "draft_id", "user_token", "template_id", "rendered_text",
-            "status", "reviewer_id", "created_at", "decided_at",
-        )}
-        for key, value in values.items():
-            if not (isinstance(value, str) or (value is None and key in _NULLABLE_FIELDS)):
-                raise ValidationError(f"draft field {key} must be a string, got {type(value).__name__}")
-        if values["status"] not in DRAFT_STATUSES:
-            raise ValidationError(f"unknown draft status: {values['status']!r}")
-        return cls(**values)
+        # Called once per draft written, and every field holds a string or
+        # None, so no value needs the conversion Record.to_dict makes.
+        return {name: getattr(self, name) for name in field_names(Draft)}
 
 
 @dataclass(frozen=True)
@@ -307,6 +285,6 @@ def load_drafts(path: str) -> list[Draft]:
             if line.strip():
                 try:
                     drafts.append(Draft.from_dict(json.loads(line)))
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise ValidationError(f"{path} line {number} is not a draft: {exc!r}") from exc
+                except (ValueError, RecursionError, ValidationError) as exc:
+                    raise ValidationError(f"{path} line {number} is not a draft: {exc}") from exc
     return drafts

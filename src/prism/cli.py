@@ -14,9 +14,11 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from ._version import __version__
+from .assignment import PolicyConfig
 from .assistant import _leak_check, load_drafts, review, save_drafts
 from .errors import (
     ConstraintViolationError,
@@ -24,7 +26,9 @@ from .errors import (
     PrismError,
     ValidationError,
 )
+from .features import DEFAULT_ACTION_WEIGHTS
 from .metrics import MetricsReport
+from .records import Record
 from .redaction import default_rules, leak_audit, load_deid_corpus, load_rules
 from .simulator import Scenario, TraceLegend, compare_arms, run_experiment
 from .vault import (
@@ -103,82 +107,46 @@ def _load_keys(keys_path: Optional[str]) -> KeyRing:
     return KeyRing.from_config(keys_path) if keys_path else KeyRing.from_env()
 
 
-_CONFIG_SECTIONS = ("policy", "engagement_alphas", "keys")
+@dataclass(frozen=True)
+class RunConfig(Record):
+    """The ``--config`` file: assignment policy overrides, weekly-score
+    weights and a key file path. A section left out keeps its default, and
+    an empty key path means the environment's keys."""
+
+    policy: PolicyConfig = PolicyConfig()
+    engagement_alphas: tuple[float, ...] = DEFAULT_ACTION_WEIGHTS
+    keys: str = ""
 
 
-def _load_config(config_path: Optional[str]) -> dict:
-    """Merged run configuration: defaults <- config file (<- flags, by caller).
-
-    Recognized sections: ``policy`` (assignment policy overrides),
-    ``engagement_alphas`` (weekly-score weights), ``keys`` (key file path).
-    """
-    from .assignment import PolicyConfig
-
-    merged = {"policy": None, "engagement_alphas": None, "keys": None}
+def _load_config(config_path: Optional[str]) -> RunConfig:
     if not config_path:
-        return merged
+        return RunConfig()
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot read config file {config_path}: {exc}") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("policy", {}), dict):
-        raise ValidationError("config file and its policy section must be JSON objects")
-    unknown_sections = set(doc) - set(_CONFIG_SECTIONS)
-    if unknown_sections:
-        raise ValidationError(f"unknown config sections: {sorted(unknown_sections)}")
-    if "policy" in doc:
-        base = PolicyConfig().to_dict()
-        unknown = set(doc["policy"]) - set(base)
-        if unknown:
-            raise ValidationError(f"unknown policy config keys: {sorted(unknown)}")
-        base.update(doc["policy"])
-        merged["policy"] = PolicyConfig(**base)
-    if "engagement_alphas" in doc:
-        try:
-            merged["engagement_alphas"] = tuple(float(a) for a in doc["engagement_alphas"])
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"engagement_alphas must be a list of numbers: {exc}") from exc
-    if "keys" in doc:
-        if not isinstance(doc["keys"], str):
-            raise ValidationError("config keys section must be a key file path")
-        merged["keys"] = doc["keys"]
-    return merged
+    return RunConfig.from_dict(doc)
 
 
-def _simulate_one(
-    scenario_doc: dict,
-    seed: int,
-    out_dir: str,
-    policy_doc: Optional[dict],
-    alphas: Optional[tuple],
-    keys_path: Optional[str],
-) -> str:
-    from .assignment import PolicyConfig
-
-    keys = _load_keys(keys_path)
-    scenario = Scenario.from_dict({**scenario_doc, "seed": seed})
-    policy = PolicyConfig(**policy_doc) if policy_doc else None
+def _simulate_one(scenario: Scenario, out_dir: str, config: RunConfig, keys_path: str) -> str:
     run_experiment(
         scenario,
-        keys,
-        policy=policy,
-        engagement_alphas=alphas,
+        _load_keys(keys_path),
+        policy=config.policy,
+        engagement_alphas=config.engagement_alphas,
         out_dir=out_dir,
-        key_source=keys_path if keys_path else "env",
+        key_source=keys_path or "env",
     )
     return out_dir
 
 
 def _cmd_simulate(args) -> int:
     scenario = Scenario.from_json_file(args.scenario)
-    doc = scenario.to_dict()
     if args.policy:
-        doc["policy"] = args.policy
+        scenario = replace(scenario, policy=args.policy)
     config = _load_config(args.config)
-    policy_doc = config["policy"].to_dict() if config["policy"] else None
-    alphas = config["engagement_alphas"]
-    keys_path = args.keys or config["keys"]  # flag beats config file
+    keys_path = args.keys or config.keys  # flag beats config file
     _load_keys(keys_path)  # fail fast before spawning anything
 
     if args.seeds:
@@ -188,21 +156,18 @@ def _cmd_simulate(args) -> int:
             raise ValidationError("--seeds expects an inclusive range like 1..20") from exc
         if hi < lo:
             raise ValidationError("--seeds range must be non-decreasing")
-        seeds = list(range(lo, hi + 1))
-        jobs = [(seed, os.path.join(args.out, f"seed-{seed}")) for seed in seeds]
+        jobs = [(replace(scenario, seed=seed), os.path.join(args.out, f"seed-{seed}"))
+                for seed in range(lo, hi + 1)]
         workers = min(len(jobs), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_simulate_one, doc, seed, out, policy_doc, alphas, keys_path)
-                for seed, out in jobs
-            ]
+            futures = [pool.submit(_simulate_one, job, out, config, keys_path) for job, out in jobs]
             for future in futures:
                 print(f"wrote {future.result()}")
         return EXIT_OK
 
-    seed = args.seed if args.seed is not None else scenario.seed
-    out = _simulate_one(doc, seed, args.out, policy_doc, alphas, keys_path)
-    print(f"wrote {out}")
+    if args.seed is not None:
+        scenario = replace(scenario, seed=args.seed)
+    print(f"wrote {_simulate_one(scenario, args.out, config, keys_path)}")
     return EXIT_OK
 
 
@@ -215,8 +180,8 @@ def _cmd_compare(args) -> int:
                 reports.append(MetricsReport.from_json(fh.read()))
         except OSError as exc:
             raise ValidationError(f"cannot read {path}: {exc}") from exc
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValidationError(f"{path} is not a metrics report: {exc!r}") from exc
+        except (ValueError, RecursionError, ValidationError) as exc:
+            raise ValidationError(f"{path} is not a metrics report: {exc}") from exc
     table = compare_arms(reports[0], reports[1])
     print(json.dumps(table.to_dict(), sort_keys=True))
     print(table.render_text())
@@ -305,7 +270,7 @@ def _cmd_review(args) -> int:
     path = os.path.join(args.run, "drafts.jsonl")
     try:
         drafts = load_drafts(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     target = next((d for d in drafts if d.draft_id == args.draft), None)
     if target is None:

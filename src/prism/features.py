@@ -10,6 +10,7 @@ the only handle for a person is a ``UserToken``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -116,8 +117,8 @@ class EngagementWeights:
         k = len(self.action_types)
         if not (len(self.alphas) == len(self.p5) == len(self.p95) == k):
             raise ValidationError("weights and percentiles must align with action types")
-        if any(a < 0 for a in self.alphas):
-            raise ValidationError("weights must be non-negative")
+        if not all(0 <= a < math.inf for a in self.alphas):
+            raise ValidationError("weights must be finite and non-negative")
         if abs(sum(self.alphas) - 1.0) > _WEIGHT_SUM_TOL:
             raise ValidationError("weights must sum to 1")
         if any(lo > hi for lo, hi in zip(self.p5, self.p95)):

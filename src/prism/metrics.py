@@ -14,11 +14,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
+from .records import Record
 from .redaction import LeakReport
 
 _EXACT_MAX_PER_SIDE = 7
@@ -122,7 +123,7 @@ CSV_COLUMNS = (
 
 
 @dataclass
-class MetricsReport:
+class MetricsReport(Record):
     """Per-arm outcome summary for one simulated run."""
 
     arm: str
@@ -143,52 +144,6 @@ class MetricsReport:
     decisions: int
     governance: dict = field(default_factory=dict)
     assistant: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        doc = {
-            "arm": self.arm,
-            "seed": self.seed,
-            "scenario_name": self.scenario_name,
-            "horizon_weeks": self.horizon_weeks,
-            "w_pre": self.w_pre,
-            "w_post": self.w_post,
-            "adherence_pre": self.adherence_pre,
-            "adherence_post": self.adherence_post,
-            "eng_index": self.eng_index,
-            "weekly_scores_pre": list(self.weekly_scores_pre),
-            "weekly_scores_post": list(self.weekly_scores_post),
-            "reassignments": self.reassignments,
-            "violations": self.violations,
-            "leak": self.leak.to_dict(),
-            "weight_delta_mean": self.weight_delta_mean,
-            "decisions": self.decisions,
-            "governance": dict(self.governance),
-            "assistant": dict(self.assistant),
-        }
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "MetricsReport":
-        return cls(
-            arm=doc["arm"],
-            seed=int(doc["seed"]),
-            scenario_name=doc["scenario_name"],
-            horizon_weeks=int(doc["horizon_weeks"]),
-            w_pre=int(doc["w_pre"]),
-            w_post=int(doc["w_post"]),
-            adherence_pre=float(doc["adherence_pre"]),
-            adherence_post=float(doc["adherence_post"]),
-            eng_index=float(doc["eng_index"]),
-            weekly_scores_pre=[float(v) for v in doc["weekly_scores_pre"]],
-            weekly_scores_post=[float(v) for v in doc["weekly_scores_post"]],
-            reassignments=int(doc["reassignments"]),
-            violations=int(doc["violations"]),
-            leak=LeakReport.from_dict(doc["leak"]),
-            weight_delta_mean=float(doc["weight_delta_mean"]),
-            decisions=int(doc["decisions"]),
-            governance=dict(doc.get("governance", {})),
-            assistant=dict(doc.get("assistant", {})),
-        )
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
 
 from .errors import ConfigurationError, ValidationError
+from .records import Record
 from .vault import UserToken
 
 ENTITY_TYPES = ("EMAIL", "PHONE", "NAME", "ADDRESS", "DOB", "ID_NUMBER", "GEO_FINE")
@@ -392,32 +393,13 @@ def load_deid_corpus(path: str) -> list[DeidText]:
 
 
 @dataclass(frozen=True)
-class LeakReport:
+class LeakReport(Record):
     """Residual-identifier audit over a de-identified corpus."""
 
     n_samples: int
     n_hits: int
     leak_rate: float
     hit_examples_by_type: Mapping[str, tuple[int, ...]]
-
-    def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "n_hits": self.n_hits,
-            "leak_rate": self.leak_rate,
-            "hit_examples_by_type": {k: list(v) for k, v in self.hit_examples_by_type.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "LeakReport":
-        return cls(
-            n_samples=int(doc["n_samples"]),
-            n_hits=int(doc["n_hits"]),
-            leak_rate=float(doc["leak_rate"]),
-            hit_examples_by_type={
-                k: tuple(v) for k, v in doc.get("hit_examples_by_type", {}).items()
-            },
-        )
 
 
 _MAX_HIT_EXAMPLES = 5

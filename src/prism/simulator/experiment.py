@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from binascii import Error as BinasciiError
 from binascii import a2b_base64, b2a_base64
 from dataclasses import dataclass, field
@@ -60,6 +59,7 @@ from ..features import (
     engagement_scores,
 )
 from ..metrics import MetricsReport, format_eng_index, mann_whitney_u, render_report
+from ..records import Record
 from ..redaction import _rehydrate_deid, leak_audit, redact
 from ..vault import KeyRing, RestorationRequest, rfc3339, verify_audit_chain
 from .scenario import POLICY_ADAPTIVE, Scenario
@@ -144,13 +144,6 @@ def _trace_fields_in_order(pairs: list) -> dict:
     return dict(pairs)
 
 
-def _is_finite_number(value) -> bool:
-    # A comparison, not math.isfinite: a JSON integer may be too large for a float.
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return abs(value) <= sys.float_info.max
-
-
 @dataclass
 class TraceLegend:
     """What a run's ``manifest.json`` says about its trace lines: the group
@@ -182,16 +175,15 @@ class TraceLegend:
             isinstance(r, list) and all(isinstance(x, str) for x in r) for r in reasons
         ):
             raise ValidationError("manifest reasons_of_code must be a list of string lists")
-        policy = manifest.get("policy")
-        if not isinstance(policy, dict) or not all(
-            _is_finite_number(policy.get(k)) for k in ("beta", "lam")
-        ):
-            raise ValidationError("manifest policy must give finite numbers beta and lam")
+        policy = PolicyConfig.from_dict(manifest.get("policy"))
+        # A default would decode another run's scores, so every field must be given.
+        if policy.to_dict() != manifest["policy"]:
+            raise ValidationError("manifest policy must give every policy field")
         return cls(
             group_ids=tuple(group_ids),
             reasons_of_code=tuple(tuple(r) for r in reasons),
-            beta=policy["beta"],
-            lam=policy["lam"],
+            beta=policy.beta,
+            lam=policy.lam,
         )
 
     @staticmethod
@@ -265,7 +257,7 @@ class TraceLegend:
 
 
 @dataclass
-class RunManifest:
+class RunManifest(Record):
     """Everything needed to reproduce a run bit-exactly (keys come from the
     named source, never from the manifest itself), and the legend of its
     trace lines: the group ids in row order, the reasons of each code, and
@@ -283,16 +275,8 @@ class RunManifest:
 
     def to_dict(self) -> dict:
         return {
-            "scenario": self.scenario,
-            "policy": self.policy,
-            "engagement_alphas": self.engagement_alphas,
-            "redaction_rules": self.redaction_rules,
-            "code_version": self.code_version,
-            "seed": self.seed,
-            "key_source": self.key_source,
-            "outputs": self.outputs,
+            **super().to_dict(),
             "trace_schema": TRACE_SCHEMA,
-            "group_ids": self.group_ids,
             "reasons_of_code": [list(reasons) for reasons in REASONS_OF_CODE],
         }
 
@@ -655,57 +639,31 @@ def _write_run_dir(
 
 
 @dataclass(frozen=True)
-class ComparisonTable:
-    """Side-by-side outcome table for two runs from the same seed family."""
+class ComparisonTable(Record):
+    """Side-by-side outcome table for two runs from the same seed family.
+
+    Each outcome field maps ``a`` and ``b`` to the value of each run,
+    plus the derived differences :func:`compare_arms` adds."""
 
     arm_a: str
     arm_b: str
-    adherence_post_a: float
-    adherence_post_b: float
-    adherence_diff: float
-    eng_index_a: float
-    eng_index_b: float
-    eng_rel_pct_a: float
-    eng_rel_pct_b: float
-    eng_diff_pp: float
-    weight_delta_a: float
-    weight_delta_b: float
-    reassignments_a: int
-    reassignments_b: int
-    u_statistic: float
-    p_value: float
-
-    def to_dict(self) -> dict:
-        return {
-            "arm_a": self.arm_a,
-            "arm_b": self.arm_b,
-            "adherence_post": {
-                "a": self.adherence_post_a,
-                "b": self.adherence_post_b,
-                "diff": self.adherence_diff,
-            },
-            "eng_index": {
-                "a": self.eng_index_a,
-                "b": self.eng_index_b,
-                "rel_pct_a": self.eng_rel_pct_a,
-                "rel_pct_b": self.eng_rel_pct_b,
-                "diff_pp": self.eng_diff_pp,
-            },
-            "weight_delta": {"a": self.weight_delta_a, "b": self.weight_delta_b},
-            "reassignments": {"a": self.reassignments_a, "b": self.reassignments_b},
-            "mann_whitney": {"u": self.u_statistic, "p": self.p_value},
-        }
+    adherence_post: dict
+    eng_index: dict
+    weight_delta: dict
+    reassignments: dict
+    mann_whitney: dict
 
     def render_text(self) -> str:
+        eng = self.eng_index
         return "\n".join(
             [
                 f"{'metric':<22}{self.arm_a:>14}{self.arm_b:>14}",
-                f"{'adherence (post)':<22}{self.adherence_post_a:>14.4f}{self.adherence_post_b:>14.4f}",
-                f"{'eng index':<22}{format_eng_index(self.eng_index_a):>14}{format_eng_index(self.eng_index_b):>14}",
-                f"{'eng diff (pp)':<22}{self.eng_diff_pp:>+28.1f}",
-                f"{'weight delta (kg)':<22}{self.weight_delta_a:>14.2f}{self.weight_delta_b:>14.2f}",
-                f"{'reassignments':<22}{self.reassignments_a:>14d}{self.reassignments_b:>14d}",
-                f"{'U-test p (weekly S)':<22}{self.p_value:>28.4g}",
+                f"{'adherence (post)':<22}{self.adherence_post['a']:>14.4f}{self.adherence_post['b']:>14.4f}",
+                f"{'eng index':<22}{format_eng_index(eng['a']):>14}{format_eng_index(eng['b']):>14}",
+                f"{'eng diff (pp)':<22}{eng['diff_pp']:>+28.1f}",
+                f"{'weight delta (kg)':<22}{self.weight_delta['a']:>14.2f}{self.weight_delta['b']:>14.2f}",
+                f"{'reassignments':<22}{self.reassignments['a']:>14d}{self.reassignments['b']:>14d}",
+                f"{'U-test p (weekly S)':<22}{self.mann_whitney['p']:>28.4g}",
             ]
         )
 
@@ -726,20 +684,21 @@ def compare_arms(report_a: MetricsReport, report_b: MetricsReport) -> Comparison
     return ComparisonTable(
         arm_a=report_a.arm,
         arm_b=report_b.arm,
-        adherence_post_a=report_a.adherence_post,
-        adherence_post_b=report_b.adherence_post,
-        adherence_diff=report_b.adherence_post - report_a.adherence_post,
-        eng_index_a=report_a.eng_index,
-        eng_index_b=report_b.eng_index,
-        eng_rel_pct_a=rel_a,
-        eng_rel_pct_b=rel_b,
-        eng_diff_pp=rel_b - rel_a,
-        weight_delta_a=report_a.weight_delta_mean,
-        weight_delta_b=report_b.weight_delta_mean,
-        reassignments_a=report_a.reassignments,
-        reassignments_b=report_b.reassignments,
-        u_statistic=u,
-        p_value=p,
+        adherence_post={
+            "a": report_a.adherence_post,
+            "b": report_b.adherence_post,
+            "diff": report_b.adherence_post - report_a.adherence_post,
+        },
+        eng_index={
+            "a": report_a.eng_index,
+            "b": report_b.eng_index,
+            "rel_pct_a": rel_a,
+            "rel_pct_b": rel_b,
+            "diff_pp": rel_b - rel_a,
+        },
+        weight_delta={"a": report_a.weight_delta_mean, "b": report_b.weight_delta_mean},
+        reassignments={"a": report_a.reassignments, "b": report_b.reassignments},
+        mann_whitney={"u": u, "p": p},
     )
 
 

@@ -9,14 +9,14 @@ to a zero leak rate on generated traffic.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import asdict, dataclass, fields
-from typing import Any, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from ..errors import ValidationError
 from ..features import ACTION_TYPES, GOAL_CATEGORIES
+from ..records import Record
 from ..redaction import DEFAULT_FIRST_NAMES, DEFAULT_LAST_NAMES
 
 STREET_NAMES = ("Maple", "Cedar", "Willow", "Birchwood", "Juniper", "Hawthorn", "Alder", "Poplar")
@@ -27,24 +27,8 @@ POLICY_ADAPTIVE = "adaptive"
 POLICIES = (POLICY_STATIC, POLICY_ADAPTIVE)
 
 
-def _is_number(value: Any) -> bool:
-    return not isinstance(value, bool) and (
-        isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
-    )
-
-
-# Accepted values per field annotation: bools are not numbers, floats
-# must be finite, and an int field takes no float.
-_FIELD_CHECKS = {
-    "str": lambda value: isinstance(value, str),
-    "int": lambda value: isinstance(value, int) and not isinstance(value, bool),
-    "float": _is_number,
-    "tuple[float, ...]": lambda value: isinstance(value, tuple) and all(map(_is_number, value)),
-}
-
-
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """Complete, reproducible description of one simulated cohort run."""
 
     name: str = "default"
@@ -85,10 +69,7 @@ class Scenario:
     weight_noise_sd: float = 0.05
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not _FIELD_CHECKS[f.type](value):
-                raise ValidationError(f"scenario field {f.name} must be {f.type}, got {value!r}")
+        self.check_fields()
         if self.seed < 0:
             raise ValidationError("seed must be a non-negative integer")
         if self.policy not in POLICIES:
@@ -121,33 +102,12 @@ class Scenario:
         if self.analyst_probes_per_week < 0:
             raise ValidationError("analyst_probes_per_week must be non-negative")
 
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        for key, value in doc.items():
-            if isinstance(value, tuple):
-                doc[key] = list(value)
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "Scenario":
-        if not isinstance(doc, Mapping):
-            raise ValidationError("a scenario must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValidationError(f"unknown scenario keys: {sorted(unknown)}")
-        coerced = dict(doc)
-        for key in ("goal_weights", "engagement_rate_means"):
-            if isinstance(coerced.get(key), list):
-                coerced[key] = tuple(coerced[key])
-        return cls(**coerced)
-
     @classmethod
     def from_json_file(cls, path: str) -> "Scenario":
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ValidationError(f"cannot read scenario file {path}: {exc}") from exc
         return cls.from_dict(doc)
 

@@ -97,6 +97,7 @@ class TestPolicyConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("dwell", "x"), ("dwell", 4.0), ("dwell", True), ("beta", "x"), ("beta", float("nan")),
+        ("dwell", 10**400),
     ])
     def test_field_types_checked(self, field, value):
         with pytest.raises(ValidationError, match=field):

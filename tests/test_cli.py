@@ -1,6 +1,8 @@
 """CLI contract tests: subcommands, exit codes, and output hygiene."""
 
+import dataclasses
 import json
+import math
 import os
 import pathlib
 import shutil
@@ -16,6 +18,7 @@ from conftest import ENC_KEY_HEX, TOKEN_KEY_HEX, write_rules
 from prism.assignment import PolicyConfig
 from prism.assistant import DRAFT_STATUSES
 from prism.cli import main
+from prism.metrics import MetricsReport
 from prism.redaction import default_rules
 from prism.simulator import Scenario, TraceLegend, run_experiment
 from prism.vault import KeyRing
@@ -59,6 +62,13 @@ DRAFT = {
     "draft_id": "d-1", "user_token": "ab" * 32, "template_id": "reengage-streak",
     "rendered_text": "see you at the walk", "status": "pending",
     "reviewer_id": None, "created_at": None, "decided_at": None,
+}
+METRICS = {
+    "arm": "static", "seed": 1, "scenario_name": "t", "horizon_weeks": 19, "w_pre": 8,
+    "w_post": 11, "adherence_pre": 0.5, "adherence_post": 0.5, "eng_index": 1.0,
+    "weekly_scores_pre": [0.1, 0.2], "weekly_scores_post": [0.3, 0.4], "reassignments": 0,
+    "violations": 0, "weight_delta_mean": 0.0, "decisions": 0, "governance": {}, "assistant": {},
+    "leak": {"n_samples": 1, "n_hits": 0, "leak_rate": 0.0, "hit_examples_by_type": {}},
 }
 CORPUS_RECORD = {
     "text": "see you at the walk", "user_token": "ab" * 32,
@@ -115,6 +125,8 @@ class TestSimulate:
             (dict(SCENARIO, goal_weights=5), (), 1),
             ([SCENARIO], (), 1),
             (dict(SCENARIO, n_coaches=9), (), 0),  # more coaches than groups runs
+            (dict(SCENARIO, capacity_max=10**20), (), 1),
+            (dict(SCENARIO, horizon_weeks=10**20), (), 1),
         ],
     )
     def test_scenario_values_exit_one_or_run(self, keys_env, tmp_path, capsys, doc, argv, expected):
@@ -126,6 +138,16 @@ class TestSimulate:
         assert code == expected
         assert "Traceback" not in stderr
         assert stderr.startswith("error: ") == (expected == 1)
+
+    @pytest.mark.parametrize("raw", [
+        b"\xff\xfe",
+        b'{"seed": ' + b"1" * 5000 + b"}",
+        b"[" * 100000,
+    ], ids=["not-utf8", "int-too-long-to-parse", "nested-too-deep"])
+    def test_unreadable_scenario_file_exits_one(self, keys_env, tmp_path, capsys, raw):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(raw)
+        assert_exits_one(capsys, "simulate", "--scenario", str(path), "--out", str(tmp_path / "x"))
 
     def test_missing_keys_exits_one(self, monkeypatch, scenario_file, tmp_path, capsys):
         monkeypatch.delenv("PRISM_TOKEN_KEY", raising=False)
@@ -210,7 +232,13 @@ class TestSimulate:
         json.dumps({"engagement_alphas": 5}),
         json.dumps({"policy": {"dwell": "x"}}),
         json.dumps({"keys": 5}),
-    ], ids=["missing", "not-json", "alphas-not-a-list", "dwell-not-an-int", "keys-not-a-path"])
+        '{"engagement_alphas": [NaN, 0.2, 0.1, 0.2, 0.2]}',
+        json.dumps({"engagement_alphas": [True, False, False, False, False]}),
+        json.dumps({"policy": {"dwell": 10**400}}),
+    ], ids=[
+        "missing", "not-json", "alphas-not-a-list", "dwell-not-an-int", "keys-not-a-path",
+        "alphas-nan", "alphas-bool", "dwell-huge",
+    ])
     def test_bad_config_file_exits_one(self, keys_env, scenario_file, tmp_path, capsys, text):
         config_path = tmp_path / "config.json"
         if text is not None:
@@ -259,7 +287,12 @@ class TestCompare:
         )
         assert code == 1
 
-    @pytest.mark.parametrize("text", ["{not json", "{}"], ids=["not-json", "empty-object"])
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        "{}",
+        json.dumps(dict(METRICS, eng_index=float("nan"))),
+        json.dumps(dict(METRICS, extra=1)),
+    ], ids=["not-json", "empty-object", "nan-eng-index", "unknown-key"])
     def test_bad_metrics_file_exits_one(self, capsys, tmp_path, text):
         for run in ("a", "b"):
             (tmp_path / run).mkdir()
@@ -555,6 +588,12 @@ class TestReview:
             capsys, "review", "--run", str(tmp_path), "--draft", "d-1", "--decision", "approve"
         )
 
+    def test_non_utf8_drafts_file_exits_one(self, capsys, tmp_path):
+        (tmp_path / "drafts.jsonl").write_bytes(b"\xff\xfe\n")
+        assert_exits_one(
+            capsys, "review", "--run", str(tmp_path), "--draft", "d-1", "--decision", "approve"
+        )
+
     def test_approve_rescans_a_loaded_draft(self, tmp_path, capsys):
         # A hand-edited file can hold an identifier the run never wrote.
         path = tmp_path / "drafts.jsonl"
@@ -598,6 +637,30 @@ def _corpus_field_ok(field, value):
     return isinstance(value, str)
 
 
+def _annotation_ok(kind, value):
+    """What a field annotated ``kind`` may hold, written out apart from the
+    checker the program uses."""
+    if kind in ("int", "float") and type(value) is int:
+        return -2**63 <= value < 2**63
+    if kind == "float":
+        return type(value) is float and math.isfinite(value)
+    if kind in ("tuple[float, ...]", "list[float]"):
+        return isinstance(value, list) and all(_annotation_ok("float", v) for v in value)
+    if kind == "LeakReport":  # only the written keys can make a valid report
+        return isinstance(value, dict) and set(value) == set(METRICS["leak"])
+    if kind == "str":
+        return isinstance(value, str)
+    if kind == "dict":
+        return isinstance(value, dict)
+    assert kind == "int", kind
+    return False
+
+
+def _fields_ok(record_class):
+    kinds = {f.name: f.type for f in dataclasses.fields(record_class)}
+    return lambda field, value: _annotation_ok(kinds[field], value)
+
+
 @st.composite
 def _spoiled(draw, record, field_ok):
     """``record`` with one field replaced by a value of the wrong type."""
@@ -623,6 +686,32 @@ class TestMalformedRecords:
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text(json.dumps(CORPUS_RECORD) + "\n" + json.dumps(record) + "\n")
         assert_exits_one(capsys, "leak-audit", "--in", str(corpus))
+
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=_spoiled(dict(Scenario().to_dict(), **SCENARIO), _fields_ok(Scenario)))
+    def test_scenario_field_types(self, keys_env, capsys, tmp_path, doc):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert_exits_one(capsys, "simulate", "--scenario", str(path), "--out", str(tmp_path / "x"))
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(policy=_spoiled(PolicyConfig().to_dict(), _fields_ok(PolicyConfig)))
+    def test_config_policy_field_types(self, keys_env, scenario_file, capsys, tmp_path, policy):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"policy": policy}))
+        assert_exits_one(
+            capsys, "simulate", "--scenario", scenario_file, "--out", str(tmp_path / "x"),
+            "--config", str(path),
+        )
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(metrics=_spoiled(METRICS, _fields_ok(MetricsReport)))
+    def test_metrics_field_types(self, capsys, tmp_path, metrics):
+        (tmp_path / "a").mkdir(exist_ok=True)
+        (tmp_path / "a" / "metrics.json").write_text(json.dumps(metrics))
+        run = str(tmp_path / "a")
+        assert_exits_one(capsys, "compare", "--a", run, "--b", run)
 
 
 class TestUsageAndHygiene:

@@ -167,6 +167,11 @@ class TestEngagementScore:
         assert vec[0] == pytest.approx(engagement_score(counts[0], w))
         assert vec[1] == pytest.approx(engagement_score(counts[1], w))
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -0.1])
+    def test_alphas_must_be_finite_and_non_negative(self, alpha):
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            _weights((alpha, 0.5), (0.0, 0.0), (10.0, 10.0))
+
     def test_counts_must_align_with_action_types(self):
         w = EngagementWeights()
         with pytest.raises(ValidationError):

@@ -549,9 +549,9 @@ class TestCompareArms:
         a = run_experiment(scenario, keys).report
         b = run_experiment(scenario, keys).report
         table = compare_arms(a, b)
-        assert table.adherence_diff == 0.0
-        assert table.eng_diff_pp == 0.0
-        assert table.p_value == pytest.approx(1.0)
+        assert table.adherence_post["diff"] == 0.0
+        assert table.eng_index["diff_pp"] == 0.0
+        assert table.mann_whitney["p"] == pytest.approx(1.0)
 
     def test_paper_style_relative_change_rendering(self):
         base = dict(
@@ -565,9 +565,9 @@ class TestCompareArms:
         a = MetricsReport.from_dict({**base, "arm": "static", "eng_index": 0.90})
         b = MetricsReport.from_dict({**base, "arm": "adaptive", "eng_index": 1.33})
         table = compare_arms(a, b)
-        assert table.eng_rel_pct_a == pytest.approx(-10.0)
-        assert table.eng_rel_pct_b == pytest.approx(+33.0)
-        assert table.eng_diff_pp == pytest.approx(43.0)
+        assert table.eng_index["rel_pct_a"] == pytest.approx(-10.0)
+        assert table.eng_index["rel_pct_b"] == pytest.approx(+33.0)
+        assert table.eng_index["diff_pp"] == pytest.approx(43.0)
         text = table.render_text()
         assert "0.90 (-10%)" in text and "1.33 (+33%)" in text
 
@@ -587,7 +587,7 @@ class TestCompareArms:
         b = MetricsReport.from_dict(
             {**base, "arm": "adaptive", "weekly_scores_post": rng.uniform(0.5, 0.9, 60).tolist()}
         )
-        assert compare_arms(a, b).p_value < 0.001
+        assert compare_arms(a, b).mann_whitney["p"] < 0.001
 
     def test_mismatched_windows_rejected(self, keys):
         a = run_experiment(small_scenario(seed=71, policy="static"), keys).report
