@@ -13,9 +13,11 @@ letters. Each other built-in pattern runs only on text that passes its
 prefilters, necessary conditions that every match satisfies: EMAIL
 needs an ``@``; each digit pattern needs a ``\\d``, one test shared by all
 five, and then a longer piece of its own, such as six digits in a row
-for ID_NUMBER. Each condition runs at most once per text. The
-prefilters are keyed by the exact built-in pattern text, so a rule
-loaded with any other pattern always runs.
+for ID_NUMBER. DOB also needs one of its birth-context words, searched
+under the pattern's own case folding, so a digit-rich post without one
+(a phone number, a member id) skips the date scan. Each condition runs
+at most once per text. The prefilters are keyed by the exact built-in
+pattern text, so a rule loaded with any other pattern always runs.
 """
 
 from __future__ import annotations
@@ -97,7 +99,12 @@ _PREFILTERS = {
     _EMAIL_PATTERN: (_HAS_AT,),
     _PHONE_PATTERN: (_HAS_DIGIT, re.compile(r"\d{3}[\s.-]\d{4}")),  # the last two parts
     _ADDRESS_PATTERN: (_HAS_DIGIT, re.compile(r"\d\s")),  # house number, then space
-    _DOB_PATTERN: (_HAS_DIGIT, re.compile(r"\d(?:/|\d{3})")),  # d/m/y, or a 4-digit year
+    _DOB_PATTERN: (
+        _HAS_DIGIT,
+        re.compile(r"\d(?:/|\d{3})"),  # d/m/y, or a 4-digit year
+        # Every context word, folded as the pattern folds it: born, birth*, b.day, dob.
+        re.compile(r"(?i)b(?:orn|irth|\.?day)|dob"),
+    ),
     _ID_PATTERN: (_HAS_DIGIT, re.compile(r"\d{6}")),
     _GEO_PATTERN: (_HAS_DIGIT, re.compile(r"\d\.\d{3}")),  # the first coordinate
 }
@@ -368,27 +375,31 @@ def _rehydrate_deid(
 def load_deid_corpus(path: str) -> list[DeidText]:
     """Rehydrate a JSON-lines corpus previously written by this pipeline."""
     samples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-                text, token = doc["text"], doc["user_token"]
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValidationError(f"{path} line {number} is not a record: {exc!r}") from exc
-            if not (isinstance(text, str) and isinstance(token, str)):
-                raise ValidationError(f"{path} line {number}: text and user_token must be strings")
-            cohort, counts = doc.get("cohort", {}), doc.get("counts", {})
-            if not (isinstance(cohort, dict) and isinstance(counts, dict)):
-                raise ValidationError(f"{path} line {number}: cohort and counts must be objects")
-            try:
-                _validate_metadata(cohort)
-            except ValidationError as exc:
-                raise ValidationError(f"{path} line {number}: {exc}") from exc
-            if not all(type(n) is int for n in counts.values()):
-                raise ValidationError(f"{path} line {number}: counts must be integers")
-            samples.append(_rehydrate_deid(text, UserToken(token), cohort, counts))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8: {exc}") from exc
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+            text, token = doc["text"], doc["user_token"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValidationError(f"{path} line {number} is not a record: {exc!r}") from exc
+        if not (isinstance(text, str) and isinstance(token, str)):
+            raise ValidationError(f"{path} line {number}: text and user_token must be strings")
+        cohort, counts = doc.get("cohort", {}), doc.get("counts", {})
+        if not (isinstance(cohort, dict) and isinstance(counts, dict)):
+            raise ValidationError(f"{path} line {number}: cohort and counts must be objects")
+        try:
+            _validate_metadata(cohort)
+        except ValidationError as exc:
+            raise ValidationError(f"{path} line {number}: {exc}") from exc
+        if not all(type(n) is int for n in counts.values()):
+            raise ValidationError(f"{path} line {number}: counts must be integers")
+        samples.append(_rehydrate_deid(text, UserToken(token), cohort, counts))
     return samples
 
 
@@ -411,21 +422,32 @@ def leak_audit(
     """Fraction of samples with at least one residual match under the same rules.
 
     Hit examples are recorded as sample indices per entity type, never
-    as the matched text itself.
+    as the matched text itself. Each distinct text is scanned once per
+    call: placeholders make a de-identified corpus repeat itself, so its
+    cost follows the number of distinct texts, not of samples.
     """
     if len(samples) == 0:
         raise ValidationError("leak audit needs at least one sample")
     active_rules = default_rules() if rules is None else rules
     n_hits = 0
     examples: dict[str, list[int]] = {}
+    # Entity type of each resolved span, in span order, per distinct text;
+    # the memo holds no matched text and dies with the call.
+    types_of_text: dict[str, tuple[str, ...]] = {}
     for i, sample in enumerate(samples):
         if not isinstance(sample, DeidText):
             raise ValidationError("leak audit samples must be DeidText")
-        spans = scan_for_identifiers(sample.text, active_rules)
-        if spans:
+        text = sample.text
+        types = types_of_text.get(text)
+        if types is None:
+            # scan_for_identifiers, without the resolve call on a clean text.
+            spans = detect(text, active_rules)
+            types = tuple(s.entity_type for s in resolve_spans(spans)) if spans else ()
+            types_of_text[text] = types
+        if types:
             n_hits += 1
-            for span in spans:
-                bucket = examples.setdefault(span.entity_type, [])
+            for entity_type in types:
+                bucket = examples.setdefault(entity_type, [])
                 if len(bucket) < _MAX_HIT_EXAMPLES:
                     bucket.append(i)
     return LeakReport(

@@ -60,7 +60,7 @@ from ..features import (
 )
 from ..metrics import MetricsReport, format_eng_index, mann_whitney_u, render_report
 from ..records import Record
-from ..redaction import _rehydrate_deid, leak_audit, redact
+from ..redaction import DeidText, _rehydrate_deid, leak_audit, redact
 from ..vault import KeyRing, RestorationRequest, rfc3339, verify_audit_chain
 from .scenario import POLICY_ADAPTIVE, Scenario
 from .world import (
@@ -620,9 +620,7 @@ def _write_run_dir(
         fh.write(rendered["csv"])
     world.vault.audit_log.to_jsonl(os.path.join(out_dir, "audit.jsonl"))
     save_drafts(drafts, os.path.join(out_dir, "drafts.jsonl"))
-    with open(os.path.join(out_dir, "deid_messages.jsonl"), "w", encoding="utf-8") as fh:
-        for message in world.deid_messages:
-            fh.write(json.dumps(message.to_dict(), sort_keys=True) + "\n")
+    _write_deid_messages(os.path.join(out_dir, "deid_messages.jsonl"), world.deid_messages)
     manifest.outputs = sorted(
         name
         for name in os.listdir(out_dir)
@@ -631,6 +629,38 @@ def _write_run_dir(
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+_encode_sorted = json.JSONEncoder(sort_keys=True).encode
+
+
+def _write_deid_messages(path: str, messages: list[DeidText]) -> None:
+    """One ``json.dumps(message.to_dict(), sort_keys=True)`` line per message.
+
+    Placeholders make the corpus repeat itself. From the second message
+    with a text on, the line's head, its sorted keys before
+    ``user_token`` (``cohort``, ``counts``, ``text``), is encoded once
+    per distinct content and only the token per line. The content key
+    holds the ``repr`` of each mapping, which tells apart values that
+    compare equal but encode differently (``True``, ``1``, ``1.0``;
+    ``0.0``, ``-0.0``). A text seen once costs no key.
+    """
+    heads_of_text: dict[str, dict[tuple[str, str], str]] = {}
+    with open(path, "w", encoding="utf-8") as fh:
+        for message in messages:
+            heads = heads_of_text.get(message.text)
+            if heads is None:
+                heads_of_text[message.text] = {}
+                fh.write(_encode_sorted(message.to_dict()) + "\n")
+                continue
+            cohort, counts = message.cohort_metadata, message.redaction_count_by_type
+            key = (repr(cohort), repr(counts))
+            head = heads.get(key)
+            if head is None:
+                doc = {"cohort": cohort, "counts": counts, "text": message.text}
+                head = heads[key] = _encode_sorted(doc)[:-1]
+            token = encode_basestring_ascii(message.source_user_token.value)
+            fh.write(f'{head}, "user_token": {token}}}\n')
 
 
 # ---------------------------------------------------------------------------

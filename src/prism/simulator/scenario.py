@@ -25,6 +25,10 @@ STREET_SUFFIXES = ("Street", "Avenue", "Road", "Lane", "Drive", "Court")
 POLICY_STATIC = "static"
 POLICY_ADAPTIVE = "adaptive"
 POLICIES = (POLICY_STATIC, POLICY_ADAPTIVE)
+# A run keeps arrays of n_users * horizon_weeks rows (43 bytes a
+# user-week) and a float per user-week in its report, so this bound keeps
+# a valid scenario near a gigabyte instead of failing to allocate.
+MAX_USER_WEEKS = 10**7
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,11 @@ class Scenario(Record):
             raise ValidationError("horizon must cover the pre and post windows")
         if self.n_users < 1 or self.n_groups < 1 or self.n_coaches < 1:
             raise ValidationError("scenario needs at least one user, group, and coach")
+        if self.n_users * self.horizon_weeks > MAX_USER_WEEKS:
+            raise ValidationError(
+                f"n_users * horizon_weeks must be at most {MAX_USER_WEEKS}, "
+                f"got {self.n_users * self.horizon_weeks}"
+            )
         if not (1 <= self.capacity_min <= self.capacity_max):
             raise ValidationError("capacity bounds must satisfy 1 <= min <= max")
         if len(self.goal_weights) != len(GOAL_CATEGORIES):

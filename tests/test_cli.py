@@ -127,6 +127,9 @@ class TestSimulate:
             (dict(SCENARIO, n_coaches=9), (), 0),  # more coaches than groups runs
             (dict(SCENARIO, capacity_max=10**20), (), 1),
             (dict(SCENARIO, horizon_weeks=10**20), (), 1),
+            # Fits int64, but 50 users' arrays could not be allocated: rejected
+            # by the user-week bound before any array is built.
+            (dict(SCENARIO, horizon_weeks=2**40), (), 1),
         ],
     )
     def test_scenario_values_exit_one_or_run(self, keys_env, tmp_path, capsys, doc, argv, expected):
@@ -490,12 +493,13 @@ class TestLeakAudit:
         assert_exits_one(capsys, "leak-audit", "--in", str(corpus), "--rules", str(rules_path))
 
     @pytest.mark.parametrize("line", [
-        "{not json",
-        json.dumps({"user_token": "ab" * 32}),
-    ], ids=["not-json", "no-text"])
+        b"{not json",
+        json.dumps({"user_token": "ab" * 32}).encode(),
+        b"\xff\xfe",
+    ], ids=["not-json", "no-text", "not-utf8"])
     def test_bad_corpus_line_exits_one(self, capsys, tmp_path, line):
         corpus = tmp_path / "corpus.jsonl"
-        corpus.write_text(CORPUS_LINE + "\n" + line + "\n")
+        corpus.write_bytes(CORPUS_LINE.encode() + b"\n" + line + b"\n")
         assert_exits_one(capsys, "leak-audit", "--in", str(corpus))
 
 

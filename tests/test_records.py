@@ -12,6 +12,7 @@ from prism.assistant import DRAFT_STATUSES, Draft
 from prism.metrics import MetricsReport
 from prism.redaction import LeakReport
 from prism.simulator import POLICIES, Scenario
+from prism.simulator.scenario import MAX_USER_WEEKS
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
 NUMBERS = st.floats(allow_nan=False, allow_infinity=False) | INT64
@@ -20,16 +21,18 @@ JSON_SCALARS = st.none() | st.booleans() | st.text(max_size=5) | NUMBERS
 
 @st.composite
 def scenarios(draw):
-    w_pre, w_post = draw(st.integers(1, 2**40)), draw(st.integers(1, 2**40))
+    # Scenario bounds n_users * horizon_weeks by MAX_USER_WEEKS.
+    w_pre, w_post = (draw(st.integers(1, MAX_USER_WEEKS // 2)) for _ in range(2))
+    horizon_weeks = draw(st.integers(w_pre + w_post, MAX_USER_WEEKS))
     capacity_min = draw(st.integers(1, 2**62))
     return Scenario(
         name=draw(st.text(max_size=8)),
         seed=draw(st.integers(0, 2**63 - 1)),
         policy=draw(st.sampled_from(POLICIES)),
-        n_users=draw(st.integers(1, 2**63 - 1)),
+        n_users=draw(st.integers(1, MAX_USER_WEEKS // horizon_weeks)),
         capacity_min=capacity_min,
         capacity_max=draw(st.integers(capacity_min, 2**63 - 1)),
-        horizon_weeks=draw(st.integers(w_pre + w_post, 2**63 - 1)),
+        horizon_weeks=horizon_weeks,
         w_pre=w_pre,
         w_post=w_post,
         goal_weights=tuple(draw(st.permutations((0.1, 0.2, 0.3, 0.4)))),

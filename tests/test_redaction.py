@@ -17,6 +17,7 @@ from prism.redaction import (
     DEFAULT_LAST_NAMES,
     PLACEHOLDERS,
     DeidText,
+    LeakReport,
     RedactionRule,
     _rehydrate_deid,
     default_rules,
@@ -248,6 +249,10 @@ _IDENTIFIER_PIECES = (
     "\u0663\u0663\u0663\u2003\u0663\u0663\u0663\u0663", "12 3456", "12a", "7\u00a0Elm Rd",
     "1/2", "born 3/4/56", "dob 1985-03-12", "12345", "123", "1.23", "1.234", "1.234, 5.678",
     "123456",
+    # Each DOB context word, the case and fold-trap spellings the (?i)
+    # context prefilter must pass, and near misses it must not rely on.
+    "b.day ", "BDay ", "date of birth ", "birth date ", "b.day 12/3/1999", "BDay: Mar 4, 1990",
+    "b\u0130rthday ", "B\u0131RTH date ", "date of b\u0131rth: 1985-03-12", "D\u0131B ", "b day ",
 )
 
 
@@ -299,6 +304,16 @@ class TestScanMatchesReference:
     def test_default_rules(self, text):
         assert detect(text, default_rules()) == reference_detect(text, reference_rules())
 
+    @pytest.mark.parametrize("word", [
+        "born", "born on", "birthday", "birth date", "birthdate", "date of birth", "dob", "b.day",
+        "bday", "BDay", "B.DAY", "DOB", "b\u0130rthday", "date of b\u0131rth",
+    ])
+    def test_every_dob_context_word_passes_the_prefilters(self, word):
+        text = f"my {word}: 1985-03-12"
+        spans = detect(text, default_rules())
+        assert spans == reference_detect(text, reference_rules())
+        assert [s.entity_type for s in spans] == ["DOB"]
+
     @settings(max_examples=300, deadline=None)
     @given(first=_CUSTOM_NAMES, last=_CUSTOM_NAMES, data=st.data())
     def test_custom_name_lists(self, first, last, data):
@@ -306,6 +321,52 @@ class TestScanMatchesReference:
         assert detect(text, default_rules(first, last)) == reference_detect(
             text, reference_rules(first, last)
         )
+
+
+def reference_leak_audit(samples, rules) -> LeakReport:
+    """``leak_audit`` as one scan per sample: the reference for its per-text memo."""
+    n_hits = 0
+    examples = {}
+    for i, sample in enumerate(samples):
+        spans = scan_for_identifiers(sample.text, rules)
+        if spans:
+            n_hits += 1
+            for span in spans:
+                bucket = examples.setdefault(span.entity_type, [])
+                if len(bucket) < 5:
+                    bucket.append(i)
+    return LeakReport(
+        n_samples=len(samples),
+        n_hits=n_hits,
+        leak_rate=n_hits / len(samples),
+        hit_examples_by_type={k: tuple(v) for k, v in examples.items()},
+    )
+
+
+# Several spans of one type in one text, so a repeated text passes the cap
+# of five examples per type within a few samples.
+_MULTI_HIT = "mail bob@x.org or x@y.org, call 613-555-0142 or (613) 555-0199"
+
+
+class TestLeakAuditMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pool=st.lists(_texts(DEFAULT_FIRST_NAMES + DEFAULT_LAST_NAMES), min_size=1, max_size=6),
+        picks=st.lists(st.integers(0, 6), min_size=1, max_size=60),
+    )
+    def test_repeated_texts(self, pool, picks):
+        pool = pool + [_MULTI_HIT]
+        samples = [_rehydrate_deid(pool[i % len(pool)], TOKEN) for i in picks]
+        rules = default_rules()
+        assert leak_audit(samples, rules) == reference_leak_audit(samples, rules)
+
+    def test_cap_of_five_examples_per_type_on_one_repeated_text(self):
+        samples = [_rehydrate_deid(_MULTI_HIT if i % 3 else "all clear", TOKEN) for i in range(30)]
+        report = leak_audit(samples)
+        assert report == reference_leak_audit(samples, default_rules())
+        assert report.n_hits == 20
+        # One index per span: each hit sample holds two of each type.
+        assert report.hit_examples_by_type == {"EMAIL": (1, 1, 2, 2, 4), "PHONE": (1, 1, 2, 2, 4)}
 
 
 class TestGeneratedTraffic:

@@ -11,6 +11,8 @@ from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import registered_identity_strings
 from test_golden import GOLDEN
@@ -18,6 +20,7 @@ from test_golden import GOLDEN
 from prism.assignment import REASONS_OF_CODE, CandidateScores, PolicyConfig, assign
 from prism.errors import ValidationError
 from prism.metrics import MetricsReport
+from prism.redaction import default_rules, redact
 from prism.simulator import (
     Scenario,
     TraceLegend,
@@ -31,8 +34,15 @@ from prism.simulator import (
     group_activity_flags,
 )
 from prism.simulator import experiment
+from prism.simulator.scenario import MAX_USER_WEEKS
 from prism.simulator.world import group_engagement_means
-from prism.vault import AuditLog, RestorationRequest, SlidingWindowRateLimiter, verify_audit_chain
+from prism.vault import (
+    AuditLog,
+    RestorationRequest,
+    SlidingWindowRateLimiter,
+    UserToken,
+    verify_audit_chain,
+)
 
 
 def small_scenario(**overrides):
@@ -121,6 +131,12 @@ class TestGeneration:
             )
             assert result.granted
             assert result.fields == world._raw_identities[user.token.value]
+
+    def test_user_weeks_bounded_before_any_array(self):
+        users = MAX_USER_WEEKS // 20
+        assert Scenario(n_users=users, horizon_weeks=20).n_users == users
+        with pytest.raises(ValidationError, match="n_users \\* horizon_weeks"):
+            Scenario(n_users=users + 1, horizon_weeks=20)
 
     def test_misgroup_fraction_realized(self, keys):
         world = generate_cohort(
@@ -519,6 +535,68 @@ class TestDeterminismAndPrivacy:
                 assert np.asarray(trace[name], dtype=float).tobytes() == values.astype(float).tobytes()
             checked += len(trace["score"])
         assert checked > 100 and any(any(trace["penalty"]) for trace in traces)
+
+
+# Cohort values that compare equal but encode differently, so a head
+# memo keyed on equality would write one of them in place of the other.
+_COHORT_VALUES = st.one_of(
+    st.sampled_from([True, False, 1, 0, 1.0, 0.0, -0.0, "1", "", "\u00e9t\u00e9", "\U0001f600"]),
+    st.integers(-(2**63), 2**63 - 1),
+    st.floats(),
+    st.text(max_size=4),
+)
+_COHORTS = st.dictionaries(st.sampled_from(["goal", "site", "arm", "\u00fcber"]), _COHORT_VALUES, max_size=3)
+# Texts with identifiers, pairs that de-identify to one text with other
+# counts ("Marisol here", "[NAME] here"), and non-ASCII text.
+_RAW_TEXTS = st.one_of(
+    st.sampled_from([
+        "call 613-555-0142", "call [PHONE]", "mail bob@x.org", "Marisol here", "[NAME] here",
+        "all clear", "caf\u00e9 \u2603 \U0001f600", "quote \" and \\ and \n",
+    ]),
+    st.text(max_size=12),
+)
+
+
+class TestDeidCorpusWrite:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        texts=st.lists(_RAW_TEXTS, min_size=1, max_size=4),
+        cohorts=st.lists(_COHORTS, min_size=1, max_size=4),
+        picks=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2), st.booleans()),
+                       min_size=1, max_size=40),
+    )
+    def test_lines_equal_json_dumps_of_each_message(self, tmp_path, texts, cohorts, picks):
+        rules = default_rules()
+        messages = []
+        for text, cohort, user, reverse in picks:
+            items = list(cohorts[cohort % len(cohorts)].items())
+            metadata = dict(reversed(items) if reverse else items)  # insertion order varies
+            token = UserToken(f"{user:02x}" * 32)
+            messages.append(redact(texts[text % len(texts)], token, rules, metadata))
+        path = tmp_path / "deid_messages.jsonl"
+        experiment._write_deid_messages(str(path), messages)
+        expected = "".join(json.dumps(m.to_dict(), sort_keys=True) + "\n" for m in messages)
+        assert path.read_text(encoding="utf-8") == expected
+
+    def test_one_text_with_other_counts_keeps_its_counts(self, tmp_path):
+        token = UserToken("ab" * 32)
+        raws = ("Marisol here", "[NAME] here", "Marisol here", "[NAME] here")
+        messages = [redact(raw, token, None, {"goal": "fitness"}) for raw in raws]
+        assert {m.text for m in messages} == {"[NAME] here"}
+        path = tmp_path / "deid_messages.jsonl"
+        experiment._write_deid_messages(str(path), messages)
+        lines = path.read_text().splitlines()
+        assert lines == [json.dumps(m.to_dict(), sort_keys=True) for m in messages]
+        assert ['"NAME": 1' in line for line in lines] == [True, False, True, False]
+
+    def test_equal_values_of_other_types_keep_their_own_line(self, tmp_path):
+        token = UserToken("ab" * 32)
+        values = [True, 1, 1.0, 0.0, -0.0, False, 0, 1, True]
+        messages = [redact("same text", token, None, {"goal": v}) for v in values]
+        path = tmp_path / "deid_messages.jsonl"
+        experiment._write_deid_messages(str(path), messages)
+        cohorts = [line.split('"counts"')[0] for line in path.read_text().splitlines()]
+        assert cohorts == [f'{{"cohort": {{"goal": {json.dumps(v)}}}, ' for v in values]
 
 
 class TestScaleLadder:
