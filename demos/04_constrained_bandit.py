@@ -23,8 +23,9 @@ from prism.vault import UserToken
 config = PolicyConfig()
 tokens = [UserToken(byte * 32) for byte in ("cd", "ce", "cf")]
 
-# This week's decision contexts, one row per user. The first user is four
-# weeks past their last move, currently mis-grouped.
+# This week's decision contexts, one row per user, in roster row order. A
+# user is their row: user 0 is four weeks past their last move, currently
+# mis-grouped.
 week = ContextBatch(
     user_tokens=tokens,
     epoch=8,
@@ -33,7 +34,7 @@ week = ContextBatch(
     streak=[4, 0, 1],
     slope=[-0.06, 0.02, 0.0],
 )
-context = week[0]
+user, goal = 0, int(week.goal[0])
 
 groups = {
     "g000": GroupState("g000", "c00", capacity=10, goal_category="weight_loss"),
@@ -65,7 +66,7 @@ roster = seated_roster(last_change=0)
 # ---------------------------------------------------------------------------
 # Hard constraints run before any learning-based scoring.
 # ---------------------------------------------------------------------------
-report = feasibility_report(context, roster, 8, config)
+report = feasibility_report(user, goal, roster, 8, config)
 print("feasibility at epoch 8:")
 for gid, reasons in report.items():
     print(f"  {gid}: {'feasible' if not reasons else ', '.join(reasons)}")
@@ -73,7 +74,7 @@ print("eligible:", feasible(report))
 print("coach loads:", {cid: coach.load(roster) for cid, coach in coaches.items()})
 
 # Inside the dwell window the only admissible action is the current group.
-locked = feasibility_report(context, seated_roster(last_change=6), 8, config)
+locked = feasibility_report(user, goal, seated_roster(last_change=6), 8, config)
 print("within dwell:", feasible(locked))
 
 # ---------------------------------------------------------------------------
@@ -82,7 +83,7 @@ print("within dwell:", feasible(locked))
 # fixed through the week; each decision adds the groups' fill ratios.
 # ---------------------------------------------------------------------------
 model = BanditModel(ridge=config.ridge)
-decision = assign(context, roster, model, 8, config, tables=feature_tables(week, roster))
+decision = assign(user, roster, model, 8, config, tables=feature_tables(week, roster))
 print("\ndecision trace:")
 scored = zip(*decision.scores)  # the feasible groups' terms, in group order
 for gid, code in zip(roster.group_ids, decision.reason_codes.tolist()):

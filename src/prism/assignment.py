@@ -24,7 +24,6 @@ from .features import (
     GOAL_CATEGORIES,
     ContextBatch,
     EngagementWeights,
-    LearningContext,
     engagement_scores,
 )
 from .records import Record
@@ -70,7 +69,8 @@ class Roster:
     Index-aligned arrays: per user, ``group_of`` (a group row, -1 while
     unplaced) and ``last_change`` (epoch of the last move, the initial
     placement included); per group, the member ``count``; per coach, the
-    ``load``. Users are rows in the order of ``user_tokens``; group rows
+    ``load``. Users are rows in the order of ``user_tokens``, which the
+    roster keeps, and a user's row is their only handle; group rows
     follow ``sorted(group_id)``, which is the lexicographic candidate
     order. :meth:`move` is the only writer of these four and of what it
     keeps current from them: per group, ``capacity_code``
@@ -93,7 +93,7 @@ class Roster:
         self.group_row = {gid: g for g, gid in enumerate(self.group_ids)}
         self.coach_ids = sorted(coaches)
         self.coach_row = {cid: c for c, cid in enumerate(self.coach_ids)}
-        self.row_of = {token: u for u, token in enumerate(user_tokens)}
+        self.user_tokens = list(user_tokens)
         self.capacity = np.array([groups[gid].capacity for gid in self.group_ids], dtype=np.int64)
         self.coach_of = np.array(
             [self.coach_row[groups[gid].coach_id] for gid in self.group_ids], dtype=np.int64
@@ -127,7 +127,7 @@ class Roster:
 
     def eligibility_codes(self, goal: int, user_tags: frozenset[str]) -> np.ndarray:
         """Per group, the goal, inactive and language reason bits for a user
-        with goal index ``goal`` (-1 for none) and language ``user_tags``.
+        with goal index ``goal`` and language ``user_tags``.
 
         They depend only on static attributes, so each (goal, tags) pair
         is computed once and the read-only result is reused.
@@ -246,16 +246,16 @@ def feature_tables(
 ) -> FeatureTables:
     """The epoch's feature tables for every user of ``roster``.
 
-    ``contexts`` must hold one context per roster user, in any order.
-    ``group_engagement`` is indexed by group row; None means 0.5 for
-    every group.
+    ``contexts`` must hold one context per roster user, in roster row
+    order. ``group_engagement`` is indexed by group row; None means 0.5
+    for every group.
     """
-    users = np.array([roster.row_of.get(token.value, -1) for token in contexts.user_tokens])
-    if np.sort(users).tolist() != list(range(len(roster.row_of))):
-        raise ValidationError("feature tables need exactly one context per roster user")
+    if [token.value for token in contexts.user_tokens] != roster.user_tokens:
+        raise ValidationError(
+            "feature tables need one context per roster user, in roster row order"
+        )
     onehots = np.eye(len(GOAL_CATEGORIES))
-    user_block = np.empty((users.size, _USER_BLOCK))
-    user_block[users] = np.column_stack(
+    user_block = np.column_stack(
         [
             contexts.numeric,
             onehots[contexts.goal],
@@ -263,8 +263,6 @@ def feature_tables(
             np.clip(contexts.slope, -1.0, 1.0),
         ]
     )
-    goal = np.empty(users.size, dtype=np.int64)
-    goal[users] = contexts.goal
     n_groups = len(roster.group_ids)
     engagement = np.full(n_groups, 0.5) if group_engagement is None else group_engagement
     group_goal = onehots[roster.goal_index]
@@ -272,7 +270,7 @@ def feature_tables(
     group_block[:, :, 0] = np.clip(engagement, 0.0, 1.0)
     group_block[:, :, 2:_GROUP_BLOCK] = group_goal
     group_block[:, :, _GROUP_BLOCK:] = onehots[:, None, :] * group_goal
-    return FeatureTables(user_block, goal, group_block)
+    return FeatureTables(user_block, contexts.goal, group_block)
 
 
 def joint_features(
@@ -404,13 +402,15 @@ class FeasibilityReport(Mapping[str, list]):
 
 
 def feasibility_report(
-    context: LearningContext,
+    user: int,
+    goal: int,
     roster: Roster,
     epoch: int,
     config: PolicyConfig,
     user_tags: frozenset[str] = frozenset(),
 ) -> FeasibilityReport:
-    """Which constraints each group violates for this user at ``epoch``.
+    """Which constraints each group violates at ``epoch`` for user row
+    ``user``, whose goal index is ``goal`` and language ``user_tags``.
 
     Inside the dwell window every group except the current one is locked
     out. Capacity and coach-load checks exclude the user themself, so a
@@ -418,7 +418,6 @@ def feasibility_report(
     reads the roster's arrays; the capacity and coach-load bits are the
     codes :meth:`Roster.move` keeps.
     """
-    user = roster.row_of[context.user_token.value]
     current = roster.group_of[user]
     if current >= 0 and (epoch - roster.last_change[user]) < config.dwell:
         # The dwell rule overrides every other filter: staying put is the
@@ -426,9 +425,8 @@ def feasibility_report(
         codes = np.full(len(roster.group_ids), CODE_DWELL)
         codes[current] = 0
         return FeasibilityReport(roster, codes)
-    goal = context.goal_category
     codes = (
-        roster.eligibility_codes(-1 if goal is None else GOAL_CATEGORIES.index(goal), user_tags)
+        roster.eligibility_codes(goal, user_tags)
         | roster.capacity_code
         | roster.load_code[roster.coach_of]
     )
@@ -466,7 +464,7 @@ def ucb_score(
 
 
 def score_and_select(
-    context: LearningContext,
+    user: int,
     candidates: Sequence[int],
     model: BanditModel,
     roster: Roster,
@@ -474,7 +472,8 @@ def score_and_select(
     config: PolicyConfig,
     tables: FeatureTables,
 ) -> tuple[int, CandidateScores, np.ndarray]:
-    """UCB-score every candidate group row and pick the argmax.
+    """UCB-score every candidate group row for user row ``user`` and pick
+    the argmax.
 
     Score is mean estimate plus beta times the confidence width, minus
     the churn penalty for moves inside the oscillation horizon. Ties
@@ -486,7 +485,6 @@ def score_and_select(
     rows = np.asarray(candidates, dtype=np.int64)
     if rows.size == 0:
         raise ValidationError("score_and_select requires a non-empty candidate set")
-    user = roster.row_of[context.user_token.value]
     phi = joint_features(tables, user, roster, rows)
     if phi.shape != (rows.size, model.dim):
         raise InternalError(f"feature map produced shape {phi.shape}, model expects dim {model.dim}")
@@ -569,7 +567,7 @@ class AssignmentDecision:
 
 
 def assign(
-    context: LearningContext,
+    user: int,
     roster: Roster,
     model: BanditModel,
     epoch: int,
@@ -578,22 +576,23 @@ def assign(
     tables: FeatureTables,
     user_tags: frozenset[str] = frozenset(),
 ) -> AssignmentDecision:
-    """Filter, score, select, and apply one assignment decision.
+    """Filter, score, select, and apply one assignment decision for user
+    row ``user``.
 
     The roster changes only when the chosen group differs from the
     current one. A placed user with no feasible alternative stays put; an
     unplaced user with no feasible group is waitlisted for the next epoch.
-    ``tables`` are the epoch's :func:`feature_tables`.
+    ``tables`` are the epoch's :func:`feature_tables`; the user's goal
+    is read from them, so eligibility and features agree on it.
     """
-    codes = feasibility_report(context, roster, epoch, config, user_tags).codes
+    codes = feasibility_report(user, int(tables.goal[user]), roster, epoch, config, user_tags).codes
     feasible = np.flatnonzero(codes == 0)
-    user = roster.row_of[context.user_token.value]
     current = chosen = int(roster.group_of[user])
     scores = phi_chosen = None
     penalty = 0
     if feasible.size:
         best, scores, phi_chosen = score_and_select(
-            context, feasible, model, roster, epoch, config, tables
+            user, feasible, model, roster, epoch, config, tables
         )
         chosen, penalty = int(feasible[best]), int(scores.penalty[best])
         if chosen != current:
@@ -601,7 +600,7 @@ def assign(
 
     return AssignmentDecision(
         epoch=epoch,
-        user_token=context.user_token.value,
+        user_token=roster.user_tokens[user],
         reason_codes=codes,
         scores=scores,
         chosen=roster.group_id(user),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -211,13 +211,6 @@ class LearningContext:
         _check_context_values(numeric, self.missed_checkin_streak, categorical)
         object.__setattr__(self, "numeric_features", numeric)
         object.__setattr__(self, "categorical_features", categorical)
-
-    @property
-    def goal_category(self) -> Optional[str]:
-        onehot = self.categorical_features
-        if onehot.size != len(GOAL_CATEGORIES) or onehot.max() <= 0:
-            return None
-        return GOAL_CATEGORIES[int(onehot.argmax())]
 
 
 _GOAL_ONEHOTS = np.eye(len(GOAL_CATEGORIES))

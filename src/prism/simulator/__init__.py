@@ -12,7 +12,6 @@ from .experiment import (
 from .scenario import POLICIES, POLICY_ADAPTIVE, POLICY_STATIC, Scenario
 from .world import (
     SimClock,
-    SimUser,
     World,
     generate_cohort,
     group_activity_flags,
@@ -32,7 +31,6 @@ __all__ = [
     "RunResult",
     "Scenario",
     "SimClock",
-    "SimUser",
     "TraceLegend",
     "World",
     "compare_arms",

@@ -50,6 +50,7 @@ from ..errors import ConstraintViolationError, InternalError, ValidationError
 from ..features import (
     ACTION_TYPES,
     DAYS_PER_WEEK,
+    GOAL_CATEGORIES,
     ContextBatch,
     EngagementWeights,
     NormalizationWindow,
@@ -61,9 +62,10 @@ from ..features import (
 from ..metrics import MetricsReport, format_eng_index, mann_whitney_u, render_report
 from ..records import Record
 from ..redaction import DeidText, _rehydrate_deid, leak_audit, redact
-from ..vault import KeyRing, RestorationRequest, rfc3339, verify_audit_chain
+from ..vault import KeyRing, RestorationRequest, UserToken, rfc3339, verify_audit_chain
 from .scenario import POLICY_ADAPTIVE, Scenario
 from .world import (
+    LANGUAGE_TAGS,
     SIM_EPOCH_BASE,
     WEEK_SECONDS,
     World,
@@ -314,13 +316,12 @@ def _freeze_engagement_weights(world: World, alphas: Optional[tuple]) -> Engagem
 def _probe_restorations(world: World, epoch: int, counters: dict) -> None:
     # Learning-view consumers never restore; these probes must always be denied.
     for k in range(world.scenario.analyst_probes_per_week):
-        target = world.users[(epoch + k) % world.n_users]
         result = world.vault.restore_identity(
             RestorationRequest(
                 requester_id=f"analyst-{k}",
                 role="analyst",
                 mfa_verified=True,
-                user_token=target.token,
+                user_token=world.tokens[(epoch + k) % world.n_users],
                 purpose="cohort analysis",
             )
         )
@@ -330,13 +331,13 @@ def _probe_restorations(world: World, epoch: int, counters: dict) -> None:
             counters["analyst_denials"] += 1
 
 
-def _deliver(world: World, draft: Draft, coach_id: str, counters: dict) -> None:
+def _deliver(world: World, token: UserToken, coach_id: str, counters: dict) -> None:
     result = world.vault.restore_identity(
         RestorationRequest(
             requester_id=coach_id,
             role="coach",
             mfa_verified=True,
-            user_token=world.users[world.roster.row_of[draft.user_token]].token,
+            user_token=token,
             purpose="deliver coaching message",
         )
     )
@@ -353,8 +354,8 @@ def _assistant_pass(
     templates = default_templates()
     rng = substream(scenario.seed, STREAM_REVIEW, epoch)
     created_at = rfc3339(SIM_EPOCH_BASE + epoch * WEEK_SECONDS)
-    for user in world.users:
-        context = contexts[user.index]
+    for user, token in enumerate(world.tokens):
+        context = contexts[user]
         flags = flag_risks(context)
         if not flags:
             continue
@@ -364,17 +365,18 @@ def _assistant_pass(
             f"missed {context.missed_checkin_streak} recent check-ins; "
             f"engagement slope {context.engagement_slope:+.2f} per week."
         )
-        summary = redact(summary_text, user.token, world.rules, {"goal": user.goal})
+        goal = GOAL_CATEGORIES[world.goal_index[user]]
+        summary = redact(summary_text, token, world.rules, {"goal": goal})
         draft = generate_draft(
             summary,
             context,
             template,
             rules=world.rules,
-            draft_id=f"d-{scenario.seed}-{epoch:02d}-{user.index:04d}",
+            draft_id=f"d-{scenario.seed}-{epoch:02d}-{user:04d}",
             created_at=created_at,
         )
         drafts.append(draft)
-        coach_id = roster.coach_ids[roster.coach_of[roster.group_of[user.index]]]
+        coach_id = roster.coach_ids[roster.coach_of[roster.group_of[user]]]
         u = float(rng.random())
         if u < scenario.review_approve_prob:
             review(draft, coach_id, "approve", decided_at=created_at)
@@ -384,7 +386,7 @@ def _assistant_pass(
             review(draft, coach_id, "discard", decided_at=created_at)
         # else: stays pending in the review queue
         if draft.status in DELIVERABLE_STATUSES:
-            _deliver(world, draft, coach_id, counters)
+            _deliver(world, token, coach_id, counters)
 
 
 def run_experiment(
@@ -488,21 +490,15 @@ def _run_epochs(
                 world.actions,
                 world.weekly_scores,
                 np.zeros(world.n_users, dtype=np.int64),
-                user_tokens=[user.token for user in world.users],
+                user_tokens=world.tokens,
                 goals=world.goal_index,
                 epoch=epoch,
                 window=_normalization_window(world, epoch),
             )
             tables = feature_tables(contexts, world.roster, group_engagement_means(world, epoch))
-            for user in world.users:
+            for user in range(world.n_users):
                 decision = assign(
-                    contexts[user.index],
-                    world.roster,
-                    model,
-                    epoch,
-                    config,
-                    tables=tables,
-                    user_tags=user.language_tags,
+                    user, world.roster, model, epoch, config, tables=tables, user_tags=LANGUAGE_TAGS
                 )
                 counters["decisions"] += 1
                 if traces is not None:
@@ -512,7 +508,7 @@ def _run_epochs(
                 if decision.phi_chosen is not None:
                     pending.append(
                         _PendingObservation(
-                            user_index=user.index,
+                            user_index=user,
                             phi=decision.phi_chosen,
                             epoch=epoch,
                             churn_penalty=decision.churn_penalty,
@@ -553,10 +549,8 @@ def _build_report(world: World, counters: dict, drafts: list[Draft]) -> MetricsR
     scores_post = world.weekly_scores[:, t0:post_end].ravel()
     eng_idx = engagement_index(scores_pre, scores_post)
 
-    draft_docs = [
-        _rehydrate_deid(d.rendered_text, world.users[world.roster.row_of[d.user_token]].token)
-        for d in drafts
-    ]
+    token_of = {token.value: token for token in world.tokens}
+    draft_docs = [_rehydrate_deid(d.rendered_text, token_of[d.user_token]) for d in drafts]
     leak = leak_audit(list(world.deid_messages) + draft_docs, world.rules)
 
     chain_ok, _ = verify_audit_chain(world.vault.audit_log.entries())

@@ -29,6 +29,10 @@ POLICIES = (POLICY_STATIC, POLICY_ADAPTIVE)
 # user-week) and a float per user-week in its report, so this bound keeps
 # a valid scenario near a gigabyte instead of failing to allocate.
 MAX_USER_WEEKS = 10**7
+# A run builds a Python object and a roster row per group and per coach,
+# about 1.5 kB a group with its feature tables, and every decision reads
+# every group row; this bound keeps that state near 150 MB.
+MAX_GROUPS_OR_COACHES = 10**5
 
 
 @dataclass(frozen=True)
@@ -88,6 +92,10 @@ class Scenario(Record):
             raise ValidationError(
                 f"n_users * horizon_weeks must be at most {MAX_USER_WEEKS}, "
                 f"got {self.n_users * self.horizon_weeks}"
+            )
+        if max(self.n_groups, self.n_coaches) > MAX_GROUPS_OR_COACHES:
+            raise ValidationError(
+                f"n_groups and n_coaches must each be at most {MAX_GROUPS_OR_COACHES}"
             )
         if not (1 <= self.capacity_min <= self.capacity_max):
             raise ValidationError("capacity bounds must satisfy 1 <= min <= max")

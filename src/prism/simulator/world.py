@@ -31,6 +31,7 @@ STREAM_REVIEW = 0xD4
 WEEK_SECONDS = 7 * 24 * 3600
 SIM_EPOCH_BASE = datetime(2025, 1, 6, tzinfo=timezone.utc).timestamp()
 _RESTORE_SPACING_SECONDS = 600.0  # keeps routine deliveries under the rate-limit cap
+LANGUAGE_TAGS = frozenset({"en"})  # what every synthetic user and group speaks
 
 
 def substream(seed: int, tag: int, *extra: int) -> np.random.Generator:
@@ -86,20 +87,11 @@ class SimClock:
 
 
 @dataclass
-class SimUser:
-    """One synthetic user's token and goal (identity lives in the vault,
-    behavioral parameters in the world's arrays)."""
-
-    index: int
-    token: UserToken
-    goal: str
-    language_tags: frozenset[str] = frozenset({"en"})
-
-
-@dataclass
 class World:
     """Full mutable state of one simulated run.
 
+    A user is a row: ``tokens[u]`` is row ``u``'s token, and every
+    per-user array below is indexed by row (identity lives in the vault).
     Group and coach state lives in the roster, keyed by row; group and
     coach ids only label the rows (``roster.group_ids``, ``roster.coach_ids``).
     """
@@ -107,15 +99,15 @@ class World:
     scenario: Scenario
     vault: Vault
     clock: SimClock
-    users: list[SimUser]
-    roster: Roster              # placement; user rows follow ``users``
+    tokens: tuple[UserToken, ...]
+    roster: Roster              # placement; user rows follow ``tokens``
     rules: tuple[RedactionRule, ...]
-    # Per-user draws, fixed at generation (index-aligned with users)
+    # Per-user draws, fixed at generation
     goal_index: np.ndarray      # (n,) int, into GOAL_CATEGORIES
     base_logit: np.ndarray      # (n,)
     fatigue_rate: np.ndarray    # (n,)
     engagement_rates: np.ndarray  # (n, K)
-    # Behavior arrays (index-aligned with users)
+    # Behavior arrays
     checkins: np.ndarray        # (n, horizon*7) int8
     actions: np.ndarray         # (n, horizon, K) int32
     weights_kg: np.ndarray      # (n, horizon+1)
@@ -129,7 +121,7 @@ class World:
 
     @property
     def n_users(self) -> int:
-        return len(self.users)
+        return len(self.tokens)
 
     def audit_constraints(self, policy: PolicyConfig, epoch: int) -> int:
         """Independent re-check of capacity, coach-load, and dwell invariants.
@@ -166,33 +158,31 @@ def generate_cohort(scenario: Scenario, keys: KeyRing) -> World:
     vault = Vault(keys, clock=clock, entropy=lambda n: rng.bytes(n))
 
     # Groups, coaches, capacity feasibility.
-    capacities = rng.integers(scenario.capacity_min, scenario.capacity_max + 1, scenario.n_groups)
-    total_capacity = int(capacities.sum())
+    capacities = rng.integers(
+        scenario.capacity_min, scenario.capacity_max + 1, scenario.n_groups
+    ).tolist()
+    total_capacity = sum(capacities)
     if scenario.n_users > total_capacity:
         raise ValidationError(
             f"capacity constraint infeasible: {scenario.n_users} users exceed "
             f"total group capacity {total_capacity}"
         )
     groups: dict[str, GroupState] = {}
-    for g in range(scenario.n_groups):
+    for g, capacity in enumerate(capacities):
         gid = f"g{g:03d}"
-        coach_id = f"c{g % scenario.n_coaches:02d}"
         groups[gid] = GroupState(
             group_id=gid,
-            coach_id=coach_id,
-            capacity=int(capacities[g]),
+            coach_id=f"c{g % scenario.n_coaches:02d}",
+            capacity=capacity,
             goal_category=GOAL_CATEGORIES[g % len(GOAL_CATEGORIES)],
-            language_tags=frozenset({"en"}),
+            language_tags=LANGUAGE_TAGS,
         )
-    coaches: dict[str, CoachState] = {}
-    for i in range(scenario.n_coaches):
-        coach_id = f"c{i:02d}"
-        cap_sum = sum(g.capacity for g in groups.values() if g.coach_id == coach_id)
-        coaches[coach_id] = CoachState(
-            coach_id=coach_id,
-            load_limit=max(1, int(np.floor(scenario.coach_load_factor * cap_sum))),
-        )
-    total_load = sum(c.load_limit for c in coaches.values())
+    load_limits = coach_load_limits(capacities, scenario.n_coaches, scenario.coach_load_factor)
+    coaches = {
+        f"c{i:02d}": CoachState(coach_id=f"c{i:02d}", load_limit=limit)
+        for i, limit in enumerate(load_limits)
+    }
+    total_load = sum(load_limits)
     if scenario.n_users > total_load:
         raise ValidationError(
             f"coach-load constraint infeasible: {scenario.n_users} users exceed "
@@ -201,7 +191,7 @@ def generate_cohort(scenario: Scenario, keys: KeyRing) -> World:
 
     # Users: identity through the vault, behavioral parameters kept.
     n = scenario.n_users
-    users: list[SimUser] = []
+    tokens: list[UserToken] = []
     raw_identities: dict[str, dict] = {}
     goal_weights = np.asarray(scenario.goal_weights)
     goal_index = np.empty(n, dtype=np.int64)
@@ -219,7 +209,7 @@ def generate_cohort(scenario: Scenario, keys: KeyRing) -> World:
         )
         weights0_col[i] = scenario.weight_start_mean + scenario.weight_start_sd * float(rng.normal())
         token = vault.register(identity)
-        users.append(SimUser(index=i, token=token, goal=GOAL_CATEGORIES[goal_index[i]]))
+        tokens.append(token)
         raw_identities[token.value] = identity
 
     horizon = scenario.horizon_weeks
@@ -227,8 +217,8 @@ def generate_cohort(scenario: Scenario, keys: KeyRing) -> World:
         scenario=scenario,
         vault=vault,
         clock=clock,
-        users=users,
-        roster=Roster(groups, coaches, [u.token.value for u in users]),
+        tokens=tuple(tokens),
+        roster=Roster(groups, coaches, [token.value for token in tokens]),
         rules=default_rules(),
         goal_index=goal_index,
         base_logit=base_logit,
@@ -244,6 +234,16 @@ def generate_cohort(scenario: Scenario, keys: KeyRing) -> World:
 
     _place_initially(world)
     return world
+
+
+def coach_load_limits(capacities: list[int], n_coaches: int, load_factor: float) -> list[int]:
+    """Per coach row, the load limit: ``load_factor`` of the summed capacity
+    of the coach's groups, at least 1. Group ``g`` belongs to coach
+    ``g % n_coaches``; the sums are exact integers, taken in one pass."""
+    cap_sums = [0] * n_coaches
+    for g, capacity in enumerate(capacities):
+        cap_sums[g % n_coaches] += capacity
+    return [max(1, int(np.floor(load_factor * cap_sum))) for cap_sum in cap_sums]
 
 
 def _place_initially(world: World) -> None:
@@ -370,12 +370,10 @@ def step_messages(world: World, epoch: int) -> None:
     variants = rng.integers(0, N_MESSAGE_VARIANTS, size=n)
     aux_ids = rng.integers(0, 10**8, size=n)
     geo = rng.integers(0, 10000, size=(n, 2))
-    for user in world.users:
-        i = user.index
+    for i, token in enumerate(world.tokens):
         if post_draw[i] >= scenario.message_prob:
             continue
-        identity = world._raw_identities[user.token.value]
+        identity = world._raw_identities[token.value]
         text = synth_message(int(variants[i]), identity, int(aux_ids[i]), int(geo[i, 0]), int(geo[i, 1]))
-        world.deid_messages.append(
-            redact(text, user.token, world.rules, {"goal": user.goal})
-        )
+        goal = GOAL_CATEGORIES[world.goal_index[i]]
+        world.deid_messages.append(redact(text, token, world.rules, {"goal": goal}))

@@ -363,17 +363,16 @@ def reference_joint_features(context, roster, rows, group_engagement=None) -> np
     return phi
 
 
-def tables_for(roster, context, group_engagement=None):
-    """Feature tables for a decision on ``context``: every other roster user
-    gets the same context values under their own token."""
-    tokens = sorted(roster.row_of, key=roster.row_of.get)
-    n = len(tokens)
+def tables_for(roster, goal="fitness", group_engagement=None):
+    """Feature tables at epoch 8 in which every roster user has goal
+    ``goal`` and the same mid-range context values."""
+    n = len(roster.user_tokens)
     batch = ContextBatch(
-        user_tokens=[UserToken(token) for token in tokens],
-        epoch=context.epoch,
-        numeric=np.tile(context.numeric_features, (n, 1)),
-        goal=np.full(n, GOAL_CATEGORIES.index(context.goal_category)),
-        streak=np.full(n, context.missed_checkin_streak),
-        slope=np.full(n, context.engagement_slope),
+        user_tokens=[UserToken(token) for token in roster.user_tokens],
+        epoch=8,
+        numeric=np.tile([0.5, 0.5, 0.5, 0.5, 0.0], (n, 1)),
+        goal=np.full(n, GOAL_CATEGORIES.index(goal)),
+        streak=np.zeros(n),
+        slope=np.zeros(n),
     )
     return feature_tables(batch, roster, group_engagement)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import (
     decode_trace_line,
     empty_events,
-    goal_onehot,
     legend_of,
     reference_full_for,
     reference_widths,
@@ -24,7 +23,9 @@ import prism.assignment
 from prism.assignment import (
     CODE_CAPACITY,
     CODE_COACH_LOAD,
+    CODE_GOAL,
     FEATURE_DIM,
+    N_NUMERIC,
     BanditModel,
     CoachState,
     GroupState,
@@ -37,22 +38,13 @@ from prism.assignment import (
     score_and_select,
 )
 from prism.errors import ConstraintViolationError, InternalError, ValidationError
-from prism.features import ContextBatch, EngagementWeights, LearningContext, engagement_scores
+from prism.features import GOAL_CATEGORIES, ContextBatch, EngagementWeights, engagement_scores
 from prism.simulator.experiment import _trace_line
 from prism.vault import UserToken
 
 USER = "aa" * 32
-
-
-def make_context(goal="fitness", streak=0, slope=0.0, token_byte="aa", epoch=8):
-    return LearningContext(
-        user_token=UserToken(token_byte * 32),
-        epoch=epoch,
-        numeric_features=np.array([0.5, 0.5, 0.5, 0.5, 0.0]),
-        categorical_features=goal_onehot(goal),
-        missed_checkin_streak=streak,
-        engagement_slope=slope,
-    )
+USER_ROW = 0  # make_world puts USER first
+FITNESS = GOAL_CATEGORIES.index("fitness")
 
 
 def make_world(n_groups=3, capacity=5, goal="fitness", coach_limit=50, seats=(), edits=None):
@@ -73,7 +65,7 @@ def make_world(n_groups=3, capacity=5, goal="fitness", coach_limit=50, seats=(),
     tokens = [USER] + [token for token, _, _ in seats if token != USER]
     roster = Roster(groups, coaches, tokens)
     for token, gid, epoch in seats:
-        roster.move(roster.row_of[token], roster.group_row[gid], epoch, dwell=0)
+        roster.move(tokens.index(token), roster.group_row[gid], epoch, dwell=0)
     return roster
 
 
@@ -112,7 +104,7 @@ class TestPolicyConfig:
 class TestEligibility:
     def test_dwell_lock_returns_only_current_group(self):
         roster = make_world(seats=[(USER, "g001", 7)])
-        report = feasibility_report(make_context(), roster, epoch=8, config=CONFIG)
+        report = feasibility_report(USER_ROW, FITNESS, roster, epoch=8, config=CONFIG)
         assert feasible(report) == ["g001"]
 
     def test_dwell_overrides_eligibility_for_current_group(self):
@@ -120,26 +112,24 @@ class TestEligibility:
         roster = make_world(
             seats=[(USER, "g001", 7)], edits={"g001": {"goal_category": "maintenance"}}
         )
-        report = feasibility_report(
-            make_context(goal="fitness"), roster, epoch=8, config=CONFIG
-        )
+        report = feasibility_report(USER_ROW, FITNESS, roster, epoch=8, config=CONFIG)
         assert feasible(report) == ["g001"]
 
     def test_past_dwell_opens_alternatives(self):
         roster = make_world(seats=[(USER, "g001", 4)])
-        report = feasibility_report(make_context(), roster, epoch=8, config=CONFIG)
+        report = feasibility_report(USER_ROW, FITNESS, roster, epoch=8, config=CONFIG)
         assert feasible(report) == ["g000", "g001", "g002"]
 
     def test_full_group_excluded_for_non_members(self):
         roster = make_world(
             capacity=2, seats=[("x1", "g000", 0), ("x2", "g000", 0), (USER, "g001", 0)]
         )
-        report = feasibility_report(make_context(), roster, epoch=8, config=CONFIG)
+        report = feasibility_report(USER_ROW, FITNESS, roster, epoch=8, config=CONFIG)
         assert "g000" not in feasible(report)
 
     def test_member_keeps_own_full_group(self):
         roster = make_world(capacity=2, seats=[(USER, "g001", 0), ("x2", "g001", 0)])
-        report = feasibility_report(make_context(), roster, epoch=8, config=CONFIG)
+        report = feasibility_report(USER_ROW, FITNESS, roster, epoch=8, config=CONFIG)
         assert "g001" in feasible(report)
 
     def test_eligibility_truth_table(self):
@@ -147,7 +137,7 @@ class TestEligibility:
         roster = make_world(
             edits={"g001": {"active": False}, "g002": {"goal_category": "maintenance"}}
         )
-        report = feasibility_report(make_context(), roster, epoch=8, config=CONFIG)
+        report = feasibility_report(USER_ROW, FITNESS, roster, epoch=8, config=CONFIG)
         assert feasible(report) == ["g000"]
 
     def test_coach_load_binding(self):
@@ -155,7 +145,7 @@ class TestEligibility:
             n_groups=2, capacity=5, coach_limit=3,
             seats=[("x1", "g000", 0), ("x2", "g000", 0), ("x3", "g000", 0)],
         )
-        report = feasibility_report(make_context(), roster, epoch=8, config=CONFIG)
+        report = feasibility_report(USER_ROW, FITNESS, roster, epoch=8, config=CONFIG)
         assert feasible(report) == []
 
     def test_language_intersection(self):
@@ -167,14 +157,13 @@ class TestEligibility:
             },
         )
         report = feasibility_report(
-            make_context(), roster, epoch=8, config=CONFIG,
-            user_tags=frozenset({"en"}),
+            USER_ROW, FITNESS, roster, epoch=8, config=CONFIG, user_tags=frozenset({"en"})
         )
         assert feasible(report) == ["g001"]
 
     def test_reasons_reported(self):
         roster = make_world(edits={"g001": {"active": False}})
-        report = feasibility_report(make_context(), roster, epoch=8, config=CONFIG)
+        report = feasibility_report(USER_ROW, FITNESS, roster, epoch=8, config=CONFIG)
         assert report["g001"] == ["inactive"]
         assert report["g000"] == []
 
@@ -198,7 +187,7 @@ class TestScoring:
         model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
         use_feature_map(monkeypatch, lambda r: np.ones((r.size, FEATURE_DIM)) / np.sqrt(FEATURE_DIM))
         best, scores, _ = score_and_select(
-            make_context(), np.arange(3), model, roster, epoch=8, config=CONFIG, tables=None
+            USER_ROW, np.arange(3), model, roster, epoch=8, config=CONFIG, tables=None
         )
         # equal unit-norm features -> equal scores -> lowest load wins
         assert roster.group_ids[best] == "g001"
@@ -212,7 +201,7 @@ class TestScoring:
         # g000 -> [1, 0], g001 -> [0, 1]
         use_feature_map(monkeypatch, lambda r: np.eye(2)[r])
         best, _, _ = score_and_select(
-            make_context(), np.arange(2), model, roster, epoch=8, config=config, tables=None
+            USER_ROW, np.arange(2), model, roster, epoch=8, config=config, tables=None
         )
         assert roster.group_ids[best] == "g000"
 
@@ -223,7 +212,7 @@ class TestScoring:
         roster = make_world(n_groups=2)
         use_feature_map(monkeypatch, lambda r: np.eye(2)[r])
         best, scores, phi_chosen = score_and_select(
-            make_context(), np.arange(2), model, roster, epoch=8,
+            USER_ROW, np.arange(2), model, roster, epoch=8,
             config=PolicyConfig(beta=1.0, lam=0.0), tables=None,
         )
         g000, g001 = 0, 1  # candidate order is group-id order
@@ -271,7 +260,7 @@ class TestScoring:
         with pytest.MonkeyPatch.context() as patch:
             use_feature_map(patch, lambda rows: np.column_stack([mu[rows], sigma[rows]]))
             best, scores, _ = score_and_select(
-                make_context(), candidates, TermModel(), roster, epoch=8, config=config, tables=None
+                USER_ROW, candidates, TermModel(), roster, epoch=8, config=config, tables=None
             )
         rows = candidates.tolist()
         reference = min(
@@ -309,7 +298,7 @@ class TestScoring:
         with pytest.MonkeyPatch.context() as patch:
             use_feature_map(patch, lambda rows: phi[rows])
             _, scores, _ = score_and_select(
-                make_context(), np.arange(k), model, roster, epoch=8, config=CONFIG, tables=None
+                USER_ROW, np.arange(k), model, roster, epoch=8, config=CONFIG, tables=None
             )
         alone = {
             d: (model.means(row[None])[0], model.widths(row[None])[0])
@@ -344,8 +333,8 @@ class TestScoring:
         model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
         roster = make_world(n_groups=2, seats=[(USER, "g000", 4)])
         _, scores, _ = score_and_select(
-            make_context(), np.arange(2), model, roster, epoch=8, config=PolicyConfig(lam=0.5),
-            tables=tables_for(roster, make_context()),
+            USER_ROW, np.arange(2), model, roster, epoch=8, config=PolicyConfig(lam=0.5),
+            tables=tables_for(roster),
         )
         g000, g001 = 0, 1
         assert scores.penalty[g000] == 0
@@ -359,8 +348,8 @@ class TestScoring:
         roster = make_world(seats=[(USER, "g000", 6)])
         config = PolicyConfig(beta=0.7, lam=0.3)
         _, scores, _ = score_and_select(
-            make_context(), np.arange(3), model, roster, epoch=8, config=config,
-            tables=tables_for(roster, make_context()),
+            USER_ROW, np.arange(3), model, roster, epoch=8, config=config,
+            tables=tables_for(roster),
         )
         for mu, sigma, penalty, score in zip(*(a.tolist() for a in scores)):
             expected = mu + config.beta * sigma - config.lam * penalty
@@ -370,14 +359,14 @@ class TestScoring:
         model = BanditModel(dim=FEATURE_DIM)
         roster = make_world()
         with pytest.raises(ValidationError):
-            score_and_select(make_context(), [], model, roster, 8, CONFIG, tables_for(roster, make_context()))
+            score_and_select(USER_ROW, [], model, roster, 8, CONFIG, tables_for(roster))
 
     def test_dimension_mismatch_is_internal_error(self, monkeypatch):
         model = BanditModel(dim=3)
         roster = make_world(n_groups=1)
         use_feature_map(monkeypatch, lambda r: np.ones((r.size, 5)))
         with pytest.raises(InternalError):
-            score_and_select(make_context(), np.arange(1), model, roster, 8, CONFIG, None)
+            score_and_select(USER_ROW, np.arange(1), model, roster, 8, CONFIG, None)
 
 
 class TestModelUpdate:
@@ -504,29 +493,24 @@ class TestAssign:
         roster = make_world(seats=[(USER, "g001", 7)])
         model = BanditModel(dim=FEATURE_DIM)
         before = [a.copy() for a in (roster.group_of, roster.last_change, roster.count, roster.load)]
-        decision = assign(
-            make_context(), roster, model, epoch=8, config=CONFIG,
-            tables=tables_for(roster, make_context()),
-        )
+        decision = assign(USER_ROW, roster, model, epoch=8, config=CONFIG, tables=tables_for(roster))
         assert decision.chosen == "g001"
         assert not decision.changed
         after = (roster.group_of, roster.last_change, roster.count, roster.load)
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
-        assert roster.last_change[roster.row_of[USER]] == 7
+        assert roster.last_change[USER_ROW] == 7
 
     def test_waitlist_for_unplaced_user_with_no_feasible_group(self):
         roster = make_world(goal="maintenance")
         model = BanditModel(dim=FEATURE_DIM)
-        context = make_context(goal="fitness")
-        decision = assign(context, roster, model, 8, CONFIG, tables=tables_for(roster, context))
+        decision = assign(USER_ROW, roster, model, 8, CONFIG, tables=tables_for(roster))
         assert decision.chosen is None
-        assert roster.group_id(roster.row_of[USER]) is None
+        assert roster.group_id(USER_ROW) is None
 
     def test_placed_user_with_no_feasible_alternative_stays(self):
         roster = make_world(n_groups=1, goal="maintenance", seats=[(USER, "g000", 0)])
         model = BanditModel(dim=FEATURE_DIM)
-        context = make_context(goal="fitness")
-        decision = assign(context, roster, model, 8, CONFIG, tables=tables_for(roster, context))
+        decision = assign(USER_ROW, roster, model, 8, CONFIG, tables=tables_for(roster))
         assert decision.chosen == "g000"
         assert not decision.changed
 
@@ -536,14 +520,13 @@ class TestAssign:
             edits={gid: {"goal_category": "maintenance"} for gid in ("g001", "g002")},
         )
         model = BanditModel(dim=FEATURE_DIM)
-        context = make_context(goal="fitness")
-        decision = assign(context, roster, model, 8, CONFIG, tables=tables_for(roster, context))
+        decision = assign(USER_ROW, roster, model, 8, CONFIG, tables=tables_for(roster))
         assert decision.chosen == "g000"
         assert decision.changed
-        user = roster.row_of[USER]
-        assert roster.group_id(user) == "g000"
+        assert decision.user_token == USER
+        assert roster.group_id(USER_ROW) == "g000"
         assert roster.count.tolist() == [1, 0, 0]
-        assert roster.last_change[user] == 8
+        assert roster.last_change[USER_ROW] == 8
         # Read back through the trace line, as a coach's tool reads it.
         trace = decode_trace_line(_trace_line(decision), legend_of(roster.group_ids, CONFIG))
         assert trace == trace_dict(decision, roster.group_ids)
@@ -554,6 +537,37 @@ class TestAssign:
         assert not by_group["g001"]["feasible"]
         assert by_group["g001"]["reasons"] == ["goal_mismatch"]
         assert by_group["g001"]["score"] is None
+
+    def test_goal_codes_and_features_follow_the_tables(self):
+        # The epoch's tables are the one source of a user's goal: the goal
+        # bits of the reason codes and the goal parts of the scored row
+        # both follow tables.goal[user], user by user.
+        groups = {
+            f"g{g:03d}": GroupState(f"g{g:03d}", "c00", capacity=5, goal_category=goal)
+            for g, goal in enumerate(GOAL_CATEGORIES)
+        }
+        tokens = [f"{u:02x}" * 32 for u in range(len(GOAL_CATEGORIES))]
+        roster = Roster(groups, {"c00": CoachState("c00", load_limit=50)}, tokens)
+        goals = np.array([2, 0, 3, 1])
+        n = goals.size
+        tables = feature_tables(
+            ContextBatch(
+                user_tokens=[UserToken(token) for token in tokens], epoch=8,
+                numeric=np.full((n, 5), 0.5), goal=goals, streak=np.zeros(n), slope=np.zeros(n),
+            ),
+            roster,
+        )
+        model = BanditModel(dim=FEATURE_DIM)
+        for user, goal in enumerate(goals.tolist()):
+            decision = assign(user, roster, model, 8, CONFIG, tables=tables)
+            assert decision.user_token == tokens[user]
+            goal_bits = decision.reason_codes & CODE_GOAL != 0
+            assert goal_bits.tolist() == (roster.goal_index != goal).tolist()
+            assert roster.goal_index[roster.group_row[decision.chosen]] == goal
+            onehot = np.eye(len(GOAL_CATEGORIES))[goal].tolist()
+            phi = decision.phi_chosen
+            assert phi[N_NUMERIC : N_NUMERIC + len(GOAL_CATEGORIES)].tolist() == onehot
+            assert phi[-len(GOAL_CATEGORIES) :].tolist() == onehot  # goal interaction
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -600,7 +614,7 @@ class TestAssign:
             )
             tables = feature_tables(contexts, roster)
             for u in data.draw(st.permutations(range(len(tokens)))):
-                decision = assign(contexts[u], roster, model, epoch, config, tables=tables)
+                decision = assign(u, roster, model, epoch, config, tables=tables)
                 if decision.changed:
                     if u in last_move:
                         assert epoch - last_move[u] >= dwell
@@ -690,8 +704,7 @@ class TestRosterMove:
                 if roster.group_of[u] < 0:
                     assert np.array_equal(roster.capacity_code != 0, capacity_full)
                     assert np.array_equal(roster.load_code[roster.coach_of] != 0, coach_full)
-                context = make_context(token_byte=f"{u:02x}")
-                codes = feasibility_report(context, roster, 0, config).codes
+                codes = feasibility_report(u, FITNESS, roster, 0, config).codes
                 assert np.array_equal(codes & CODE_CAPACITY != 0, capacity_full)
                 assert np.array_equal(codes & CODE_COACH_LOAD != 0, coach_full)
 

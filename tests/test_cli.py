@@ -130,6 +130,10 @@ class TestSimulate:
             # Fits int64, but 50 users' arrays could not be allocated: rejected
             # by the user-week bound before any array is built.
             (dict(SCENARIO, horizon_weeks=2**40), (), 1),
+            # Fit int64, but the per-group and per-coach state could not be
+            # allocated: rejected by the group and coach bound.
+            (dict(SCENARIO, n_groups=10**12), (), 1),
+            (dict(SCENARIO, n_coaches=10**12), (), 1),
         ],
     )
     def test_scenario_values_exit_one_or_run(self, keys_env, tmp_path, capsys, doc, argv, expected):

@@ -145,30 +145,13 @@ def worlds(draw):
     return groups, coaches, roster
 
 
-def context_for(user, goal_onehot, rng=None, streak=0, slope=0.0):
-    numeric = rng.random(5) if rng is not None else np.full(5, 0.5)
-    return LearningContext(
-        user_token=UserToken(f"{user:02x}" * 32),
-        epoch=0,
-        numeric_features=numeric,
-        categorical_features=goal_onehot,
-        missed_checkin_streak=streak,
-        engagement_slope=slope,
-    )
-
-
-goal_vectors = st.one_of(
-    st.sampled_from([np.eye(len(GOAL_CATEGORIES))[g] for g in range(len(GOAL_CATEGORIES))]),
-    st.just(np.zeros(len(GOAL_CATEGORIES))),  # no goal
-)
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     world=worlds(),
     queries=st.lists(
         st.tuples(
-            st.integers(0, 11), goal_vectors, st.integers(0, 15), st.integers(0, 4),
+            st.integers(0, 11), st.integers(0, len(GOAL_CATEGORIES) - 1),
+            st.integers(0, 15), st.integers(0, 4),
             st.frozensets(st.sampled_from(TAGS + ("xx",))),
         ),
         min_size=1, max_size=6,
@@ -176,13 +159,12 @@ goal_vectors = st.one_of(
 )
 def test_feasibility_report_matches_per_group_rules(world, queries):
     groups, coaches, roster = world
-    for user, onehot, epoch, dwell, user_tags in queries:
-        user %= len(roster.row_of)
-        context = context_for(user, onehot)
+    for user, goal, epoch, dwell, user_tags in queries:
+        user %= len(roster.user_tokens)
         config = PolicyConfig(dwell=dwell, oscillation=dwell)
-        report = feasibility_report(context, roster, epoch, config, user_tags)
+        report = feasibility_report(user, goal, roster, epoch, config, user_tags)
         expected = reference_report(
-            context.goal_category, roster, groups, coaches, user, epoch, dwell, user_tags
+            GOAL_CATEGORIES[goal], roster, groups, coaches, user, epoch, dwell, user_tags
         )
         assert list(report) == list(expected)
         assert list(report.values()) == list(expected.values())
@@ -198,9 +180,9 @@ def test_joint_feature_rows_match_per_candidate_map(world, seed, data):
     # built from scratch for that decision.
     groups, _, roster = world
     rng = np.random.default_rng(seed)
-    n = len(roster.row_of)
+    n = len(roster.user_tokens)
     contexts = ContextBatch(
-        user_tokens=[UserToken(token) for token in roster.row_of],
+        user_tokens=[UserToken(token) for token in roster.user_tokens],
         epoch=data.draw(st.integers(0, 20)),
         numeric=rng.random((n, 5)),
         goal=rng.integers(0, len(GOAL_CATEGORIES), size=n),
@@ -250,11 +232,11 @@ def test_feature_tables_need_one_context_per_roster_user():
             streak=np.array(rows), slope=np.zeros(len(rows)),
         )
 
-    in_order = feature_tables(batch([0, 1, 2]), roster)
-    shuffled = feature_tables(batch([2, 0, 1]), roster)
-    assert all(np.array_equal(a, b) for a, b in zip(in_order, shuffled))
-    for rows in ([0, 1], [0, 1, 1], [0, 1, 2, 2]):
-        with pytest.raises(ValidationError):
+    assert feature_tables(batch([0, 1, 2]), roster).goal.tolist() == [0, 1, 2]
+    # A misordered batch holds every context, but a table row must be its
+    # roster user's.
+    for rows in ([0, 1], [0, 1, 1], [0, 1, 2, 2], [2, 0, 1], [0, 2, 1]):
+        with pytest.raises(ValidationError, match="roster row order"):
             feature_tables(batch(rows), roster)
 
 
@@ -318,7 +300,6 @@ def test_batch_contexts_match_per_user_reference(cohort):
         assert context.missed_checkin_streak == expected.missed_checkin_streak
         assert type(context.engagement_slope) is float
         assert bits(context.engagement_slope) == bits(expected.engagement_slope)
-        assert context.goal_category == expected.goal_category
 
 
 def good_batch() -> dict:

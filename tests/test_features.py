@@ -245,7 +245,7 @@ class TestBuildContext:
         assert (numeric[:-1] == 0).all()
         assert context.missed_checkin_streak == 0
         assert context.engagement_slope == 0.0
-        assert context.goal_category == "fitness"
+        assert context.categorical_features.tolist() == goal_onehot("fitness").tolist()
 
     def test_active_user_features(self):
         events = empty_events(8)

@@ -34,8 +34,8 @@ from prism.simulator import (
     group_activity_flags,
 )
 from prism.simulator import experiment
-from prism.simulator.scenario import MAX_USER_WEEKS
-from prism.simulator.world import group_engagement_means
+from prism.simulator.scenario import MAX_GROUPS_OR_COACHES, MAX_USER_WEEKS
+from prism.simulator.world import coach_load_limits, group_engagement_means
 from prism.vault import (
     AuditLog,
     RestorationRequest,
@@ -65,9 +65,7 @@ def small_scenario(**overrides):
 def cohort_fingerprint(world) -> str:
     roster = world.roster
     doc = {
-        "users": [
-            [u.index, u.token.value, u.goal, sorted(u.language_tags)] for u in world.users
-        ],
+        "tokens": [token.value for token in world.tokens],
         "draws": [
             a.tolist()
             for a in (world.goal_index, world.base_logit, world.fatigue_rate, world.engagement_rates)
@@ -125,18 +123,38 @@ class TestGeneration:
 
     def test_all_users_tokenized_through_vault(self, keys):
         world = generate_cohort(small_scenario(), keys)
-        for user in world.users:
+        for user, token in enumerate(world.tokens):
             result = world.vault.restore_identity(
-                RestorationRequest(f"coach-{user.index}", "coach", True, user.token, "check")
+                RestorationRequest(f"coach-{user}", "coach", True, token, "check")
             )
             assert result.granted
-            assert result.fields == world._raw_identities[user.token.value]
+            assert result.fields == world._raw_identities[token.value]
 
     def test_user_weeks_bounded_before_any_array(self):
         users = MAX_USER_WEEKS // 20
         assert Scenario(n_users=users, horizon_weeks=20).n_users == users
         with pytest.raises(ValidationError, match="n_users \\* horizon_weeks"):
             Scenario(n_users=users + 1, horizon_weeks=20)
+
+    @pytest.mark.parametrize("field", ["n_groups", "n_coaches"])
+    def test_groups_and_coaches_bounded_before_any_array(self, field):
+        assert getattr(Scenario(**{field: MAX_GROUPS_OR_COACHES}), field) == MAX_GROUPS_OR_COACHES
+        with pytest.raises(ValidationError, match="n_groups and n_coaches"):
+            Scenario(**{field: MAX_GROUPS_OR_COACHES + 1})
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacities=st.lists(st.integers(1, 2**62), min_size=1, max_size=40),
+        n_coaches=st.integers(1, 50),
+        load_factor=st.floats(0.01, 1.0),
+    )
+    def test_coach_load_limits_match_per_coach_sums(self, capacities, n_coaches, load_factor):
+        # Capacities up to 2**62 would lose digits in a float sum.
+        limits = coach_load_limits(capacities, n_coaches, load_factor)
+        for coach, limit in enumerate(limits):
+            cap_sum = sum(c for g, c in enumerate(capacities) if g % n_coaches == coach)
+            assert limit == max(1, int(np.floor(load_factor * cap_sum)))
+        assert len(limits) == n_coaches
 
     def test_misgroup_fraction_realized(self, keys):
         world = generate_cohort(
@@ -318,7 +336,7 @@ class TestRunExperiment:
             small_scenario(seed=13, policy="adaptive"), keys, out_dir=str(tmp_path)
         )
         dwell = PolicyConfig().dwell
-        last_change = {u.token.value: 0 for u in result.world.users}
+        last_change = {token.value: 0 for token in result.world.tokens}
         moves = 0
         for trace in read_traces(tmp_path):
             if trace["changed"]:

@@ -10,14 +10,13 @@ import importlib.util
 import pathlib
 from collections import Counter
 
-import numpy as np
-
-from conftest import goal_onehot, tables_for
+from conftest import tables_for
 
 import prism.assignment
 import prism.simulator.experiment
 from prism.assignment import (
     FEATURE_DIM,
+    GOAL_CATEGORIES,
     BanditModel,
     CoachState,
     GroupState,
@@ -25,8 +24,6 @@ from prism.assignment import (
     Roster,
     feasibility_report,
 )
-from prism.features import LearningContext
-from prism.vault import UserToken
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -38,22 +35,17 @@ def load_tracing():
     return module
 
 
-def small_world():
+FITNESS = GOAL_CATEGORIES.index("fitness")
+
+
+def small_roster():
+    """One unplaced user, row 0, and two of three groups matching their goal."""
     groups = {
         "g000": GroupState("g000", "c00", capacity=3, goal_category="fitness"),
         "g001": GroupState("g001", "c00", capacity=3, goal_category="maintenance"),
         "g002": GroupState("g002", "c00", capacity=3, goal_category="fitness"),
     }
-    roster = Roster(groups, {"c00": CoachState("c00", load_limit=9)}, ["aa" * 32])
-    context = LearningContext(
-        user_token=UserToken("aa" * 32),
-        epoch=8,
-        numeric_features=np.full(5, 0.5),
-        categorical_features=goal_onehot("fitness"),
-        missed_checkin_streak=0,
-        engagement_slope=0.0,
-    )
-    return roster, context
+    return Roster(groups, {"c00": CoachState("c00", load_limit=9)}, ["aa" * 32])
 
 
 def test_tracer_installs_every_name_and_restores_it():
@@ -68,27 +60,27 @@ def test_tracer_installs_every_name_and_restores_it():
 
 def test_feasibility_observer_reads_a_real_report():
     tracing = load_tracing()
-    roster, context = small_world()
+    roster = small_roster()
     counts = Counter()
-    report = feasibility_report(context, roster, 8, PolicyConfig())
+    report = feasibility_report(0, FITNESS, roster, 8, PolicyConfig())
     tracing._observe_feasibility(counts, (), report)
     assert counts == Counter(groups_checked=3, groups_feasible=2, dwell_locked=0)
 
     roster.move(0, 0, 7, dwell=0)
-    report = feasibility_report(context, roster, 8, PolicyConfig(dwell=4))
+    report = feasibility_report(0, FITNESS, roster, 8, PolicyConfig(dwell=4))
     tracing._observe_feasibility(counts, (), report)
     assert counts == Counter(groups_checked=6, groups_feasible=3, dwell_locked=1)
 
 
 def test_one_traced_decision_reaches_every_assignment_span():
     tracing = load_tracing()
-    roster, context = small_world()
-    tables = tables_for(roster, context)
+    roster = small_roster()
+    tables = tables_for(roster, "fitness")
     tracer = tracing.Tracer()
     with tracer.installed():
         tracer.arm = "adaptive"
         decision = prism.simulator.experiment.assign(
-            context, roster, BanditModel(dim=FEATURE_DIM), 8, PolicyConfig(), tables=tables
+            0, roster, BanditModel(dim=FEATURE_DIM), 8, PolicyConfig(), tables=tables
         )
         tracer.arm = None
     assert prism.assignment.assign is prism.simulator.experiment.assign

@@ -1,12 +1,15 @@
 """Vault contract tests: keyed tagging, AEAD storage, restoration governance."""
 
 import base64
+import itertools
 import json
 from dataclasses import replace
+from datetime import datetime
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
 
 from prism.errors import (
     ConfigurationError,
@@ -15,6 +18,10 @@ from prism.errors import (
     ValidationError,
 )
 from prism.vault import (
+    DENY_MFA,
+    DENY_RATE,
+    DENY_ROLE,
+    RESTORE_ALLOWED_ROLES,
     AuditLog,
     KeyRing,
     RestorationRequest,
@@ -419,3 +426,92 @@ class TestKeyHygiene:
             for surface in surfaces:
                 assert hexed not in surface
                 assert b64 not in surface
+
+
+class VaultMachine(RuleBasedStateMachine):
+    """Registrations, restorations by every role with and without MFA, and
+    a clock that only moves forward, checked against the governance
+    invariants after every step. Two grants an hour per requester, so
+    steps reach the rate limit."""
+
+    tokens = Bundle("tokens")
+    LIMIT, WINDOW = 2, 3600.0
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.now = 1_700_000_000.0
+        counter = itertools.count(1)
+        self.vault = Vault(
+            KeyRing.from_hex("11" * 32, "22" * 32),
+            rate_limiter=SlidingWindowRateLimiter(self.LIMIT, self.WINDOW),
+            clock=lambda: self.now,
+            entropy=lambda n: next(counter).to_bytes(n, "big"),
+        )
+        self.identities: dict[str, dict] = {}
+        self.granted_at: dict[str, list[float]] = {"r0": [], "r1": []}
+        self.attempts = 0
+        self.decrypts = 0
+        decrypt = self.vault._decrypt
+
+        def counting_decrypt(record):
+            self.decrypts += 1
+            return decrypt(record)
+
+        self.vault._decrypt = counting_decrypt
+
+    @rule(target=tokens, n=st.integers(0, 10**6))
+    def register(self, n):
+        identity = {"email": f"user{n}@example-mail.test", "full_name": f"Member {n}"}
+        token = self.vault.register(identity)
+        self.identities[token.value] = identity
+        return token
+
+    @rule(
+        token=tokens,
+        role=st.sampled_from(sorted(RESTORE_ALLOWED_ROLES) + ["analyst", "auditor"]),
+        mfa=st.booleans(),
+        requester=st.sampled_from(["r0", "r1"]),
+    )
+    def restore(self, token, role, mfa, requester):
+        decrypts = self.decrypts
+        result = self.vault.restore_identity(
+            RestorationRequest(requester, role, mfa, token, "check-in follow-up")
+        )
+        self.attempts += 1
+        recent = [t for t in self.granted_at[requester] if t > self.now - self.WINDOW]
+        if role not in RESTORE_ALLOWED_ROLES:
+            assert result.denial_reason == DENY_ROLE
+        elif not mfa:
+            assert result.denial_reason == DENY_MFA
+        elif len(recent) >= self.LIMIT:
+            assert result.denial_reason == DENY_RATE
+        else:
+            assert result.granted
+            self.granted_at[requester].append(self.now)
+        if result.granted:
+            assert result.fields == self.identities[token.value]
+            assert self.decrypts == decrypts + 1
+        else:
+            assert result.fields is None
+            assert self.decrypts == decrypts
+
+    @rule(seconds=st.integers(0, 7200))
+    def advance_clock(self, seconds):
+        self.now += seconds
+
+    @invariant()
+    def attempts_equal_audit_entries(self):
+        assert len(self.vault.audit_log) == self.attempts
+
+    @invariant()
+    def chain_verifies(self):
+        assert verify_audit_chain(self.vault.audit_log.entries()) == (True, None)
+
+    @invariant()
+    def timestamps_never_decrease(self):
+        stamps = [datetime.fromisoformat(e.ts) for e in self.vault.audit_log.entries()]
+        assert stamps == sorted(stamps)
+
+
+TestVaultMachine = VaultMachine.TestCase
+TestVaultMachine.settings = settings(max_examples=40, stateful_step_count=40, deadline=None)
