@@ -6,8 +6,8 @@ then scored. Scoring is linear-UCB over a single shared coefficient
 vector on a joint user-by-group feature map, with a stability penalty
 against reassignments inside the oscillation horizon. Rewards are
 within-user deltas against the fixed pre-assignment baseline window and
-arrive after the evaluation window, so model updates run through a
-pending-observation queue owned by the caller.
+arrive after the evaluation window, so the caller queues each epoch's
+decisions and feeds the model one batch per epoch once they mature.
 """
 
 from __future__ import annotations
@@ -19,17 +19,13 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConstraintViolationError, InternalError, ValidationError
-from .features import (
-    DAYS_PER_WEEK,
-    GOAL_CATEGORIES,
-    ContextBatch,
-    EngagementWeights,
-    engagement_scores,
-)
+from .features import DAYS_PER_WEEK, GOAL_CATEGORIES, ContextBatch, engagement_scores
 from .records import Record
 
+# perfbench/tracing.py wraps engagement_scores here too; nothing in this module calls it.
+_TRACED_NAMES = (engagement_scores,)
+
 _STREAK_CAP_DAYS = 14
-_THETA_RESYNC_EVERY = 512
 
 
 @dataclass(frozen=True)
@@ -295,8 +291,8 @@ class BanditModel:
     """Shared linear model over the joint feature map.
 
     State is the ridge-initialized design accumulator ``A`` and response
-    vector ``b``; coefficients are kept in sync through rank-1 inverse
-    updates and periodically resynced against a direct solve.
+    vector ``b``. Each :meth:`update` adds a batch of observations and
+    re-solves the coefficients through one exact inverse of ``A``.
     """
 
     def __init__(self, dim: int = FEATURE_DIM, ridge: float = 1.0) -> None:
@@ -308,7 +304,6 @@ class BanditModel:
         self.b = np.zeros(dim)
         self._a_inv = np.eye(dim) / ridge
         self._theta = np.zeros(dim)
-        self._updates = 0
 
     @property
     def theta(self) -> np.ndarray:
@@ -332,21 +327,23 @@ class BanditModel:
         quad = np.einsum("ik,ik->i", np.einsum("ij,jk->ik", phi, self._a_inv), phi)
         return np.sqrt(np.maximum(0.0, quad))
 
-    def update(self, phi: np.ndarray, reward: float) -> None:
+    def update(self, phi: np.ndarray, rewards: np.ndarray) -> None:
+        """Add the observations of a (m, dim) batch ``phi`` with their (m,)
+        ``rewards``: ``A += phi^T phi`` and ``b += phi^T rewards``, then
+        ``theta = A^-1 b`` from one exact inverse. Any split of the same
+        observations into batches gives the same ridge solution. A bad
+        batch raises before the model changes."""
         phi = np.asarray(phi, dtype=float)
-        if phi.shape != (self.dim,):
-            raise InternalError(f"feature dimension {phi.shape} does not match model dim {self.dim}")
-        if not np.all(np.isfinite(phi)) or not np.isfinite(reward):
-            raise ValidationError("update requires finite features and reward")
-        self.A += np.outer(phi, phi)
-        self.b += reward * phi
-        # Sherman-Morrison keeps the inverse O(d^2) per update; periodic
-        # resync bounds accumulated drift.
-        av = self._a_inv @ phi
-        self._a_inv -= np.outer(av, av) / (1.0 + phi @ av)
-        self._updates += 1
-        if self._updates % _THETA_RESYNC_EVERY == 0:
-            self._a_inv = np.linalg.inv(self.A)
+        rewards = np.asarray(rewards, dtype=float)
+        if phi.ndim != 2 or phi.shape[1] != self.dim or rewards.shape != phi.shape[:1]:
+            raise InternalError(
+                f"update batch shapes {phi.shape}, {rewards.shape} do not fit model dim {self.dim}"
+            )
+        if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(rewards))):
+            raise ValidationError("update requires finite features and rewards")
+        self.A += np.einsum("ki,kj->ij", phi, phi)
+        self.b += np.einsum("ki,k->i", phi, rewards)
+        self._a_inv = np.linalg.inv(self.A)
         self._theta = self._a_inv @ self.b
 
 
@@ -498,8 +495,7 @@ def score_and_select(
     score = ucb_score(mu, sigma, penalty, config.beta, config.lam)
     # Least significant key first; group rows are in group-id order.
     best = int(np.lexsort((rows, roster.count[rows], -score))[0])
-    # A copy, so a pending observation does not keep the whole matrix alive.
-    return best, CandidateScores(mu, sigma, penalty, score), phi[best].copy()
+    return best, CandidateScores(mu, sigma, penalty, score), phi[best]
 
 
 # ---------------------------------------------------------------------------
@@ -509,36 +505,34 @@ def score_and_select(
 
 def compute_reward(
     checkins: np.ndarray,
-    action_counts: np.ndarray,
+    weekly_scores: np.ndarray,
+    users: np.ndarray,
     *,
     epoch: int,
-    churn_penalty: int,
-    weights: EngagementWeights,
+    churn_penalties: np.ndarray,
     config: PolicyConfig,
-) -> Optional[float]:
-    """One user's reward for the decision at ``epoch``, or None if deferred.
+) -> Optional[np.ndarray]:
+    """The rewards of the decisions made at ``epoch`` for user rows
+    ``users``, one per row, or None while the batch is deferred.
 
-    ``checkins`` is the user's daily 0/1 array and ``action_counts`` their
-    (weeks, K) matrix of weekly action counts. Adherence and engagement
-    both compare the evaluation window [epoch, epoch + w_post) against the
-    fixed pre-assignment baseline [epoch - w_pre, epoch). Insufficient
-    history on either side defers the observation; no model update should
-    happen for it.
+    ``checkins`` is the (users, days) 0/1 matrix and ``weekly_scores`` the
+    (users, weeks) matrix of scored weeks. Adherence and engagement both
+    compare the evaluation window [epoch, epoch + w_post) against the
+    fixed pre-assignment baseline [epoch - w_pre, epoch), and each user's
+    ``churn_penalties`` entry costs ``lam``. A batch with less history
+    than either window needs is deferred; no model update should happen
+    for it.
     """
-    if epoch < config.w_pre:
-        return None
     end_week = epoch + config.w_post
-    if checkins.size < end_week * DAYS_PER_WEEK:
+    if epoch < config.w_pre or weekly_scores.shape[1] < end_week:
         return None
-    pre_days = checkins[(epoch - config.w_pre) * DAYS_PER_WEEK : epoch * DAYS_PER_WEEK]
-    post_days = checkins[epoch * DAYS_PER_WEEK : end_week * DAYS_PER_WEEK]
-    delta_adh = float(post_days.mean() - pre_days.mean())
-
-    pre_scores = engagement_scores(action_counts[epoch - config.w_pre : epoch], weights)
-    post_scores = engagement_scores(action_counts[epoch:end_week], weights)
-    delta_eng = float(post_scores.mean() - pre_scores.mean())
-
-    return config.w_adh * delta_adh + config.w_eng * delta_eng - config.lam * churn_penalty
+    start_week = epoch - config.w_pre
+    days = checkins[users, start_week * DAYS_PER_WEEK : end_week * DAYS_PER_WEEK]
+    split = config.w_pre * DAYS_PER_WEEK
+    delta_adh = days[:, split:].mean(axis=1) - days[:, :split].mean(axis=1)
+    scores = weekly_scores[users, start_week:end_week]
+    delta_eng = scores[:, config.w_pre :].mean(axis=1) - scores[:, : config.w_pre].mean(axis=1)
+    return config.w_adh * delta_adh + config.w_eng * delta_eng - config.lam * churn_penalties
 
 
 # ---------------------------------------------------------------------------

@@ -85,14 +85,6 @@ _EDIT_TEXT = (
 )
 
 
-@dataclass
-class _PendingObservation:
-    user_index: int
-    phi: np.ndarray
-    epoch: int
-    churn_penalty: int
-
-
 TRACE_SCHEMA = 3
 TRACE_FIELDS = ("epoch", "user_token", "chosen", "changed", "codes", "mu", "sigma", "penalty")
 _ZERO = ord("0")
@@ -459,30 +451,32 @@ def _run_epochs(
     t0 = scenario.w_pre
     adaptive = scenario.policy == POLICY_ADAPTIVE
     model = BanditModel(dim=FEATURE_DIM, ridge=config.ridge)
-    pending: list[_PendingObservation] = []
+    # Per decision epoch, the scored users' rows, chosen feature rows and
+    # churn penalties, until their evaluation window has passed.
+    pending: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     for epoch in range(scenario.horizon_weeks):
         world.clock.set_week(epoch)
         flags = group_activity_flags(world, epoch)
 
         if adaptive and epoch >= t0:
-            # Matured rewards first: the policy only sees fully observed windows.
-            still_pending = []
-            for obs in pending:
-                if obs.epoch + config.w_post <= epoch:
-                    reward = compute_reward(
-                        world.checkins[obs.user_index],
-                        world.actions[obs.user_index],
-                        epoch=obs.epoch,
-                        churn_penalty=obs.churn_penalty,
-                        weights=eng_weights,
-                        config=config,
-                    )
-                    if reward is not None:
-                        model.update(obs.phi, reward)
-                else:
-                    still_pending.append(obs)
-            pending = still_pending
+            # Matured rewards first: the policy only sees fully observed
+            # windows. Decisions run every epoch from t0 on, so exactly one
+            # batch matures now.
+            decided = epoch - config.w_post
+            matured = pending.pop(decided, None)
+            if matured is not None:
+                users, phi, penalties = matured
+                rewards = compute_reward(
+                    world.checkins,
+                    world.weekly_scores,
+                    users,
+                    epoch=decided,
+                    churn_penalties=penalties,
+                    config=config,
+                )
+                if rewards is not None:
+                    model.update(phi, rewards)
 
             # Every simulated user has events from day 0.
             contexts = build_context(
@@ -496,6 +490,10 @@ def _run_epochs(
                 window=_normalization_window(world, epoch),
             )
             tables = feature_tables(contexts, world.roster, group_engagement_means(world, epoch))
+            users = np.empty(world.n_users, dtype=np.int64)
+            phi = np.empty((world.n_users, FEATURE_DIM))
+            penalties = np.empty(world.n_users, dtype=np.int64)
+            scored = 0
             for user in range(world.n_users):
                 decision = assign(
                     user, world.roster, model, epoch, config, tables=tables, user_tags=LANGUAGE_TAGS
@@ -506,14 +504,12 @@ def _run_epochs(
                 if decision.changed:
                     counters["reassignments"] += 1
                 if decision.phi_chosen is not None:
-                    pending.append(
-                        _PendingObservation(
-                            user_index=user,
-                            phi=decision.phi_chosen,
-                            epoch=epoch,
-                            churn_penalty=decision.churn_penalty,
-                        )
-                    )
+                    users[scored] = user
+                    phi[scored] = decision.phi_chosen
+                    penalties[scored] = decision.churn_penalty
+                    scored += 1
+            if scored:
+                pending[epoch] = (users[:scored], phi[:scored], penalties[:scored])
             _assistant_pass(world, epoch, contexts, drafts, counters)
 
         _probe_restorations(world, epoch, counters)
@@ -561,9 +557,12 @@ def _build_report(world: World, counters: dict, drafts: list[Draft]) -> MetricsR
         "pending": sum(1 for d in drafts if d.status == DRAFT_PENDING),
     }
     # A draft is delivered right after its only review, so the deliverable
-    # drafts are exactly the delivered ones.
+    # drafts are exactly the delivered ones. They are among the docs just
+    # audited, so they need a scan of their own only if that audit hit.
     delivered = [doc for d, doc in zip(drafts, draft_docs) if d.status in DELIVERABLE_STATUSES]
-    delivered_leak = leak_audit(delivered, world.rules).leak_rate if delivered else None
+    delivered_leak = None
+    if delivered:
+        delivered_leak = leak_audit(delivered, world.rules).leak_rate if leak.n_hits else 0.0
 
     return MetricsReport(
         arm=scenario.policy,

@@ -153,8 +153,8 @@ def test_criterion_04_bandit_oracle_equivalence():
     model = BanditModel(dim=d, ridge=ridge)
     phis = rng.normal(size=(1000, d))
     rewards = rng.normal(size=1000)
-    for phi, r in zip(phis, rewards):
-        model.update(phi, r)
+    for i in range(1000):
+        model.update(phis[i : i + 1], rewards[i : i + 1])
     theta_star = np.linalg.solve(ridge * np.eye(d) + phis.T @ phis, phis.T @ rewards)
     err = float(np.max(np.abs(model.theta - theta_star)))
     ok = err < 1e-8

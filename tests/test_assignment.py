@@ -195,7 +195,7 @@ class TestScoring:
 
     def test_pure_exploitation_with_zero_beta(self, monkeypatch):
         model = BanditModel(dim=2, ridge=1.0)
-        model.update(np.array([1.0, 0.0]), 1.0)
+        model.update(np.array([[1.0, 0.0]]), np.array([1.0]))
         roster = make_world(n_groups=2)
         config = PolicyConfig(beta=0.0)
         # g000 -> [1, 0], g001 -> [0, 1]
@@ -208,7 +208,7 @@ class TestScoring:
     def test_one_dimensional_toy_example(self, monkeypatch):
         # Joint map with disjoint per-group basis vectors; one update on g000.
         model = BanditModel(dim=2, ridge=1.0)
-        model.update(np.array([1.0, 0.0]), 1.0)
+        model.update(np.array([[1.0, 0.0]]), np.array([1.0]))
         roster = make_world(n_groups=2)
         use_feature_map(monkeypatch, lambda r: np.eye(2)[r])
         best, scores, phi_chosen = score_and_select(
@@ -288,7 +288,7 @@ class TestScoring:
         rng = np.random.default_rng(seed)
         model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
         for _ in range(updates):
-            model.update(rng.uniform(-1, 1, FEATURE_DIM), rng.normal())
+            model.update(rng.uniform(-1, 1, (1, FEATURE_DIM)), rng.normal(size=1))
         distinct = rng.uniform(-1, 1, (int(rng.integers(1, 4)), FEATURE_DIM))
         which = rng.integers(0, len(distinct), size=k)
         buffer = np.empty(k * FEATURE_DIM + offset)
@@ -322,7 +322,7 @@ class TestScoring:
         rng = np.random.default_rng(seed)
         model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
         for _ in range(40):
-            model.update(rng.uniform(-1, 1, FEATURE_DIM), rng.normal())
+            model.update(rng.uniform(-1, 1, (1, FEATURE_DIM)), rng.normal(size=1))
         for k in range(1, 100):
             phi = rng.uniform(-1, 1, (k, FEATURE_DIM))
             np.testing.assert_allclose(
@@ -344,7 +344,7 @@ class TestScoring:
         model = BanditModel(dim=FEATURE_DIM, ridge=2.0)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            model.update(rng.normal(size=FEATURE_DIM) * 0.3, rng.normal())
+            model.update(rng.normal(size=(1, FEATURE_DIM)) * 0.3, rng.normal(size=1))
         roster = make_world(seats=[(USER, "g000", 6)])
         config = PolicyConfig(beta=0.7, lam=0.3)
         _, scores, _ = score_and_select(
@@ -373,54 +373,89 @@ class TestModelUpdate:
     def test_zero_update_is_identity(self):
         model = BanditModel(dim=3, ridge=1.0)
         before_a, before_b = model.A.copy(), model.b.copy()
-        model.update(np.zeros(3), 0.0)
+        model.update(np.zeros((1, 3)), np.zeros(1))
         assert np.array_equal(model.A, before_a)
         assert np.array_equal(model.b, before_b)
 
     def test_scalar_update(self):
         model = BanditModel(dim=1, ridge=1.0)
-        model.update(np.array([1.0]), 1.0)
+        model.update(np.array([[1.0]]), np.array([1.0]))
         assert model.A[0, 0] == pytest.approx(2.0)
         assert model.b[0] == pytest.approx(1.0)
         assert model.theta[0] == pytest.approx(0.5)
 
     def test_non_finite_rejected(self):
-        model = BanditModel(dim=2)
-        with pytest.raises(ValidationError):
-            model.update(np.array([np.nan, 0.0]), 1.0)
-        with pytest.raises(ValidationError):
-            model.update(np.array([1.0, 0.0]), float("inf"))
+        # One NaN row or one inf reward rejects the whole batch, and the
+        # model is left as it was.
+        rng = np.random.default_rng(3)
+        model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
+        model.update(rng.uniform(-1, 1, (30, FEATURE_DIM)), rng.normal(size=30))
+        probe = rng.uniform(-1, 1, (4, FEATURE_DIM))
+        before = (model.A.copy(), model.b.copy(), model.theta, model.widths(probe))
+        phi, rewards = rng.uniform(-1, 1, (12, FEATURE_DIM)), rng.normal(size=12)
+        nan_phi, inf_rewards = phi.copy(), rewards.copy()
+        nan_phi[5] = np.nan
+        inf_rewards[7] = np.inf
+        for batch in ((nan_phi, rewards), (phi, inf_rewards)):
+            with pytest.raises(ValidationError):
+                model.update(*batch)
+            after = (model.A, model.b, model.theta, model.widths(probe))
+            assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
+    @pytest.mark.parametrize("phi_shape, rewards_shape", [
+        ((FEATURE_DIM,), (1,)),        # one row, not a batch
+        ((2, FEATURE_DIM - 1), (2,)),  # wrong feature dimension
+        ((2, FEATURE_DIM), (3,)),      # a reward per row
+        ((2, FEATURE_DIM), ()),
+    ])
+    def test_batch_shape_checked(self, phi_shape, rewards_shape):
+        model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
+        with pytest.raises(InternalError):
+            model.update(np.ones(phi_shape), np.ones(rewards_shape))
+        assert np.array_equal(model.A, np.eye(FEATURE_DIM))
+        assert np.array_equal(model.b, np.zeros(FEATURE_DIM))
 
     def test_incremental_matches_batch_ridge(self):
-        # Oracle: theta* = (ridge I + sum phi phi^T)^-1 (sum r phi), solved directly.
+        # Oracle: theta* = (ridge I + sum phi phi^T)^-1 (sum r phi), solved
+        # directly; the model takes one observation per update.
         rng = np.random.default_rng(42)
         d, ridge = 12, 1.7
         model = BanditModel(dim=d, ridge=ridge)
         phis = rng.normal(size=(1000, d))
         rewards = rng.normal(size=1000)
-        for phi, r in zip(phis, rewards):
-            model.update(phi, r)
+        for i in range(1000):
+            model.update(phis[i : i + 1], rewards[i : i + 1])
         gram = ridge * np.eye(d) + phis.T @ phis
         rhs = phis.T @ rewards
         theta_star = np.linalg.solve(gram, rhs)
         assert np.max(np.abs(model.theta - theta_star)) < 1e-8
 
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_sherman_morrison_drift_before_first_resync(self, seed):
-        # 511 rank-1 updates is the longest run without a resync.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 600),
+        cuts=st.lists(st.integers(0, 600), max_size=10),
+        ridge=st.sampled_from([0.5, 1.0, 2.0]),
+    )
+    def test_any_batch_split_matches_one_shot_ridge(self, seed, n, cuts, ridge):
+        # Repeated cuts make empty batches, which must change nothing.
         rng = np.random.default_rng(seed)
-        model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
-        for _ in range(511):
-            model.update(rng.uniform(-1, 1, FEATURE_DIM), rng.normal())
-        assert np.max(np.abs(model._a_inv @ model.A - np.eye(FEATURE_DIM))) <= 1e-10
-        assert np.max(np.abs(model.theta - solve_theta(model))) <= 1e-10
+        phis = rng.uniform(-1, 1, (n, FEATURE_DIM))
+        rewards = rng.normal(size=n)
+        bounds = sorted([0, n, *(min(c, n) for c in cuts)])
+        model = BanditModel(dim=FEATURE_DIM, ridge=ridge)
+        for lo, hi in zip(bounds, bounds[1:]):
+            model.update(phis[lo:hi], rewards[lo:hi])
+        eye = np.eye(FEATURE_DIM)
+        theta_star = np.linalg.solve(ridge * eye + phis.T @ phis, phis.T @ rewards)
+        assert np.max(np.abs(model.theta - theta_star)) <= 1e-10
+        assert np.max(np.abs(model._a_inv @ model.A - eye)) <= 1e-10
 
     def test_theta_consistent_with_direct_solve(self):
         rng = np.random.default_rng(1)
         model = BanditModel(dim=6, ridge=0.5)
         for _ in range(300):
-            model.update(rng.normal(size=6), rng.normal())
+            model.update(rng.normal(size=(1, 6)), rng.normal(size=1))
         assert np.max(np.abs(model.theta - solve_theta(model))) < 1e-9
 
 
@@ -439,9 +474,15 @@ WEIGHTS = EngagementWeights(p5=(0.0,) * 5, p95=(10.0,) * 5)
 
 
 def reward_of(events, *, epoch, churn_penalty, config):
+    """The one-user batch of ``events`` through ``compute_reward``, its
+    weeks scored as the simulator scores them."""
     return compute_reward(
-        events.checkins, events.action_counts, epoch=epoch, churn_penalty=churn_penalty,
-        weights=WEIGHTS, config=config,
+        events.checkins[None, :],
+        engagement_scores(events.action_counts, WEIGHTS)[None, :],
+        np.array([0]),
+        epoch=epoch,
+        churn_penalties=np.array([churn_penalty]),
+        config=config,
     )
 
 
@@ -449,17 +490,17 @@ class TestReward:
     def test_identical_pre_post_no_churn_is_zero(self):
         config = PolicyConfig(w_adh=1.0, w_eng=0.0, lam=0.0)
         events = _events_with_adherence(0.5, 0.5, epoch=8, config=config)
-        assert reward_of(events, epoch=8, churn_penalty=0, config=config) == pytest.approx(0.0)
+        assert reward_of(events, epoch=8, churn_penalty=0, config=config)[0] == pytest.approx(0.0)
 
     def test_adherence_delta(self):
         config = PolicyConfig(w_adh=1.0, w_eng=0.0, lam=0.0, w_pre=5, w_post=5)
         events = _events_with_adherence(0.4, 0.6, epoch=8, config=config)
-        assert reward_of(events, epoch=8, churn_penalty=0, config=config) == pytest.approx(0.2)
+        assert reward_of(events, epoch=8, churn_penalty=0, config=config)[0] == pytest.approx(0.2)
 
     def test_churn_penalty_subtracts(self):
         config = PolicyConfig(w_adh=1.0, w_eng=0.0, lam=0.5, w_pre=5, w_post=5)
         events = _events_with_adherence(0.4, 0.6, epoch=8, config=config)
-        reward = reward_of(events, epoch=8, churn_penalty=1, config=config)
+        reward = reward_of(events, epoch=8, churn_penalty=1, config=config)[0]
         assert reward == pytest.approx(0.2 - 0.5)
 
     def test_reward_recomputable_from_components(self):
@@ -477,15 +518,55 @@ class TestReward:
         )
         assert delta_adh > 0.0 and delta_eng != 0.0
         expected = config.w_adh * delta_adh + config.w_eng * delta_eng - config.lam * 1
-        reward = reward_of(events, epoch=epoch, churn_penalty=1, config=config)
-        assert type(reward) is float
-        assert reward == pytest.approx(expected, abs=1e-15)
+        rewards = reward_of(events, epoch=epoch, churn_penalty=1, config=config)
+        assert rewards.dtype == np.float64 and rewards.shape == (1,)
+        assert rewards[0] == pytest.approx(expected, abs=1e-15)
 
     def test_insufficient_history_defers(self):
         config = PolicyConfig()
         events = empty_events(6)  # shorter than epoch + w_post
         assert reward_of(events, epoch=8, churn_penalty=0, config=config) is None
         assert reward_of(events, epoch=2, churn_penalty=0, config=config) is None  # epoch < w_pre
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_batch_equals_per_user_reference(self, data):
+        # Each reward compares a user's own check-in days and scored weeks
+        # across the two windows, as one user's reward was computed alone.
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        n_users = data.draw(st.integers(1, 12))
+        w_pre, w_post = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        horizon = data.draw(st.integers(w_post, 30))
+        epoch = data.draw(st.integers(0, horizon - w_post))
+        weight = st.floats(0.0, 2.0, allow_nan=False)
+        config = PolicyConfig(
+            w_adh=data.draw(weight), w_eng=data.draw(weight), lam=data.draw(weight),
+            w_pre=w_pre, w_post=w_post,
+        )
+        users = np.array(
+            data.draw(st.lists(st.integers(0, n_users - 1), min_size=1, max_size=n_users, unique=True)),
+            dtype=np.int64,
+        )
+        rng = np.random.default_rng(seed)
+        checkins = (rng.random((n_users, horizon * 7)) < rng.random((n_users, 1))).astype(np.int8)
+        scores = rng.random((n_users, horizon))
+        penalties = rng.integers(0, 2, size=users.size)
+        rewards = compute_reward(
+            checkins, scores, users, epoch=epoch, churn_penalties=penalties, config=config
+        )
+        if epoch < w_pre:
+            assert rewards is None
+            return
+        expected = []
+        for user, penalty in zip(users.tolist(), penalties.tolist()):
+            pre_days = checkins[user, (epoch - w_pre) * 7 : epoch * 7]
+            post_days = checkins[user, epoch * 7 : (epoch + w_post) * 7]
+            pre_scores = scores[user, epoch - w_pre : epoch]
+            post_scores = scores[user, epoch : epoch + w_post]
+            delta_adh = float(post_days.mean() - pre_days.mean())
+            delta_eng = float(post_scores.mean() - pre_scores.mean())
+            expected.append(config.w_adh * delta_adh + config.w_eng * delta_eng - config.lam * penalty)
+        assert rewards.tolist() == expected
 
 
 class TestAssign:

@@ -255,6 +255,35 @@ class TestSimulate:
             "--out", str(tmp_path / "x"), "--config", str(config_path),
         )
 
+    @pytest.mark.parametrize("policy, first_update", [
+        # Decisions start at the scenario's w_pre, 6. The batches of epochs
+        # 6 and 7 lack the policy's 8 baseline weeks and are dropped when
+        # they mature at 10 and 11; the batch of epoch 8 updates at 12.
+        ({"w_pre": 8}, 12),
+        # The batch of epoch 6 would mature at 15, the horizon: none ever does.
+        ({"w_post": 9}, None),
+    ], ids=["rewards-deferred", "nothing-matures"])
+    def test_reward_window_edges(
+        self, keys_env, scenario_file, tmp_path, capsys, policy, first_update
+    ):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"policy": policy}))
+        out = tmp_path / "run"
+        code, _, stderr = run_cli(
+            capsys, "simulate", "--scenario", scenario_file, "--out", str(out),
+            "--config", str(config_path),
+        )
+        assert code == 0, stderr
+        assert json.loads((out / "metrics.json").read_text())["violations"] == 0
+        legend = TraceLegend.from_manifest(json.loads((out / "manifest.json").read_text()))
+        traces = [legend.decode(line) for line in (out / "traces.jsonl").read_text().splitlines()]
+        assert {t["epoch"] for t in traces} == set(range(SCENARIO["w_pre"], SCENARIO["horizon_weeks"]))
+        learned = {t["epoch"] for t in traces if any(mu != 0.0 for mu in t["mu"])}
+        if first_update is None:
+            assert learned == set()
+        else:
+            assert learned == set(range(first_update, SCENARIO["horizon_weeks"]))
+
     def test_unknown_policy_key_rejected(self, keys_env, scenario_file, tmp_path, capsys):
         config_path = tmp_path / "policy.json"
         config_path.write_text(json.dumps({"policy": {"explore_bonus": 2.0}}))

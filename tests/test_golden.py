@@ -7,12 +7,12 @@ in its traces, alone and together with ``capacity_full`` and
 
 Each run pins four digests: ``metrics.json``; ``traces.jsonl`` (trace
 schema 3); the trace lines decoded by ``TraceLegend.decode`` and written
-as ``json.dumps`` lines, which is the schema-2 file, so its digests are
-the ones schema 2 pinned for ``traces.jsonl``; and the lines expanded to
-the ``trace_dict`` form and written as ``json.dumps(..., sort_keys=True)``
-lines, which is the schema-1 file, so its digests are the ones schema 1
-pinned. Schema 3 derives ``score`` instead of storing it, and the two
-older texts show that it loses nothing.
+as ``json.dumps`` lines, which is the schema-2 file; and the lines
+expanded to the ``trace_dict`` form and written as ``json.dumps(...,
+sort_keys=True)`` lines, which is the schema-1 file. Both older texts
+are the files those schemas would write for the same decisions, so they
+show that schema 3, which derives ``score`` instead of storing it, loses
+nothing.
 
 A change that alters these bytes on purpose updates the digest here and
 says why in CHANGES.md. Floating-point reductions are part of the bytes,
@@ -35,16 +35,16 @@ GOLDEN = {
     "effect-seed-1": (
         effect_scenario(1),
         "372e6991f1637f6e297925e97f60c3f4bc8b60c09b43e91b1913d21feec46fcf",
-        "6cbea7c626162c815166bee7906c54d6a4a2012ff5e447b8f6f1e38157e92b66",
-        "038f8c6696f4b89130d08ea29447a0b3712c35ca1a36440bbe6c021c97e0c23d",
-        "3391fac91c935e4846babf95af2b65519736d4415cead17f7f9aa899df376cea",
+        "60d0d7eae54a3a69d0c97b497a487fbb47b86b7291e949a2ededfe8fe4ddf734",
+        "462c065310fa280fc0d8caf498edefbae908ff0e36b226983b57847f58e1b4b9",
+        "bf693120e884228d383a28bbe267a22789168c0ed1b3ec214cb72bf9295ae192",
     ),
     "null-seed-201": (
         null_scenario(201),
         "ac77c62a374e489c395a1b53154c4e60facb96acd95b1cbb37ae1da3233b81d3",
-        "aa83862955370ac2e30b481ca8aac62f909bc911ab7d244a6f83a5f6d8a1f308",
-        "8ba4082e510d81c60d0f9cdcc34fd4871879d3b64dcbc161c4ef5223693d293b",
-        "7c57114163a8caad5672d4f3a966e2962f44808da4ccb960f4f15855888ac38b",
+        "6ac536712644a4d2acb27a00e43fa4062c76d0b04fce8541001f73603a0bc3ac",
+        "2103db3d4a505dfe9b941b0e1ea4641b55a030a86e4f1412ac54b7ff594613b6",
+        "e7e492578523fb8396b1559a0b20e4c03321f36b0723243d8d95628a0f0e8576",
     ),
     "coach-bound-seed-1": (
         Scenario(
@@ -53,9 +53,9 @@ GOLDEN = {
             horizon_weeks=10, w_pre=4, w_post=5,
         ),
         "3fe09370ccdd2c7ff8517384c2ebe5315681cee467b299e0f8f3f8057660960b",
-        "2906a3b5bab30a21b56acd6467e1baaebc79acc5552790e1d41461da1dbbdf53",
-        "d36094aced43e0110b707d4cee84d917319887cf7e2c534f94876c570bef6a10",
-        "b2b33a154c24f9914f319911e8497f0dce94abb4a619543c5de0308382563024",
+        "6e278f61e256a4684e30fe77227479628870e3e69451ca9edbeec0a3a6f7c2c5",
+        "6f97a674003c29f941a90ea040315a9b5a058c4e728681dd78c77784aef9b4ff",
+        "c97f44471aca61745f52174bcefbfc71b069d2fbfb90634c73fdc3006308cee9",
     ),
 }
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import registered_identity_strings
+from conftest import ENC_KEY_HEX, TOKEN_KEY_HEX, registered_identity_strings
 from test_golden import GOLDEN
 
 from prism.assignment import REASONS_OF_CODE, CandidateScores, PolicyConfig, assign
@@ -38,6 +38,7 @@ from prism.simulator.scenario import MAX_GROUPS_OR_COACHES, MAX_USER_WEEKS
 from prism.simulator.world import coach_load_limits, group_engagement_means
 from prism.vault import (
     AuditLog,
+    KeyRing,
     RestorationRequest,
     SlidingWindowRateLimiter,
     UserToken,
@@ -369,6 +370,65 @@ class TestRunExperiment:
     def test_violations_always_reported_zero(self, keys):
         report = run_experiment(small_scenario(seed=51), keys).report
         assert report.violations == 0
+
+
+class TestReportLeakAudit:
+    """``delivered_leak_rate`` is the leak rate of the delivered drafts
+    alone, whether or not ``_build_report`` scans them a second time."""
+
+    COUNTERS = dict.fromkeys(
+        ("decisions", "reassignments", "restoration_attempts", "analyst_attempts",
+         "analyst_denials", "violations"),
+        0,
+    )
+    PHONE = "call me at 613-555-0142"
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        return run_experiment(small_scenario(seed=31), KeyRing.from_hex(TOKEN_KEY_HEX, ENC_KEY_HEX))
+
+    def report_with(self, run, monkeypatch, leaky_statuses):
+        """The report of ``run`` after the first draft of each status in
+        ``leaky_statuses`` was given a phone number, the number of
+        ``leak_audit`` calls it made, and the delivered drafts' own rate."""
+        drafts = list(run.drafts)
+        for status in leaky_statuses:
+            i = next(i for i, d in enumerate(drafts) if d.status == status)
+            drafts[i] = replace(drafts[i], rendered_text=self.PHONE)
+        calls = []
+        audit = experiment.leak_audit
+        monkeypatch.setattr(
+            experiment, "leak_audit", lambda docs, rules: calls.append(len(docs)) or audit(docs, rules)
+        )
+        report = experiment._build_report(run.world, dict(self.COUNTERS), drafts)
+        token_of = {token.value: token for token in run.world.tokens}
+        delivered = [
+            experiment._rehydrate_deid(d.rendered_text, token_of[d.user_token])
+            for d in drafts if d.status in experiment.DELIVERABLE_STATUSES
+        ]
+        return report, calls, audit(delivered, run.world.rules).leak_rate
+
+    def test_clean_run_audits_delivered_drafts_once(self, run, monkeypatch):
+        report, calls, delivered_rate = self.report_with(run, monkeypatch, ())
+        assert report.leak.n_hits == 0
+        assert len(calls) == 1
+        assert report.assistant["delivered_leak_rate"] == delivered_rate == 0.0
+        assert (report.leak, report.assistant) == (run.report.leak, run.report.assistant)
+
+    def test_leaky_delivered_draft_gives_a_nonzero_rate(self, run, monkeypatch):
+        report, calls, delivered_rate = self.report_with(run, monkeypatch, ("approved",))
+        assert report.leak.n_hits == 1
+        assert len(calls) == 2
+        assert report.assistant["delivered_leak_rate"] == delivered_rate
+        assert delivered_rate == 1 / report.assistant["delivered"]
+
+    def test_leak_outside_delivered_drafts_keeps_their_rate_zero(self, run, monkeypatch):
+        report, calls, delivered_rate = self.report_with(
+            run, monkeypatch, ("pending", "discarded")
+        )
+        assert report.leak.n_hits == 2
+        assert len(calls) == 2
+        assert report.assistant["delivered_leak_rate"] == delivered_rate == 0.0
 
 
 class TestConstraintAudit:
