@@ -406,7 +406,7 @@ class TestModelUpdate:
         ((FEATURE_DIM,), (1,)),        # one row, not a batch
         ((2, FEATURE_DIM - 1), (2,)),  # wrong feature dimension
         ((2, FEATURE_DIM), (3,)),      # a reward per row
-        ((2, FEATURE_DIM), ()),
+        ((2, FEATURE_DIM), ()),        # a scalar reward
     ])
     def test_batch_shape_checked(self, phi_shape, rewards_shape):
         model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
