@@ -4,17 +4,20 @@ Candidate groups are filtered by hard feasibility first — capacity,
 coach load, minimum dwell, goal/language/activity eligibility — and only
 then scored. Scoring is linear-UCB over a single shared coefficient
 vector on a joint user-by-group feature map, with a stability penalty
-against reassignments inside the oscillation horizon. Rewards are
-within-user deltas against the fixed pre-assignment baseline window and
-arrive after the evaluation window, so the caller queues each epoch's
-decisions and feeds the model one batch per epoch once they mature.
+against reassignments inside the oscillation horizon. An epoch's users
+are decided in row order by :func:`decide_epoch`, in passes between
+moves; :func:`assign` is the per-user step and the reference a pass
+must equal. Rewards are within-user deltas against the fixed
+pre-assignment baseline window and arrive after the evaluation window,
+so the caller queues each epoch's decisions and feeds the model one
+batch per epoch once they mature.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -184,7 +187,31 @@ class Roster:
 
 @dataclass(frozen=True)
 class PolicyConfig(Record):
-    """Assignment policy knobs; every default is echoed into run manifests."""
+    """Assignment policy knobs; every default is echoed into run manifests.
+
+    The real-valued knobs are bounded so that the model stays finite for
+    any run a ``Scenario`` accepts. Every entry of a joint feature row
+    lies in [-1, 1], so ``|phi|^2 <= d`` with ``d = FEATURE_DIM`` (21); a
+    run makes at most ``N = 10**7`` decisions, the scenario's
+    ``MAX_USER_WEEKS``; and a reward lies within ``R = w_adh + w_eng +
+    lam`` of 0, since both deltas lie in [-1, 1] and the churn penalty is
+    0 or 1. So ``A = ridge I + sum phi phi^T`` has its eigenvalues in
+    ``[ridge, ridge + N d]``, ``|b| <= sqrt(d) N R``, ``|theta| <= |b| /
+    ridge``, ``|mu| <= d N R / ridge`` and ``sigma <= sqrt(d / ridge)``.
+
+    - ``ridge`` in [1e-4, 1e8]. At 1e-4 the ridge stays three orders
+      above the float64 rounding of the summed ``phi phi^T`` (about
+      ``2.2e-16 N d``, 5e-8), so ``A`` stays positive definite, with
+      ``cond(A) <= 1 + N d / ridge``, about 2e12. Above 1e8, about half
+      of ``N d``, the prior outweighs anything a run can observe.
+    - ``w_adh``, ``w_eng`` and ``lam`` in [0, 1e6], so ``R <= 3e6`` and
+      ``|mu| <= 6.3e18``.
+    - ``beta`` in [0, 1e6], so ``beta sigma <= 1e6 sqrt(d / 1e-4)``,
+      about 4.6e8.
+
+    Every term of a score then stays finite, far from overflow, and the
+    tie-break between equal scores sees no NaN.
+    """
 
     w_adh: float = 0.6          # reward weight on adherence delta
     w_eng: float = 0.4          # reward weight on engagement delta
@@ -198,12 +225,24 @@ class PolicyConfig(Record):
 
     def __post_init__(self) -> None:
         self.check_fields()
-        if self.w_adh < 0 or self.w_eng < 0 or self.lam < 0:
-            raise ValidationError("reward and churn weights must be non-negative")
+        for name, (low, high) in _POLICY_BOUNDS.items():
+            value = getattr(self, name)
+            if not low <= value <= high:
+                raise ValidationError(f"policy {name} must lie in [{low:g}, {high:g}], got {value!r}")
         if self.oscillation < self.dwell:
             raise ValidationError("oscillation horizon must be at least the dwell time")
-        if self.dwell < 0 or self.w_pre < 1 or self.w_post < 1 or self.ridge <= 0:
-            raise ValidationError("invalid policy window or ridge configuration")
+        if self.dwell < 0 or self.w_pre < 1 or self.w_post < 1:
+            raise ValidationError("invalid policy window configuration")
+
+
+# The bounds derived in the PolicyConfig docstring.
+_POLICY_BOUNDS = {
+    "w_adh": (0.0, 1e6),
+    "w_eng": (0.0, 1e6),
+    "lam": (0.0, 1e6),
+    "beta": (0.0, 1e6),
+    "ridge": (1e-4, 1e8),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +371,8 @@ class BanditModel:
         ``rewards``: ``A += phi^T phi`` and ``b += phi^T rewards``, then
         ``theta = A^-1 b`` from one exact inverse. Any split of the same
         observations into batches gives the same ridge solution. A bad
-        batch raises before the model changes."""
+        batch, or one that would leave ``A`` singular or any state
+        non-finite, raises before the model changes."""
         phi = np.asarray(phi, dtype=float)
         rewards = np.asarray(rewards, dtype=float)
         if phi.ndim != 2 or phi.shape[1] != self.dim or rewards.shape != phi.shape[:1]:
@@ -341,10 +381,16 @@ class BanditModel:
             )
         if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(rewards))):
             raise ValidationError("update requires finite features and rewards")
-        self.A += np.einsum("ki,kj->ij", phi, phi)
-        self.b += np.einsum("ki,k->i", phi, rewards)
-        self._a_inv = np.linalg.inv(self.A)
-        self._theta = self._a_inv @ self.b
+        A = self.A + np.einsum("ki,kj->ij", phi, phi)
+        b = self.b + np.einsum("ki,k->i", phi, rewards)
+        try:
+            a_inv = np.linalg.inv(A)
+        except np.linalg.LinAlgError as exc:
+            raise ValidationError(f"update would leave the model singular: {exc}") from exc
+        theta = a_inv @ b
+        if not all(np.all(np.isfinite(x)) for x in (A, b, a_inv, theta)):
+            raise ValidationError("update would leave the model non-finite")
+        self.A, self.b, self._a_inv, self._theta = A, b, a_inv, theta
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +537,14 @@ def score_and_select(
     # terms and exact ties reach the tie-break below.
     mu = model.means(phi)
     sigma = model.widths(phi)
-    penalty = ((rows != current) & may_churn).astype(np.int64)
+    if may_churn:
+        penalty = (rows != current).astype(np.int64)
+    else:
+        penalty = np.zeros(rows.size, dtype=np.int64)
     score = ucb_score(mu, sigma, penalty, config.beta, config.lam)
-    # Least significant key first; group rows are in group-id order.
-    best = int(np.lexsort((rows, roster.count[rows], -score))[0])
+    # Least significant key first; group rows are in group-id order. A
+    # dwell-locked user has one candidate and needs no sort.
+    best = 0 if rows.size == 1 else int(np.lexsort((rows, roster.count[rows], -score))[0])
     return best, CandidateScores(mu, sigma, penalty, score), phi[best]
 
 
@@ -542,7 +592,8 @@ def compute_reward(
 
 @dataclass
 class AssignmentDecision:
-    """Result of one assign() call plus the coach-facing rationale trace.
+    """Result of one :func:`assign` call, the per-user step, plus the
+    coach-facing rationale trace.
 
     The trace is held as arrays: a reason code per roster group row (0
     for feasible), and ``scores``, the UCB terms of the feasible rows in
@@ -578,9 +629,12 @@ def assign(
     unplaced user with no feasible group is waitlisted for the next epoch.
     ``tables`` are the epoch's :func:`feature_tables`; the user's goal
     is read from them, so eligibility and features agree on it.
+
+    This is the per-user step of :func:`decide_epoch` and the reference
+    its passes must equal.
     """
     codes = feasibility_report(user, int(tables.goal[user]), roster, epoch, config, user_tags).codes
-    feasible = np.flatnonzero(codes == 0)
+    feasible = (codes == 0).nonzero()[0]
     current = chosen = int(roster.group_of[user])
     scores = phi_chosen = None
     penalty = 0
@@ -597,8 +651,186 @@ def assign(
         user_token=roster.user_tokens[user],
         reason_codes=codes,
         scores=scores,
-        chosen=roster.group_id(user),
+        chosen=roster.group_ids[chosen] if chosen >= 0 else None,
         changed=chosen != current,
         phi_chosen=phi_chosen,
         churn_penalty=penalty,
+    )
+
+
+# ---------------------------------------------------------------------------
+# An epoch's decisions, in passes between moves
+# ---------------------------------------------------------------------------
+
+# The most user rows one pass decides. A pass holds a row of codes per
+# user and group and a feature row per feasible pair, and every row after
+# the pass's first move is decided again, so larger passes cost memory
+# and, in epochs with many moves, wasted work.
+_MAX_PASS_ROWS = 128
+# A pass of fewer rows costs about as much as deciding them one at a time.
+_MIN_PASS_ROWS = 8
+
+
+class DecisionPass(NamedTuple):
+    """The decisions of user rows ``start`` to ``start + len(chosen)``,
+    made in one pass against one roster state.
+
+    ``codes`` holds each row's reason code per group row and ``chosen``
+    the group row each user sits in after the decision (-1 while
+    waitlisted). Only the last row can have moved, and ``changed`` says
+    whether it did. Row ``i``'s scored pairs, its code-0 groups in row
+    order, are ``bounds[i]:bounds[i + 1]`` of ``scores``. ``users`` are
+    the rows with a scored pair, and ``phi`` and ``penalty`` the feature
+    row and churn penalty of each one's chosen pair.
+    """
+
+    start: int
+    codes: np.ndarray
+    chosen: np.ndarray
+    changed: bool
+    bounds: np.ndarray
+    scores: CandidateScores
+    users: np.ndarray
+    phi: np.ndarray
+    penalty: np.ndarray
+
+
+def decide_epoch(
+    roster: Roster,
+    model: BanditModel,
+    epoch: int,
+    config: PolicyConfig,
+    *,
+    tables: FeatureTables,
+    user_tags: frozenset[str] = frozenset(),
+    step: Callable[..., AssignmentDecision] = assign,
+) -> Iterator[Union[AssignmentDecision, DecisionPass]]:
+    """Decide every roster user row in row order, as :func:`assign` one
+    row at a time would, and yield the decisions as they are made.
+
+    A decision reads the roster, the model and the epoch's ``tables``.
+    The model and tables stay fixed through the epoch, and the roster
+    changes only on a move. So the decisions from one move up to and
+    including the next all read one roster state, and a pass decides a
+    window of rows against it at once. The pass keeps the decisions up to
+    and including its first move, applies that move through
+    :meth:`Roster.move`, and yields a :class:`DecisionPass`; the next
+    pass starts at the row after. Each pass spans the mean stretch
+    between the epoch's moves so far, up to ``_MAX_PASS_ROWS`` rows. When
+    that is under ``_MIN_PASS_ROWS`` rows, the rows are decided one at a
+    time by ``step``, :func:`assign` or the caller's own reference to it,
+    and each yields its :class:`AssignmentDecision`.
+    """
+    if model.dim != FEATURE_DIM:
+        raise InternalError(f"the feature map has dim {FEATURE_DIM}, the model expects {model.dim}")
+    eligibility = np.stack(
+        [roster.eligibility_codes(goal, user_tags) for goal in range(len(GOAL_CATEGORIES))]
+    )
+    n_users = len(roster.user_tokens)
+    user = moves = 0
+    while user < n_users:
+        # A pass spans the mean stretch between the epoch's moves so far;
+        # before the first move, twice the rows decided.
+        rows = min(
+            _MAX_PASS_ROWS,
+            user // moves if moves else max(2 * user, _MIN_PASS_ROWS),
+            n_users - user,
+        )
+        if rows >= _MIN_PASS_ROWS:
+            decided = _decide_pass(user, rows, roster, model, epoch, config, tables, eligibility)
+            user += decided.chosen.size
+            moves += decided.changed
+            yield decided
+            continue
+        # One row at a time until the mean stretch reaches a pass.
+        while True:
+            decision = step(user, roster, model, epoch, config, tables=tables, user_tags=user_tags)
+            user += 1
+            moves += decision.changed
+            yield decision
+            if user == n_users or (user >= _MIN_PASS_ROWS * moves and n_users - user >= _MIN_PASS_ROWS):
+                break
+
+
+def _decide_pass(
+    start: int,
+    rows: int,
+    roster: Roster,
+    model: BanditModel,
+    epoch: int,
+    config: PolicyConfig,
+    tables: FeatureTables,
+    eligibility: np.ndarray,
+) -> DecisionPass:
+    """Decide user rows ``start`` to ``start + rows`` against the current
+    roster, keep the decisions up to and including the first move, and
+    apply that move. Every term is the one :func:`assign` computes for
+    the same row and roster: the codes of :func:`feasibility_report`, the
+    rows of :func:`joint_features`, the same row-wise ``means`` and
+    ``widths``, and the tie-break of :func:`score_and_select`."""
+    stop = start + rows
+    current = roster.group_of[start:stop]
+    since_change = epoch - roster.last_change[start:stop]
+    placed = current >= 0
+    locked = placed & (since_change < config.dwell)
+    goal = tables.goal[start:stop]
+
+    codes = eligibility[goal] | roster.capacity_code | roster.load_code[roster.coach_of]
+    # A placed user's own seat counts against neither limit.
+    seated = np.flatnonzero(placed)
+    codes[seated, current[seated]] &= ~CODE_CAPACITY
+    own_coach = roster.coach_of[current[seated]]
+    at_limit = roster.load_code[own_coach] != 0
+    if at_limit.any():
+        seated, own_coach = seated[at_limit], own_coach[at_limit]
+        codes[seated] &= ~((roster.coach_of == own_coach[:, None]) * CODE_COACH_LOAD)
+    # Inside the dwell window staying put is the only admissible action.
+    if locked.any():
+        codes[locked] = CODE_DWELL
+        codes[locked, current[locked]] = 0
+
+    pair_row, pair_group = np.nonzero(codes == 0)
+    per_row = np.bincount(pair_row, minlength=rows)
+    bounds = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(per_row, out=bounds[1:])
+    phi = np.empty((pair_row.size, FEATURE_DIM))
+    phi[:, :_USER_BLOCK] = tables.user_block[start:stop][pair_row]
+    phi[:, _USER_BLOCK:] = tables.group_block[goal[pair_row], pair_group]
+    phi[:, _FILL_RATIO] = roster.fill[pair_group]
+    mu = model.means(phi)
+    sigma = model.widths(phi)
+    may_churn = placed & (since_change < config.oscillation)
+    penalty = ((pair_group != current[pair_row]) & may_churn[pair_row]).astype(np.int64)
+    score = ucb_score(mu, sigma, penalty, config.beta, config.lam)
+
+    # The tie-break of score_and_select, per row: the highest score, then
+    # the lowest member count, then the lowest group row. Scores are
+    # finite (see PolicyConfig), so equality finds the ties lexsort finds.
+    scored = np.flatnonzero(per_row)
+    firsts = bounds[scored]
+    n_groups = roster.count.size
+    top = np.repeat(np.maximum.reduceat(score, firsts), per_row[scored])
+    key = np.where(score == top, roster.count[pair_group] * n_groups + pair_group, np.iinfo(np.int64).max)
+    best_key = np.minimum.reduceat(key, firsts)
+    best = np.flatnonzero(key == np.repeat(best_key, per_row[scored]))
+    chosen = current.copy()
+    chosen[scored] = best_key % n_groups
+
+    moves = np.flatnonzero(chosen != current)
+    kept = int(moves[0]) + 1 if moves.size else rows
+    if moves.size:
+        roster.move(start + kept - 1, int(chosen[kept - 1]), epoch, config.dwell)
+    n_kept_scored = int(np.searchsorted(scored, kept))
+    best = best[:n_kept_scored]
+    pairs = bounds[kept]
+    return DecisionPass(
+        start=start,
+        codes=codes[:kept],
+        chosen=chosen[:kept],
+        changed=bool(moves.size),
+        bounds=bounds[: kept + 1],
+        scores=CandidateScores(mu[:pairs], sigma[:pairs], penalty[:pairs], score[:pairs]),
+        users=start + scored[:n_kept_scored],
+        phi=phi[best],
+        penalty=penalty[best],
     )

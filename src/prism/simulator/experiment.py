@@ -7,6 +7,13 @@ constrained bandit, generates coach drafts for flagged users, routes
 them through review, and delivers the survivors via audited vault
 restorations. Constraint violations abort the run: they indicate an
 implementation bug, never a tolerable outcome.
+
+An epoch's users are decided by ``decide_epoch``, in passes between
+moves: each pass decides a window of user rows against the roster as it
+stands and keeps them up to and including the first move. Where moves
+come close together, it decides one user at a time through ``assign``,
+the per-user step and the reference every pass equals. Both paths write
+their trace lines through one writer, so the file is the same either way.
 """
 
 from __future__ import annotations
@@ -27,9 +34,13 @@ from ..assignment import (
     REASONS_OF_CODE,
     AssignmentDecision,
     BanditModel,
+    DecisionPass,
+    FeatureTables,
     PolicyConfig,
+    Roster,
     assign,
     compute_reward,
+    decide_epoch,
     feature_tables,
     ucb_score,
 )
@@ -106,7 +117,50 @@ def _b64(values: np.ndarray) -> str:
 
 
 def _trace_line(decision: AssignmentDecision) -> str:
-    """A decision's rationale as one line of trace schema 3.
+    """A per-user decision's rationale as one line of trace schema 3."""
+    scores = decision.scores
+    if scores is None:
+        mu = sigma = penalty = ""
+    else:
+        mu, sigma, penalty = _b64(scores.mu), _b64(scores.sigma), _digits(scores.penalty)
+    return _line(
+        decision.epoch, decision.user_token, decision.chosen, decision.changed,
+        _digits(decision.reason_codes), mu, sigma, penalty,
+    )
+
+
+def _pass_lines(decided: DecisionPass, epoch: int, roster: Roster) -> str:
+    """The trace lines of a pass's decisions, in row order: each row's
+    slice of the pass's code digits, penalty digits and float bytes."""
+    n_groups = len(roster.group_ids)
+    codes = _digits(decided.codes)
+    scores = decided.scores
+    penalty = _digits(scores.penalty)
+    mu = scores.mu.astype("<f8", copy=False).tobytes()
+    sigma = scores.sigma.astype("<f8", copy=False).tobytes()
+    bounds = decided.bounds.tolist()
+    last = len(bounds) - 2
+    lines = []
+    for i, group in enumerate(decided.chosen.tolist()):
+        lo, hi = bounds[i], bounds[i + 1]
+        lines.append(_line(
+            epoch,
+            roster.user_tokens[decided.start + i],
+            roster.group_ids[group] if group >= 0 else None,
+            decided.changed and i == last,
+            codes[i * n_groups : (i + 1) * n_groups],
+            b2a_base64(mu[8 * lo : 8 * hi], newline=False).decode("ascii"),
+            b2a_base64(sigma[8 * lo : 8 * hi], newline=False).decode("ascii"),
+            penalty[lo:hi],
+        ))
+    return "".join(lines)
+
+
+def _line(
+    epoch: int, token: str, chosen: Optional[str], changed: bool,
+    codes: str, mu: str, sigma: str, penalty: str,
+) -> str:
+    """One line of trace schema 3, the writer of both decision paths.
 
     ``codes`` holds one reason code per group row (``0`` for scored) as
     the character ``chr(48 + code)``. ``mu`` and ``sigma`` are base64 of
@@ -117,16 +171,11 @@ def _trace_line(decision: AssignmentDecision) -> str:
     the policy scored it. The line is the text
     ``json.dumps`` gives for the fields of ``TRACE_FIELDS`` in that order.
     """
-    scores = decision.scores
-    if scores is None:
-        mu = sigma = penalty = ""
-    else:
-        mu, sigma, penalty = _b64(scores.mu), _b64(scores.sigma), _digits(scores.penalty)
-    chosen = "null" if decision.chosen is None else encode_basestring_ascii(decision.chosen)
+    chosen = "null" if chosen is None else encode_basestring_ascii(chosen)
     return (
-        f'{{"epoch": {decision.epoch}, "user_token": {encode_basestring_ascii(decision.user_token)}, '
-        f'"chosen": {chosen}, "changed": {"true" if decision.changed else "false"}, '
-        f'"codes": "{_digits(decision.reason_codes)}", "mu": "{mu}", "sigma": "{sigma}", '
+        f'{{"epoch": {epoch}, "user_token": {encode_basestring_ascii(token)}, '
+        f'"chosen": {chosen}, "changed": {"true" if changed else "false"}, '
+        f'"codes": "{codes}", "mu": "{mu}", "sigma": "{sigma}", '
         f'"penalty": "{penalty}"}}\n'
     )
 
@@ -490,26 +539,9 @@ def _run_epochs(
                 window=_normalization_window(world, epoch),
             )
             tables = feature_tables(contexts, world.roster, group_engagement_means(world, epoch))
-            users = np.empty(world.n_users, dtype=np.int64)
-            phi = np.empty((world.n_users, FEATURE_DIM))
-            penalties = np.empty(world.n_users, dtype=np.int64)
-            scored = 0
-            for user in range(world.n_users):
-                decision = assign(
-                    user, world.roster, model, epoch, config, tables=tables, user_tags=LANGUAGE_TAGS
-                )
-                counters["decisions"] += 1
-                if traces is not None:
-                    traces.write(_trace_line(decision))
-                if decision.changed:
-                    counters["reassignments"] += 1
-                if decision.phi_chosen is not None:
-                    users[scored] = user
-                    phi[scored] = decision.phi_chosen
-                    penalties[scored] = decision.churn_penalty
-                    scored += 1
-            if scored:
-                pending[epoch] = (users[:scored], phi[:scored], penalties[:scored])
+            batch = _decide(world.roster, model, epoch, config, tables, traces, counters)
+            if batch is not None:
+                pending[epoch] = batch
             _assistant_pass(world, epoch, contexts, drafts, counters)
 
         _probe_restorations(world, epoch, counters)
@@ -531,6 +563,57 @@ def _run_epochs(
             )
 
     return eng_weights
+
+
+def _decide(
+    roster: Roster,
+    model: BanditModel,
+    epoch: int,
+    config: PolicyConfig,
+    tables: FeatureTables,
+    traces: Optional[TextIO],
+    counters: dict,
+    user_tags: frozenset = LANGUAGE_TAGS,
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Decide every user row at ``epoch`` through :func:`decide_epoch`,
+    write each decision's trace line, and count decisions and moves.
+
+    Returns the scored rows, the feature rows they were placed by and
+    their churn penalties, the batch the model learns from once its
+    rewards mature; None when no row was scored.
+    """
+    n_users = len(roster.user_tokens)
+    users = np.empty(n_users, dtype=np.int64)
+    phi = np.empty((n_users, FEATURE_DIM))
+    penalties = np.empty(n_users, dtype=np.int64)
+    scored = row = 0
+    for decided in decide_epoch(
+        roster, model, epoch, config, tables=tables, user_tags=user_tags, step=assign
+    ):
+        if isinstance(decided, DecisionPass):
+            counters["decisions"] += decided.chosen.size
+            counters["reassignments"] += decided.changed
+            if traces is not None:
+                traces.write(_pass_lines(decided, epoch, roster))
+            end = scored + decided.users.size
+            users[scored:end] = decided.users
+            phi[scored:end] = decided.phi
+            penalties[scored:end] = decided.penalty
+            scored = end
+            row += decided.chosen.size
+            continue
+        counters["decisions"] += 1
+        if traces is not None:
+            traces.write(_trace_line(decided))
+        if decided.changed:
+            counters["reassignments"] += 1
+        if decided.phi_chosen is not None:
+            users[scored] = row
+            phi[scored] = decided.phi_chosen
+            penalties[scored] = decided.churn_penalty
+            scored += 1
+        row += 1
+    return (users[:scored], phi[:scored], penalties[:scored]) if scored else None
 
 
 def _build_report(world: World, counters: dict, drafts: list[Draft]) -> MetricsReport:

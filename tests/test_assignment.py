@@ -402,6 +402,27 @@ class TestModelUpdate:
             after = (model.A, model.b, model.theta, model.widths(probe))
             assert all(np.array_equal(x, y) for x, y in zip(before, after))
 
+    @pytest.mark.filterwarnings("ignore:(invalid value|overflow) encountered:RuntimeWarning")
+    def test_update_that_would_break_the_model_changes_nothing(self):
+        # Finite inputs can still overflow b, or leave A singular when
+        # the ridge vanishes next to the batch; either raises before any
+        # state changes.
+        rng = np.random.default_rng(5)
+        model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
+        model.update(rng.uniform(-1, 1, (30, FEATURE_DIM)), rng.normal(size=30))
+        probe = rng.uniform(-1, 1, (4, FEATURE_DIM))
+        before = (model.A.copy(), model.b.copy(), model.theta, model.widths(probe))
+        with pytest.raises(ValidationError, match="non-finite"):
+            model.update(np.ones((2, FEATURE_DIM)), np.full(2, 1e308))
+        after = (model.A, model.b, model.theta, model.widths(probe))
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
+        tiny = BanditModel(dim=2, ridge=1e-300)
+        with pytest.raises(ValidationError, match="singular"):
+            tiny.update(np.ones((1, 2)), np.ones(1))
+        assert np.array_equal(tiny.A, 1e-300 * np.eye(2))
+        assert np.array_equal(tiny.theta, np.zeros(2))
+
     @pytest.mark.parametrize("phi_shape, rewards_shape", [
         ((FEATURE_DIM,), (1,)),        # one row, not a batch
         ((2, FEATURE_DIM - 1), (2,)),  # wrong feature dimension

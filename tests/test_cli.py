@@ -10,7 +10,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from conftest import ENC_KEY_HEX, TOKEN_KEY_HEX, write_rules
@@ -242,9 +242,16 @@ class TestSimulate:
         '{"engagement_alphas": [NaN, 0.2, 0.1, 0.2, 0.2]}',
         json.dumps({"engagement_alphas": [True, False, False, False, False]}),
         json.dumps({"policy": {"dwell": 10**400}}),
+        # Each of these once ran: the first exited 2 on a singular model,
+        # the others exited 0 with non-finite scores or means in the traces.
+        json.dumps({"policy": {"ridge": 1e-300}}),
+        json.dumps({"policy": {"beta": 1e308}}),
+        json.dumps({"policy": {"lam": 1e308}}),
+        json.dumps({"policy": {"w_adh": 1e308, "w_eng": 1e308}}),
     ], ids=[
         "missing", "not-json", "alphas-not-a-list", "dwell-not-an-int", "keys-not-a-path",
         "alphas-nan", "alphas-bool", "dwell-huge",
+        "ridge-tiny", "beta-huge", "lam-huge", "weights-huge",
     ])
     def test_bad_config_file_exits_one(self, keys_env, scenario_file, tmp_path, capsys, text):
         config_path = tmp_path / "config.json"
@@ -284,6 +291,48 @@ class TestSimulate:
         else:
             assert learned == set(range(first_update, SCENARIO["horizon_weeks"]))
 
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_policy_within_bounds_runs_with_finite_terms(
+        self, keys_env, scenario_file, tmp_path, capsys, data
+    ):
+        # Each real-valued knob at one of its bounds or anywhere between,
+        # on a log scale; any value just outside a bound exits 1.
+        def knob(low, high):
+            inside = st.floats(math.log10(max(low, 1e-4)), math.log10(high)).map(lambda e: 10.0**e)
+            return st.sampled_from([low, high]) | inside
+
+        policy = {
+            "ridge": data.draw(knob(1e-4, 1e8)),
+            "beta": data.draw(knob(0.0, 1e6)),
+            "lam": data.draw(knob(0.0, 1e6)),
+            "w_adh": data.draw(knob(0.0, 1e6)),
+            "w_eng": data.draw(knob(0.0, 1e6)),
+        }
+        config_path = tmp_path / "config.json"
+        out = tmp_path / "run"
+        shutil.rmtree(out, ignore_errors=True)
+        config_path.write_text(json.dumps({"policy": policy}))
+        code, _, stderr = run_cli(
+            capsys, "simulate", "--scenario", scenario_file, "--out", str(out),
+            "--config", str(config_path),
+        )
+        assert code == 0, stderr
+        legend = TraceLegend.from_manifest(json.loads((out / "manifest.json").read_text()))
+        for line in (out / "traces.jsonl").read_text().splitlines():
+            doc = legend.decode(line)
+            assert all(math.isfinite(v) for k in ("mu", "sigma", "score") for v in doc[k])
+
+        name = data.draw(st.sampled_from(sorted(policy)))
+        low, high = {"ridge": (1e-4, 1e8)}.get(name, (0.0, 1e6))
+        outside = data.draw(st.sampled_from([math.nextafter(high, math.inf), high * 10]
+                                            + ([math.nextafter(low, -math.inf)])))
+        config_path.write_text(json.dumps({"policy": {name: outside}}))
+        assert_exits_one(
+            capsys, "simulate", "--scenario", scenario_file, "--out", str(tmp_path / "x"),
+            "--config", str(config_path),
+        )
+
     def test_unknown_policy_key_rejected(self, keys_env, scenario_file, tmp_path, capsys):
         config_path = tmp_path / "policy.json"
         config_path.write_text(json.dumps({"policy": {"explore_bonus": 2.0}}))
@@ -304,6 +353,84 @@ class TestSimulate:
         metrics = json.loads(pathlib.Path(out, "metrics.json").read_text())
         assert metrics["arm"] == "static"
         assert metrics["decisions"] == 0
+
+
+def _any_float(low=None, high=None):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+
+def _mostly(valid, invalid):
+    """``valid`` nineteen draws in twenty, else ``invalid``."""
+    return st.sampled_from(range(20)).flatmap(lambda k: invalid if k == 19 else valid)
+
+
+@st.composite
+def _small_scenarios(draw):
+    """A scenario document with small sizes and any other values: most
+    validate and run, some fail ``Scenario``'s checks or the cohort's
+    capacity and coach-load checks."""
+    w_pre, w_post = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    capacity_min = draw(_mostly(st.integers(1, 8), st.just(0)))
+    probability = _mostly(st.floats(0.0, 1.0), st.sampled_from([-0.5, 1.5]))
+    n_groups, n_coaches = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    load_factor = draw(_mostly(st.floats(0.01, 1.0), st.sampled_from([0.0, 1.5])))
+    # Mostly few enough users for the seats and coach load the cohort can have.
+    seats = int(n_groups * capacity_min * min(load_factor, 1.0)) - n_coaches
+    n_users = draw(_mostly(st.integers(1, max(1, min(seats, 40))), st.integers(1, 40)))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+    total = sum(weights)
+    goal_weights = [w / total for w in weights] if total > 0 else [0.25] * 4
+    doc = {
+        "name": draw(st.text(max_size=6)),
+        "seed": draw(st.integers(0, 2**63 - 1)),
+        "n_users": n_users,
+        "n_groups": n_groups,
+        "n_coaches": n_coaches,
+        "capacity_min": capacity_min,
+        "capacity_max": capacity_min + draw(_mostly(st.integers(0, 10), st.just(-1))),
+        "coach_load_factor": load_factor,
+        "goal_weights": draw(_mostly(st.just(goal_weights), st.just(goal_weights[:3]))),
+        "misgroup_fraction": draw(probability),
+        "horizon_weeks": w_pre + w_post + draw(_mostly(st.integers(0, 3), st.just(-1))),
+        "w_pre": w_pre,
+        "w_post": w_post,
+        "message_prob": draw(probability),
+        "review_approve_prob": draw(st.floats(0.0, 0.6)),
+        "review_edit_prob": draw(_mostly(st.floats(0.0, 0.2), st.just(0.5))),
+        "review_discard_prob": draw(st.floats(0.0, 0.2)),
+        "analyst_probes_per_week": draw(_mostly(st.integers(0, 3), st.just(-1))),
+        "engagement_rate_means": draw(st.lists(_any_float(0.0, 50.0), min_size=5, max_size=5)),
+    }
+    for name in (
+        "base_logit_mean", "base_logit_sd", "match_uplift", "activity_uplift",
+        "engagement_match_bonus", "fatigue_mean", "noise_sd", "activity_threshold",
+        "weight_start_mean", "weight_start_sd", "weight_drift_per_adherent_week", "weight_noise_sd",
+    ):
+        if draw(st.booleans()):
+            doc[name] = draw(_mostly(_any_float(-10.0, 10.0), _any_float()))
+    return doc
+
+
+class TestAnyScenario:
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=_small_scenarios())
+    def test_runs_or_exits_one(self, keys_env, capsys, tmp_path, doc):
+        # Accepted: the adaptive arm runs with exit 0 and no violation.
+        # Rejected: exit 1 with one error line, never an internal error.
+        path, out = tmp_path / "scenario.json", tmp_path / "run"
+        shutil.rmtree(out, ignore_errors=True)
+        path.write_text(json.dumps(doc))
+        code, _, stderr = run_cli(
+            capsys, "simulate", "--scenario", str(path), "--out", str(out), "--policy", "adaptive"
+        )
+        assert code in (0, 1), stderr
+        event(f"exit {code}")
+        if code == 1:
+            assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+            return
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["violations"] == 0
+        assert metrics["decisions"] == doc["n_users"] * (doc["horizon_weeks"] - doc["w_pre"])
 
 
 class TestCompare:

@@ -8,12 +8,16 @@ and per-decision builders and ``trace_dict`` from conftest.
 """
 
 import base64
+import copy
+import io
 import json
 import struct
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -22,8 +26,11 @@ from conftest import (
     legend_of,
     reference_context,
     reference_joint_features,
+    tables_for,
     trace_dict,
 )
+
+from prism import assignment
 
 from prism.assignment import (
     CODE_DWELL,
@@ -31,11 +38,14 @@ from prism.assignment import (
     GOAL_CATEGORIES,
     N_REASON_CODES,
     AssignmentDecision,
+    BanditModel,
     CandidateScores,
     CoachState,
     GroupState,
     PolicyConfig,
     Roster,
+    _decide_pass,
+    assign,
     feasibility_report,
     feature_tables,
     joint_features,
@@ -49,7 +59,7 @@ from prism.features import (
     build_context,
     engagement_scores,
 )
-from prism.simulator.experiment import TraceLegend, _trace_line
+from prism.simulator.experiment import TraceLegend, _decide, _pass_lines, _trace_line
 from prism.vault import UserToken
 
 TAGS = ("en", "fr", "de")
@@ -107,13 +117,13 @@ def reference_features(context, goal_category, fill_ratio, group_engagement=0.5)
 
 
 @st.composite
-def worlds(draw):
+def worlds(draw, max_users=12, max_capacity=4, min_users=1):
     """Groups, coaches and a roster with some users seated at random epochs."""
     n_coaches = draw(st.integers(1, 3))
     specs = draw(
         st.lists(
             st.tuples(
-                st.integers(1, 4),
+                st.integers(1, max_capacity),
                 st.sampled_from(GOAL_CATEGORIES),
                 st.booleans(),
                 st.frozensets(st.sampled_from(TAGS)),
@@ -133,8 +143,8 @@ def worlds(draw):
         f"c{c:02d}": CoachState(f"c{c:02d}", load_limit=draw(st.integers(1, 6)))
         for c in range(n_coaches)
     }
-    n_users = draw(st.integers(1, 12))
-    roster = Roster(groups, coaches, [f"{u:02x}" * 32 for u in range(n_users)])
+    n_users = draw(st.integers(min_users, max_users))
+    roster = Roster(groups, coaches, [f"{u:064x}" for u in range(n_users)])
     for u in range(n_users):
         seat = draw(st.one_of(st.none(), st.tuples(st.integers(0, len(groups) - 1), st.integers(0, 10))))
         if seat is not None:
@@ -238,6 +248,140 @@ def test_feature_tables_need_one_context_per_roster_user():
     for rows in ([0, 1], [0, 1, 1], [0, 1, 2, 2], [2, 0, 1], [0, 2, 1]):
         with pytest.raises(ValidationError, match="roster row order"):
             feature_tables(batch(rows), roster)
+
+
+# -- epochs decided in passes ----------------------------------------------------
+
+ROSTER_ARRAYS = ("group_of", "last_change", "count", "load", "capacity_code", "fill", "load_code")
+
+
+def reference_epoch(roster, model, epoch, config, tables, user_tags):
+    """The per-user loop: every row through ``assign`` in row order, with
+    its trace line and, for a scored row, its pending entry."""
+    lines, users, phi, penalties = [], [], [], []
+    for user in range(len(roster.user_tokens)):
+        decision = assign(user, roster, model, epoch, config, tables=tables, user_tags=user_tags)
+        lines.append(_trace_line(decision))
+        if decision.phi_chosen is not None:
+            users.append(user)
+            phi.append(decision.phi_chosen)
+            penalties.append(decision.churn_penalty)
+    pending = None
+    if users:
+        pending = (np.array(users), np.array(phi), np.array(penalties, dtype=np.int64))
+    return "".join(lines), pending
+
+
+@st.composite
+def epochs(draw, max_users=12, max_capacity=4, min_users=1):
+    """A roster, a model, the epoch's feature tables and a policy: a cold
+    model and shared contexts give exact ties, a warm model and drawn
+    contexts give distinct scores."""
+    groups, _, roster = draw(worlds(max_users, max_capacity, min_users))
+    n = len(roster.user_tokens)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = BanditModel(dim=FEATURE_DIM, ridge=draw(st.sampled_from([0.5, 1.0, 2.0])))
+    if draw(st.booleans()):
+        size = int(rng.integers(1, 20))
+        model.update(rng.uniform(-1, 1, (size, FEATURE_DIM)), rng.uniform(-3, 3, size))
+    if draw(st.booleans()):
+        tables = tables_for(roster, draw(st.sampled_from(GOAL_CATEGORIES)))
+    else:
+        contexts = ContextBatch(
+            user_tokens=[UserToken(token) for token in roster.user_tokens],
+            epoch=8,
+            numeric=rng.random((n, 5)),
+            goal=rng.integers(0, len(GOAL_CATEGORIES), size=n),
+            streak=rng.integers(0, 30, size=n),
+            slope=rng.uniform(-2, 2, size=n),
+        )
+        engagement = None if draw(st.booleans()) else rng.uniform(-1, 2, len(groups))
+        tables = feature_tables(contexts, roster, engagement)
+    dwell = draw(st.integers(0, 4))
+    config = PolicyConfig(
+        dwell=dwell,
+        oscillation=dwell + draw(st.integers(0, 4)),
+        beta=draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+        lam=draw(st.sampled_from([0.0, 0.3, 1.0])),
+    )
+    epoch = draw(st.integers(0, 14))
+    user_tags = draw(st.frozensets(st.sampled_from(TAGS + ("xx",))))
+    return roster, model, epoch, config, tables, user_tags
+
+
+def assert_same_epoch(roster, model, epoch, config, tables, user_tags):
+    """``_decide``, which decides the epoch through ``decide_epoch``,
+    writes the lines, leaves the roster and returns the pending batch of
+    the per-user loop, byte for byte."""
+    expected = copy.deepcopy(roster)
+    lines, pending = reference_epoch(expected, model, epoch, config, tables, user_tags)
+    out, counters = io.StringIO(), Counter()
+    batch = _decide(roster, model, epoch, config, tables, out, counters, user_tags)
+    assert out.getvalue() == lines
+    for name in ROSTER_ARRAYS:
+        assert getattr(roster, name).tobytes() == getattr(expected, name).tobytes(), name
+    assert (batch is None) == (pending is None)
+    if pending is not None:
+        for got, want in zip(batch, pending):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert counters["decisions"] == len(roster.user_tokens)
+    assert counters["reassignments"] == lines.count('"changed": true')
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=epochs(max_users=40), max_rows=st.integers(1, 16), min_rows=st.integers(1, 18))
+def test_epoch_in_passes_equals_per_user_loop(case, max_rows, min_rows):
+    # Small pass bounds put many passes, and passes cut by a move on any
+    # row, into a small epoch; a lower bound above the upper one decides
+    # every row one at a time.
+    with mock.patch.multiple(assignment, _MAX_PASS_ROWS=max_rows, _MIN_PASS_ROWS=min_rows):
+        assert_same_epoch(*case)
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=epochs(min_users=assignment._MAX_PASS_ROWS + 1, max_users=300, max_capacity=60))
+def test_epoch_longer_than_a_pass_equals_per_user_loop(case):
+    assert_same_epoch(*case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=epochs(max_users=40), data=st.data())
+def test_one_pass_equals_per_user_steps(case, data):
+    # Any window: the pass keeps its rows up to and including the first
+    # move, each as assign decides it, and applies that move.
+    roster, model, epoch, config, tables, user_tags = case
+    n = len(roster.user_tokens)
+    start = data.draw(st.integers(0, n - 1))
+    # Half the windows end on the row that makes the first move.
+    probe = copy.deepcopy(roster)
+    first_move = next(
+        (i for i, user in enumerate(range(start, n))
+         if assign(user, probe, model, epoch, config, tables=tables, user_tags=user_tags).changed),
+        None,
+    )
+    windows = st.integers(1, n - start)
+    if first_move is not None and data.draw(st.booleans()):
+        windows = st.just(first_move + 1)
+    rows = data.draw(windows)
+    eligibility = np.stack([roster.eligibility_codes(g, user_tags) for g in range(len(GOAL_CATEGORIES))])
+    expected = copy.deepcopy(roster)
+    decided = _decide_pass(start, rows, roster, model, epoch, config, tables, eligibility)
+    kept = decided.chosen.size
+    decisions = [
+        assign(user, expected, model, epoch, config, tables=tables, user_tags=user_tags)
+        for user in range(start, start + kept)
+    ]
+    assert [d.changed for d in decisions] == [False] * (kept - 1) + [decided.changed]
+    assert decided.changed or kept == rows
+    assert _pass_lines(decided, epoch, roster) == "".join(_trace_line(d) for d in decisions)
+    for name in ROSTER_ARRAYS:
+        assert getattr(roster, name).tobytes() == getattr(expected, name).tobytes(), name
+    scored = [(start + i, d) for i, d in enumerate(decisions) if d.phi_chosen is not None]
+    assert decided.users.tolist() == [user for user, _ in scored]
+    assert decided.phi.tobytes() == np.array([d.phi_chosen for _, d in scored]).reshape(-1, FEATURE_DIM).tobytes()
+    assert decided.penalty.tolist() == [d.churn_penalty for _, d in scored]
+    event(f"kept {'one row' if kept == 1 else 'every row' if kept == rows else 'some rows'}"
+          f"{', last one moved' if decided.changed else ''}")
 
 
 # -- contexts ------------------------------------------------------------------

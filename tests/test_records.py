@@ -44,16 +44,17 @@ def scenarios(draw):
 
 @st.composite
 def policies(draw):
+    # PolicyConfig bounds its real-valued knobs; both ends are accepted.
     dwell = draw(st.integers(0, 2**62))
-    weights = st.floats(0.0, 1e300) | st.integers(0, 2**63 - 1)
+    weights = st.floats(0.0, 1e6) | st.integers(0, 10**6)
     return PolicyConfig(
         w_adh=draw(weights),
         w_eng=draw(weights),
         lam=draw(weights),
         dwell=dwell,
         oscillation=draw(st.integers(dwell, 2**63 - 1)),
-        beta=draw(NUMBERS),
-        ridge=draw(st.floats(1e-300, 1e300) | st.integers(1, 2**63 - 1)),
+        beta=draw(weights),
+        ridge=draw(st.floats(1e-4, 1e8) | st.integers(1, 10**8)),
     )
 
 

@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 from conftest import ENC_KEY_HEX, TOKEN_KEY_HEX, registered_identity_strings
 from test_golden import GOLDEN
 
-from prism.assignment import REASONS_OF_CODE, CandidateScores, PolicyConfig, assign
+from prism.assignment import (
+    REASONS_OF_CODE,
+    CandidateScores,
+    DecisionPass,
+    PolicyConfig,
+    decide_epoch,
+)
 from prism.errors import ValidationError
 from prism.metrics import MetricsReport
 from prism.redaction import default_rules, redact
@@ -592,23 +598,38 @@ class TestDeterminismAndPrivacy:
     def test_score_decomposition_in_traces(self, keys, tmp_path, monkeypatch):
         # The decoder derives score from mu, sigma, penalty and the
         # manifest's policy; every term must come back with the bits the
-        # decision held.
-        decisions = []
+        # decision held, whether a pass or a per-user step made it.
+        decisions, kinds = [], set()
 
-        def recording_assign(*args, **kwargs):
-            decisions.append(assign(*args, **kwargs))
-            return decisions[-1]
+        def recording_decide_epoch(roster, *args, **kwargs):
+            for decided in decide_epoch(roster, *args, **kwargs):
+                kinds.add(type(decided))
+                if isinstance(decided, DecisionPass):
+                    bounds, last = decided.bounds.tolist(), decided.chosen.size - 1
+                    for i, group in enumerate(decided.chosen.tolist()):
+                        pairs = slice(bounds[i], bounds[i + 1])
+                        decisions.append((
+                            decided.codes[i].tolist(),
+                            roster.group_ids[group] if group >= 0 else None,
+                            decided.changed and i == last,
+                            [] if pairs.start == pairs.stop else [a[pairs] for a in decided.scores],
+                        ))
+                else:
+                    scores = [] if decided.scores is None else decided.scores
+                    decisions.append(
+                        (decided.reason_codes.tolist(), decided.chosen, decided.changed, scores)
+                    )
+                yield decided
 
-        monkeypatch.setattr(experiment, "assign", recording_assign)
+        monkeypatch.setattr(experiment, "decide_epoch", recording_decide_epoch)
         config = PolicyConfig(beta=0.6, lam=0.45)
         run_experiment(small_scenario(seed=17), keys, policy=config, out_dir=str(tmp_path))
         traces = read_traces(tmp_path)
-        assert len(traces) == len(decisions)
+        assert len(traces) == len(decisions) and len(kinds) == 2
         checked = 0
-        for trace, decision in zip(traces, decisions):
-            assert trace["codes"] == decision.reason_codes.tolist()
-            assert (trace["chosen"], trace["changed"]) == (decision.chosen, decision.changed)
-            terms = [] if decision.scores is None else decision.scores
+        for trace, (codes, chosen, changed, terms) in zip(traces, decisions):
+            assert trace["codes"] == codes
+            assert (trace["chosen"], trace["changed"]) == (chosen, changed)
             for name, values in zip(CandidateScores._fields, terms):
                 assert np.asarray(trace[name], dtype=float).tobytes() == values.astype(float).tobytes()
             checked += len(trace["score"])
