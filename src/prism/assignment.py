@@ -667,7 +667,10 @@ def assign(
 # the pass's first move is decided again, so larger passes cost memory
 # and, in epochs with many moves, wasted work.
 _MAX_PASS_ROWS = 128
-# A pass of fewer rows costs about as much as deciding them one at a time.
+# A pass costs about two per-user steps plus up to a sixth of one per
+# row (24 to 96 groups), and keeps about two thirds of a window sized to
+# the mean stretch between moves; below 8 rows one at a time costs no
+# more.
 _MIN_PASS_ROWS = 8
 
 
