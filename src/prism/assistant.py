@@ -15,10 +15,12 @@ import threading
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .errors import LeakageError, StateError, ValidationError
-from .features import LearningContext
+from .features import ContextBatch, LearningContext
 from .records import Record, field_names
-from .redaction import DeidText, RedactionRule, default_rules, scan_for_identifiers
+from .redaction import DeidText, RedactionRule, ScanMemo, default_rules, scan_for_identifiers
 
 logger = logging.getLogger(__name__)
 
@@ -169,8 +171,18 @@ def flag_risks(
     return flags
 
 
-def _leak_check(text: str, rules: Sequence[RedactionRule], where: str) -> None:
-    spans = scan_for_identifiers(text, rules)
+def risk_mask(contexts: ContextBatch) -> np.ndarray:
+    """Which rows of ``contexts`` :func:`flag_risks` flags at its default
+    thresholds, as one bool per row, read from the batch's arrays."""
+    return (contexts.streak >= DEFAULT_STREAK_THRESHOLD) | (
+        contexts.slope <= -DEFAULT_DECLINE_THRESHOLD
+    )
+
+
+def _leak_check(
+    text: str, rules: Sequence[RedactionRule], where: str, memo: Optional[ScanMemo] = None
+) -> None:
+    spans = scan_for_identifiers(text, rules) if memo is None else memo.spans(text, rules)
     if spans:
         kinds = sorted({s.entity_type for s in spans})
         # Entity types only; never the matched text.
@@ -185,11 +197,13 @@ def generate_draft(
     rules: Optional[Sequence[RedactionRule]] = None,
     draft_id: Optional[str] = None,
     created_at: Optional[str] = None,
+    memo: Optional[ScanMemo] = None,
 ) -> Draft:
     """Render a pending draft by deterministic slot substitution.
 
-    The rendered text is re-scanned with the redaction rules; any hit
-    aborts with a leakage error instead of emitting the draft.
+    The rendered text is re-scanned with the redaction rules, through
+    ``memo`` when one is given; any hit aborts with a leakage error
+    instead of emitting the draft.
     """
     if not isinstance(summary, DeidText):
         raise ValidationError("summary must be a DeidText produced by the redaction pipeline")
@@ -207,7 +221,7 @@ def generate_draft(
     except KeyError as exc:
         raise ValidationError(f"template slot {exc} has no value") from exc
     active_rules = default_rules() if rules is None else rules
-    _leak_check(rendered, active_rules, f"draft from template {template.template_id}")
+    _leak_check(rendered, active_rules, f"draft from template {template.template_id}", memo)
     if draft_id is None:
         import hashlib
 
@@ -239,12 +253,14 @@ def review(
     new_text: Optional[str] = None,
     rules: Optional[Sequence[RedactionRule]] = None,
     decided_at: Optional[str] = None,
+    memo: Optional[ScanMemo] = None,
 ) -> Draft:
     """Apply a terminal review decision to a pending draft.
 
-    Edits re-pass the redaction scan before acceptance; on a scan hit
-    the draft stays pending. Decisions on non-pending drafts fail, which
-    makes the first decision win under concurrent review.
+    Edits re-pass the redaction scan, through ``memo`` when one is
+    given, before acceptance; on a scan hit the draft stays pending.
+    Decisions on non-pending drafts fail, which makes the first decision
+    win under concurrent review.
     """
     if decision not in REVIEW_DECISIONS:
         raise ValidationError(f"unknown review decision: {decision!r}")
@@ -257,7 +273,7 @@ def review(
             if not new_text:
                 raise ValidationError("edit decision requires replacement text")
             active_rules = default_rules() if rules is None else rules
-            _leak_check(new_text, active_rules, f"edit of draft {draft.draft_id}")
+            _leak_check(new_text, active_rules, f"edit of draft {draft.draft_id}", memo)
             draft.rendered_text = new_text
             draft.status = DRAFT_EDITED
         elif decision == "approve":

@@ -18,6 +18,11 @@ under the pattern's own case folding, so a digit-rich post without one
 (a phone number, a member id) skips the date scan. Each condition runs
 at most once per text. The prefilters are keyed by the exact built-in
 pattern text, so a rule loaded with any other pattern always runs.
+
+A :class:`ScanMemo` scans each distinct text once under one rule set and
+keeps its resolved spans without the matched text. Generated texts
+repeat: placeholders make a de-identified corpus repeat itself, and the
+coaching assistant renders few distinct summaries and drafts.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ConfigurationError, ValidationError
 from .records import Record
@@ -261,6 +266,43 @@ def scan_for_identifiers(text: str, rules: Sequence[RedactionRule]) -> list[Enti
     return resolve_spans(detect(text, rules))
 
 
+class SpanAt(NamedTuple):
+    """Where a resolved span lies and what it is; never what it matched."""
+
+    start: int
+    end: int
+    entity_type: str
+
+
+class ScanMemo:
+    """Resolved identifier spans per distinct text, under one rule set.
+
+    ``spans(text, rules)`` equals ``scan_for_identifiers(text, rules)``
+    without ``matched_text``, and scans a text only the first time it is
+    asked for. The memo answers only for the rules it was built with. It
+    keeps every text it was asked about, so it belongs to one owner with
+    a bounded set of texts and dies with it, and is never handed raw
+    posts.
+    """
+
+    __slots__ = ("rules", "_spans")
+
+    def __init__(self, rules: Sequence[RedactionRule]) -> None:
+        self.rules = tuple(rules)
+        self._spans: dict[str, tuple[SpanAt, ...]] = {}
+
+    def spans(self, text: str, rules: Sequence[RedactionRule]) -> tuple[SpanAt, ...]:
+        if rules is not self.rules and tuple(rules) != self.rules:
+            raise ValidationError("scan memo was built for other redaction rules")
+        spans = self._spans.get(text)
+        if spans is None:
+            spans = tuple(
+                SpanAt(s.start, s.end, s.entity_type) for s in scan_for_identifiers(text, self.rules)
+            )
+            self._spans[text] = spans
+        return spans
+
+
 _DEID_GUARD = object()
 _MAX_METADATA_ENTRIES = 16
 
@@ -318,11 +360,14 @@ def redact(
     user_token: UserToken,
     rules: Optional[Sequence[RedactionRule]] = None,
     cohort_metadata: Optional[Mapping[str, Any]] = None,
+    *,
+    memo: Optional[ScanMemo] = None,
 ) -> DeidText:
     """Replace every detected identifier with its typed placeholder.
 
     The result carries only the user token plus supplied cohort
-    metadata; matched text is not retained.
+    metadata; matched text is not retained. With a ``memo`` built for
+    the same rules, the spans come from it.
     """
     if not isinstance(text, str):
         raise ValidationError("text must be a str")
@@ -337,7 +382,7 @@ def redact(
     active_rules = default_rules() if rules is None else rules
     placeholder_by_type = {r.entity_type: r.placeholder for r in active_rules}
 
-    spans = scan_for_identifiers(text, active_rules)
+    spans = scan_for_identifiers(text, active_rules) if memo is None else memo.spans(text, active_rules)
     counts = {etype: 0 for etype in placeholder_by_type}
     pieces = []
     cursor = 0
@@ -431,22 +476,16 @@ def leak_audit(
     active_rules = default_rules() if rules is None else rules
     n_hits = 0
     examples: dict[str, list[int]] = {}
-    # Entity type of each resolved span, in span order, per distinct text;
-    # the memo holds no matched text and dies with the call.
-    types_of_text: dict[str, tuple[str, ...]] = {}
+    # The audit's own memo, which dies with the call: it shares no scan
+    # with the memo of the pipeline that produced the samples.
+    memo = ScanMemo(active_rules)
     for i, sample in enumerate(samples):
         if not isinstance(sample, DeidText):
             raise ValidationError("leak audit samples must be DeidText")
-        text = sample.text
-        types = types_of_text.get(text)
-        if types is None:
-            # scan_for_identifiers, without the resolve call on a clean text.
-            spans = detect(text, active_rules)
-            types = tuple(s.entity_type for s in resolve_spans(spans)) if spans else ()
-            types_of_text[text] = types
-        if types:
+        spans = memo.spans(sample.text, memo.rules)
+        if spans:
             n_hits += 1
-            for entity_type in types:
+            for _, _, entity_type in spans:
                 bucket = examples.setdefault(entity_type, [])
                 if len(bucket) < _MAX_HIT_EXAMPLES:
                     bucket.append(i)

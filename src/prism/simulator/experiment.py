@@ -55,6 +55,7 @@ from ..assistant import (
     flag_risks,
     generate_draft,
     review,
+    risk_mask,
     save_drafts,
 )
 from ..errors import ConstraintViolationError, InternalError, ValidationError
@@ -72,7 +73,7 @@ from ..features import (
 )
 from ..metrics import MetricsReport, format_eng_index, mann_whitney_u, render_report
 from ..records import Record
-from ..redaction import DeidText, _rehydrate_deid, leak_audit, redact
+from ..redaction import DeidText, LeakReport, ScanMemo, _rehydrate_deid, leak_audit, redact
 from ..vault import KeyRing, RestorationRequest, UserToken, rfc3339, verify_audit_chain
 from .scenario import POLICY_ADAPTIVE, Scenario
 from .world import (
@@ -388,26 +389,35 @@ def _deliver(world: World, token: UserToken, coach_id: str, counters: dict) -> N
 
 
 def _assistant_pass(
-    world: World, epoch: int, contexts: ContextBatch, drafts: list[Draft], counters: dict
+    world: World,
+    epoch: int,
+    contexts: ContextBatch,
+    drafts: list[Draft],
+    counters: dict,
+    memo: ScanMemo,
 ) -> None:
+    """Draft, review and deliver a message for each flagged user row.
+
+    Only flagged rows get a context view. The summaries, rendered drafts
+    and edits of a run repeat a few texts, so their scans go through the
+    run's ``memo``.
+    """
     scenario = world.scenario
     roster = world.roster
     templates = default_templates()
     rng = substream(scenario.seed, STREAM_REVIEW, epoch)
     created_at = rfc3339(SIM_EPOCH_BASE + epoch * WEEK_SECONDS)
-    for user, token in enumerate(world.tokens):
+    for user in np.flatnonzero(risk_mask(contexts)).tolist():
+        token = world.tokens[user]
         context = contexts[user]
-        flags = flag_risks(context)
-        if not flags:
-            continue
-        flag = flags[0]
+        flag = flag_risks(context)[0]
         template = templates["reengage-streak" if flag.kind == "missed_streak" else "reengage-decline"]
         summary_text = (
             f"missed {context.missed_checkin_streak} recent check-ins; "
             f"engagement slope {context.engagement_slope:+.2f} per week."
         )
         goal = GOAL_CATEGORIES[world.goal_index[user]]
-        summary = redact(summary_text, token, world.rules, {"goal": goal})
+        summary = redact(summary_text, token, world.rules, {"goal": goal}, memo=memo)
         draft = generate_draft(
             summary,
             context,
@@ -415,6 +425,7 @@ def _assistant_pass(
             rules=world.rules,
             draft_id=f"d-{scenario.seed}-{epoch:02d}-{user:04d}",
             created_at=created_at,
+            memo=memo,
         )
         drafts.append(draft)
         coach_id = roster.coach_ids[roster.coach_of[roster.group_of[user]]]
@@ -422,7 +433,10 @@ def _assistant_pass(
         if u < scenario.review_approve_prob:
             review(draft, coach_id, "approve", decided_at=created_at)
         elif u < scenario.review_approve_prob + scenario.review_edit_prob:
-            review(draft, coach_id, "edit", new_text=_EDIT_TEXT, rules=world.rules, decided_at=created_at)
+            review(
+                draft, coach_id, "edit",
+                new_text=_EDIT_TEXT, rules=world.rules, decided_at=created_at, memo=memo,
+            )
         elif u < scenario.review_approve_prob + scenario.review_edit_prob + scenario.review_discard_prob:
             review(draft, coach_id, "discard", decided_at=created_at)
         # else: stays pending in the review queue
@@ -503,6 +517,8 @@ def _run_epochs(
     # Per decision epoch, the scored users' rows, chosen feature rows and
     # churn penalties, until their evaluation window has passed.
     pending: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    # The assistant pass's scans, for this run only.
+    memo = ScanMemo(world.rules)
 
     for epoch in range(scenario.horizon_weeks):
         world.clock.set_week(epoch)
@@ -542,7 +558,7 @@ def _run_epochs(
             batch = _decide(world.roster, model, epoch, config, tables, traces, counters)
             if batch is not None:
                 pending[epoch] = batch
-            _assistant_pass(world, epoch, contexts, drafts, counters)
+            _assistant_pass(world, epoch, contexts, drafts, counters, memo)
 
         _probe_restorations(world, epoch, counters)
         step_week(world, epoch, flags)
@@ -630,7 +646,10 @@ def _build_report(world: World, counters: dict, drafts: list[Draft]) -> MetricsR
 
     token_of = {token.value: token for token in world.tokens}
     draft_docs = [_rehydrate_deid(d.rendered_text, token_of[d.user_token]) for d in drafts]
-    leak = leak_audit(list(world.deid_messages) + draft_docs, world.rules)
+    corpus = list(world.deid_messages) + draft_docs
+    # A static arm whose users never post has nothing to audit, and
+    # nothing in it leaks.
+    leak = leak_audit(corpus, world.rules) if corpus else LeakReport(0, 0, 0.0, {})
 
     chain_ok, _ = verify_audit_chain(world.vault.audit_log.entries())
     status_counts = {

@@ -9,6 +9,7 @@ to a zero leak rate on generated traffic.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -118,6 +119,18 @@ class Scenario(Record):
             raise ValidationError("message_prob must lie in [0, 1]")
         if self.analyst_probes_per_week < 0:
             raise ValidationError("analyst_probes_per_week must be non-negative")
+        # A goal-matched user's Poisson rates are scaled by 1 + this bonus.
+        if self.engagement_match_bonus < -1.0:
+            raise ValidationError("engagement_match_bonus must be at least -1")
+        # A user's fatigue rate is fatigue_mean times a uniform draw from
+        # [0.5, 1.5), and step_week subtracts rate * epoch from the check-in
+        # logit for every epoch below horizon_weeks. So |rate * epoch| stays
+        # under 1.5 * |fatigue_mean| * horizon_weeks, which this bound keeps
+        # at most the largest float: the fatigue term never overflows.
+        if abs(self.fatigue_mean) > sys.float_info.max / (1.5 * self.horizon_weeks):
+            raise ValidationError(
+                "fatigue_mean must be at most float max / (1.5 * horizon_weeks) in magnitude"
+            )
 
     @classmethod
     def from_json_file(cls, path: str) -> "Scenario":

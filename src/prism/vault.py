@@ -16,6 +16,7 @@ import hashlib
 import hmac
 import json
 import os
+import re
 import secrets
 import struct
 import threading
@@ -125,8 +126,11 @@ class UserToken:
         return self.value
 
 
+_LOWER_HEX = re.compile("[0-9a-f]*")
+
+
 def _is_hex(s: str) -> bool:
-    return all(c in "0123456789abcdef" for c in s)
+    return _LOWER_HEX.fullmatch(s) is not None
 
 
 @dataclass(frozen=True)

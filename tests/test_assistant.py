@@ -2,21 +2,27 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import goal_onehot
 
 from prism.assistant import (
+    DEFAULT_DECLINE_THRESHOLD,
+    DEFAULT_STREAK_THRESHOLD,
     DraftTemplate,
     default_templates,
     flag_risks,
     generate_draft,
     review,
+    risk_mask,
     save_drafts,
     load_drafts,
 )
 from prism.errors import LeakageError, StateError, ValidationError
-from prism.features import LearningContext
-from prism.redaction import _rehydrate_deid, redact
+from prism.features import ContextBatch, LearningContext
+from prism.redaction import ScanMemo, _rehydrate_deid, default_rules, redact
+from prism.simulator.scenario import synth_identity, synth_message
 from prism.vault import UserToken
 
 TOKEN = UserToken("ee" * 32)
@@ -51,6 +57,26 @@ class TestRiskFlags:
     def test_thresholds_configurable(self):
         assert flag_risks(make_context(streak=2), streak_threshold=2)
         assert not flag_risks(make_context(streak=2), streak_threshold=3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12))
+    def test_risk_mask_flags_the_rows_flag_risks_flags(self, data, n):
+        edge = -DEFAULT_DECLINE_THRESHOLD
+        streaks = st.integers(0, 3 * DEFAULT_STREAK_THRESHOLD) | st.integers(0, 2**62)
+        slopes = st.floats(-1e300, 1e300) | st.sampled_from(
+            [edge, np.nextafter(edge, 0.0), np.nextafter(edge, -1.0), -0.0, 0.0]
+        )
+        batch = ContextBatch(
+            user_tokens=[TOKEN] * n,
+            epoch=9,
+            numeric=np.full((n, 5), 0.5),
+            goal=np.zeros(n, dtype=np.int64),
+            streak=data.draw(st.lists(streaks, min_size=n, max_size=n)),
+            slope=data.draw(st.lists(slopes, min_size=n, max_size=n)),
+        )
+        mask = risk_mask(batch)
+        assert mask.dtype == bool
+        assert mask.tolist() == [bool(flag_risks(batch[u])) for u in range(n)]
 
 
 class TestTemplateLint:
@@ -108,6 +134,45 @@ class TestGenerateDraft:
         b = generate_draft(summary, make_context(streak=3), template, created_at="t0")
         assert a.rendered_text == b.rendered_text
         assert a.draft_id == b.draft_id
+
+
+# Raw posts that self-disclose an identifier: every message variant but the
+# first two.
+_LEAKY_TEXTS = st.builds(
+    synth_message,
+    st.integers(2, 9),
+    st.builds(synth_identity, st.integers(0, 2**32 - 1).map(np.random.default_rng), st.integers(0, 999)),
+    st.integers(0, 10**8 - 1),
+    st.integers(0, 9999),
+    st.integers(0, 9999),
+)
+
+
+class TestLeakChecksThroughOneMemo:
+    @settings(max_examples=50, deadline=None)
+    @given(text=_LEAKY_TEXTS, uses=st.integers(1, 4))
+    def test_every_use_of_a_leaky_draft_fails(self, text, uses):
+        memo = ScanMemo(default_rules())
+        clean = redact("missed 4 recent check-ins", TOKEN, memo.rules, memo=memo)
+        poisoned = _rehydrate_deid(text, TOKEN)
+        template = default_templates()["reengage-streak"]
+        for _ in range(uses):
+            with pytest.raises(LeakageError):
+                generate_draft(poisoned, make_context(), template, rules=memo.rules, memo=memo)
+            assert generate_draft(clean, make_context(), template, rules=memo.rules, memo=memo)
+
+    @settings(max_examples=50, deadline=None)
+    @given(text=_LEAKY_TEXTS, uses=st.integers(1, 4))
+    def test_every_leaky_edit_fails(self, text, uses):
+        memo = ScanMemo(default_rules())
+        summary = redact("missed 4 recent check-ins", TOKEN, memo.rules, memo=memo)
+        draft = generate_draft(summary, make_context(streak=4), default_templates()["reengage-streak"])
+        for _ in range(uses):
+            with pytest.raises(LeakageError):
+                review(draft, "coach-1", "edit", new_text=text, rules=memo.rules, memo=memo)
+            assert draft.status == "pending" and draft.rendered_text != text
+        review(draft, "coach-1", "edit", new_text="one small goal", rules=memo.rules, memo=memo)
+        assert draft.status == "edited"
 
 
 class TestReview:

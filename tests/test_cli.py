@@ -20,7 +20,8 @@ from prism.assistant import DRAFT_STATUSES
 from prism.cli import main
 from prism.metrics import MetricsReport
 from prism.redaction import default_rules
-from prism.simulator import Scenario, TraceLegend, run_experiment
+from prism.errors import ValidationError
+from prism.simulator import Scenario, TraceLegend, generate_cohort, run_experiment
 from prism.vault import KeyRing
 
 SCENARIO = {
@@ -134,6 +135,15 @@ class TestSimulate:
             # allocated: rejected by the group and coach bound.
             (dict(SCENARIO, n_groups=10**12), (), 1),
             (dict(SCENARIO, n_coaches=10**12), (), 1),
+            # Poisson rates of goal-matched users must not go negative.
+            (dict(SCENARIO, engagement_match_bonus=-1.0), (), 0),
+            (dict(SCENARIO, engagement_match_bonus=-1.0001), (), 1),
+            # The fatigue term must stay finite over the horizon.
+            (dict(SCENARIO, fatigue_mean=sys.float_info.max / (1.5 * 15)), (), 0),
+            (dict(SCENARIO, fatigue_mean=1e308), (), 1),
+            (dict(SCENARIO, fatigue_mean=-1e308), (), 1),
+            # A static arm with no posts audits an empty corpus.
+            (dict(SCENARIO, message_prob=0.0), ("--policy", "static"), 0),
         ],
     )
     def test_scenario_values_exit_one_or_run(self, keys_env, tmp_path, capsys, doc, argv, expected):
@@ -380,9 +390,11 @@ def _small_scenarios(draw):
     weights = draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
     total = sum(weights)
     goal_weights = [w / total for w in weights] if total > 0 else [0.25] * 4
+    horizon_weeks = w_pre + w_post + draw(_mostly(st.integers(0, 3), st.just(-1)))
     doc = {
         "name": draw(st.text(max_size=6)),
         "seed": draw(st.integers(0, 2**63 - 1)),
+        "policy": draw(st.sampled_from(["static", "adaptive"])),
         "n_users": n_users,
         "n_groups": n_groups,
         "n_coaches": n_coaches,
@@ -391,15 +403,25 @@ def _small_scenarios(draw):
         "coach_load_factor": load_factor,
         "goal_weights": draw(_mostly(st.just(goal_weights), st.just(goal_weights[:3]))),
         "misgroup_fraction": draw(probability),
-        "horizon_weeks": w_pre + w_post + draw(_mostly(st.integers(0, 3), st.just(-1))),
+        "horizon_weeks": horizon_weeks,
         "w_pre": w_pre,
         "w_post": w_post,
-        "message_prob": draw(probability),
+        # No posts at all: a static arm then has nothing to leak-audit.
+        "message_prob": draw(st.just(0.0) | probability),
         "review_approve_prob": draw(st.floats(0.0, 0.6)),
         "review_edit_prob": draw(_mostly(st.floats(0.0, 0.2), st.just(0.5))),
         "review_discard_prob": draw(st.floats(0.0, 0.2)),
         "analyst_probes_per_week": draw(_mostly(st.integers(0, 3), st.just(-1))),
         "engagement_rate_means": draw(st.lists(_any_float(0.0, 50.0), min_size=5, max_size=5)),
+    }
+    # Each side of the bounds that keep the Poisson rates non-negative and
+    # the fatigue term finite.
+    fatigue_edge = sys.float_info.max / (1.5 * horizon_weeks)
+    edges = {
+        "engagement_match_bonus": st.sampled_from([-1.0, math.nextafter(-1.0, -2.0)]),
+        "fatigue_mean": st.sampled_from(
+            [fatigue_edge, -fatigue_edge, math.nextafter(fatigue_edge, math.inf), sys.float_info.max]
+        ),
     }
     for name in (
         "base_logit_mean", "base_logit_sd", "match_uplift", "activity_uplift",
@@ -407,7 +429,8 @@ def _small_scenarios(draw):
         "weight_start_mean", "weight_start_sd", "weight_drift_per_adherent_week", "weight_noise_sd",
     ):
         if draw(st.booleans()):
-            doc[name] = draw(_mostly(_any_float(-10.0, 10.0), _any_float()))
+            value = _mostly(_any_float(-10.0, 10.0), _any_float())
+            doc[name] = draw(value | edges[name] if name in edges else value)
     return doc
 
 
@@ -415,22 +438,33 @@ class TestAnyScenario:
     @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(doc=_small_scenarios())
     def test_runs_or_exits_one(self, keys_env, capsys, tmp_path, doc):
-        # Accepted: the adaptive arm runs with exit 0 and no violation.
+        # Accepted: the arm runs with exit 0, no violation and no leak.
         # Rejected: exit 1 with one error line, never an internal error.
         path, out = tmp_path / "scenario.json", tmp_path / "run"
         shutil.rmtree(out, ignore_errors=True)
         path.write_text(json.dumps(doc))
-        code, _, stderr = run_cli(
-            capsys, "simulate", "--scenario", str(path), "--out", str(out), "--policy", "adaptive"
-        )
+        code, _, stderr = run_cli(capsys, "simulate", "--scenario", str(path), "--out", str(out))
         assert code in (0, 1), stderr
-        event(f"exit {code}")
+        event(f"{doc['policy']} exit {code}")
         if code == 1:
             assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+            try:
+                generate_cohort(Scenario.from_dict(doc), keys_env)
+            except ValidationError:
+                return  # by the checks of Scenario or the cohort, before any week
+            # The one rejection left after the weeks are simulated: an
+            # engagement index with no pre-period engagement to divide by.
+            assert stderr == "error: pre-period mean engagement must be positive\n"
             return
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["violations"] == 0
-        assert metrics["decisions"] == doc["n_users"] * (doc["horizon_weeks"] - doc["w_pre"])
+        assert metrics["leak"]["n_hits"] == 0 and metrics["leak"]["leak_rate"] == 0.0
+        if doc["policy"] == "adaptive":
+            assert metrics["decisions"] == doc["n_users"] * (doc["horizon_weeks"] - doc["w_pre"])
+        else:
+            assert metrics["decisions"] == 0 and metrics["assistant"]["drafts"] == 0
+            if doc["message_prob"] == 0.0:
+                assert metrics["leak"]["n_samples"] == 0
 
 
 class TestCompare:
@@ -660,6 +694,13 @@ class TestLeakAudit:
     def test_bad_corpus_line_exits_one(self, capsys, tmp_path, line):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_bytes(CORPUS_LINE.encode() + b"\n" + line + b"\n")
+        assert_exits_one(capsys, "leak-audit", "--in", str(corpus))
+
+    def test_empty_corpus_exits_one(self, capsys, tmp_path):
+        # A run reports an empty corpus's leak rate as 0; the audit of a
+        # file still needs a sample.
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(b"")
         assert_exits_one(capsys, "leak-audit", "--in", str(corpus))
 
 

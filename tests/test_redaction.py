@@ -19,6 +19,8 @@ from prism.redaction import (
     DeidText,
     LeakReport,
     RedactionRule,
+    ScanMemo,
+    SpanAt,
     _rehydrate_deid,
     default_rules,
     detect,
@@ -367,6 +369,46 @@ class TestLeakAuditMatchesReference:
         assert report.n_hits == 20
         # One index per span: each hit sample holds two of each type.
         assert report.hit_examples_by_type == {"EMAIL": (1, 1, 2, 2, 4), "PHONE": (1, 1, 2, 2, 4)}
+
+
+# The assistant's summary text, with streaks and slopes around the risk
+# thresholds and digits the ID and phone rules look at.
+_SUMMARIES = st.builds(
+    "missed {} recent check-ins; engagement slope {:+.2f} per week.".format,
+    st.integers(0, 10**7),
+    st.floats(-1e7, 1e7),
+)
+
+
+class TestScanMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pool=st.lists(_SUMMARIES | _texts(DEFAULT_FIRST_NAMES + DEFAULT_LAST_NAMES), min_size=1, max_size=6),
+        picks=st.lists(st.integers(0, 5), max_size=20),
+    )
+    def test_redact_through_one_memo_equals_redact(self, pool, picks):
+        rules = default_rules()
+        memo = ScanMemo(rules)
+        for text in [pool[k % len(pool)] for k in picks] + pool:
+            direct = redact(text, TOKEN, rules, {"goal": "fitness"})
+            cached = redact(text, TOKEN, rules, {"goal": "fitness"}, memo=memo)
+            assert cached.to_dict() == direct.to_dict()
+            assert cached.source_user_token is direct.source_user_token
+        # Positions and entity types only, never the matched text.
+        assert set(memo._spans) == set(pool)
+        for text, spans in memo._spans.items():
+            assert all(type(span) is SpanAt for span in spans)
+            assert [tuple(span) for span in spans] == [
+                (s.start, s.end, s.entity_type) for s in scan_for_identifiers(text, rules)
+            ]
+
+    def test_answers_only_for_its_rules(self):
+        memo = ScanMemo(default_rules())
+        assert memo.spans("hi Kate", default_rules()) == ()
+        with pytest.raises(ValidationError, match="other redaction rules"):
+            memo.spans("hi Kate", default_rules(["Kate"], []))
+        with pytest.raises(ValidationError, match="other redaction rules"):
+            redact("hi Kate", TOKEN, default_rules(["Kate"], []), memo=memo)
 
 
 class TestGeneratedTraffic:

@@ -10,9 +10,10 @@ import importlib.util
 import pathlib
 from collections import Counter
 
-from conftest import tables_for
+from conftest import TOKEN_KEY_HEX, ENC_KEY_HEX, tables_for
 
 import prism.assignment
+import prism.cli
 import prism.simulator.experiment
 from prism.assignment import (
     FEATURE_DIM,
@@ -24,6 +25,8 @@ from prism.assignment import (
     Roster,
     feasibility_report,
 )
+from prism.simulator import Scenario
+from prism.vault import KeyRing
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -94,3 +97,26 @@ def test_one_traced_decision_reaches_every_assignment_span():
     assert tracer.counts["groups_checked"] == 3
     assert tracer.counts["groups_feasible"] == 2
     assert tracer.counts["moves"] == int(decision.changed) == 1
+
+
+def test_one_traced_adaptive_run_reaches_every_assistant_and_redaction_span():
+    # A refactor that stopped calling a wrapped name would zero its layer's
+    # metrics without failing the benchmark.
+    tracing = load_tracing()
+    scenario = Scenario(
+        seed=3, n_users=50, n_groups=6, n_coaches=2, capacity_min=10, capacity_max=14,
+        horizon_weeks=10, w_pre=4, w_post=5, review_approve_prob=0.5, review_edit_prob=0.3,
+    )
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        tracer.arm = "adaptive"
+        result = prism.cli.run_experiment(scenario, KeyRing.from_hex(TOKEN_KEY_HEX, ENC_KEY_HEX))
+        tracer.arm = None
+    assert result.report.assistant["edited"] > 0
+    names = Counter(span[0] for span in tracer.spans)
+    assert names["assistant.flag_risks"] == names["assistant.generate_draft"] == len(result.drafts)
+    assert names["assistant.review"] > 0
+    assert names["redaction.redact"] == len(result.drafts) + len(result.world.deid_messages)
+    assert names["redaction.leak_audit"] >= 1
+    assert tracer.counts["flagged"] == names["assistant.flag_risks"]
+    assert names["simulator.run_experiment"] == 1 and tracer.accounting_errors() == []

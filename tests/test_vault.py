@@ -28,6 +28,7 @@ from prism.vault import (
     SlidingWindowRateLimiter,
     UserToken,
     Vault,
+    _is_hex,
     hmac_sha256,
     normalize_field,
     tokenize_field,
@@ -99,6 +100,17 @@ class TestTokenization:
         before = tokenize_field("alice@example.com", "email", keys)
         after = tokenize_field("alice@example.com", "email", rotated)
         assert before.value != after.value
+
+
+class TestHexCheck:
+    @settings(max_examples=500)
+    @given(
+        text=st.text()
+        | st.text(alphabet="0123456789abcdefABCDEF\n\u0663\u0966\uff10\u00e9 ")
+        | st.sampled_from(["", "\n", "ab\n", "\nab", "AB", "0" * 64, "\u0663" * 64])
+    )
+    def test_accepts_exactly_lowercase_ascii_hex(self, text):
+        assert _is_hex(text) == all(c in "0123456789abcdef" for c in text)
 
 
 class TestMinting:
