@@ -20,9 +20,9 @@ at most once per text. The prefilters are keyed by the exact built-in
 pattern text, so a rule loaded with any other pattern always runs.
 
 A :class:`ScanMemo` scans each distinct text once under one rule set and
-keeps its resolved spans without the matched text. Generated texts
-repeat: placeholders make a de-identified corpus repeat itself, and the
-coaching assistant renders few distinct summaries and drafts.
+keeps its resolved spans without the matched text, for callers whose
+texts repeat, such as the coaching assistant's summaries and drafts.
+``leak_audit`` keeps a memo of its own per call.
 """
 
 from __future__ import annotations
@@ -476,16 +476,23 @@ def leak_audit(
     active_rules = default_rules() if rules is None else rules
     n_hits = 0
     examples: dict[str, list[int]] = {}
-    # The audit's own memo, which dies with the call: it shares no scan
-    # with the memo of the pipeline that produced the samples.
-    memo = ScanMemo(active_rules)
+    # Entity type of each resolved span, in span order, per distinct text;
+    # the memo holds no matched text and dies with the call, so the audit
+    # shares no scan with the pipeline that produced the samples.
+    types_of_text: dict[str, tuple[str, ...]] = {}
     for i, sample in enumerate(samples):
         if not isinstance(sample, DeidText):
             raise ValidationError("leak audit samples must be DeidText")
-        spans = memo.spans(sample.text, memo.rules)
-        if spans:
+        text = sample.text
+        types = types_of_text.get(text)
+        if types is None:
+            # scan_for_identifiers, without the resolve call on a clean text.
+            spans = detect(text, active_rules)
+            types = tuple(s.entity_type for s in resolve_spans(spans)) if spans else ()
+            types_of_text[text] = types
+        if types:
             n_hits += 1
-            for _, _, entity_type in spans:
+            for entity_type in types:
                 bucket = examples.setdefault(entity_type, [])
                 if len(bucket) < _MAX_HIT_EXAMPLES:
                     bucket.append(i)
