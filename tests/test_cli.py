@@ -18,9 +18,9 @@ from conftest import ENC_KEY_HEX, TOKEN_KEY_HEX, write_rules
 from prism.assignment import PolicyConfig
 from prism.assistant import DRAFT_STATUSES
 from prism.cli import main
+from prism.errors import ValidationError
 from prism.metrics import MetricsReport
 from prism.redaction import default_rules
-from prism.errors import ValidationError
 from prism.simulator import Scenario, TraceLegend, generate_cohort, run_experiment
 from prism.vault import KeyRing
 

@@ -10,7 +10,7 @@ import importlib.util
 import pathlib
 from collections import Counter
 
-from conftest import TOKEN_KEY_HEX, ENC_KEY_HEX, tables_for
+from conftest import tables_for
 
 import prism.assignment
 import prism.cli
@@ -26,7 +26,6 @@ from prism.assignment import (
     feasibility_report,
 )
 from prism.simulator import Scenario
-from prism.vault import KeyRing
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -99,7 +98,7 @@ def test_one_traced_decision_reaches_every_assignment_span():
     assert tracer.counts["moves"] == int(decision.changed) == 1
 
 
-def test_one_traced_adaptive_run_reaches_every_assistant_and_redaction_span():
+def test_one_traced_adaptive_run_reaches_every_assistant_and_redaction_span(keys):
     # A refactor that stopped calling a wrapped name would zero its layer's
     # metrics without failing the benchmark.
     tracing = load_tracing()
@@ -110,7 +109,7 @@ def test_one_traced_adaptive_run_reaches_every_assistant_and_redaction_span():
     tracer = tracing.Tracer()
     with tracer.installed():
         tracer.arm = "adaptive"
-        result = prism.cli.run_experiment(scenario, KeyRing.from_hex(TOKEN_KEY_HEX, ENC_KEY_HEX))
+        result = prism.cli.run_experiment(scenario, keys)
         tracer.arm = None
     assert result.report.assistant["edited"] > 0
     names = Counter(span[0] for span in tracer.spans)
