@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -159,6 +158,10 @@ def _cmd_simulate(args) -> int:
         jobs = [(replace(scenario, seed=seed), os.path.join(args.out, f"seed-{seed}"))
                 for seed in range(lo, hi + 1)]
         workers = min(len(jobs), os.cpu_count() or 1)
+        # Imported in the one branch that uses it, so that no other command
+        # pays for the process pool's import at start.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_simulate_one, job, out, config, keys_path) for job, out in jobs]
             for future in futures:

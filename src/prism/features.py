@@ -167,10 +167,16 @@ def engagement_index(pre_scores: Sequence[float], post_scores: Sequence[float]) 
     post = np.asarray(post_scores, dtype=float)
     if pre.size == 0 or post.size == 0:
         raise ValidationError("engagement index needs non-empty pre and post scores")
-    pre_mean = float(pre.mean())
+    return float(post.mean()) / pre_period_mean(pre)
+
+
+def pre_period_mean(pre_scores: np.ndarray) -> float:
+    """Mean of the pre-period scores, the engagement index's divisor;
+    ValidationError unless it is positive."""
+    pre_mean = float(pre_scores.mean())
     if pre_mean <= 0.0:
         raise ValidationError("pre-period mean engagement must be positive")
-    return float(post.mean()) / pre_mean
+    return pre_mean
 
 
 # ---------------------------------------------------------------------------

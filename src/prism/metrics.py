@@ -27,16 +27,16 @@ _U_TOL = 1e-9
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    """Fractional ranks (ties get the mean of their rank range)."""
+    """Fractional ranks (ties get the mean of their rank range).
+
+    Sorted positions ``i..j`` of one tie run all get ``(i + j) / 2 + 1``."""
     order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    # First sorted position and length of each run of equal values.
+    first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))[: values.size]
+    lengths = np.diff(np.append(first, values.size))
     ranks = np.empty(values.size, dtype=float)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((2 * first + lengths - 1) / 2.0 + 1.0, lengths)
     return ranks
 
 

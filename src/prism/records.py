@@ -26,6 +26,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and _INT64_MIN <= value <= _INT64_MAX
 
 
+def _is_float(value) -> bool:
+    return (isinstance(value, float) and math.isfinite(value)) or _is_int(value)
+
+
+# The test an element of a number array must pass, so a long array is
+# checked in one loop without dispatching on its element type per item.
+_NUMBER_TESTS = {float: _is_float, int: _is_int}
+
+
 def field_value(kind, value):
     """``value`` as a field of type ``kind`` holds it; ValueError if it may not.
 
@@ -40,17 +49,19 @@ def field_value(kind, value):
         return None if value is None else field_value(args[0], value)
     if origin in (tuple, list):
         if isinstance(value, (tuple, list)):
-            return origin(field_value(args[0], item) for item in value)
+            test = _NUMBER_TESTS.get(args[0])
+            if test is None:
+                return origin(field_value(args[0], item) for item in value)
+            if all(map(test, value)):
+                return origin(value)
+            raise ValueError(f"not a {args[0]}")
     elif origin is Mapping:
         if isinstance(value, dict) and all(isinstance(key, str) for key in value):
             return {key: field_value(args[1], item) for key, item in value.items()}
     elif issubclass(kind, Record) and isinstance(value, dict):
         return kind.from_dict(value)
-    elif kind is float:
-        if _is_int(value) or (isinstance(value, float) and math.isfinite(value)):
-            return value
-    elif kind is int:
-        if _is_int(value):
+    elif kind in _NUMBER_TESTS:
+        if _NUMBER_TESTS[kind](value):
             return value
     elif isinstance(value, kind):
         return value

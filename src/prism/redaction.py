@@ -17,7 +17,12 @@ for ID_NUMBER. DOB also needs one of its birth-context words, searched
 under the pattern's own case folding, so a digit-rich post without one
 (a phone number, a member id) skips the date scan. Each condition runs
 at most once per text. The prefilters are keyed by the exact built-in
-pattern text, so a rule loaded with any other pattern always runs.
+pattern text, so a rule loaded with any other pattern always runs. A
+rule looks up its prefilters and its replacement group once, when it is
+built, and one internal scan serves every caller: ``redact``, the memo
+and ``leak_audit`` work on its plain ``(start, end, entity_type)``
+tuples, and only ``detect`` and ``scan_for_identifiers`` build
+:class:`EntitySpan` objects from them.
 
 A :class:`ScanMemo` scans each distinct text once under one rule set and
 keeps its resolved spans without the matched text, for callers whose
@@ -29,7 +34,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ConfigurationError, ValidationError
@@ -150,11 +156,24 @@ def _first_letter_alternation(names: Sequence[str]) -> str:
 
 @dataclass(frozen=True)
 class RedactionRule:
-    """One detection rule: entity type, compiled pattern, typed placeholder."""
+    """One detection rule: entity type, compiled pattern, typed placeholder.
+
+    A rule also carries its scan plan, which its pattern fixes and which
+    is looked up once, when the rule is built: the prefilter conditions
+    to pass before the pattern runs (none for a pattern that is not
+    built in) and the group whose span is replaced (``entity`` where the
+    pattern names one, else the whole match).
+    """
 
     entity_type: str
     pattern: "re.Pattern[str]"
     placeholder: str
+    prefilters: tuple["re.Pattern[str]", ...] = field(init=False, repr=False, compare=False)
+    group: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "prefilters", _PREFILTERS.get(self.pattern.pattern, ()))
+        object.__setattr__(self, "group", self.pattern.groupindex.get("entity", 0))
 
     @classmethod
     def compile(cls, entity_type: str, pattern: str, placeholder: str) -> "RedactionRule":
@@ -224,46 +243,62 @@ class EntitySpan:
             raise ValidationError("span must satisfy 0 <= start < end")
 
 
-def detect(text: str, rules: Sequence[RedactionRule]) -> list[EntitySpan]:
-    """All candidate matches from all rules, unresolved."""
+def _candidates(text: str, rules: Sequence[RedactionRule]) -> list[tuple[int, int, str]]:
+    """Every non-empty match of every rule as ``(start, end, entity_type)``,
+    in rule order; each prefilter condition runs at most once."""
     spans = []
     found: dict["re.Pattern[str]", bool] = {}
     for rule in rules:
-        for condition in _PREFILTERS.get(rule.pattern.pattern, ()):
+        for condition in rule.prefilters:
             hit = found.get(condition)
             if hit is None:
                 hit = found[condition] = condition.search(text) is not None
             if not hit:
                 break
         else:
-            group = "entity" if "entity" in rule.pattern.groupindex else 0
+            group, entity_type = rule.group, rule.entity_type
             for m in rule.pattern.finditer(text):
                 start, end = m.span(group)
-                if start == end:
-                    continue
-                spans.append(EntitySpan(start, end, rule.entity_type, m.group(group)))
+                if start != end:
+                    spans.append((start, end, entity_type))
     return spans
+
+
+def _resolve(spans: list) -> list:
+    """Non-overlapping subset of spans whose first three items are start,
+    end and entity type: longest first, then leftmost, then type
+    priority; in text order."""
+    if len(spans) < 2:
+        return spans
+    ordered = sorted(spans, key=lambda s: (s[0] - s[1], s[0], _TYPE_PRIORITY[s[2]]))
+    chosen: list = []
+    for span in ordered:
+        start, end = span[0], span[1]
+        if all(end <= c[0] or start >= c[1] for c in chosen):
+            chosen.append(span)
+    # Non-overlapping, non-empty spans have distinct starts.
+    chosen.sort(key=itemgetter(0))
+    return chosen
+
+
+def _scan(text: str, rules: Sequence[RedactionRule]) -> list[tuple[int, int, str]]:
+    """Resolved identifier spans of ``text`` as ``(start, end, entity_type)``."""
+    return _resolve(_candidates(text, rules))
+
+
+def detect(text: str, rules: Sequence[RedactionRule]) -> list[EntitySpan]:
+    """All candidate matches from all rules, unresolved."""
+    return [EntitySpan(s, e, etype, text[s:e]) for s, e, etype in _candidates(text, rules)]
 
 
 def resolve_spans(spans: Sequence[EntitySpan]) -> list[EntitySpan]:
     """Non-overlapping subset: longest match first, then leftmost, then type priority."""
-    if len(spans) < 2:
-        return list(spans)
-    ordered = sorted(
-        spans,
-        key=lambda s: (-(s.end - s.start), s.start, _TYPE_PRIORITY[s.entity_type]),
-    )
-    chosen: list[EntitySpan] = []
-    for span in ordered:
-        if all(span.end <= c.start or span.start >= c.end for c in chosen):
-            chosen.append(span)
-    chosen.sort(key=lambda s: s.start)
-    return chosen
+    return [s[3] for s in _resolve([(s.start, s.end, s.entity_type, s) for s in spans])]
 
 
 def scan_for_identifiers(text: str, rules: Sequence[RedactionRule]) -> list[EntitySpan]:
     """Resolved identifier spans in ``text``; empty means clean."""
-    return resolve_spans(detect(text, rules))
+    return [EntitySpan(s, e, etype, text[s:e]) for s, e, etype in _scan(text, rules)]
 
 
 class SpanAt(NamedTuple):
@@ -296,9 +331,7 @@ class ScanMemo:
             raise ValidationError("scan memo was built for other redaction rules")
         spans = self._spans.get(text)
         if spans is None:
-            spans = tuple(
-                SpanAt(s.start, s.end, s.entity_type) for s in scan_for_identifiers(text, self.rules)
-            )
+            spans = tuple(SpanAt._make(span) for span in _scan(text, self.rules))
             self._spans[text] = spans
         return spans
 
@@ -367,38 +400,43 @@ def redact(
 
     The result carries only the user token plus supplied cohort
     metadata; matched text is not retained. With a ``memo`` built for
-    the same rules, the spans come from it.
+    the same rules, the spans come from it. Where rules repeat an entity
+    type, its spans take the last such rule's placeholder.
     """
     if not isinstance(text, str):
         raise ValidationError("text must be a str")
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise ValidationError(f"text is not valid Unicode: {exc.reason}") from exc
+    # ASCII text always encodes; only other text can hold a lone surrogate.
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValidationError(f"text is not valid Unicode: {exc.reason}") from exc
     if not isinstance(user_token, UserToken):
         raise ValidationError("user_token must be a UserToken")
     metadata = dict(cohort_metadata or {})
     _validate_metadata(metadata)
     active_rules = default_rules() if rules is None else rules
-    placeholder_by_type = {r.entity_type: r.placeholder for r in active_rules}
 
-    spans = scan_for_identifiers(text, active_rules) if memo is None else memo.spans(text, active_rules)
-    counts = {etype: 0 for etype in placeholder_by_type}
+    spans = _scan(text, active_rules) if memo is None else memo.spans(text, active_rules)
+    counts = {rule.entity_type: 0 for rule in active_rules}
     pieces = []
     cursor = 0
-    for span in spans:
-        pieces.append(text[cursor : span.start])
-        pieces.append(placeholder_by_type[span.entity_type])
-        counts[span.entity_type] += 1
-        cursor = span.end
+    for start, end, entity_type in spans:
+        pieces.append(text[cursor:start])
+        pieces.append(_placeholder(active_rules, entity_type))
+        counts[entity_type] += 1
+        cursor = end
     pieces.append(text[cursor:])
-    return DeidText(
-        "".join(pieces),
-        user_token,
-        metadata,
-        counts,
-        _guard=_DEID_GUARD,
-    )
+    return DeidText("".join(pieces), user_token, metadata, counts, _guard=_DEID_GUARD)
+
+
+def _placeholder(rules: Sequence[RedactionRule], entity_type: str) -> str:
+    """The placeholder of the last rule of ``entity_type``; a short walk
+    per span instead of a type-to-placeholder map per call."""
+    for rule in reversed(rules):
+        if rule.entity_type == entity_type:
+            return rule.placeholder
+    raise KeyError(entity_type)
 
 
 def _rehydrate_deid(
@@ -486,10 +524,7 @@ def leak_audit(
         text = sample.text
         types = types_of_text.get(text)
         if types is None:
-            # scan_for_identifiers, without the resolve call on a clean text.
-            spans = detect(text, active_rules)
-            types = tuple(s.entity_type for s in resolve_spans(spans)) if spans else ()
-            types_of_text[text] = types
+            types = types_of_text[text] = tuple(span[2] for span in _scan(text, active_rules))
         if types:
             n_hits += 1
             for entity_type in types:

@@ -70,6 +70,7 @@ from ..features import (
     build_context,
     engagement_index,
     engagement_scores,
+    pre_period_mean,
 )
 from ..metrics import MetricsReport, format_eng_index, mann_whitney_u, render_report
 from ..records import Record
@@ -352,6 +353,9 @@ def _freeze_engagement_weights(world: World, alphas: Optional[tuple]) -> Engagem
     world.weekly_scores[:, : scenario.w_pre] = np.column_stack(
         [engagement_scores(world.actions[:, w, :], weights) for w in range(scenario.w_pre)]
     )
+    # The report divides by this mean; a run that cannot have it stops here,
+    # before any post-period week.
+    pre_period_mean(world.weekly_scores[:, : scenario.w_pre].ravel())
     return weights
 
 

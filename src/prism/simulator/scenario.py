@@ -34,6 +34,16 @@ MAX_USER_WEEKS = 10**7
 # about 1.5 kB a group with its feature tables, and every decision reads
 # every group row; this bound keeps that state near 150 MB.
 MAX_GROUPS_OR_COACHES = 10**5
+# numpy's Generator draws a standard normal by the ziggurat method. Its
+# largest draws come from the tail, r + ln(1/u) / r with r = 3.654... and a
+# uniform u of at least 2**-53, so no draw exceeds 13.8 in magnitude; the
+# behaviour bounds below take 16.
+NORMAL_DRAW_MAX = 16.0
+# The largest weekly Poisson rate a user may have. exp(-700) is still a
+# normal float, so the inverse-CDF draw (``poisson_from_uniform``) starts at
+# full precision, and a Poisson(700) count passes the draw's cap of 1000
+# with probability below 1e-24, far under the 2**-53 step of its uniform.
+POISSON_RATE_MAX = 700.0
 
 
 @dataclass(frozen=True)
@@ -108,6 +118,12 @@ class Scenario(Record):
             raise ValidationError("misgroup_fraction must lie in [0, 1]")
         if len(self.engagement_rate_means) != len(ACTION_TYPES):
             raise ValidationError("engagement_rate_means must cover every action type")
+        # A Poisson rate at or below 0 draws nothing (exp(-rate) >= 1), so a
+        # cohort without a positive rate could never engage.
+        if min(self.engagement_rate_means) < 0 or max(self.engagement_rate_means) <= 0:
+            raise ValidationError(
+                "engagement_rate_means must be non-negative with at least one positive rate"
+            )
         review_total = self.review_approve_prob + self.review_edit_prob + self.review_discard_prob
         if review_total > 1.0 + 1e-9 or min(
             self.review_approve_prob, self.review_edit_prob, self.review_discard_prob
@@ -122,14 +138,55 @@ class Scenario(Record):
         # A goal-matched user's Poisson rates are scaled by 1 + this bonus.
         if self.engagement_match_bonus < -1.0:
             raise ValidationError("engagement_match_bonus must be at least -1")
-        # A user's fatigue rate is fatigue_mean times a uniform draw from
-        # [0.5, 1.5), and step_week subtracts rate * epoch from the check-in
-        # logit for every epoch below horizon_weeks. So |rate * epoch| stays
-        # under 1.5 * |fatigue_mean| * horizon_weeks, which this bound keeps
-        # at most the largest float: the fatigue term never overflows.
-        if abs(self.fatigue_mean) > sys.float_info.max / (1.5 * self.horizon_weeks):
+        # The mean rate of a goal-matched user must lie within the Poisson
+        # draw's limit; the cohort also checks each user's drawn rates.
+        if max(self.engagement_rate_means) * max(1.0, 1.0 + self.engagement_match_bonus) > (
+            POISSON_RATE_MAX
+        ):
             raise ValidationError(
-                "fatigue_mean must be at most float max / (1.5 * horizon_weeks) in magnitude"
+                f"engagement_rate_means times 1 + engagement_match_bonus must be at most "
+                f"{POISSON_RATE_MAX:g}"
+            )
+        # step_week's check-in logit is base_logit + match_uplift * match +
+        # activity_uplift * active - fatigue_rate * epoch + noise, summed left
+        # to right, with match and active in {0, 1}, epoch below horizon_weeks
+        # and, for draws z of magnitude at most NORMAL_DRAW_MAX:
+        # base_logit = base_logit_mean + base_logit_sd * z, fatigue_rate =
+        # fatigue_mean times a uniform draw from [0.5, 1.5), and noise =
+        # noise_sd * z. Each term's magnitude is at most the matching term
+        # below, and rounding is monotone, so each partial sum of the logit
+        # is at most the matching partial sum of this bound: while it is at
+        # most the largest float, no week's logit overflows.
+        logit_bound = (
+            abs(self.base_logit_mean)
+            + NORMAL_DRAW_MAX * abs(self.base_logit_sd)
+            + abs(self.match_uplift)
+            + abs(self.activity_uplift)
+            + 1.5 * abs(self.fatigue_mean) * (self.horizon_weeks - 1)
+            + NORMAL_DRAW_MAX * abs(self.noise_sd)
+        )
+        if not logit_bound <= sys.float_info.max:
+            raise ValidationError(
+                "base_logit_mean, base_logit_sd, match_uplift, activity_uplift, fatigue_mean "
+                "and noise_sd can overflow the check-in logit"
+            )
+        # A weight starts at weight_start_mean + weight_start_sd * z and each
+        # week moves by at most weight_drift_per_adherent_week (adherence lies
+        # in [0, 1]) plus weight_noise_sd * z, so every weight is at most
+        # weight_bound in magnitude, the report's weight delta at most twice
+        # that, and the sum of n_users deltas behind its mean at most
+        # 2 * n_users * weight_bound. The bound asks for twice that room,
+        # which covers the rounding of the weekly sums.
+        weight_bound = (
+            abs(self.weight_start_mean)
+            + NORMAL_DRAW_MAX * abs(self.weight_start_sd)
+            + self.horizon_weeks
+            * (abs(self.weight_drift_per_adherent_week) + NORMAL_DRAW_MAX * abs(self.weight_noise_sd))
+        )
+        if not 4 * self.n_users * weight_bound <= sys.float_info.max:
+            raise ValidationError(
+                "weight_start_mean, weight_start_sd, weight_drift_per_adherent_week and "
+                "weight_noise_sd can overflow the weight trajectory"
             )
 
     @classmethod
@@ -147,18 +204,29 @@ class Scenario(Record):
 # ---------------------------------------------------------------------------
 
 
+# Per field, the integer range of its draw: first and last name, phone
+# line, birth year, month and day, street number, street name and suffix.
+_IDENTITY_LOWS = (0, 0, 0, 1960, 1, 1, 10, 0, 0)
+_IDENTITY_HIGHS = (
+    len(DEFAULT_FIRST_NAMES), len(DEFAULT_LAST_NAMES), 10000, 2001, 13, 29, 900,
+    len(STREET_NAMES), len(STREET_SUFFIXES),
+)
+
+
 def synth_identity(rng: np.random.Generator, index: int) -> dict[str, str]:
-    """One registration payload; every field matches a redaction-covered grammar."""
-    first = DEFAULT_FIRST_NAMES[int(rng.integers(len(DEFAULT_FIRST_NAMES)))]
-    last = DEFAULT_LAST_NAMES[int(rng.integers(len(DEFAULT_LAST_NAMES)))]
-    phone = f"613-555-{int(rng.integers(10000)):04d}"
-    dob = (
-        f"{int(rng.integers(1960, 2001))}-"
-        f"{int(rng.integers(1, 13)):02d}-{int(rng.integers(1, 29)):02d}"
-    )
-    street_no = int(rng.integers(10, 900))
-    street = STREET_NAMES[int(rng.integers(len(STREET_NAMES)))]
-    suffix = STREET_SUFFIXES[int(rng.integers(len(STREET_SUFFIXES)))]
+    """One registration payload; every field matches a redaction-covered grammar.
+
+    The nine integers come from one broadcast ``integers`` call, which
+    draws them in order exactly as nine scalar calls would."""
+    first_i, last_i, line, year, month, day, street_no, street_i, suffix_i = rng.integers(
+        _IDENTITY_LOWS, _IDENTITY_HIGHS
+    ).tolist()
+    first = DEFAULT_FIRST_NAMES[first_i]
+    last = DEFAULT_LAST_NAMES[last_i]
+    phone = f"613-555-{line:04d}"
+    dob = f"{year}-{month:02d}-{day:02d}"
+    street = STREET_NAMES[street_i]
+    suffix = STREET_SUFFIXES[suffix_i]
     return {
         "full_name": f"{first} {last}",
         "first_name": first,

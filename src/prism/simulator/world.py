@@ -10,6 +10,7 @@ users whose group placement actually differs.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -20,7 +21,13 @@ from ..errors import ValidationError
 from ..features import ACTION_TYPES, DAYS_PER_WEEK, GOAL_CATEGORIES
 from ..redaction import DeidText, RedactionRule, default_rules, redact
 from ..vault import KeyRing, UserToken, Vault
-from .scenario import N_MESSAGE_VARIANTS, Scenario, synth_identity, synth_message
+from .scenario import (
+    N_MESSAGE_VARIANTS,
+    POISSON_RATE_MAX,
+    Scenario,
+    synth_identity,
+    synth_message,
+)
 
 _STREAM_COHORT = 0xC0
 _STREAM_PLACEMENT = 0xA1
@@ -193,7 +200,7 @@ def generate_cohort(scenario: Scenario, keys: KeyRing) -> World:
     n = scenario.n_users
     tokens: list[UserToken] = []
     raw_identities: dict[str, dict] = {}
-    goal_weights = np.asarray(scenario.goal_weights)
+    goal_cdf = _goal_cdf(scenario.goal_weights)
     goal_index = np.empty(n, dtype=np.int64)
     base_logit = np.empty(n)
     fatigue_rate = np.empty(n)
@@ -201,7 +208,7 @@ def generate_cohort(scenario: Scenario, keys: KeyRing) -> World:
     weights0_col = np.empty(n)
     for i in range(n):
         identity = synth_identity(rng, i)
-        goal_index[i] = int(rng.choice(len(GOAL_CATEGORIES), p=goal_weights))
+        goal_index[i] = bisect_right(goal_cdf, rng.random())
         base_logit[i] = scenario.base_logit_mean + scenario.base_logit_sd * float(rng.normal())
         fatigue_rate[i] = scenario.fatigue_mean * float(rng.uniform(0.5, 1.5))
         engagement_rates[i] = np.asarray(scenario.engagement_rate_means) * np.exp(
@@ -211,6 +218,12 @@ def generate_cohort(scenario: Scenario, keys: KeyRing) -> World:
         token = vault.register(identity)
         tokens.append(token)
         raw_identities[token.value] = identity
+    # A goal-matched user's weekly rates are its drawn rates times 1 + bonus.
+    if engagement_rates.max() * max(1.0, 1.0 + scenario.engagement_match_bonus) > POISSON_RATE_MAX:
+        raise ValidationError(
+            f"a drawn engagement rate exceeds the Poisson draw's limit of {POISSON_RATE_MAX:g}; "
+            "lower engagement_rate_means or engagement_match_bonus"
+        )
 
     horizon = scenario.horizon_weeks
     world = World(
@@ -234,6 +247,17 @@ def generate_cohort(scenario: Scenario, keys: KeyRing) -> World:
 
     _place_initially(world)
     return world
+
+
+def _goal_cdf(goal_weights: tuple[float, ...]) -> list[float]:
+    """The cdf ``Generator.choice(p=goal_weights)`` searches: the float
+    cumulative sum, divided by its last entry. ``bisect_right(cdf,
+    rng.random())`` then draws the goal ``choice`` would, from the same one
+    uniform, without its per-call checks; Scenario already rejects every
+    vector ``choice`` would reject."""
+    cdf = np.cumsum(np.asarray(goal_weights, dtype=float))
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 def coach_load_limits(capacities: list[int], n_coaches: int, load_factor: float) -> list[int]:
@@ -367,13 +391,15 @@ def step_messages(world: World, epoch: int) -> None:
     n = world.n_users
     rng = substream(scenario.seed, _STREAM_MESSAGE, epoch)
     post_draw = rng.random(n)
-    variants = rng.integers(0, N_MESSAGE_VARIANTS, size=n)
-    aux_ids = rng.integers(0, 10**8, size=n)
-    geo = rng.integers(0, 10000, size=(n, 2))
-    for i, token in enumerate(world.tokens):
-        if post_draw[i] >= scenario.message_prob:
-            continue
+    # The week's draws as Python values, converted once.
+    variants = rng.integers(0, N_MESSAGE_VARIANTS, size=n).tolist()
+    aux_ids = rng.integers(0, 10**8, size=n).tolist()
+    lat, lon = rng.integers(0, 10000, size=(n, 2)).T.tolist()
+    goal_rows = world.goal_index.tolist()
+    tokens = world.tokens
+    for i in np.flatnonzero(post_draw < scenario.message_prob).tolist():
+        token = tokens[i]
         identity = world._raw_identities[token.value]
-        text = synth_message(int(variants[i]), identity, int(aux_ids[i]), int(geo[i, 0]), int(geo[i, 1]))
-        goal = GOAL_CATEGORIES[world.goal_index[i]]
+        text = synth_message(variants[i], identity, aux_ids[i], lat[i], lon[i])
+        goal = GOAL_CATEGORIES[goal_rows[i]]
         world.deid_messages.append(redact(text, token, world.rules, {"goal": goal}))

@@ -29,7 +29,9 @@ from prism.redaction import (
     DEFAULT_LAST_NAMES,
     EntitySpan,
     RedactionRule,
+    _rehydrate_deid,
     default_rules,
+    resolve_spans,
 )
 from prism.simulator.experiment import RunManifest, TraceLegend
 from prism.vault import ENC_KEY_ENV, TOKEN_KEY_ENV, KeyRing, UserToken
@@ -167,6 +169,20 @@ def reference_detect(text, rules) -> list[EntitySpan]:
                 continue
             spans.append(EntitySpan(start, end, rule.entity_type, m.group(group)))
     return spans
+
+
+def reference_redact(text, user_token, rules, cohort_metadata=None):
+    """``redact`` over ``reference_detect``, resolved, with a map from each
+    entity type to its last rule's placeholder built per call."""
+    placeholder_by_type = {r.entity_type: r.placeholder for r in rules}
+    counts = {etype: 0 for etype in placeholder_by_type}
+    pieces, cursor = [], 0
+    for span in resolve_spans(reference_detect(text, rules)):
+        pieces += [text[cursor : span.start], placeholder_by_type[span.entity_type]]
+        counts[span.entity_type] += 1
+        cursor = span.end
+    pieces.append(text[cursor:])
+    return _rehydrate_deid("".join(pieces), user_token, cohort_metadata, counts)
 
 
 # -- references for the decision path ----------------------------------------------

@@ -8,7 +8,9 @@ import pathlib
 import shutil
 import subprocess
 import sys
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,8 @@ from prism.cli import main
 from prism.errors import ValidationError
 from prism.metrics import MetricsReport
 from prism.redaction import default_rules
-from prism.simulator import Scenario, TraceLegend, generate_cohort, run_experiment
+from prism.simulator import Scenario, TraceLegend, experiment, generate_cohort, run_experiment
+from prism.simulator.scenario import NORMAL_DRAW_MAX, POISSON_RATE_MAX
 from prism.vault import KeyRing
 
 SCENARIO = {
@@ -144,6 +147,21 @@ class TestSimulate:
             (dict(SCENARIO, fatigue_mean=-1e308), (), 1),
             # A static arm with no posts audits an empty corpus.
             (dict(SCENARIO, message_prob=0.0), ("--policy", "static"), 0),
+            # Poisson rates of 0 or below draw nothing, so a cohort needs a
+            # positive one and no negative one.
+            (dict(SCENARIO, engagement_rate_means=[0.0] * 5), (), 1),
+            (dict(SCENARIO, engagement_rate_means=[-1.0, 0.0, 0.0, 0.0, 5.0]), (), 1),
+            (dict(SCENARIO, engagement_rate_means=[0.0, 0.0, 0.0, 0.0, 2.0]), (), 0),
+            # No term of the check-in logit or the weight trajectory overflows,
+            # and neither do their sums. Fatigue builds over 14 weeks after
+            # the first, so this value, over the old bound of 15, now runs.
+            (dict(SCENARIO, fatigue_mean=sys.float_info.max / (1.5 * 14.5)), (), 0),
+            (dict(SCENARIO, base_logit_mean=1e308, match_uplift=1e308), (), 1),
+            (dict(SCENARIO, noise_sd=sys.float_info.max / 16), (), 0),
+            (dict(SCENARIO, noise_sd=sys.float_info.max / 8), (), 1),
+            (dict(SCENARIO, weight_noise_sd=1.6e308), (), 1),
+            (dict(SCENARIO, weight_start_mean=1e305), (), 0),
+            (dict(SCENARIO, weight_start_mean=1e307), (), 1),
         ],
     )
     def test_scenario_values_exit_one_or_run(self, keys_env, tmp_path, capsys, doc, argv, expected):
@@ -378,7 +396,7 @@ def _mostly(valid, invalid):
 def _small_scenarios(draw):
     """A scenario document with small sizes and any other values: most
     validate and run, some fail ``Scenario``'s checks or the cohort's
-    capacity and coach-load checks."""
+    capacity, coach-load and drawn-rate checks."""
     w_pre, w_post = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     capacity_min = draw(_mostly(st.integers(1, 8), st.just(0)))
     probability = _mostly(st.floats(0.0, 1.0), st.sampled_from([-0.5, 1.5]))
@@ -412,25 +430,42 @@ def _small_scenarios(draw):
         "review_edit_prob": draw(_mostly(st.floats(0.0, 0.2), st.just(0.5))),
         "review_discard_prob": draw(st.floats(0.0, 0.2)),
         "analyst_probes_per_week": draw(_mostly(st.integers(0, 3), st.just(-1))),
-        "engagement_rate_means": draw(st.lists(_any_float(0.0, 50.0), min_size=5, max_size=5)),
     }
-    # Each side of the bounds that keep the Poisson rates non-negative and
-    # the fatigue term finite.
-    fatigue_edge = sys.float_info.max / (1.5 * horizon_weeks)
+    # Mostly non-negative rates; sometimes none positive or one negative.
+    rates = draw(_mostly(
+        st.lists(_any_float(0.0, 50.0), min_size=5, max_size=5),
+        st.lists(st.sampled_from([0.0, -0.5, 1.0]), min_size=5, max_size=5),
+    ))
+    doc["engagement_rate_means"] = rates
+    # Each side of every behaviour bound of Scenario: the largest magnitude
+    # each value may take with the others near zero, and the next float up.
+    big, z = sys.float_info.max, NORMAL_DRAW_MAX
+    n, h = n_users, max(horizon_weeks, 2)
+    alone = {
+        "base_logit_mean": big, "base_logit_sd": big / z, "match_uplift": big,
+        "activity_uplift": big, "fatigue_mean": big / (1.5 * (h - 1)), "noise_sd": big / z,
+        "weight_start_mean": big / (4 * n), "weight_start_sd": big / (4 * n * z),
+        "weight_drift_per_adherent_week": big / (4 * n * h),
+        "weight_noise_sd": big / (4 * n * h * z),
+    }
     edges = {
-        "engagement_match_bonus": st.sampled_from([-1.0, math.nextafter(-1.0, -2.0)]),
-        "fatigue_mean": st.sampled_from(
-            [fatigue_edge, -fatigue_edge, math.nextafter(fatigue_edge, math.inf), sys.float_info.max]
-        ),
+        name: st.sampled_from([v, -v, math.nextafter(v, math.inf)]) for name, v in alone.items()
     }
+    # Poisson rates stay non-negative, and a goal-matched user's mean rate
+    # within the Poisson draw's limit.
+    bonus_edges = [-1.0, math.nextafter(-1.0, -2.0)]
+    if max(rates) > 0:
+        bonus_edge = POISSON_RATE_MAX / max(rates) - 1.0
+        bonus_edges += [bonus_edge, math.nextafter(bonus_edge, math.inf)]
+    edges["engagement_match_bonus"] = st.sampled_from(bonus_edges)
     for name in (
         "base_logit_mean", "base_logit_sd", "match_uplift", "activity_uplift",
         "engagement_match_bonus", "fatigue_mean", "noise_sd", "activity_threshold",
         "weight_start_mean", "weight_start_sd", "weight_drift_per_adherent_week", "weight_noise_sd",
     ):
         if draw(st.booleans()):
-            value = _mostly(_any_float(-10.0, 10.0), _any_float())
-            doc[name] = draw(value | edges[name] if name in edges else value)
+            wide = _any_float() | edges[name] if name in edges else _any_float()
+            doc[name] = draw(_mostly(_any_float(-10.0, 10.0), wide))
     return doc
 
 
@@ -438,12 +473,17 @@ class TestAnyScenario:
     @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(doc=_small_scenarios())
     def test_runs_or_exits_one(self, keys_env, capsys, tmp_path, doc):
-        # Accepted: the arm runs with exit 0, no violation and no leak.
+        # Accepted: the arm runs with exit 0, no violation, no leak and no
+        # float overflow or invalid operation.
         # Rejected: exit 1 with one error line, never an internal error.
         path, out = tmp_path / "scenario.json", tmp_path / "run"
         shutil.rmtree(out, ignore_errors=True)
         path.write_text(json.dumps(doc))
-        code, _, stderr = run_cli(capsys, "simulate", "--scenario", str(path), "--out", str(out))
+        with (
+            mock.patch.object(experiment, "step_week", wraps=experiment.step_week) as weeks,
+            np.errstate(over="raise", invalid="raise"),
+        ):
+            code, _, stderr = run_cli(capsys, "simulate", "--scenario", str(path), "--out", str(out))
         assert code in (0, 1), stderr
         event(f"{doc['policy']} exit {code}")
         if code == 1:
@@ -452,9 +492,11 @@ class TestAnyScenario:
                 generate_cohort(Scenario.from_dict(doc), keys_env)
             except ValidationError:
                 return  # by the checks of Scenario or the cohort, before any week
-            # The one rejection left after the weeks are simulated: an
-            # engagement index with no pre-period engagement to divide by.
+            # The one rejection left once weeks run: a pre-period with no
+            # engagement for the index to divide by, found when the weights
+            # freeze on the last pre-period week, before any later week.
             assert stderr == "error: pre-period mean engagement must be positive\n"
+            assert weeks.call_count == doc["w_pre"]
             return
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["violations"] == 0
@@ -465,6 +507,16 @@ class TestAnyScenario:
             assert metrics["decisions"] == 0 and metrics["assistant"]["drafts"] == 0
             if doc["message_prob"] == 0.0:
                 assert metrics["leak"]["n_samples"] == 0
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # Only `simulate --seeds` uses the pool; other commands skip its import.
+    code = "import sys, prism.cli; print(any(m.startswith('concurrent') for m in sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 class TestCompare:

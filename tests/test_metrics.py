@@ -7,11 +7,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from prism.errors import ValidationError
 from prism.metrics import (
     CSV_COLUMNS,
+    _midranks,
     MetricsReport,
     format_eng_index,
     mann_whitney_u,
@@ -150,3 +153,25 @@ class TestRendering:
         clone = MetricsReport.from_json(report.to_json())
         assert clone == report
         assert json.loads(clone.to_json()) == json.loads(report.to_json())
+
+
+def reference_midranks(values: np.ndarray) -> np.ndarray:
+    """Fractional ranks from a loop over the tie runs of the sorted values."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(values.size, dtype=float)
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+# Few distinct values, so most arrays hold long tie runs; signed zeros and
+# NaN too.
+@given(values=st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, math.nan]) | st.floats(), max_size=60))
+def test_midranks_equal_loop_reference(values):
+    array = np.array(values, dtype=float)
+    assert _midranks(array).tobytes() == reference_midranks(array).tobytes()

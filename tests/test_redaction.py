@@ -2,19 +2,22 @@
 and leak-rate arithmetic."""
 
 import json
+import os
 import random
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_detect, reference_rules, write_rules
+from conftest import reference_detect, reference_redact, reference_rules, write_rules
 
 from prism.errors import ConfigurationError, ValidationError
 from prism.redaction import (
     DEFAULT_FIRST_NAMES,
     DEFAULT_LAST_NAMES,
+    ENTITY_TYPES,
     PLACEHOLDERS,
     DeidText,
     LeakReport,
@@ -22,6 +25,7 @@ from prism.redaction import (
     ScanMemo,
     SpanAt,
     _rehydrate_deid,
+    _scan,
     default_rules,
     detect,
     leak_audit,
@@ -323,6 +327,90 @@ class TestScanMatchesReference:
         assert detect(text, default_rules(first, last)) == reference_detect(
             text, reference_rules(first, last)
         )
+
+
+# Loaded rule files: built-in patterns under any type, other patterns
+# (one matches only the empty string), repeated types and placeholders.
+_LOADED_PATTERNS = sorted({r.pattern.pattern for r in default_rules()}) + [
+    r"\bhotline\b", r"\d+", r"(?i)kate", r"(?P<entity>\d{3})-\d", r"x*",
+]
+_RULE_DOCS = st.lists(
+    st.fixed_dictionaries({
+        "entity_type": st.sampled_from(ENTITY_TYPES),
+        "pattern": st.sampled_from(_LOADED_PATTERNS),
+        "placeholder": st.sampled_from(["[A]", "[B]", "<x>"]),
+    }),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _loaded(docs):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rules.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(docs, fh)
+        return load_rules(path)
+
+
+@st.composite
+def _rule_sets(draw):
+    """Rules and their reference rules: the defaults, custom name lists
+    (whose reference has the flat NAME alternation), or a loaded file."""
+    kind = draw(st.sampled_from(["default", "names", "loaded"]))
+    if kind == "default":
+        return default_rules(), reference_rules()
+    if kind == "names":
+        first, last = draw(_CUSTOM_NAMES), draw(_CUSTOM_NAMES)
+        return default_rules(first, last), reference_rules(first, last)
+    rules = _loaded(draw(_RULE_DOCS))
+    return rules, rules
+
+
+_METADATA = st.dictionaries(
+    st.text(max_size=3), st.text(max_size=3) | st.integers() | st.booleans(), max_size=3
+)
+
+
+class TestInternalScan:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=_rule_sets(), data=st.data())
+    def test_spans_equal_resolved_reference(self, pair, data):
+        rules, reference = pair
+        text = data.draw(_texts(DEFAULT_FIRST_NAMES + DEFAULT_LAST_NAMES + ("Kate", "hotline")))
+        assert _scan(text, rules) == [
+            (s.start, s.end, s.entity_type) for s in resolve_spans(reference_detect(text, reference))
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=_rule_sets(), metadata=_METADATA, data=st.data())
+    def test_redact_equals_reference(self, pair, metadata, data):
+        rules, reference = pair
+        text = data.draw(_texts(DEFAULT_FIRST_NAMES + DEFAULT_LAST_NAMES + ("Kate", "hotline")))
+        out = redact(text, TOKEN, rules, metadata)
+        expected = reference_redact(text, TOKEN, reference, metadata)
+        # Key order too: it is the order the run files hold.
+        assert json.dumps(out.to_dict()) == json.dumps(expected.to_dict())
+        assert out.source_user_token is TOKEN
+
+    def test_repeated_type_takes_its_last_placeholder(self):
+        rules = _loaded([
+            {"entity_type": "PHONE", "pattern": r"\bhotline\b", "placeholder": "[FIRST]"},
+            {"entity_type": "EMAIL", "pattern": r"\binbox\b", "placeholder": "[EMAIL]"},
+            {"entity_type": "PHONE", "pattern": r"\bdesk\b", "placeholder": "[LAST]"},
+        ])
+        out = redact("call the hotline or the desk, or check the inbox", TOKEN, rules)
+        assert out.text == "call the [LAST] or the [LAST], or check the [EMAIL]"
+        assert out.redaction_count_by_type == {"PHONE": 2, "EMAIL": 1}
+
+    @pytest.mark.parametrize("text", ["a\ud800b", "caf\u00e9 \udfff", "\udbff"])
+    def test_lone_surrogate_rejected(self, text):
+        with pytest.raises(ValidationError, match="not valid Unicode"):
+            redact(text, TOKEN)
+
+    def test_non_ascii_text_redacts(self):
+        out = redact("caf\u00e9 \U0001f600 with Marisol", TOKEN)
+        assert out.text == "caf\u00e9 \U0001f600 with [NAME]"
 
 
 def reference_leak_audit(samples, rules) -> LeakReport:

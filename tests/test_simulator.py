@@ -5,9 +5,11 @@ import base64
 import json
 import os
 import pathlib
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import replace
 from datetime import datetime
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from prism.assignment import (
 )
 from prism.errors import ValidationError
 from prism.metrics import MetricsReport
-from prism.redaction import default_rules, redact
+from prism.redaction import DEFAULT_FIRST_NAMES, DEFAULT_LAST_NAMES, default_rules, redact
 from prism.simulator import (
     Scenario,
     TraceLegend,
@@ -40,8 +42,14 @@ from prism.simulator import (
     group_activity_flags,
 )
 from prism.simulator import experiment
-from prism.simulator.scenario import MAX_GROUPS_OR_COACHES, MAX_USER_WEEKS
-from prism.simulator.world import coach_load_limits, group_engagement_means
+from prism.simulator.scenario import (
+    MAX_GROUPS_OR_COACHES,
+    MAX_USER_WEEKS,
+    STREET_NAMES,
+    STREET_SUFFIXES,
+    synth_identity,
+)
+from prism.simulator.world import _goal_cdf, coach_load_limits, group_engagement_means
 from prism.vault import (
     AuditLog,
     KeyRing,
@@ -171,6 +179,85 @@ class TestGeneration:
         )
         mismatched = (~goal_matched(world)).sum()
         assert 0.2 <= mismatched / 200 <= 0.4
+
+
+def reference_synth_identity(rng, index):
+    """``synth_identity`` with its nine integers drawn one scalar call at a time."""
+    first = DEFAULT_FIRST_NAMES[int(rng.integers(len(DEFAULT_FIRST_NAMES)))]
+    last = DEFAULT_LAST_NAMES[int(rng.integers(len(DEFAULT_LAST_NAMES)))]
+    phone = f"613-555-{int(rng.integers(10000)):04d}"
+    dob = (
+        f"{int(rng.integers(1960, 2001))}-"
+        f"{int(rng.integers(1, 13)):02d}-{int(rng.integers(1, 29)):02d}"
+    )
+    street_no = int(rng.integers(10, 900))
+    street = STREET_NAMES[int(rng.integers(len(STREET_NAMES)))]
+    suffix = STREET_SUFFIXES[int(rng.integers(len(STREET_SUFFIXES)))]
+    return {
+        "full_name": f"{first} {last}",
+        "first_name": first,
+        "last_name": last,
+        "email": f"{first}.{last}{index}@example-mail.test".lower(),
+        "phone": phone,
+        "dob": dob,
+        "address": f"{street_no} {street} {suffix}",
+    }
+
+
+def _generators(seed, warmup):
+    """Two generators in one state, part way through a stream: ``warmup``
+    draws of each kind leave a half-used 32-bit word behind at odd counts."""
+    pair = []
+    for _ in range(2):
+        rng = np.random.default_rng(seed)
+        rng.random(warmup)
+        rng.integers(10, size=warmup)
+        pair.append(rng)
+    return pair
+
+
+# Goal weights Scenario accepts: a probability vector, zeros included.
+_GOAL_WEIGHTS = st.one_of(
+    st.permutations((1.0, 0.0, 0.0, 0.0)),
+    st.permutations((0.5, 0.5, 0.0, 0.0)),
+    st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=4, max_size=4)
+    .filter(lambda w: sum(w) > 0)
+    .map(lambda w: [x / sum(w) for x in w]),
+)
+
+
+class TestCohortDraws:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), warmup=st.integers(0, 3), index=st.integers(0, 10**9))
+    def test_identity_equals_scalar_draws(self, seed, warmup, index):
+        rng, reference = _generators(seed, warmup)
+        for i in range(index, index + 3):
+            assert synth_identity(rng, i) == reference_synth_identity(reference, i)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(weights=_GOAL_WEIGHTS, seed=st.integers(0, 2**64 - 1), warmup=st.integers(0, 3))
+    def test_goal_draw_equals_choice(self, weights, seed, warmup):
+        try:
+            Scenario(goal_weights=tuple(weights))
+        except ValidationError:
+            return  # a sum outside 1e-9 of one; choice is not asked to match
+        rng, reference = _generators(seed, warmup)
+        cdf = _goal_cdf(tuple(weights))
+        for _ in range(20):
+            assert bisect_right(cdf, rng.random()) == reference.choice(4, p=weights)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_integer_goal_weights(self, keys):
+        world = generate_cohort(small_scenario(goal_weights=(0, 1, 0, 0)), keys)
+        assert (world.goal_index == 1).all()
+
+    def test_drawn_rate_over_poisson_limit_rejected(self, keys):
+        # The mean matched rate, 400 * 1.5, is within the limit; the spread
+        # of 60 users' drawn rates is not.
+        scenario = small_scenario(engagement_rate_means=(0.0, 0.0, 0.0, 0.0, 400.0))
+        with pytest.raises(ValidationError, match="Poisson draw's limit"):
+            generate_cohort(scenario, keys)
 
 
 class TestPrimitives:
@@ -303,6 +390,14 @@ class TestGroupAggregates:
 
 
 class TestRunExperiment:
+    def test_no_pre_period_engagement_stops_at_the_freeze(self, keys):
+        # Rates this small draw no action in 60 users' pre-period weeks.
+        scenario = small_scenario(engagement_rate_means=(1e-9, 0.0, 0.0, 0.0, 0.0))
+        with mock.patch.object(experiment, "step_week", wraps=experiment.step_week) as weeks:
+            with pytest.raises(ValidationError, match="pre-period mean engagement must be positive"):
+                run_experiment(scenario, keys)
+        assert weeks.call_count == scenario.w_pre
+
     def test_static_stationary_world_eng_index_near_one(self, keys):
         scenario = small_scenario(
             policy="static", match_uplift=0.0, fatigue_mean=0.0, engagement_match_bonus=0.0
