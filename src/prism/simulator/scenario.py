@@ -177,11 +177,13 @@ class Scenario(Record):
         # that, and the sum of n_users deltas behind its mean at most
         # 2 * n_users * weight_bound. The bound asks for twice that room,
         # which covers the rounding of the weekly sums.
+        weekly_move = abs(self.weight_drift_per_adherent_week) + NORMAL_DRAW_MAX * abs(
+            self.weight_noise_sd
+        )
         weight_bound = (
             abs(self.weight_start_mean)
             + NORMAL_DRAW_MAX * abs(self.weight_start_sd)
-            + self.horizon_weeks
-            * (abs(self.weight_drift_per_adherent_week) + NORMAL_DRAW_MAX * abs(self.weight_noise_sd))
+            + self.horizon_weeks * weekly_move
         )
         if not 4 * self.n_users * weight_bound <= sys.float_info.max:
             raise ValidationError(
