@@ -24,6 +24,14 @@ and ``leak_audit`` work on its plain ``(start, end, entity_type)``
 tuples, and only ``detect`` and ``scan_for_identifiers`` build
 :class:`EntitySpan` objects from them.
 
+``default_rules`` and ``load_rules`` return a :class:`RuleSet`, an
+immutable tuple of rules that works out once what every text scanned
+under it shares: the distinct prefilter conditions and which of them
+each rule needs, the zero count of each entity type and the placeholder
+of each type. A plain sequence of rules gets the same plan per call.
+Rule sets are built once per name dictionary and shared, so passing no
+rules costs no compiling.
+
 A :class:`ScanMemo` scans each distinct text once under one rule set and
 keeps its resolved spans without the matched text, for callers whose
 texts repeat, such as the coaching assistant's summaries and drafts.
@@ -33,10 +41,13 @@ texts repeat, such as the coaching assistant's summaries and drafts.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import itemgetter
-from typing import Any, Mapping, NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ConfigurationError, ValidationError
 from .records import Record
@@ -188,10 +199,63 @@ class RedactionRule:
         return cls(entity_type=entity_type, pattern=compiled, placeholder=placeholder)
 
 
+class RuleSet(tuple):
+    """An immutable tuple of :class:`RedactionRule` with the plan that
+    every text scanned or redacted under it shares, worked out once:
+
+    - ``conditions``: the distinct prefilter conditions, in first use;
+    - ``steps``: per rule, in rule order, ``(needs, pattern, group,
+      entity_type)``, where ``needs`` indexes ``conditions``;
+    - ``zero_counts``: each entity type mapped to 0, in rule order, the
+      template of ``redact``'s counts;
+    - ``placeholders``: each entity type's placeholder, taken from the
+      type's last rule.
+    """
+
+    def __new__(cls, rules: Iterable[RedactionRule]) -> "RuleSet":
+        self = super().__new__(cls, rules)
+        index: dict["re.Pattern[str]", int] = {}
+        steps = tuple(
+            (
+                tuple(index.setdefault(c, len(index)) for c in rule.prefilters),
+                rule.pattern,
+                rule.group,
+                rule.entity_type,
+            )
+            for rule in self
+        )
+        object.__setattr__(self, "conditions", tuple(index))
+        object.__setattr__(self, "steps", steps)
+        # Read-only views: the default rule set is shared by every caller.
+        zero_counts = {rule.entity_type: 0 for rule in self}
+        object.__setattr__(self, "zero_counts", MappingProxyType(zero_counts))
+        placeholders = {rule.entity_type: rule.placeholder for rule in self}
+        object.__setattr__(self, "placeholders", MappingProxyType(placeholders))
+        return self
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError("RuleSet is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("RuleSet is immutable")
+
+
+def _rule_set(rules: Sequence[RedactionRule]) -> RuleSet:
+    """``rules`` itself when it is a rule set, else a rule set over it."""
+    return rules if isinstance(rules, RuleSet) else RuleSet(rules)
+
+
 def default_rules(
     first_names: Sequence[str] = DEFAULT_FIRST_NAMES,
     last_names: Sequence[str] = DEFAULT_LAST_NAMES,
-) -> tuple[RedactionRule, ...]:
+) -> RuleSet:
+    """The built-in rules over a name dictionary. Rule sets are immutable,
+    so equal dictionaries share one: the defaults compile once."""
+    return _default_rules(tuple(first_names), tuple(last_names))
+
+
+@lru_cache(maxsize=8)
+def _default_rules(first_names: tuple[str, ...], last_names: tuple[str, ...]) -> RuleSet:
     specs = (
         ("EMAIL", _EMAIL_PATTERN),
         ("PHONE", _PHONE_PATTERN),
@@ -201,12 +265,12 @@ def default_rules(
         ("ID_NUMBER", _ID_PATTERN),
         ("GEO_FINE", _GEO_PATTERN),
     )
-    return tuple(
+    return RuleSet(
         RedactionRule.compile(etype, pattern, PLACEHOLDERS[etype]) for etype, pattern in specs
     )
 
 
-def load_rules(path: str) -> tuple[RedactionRule, ...]:
+def load_rules(path: str) -> RuleSet:
     """Load rules from a JSON file of ``{entity_type, pattern, placeholder}`` objects."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -226,7 +290,7 @@ def load_rules(path: str) -> tuple[RedactionRule, ...]:
         if not all(isinstance(value, str) for value in fields):
             raise ConfigurationError("rule entity_type, pattern and placeholder must be strings")
         rules.append(RedactionRule.compile(*fields))
-    return tuple(rules)
+    return RuleSet(rules)
 
 
 @dataclass(frozen=True)
@@ -243,21 +307,21 @@ class EntitySpan:
             raise ValidationError("span must satisfy 0 <= start < end")
 
 
-def _candidates(text: str, rules: Sequence[RedactionRule]) -> list[tuple[int, int, str]]:
+def _candidates(text: str, rules: RuleSet) -> list[tuple[int, int, str]]:
     """Every non-empty match of every rule as ``(start, end, entity_type)``,
     in rule order; each prefilter condition runs at most once."""
     spans = []
-    found: dict["re.Pattern[str]", bool] = {}
-    for rule in rules:
-        for condition in rule.prefilters:
-            hit = found.get(condition)
+    conditions = rules.conditions
+    found: list[Optional[bool]] = [None] * len(conditions)
+    for needs, pattern, group, entity_type in rules.steps:
+        for i in needs:
+            hit = found[i]
             if hit is None:
-                hit = found[condition] = condition.search(text) is not None
+                hit = found[i] = conditions[i].search(text) is not None
             if not hit:
                 break
         else:
-            group, entity_type = rule.group, rule.entity_type
-            for m in rule.pattern.finditer(text):
+            for m in pattern.finditer(text):
                 start, end = m.span(group)
                 if start != end:
                     spans.append((start, end, entity_type))
@@ -283,12 +347,14 @@ def _resolve(spans: list) -> list:
 
 def _scan(text: str, rules: Sequence[RedactionRule]) -> list[tuple[int, int, str]]:
     """Resolved identifier spans of ``text`` as ``(start, end, entity_type)``."""
-    return _resolve(_candidates(text, rules))
+    return _resolve(_candidates(text, _rule_set(rules)))
 
 
 def detect(text: str, rules: Sequence[RedactionRule]) -> list[EntitySpan]:
     """All candidate matches from all rules, unresolved."""
-    return [EntitySpan(s, e, etype, text[s:e]) for s, e, etype in _candidates(text, rules)]
+    return [
+        EntitySpan(s, e, etype, text[s:e]) for s, e, etype in _candidates(text, _rule_set(rules))
+    ]
 
 
 def resolve_spans(spans: Sequence[EntitySpan]) -> list[EntitySpan]:
@@ -314,16 +380,17 @@ class ScanMemo:
 
     ``spans(text, rules)`` equals ``scan_for_identifiers(text, rules)``
     without ``matched_text``, and scans a text only the first time it is
-    asked for. The memo answers only for the rules it was built with. It
-    keeps every text it was asked about, so it belongs to one owner with
-    a bounded set of texts and dies with it, and is never handed raw
-    posts.
+    asked for. The memo answers only for the rules it was built with,
+    and keeps a rule set it is given as it is, so a caller that passes
+    the same rule set back skips the comparison. It keeps every text it
+    was asked about, so it belongs to one owner with a bounded set of
+    texts and dies with it, and is never handed raw posts.
     """
 
     __slots__ = ("rules", "_spans")
 
     def __init__(self, rules: Sequence[RedactionRule]) -> None:
-        self.rules = tuple(rules)
+        self.rules = _rule_set(rules)
         self._spans: dict[str, tuple[SpanAt, ...]] = {}
 
     def spans(self, text: str, rules: Sequence[RedactionRule]) -> tuple[SpanAt, ...]:
@@ -336,37 +403,22 @@ class ScanMemo:
         return spans
 
 
-_DEID_GUARD = object()
 _MAX_METADATA_ENTRIES = 16
 
 
 class DeidText:
     """De-identified text bound to its source token and cohort metadata.
 
-    Instances are constructible only through :func:`redact` (or trusted
-    rehydration of previously redacted corpora); the coaching assistant
-    accepts nothing else, which is what keeps raw text out of templates.
+    Instances are built only by :func:`redact` (or trusted rehydration
+    of previously redacted corpora), never by calling the class; the
+    coaching assistant accepts nothing else, which is what keeps raw
+    text out of templates.
     """
 
     __slots__ = ("text", "source_user_token", "cohort_metadata", "redaction_count_by_type")
 
-    def __init__(
-        self,
-        text: str,
-        source_user_token: UserToken,
-        cohort_metadata: Mapping[str, Any],
-        redaction_count_by_type: Mapping[str, int],
-        *,
-        _guard: object = None,
-    ) -> None:
-        if _guard is not _DEID_GUARD:
-            raise ValidationError(
-                "DeidText cannot be built from raw text; use redact()"
-            )
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "source_user_token", source_user_token)
-        object.__setattr__(self, "cohort_metadata", dict(cohort_metadata))
-        object.__setattr__(self, "redaction_count_by_type", dict(redaction_count_by_type))
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        raise ValidationError("DeidText cannot be built from raw text; use redact()")
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("DeidText is immutable")
@@ -380,12 +432,33 @@ class DeidText:
         }
 
 
+_SLOT_SETTERS = tuple(getattr(DeidText, name).__set__ for name in DeidText.__slots__)
+
+
+def _own_deid(
+    text: str, user_token: UserToken, metadata: dict, counts: dict[str, int]
+) -> DeidText:
+    """The trusted path: a :class:`DeidText` that takes ownership of the
+    two dicts, which the caller has just built and shares with no one."""
+    deid = object.__new__(DeidText)
+    set_text, set_token, set_metadata, set_counts = _SLOT_SETTERS
+    set_text(deid, text)
+    set_token(deid, user_token)
+    set_metadata(deid, metadata)
+    set_counts(deid, counts)
+    return deid
+
+
 def _validate_metadata(metadata: Mapping[str, Any]) -> None:
+    """Few entries, string keys, scalar values; a float must be finite,
+    since JSON has no NaN or infinity."""
     if len(metadata) > _MAX_METADATA_ENTRIES:
         raise ValidationError("cohort metadata is limited to a small key-value map")
     for key, value in metadata.items():
         if not isinstance(key, str) or not isinstance(value, (str, int, float, bool)):
             raise ValidationError("cohort metadata must map strings to scalars")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"cohort metadata value of {key!r} is not a finite number")
 
 
 def redact(
@@ -398,10 +471,10 @@ def redact(
 ) -> DeidText:
     """Replace every detected identifier with its typed placeholder.
 
-    The result carries only the user token plus supplied cohort
-    metadata; matched text is not retained. With a ``memo`` built for
-    the same rules, the spans come from it. Where rules repeat an entity
-    type, its spans take the last such rule's placeholder.
+    The result carries only the user token plus a copy of the supplied
+    cohort metadata; matched text is not retained. With a ``memo`` built
+    for the same rules, the spans come from it. Where rules repeat an
+    entity type, its spans take the last such rule's placeholder.
     """
     if not isinstance(text, str):
         raise ValidationError("text must be a str")
@@ -415,28 +488,20 @@ def redact(
         raise ValidationError("user_token must be a UserToken")
     metadata = dict(cohort_metadata or {})
     _validate_metadata(metadata)
-    active_rules = default_rules() if rules is None else rules
+    rule_set = _rule_set(default_rules() if rules is None else rules)
 
-    spans = _scan(text, active_rules) if memo is None else memo.spans(text, active_rules)
-    counts = {rule.entity_type: 0 for rule in active_rules}
+    spans = _scan(text, rule_set) if memo is None else memo.spans(text, rule_set)
+    counts = rule_set.zero_counts.copy()
+    placeholders = rule_set.placeholders
     pieces = []
     cursor = 0
     for start, end, entity_type in spans:
         pieces.append(text[cursor:start])
-        pieces.append(_placeholder(active_rules, entity_type))
+        pieces.append(placeholders[entity_type])
         counts[entity_type] += 1
         cursor = end
     pieces.append(text[cursor:])
-    return DeidText("".join(pieces), user_token, metadata, counts, _guard=_DEID_GUARD)
-
-
-def _placeholder(rules: Sequence[RedactionRule], entity_type: str) -> str:
-    """The placeholder of the last rule of ``entity_type``; a short walk
-    per span instead of a type-to-placeholder map per call."""
-    for rule in reversed(rules):
-        if rule.entity_type == entity_type:
-            return rule.placeholder
-    raise KeyError(entity_type)
+    return _own_deid("".join(pieces), user_token, metadata, counts)
 
 
 def _rehydrate_deid(
@@ -446,12 +511,8 @@ def _rehydrate_deid(
     redaction_count_by_type: Optional[Mapping[str, int]] = None,
 ) -> DeidText:
     """Trusted-path constructor for corpora this pipeline already produced."""
-    return DeidText(
-        text,
-        user_token,
-        dict(cohort_metadata or {}),
-        dict(redaction_count_by_type or {}),
-        _guard=_DEID_GUARD,
+    return _own_deid(
+        text, user_token, dict(cohort_metadata or {}), dict(redaction_count_by_type or {})
     )
 
 
@@ -511,7 +572,7 @@ def leak_audit(
     """
     if len(samples) == 0:
         raise ValidationError("leak audit needs at least one sample")
-    active_rules = default_rules() if rules is None else rules
+    rule_set = _rule_set(default_rules() if rules is None else rules)
     n_hits = 0
     examples: dict[str, list[int]] = {}
     # Entity type of each resolved span, in span order, per distinct text;
@@ -524,7 +585,7 @@ def leak_audit(
         text = sample.text
         types = types_of_text.get(text)
         if types is None:
-            types = types_of_text[text] = tuple(span[2] for span in _scan(text, active_rules))
+            types = types_of_text[text] = tuple(span[2] for span in _scan(text, rule_set))
         if types:
             n_hits += 1
             for entity_type in types:

@@ -739,27 +739,40 @@ def _write_deid_messages(path: str, messages: list[DeidText]) -> None:
     Placeholders make the corpus repeat itself. From the second message
     with a text on, the line's head, its sorted keys before
     ``user_token`` (``cohort``, ``counts``, ``text``), is encoded once
-    per distinct content and only the token per line. The content key
-    holds the ``repr`` of each mapping, which tells apart values that
-    compare equal but encode differently (``True``, ``1``, ``1.0``;
-    ``0.0``, ``-0.0``). A text seen once costs no key.
+    per distinct content and only the token per line. A text seen once
+    costs no key. The content key holds the counts' items, which are
+    plain ints as ``redact`` builds them, and the cohort's items where
+    every value is a string, else its ``repr``, which tells apart values
+    that compare equal but encode differently (``True``, ``1``, ``1.0``;
+    ``0.0``, ``-0.0``). A token is 64 lowercase hex characters, which
+    JSON writes as they are. Lines go to the file as they are made.
     """
-    heads_of_text: dict[str, dict[tuple[str, str], str]] = {}
+    heads_of_text: dict[str, dict[tuple, str]] = {}
     with open(path, "w", encoding="utf-8") as fh:
+        write = fh.write
         for message in messages:
-            heads = heads_of_text.get(message.text)
+            text = message.text
+            heads = heads_of_text.get(text)
             if heads is None:
-                heads_of_text[message.text] = {}
-                fh.write(_encode_sorted(message.to_dict()) + "\n")
+                heads_of_text[text] = {}
+                write(_encode_sorted(message.to_dict()) + "\n")
                 continue
             cohort, counts = message.cohort_metadata, message.redaction_count_by_type
-            key = (repr(cohort), repr(counts))
+            key = (_cohort_key(cohort), tuple(counts.items()))
             head = heads.get(key)
             if head is None:
-                doc = {"cohort": cohort, "counts": counts, "text": message.text}
+                doc = {"cohort": cohort, "counts": counts, "text": text}
                 head = heads[key] = _encode_sorted(doc)[:-1]
-            token = encode_basestring_ascii(message.source_user_token.value)
-            fh.write(f'{head}, "user_token": {token}}}\n')
+            write(f'{head}, "user_token": "{message.source_user_token.value}"}}\n')
+
+
+def _cohort_key(cohort: dict) -> object:
+    """The cohort's items if every value is a str, else its ``repr``."""
+    items = tuple(cohort.items())
+    for _, value in items:
+        if type(value) is not str:
+            return repr(cohort)
+    return items
 
 
 # ---------------------------------------------------------------------------

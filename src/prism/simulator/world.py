@@ -19,7 +19,7 @@ import numpy as np
 from ..assignment import CoachState, GroupState, PolicyConfig, Roster
 from ..errors import ValidationError
 from ..features import ACTION_TYPES, DAYS_PER_WEEK, GOAL_CATEGORIES
-from ..redaction import DeidText, RedactionRule, default_rules, redact
+from ..redaction import DeidText, RuleSet, default_rules, redact
 from ..vault import KeyRing, UserToken, Vault
 from .scenario import (
     N_MESSAGE_VARIANTS,
@@ -108,7 +108,7 @@ class World:
     clock: SimClock
     tokens: tuple[UserToken, ...]
     roster: Roster              # placement; user rows follow ``tokens``
-    rules: tuple[RedactionRule, ...]
+    rules: RuleSet
     # Per-user draws, fixed at generation
     goal_index: np.ndarray      # (n,) int, into GOAL_CATEGORIES
     base_logit: np.ndarray      # (n,)
@@ -396,10 +396,11 @@ def step_messages(world: World, epoch: int) -> None:
     aux_ids = rng.integers(0, 10**8, size=n).tolist()
     lat, lon = rng.integers(0, 10000, size=(n, 2)).T.tolist()
     goal_rows = world.goal_index.tolist()
-    tokens = world.tokens
+    # One metadata mapping per goal serves the week: redact copies it.
+    metadata_of_goal = [{"goal": goal} for goal in GOAL_CATEGORIES]
+    tokens, identities, rules = world.tokens, world._raw_identities, world.rules
+    keep = world.deid_messages.append
     for i in np.flatnonzero(post_draw < scenario.message_prob).tolist():
         token = tokens[i]
-        identity = world._raw_identities[token.value]
-        text = synth_message(variants[i], identity, aux_ids[i], lat[i], lon[i])
-        goal = GOAL_CATEGORIES[goal_rows[i]]
-        world.deid_messages.append(redact(text, token, world.rules, {"goal": goal}))
+        text = synth_message(variants[i], identities[token.value], aux_ids[i], lat[i], lon[i])
+        keep(redact(text, token, rules, metadata_of_goal[goal_rows[i]]))

@@ -748,6 +748,14 @@ class TestLeakAudit:
         corpus.write_bytes(CORPUS_LINE.encode() + b"\n" + line + b"\n")
         assert_exits_one(capsys, "leak-audit", "--in", str(corpus))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_cohort_value_exits_one(self, capsys, tmp_path, value):
+        # Python's json writes and reads NaN and Infinity, which JSON lacks.
+        line = json.dumps({"text": "see you", "user_token": "ab" * 32, "cohort": {"x": value}})
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(CORPUS_LINE + "\n" + line + "\n")
+        assert_exits_one(capsys, "leak-audit", "--in", str(corpus))
+
     def test_empty_corpus_exits_one(self, capsys, tmp_path):
         # A run reports an empty corpus's leak rate as 0; the audit of a
         # file still needs a sample.
@@ -887,7 +895,8 @@ def _draft_field_ok(field, value):
 def _corpus_field_ok(field, value):
     if field == "cohort":
         return isinstance(value, dict) and all(
-            isinstance(v, (str, int, float, bool)) for v in value.values()
+            isinstance(v, (str, int, float, bool)) and v == v and v not in (math.inf, -math.inf)
+            for v in value.values()
         )
     if field == "counts":
         return isinstance(value, dict) and all(type(v) is int for v in value.values())

@@ -2,6 +2,7 @@
 and leak-rate arithmetic."""
 
 import json
+import math
 import os
 import random
 import tempfile
@@ -22,6 +23,7 @@ from prism.redaction import (
     DeidText,
     LeakReport,
     RedactionRule,
+    RuleSet,
     ScanMemo,
     SpanAt,
     _rehydrate_deid,
@@ -142,6 +144,12 @@ class TestDeidBoundary:
     def test_metadata_restricted_to_scalars(self):
         with pytest.raises(ValidationError):
             redact("hello", TOKEN, cohort_metadata={"nested": {"a": 1}})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_metadata_rejected(self, value):
+        # JSON has no NaN or infinity, so the run files could not hold it.
+        with pytest.raises(ValidationError, match="not a finite number"):
+            redact("hello", TOKEN, cohort_metadata={"goal": "fitness", "x": value})
 
     def test_metadata_size_capped(self):
         metadata = {f"k{i}": i for i in range(40)}
@@ -387,11 +395,13 @@ class TestInternalScan:
     def test_redact_equals_reference(self, pair, metadata, data):
         rules, reference = pair
         text = data.draw(_texts(DEFAULT_FIRST_NAMES + DEFAULT_LAST_NAMES + ("Kate", "hotline")))
-        out = redact(text, TOKEN, rules, metadata)
         expected = reference_redact(text, TOKEN, reference, metadata)
-        # Key order too: it is the order the run files hold.
-        assert json.dumps(out.to_dict()) == json.dumps(expected.to_dict())
-        assert out.source_user_token is TOKEN
+        # A rule set carries its plan; a plain tuple or list gets one per call.
+        for form in (rules, tuple(rules), list(rules)):
+            out = redact(text, TOKEN, form, metadata)
+            # Key order too: it is the order the run files hold.
+            assert json.dumps(out.to_dict()) == json.dumps(expected.to_dict())
+            assert out.source_user_token is TOKEN
 
     def test_repeated_type_takes_its_last_placeholder(self):
         rules = _loaded([
@@ -411,6 +421,70 @@ class TestInternalScan:
     def test_non_ascii_text_redacts(self):
         out = redact("caf\u00e9 \U0001f600 with Marisol", TOKEN)
         assert out.text == "caf\u00e9 \U0001f600 with [NAME]"
+
+
+class TestRuleSets:
+    def test_default_rules_are_built_once(self):
+        rules = default_rules()
+        assert isinstance(rules, RuleSet) and isinstance(rules, tuple)
+        assert default_rules() is rules
+        assert default_rules(list(DEFAULT_FIRST_NAMES), list(DEFAULT_LAST_NAMES)) is rules
+
+    def test_rules_none_equals_the_default_rules(self):
+        identity = synth_identity(np.random.default_rng(7), 3)
+        texts = [synth_message(v, identity, 12345678, 1, 2) for v in range(N_MESSAGE_VARIANTS)]
+        for text in texts:
+            implicit = redact(text, TOKEN, None, {"goal": "fitness"})
+            explicit = redact(text, TOKEN, default_rules(), {"goal": "fitness"})
+            assert json.dumps(implicit.to_dict()) == json.dumps(explicit.to_dict())
+        samples = [redact(text, TOKEN) for text in texts] + [_rehydrate_deid("cheers, Thaddeus", TOKEN)]
+        assert leak_audit(samples) == leak_audit(samples, default_rules())
+
+    def test_plan_takes_each_types_last_placeholder(self):
+        rules = RuleSet([
+            RedactionRule.compile("PHONE", r"\bhotline\b", "[FIRST]"),
+            RedactionRule.compile("EMAIL", r"\binbox\b", "[EMAIL]"),
+            RedactionRule.compile("PHONE", r"\bdesk\b", "[LAST]"),
+        ])
+        assert rules.placeholders == {"PHONE": "[LAST]", "EMAIL": "[EMAIL]"}
+        assert list(rules.zero_counts.items()) == [("PHONE", 0), ("EMAIL", 0)]
+
+    def test_immutable(self):
+        rules = default_rules()
+        with pytest.raises(AttributeError):
+            rules.placeholders = {}
+        with pytest.raises(AttributeError):
+            del rules.steps
+        with pytest.raises(TypeError):
+            rules.zero_counts["EMAIL"] = 1
+        with pytest.raises(TypeError):
+            rules.placeholders["EMAIL"] = "[X]"
+
+
+class TestOwnership:
+    @settings(max_examples=150, deadline=None)
+    @given(metadata=_METADATA, key=st.text(max_size=3), use_memo=st.booleans())
+    def test_no_two_deid_texts_share_a_dict(self, metadata, key, use_memo):
+        caller = dict(metadata)
+        rules = default_rules()
+        memo = ScanMemo(rules) if use_memo else None
+        first = redact("mail bob@x.org", TOKEN, rules, caller, memo=memo)
+        second = redact("mail bob@x.org", TOKEN, rules, caller, memo=memo)
+        loaded = _rehydrate_deid(first.text, TOKEN, caller, first.redaction_count_by_type)
+        before = [json.dumps(d.to_dict()) for d in (first, second, loaded)]
+        dicts = [caller] + [
+            mapping
+            for deid in (first, second, loaded)
+            for mapping in (deid.cohort_metadata, deid.redaction_count_by_type)
+        ]
+        assert len({id(mapping) for mapping in dicts}) == len(dicts)
+        # The caller's metadata changes after the call; no DeidText sees it.
+        caller[key] = "changed"
+        caller.pop(next(iter(caller)))
+        assert [json.dumps(d.to_dict()) for d in (first, second, loaded)] == before
+        # Nor does the next call see a change to a returned counts dict.
+        first.redaction_count_by_type["EMAIL"] = 99
+        assert redact("mail bob@x.org", TOKEN, rules).redaction_count_by_type["EMAIL"] == 1
 
 
 def reference_leak_audit(samples, rules) -> LeakReport:
@@ -491,12 +565,17 @@ class TestScanMemo:
             ]
 
     def test_answers_only_for_its_rules(self):
-        memo = ScanMemo(default_rules())
+        rules = default_rules()
+        memo = ScanMemo(rules)
+        assert memo.rules is rules  # kept as given, not copied
         assert memo.spans("hi Kate", default_rules()) == ()
+        assert memo.spans("hi Marisol", tuple(rules)) == (SpanAt(3, 10, "NAME"),)
         with pytest.raises(ValidationError, match="other redaction rules"):
             memo.spans("hi Kate", default_rules(["Kate"], []))
         with pytest.raises(ValidationError, match="other redaction rules"):
             redact("hi Kate", TOKEN, default_rules(["Kate"], []), memo=memo)
+        listed = ScanMemo(list(rules))
+        assert isinstance(listed.rules, RuleSet) and listed.rules == rules
 
 
 class TestGeneratedTraffic:
