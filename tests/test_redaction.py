@@ -409,6 +409,8 @@ class TestInternalScan:
             {"entity_type": "EMAIL", "pattern": r"\binbox\b", "placeholder": "[EMAIL]"},
             {"entity_type": "PHONE", "pattern": r"\bdesk\b", "placeholder": "[LAST]"},
         ])
+        assert rules.placeholders == {"PHONE": "[LAST]", "EMAIL": "[EMAIL]"}
+        assert list(rules.zero_counts.items()) == [("PHONE", 0), ("EMAIL", 0)]
         out = redact("call the hotline or the desk, or check the inbox", TOKEN, rules)
         assert out.text == "call the [LAST] or the [LAST], or check the [EMAIL]"
         assert out.redaction_count_by_type == {"PHONE": 2, "EMAIL": 1}
@@ -439,15 +441,6 @@ class TestRuleSets:
             assert json.dumps(implicit.to_dict()) == json.dumps(explicit.to_dict())
         samples = [redact(text, TOKEN) for text in texts] + [_rehydrate_deid("cheers, Thaddeus", TOKEN)]
         assert leak_audit(samples) == leak_audit(samples, default_rules())
-
-    def test_plan_takes_each_types_last_placeholder(self):
-        rules = RuleSet([
-            RedactionRule.compile("PHONE", r"\bhotline\b", "[FIRST]"),
-            RedactionRule.compile("EMAIL", r"\binbox\b", "[EMAIL]"),
-            RedactionRule.compile("PHONE", r"\bdesk\b", "[LAST]"),
-        ])
-        assert rules.placeholders == {"PHONE": "[LAST]", "EMAIL": "[EMAIL]"}
-        assert list(rules.zero_counts.items()) == [("PHONE", 0), ("EMAIL", 0)]
 
     def test_immutable(self):
         rules = default_rules()
