@@ -13,14 +13,14 @@ import json
 import logging
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
 from .errors import LeakageError, StateError, ValidationError
 from .features import ContextBatch, LearningContext
 from .records import Record, field_names
-from .redaction import DeidText, RedactionRule, ScanMemo, default_rules, scan_for_identifiers
+from .redaction import DeidText, RuleSet, ScanMemo, _rule_set, scan_for_identifiers
 
 logger = logging.getLogger(__name__)
 
@@ -137,29 +137,24 @@ class RiskFlag:
     evidence: Mapping[str, float]
 
 
-DEFAULT_STREAK_THRESHOLD = 3       # days
-DEFAULT_DECLINE_THRESHOLD = 0.05   # weekly-score drop per week
+STREAK_THRESHOLD = 3       # days
+DECLINE_THRESHOLD = 0.05   # weekly-score drop per week
 
 
-def flag_risks(
-    context: LearningContext,
-    *,
-    streak_threshold: int = DEFAULT_STREAK_THRESHOLD,
-    decline_threshold: float = DEFAULT_DECLINE_THRESHOLD,
-) -> list[RiskFlag]:
-    """Threshold checks over the context's disengagement signals."""
+def flag_risks(context: LearningContext) -> list[RiskFlag]:
+    """Fixed-threshold checks over the context's disengagement signals."""
     flags = []
     streak = context.missed_checkin_streak
-    if streak >= streak_threshold:
+    if streak >= STREAK_THRESHOLD:
         flags.append(
             RiskFlag(
                 user_token=context.user_token.value,
                 kind="missed_streak",
-                severity="high" if streak >= 2 * streak_threshold else "medium",
+                severity="high" if streak >= 2 * STREAK_THRESHOLD else "medium",
                 evidence={"missed_checkin_streak": float(streak)},
             )
         )
-    if context.engagement_slope <= -decline_threshold:
+    if context.engagement_slope <= -DECLINE_THRESHOLD:
         flags.append(
             RiskFlag(
                 user_token=context.user_token.value,
@@ -172,15 +167,13 @@ def flag_risks(
 
 
 def risk_mask(contexts: ContextBatch) -> np.ndarray:
-    """Which rows of ``contexts`` :func:`flag_risks` flags at its default
-    thresholds, as one bool per row, read from the batch's arrays."""
-    return (contexts.streak >= DEFAULT_STREAK_THRESHOLD) | (
-        contexts.slope <= -DEFAULT_DECLINE_THRESHOLD
-    )
+    """Which rows of ``contexts`` :func:`flag_risks` flags, as one bool
+    per row, read from the batch's arrays with the same thresholds."""
+    return (contexts.streak >= STREAK_THRESHOLD) | (contexts.slope <= -DECLINE_THRESHOLD)
 
 
 def _leak_check(
-    text: str, rules: Sequence[RedactionRule], where: str, memo: Optional[ScanMemo] = None
+    text: str, rules: Optional[RuleSet], where: str, memo: Optional[ScanMemo] = None
 ) -> None:
     spans = scan_for_identifiers(text, rules) if memo is None else memo.spans(text, rules)
     if spans:
@@ -194,16 +187,16 @@ def generate_draft(
     context: LearningContext,
     template: DraftTemplate,
     *,
-    rules: Optional[Sequence[RedactionRule]] = None,
+    rules: Optional[RuleSet] = None,
     draft_id: Optional[str] = None,
     created_at: Optional[str] = None,
     memo: Optional[ScanMemo] = None,
 ) -> Draft:
     """Render a pending draft by deterministic slot substitution.
 
-    The rendered text is re-scanned with the redaction rules, through
-    ``memo`` when one is given; any hit aborts with a leakage error
-    instead of emitting the draft.
+    The rendered text is re-scanned with the redaction rules (None means
+    the default rules), through ``memo`` when one is given; any hit
+    aborts with a leakage error instead of emitting the draft.
     """
     if not isinstance(summary, DeidText):
         raise ValidationError("summary must be a DeidText produced by the redaction pipeline")
@@ -220,8 +213,7 @@ def generate_draft(
         rendered = template.body.format_map(slots)
     except KeyError as exc:
         raise ValidationError(f"template slot {exc} has no value") from exc
-    active_rules = default_rules() if rules is None else rules
-    _leak_check(rendered, active_rules, f"draft from template {template.template_id}", memo)
+    _leak_check(rendered, rules, f"draft from template {template.template_id}", memo)
     if draft_id is None:
         import hashlib
 
@@ -251,19 +243,21 @@ def review(
     decision: str,
     *,
     new_text: Optional[str] = None,
-    rules: Optional[Sequence[RedactionRule]] = None,
+    rules: Optional[RuleSet] = None,
     decided_at: Optional[str] = None,
     memo: Optional[ScanMemo] = None,
 ) -> Draft:
     """Apply a terminal review decision to a pending draft.
 
-    Edits re-pass the redaction scan, through ``memo`` when one is
-    given, before acceptance; on a scan hit the draft stays pending.
+    Edits re-pass the redaction scan (None means the default rules),
+    through ``memo`` when one is given, before acceptance; on a scan hit
+    the draft stays pending.
     Decisions on non-pending drafts fail, which makes the first decision
     win under concurrent review.
     """
     if decision not in REVIEW_DECISIONS:
         raise ValidationError(f"unknown review decision: {decision!r}")
+    rules = _rule_set(rules)
     with _review_lock:
         if draft.status != DRAFT_PENDING:
             raise StateError(
@@ -272,8 +266,7 @@ def review(
         if decision == "edit":
             if not new_text:
                 raise ValidationError("edit decision requires replacement text")
-            active_rules = default_rules() if rules is None else rules
-            _leak_check(new_text, active_rules, f"edit of draft {draft.draft_id}", memo)
+            _leak_check(new_text, rules, f"edit of draft {draft.draft_id}", memo)
             draft.rendered_text = new_text
             draft.status = DRAFT_EDITED
         elif decision == "approve":

@@ -19,23 +19,23 @@ under the pattern's own case folding, so a digit-rich post without one
 at most once per text. The prefilters are keyed by the exact built-in
 pattern text, so a rule loaded with any other pattern always runs. A
 rule looks up its prefilters and its replacement group once, when it is
-built, and one internal scan serves every caller: ``redact``, the memo
-and ``leak_audit`` work on its plain ``(start, end, entity_type)``
-tuples, and only ``detect`` and ``scan_for_identifiers`` build
-:class:`EntitySpan` objects from them.
+built, and one internal scan serves every caller. A span is a
+:class:`SpanAt`, its position and entity type; no public function hands
+out the text a span matched.
 
 ``default_rules`` and ``load_rules`` return a :class:`RuleSet`, an
 immutable tuple of rules that works out once what every text scanned
 under it shares: the distinct prefilter conditions and which of them
 each rule needs, the zero count of each entity type and the placeholder
-of each type. A plain sequence of rules gets the same plan per call.
-Rule sets are built once per name dictionary and shared, so passing no
-rules costs no compiling.
+of each type. Every function that takes ``rules`` takes a rule set, or
+None for the default rules, and rejects anything else. Rule sets are
+built once per name dictionary and shared, so passing no rules costs no
+compiling.
 
 A :class:`ScanMemo` scans each distinct text once under one rule set and
-keeps its resolved spans without the matched text, for callers whose
-texts repeat, such as the coaching assistant's summaries and drafts.
-``leak_audit`` keeps a memo of its own per call.
+keeps its resolved spans, for callers whose texts repeat, such as the
+coaching assistant's summaries and drafts. ``leak_audit`` keeps a memo
+of its own per call.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from types import MappingProxyType
 from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ConfigurationError, ValidationError
-from .records import Record
+from .records import Record, _is_int
 from .vault import UserToken
 
 ENTITY_TYPES = ("EMAIL", "PHONE", "NAME", "ADDRESS", "DOB", "ID_NUMBER", "GEO_FINE")
@@ -240,9 +240,14 @@ class RuleSet(tuple):
         raise AttributeError("RuleSet is immutable")
 
 
-def _rule_set(rules: Sequence[RedactionRule]) -> RuleSet:
-    """``rules`` itself when it is a rule set, else a rule set over it."""
-    return rules if isinstance(rules, RuleSet) else RuleSet(rules)
+def _rule_set(rules: Optional[RuleSet]) -> RuleSet:
+    """``rules``, or the default rules when it is None; anything but a
+    rule set raises, so every caller gets a plan built once."""
+    if rules is None:
+        return default_rules()
+    if not isinstance(rules, RuleSet):
+        raise ValidationError("rules must be a RuleSet from default_rules() or load_rules()")
+    return rules
 
 
 def default_rules(
@@ -293,20 +298,6 @@ def load_rules(path: str) -> RuleSet:
     return RuleSet(rules)
 
 
-@dataclass(frozen=True)
-class EntitySpan:
-    """One detected identifier occurrence; ``matched_text`` never outlives the call."""
-
-    start: int
-    end: int
-    entity_type: str
-    matched_text: str
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.start < self.end):
-            raise ValidationError("span must satisfy 0 <= start < end")
-
-
 def _candidates(text: str, rules: RuleSet) -> list[tuple[int, int, str]]:
     """Every non-empty match of every rule as ``(start, end, entity_type)``,
     in rule order; each prefilter condition runs at most once."""
@@ -345,26 +336,9 @@ def _resolve(spans: list) -> list:
     return chosen
 
 
-def _scan(text: str, rules: Sequence[RedactionRule]) -> list[tuple[int, int, str]]:
+def _scan(text: str, rules: RuleSet) -> list[tuple[int, int, str]]:
     """Resolved identifier spans of ``text`` as ``(start, end, entity_type)``."""
-    return _resolve(_candidates(text, _rule_set(rules)))
-
-
-def detect(text: str, rules: Sequence[RedactionRule]) -> list[EntitySpan]:
-    """All candidate matches from all rules, unresolved."""
-    return [
-        EntitySpan(s, e, etype, text[s:e]) for s, e, etype in _candidates(text, _rule_set(rules))
-    ]
-
-
-def resolve_spans(spans: Sequence[EntitySpan]) -> list[EntitySpan]:
-    """Non-overlapping subset: longest match first, then leftmost, then type priority."""
-    return [s[3] for s in _resolve([(s.start, s.end, s.entity_type, s) for s in spans])]
-
-
-def scan_for_identifiers(text: str, rules: Sequence[RedactionRule]) -> list[EntitySpan]:
-    """Resolved identifier spans in ``text``; empty means clean."""
-    return [EntitySpan(s, e, etype, text[s:e]) for s, e, etype in _scan(text, rules)]
+    return _resolve(_candidates(text, rules))
 
 
 class SpanAt(NamedTuple):
@@ -375,26 +349,31 @@ class SpanAt(NamedTuple):
     entity_type: str
 
 
+def scan_for_identifiers(text: str, rules: Optional[RuleSet] = None) -> tuple[SpanAt, ...]:
+    """Resolved identifier spans in ``text``, in text order; empty means clean."""
+    return tuple(SpanAt._make(span) for span in _scan(text, _rule_set(rules)))
+
+
 class ScanMemo:
     """Resolved identifier spans per distinct text, under one rule set.
 
     ``spans(text, rules)`` equals ``scan_for_identifiers(text, rules)``
-    without ``matched_text``, and scans a text only the first time it is
-    asked for. The memo answers only for the rules it was built with,
-    and keeps a rule set it is given as it is, so a caller that passes
-    the same rule set back skips the comparison. It keeps every text it
-    was asked about, so it belongs to one owner with a bounded set of
-    texts and dies with it, and is never handed raw posts.
+    and scans a text only the first time it is asked for. The memo
+    answers only for the rules it was built with, and keeps the rule set
+    it is given as it is, so a caller that passes the same rule set back
+    skips the comparison. It keeps every text it was asked about, so it
+    belongs to one owner with a bounded set of texts and dies with it,
+    and is never handed raw posts.
     """
 
     __slots__ = ("rules", "_spans")
 
-    def __init__(self, rules: Sequence[RedactionRule]) -> None:
+    def __init__(self, rules: Optional[RuleSet] = None) -> None:
         self.rules = _rule_set(rules)
         self._spans: dict[str, tuple[SpanAt, ...]] = {}
 
-    def spans(self, text: str, rules: Sequence[RedactionRule]) -> tuple[SpanAt, ...]:
-        if rules is not self.rules and tuple(rules) != self.rules:
+    def spans(self, text: str, rules: Optional[RuleSet]) -> tuple[SpanAt, ...]:
+        if rules is not self.rules and _rule_set(rules) != self.rules:
             raise ValidationError("scan memo was built for other redaction rules")
         spans = self._spans.get(text)
         if spans is None:
@@ -451,20 +430,24 @@ def _own_deid(
 
 def _validate_metadata(metadata: Mapping[str, Any]) -> None:
     """Few entries, string keys, scalar values; a float must be finite,
-    since JSON has no NaN or infinity."""
+    since JSON has no NaN or infinity, and an int must fit in int64, as
+    in every other record."""
     if len(metadata) > _MAX_METADATA_ENTRIES:
         raise ValidationError("cohort metadata is limited to a small key-value map")
     for key, value in metadata.items():
         if not isinstance(key, str) or not isinstance(value, (str, int, float, bool)):
             raise ValidationError("cohort metadata must map strings to scalars")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValidationError(f"cohort metadata value of {key!r} is not a finite number")
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise ValidationError(f"cohort metadata value of {key!r} is not a finite number")
+        elif not isinstance(value, (str, bool)) and not _is_int(value):
+            raise ValidationError(f"cohort metadata value of {key!r} does not fit in int64")
 
 
 def redact(
     text: str,
     user_token: UserToken,
-    rules: Optional[Sequence[RedactionRule]] = None,
+    rules: Optional[RuleSet] = None,
     cohort_metadata: Optional[Mapping[str, Any]] = None,
     *,
     memo: Optional[ScanMemo] = None,
@@ -488,7 +471,7 @@ def redact(
         raise ValidationError("user_token must be a UserToken")
     metadata = dict(cohort_metadata or {})
     _validate_metadata(metadata)
-    rule_set = _rule_set(default_rules() if rules is None else rules)
+    rule_set = _rule_set(rules)
 
     spans = _scan(text, rule_set) if memo is None else memo.spans(text, rule_set)
     counts = rule_set.zero_counts.copy()
@@ -561,7 +544,7 @@ _MAX_HIT_EXAMPLES = 5
 
 
 def leak_audit(
-    samples: Sequence[DeidText], rules: Optional[Sequence[RedactionRule]] = None
+    samples: Sequence[DeidText], rules: Optional[RuleSet] = None
 ) -> LeakReport:
     """Fraction of samples with at least one residual match under the same rules.
 
@@ -572,7 +555,7 @@ def leak_audit(
     """
     if len(samples) == 0:
         raise ValidationError("leak audit needs at least one sample")
-    rule_set = _rule_set(default_rules() if rules is None else rules)
+    rule_set = _rule_set(rules)
     n_hits = 0
     examples: dict[str, list[int]] = {}
     # Entity type of each resolved span, in span order, per distinct text;

@@ -7,7 +7,8 @@ under the tokenization key, and a user token derives from a random
 subject id so it survives changes to mutable contact fields. Restoration
 back to raw fields is role-gated, requires a verified-MFA assertion,
 is rate limited, and is audited on a tamper-evident hash chain before
-any response is returned.
+any response is returned. A request carries no time of its own: the
+vault's clock times the rate limit and stamps the audit entry.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .errors import (
     NotFoundError,
     ValidationError,
 )
+from .records import field_names
 
 TOKEN_KEY_ENV = "PRISM_TOKEN_KEY"
 ENC_KEY_ENV = "PRISM_ENC_KEY"
@@ -198,19 +200,6 @@ def user_token_for_subject(sid: SubjectId, keys: KeyRing) -> UserToken:
 # Audit log
 # ---------------------------------------------------------------------------
 
-AUDIT_FIELDS = (
-    "seq",
-    "requester_id",
-    "role",
-    "user_token",
-    "purpose",
-    "decision",
-    "denial_reason",
-    "ts",
-    "chain_hash",
-)
-
-
 @dataclass(frozen=True)
 class AuditEntry:
     """Immutable who/what/when/why record for one restoration attempt."""
@@ -231,6 +220,9 @@ class AuditEntry:
     @classmethod
     def from_dict(cls, doc: Mapping) -> "AuditEntry":
         return cls(**{name: doc[name] for name in AUDIT_FIELDS})
+
+
+AUDIT_FIELDS = field_names(AuditEntry)
 
 
 def _canonical_entry_payload(entry_fields: Mapping) -> bytes:
@@ -379,12 +371,13 @@ class VaultRecord:
 
 @dataclass(frozen=True)
 class RestorationRequest:
+    """Who asks, in what role and MFA state, for whose identity and why."""
+
     requester_id: str
     role: str
     mfa_verified: bool
     user_token: UserToken
     purpose: str
-    timestamp: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -408,8 +401,8 @@ class Vault:
 
     ``entropy`` supplies subject-id and nonce randomness and defaults to
     the OS CSPRNG; the simulator injects a seeded source so synthetic
-    worlds are reproducible. ``clock`` feeds audit timestamps and the
-    rate limiter.
+    worlds are reproducible. ``clock`` is the only time a restoration
+    sees: it stamps the audit entry and times the rate limiter.
     """
 
     def __init__(
@@ -514,7 +507,7 @@ class Vault:
         closed with a denial.
         """
         with self._lock:
-            now = request.timestamp if request.timestamp is not None else self._clock()
+            now = self._clock()
             reason = self._evaluate(request, now)
             decision = "granted" if reason is None else "denied"
             try:

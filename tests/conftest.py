@@ -27,11 +27,9 @@ from prism.features import (
 from prism.redaction import (
     DEFAULT_FIRST_NAMES,
     DEFAULT_LAST_NAMES,
-    EntitySpan,
     RedactionRule,
     _rehydrate_deid,
     default_rules,
-    resolve_spans,
 )
 from prism.simulator.experiment import RunManifest, TraceLegend
 from prism.vault import ENC_KEY_ENV, TOKEN_KEY_ENV, KeyRing, UserToken
@@ -158,8 +156,9 @@ def reference_rules(first_names=DEFAULT_FIRST_NAMES, last_names=DEFAULT_LAST_NAM
     )
 
 
-def reference_detect(text, rules) -> list[EntitySpan]:
-    """``detect`` without prefilters: every rule runs over the whole text."""
+def reference_detect(text, rules) -> list[tuple[int, int, str]]:
+    """Every non-empty match of every rule as ``(start, end, entity_type)``,
+    in rule order, without prefilters: every rule runs over the whole text."""
     spans = []
     for rule in rules:
         for m in rule.pattern.finditer(text):
@@ -167,8 +166,25 @@ def reference_detect(text, rules) -> list[EntitySpan]:
             start, end = m.span(group)
             if start == end:
                 continue
-            spans.append(EntitySpan(start, end, rule.entity_type, m.group(group)))
+            spans.append((start, end, rule.entity_type))
     return spans
+
+
+# The documented tie-break between equally long spans at one start.
+_REFERENCE_TYPE_ORDER = ("EMAIL", "PHONE", "NAME", "ADDRESS", "DOB", "ID_NUMBER", "GEO_FINE")
+
+
+def reference_resolve(spans) -> list[tuple[int, int, str]]:
+    """Non-overlapping ``(start, end, entity_type)`` spans, picked one at a
+    time: the longest left, then the leftmost, then the type that comes
+    first in the tie-break order, dropping every span the pick overlaps;
+    in text order."""
+    left, chosen = list(spans), []
+    while left:
+        best = min(left, key=lambda s: (s[0] - s[1], s[0], _REFERENCE_TYPE_ORDER.index(s[2])))
+        chosen.append(best)
+        left = [s for s in left if s[1] <= best[0] or s[0] >= best[1]]
+    return sorted(chosen)
 
 
 def reference_redact(text, user_token, rules, cohort_metadata=None):
@@ -177,10 +193,10 @@ def reference_redact(text, user_token, rules, cohort_metadata=None):
     placeholder_by_type = {r.entity_type: r.placeholder for r in rules}
     counts = {etype: 0 for etype in placeholder_by_type}
     pieces, cursor = [], 0
-    for span in resolve_spans(reference_detect(text, rules)):
-        pieces += [text[cursor : span.start], placeholder_by_type[span.entity_type]]
-        counts[span.entity_type] += 1
-        cursor = span.end
+    for start, end, entity_type in reference_resolve(reference_detect(text, rules)):
+        pieces += [text[cursor:start], placeholder_by_type[entity_type]]
+        counts[entity_type] += 1
+        cursor = end
     pieces.append(text[cursor:])
     return _rehydrate_deid("".join(pieces), user_token, cohort_metadata, counts)
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from conftest import goal_onehot
 
 from prism.assistant import (
-    DEFAULT_DECLINE_THRESHOLD,
-    DEFAULT_STREAK_THRESHOLD,
+    DECLINE_THRESHOLD,
+    STREAK_THRESHOLD,
     DraftTemplate,
     default_templates,
     flag_risks,
@@ -54,15 +54,11 @@ class TestRiskFlags:
         assert [f.kind for f in flags] == ["engagement_decline"]
         assert flags[0].evidence["engagement_slope"] == pytest.approx(-0.1)
 
-    def test_thresholds_configurable(self):
-        assert flag_risks(make_context(streak=2), streak_threshold=2)
-        assert not flag_risks(make_context(streak=2), streak_threshold=3)
-
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 12))
     def test_risk_mask_flags_the_rows_flag_risks_flags(self, data, n):
-        edge = -DEFAULT_DECLINE_THRESHOLD
-        streaks = st.integers(0, 3 * DEFAULT_STREAK_THRESHOLD) | st.integers(0, 2**62)
+        edge = -DECLINE_THRESHOLD
+        streaks = st.integers(0, 3 * STREAK_THRESHOLD) | st.integers(0, 2**62)
         slopes = st.floats(-1e300, 1e300) | st.sampled_from(
             [edge, np.nextafter(edge, 0.0), np.nextafter(edge, -1.0), -0.0, 0.0]
         )
@@ -214,6 +210,20 @@ class TestReview:
     def test_unknown_decision_rejected(self):
         with pytest.raises(ValidationError):
             review(self._pending(), "coach-1", "postpone")
+
+    @pytest.mark.parametrize("form", [tuple, list])
+    @pytest.mark.parametrize("decision", ["approve", "edit", "discard"])
+    def test_plain_rule_sequence_rejected(self, form, decision):
+        draft = self._pending()
+        with pytest.raises(ValidationError, match="RuleSet"):
+            review(draft, "coach-1", decision, new_text="one small goal", rules=form(default_rules()))
+        assert draft.status == "pending"
+        summary = redact("missed 4 recent check-ins", TOKEN)
+        with pytest.raises(ValidationError, match="RuleSet"):
+            generate_draft(
+                summary, make_context(), default_templates()["reengage-streak"],
+                rules=form(default_rules()),
+            )
 
     def test_jsonl_round_trip(self, tmp_path):
         drafts = [self._pending(), review(self._pending(), "c", "approve")]

@@ -756,6 +756,13 @@ class TestLeakAudit:
         corpus.write_text(CORPUS_LINE + "\n" + line + "\n")
         assert_exits_one(capsys, "leak-audit", "--in", str(corpus))
 
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 2**70], ids=["2**63", "-2**63-1", "2**70"])
+    def test_cohort_int_outside_int64_exits_one(self, capsys, tmp_path, value):
+        line = json.dumps({"text": "see you", "user_token": "ab" * 32, "cohort": {"x": value}})
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(CORPUS_LINE + "\n" + line + "\n")
+        assert_exits_one(capsys, "leak-audit", "--in", str(corpus))
+
     def test_empty_corpus_exits_one(self, capsys, tmp_path):
         # A run reports an empty corpus's leak rate as 0; the audit of a
         # file still needs a sample.
@@ -895,7 +902,9 @@ def _draft_field_ok(field, value):
 def _corpus_field_ok(field, value):
     if field == "cohort":
         return isinstance(value, dict) and all(
-            isinstance(v, (str, int, float, bool)) and v == v and v not in (math.inf, -math.inf)
+            isinstance(v, (str, bool))
+            or (type(v) is int and -2**63 <= v < 2**63)
+            or (type(v) is float and v == v and v not in (math.inf, -math.inf))
             for v in value.values()
         )
     if field == "counts":

@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_detect, reference_redact, reference_rules, write_rules
+from conftest import (
+    reference_detect,
+    reference_redact,
+    reference_resolve,
+    reference_rules,
+    write_rules,
+)
 
 from prism.errors import ConfigurationError, ValidationError
 from prism.redaction import (
@@ -26,16 +32,15 @@ from prism.redaction import (
     RuleSet,
     ScanMemo,
     SpanAt,
+    _candidates,
     _rehydrate_deid,
     _scan,
     default_rules,
-    detect,
     leak_audit,
     load_deid_corpus,
     load_rules,
     name_pattern,
     redact,
-    resolve_spans,
     scan_for_identifiers,
 )
 from prism.simulator.scenario import N_MESSAGE_VARIANTS, synth_identity, synth_message
@@ -104,11 +109,14 @@ class TestResolution:
             "I'm Marisol Hibbert, born 1985-03-12, at 12 Maple Street, "
             "reach bob@x.org or 613-555-0142, id 99887766"
         )
-        baseline = redact(text, TOKEN, tuple(rules)).text
+        baseline = redact(text, TOKEN, RuleSet(rules)).text
         rng = random.Random(7)
         for _ in range(20):
             rng.shuffle(rules)
-            assert redact(text, TOKEN, tuple(rules)).text == baseline
+            assert redact(text, TOKEN, RuleSet(rules)).text == baseline
+            for plain in (tuple(rules), rules):
+                with pytest.raises(ValidationError, match="RuleSet"):
+                    redact(text, TOKEN, plain)
 
     def test_resolved_spans_never_overlap(self):
         text = "Marisol at 12 Maple Street, dob 01/02/1990, 45.1234,-75.5678"
@@ -121,7 +129,7 @@ class TestResolution:
 class TestIdempotence:
     def test_placeholders_match_no_rule(self):
         for placeholder in PLACEHOLDERS.values():
-            assert scan_for_identifiers(placeholder, default_rules()) == []
+            assert scan_for_identifiers(placeholder, default_rules()) == ()
 
     def test_double_redaction_is_identity(self):
         texts = [
@@ -150,6 +158,14 @@ class TestDeidBoundary:
         # JSON has no NaN or infinity, so the run files could not hold it.
         with pytest.raises(ValidationError, match="not a finite number"):
             redact("hello", TOKEN, cohort_metadata={"goal": "fitness", "x": value})
+
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 2**70], ids=["2**63", "-2**63-1", "2**70"])
+    def test_metadata_ints_outside_int64_rejected(self, value):
+        # Every other record holds int64 ints; numpy could not take this one.
+        with pytest.raises(ValidationError, match="int64"):
+            redact("hi", TOKEN, None, {"x": value})
+        for edge in (2**63 - 1, -(2**63)):
+            assert redact("hi", TOKEN, None, {"x": edge}).cohort_metadata == {"x": edge}
 
     def test_metadata_size_capped(self):
         metadata = {f"k{i}": i for i in range(40)}
@@ -316,7 +332,7 @@ class TestScanMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(text=_texts(DEFAULT_FIRST_NAMES + DEFAULT_LAST_NAMES))
     def test_default_rules(self, text):
-        assert detect(text, default_rules()) == reference_detect(text, reference_rules())
+        assert _candidates(text, default_rules()) == reference_detect(text, reference_rules())
 
     @pytest.mark.parametrize("word", [
         "born", "born on", "birthday", "birth date", "birthdate", "date of birth", "dob", "b.day",
@@ -324,15 +340,15 @@ class TestScanMatchesReference:
     ])
     def test_every_dob_context_word_passes_the_prefilters(self, word):
         text = f"my {word}: 1985-03-12"
-        spans = detect(text, default_rules())
+        spans = _candidates(text, default_rules())
         assert spans == reference_detect(text, reference_rules())
-        assert [s.entity_type for s in spans] == ["DOB"]
+        assert [entity_type for _, _, entity_type in spans] == ["DOB"]
 
     @settings(max_examples=300, deadline=None)
     @given(first=_CUSTOM_NAMES, last=_CUSTOM_NAMES, data=st.data())
     def test_custom_name_lists(self, first, last, data):
         text = data.draw(_texts(tuple(first) + tuple(last) + ("Kate",)))
-        assert detect(text, default_rules(first, last)) == reference_detect(
+        assert _candidates(text, default_rules(first, last)) == reference_detect(
             text, reference_rules(first, last)
         )
 
@@ -375,8 +391,11 @@ def _rule_sets(draw):
     return rules, rules
 
 
+# Ints within int64, as cohort metadata holds them.
 _METADATA = st.dictionaries(
-    st.text(max_size=3), st.text(max_size=3) | st.integers() | st.booleans(), max_size=3
+    st.text(max_size=3),
+    st.text(max_size=3) | st.integers(-(2**63), 2**63 - 1) | st.booleans(),
+    max_size=3,
 )
 
 
@@ -386,9 +405,7 @@ class TestInternalScan:
     def test_spans_equal_resolved_reference(self, pair, data):
         rules, reference = pair
         text = data.draw(_texts(DEFAULT_FIRST_NAMES + DEFAULT_LAST_NAMES + ("Kate", "hotline")))
-        assert _scan(text, rules) == [
-            (s.start, s.end, s.entity_type) for s in resolve_spans(reference_detect(text, reference))
-        ]
+        assert _scan(text, rules) == reference_resolve(reference_detect(text, reference))
 
     @settings(max_examples=300, deadline=None)
     @given(pair=_rule_sets(), metadata=_METADATA, data=st.data())
@@ -396,12 +413,16 @@ class TestInternalScan:
         rules, reference = pair
         text = data.draw(_texts(DEFAULT_FIRST_NAMES + DEFAULT_LAST_NAMES + ("Kate", "hotline")))
         expected = reference_redact(text, TOKEN, reference, metadata)
-        # A rule set carries its plan; a plain tuple or list gets one per call.
-        for form in (rules, tuple(rules), list(rules)):
+        # The rule set's own plan and one built again over the same rules.
+        for form in (rules, RuleSet(rules)):
             out = redact(text, TOKEN, form, metadata)
             # Key order too: it is the order the run files hold.
             assert json.dumps(out.to_dict()) == json.dumps(expected.to_dict())
             assert out.source_user_token is TOKEN
+        # A plain tuple or list of rules is not a rule set.
+        for plain in (tuple(rules), list(rules)):
+            with pytest.raises(ValidationError, match="RuleSet"):
+                redact(text, TOKEN, plain, metadata)
 
     def test_repeated_type_takes_its_last_placeholder(self):
         rules = _loaded([
@@ -441,6 +462,19 @@ class TestRuleSets:
             assert json.dumps(implicit.to_dict()) == json.dumps(explicit.to_dict())
         samples = [redact(text, TOKEN) for text in texts] + [_rehydrate_deid("cheers, Thaddeus", TOKEN)]
         assert leak_audit(samples) == leak_audit(samples, default_rules())
+
+    @pytest.mark.parametrize("form", [tuple, list])
+    def test_plain_rule_sequences_rejected(self, form):
+        plain = form(default_rules())
+        calls = (
+            lambda: redact("hi", TOKEN, plain),
+            lambda: leak_audit([redact("hi", TOKEN)], plain),
+            lambda: scan_for_identifiers("hi", plain),
+            lambda: ScanMemo(plain),
+        )
+        for call in calls:
+            with pytest.raises(ValidationError, match="RuleSet"):
+                call()
 
     def test_immutable(self):
         rules = default_rules()
@@ -553,22 +587,25 @@ class TestScanMemo:
         assert set(memo._spans) == set(pool)
         for text, spans in memo._spans.items():
             assert all(type(span) is SpanAt for span in spans)
-            assert [tuple(span) for span in spans] == [
-                (s.start, s.end, s.entity_type) for s in scan_for_identifiers(text, rules)
-            ]
+            assert spans == scan_for_identifiers(text, rules)
 
     def test_answers_only_for_its_rules(self):
         rules = default_rules()
         memo = ScanMemo(rules)
         assert memo.rules is rules  # kept as given, not copied
         assert memo.spans("hi Kate", default_rules()) == ()
-        assert memo.spans("hi Marisol", tuple(rules)) == (SpanAt(3, 10, "NAME"),)
+        assert memo.spans("hi Marisol", RuleSet(rules)) == (SpanAt(3, 10, "NAME"),)
+        assert memo.spans("hi Marisol", None) == (SpanAt(3, 10, "NAME"),)
         with pytest.raises(ValidationError, match="other redaction rules"):
             memo.spans("hi Kate", default_rules(["Kate"], []))
         with pytest.raises(ValidationError, match="other redaction rules"):
             redact("hi Kate", TOKEN, default_rules(["Kate"], []), memo=memo)
-        listed = ScanMemo(list(rules))
-        assert isinstance(listed.rules, RuleSet) and listed.rules == rules
+        for plain in (tuple(rules), list(rules)):
+            with pytest.raises(ValidationError, match="RuleSet"):
+                memo.spans("hi Marisol", plain)
+            with pytest.raises(ValidationError, match="RuleSet"):
+                ScanMemo(plain)
+        assert ScanMemo(None).rules is rules
 
 
 class TestGeneratedTraffic:
@@ -590,6 +627,26 @@ class TestGeneratedTraffic:
             assert not any(twice.redaction_count_by_type.values())
             assert leak_audit([once]).leak_rate == 0
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        index=st.integers(0, 10**6),
+        aux_id=st.integers(0, 10**8 - 1),
+        lat=st.integers(0, 9999),
+        lon=st.integers(0, 9999),
+    )
+    def test_spans_show_no_identifier(self, seed, index, aux_id, lat, lon):
+        identity = synth_identity(np.random.default_rng(seed), index)
+        disclosed = [*identity.values(), f"{aux_id:08d}", f"45.{lat:04d}", f"-75.{lon:04d}"]
+        memo = ScanMemo()
+        for variant in range(N_MESSAGE_VARIANTS):
+            text = synth_message(variant, identity, aux_id, lat, lon)
+            found = scan_for_identifiers(text)
+            assert bool(found) == (variant >= 2)  # the first two variants disclose nothing
+            for spans in (found, memo.spans(text, memo.rules)):
+                shown = repr(spans)
+                assert not any(value in shown for value in disclosed), shown
+
 
 class TestUserRulesUnfiltered:
     def test_loaded_pattern_fires_on_digit_and_at_free_text(self, tmp_path):
@@ -605,6 +662,6 @@ class TestUserRulesUnfiltered:
         (builtin,) = [r for r in default_rules() if r.entity_type == "EMAIL"]
         path = str(tmp_path / "rules.json")
         write_rules([builtin], path)
-        (loaded,) = load_rules(path)
+        loaded = load_rules(path)
         for text in ("bob@x.org", "no sign here", "a@b.cd, c@d.ef", "x@y", "@", "\u0663@example.test"):
-            assert detect(text, (loaded,)) == detect(text, (builtin,))
+            assert _candidates(text, loaded) == _candidates(text, RuleSet([builtin]))

@@ -28,7 +28,7 @@ from prism.assignment import (
 )
 from prism.errors import ValidationError
 from prism.metrics import MetricsReport
-from prism.redaction import DEFAULT_FIRST_NAMES, DEFAULT_LAST_NAMES, default_rules, redact
+from prism.redaction import DEFAULT_FIRST_NAMES, DEFAULT_LAST_NAMES, RuleSet, default_rules, redact
 from prism.simulator import (
     Scenario,
     TraceLegend,
@@ -765,7 +765,9 @@ class TestDeidCorpusWrite:
     def test_lines_equal_json_dumps_of_each_message(self, tmp_path, texts, cohorts, picks):
         # The same rules in two orders give the same counts with their keys
         # in two orders.
-        rule_orders = (default_rules(), tuple(reversed(default_rules())))
+        rule_orders = (default_rules(), RuleSet(reversed(default_rules())))
+        with pytest.raises(ValidationError, match="RuleSet"):
+            redact("call 613-555-0142", UserToken("ab" * 32), tuple(reversed(default_rules())))
         messages = []
         for text, cohort, user, reverse, reverse_rules in picks:
             items = list(cohorts[cohort % len(cohorts)].items())

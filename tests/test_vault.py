@@ -1,9 +1,10 @@
 """Vault contract tests: keyed tagging, AEAD storage, restoration governance."""
 
 import base64
+import hashlib
 import itertools
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime
 
 import pytest
@@ -281,6 +282,19 @@ class TestRestorationPolicy:
         now[0] = 150.0  # both grants aged out
         assert vault.restore_identity(_request(token)).granted
 
+    def test_the_vault_clock_is_the_only_time(self, keys):
+        # A request names who asks, in what role and MFA state, for whom
+        # and why; no field of it can move the time the vault sees.
+        assert [f.name for f in fields(RestorationRequest)] == [
+            "requester_id", "role", "mfa_verified", "user_token", "purpose",
+        ]
+        vault = Vault(keys, clock=lambda: 1_700_000_000.0)
+        token = vault.register(IDENTITY)
+        granted = [vault.restore_identity(_request(token)).granted for _ in range(12)]
+        assert granted == [True] * 10 + [False] * 2
+        entries = vault.audit_log.entries()
+        assert {entry.ts for entry in entries} == {"2023-11-14T22:13:20.000000+00:00"}
+        assert verify_audit_chain(entries) == (True, None)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -417,6 +431,28 @@ class TestGovernance:
         reloaded = AuditLog.from_jsonl(path)
         ok, _ = verify_audit_chain(reloaded.entries())
         assert ok
+
+    def test_chain_hashes_and_file_bytes_are_pinned(self, tmp_path):
+        log = AuditLog()
+        log.append(
+            requester_id="coach-1", role="coach", user_token="ab" * 32,
+            purpose="deliver message", decision="granted", denial_reason=None,
+            timestamp=1_700_000_000.0,
+        )
+        log.append(
+            requester_id="analyst-2", role="analyst", user_token="cd" * 32,
+            purpose="cohort analysis", decision="denied", denial_reason="role_forbidden",
+            timestamp=1_700_000_060.5,
+        )
+        assert [entry.chain_hash for entry in log.entries()] == [
+            "797c90ada2826f7ba6a741f4d0e5f94bd55bde91d5c067deb8fbcdc78d968488",
+            "19e86c5d6ba0a7ee638dd45e3d5bb6cba208e8e37d67f503a1a49d66fba4d88f",
+        ]
+        path = tmp_path / "audit.jsonl"
+        log.to_jsonl(str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "98363667cbd3f54ea5c59a0ffc60b69657c925f0e4b730e3c89061c9434e24f7"
+        )
 
 
 class TestKeyHygiene:
