@@ -34,21 +34,22 @@ print("normalized variant :", t2.value[:16], "... (identical:", t1.value == t2.v
 print("same value as name :", t3.value[:16], "... (different:", t1.value != t3.value, ")")
 
 # ---------------------------------------------------------------------------
-# Registration mints a random subject id and derives a stable user token.
-# The raw fields are AEAD-encrypted; only the token circulates downstream.
+# Registration draws a random subject id and a nonce in one go and derives a
+# stable user token. The raw fields are AEAD-encrypted under that nonce; only
+# the token circulates downstream.
 # ---------------------------------------------------------------------------
-token = vault.register(
-    {
-        "full_name": "Marisol Hibbert",
-        "email": "marisol.hibbert@example-mail.test",
-        "phone": "613-555-0101",
-    }
-)
+identity = {
+    "full_name": "Marisol Hibbert",
+    "email": "marisol.hibbert@example-mail.test",
+    "phone": "613-555-0101",
+}
+token = vault.register(identity)
 print("\nuser token:", token.value[:16], "...")
 
-# Updating contact details re-encrypts under the same token: linkage is
-# stable because the token derives from the subject id, not the email.
-vault.store_identity(token, {"full_name": "Marisol Hibbert", "email": "new@example-mail.test"})
+# The token derives from the random subject id, not from any field, so the
+# same payload registered again is a different subject with its own token.
+again = vault.register(identity)
+print("same payload again:", again.value[:16], "... (different:", again != token, ")")
 
 # ---------------------------------------------------------------------------
 # Restoration is the single way back to raw identity: role-gated, MFA-gated,

@@ -16,7 +16,6 @@ from .errors import (
     DecryptionError,
     InternalError,
     LeakageError,
-    NotFoundError,
     PrismError,
     StateError,
     ValidationError,
@@ -29,7 +28,6 @@ __all__ = [
     "DecryptionError",
     "InternalError",
     "LeakageError",
-    "NotFoundError",
     "PrismError",
     "StateError",
     "ValidationError",

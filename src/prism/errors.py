@@ -18,10 +18,6 @@ class ConfigurationError(ValidationError):
     """Missing or invalid startup configuration (keys, rule files, scenarios)."""
 
 
-class NotFoundError(ValidationError):
-    """A referenced token, record, or id does not exist."""
-
-
 class StateError(ValidationError):
     """Operation not permitted in the object's current state."""
 

@@ -200,7 +200,8 @@ class RedactionRule:
 
 
 class RuleSet(tuple):
-    """An immutable tuple of :class:`RedactionRule` with the plan that
+    """An immutable tuple of :class:`RedactionRule` (any other item is a
+    ``ValidationError``) with the plan that
     every text scanned or redacted under it shares, worked out once:
 
     - ``conditions``: the distinct prefilter conditions, in first use;
@@ -214,6 +215,8 @@ class RuleSet(tuple):
 
     def __new__(cls, rules: Iterable[RedactionRule]) -> "RuleSet":
         self = super().__new__(cls, rules)
+        if not all(isinstance(rule, RedactionRule) for rule in self):
+            raise ValidationError("a RuleSet holds RedactionRule items only")
         index: dict["re.Pattern[str]", int] = {}
         steps = tuple(
             (

@@ -162,7 +162,7 @@ def generate_cohort(scenario: Scenario, keys: KeyRing) -> World:
     """
     rng = substream(scenario.seed, _STREAM_COHORT)
     clock = SimClock()
-    vault = Vault(keys, clock=clock, entropy=lambda n: rng.bytes(n))
+    vault = Vault(keys, clock=clock, entropy=rng.bytes)
 
     # Groups, coaches, capacity feasibility.
     capacities = rng.integers(
@@ -206,12 +206,13 @@ def generate_cohort(scenario: Scenario, keys: KeyRing) -> World:
     fatigue_rate = np.empty(n)
     engagement_rates = np.empty((n, len(ACTION_TYPES)))
     weights0_col = np.empty(n)
+    rate_means = np.asarray(scenario.engagement_rate_means)
     for i in range(n):
         identity = synth_identity(rng, i)
         goal_index[i] = bisect_right(goal_cdf, rng.random())
         base_logit[i] = scenario.base_logit_mean + scenario.base_logit_sd * float(rng.normal())
         fatigue_rate[i] = scenario.fatigue_mean * float(rng.uniform(0.5, 1.5))
-        engagement_rates[i] = np.asarray(scenario.engagement_rate_means) * np.exp(
+        engagement_rates[i] = rate_means * np.exp(
             0.3 * rng.normal(size=len(ACTION_TYPES))
         )
         weights0_col[i] = scenario.weight_start_mean + scenario.weight_start_sd * float(rng.normal())
@@ -271,25 +272,40 @@ def coach_load_limits(capacities: list[int], n_coaches: int, load_factor: float)
 
 
 def _place_initially(world: World) -> None:
-    """Seed placement; a configured fraction lands in goal-mismatched groups."""
+    """Seed placement; a configured fraction lands in goal-mismatched groups.
+
+    Each user in row order draws whether they are mismatched, then a group
+    uniformly from the open groups of their preferred pool (goal-matched
+    unless mismatched), or of the other pool when it has none open. A
+    group is open while it and its coach both have room, so the open rows
+    of a (goal, pool) pair change only when a group fills or a coach
+    reaches their load limit; they are kept until then.
+    """
     scenario = world.scenario
     roster = world.roster
     rng = substream(scenario.seed, _STREAM_PLACEMENT)
-    for user in range(world.n_users):
+    right_of_goal = [roster.goal_index == goal for goal in range(len(GOAL_CATEGORIES))]
+    open_rows: dict[tuple[int, bool], np.ndarray] = {}
+    for user, goal in enumerate(world.goal_index.tolist()):
         mismatched = rng.random() < scenario.misgroup_fraction
-        right = roster.goal_index == world.goal_index[user]
-        pools = (~right, right) if mismatched else (right, ~right)
-        # The user is still unplaced, so no own seat needs excluding.
-        blocked = (roster.capacity_code | roster.load_code[roster.coach_of]) != 0
-        for pool in pools:
-            open_rows = np.flatnonzero(pool & ~blocked)
-            if open_rows.size:
-                break
-        else:
-            raise ValidationError(
-                "placement infeasible: no group has both capacity and coach headroom"
-            )
-        roster.move(user, open_rows[rng.integers(open_rows.size)], 0, dwell=0)
+        rows = open_rows.get((goal, mismatched))
+        if rows is None:
+            # Every user placed so far was unplaced before, so no own seat needs excluding.
+            is_open = (roster.capacity_code | roster.load_code[roster.coach_of]) == 0
+            right = right_of_goal[goal]
+            for pool in (~right, right) if mismatched else (right, ~right):
+                rows = np.flatnonzero(pool & is_open)
+                if rows.size:
+                    break
+            else:
+                raise ValidationError(
+                    "placement infeasible: no group has both capacity and coach headroom"
+                )
+            open_rows[(goal, mismatched)] = rows
+        group = rows[rng.integers(rows.size)]
+        roster.move(user, group, 0, dwell=0)
+        if roster.capacity_code[group] or roster.load_code[roster.coach_of[group]]:
+            open_rows.clear()
     world._audited = (roster.group_of.copy(), roster.last_change.copy())
 
 

@@ -4,11 +4,14 @@ single controlled restoration boundary.
 Raw identity fields live only here. Everything downstream sees stable
 tokens: a field token binds a normalized field value to its field type
 under the tokenization key, and a user token derives from a random
-subject id so it survives changes to mutable contact fields. Restoration
+subject id so it survives changes to mutable contact fields.
+:meth:`Vault.register` is the only way in: one entropy draw gives the
+subject id and the AES-GCM nonce that seals the identity. Restoration
 back to raw fields is role-gated, requires a verified-MFA assertion,
 is rate limited, and is audited on a tamper-evident hash chain before
 any response is returned. A request carries no time of its own: the
-vault's clock times the rate limit and stamps the audit entry.
+vault's clock times the rate limit and stamps the audit entry. The
+vault's log is private; callers get a read-only view of it.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import time
 import unicodedata
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from operator import attrgetter
 from typing import Callable, Mapping, Optional, Sequence
 
 from cryptography.exceptions import InvalidTag
@@ -34,7 +38,6 @@ from .errors import (
     ConfigurationError,
     DecryptionError,
     InternalError,
-    NotFoundError,
     ValidationError,
 )
 from .records import field_names
@@ -52,6 +55,10 @@ GENESIS_HASH = "0" * 64
 _GCM_NONCE_BYTES = 12
 _KEY_BYTES = 32
 _SID_BYTES = 16
+# One registration draw: the subject id, then the nonce. Both are whole
+# 32-bit words, so a seeded numpy source yields the same bytes as two draws.
+_REGISTRATION_BYTES = _SID_BYTES + _GCM_NONCE_BYTES
+_IDENTITY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def hmac_sha256(key: bytes, data: bytes) -> bytes:
@@ -78,26 +85,17 @@ def normalize_field(value: str, field_context: str) -> str:
     return text
 
 
-def _keyed_tag(key: bytes, normalized: str, field_context: str) -> bytes:
+def _context_suffix(field_context: str) -> bytes:
     # Length-prefixed context label: "ab"+"c" and "a"+"bc" must never collide.
     ctx = field_context.encode("ascii")
-    msg = normalized.encode("utf-8") + b"\x00" + struct.pack(">I", len(ctx)) + ctx
-    return hmac_sha256(key, msg)
+    return b"\x00" + struct.pack(">I", len(ctx)) + ctx
 
 
-@dataclass(frozen=True)
-class SubjectId:
-    """Random 128-bit internal identifier minted at registration.
+_USER_SUFFIX = _context_suffix("user")
 
-    Never derived from user attributes; exists only inside the vault
-    mapping.
-    """
 
-    value: str
-
-    def __post_init__(self) -> None:
-        if len(self.value) != 2 * _SID_BYTES or not _is_hex(self.value):
-            raise ValidationError("subject id must be 32 lowercase hex chars")
+def _keyed_tag(key: bytes, normalized: str, field_context: str) -> bytes:
+    return hmac_sha256(key, normalized.encode("utf-8") + _context_suffix(field_context))
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,9 @@ class FieldToken:
 
 @dataclass(frozen=True)
 class UserToken:
-    """Stable pseudonymous handle for one user, derived from the subject id."""
+    """Stable pseudonymous handle for one user: the keyed tag of their
+    random subject id in the ``user`` context, as :func:`tokenize_field`
+    would give for the id's hex."""
 
     value: str
 
@@ -190,12 +190,6 @@ def tokenize_field(value: str, field_context: str, keys: KeyRing) -> FieldToken:
     return FieldToken(value=tag.hex(), field_context=field_context)
 
 
-def user_token_for_subject(sid: SubjectId, keys: KeyRing) -> UserToken:
-    """Stable user token: keyed tag over the subject id in the ``user`` context."""
-    normalized = normalize_field(sid.value, "user")
-    return UserToken(_keyed_tag(keys.token_key, normalized, "user").hex())
-
-
 # ---------------------------------------------------------------------------
 # Audit log
 # ---------------------------------------------------------------------------
@@ -225,17 +219,53 @@ class AuditEntry:
 AUDIT_FIELDS = field_names(AuditEntry)
 
 
-def _canonical_entry_payload(entry_fields: Mapping) -> bytes:
-    payload = {k: entry_fields[k] for k in AUDIT_FIELDS if k != "chain_hash"}
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+# The chained payload of an entry is its fields but the hash, as
+# ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` writes them,
+# and its export line is all its fields as ``json.dumps(..., sort_keys=True)``
+# writes them. Both are filled in from these templates when every field is
+# a str, an int or None, which ``json.dumps`` writes as the parts below do,
+# and come from ``json.dumps`` itself for anything else (a tampered file).
+_PAYLOAD_FIELDS = tuple(sorted(name for name in AUDIT_FIELDS if name != "chain_hash"))
+_LINE_FIELDS = tuple(sorted(AUDIT_FIELDS))
+_PAYLOAD_TEMPLATE = "{" + ",".join(f'"{name}":%s' for name in _PAYLOAD_FIELDS) + "}"
+_LINE_TEMPLATE = "{" + ", ".join(f'"{name}": %s' for name in _LINE_FIELDS) + "}\n"
+_payload_values = attrgetter(*_PAYLOAD_FIELDS)
+_line_values = attrgetter(*_LINE_FIELDS)
+_SCALAR_JSON = {
+    str: json.encoder.encode_basestring_ascii,
+    int: repr,
+    type(None): lambda _: "null",
+}
 
 
-def _chain_hash(prev_hash: str, entry_fields: Mapping) -> str:
-    h = hashlib.sha256()
-    h.update(prev_hash.encode("ascii"))
-    h.update(b"\n")
-    h.update(_canonical_entry_payload(entry_fields))
-    return h.hexdigest()
+def _scalar_json(values: tuple) -> Optional[tuple[str, ...]]:
+    """Each value's JSON text, or None when one is not exactly a str, an int or None."""
+    try:
+        return tuple([_SCALAR_JSON[type(value)](value) for value in values])
+    except KeyError:
+        return None
+
+
+def _canonical_payload(values: tuple) -> str:
+    """The chained payload of the entry whose fields, in ``_PAYLOAD_FIELDS``
+    order, are ``values``."""
+    parts = _scalar_json(values)
+    if parts is None:
+        doc = dict(zip(_PAYLOAD_FIELDS, values))
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return _PAYLOAD_TEMPLATE % parts
+
+
+def _chain_hash(prev_hash: str, payload: str) -> str:
+    # The payload is ASCII, as is the previous hash.
+    return hashlib.sha256(f"{prev_hash}\n{payload}".encode()).hexdigest()
+
+
+def _export_line(entry: AuditEntry) -> str:
+    parts = _scalar_json(_line_values(entry))
+    if parts is None:
+        return json.dumps(entry.to_dict(), sort_keys=True) + "\n"
+    return _LINE_TEMPLATE % parts
 
 
 def rfc3339(ts: float) -> str:
@@ -270,26 +300,23 @@ class AuditLog:
         denial_reason: Optional[str],
         timestamp: float,
     ) -> AuditEntry:
+        ts = rfc3339(timestamp)
         with self._lock:
-            fields = {
-                "seq": len(self._entries),
-                "requester_id": requester_id,
-                "role": role,
-                "user_token": user_token,
-                "purpose": purpose,
-                "decision": decision,
-                "denial_reason": denial_reason,
-                "ts": rfc3339(timestamp),
-            }
-            fields["chain_hash"] = _chain_hash(self.tip, fields)
-            entry = AuditEntry(**fields)
+            seq = len(self._entries)
+            # The payload fields in sorted-name order, as _PAYLOAD_FIELDS lists them.
+            payload = _canonical_payload(
+                (decision, denial_reason, purpose, requester_id, role, seq, ts, user_token)
+            )
+            entry = AuditEntry(
+                seq, requester_id, role, user_token, purpose, decision, denial_reason, ts,
+                _chain_hash(self.tip, payload),
+            )
             self._entries.append(entry)
             return entry
 
     def to_jsonl(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for entry in self._entries:
-                fh.write(json.dumps(entry.to_dict(), sort_keys=True) + "\n")
+            fh.write("".join(map(_export_line, self._entries)))
 
     @classmethod
     def from_jsonl(cls, path: str) -> "AuditLog":
@@ -301,25 +328,47 @@ class AuditLog:
         return log
 
 
+class AuditView:
+    """Read-only view of a vault's audit log: its entries, length, tip and
+    JSONL export. Only the vault's own restorations append to the log."""
+
+    __slots__ = ("_log",)
+
+    def __init__(self, log: AuditLog) -> None:
+        self._log = log
+
+    def __len__(self) -> int:
+        return len(self._log)
+
+    @property
+    def tip(self) -> str:
+        return self._log.tip
+
+    def entries(self) -> tuple[AuditEntry, ...]:
+        return self._log.entries()
+
+    def to_jsonl(self, path: str) -> None:
+        self._log.to_jsonl(path)
+
+
 def verify_audit_chain(entries: Sequence[AuditEntry]) -> tuple[bool, Optional[int]]:
     """Recompute the hash chain; ``(True, None)`` iff intact, gapless and
     in time order.
 
     On any violation returns ``(False, index_of_first_bad_entry)``: a
-    sequence gap, a hash mismatch, or a timestamp that is unreadable or
-    earlier than the one before it. An empty log is vacuously valid.
+    sequence gap, a hash mismatch, a field ``json.dumps`` cannot write, or
+    a timestamp that is unreadable or earlier than the one before it. An
+    empty log is vacuously valid.
     """
     prev = GENESIS_HASH
     prev_ts = None
     for i, entry in enumerate(entries):
         if entry.seq != i:
             return False, i
-        expected = _chain_hash(prev, entry.to_dict())
-        if entry.chain_hash != expected:
-            return False, i
         try:
+            expected = _chain_hash(prev, _canonical_payload(_payload_values(entry)))
             ts = datetime.fromisoformat(entry.ts)
-            if prev_ts is not None and ts < prev_ts:
+            if entry.chain_hash != expected or (prev_ts is not None and ts < prev_ts):
                 return False, i
         except (TypeError, ValueError):
             return False, i
@@ -402,76 +451,67 @@ class Vault:
     ``entropy`` supplies subject-id and nonce randomness and defaults to
     the OS CSPRNG; the simulator injects a seeded source so synthetic
     worlds are reproducible. ``clock`` is the only time a restoration
-    sees: it stamps the audit entry and times the rate limiter.
+    sees: it stamps the audit entry and times the rate limiter. The audit
+    log is the vault's own: ``audit_log`` is a read-only view of it, and
+    only :meth:`restore_identity` appends.
     """
 
     def __init__(
         self,
         keys: KeyRing,
         *,
-        audit_log: Optional[AuditLog] = None,
         rate_limiter: Optional[SlidingWindowRateLimiter] = None,
         clock: Callable[[], float] = time.time,
         entropy: Callable[[int], bytes] = secrets.token_bytes,
     ) -> None:
-        self._keys = keys
         self._aead = AESGCM(keys.encryption_key)
-        self._subjects: dict[str, str] = {}  # sid hex -> token hex
-        self._token_to_sid: dict[str, str] = {}
+        self._user_mac = hmac.new(keys.token_key, digestmod=hashlib.sha256)
         self._records: dict[str, VaultRecord] = {}
-        self.audit_log = audit_log if audit_log is not None else AuditLog()
+        self._audit = AuditLog()
         self._limiter = rate_limiter or SlidingWindowRateLimiter()
         self._clock = clock
         self._entropy = entropy
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
+
+    @property
+    def audit_log(self) -> AuditView:
+        return AuditView(self._audit)
 
     # -- identity intake ----------------------------------------------------
 
-    def mint_subject(self, registration_payload: Mapping[str, str]) -> tuple[SubjectId, UserToken]:
-        """Mint a random subject id and its stable user token.
+    def register(self, identity_fields: Mapping[str, str]) -> UserToken:
+        """Register one subject: the only way an identity enters the vault.
 
-        The sid/token mapping is persisted only inside the vault; the
-        token is content-free, so identical payloads still yield
-        distinct subjects.
+        One ``entropy`` draw gives a random 16-byte subject id and the
+        12-byte AES-GCM nonce. The user token is the keyed tag of the
+        id's hex in the ``user`` context, so it is content-free (identical
+        payloads get distinct tokens) and stable; the id itself is not
+        kept. The identity is stored as ``nonce || AEAD(fields)``.
         """
-        if not registration_payload:
+        if not identity_fields:
             raise ValidationError("registration payload must contain at least one identity field")
+        try:
+            plaintext = _IDENTITY_ENCODER.encode(dict(identity_fields)).encode("utf-8")
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"identity fields are not serializable: {exc}") from exc
         with self._lock:
             for _ in range(3):
-                sid = SubjectId(self._entropy(_SID_BYTES).hex())
-                if sid.value not in self._subjects:
+                draw = self._entropy(_REGISTRATION_BYTES)
+                if len(draw) != _REGISTRATION_BYTES:
+                    raise InternalError("entropy source returned the wrong number of bytes")
+                mac = self._user_mac.copy()
+                mac.update(draw[:_SID_BYTES].hex().encode("ascii") + _USER_SUFFIX)
+                token = mac.hexdigest()
+                if token not in self._records:
                     break
             else:
-                raise InternalError("subject id collision persisted across retries; retry mint")
-            token = user_token_for_subject(sid, self._keys)
-            self._subjects[sid.value] = token.value
-            self._token_to_sid[token.value] = sid.value
-            return sid, token
-
-    def store_identity(self, user_token: UserToken, identity_fields: Mapping[str, str]) -> VaultRecord:
-        """Encrypt and index identity fields under an already-minted token."""
-        with self._lock:
-            if user_token.value not in self._token_to_sid:
-                raise NotFoundError("user token was not minted by this vault")
-            try:
-                plaintext = json.dumps(
-                    dict(identity_fields), sort_keys=True, separators=(",", ":")
-                ).encode("utf-8")
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"identity fields are not serializable: {exc}") from exc
-            nonce = self._entropy(_GCM_NONCE_BYTES)
-            ciphertext = nonce + self._aead.encrypt(nonce, plaintext, None)
-            record = VaultRecord(
-                user_token=user_token, ciphertext=ciphertext, created_at=self._clock()
+                raise InternalError("subject id collision persisted across retries; retry registration")
+            nonce = draw[_SID_BYTES:]
+            user_token = UserToken(token)
+            self._records[token] = VaultRecord(
+                user_token, nonce + self._aead.encrypt(nonce, plaintext, None), self._clock()
             )
-            self._records[user_token.value] = record
-            return record
-
-    def register(self, identity_fields: Mapping[str, str]) -> UserToken:
-        """Convenience: mint a subject and store its identity in one step."""
-        _, token = self.mint_subject(identity_fields)
-        self.store_identity(token, identity_fields)
-        return token
+            return user_token
 
     def _decrypt(self, record: VaultRecord) -> dict:
         nonce, body = record.ciphertext[:_GCM_NONCE_BYTES], record.ciphertext[_GCM_NONCE_BYTES:]
@@ -511,7 +551,7 @@ class Vault:
             reason = self._evaluate(request, now)
             decision = "granted" if reason is None else "denied"
             try:
-                entry = self.audit_log.append(
+                entry = self._audit.append(
                     requester_id=request.requester_id,
                     role=request.role,
                     user_token=request.user_token.value,
