@@ -290,7 +290,7 @@ def _place_initially(world: World) -> None:
         mismatched = rng.random() < scenario.misgroup_fraction
         rows = open_rows.get((goal, mismatched))
         if rows is None:
-            # Every user placed so far was unplaced before, so no own seat needs excluding.
+            # The user is still unplaced, so no own seat needs excluding.
             is_open = (roster.capacity_code | roster.load_code[roster.coach_of]) == 0
             right = right_of_goal[goal]
             for pool in (~right, right) if mismatched else (right, ~right):

@@ -58,6 +58,7 @@ _SID_BYTES = 16
 # One registration draw: the subject id, then the nonce. Both are whole
 # 32-bit words, so a seeded numpy source yields the same bytes as two draws.
 _REGISTRATION_BYTES = _SID_BYTES + _GCM_NONCE_BYTES
+
 _IDENTITY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
@@ -505,7 +506,9 @@ class Vault:
                 if token not in self._records:
                     break
             else:
-                raise InternalError("subject id collision persisted across retries; retry registration")
+                raise InternalError(
+                    "subject id collision persisted across retries; retry registration"
+                )
             nonce = draw[_SID_BYTES:]
             user_token = UserToken(token)
             self._records[token] = VaultRecord(

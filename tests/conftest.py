@@ -1,6 +1,8 @@
+import hashlib
 import json
 import re
 from dataclasses import dataclass
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from prism.assignment import (
     feature_tables,
 )
 from prism.errors import ValidationError
+from prism.simulator.world import _STREAM_PLACEMENT, substream
 from prism.features import (
     ACTION_TYPES,
     DAYS_PER_WEEK,
@@ -32,7 +35,7 @@ from prism.redaction import (
     default_rules,
 )
 from prism.simulator.experiment import RunManifest, TraceLegend
-from prism.vault import ENC_KEY_ENV, TOKEN_KEY_ENV, KeyRing, UserToken
+from prism.vault import ENC_KEY_ENV, GENESIS_HASH, TOKEN_KEY_ENV, KeyRing, UserToken
 
 TOKEN_KEY_HEX = "11" * 32
 ENC_KEY_HEX = "22" * 32
@@ -408,3 +411,65 @@ def tables_for(roster, goal="fitness", group_engagement=None):
         slope=np.zeros(n),
     )
     return feature_tables(batch, roster, group_engagement)
+
+
+def reference_payload(fields) -> bytes:
+    """An audit entry's chained payload: every field but the hash, as
+    ``json.dumps`` writes them with sorted keys and no spaces."""
+    doc = {name: value for name, value in fields.items() if name != "chain_hash"}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def reference_chain_hash(prev_hash: str, fields) -> str:
+    return hashlib.sha256(prev_hash.encode("ascii") + b"\n" + reference_payload(fields)).hexdigest()
+
+
+def reference_line(entry) -> str:
+    """An audit entry's export line, as ``json.dumps`` writes it with sorted keys."""
+    return json.dumps(entry.to_dict(), sort_keys=True) + "\n"
+
+
+def reference_verify(entries) -> tuple[bool, int | None]:
+    """The audit chain check over ``json.dumps`` payloads. An entry is bad
+    at a sequence gap, a field ``json.dumps`` cannot write, a hash
+    mismatch, or a timestamp that is unreadable or earlier than the last."""
+    prev, prev_ts = GENESIS_HASH, None
+    for i, entry in enumerate(entries):
+        if entry.seq != i:
+            return False, i
+        try:
+            expected = reference_chain_hash(prev, entry.to_dict())
+        except (TypeError, ValueError):
+            return False, i
+        if entry.chain_hash != expected:
+            return False, i
+        try:
+            ts = datetime.fromisoformat(entry.ts)
+            if prev_ts is not None and ts < prev_ts:
+                return False, i
+        except (TypeError, ValueError):
+            return False, i
+        prev, prev_ts = entry.chain_hash, ts
+    return True, None
+
+
+def reference_place_initially(world) -> None:
+    """Initial placement one user at a time, recomputing every mask for each."""
+    scenario = world.scenario
+    roster = world.roster
+    rng = substream(scenario.seed, _STREAM_PLACEMENT)
+    for user in range(world.n_users):
+        mismatched = rng.random() < scenario.misgroup_fraction
+        right = roster.goal_index == world.goal_index[user]
+        pools = (~right, right) if mismatched else (right, ~right)
+        blocked = (roster.capacity_code | roster.load_code[roster.coach_of]) != 0
+        for pool in pools:
+            open_rows = np.flatnonzero(pool & ~blocked)
+            if open_rows.size:
+                break
+        else:
+            raise ValidationError(
+                "placement infeasible: no group has both capacity and coach headroom"
+            )
+        roster.move(user, open_rows[rng.integers(open_rows.size)], 0, dwell=0)
+    world._audited = (roster.group_of.copy(), roster.last_change.copy())

@@ -26,7 +26,6 @@ from prism.redaction import _rehydrate_deid, default_rules, leak_audit, redact
 from prism.simulator import Scenario, run_paired
 from prism.simulator.scenario import N_MESSAGE_VARIANTS, synth_identity, synth_message
 from prism.vault import (
-    AuditLog,
     KeyRing,
     RestorationRequest,
     Vault,
@@ -271,12 +270,11 @@ def test_criterion_07_redaction_completeness(any_token):
 # -- 8: governance ------------------------------------------------------------------
 
 
-class _FailingAuditLog(AuditLog):
-    def append(self, **kwargs):
-        raise OSError("audit store down")
+def _audit_store_down(**kwargs):
+    raise OSError("audit store down")
 
 
-def test_criterion_08_governance(paired_effect_runs, paired_null_runs):
+def test_criterion_08_governance(paired_effect_runs, paired_null_runs, monkeypatch):
     runs = list(paired_effect_runs[0]) + list(paired_null_runs)
     complete = all(
         r.governance["restoration_attempts"] == r.governance["audit_entries"]
@@ -290,8 +288,9 @@ def test_criterion_08_governance(paired_effect_runs, paired_null_runs):
     )
     chains_ok = all(r.governance["audit_chain_ok"] for pair in runs for r in pair)
 
-    vault = Vault(KEYS, audit_log=_FailingAuditLog())
+    vault = Vault(KEYS)
     token = vault.register({"email": "x@y.test"})
+    monkeypatch.setattr(vault._audit, "append", _audit_store_down)
     fail_closed = not vault.restore_identity(
         RestorationRequest("c1", "coach", True, token, "why")
     ).granted

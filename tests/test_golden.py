@@ -14,6 +14,10 @@ are the files those schemas would write for the same decisions, so they
 show that schema 3, which derives ``score`` instead of storing it, loses
 nothing.
 
+Each run also pins the vault's bytes: ``audit.jsonl``, and the cohort's
+rows, one line per user of their token and the hex of their stored
+ciphertext (nonce first), which fixes every subject id and nonce drawn.
+
 A change that alters these bytes on purpose updates the digest here and
 says why in CHANGES.md. Floating-point reductions are part of the bytes,
 so reordering a sum is such a change.
@@ -29,7 +33,7 @@ import pytest
 from conftest import decode_trace_line
 from test_acceptance import KEYS, effect_scenario, null_scenario
 
-from prism.simulator import Scenario, TraceLegend, run_experiment
+from prism.simulator import Scenario, TraceLegend, generate_cohort, run_experiment
 
 GOLDEN = {
     "effect-seed-1": (
@@ -60,6 +64,23 @@ GOLDEN = {
 }
 
 
+# (audit.jsonl, cohort rows) per run, as above.
+VAULT_GOLDEN = {
+    "effect-seed-1": (
+        "efb1de81a6fb0a420ea8a7be5745ee489cf28ab03c46c098b51cc58d862c4552",
+        "462ba3eadae0b49cb65fa54b5dd243148e397e5f9eab8f46a93acec6266c4db2",
+    ),
+    "null-seed-201": (
+        "9e6da7f6a63037e99a6b577763d5e2eb4124ee1581c5ff24db301f4039fc417e",
+        "067d8eede877d762b3ca4d7a38066cd31af4d0c18e44a9737ff7be1a953ff3f2",
+    ),
+    "coach-bound-seed-1": (
+        "01418c902703d9d36a8a75911e76101d53d3affb764442b1422a78b9a6313f22",
+        "cb2370be21338dd78938e323aac6974722cd4826f0d5d47add53f607644dca54",
+    ),
+}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_digests(name, tmp_path):
     scenario, metrics_sha, traces_sha, schema2_sha, expanded_sha = GOLDEN[name]
@@ -67,6 +88,14 @@ def test_golden_digests(name, tmp_path):
     digest = lambda f: hashlib.sha256(pathlib.Path(tmp_path, f).read_bytes()).hexdigest()
     assert digest("metrics.json") == metrics_sha
     assert digest("traces.jsonl") == traces_sha
+    audit_sha, rows_sha = VAULT_GOLDEN[name]
+    assert digest("audit.jsonl") == audit_sha
+    world = generate_cohort(replace(scenario, policy="adaptive"), KEYS)
+    rows = "".join(
+        token.value + world.vault._records[token.value].ciphertext.hex() + "\n"
+        for token in world.tokens
+    )
+    assert hashlib.sha256(rows.encode("ascii")).hexdigest() == rows_sha
     manifest = json.loads(pathlib.Path(tmp_path, "manifest.json").read_text(encoding="utf-8"))
     legend = TraceLegend.from_manifest(manifest)
     with open(tmp_path / "traces.jsonl", encoding="utf-8") as fh:

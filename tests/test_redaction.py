@@ -476,6 +476,13 @@ class TestRuleSets:
             with pytest.raises(ValidationError, match="RuleSet"):
                 call()
 
+    @pytest.mark.parametrize("item", [1, None, "EMAIL", ("EMAIL", r"\w+@\w+")])
+    def test_non_rule_items_rejected(self, item):
+        rules = list(default_rules())
+        for items in ([item], rules[:1] + [item], [item] + rules):
+            with pytest.raises(ValidationError, match="RedactionRule"):
+                RuleSet(items)
+
     def test_immutable(self):
         rules = default_rules()
         with pytest.raises(AttributeError):

@@ -9,6 +9,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import replace
 from datetime import datetime
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -16,14 +17,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import ENC_KEY_HEX, TOKEN_KEY_HEX, registered_identity_strings
+from conftest import (
+    ENC_KEY_HEX,
+    TOKEN_KEY_HEX,
+    reference_place_initially,
+    registered_identity_strings,
+)
 from test_golden import GOLDEN
 
 from prism.assignment import (
+    GOAL_CATEGORIES,
     REASONS_OF_CODE,
     CandidateScores,
+    CoachState,
     DecisionPass,
+    GroupState,
     PolicyConfig,
+    Roster,
     decide_epoch,
 )
 from prism.errors import ValidationError
@@ -49,7 +59,13 @@ from prism.simulator.scenario import (
     STREET_SUFFIXES,
     synth_identity,
 )
-from prism.simulator.world import _goal_cdf, coach_load_limits, group_engagement_means
+from prism.simulator.world import (
+    LANGUAGE_TAGS,
+    _goal_cdf,
+    _place_initially,
+    coach_load_limits,
+    group_engagement_means,
+)
 from prism.vault import (
     AuditLog,
     KeyRing,
@@ -248,6 +264,17 @@ class TestCohortDraws:
             assert bisect_right(cdf, rng.random()) == reference.choice(4, p=weights)
         assert rng.bit_generator.state == reference.bit_generator.state
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), warmup=st.integers(0, 5))
+    def test_registration_draw_equals_subject_then_nonce(self, seed, warmup):
+        # A registration draws its 16 subject-id bytes and 12 nonce bytes in
+        # one call; both are whole 32-bit words, so the bytes and the state
+        # after them are those of two calls.
+        rng, reference = _generators(seed, warmup)
+        for _ in range(3):
+            assert rng.bytes(28) == reference.bytes(16) + reference.bytes(12)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
     def test_integer_goal_weights(self, keys):
         world = generate_cohort(small_scenario(goal_weights=(0, 1, 0, 0)), keys)
         assert (world.goal_index == 1).all()
@@ -258,6 +285,99 @@ class TestCohortDraws:
         scenario = small_scenario(engagement_rate_means=(0.0, 0.0, 0.0, 0.0, 400.0))
         with pytest.raises(ValidationError, match="Poisson draw's limit"):
             generate_cohort(scenario, keys)
+
+
+def _placement_world(
+    goals, group_goals, capacities, n_coaches, load_factor, seated, seed, misgroup
+):
+    """A stand-in world for initial placement: ``len(goals)`` users to place,
+    and after them one more row per entry of ``seated``, each seated in that
+    group beforehand where its group and coach have room, so groups can
+    start full and coaches at their load limit."""
+    groups = {
+        f"g{g:03d}": GroupState(
+            group_id=f"g{g:03d}",
+            coach_id=f"c{g % n_coaches:02d}",
+            capacity=capacity,
+            goal_category=GOAL_CATEGORIES[group_goals[g]],
+            language_tags=LANGUAGE_TAGS,
+        )
+        for g, capacity in enumerate(capacities)
+    }
+    limits = coach_load_limits(capacities, n_coaches, load_factor)
+    coaches = {f"c{c:02d}": CoachState(f"c{c:02d}", limit) for c, limit in enumerate(limits)}
+    n = len(goals)
+    roster = Roster(groups, coaches, [f"{row:064x}" for row in range(n + len(seated))])
+    for row, group in enumerate(seated, start=n):
+        coach = roster.coach_of[group]
+        has_room = roster.count[group] < roster.capacity[group]
+        if has_room and roster.load[coach] < roster.load_limit[coach]:
+            roster.move(row, group, 0, dwell=0)
+    return SimpleNamespace(
+        scenario=SimpleNamespace(seed=seed, misgroup_fraction=misgroup),
+        roster=roster,
+        goal_index=np.array(goals, dtype=np.int64),
+        n_users=n,
+    )
+
+
+@st.composite
+def _placement_cases(draw):
+    n_groups = draw(st.integers(1, 8))
+    goal = st.integers(0, len(GOAL_CATEGORIES) - 1)
+    return dict(
+        goals=draw(st.lists(goal, max_size=40)),
+        group_goals=draw(st.lists(goal, min_size=n_groups, max_size=n_groups)),
+        capacities=draw(st.lists(st.integers(1, 8), min_size=n_groups, max_size=n_groups)),
+        n_coaches=draw(st.integers(1, 4)),
+        load_factor=draw(st.sampled_from([0.3, 0.6, 1.0, 1.5])),
+        seated=draw(st.lists(st.integers(0, n_groups - 1), max_size=30)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        misgroup=draw(st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0)),
+    )
+
+
+def _placed(place, case):
+    world = _placement_world(**case)
+    try:
+        place(world)
+        outcome = "placed"
+    except ValidationError as exc:
+        outcome = str(exc)
+    roster = world.roster
+    state = (roster.group_of, roster.last_change, roster.count, roster.load,
+             roster.capacity_code, roster.load_code, roster.fill)
+    return outcome, [a.tolist() for a in state], getattr(world, "_audited", None)
+
+
+class TestInitialPlacement:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_placement_cases())
+    def test_equals_per_user_reference(self, case):
+        outcome, state, audited = _placed(_place_initially, case)
+        ref_outcome, ref_state, ref_audited = _placed(reference_place_initially, case)
+        assert (outcome, state) == (ref_outcome, ref_state)
+        if outcome == "placed":
+            assert [a.tolist() for a in audited] == [a.tolist() for a in ref_audited]
+
+    @pytest.mark.parametrize(
+        "case, expect",
+        [
+            # Every group full before the first user: infeasible at once.
+            (dict(goals=[0, 1], group_goals=[0, 1], capacities=[1, 2], n_coaches=1,
+                  load_factor=1.0, seated=[0, 1, 1], seed=3, misgroup=0.3), "infeasible"),
+            # The coach is at their limit while groups still have seats.
+            (dict(goals=[0, 1, 2, 3, 0], group_goals=[0, 1, 2, 3], capacities=[4, 4, 4, 4],
+                  n_coaches=2, load_factor=0.3, seated=[], seed=5, misgroup=0.3), "infeasible"),
+            # Groups fill and reopen nothing: everyone placed, some mismatched.
+            (dict(goals=[0] * 6, group_goals=[0, 1, 2], capacities=[2, 2, 2], n_coaches=3,
+                  load_factor=1.0, seated=[], seed=9, misgroup=0.0), "placed"),
+        ],
+    )
+    def test_full_groups_coach_limits_and_infeasible(self, case, expect):
+        outcome, state, _ = _placed(_place_initially, case)
+        assert (outcome, state) == _placed(reference_place_initially, case)[:2]
+        assert (outcome == "placed") == (expect == "placed")
 
 
 class TestPrimitives:

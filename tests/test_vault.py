@@ -8,34 +8,46 @@ from dataclasses import fields, replace
 from datetime import datetime
 
 import pytest
-from hypothesis import given, settings
+from conftest import (
+    reference_chain_hash,
+    reference_line,
+    reference_payload,
+    reference_verify,
+)
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
 
 from prism.errors import (
     ConfigurationError,
     DecryptionError,
-    NotFoundError,
+    InternalError,
     ValidationError,
 )
 from prism.vault import (
     DENY_MFA,
     DENY_RATE,
     DENY_ROLE,
+    GENESIS_HASH,
     RESTORE_ALLOWED_ROLES,
+    AuditEntry,
     AuditLog,
     KeyRing,
     RestorationRequest,
     SlidingWindowRateLimiter,
     UserToken,
     Vault,
+    _canonical_payload,
+    _export_line,
     _is_hex,
+    _payload_values,
     hmac_sha256,
     normalize_field,
     tokenize_field,
-    user_token_for_subject,
     verify_audit_chain,
 )
+
+AUDIT_FIELD_NAMES = [f.name for f in fields(AuditEntry)]
 
 # RFC 4231 HMAC-SHA-256 test vectors; case 5 is truncated to 128 bits.
 RFC4231_VECTORS = [
@@ -114,22 +126,76 @@ class TestHexCheck:
         assert _is_hex(text) == all(c in "0123456789abcdef" for c in text)
 
 
+def _fixed_entropy(draw: bytes):
+    """An entropy source that always returns ``draw``, recording each request."""
+    requests = []
+
+    def entropy(n: int) -> bytes:
+        requests.append(n)
+        return draw
+
+    entropy.requests = requests
+    return entropy
+
+
+DRAW = bytes(range(1, 29))  # subject id bytes 1..16, then nonce bytes 17..28
+
+
 class TestMinting:
     def test_identical_payloads_get_distinct_subjects(self, keys):
         vault = Vault(keys)
         payload = {"email": "a@b.test"}
-        sid1, tok1 = vault.mint_subject(payload)
-        sid2, tok2 = vault.mint_subject(payload)
-        assert sid1 != sid2 and tok1 != tok2
+        tok1 = vault.register(payload)
+        tok2 = vault.register(payload)
+        assert tok1 != tok2
 
     def test_same_subject_tokenizes_identically(self, keys):
-        vault = Vault(keys)
-        sid, token = vault.mint_subject({"email": "a@b.test"})
-        assert user_token_for_subject(sid, keys) == token
+        # The token is the keyed tag of the subject id's hex in the user
+        # context, whatever the payload, and the id is the draw's first 16 bytes.
+        tokens = [
+            Vault(keys, entropy=_fixed_entropy(DRAW)).register(payload)
+            for payload in ({"email": "a@b.test"}, {"full_name": "Someone Else"})
+        ]
+        expected = tokenize_field(DRAW[:16].hex(), "user", keys).value
+        assert tokens[0] == tokens[1] == UserToken(expected)
 
     def test_empty_payload_rejected(self, keys):
+        entropy = _fixed_entropy(DRAW)
         with pytest.raises(ValidationError):
-            Vault(keys).mint_subject({})
+            Vault(keys, entropy=entropy).register({})
+        assert entropy.requests == []
+
+    def test_unserializable_payload_rejected_before_any_draw(self, keys):
+        entropy = _fixed_entropy(DRAW)
+        with pytest.raises(ValidationError):
+            Vault(keys, entropy=entropy).register({"email": object()})
+        assert entropy.requests == []
+
+    def test_one_draw_per_registration(self, keys):
+        draws = iter(bytes([i]) * 28 for i in range(1, 100))
+        requests = []
+
+        def entropy(n):
+            requests.append(n)
+            return next(draws)
+
+        vault = Vault(keys, entropy=entropy)
+        for _ in range(5):
+            vault.register(IDENTITY)
+        assert requests == [28] * 5
+
+    def test_subject_collision_retries_then_fails(self, keys):
+        entropy = _fixed_entropy(DRAW)
+        vault = Vault(keys, entropy=entropy)
+        vault.register(IDENTITY)
+        with pytest.raises(InternalError):
+            vault.register(IDENTITY)
+        assert entropy.requests == [28] * 4
+        assert len(vault._records) == 1
+
+    def test_short_draw_rejected(self, keys):
+        with pytest.raises(InternalError):
+            Vault(keys, entropy=lambda n: DRAW[: n - 1]).register(IDENTITY)
 
 
 IDENTITY = {"full_name": "Pat Example", "email": "pat@example-mail.test"}
@@ -145,26 +211,25 @@ class TestIdentityStorage:
         assert result.granted and result.fields == IDENTITY
 
     def test_ciphertext_never_equals_plaintext(self, keys):
-        vault = Vault(keys)
-        _, token = vault.mint_subject(IDENTITY)
-        record = vault.store_identity(token, IDENTITY)
+        vault = Vault(keys, entropy=_fixed_entropy(DRAW))
+        token = vault.register(IDENTITY)
+        record = vault._records[token.value]
         plaintext = json.dumps(IDENTITY, sort_keys=True, separators=(",", ":")).encode()
+        assert record.ciphertext[:12] == DRAW[16:]  # the nonce is the draw's last 12 bytes
         assert record.ciphertext != plaintext
         assert plaintext not in record.ciphertext
 
     def test_fresh_nonces_give_distinct_ciphertexts(self, keys):
         vault = Vault(keys)
-        _, token = vault.mint_subject(IDENTITY)
-        r1 = vault.store_identity(token, IDENTITY)
-        r2 = vault.store_identity(token, IDENTITY)
+        r1, r2 = (vault._records[vault.register(IDENTITY).value] for _ in range(2))
+        assert r1.ciphertext[:12] != r2.ciphertext[:12]
         assert r1.ciphertext != r2.ciphertext
 
     def test_wrong_key_fails_authenticated_decryption(self, keys):
         vault = Vault(keys)
         token = vault.register(IDENTITY)
         other = Vault(KeyRing.from_hex("99" * 32, "aa" * 32))
-        _, other_token = other.mint_subject(IDENTITY)
-        sealed_elsewhere = other.store_identity(other_token, IDENTITY)
+        sealed_elsewhere = other._records[other.register(IDENTITY).value]
         vault._records[token.value] = replace(sealed_elsewhere, user_token=token)
         with pytest.raises(DecryptionError):
             vault.restore_identity(RestorationRequest("c1", "coach", True, token, "why"))
@@ -172,23 +237,22 @@ class TestIdentityStorage:
     @pytest.mark.parametrize("position", [0, 12, -1])  # nonce, ciphertext body, tag
     def test_flipped_ciphertext_byte_fails_authenticated_decryption(self, keys, position):
         vault = Vault(keys)
-        _, token = vault.mint_subject(IDENTITY)
-        record = vault.store_identity(token, IDENTITY)
+        token = vault.register(IDENTITY)
+        record = vault._records[token.value]
         flipped = bytearray(record.ciphertext)
         flipped[position] ^= 0x01
         vault._records[token.value] = replace(record, ciphertext=bytes(flipped))
         with pytest.raises(DecryptionError):
             vault.restore_identity(RestorationRequest("c1", "coach", True, token, "why"))
 
-    def test_unknown_token_store_rejected(self, keys, any_token):
-        with pytest.raises(NotFoundError):
-            Vault(keys).store_identity(any_token, IDENTITY)
-
     def test_token_stable_across_contact_changes(self, keys):
-        vault = Vault(keys)
-        token = vault.register(IDENTITY)
+        # The token derives from the subject id alone: the same subject
+        # registered with changed contact fields keeps its token.
         updated = dict(IDENTITY, email="new.address@example-mail.test")
-        vault.store_identity(token, updated)  # same token, refreshed payload
+        before = Vault(keys, entropy=_fixed_entropy(DRAW)).register(IDENTITY)
+        vault = Vault(keys, entropy=_fixed_entropy(DRAW))
+        token = vault.register(updated)
+        assert token == before
         result = vault.restore_identity(
             RestorationRequest("c1", "coach", True, token, "support")
         )
@@ -327,18 +391,40 @@ class TestRestorationPolicy:
                 assert sum(1 for t in times if end - window < t <= end) <= max_events
 
 
-class _FailingAuditLog(AuditLog):
-    def append(self, **kwargs):
-        raise OSError("audit store unavailable")
+def _unavailable(**kwargs):
+    raise OSError("audit store unavailable")
 
 
 class TestGovernance:
-    def test_audit_failure_fails_closed(self, keys):
-        vault = Vault(keys, audit_log=_FailingAuditLog())
+    def test_audit_failure_fails_closed(self, keys, monkeypatch):
+        vault = Vault(keys)
         token = vault.register(IDENTITY)
+        monkeypatch.setattr(vault._audit, "append", _unavailable)
         result = vault.restore_identity(_request(token))
         assert not result.granted
         assert result.denial_reason == "audit_unavailable"
+        assert len(vault.audit_log) == 0
+
+    def test_log_is_read_only(self, keys):
+        # Only a restoration writes the log: the view has no writer, the
+        # vault takes no log of its own and its view cannot be replaced.
+        vault = Vault(keys, clock=lambda: 1_700_000_000.0)
+        token = vault.register(IDENTITY)
+        vault.restore_identity(_request(token))
+        view = vault.audit_log
+        with pytest.raises(AttributeError):
+            view.append(
+                requester_id="r1", role="coach", user_token=token.value, purpose="forged",
+                decision="granted", denial_reason=None, timestamp=0.0,
+            )
+        with pytest.raises(AttributeError):
+            view._entries = []
+        with pytest.raises(AttributeError):
+            vault.audit_log = AuditLog()
+        with pytest.raises(TypeError):
+            Vault(keys, audit_log=AuditLog())
+        assert len(view) == 1 and view.tip == view.entries()[0].chain_hash
+        assert verify_audit_chain(view.entries()) == (True, None)
 
     def test_empty_chain_is_valid(self):
         ok, bad = verify_audit_chain(())
@@ -367,8 +453,6 @@ class TestGovernance:
         ],
     )
     def test_chain_detects_single_field_mutation(self, keys, mutation):
-        from dataclasses import replace
-
         vault = Vault(keys)
         token = vault.register(IDENTITY)
         for _ in range(10):
@@ -393,16 +477,7 @@ class TestGovernance:
     def test_time_running_backwards_detected(self, keys):
         # A log re-chained after an edit has valid hashes, so only the
         # timestamp order shows the edit.
-        from dataclasses import replace
-
-        from prism.vault import GENESIS_HASH, _chain_hash, rfc3339
-
-        def rechained(entries):
-            prev, out = GENESIS_HASH, []
-            for entry in entries:
-                out.append(replace(entry, chain_hash=_chain_hash(prev, entry.to_dict())))
-                prev = out[-1].chain_hash
-            return out
+        from prism.vault import rfc3339
 
         ticks = iter(range(100))
         vault = Vault(keys, clock=lambda: 1_700_000_000.0 + 60 * next(ticks))
@@ -455,6 +530,105 @@ class TestGovernance:
         )
 
 
+def rechained(entries):
+    """``entries`` with every chain hash recomputed by the reference, so
+    that only what the hash cannot see shows; an entry whose fields
+    ``json.dumps`` cannot write keeps its hash."""
+    prev, out = GENESIS_HASH, []
+    for entry in entries:
+        try:
+            entry = replace(entry, chain_hash=reference_chain_hash(prev, entry.to_dict()))
+        except (TypeError, ValueError):
+            pass
+        out.append(entry)
+        prev = entry.chain_hash
+    return out
+
+
+# Field text json.dumps must escape: non-ASCII, quotes, backslashes,
+# control characters and lone surrogates.
+_FIELD_TEXT = (
+    st.text()
+    | st.text(st.characters(exclude_categories=()))
+    | st.text(st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\udfff\u00e9\U0001f600 a'))
+)
+_STR_FIELDS = ("requester_id", "role", "user_token", "purpose", "decision", "ts", "chain_hash")
+
+
+class TestAuditEncoding:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        texts=st.fixed_dictionaries({name: _FIELD_TEXT for name in _STR_FIELDS}),
+        reason=st.none() | _FIELD_TEXT,
+        seq=st.integers(0, 2**63),
+    )
+    def test_payload_and_line_equal_json_dumps(self, texts, reason, seq):
+        entry = AuditEntry(seq=seq, denial_reason=reason, **texts)
+        payload = _canonical_payload(_payload_values(entry))
+        assert payload.encode("utf-8") == reference_payload(entry.to_dict())
+        assert _export_line(entry) == reference_line(entry)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(_FIELD_TEXT, _FIELD_TEXT, _FIELD_TEXT, st.none() | _FIELD_TEXT),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_appended_chain_and_file_equal_json_dumps(self, rows, tmp_path_factory):
+        log = AuditLog()
+        for k, (requester, role, purpose, reason) in enumerate(rows):
+            log.append(
+                requester_id=requester, role=role, user_token="ab" * 32, purpose=purpose,
+                decision="granted" if reason is None else "denied", denial_reason=reason,
+                timestamp=1_700_000_000.0 + k,
+            )
+        entries = log.entries()
+        assert rechained(entries) == list(entries)
+        assert verify_audit_chain(entries) == (True, None)
+        path = tmp_path_factory.mktemp("audit") / "audit.jsonl"
+        log.to_jsonl(str(path))
+        assert path.read_bytes() == "".join(map(reference_line, entries)).encode("utf-8")
+
+    @settings(max_examples=400, deadline=None)
+    @example(k=2, field="seq", value=True, rechain=True)
+    @example(k=2, field="seq", value=2.0, rechain=True)
+    @example(k=1, field="denial_reason", value=7, rechain=True)
+    @example(k=3, field="ts", value=None, rechain=True)
+    @example(k=0, field="purpose", value=object(), rechain=True)
+    @given(
+        k=st.integers(0, 4),
+        field=st.sampled_from(AUDIT_FIELD_NAMES),
+        value=st.none()
+        | st.booleans()
+        | st.integers(-3, 8)
+        | st.floats()
+        | _FIELD_TEXT
+        | st.lists(st.integers(), max_size=2)
+        | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
+        | st.builds(object),
+        rechain=st.booleans(),
+    )
+    def test_verify_agrees_with_reference_on_tampered_entries(self, k, field, value, rechain):
+        ticks = iter(range(100))
+        keys = KeyRing.from_hex("11" * 32, "22" * 32)
+        vault = Vault(keys, clock=lambda: 1_700_000_000.0 + 60 * next(ticks))
+        token = vault.register(IDENTITY)
+        for role in ("coach", "analyst", "coach", "admin", "coach"):
+            vault.restore_identity(_request(token, role=role))
+        entries = list(vault.audit_log.entries())
+        entries[k] = replace(entries[k], **{field: value})
+        if rechain:
+            entries = rechained(entries)
+        assert verify_audit_chain(entries) == reference_verify(entries)
+        try:
+            line = reference_line(entries[k])
+        except (TypeError, ValueError):
+            return
+        assert _export_line(entries[k]) == line
+
+
 class TestKeyHygiene:
     def test_serialized_surfaces_never_contain_key_material(self, keys, tmp_path):
         vault = Vault(keys)
@@ -477,9 +651,9 @@ class TestKeyHygiene:
 
 
 class VaultMachine(RuleBasedStateMachine):
-    """Registrations, restorations by every role with and without MFA, and
-    a clock that only moves forward, checked against the governance
-    invariants after every step. Two grants an hour per requester, so
+    """Registrations, restorations by every role with and without MFA,
+    reads of the log view, and a clock that only moves forward, checked
+    against the governance invariants after every step. Two grants an hour per requester, so
     steps reach the rate limit."""
 
     tokens = Bundle("tokens")
@@ -493,7 +667,8 @@ class VaultMachine(RuleBasedStateMachine):
             KeyRing.from_hex("11" * 32, "22" * 32),
             rate_limiter=SlidingWindowRateLimiter(self.LIMIT, self.WINDOW),
             clock=lambda: self.now,
-            entropy=lambda n: next(counter).to_bytes(n, "big"),
+            # Little-endian, so draws differ in their subject-id bytes.
+            entropy=lambda n: next(counter).to_bytes(n, "little"),
         )
         self.identities: dict[str, dict] = {}
         self.granted_at: dict[str, list[float]] = {"r0": [], "r1": []}
@@ -546,6 +721,13 @@ class VaultMachine(RuleBasedStateMachine):
     @rule(seconds=st.integers(0, 7200))
     def advance_clock(self, seconds):
         self.now += seconds
+
+    @rule()
+    def read_log(self):
+        view = self.vault.audit_log
+        entries = view.entries()
+        assert len(view) == len(entries)
+        assert view.tip == (entries[-1].chain_hash if entries else GENESIS_HASH)
 
     @invariant()
     def attempts_equal_audit_entries(self):
