@@ -7,7 +7,7 @@ on rule ordering. Matches are replaced by typed placeholders; rare
 identifiers (long digit runs) and sub-city geolocation are generalized
 rather than deleted so sentence structure survives.
 
-Two rewrites keep scans cheap without changing a span. The NAME
+Three rewrites keep scans cheap without changing a span. The NAME
 dictionary is factored by first letter behind a lookahead on those
 letters. Each other built-in pattern runs only on text that passes its
 prefilters, necessary conditions that every match satisfies: EMAIL
@@ -16,17 +16,25 @@ five, and then a longer piece of its own, such as six digits in a row
 for ID_NUMBER. DOB also needs one of its birth-context words, searched
 under the pattern's own case folding, so a digit-rich post without one
 (a phone number, a member id) skips the date scan. Each condition runs
-at most once per text. The prefilters are keyed by the exact built-in
-pattern text, so a rule loaded with any other pattern always runs. A
-rule looks up its prefilters and its replacement group once, when it is
-built, and one internal scan serves every caller. A span is a
+at most once per text. And an ASCII text, every synthetic post among
+them, is case-folded once: the built-in ``(?i)`` patterns (NAME over the
+default dictionary, ADDRESS, DOB) run as case-sensitive twins on its
+lowered copy, and each prefilter condition is answered by substring
+tests on the lowered copy or on one skeleton of the text, in which each
+digit is ``0`` and each ``\\s`` character a space. Any other text keeps
+the regex path, each condition a regex search and each pattern run as
+written. Prefilters and twins are keyed by the exact built-in pattern
+text, so a rule loaded with any other pattern always runs as written. A
+rule looks up its prefilters, its twin and its replacement group once,
+when it is built, and one internal scan serves every caller. A span is a
 :class:`SpanAt`, its position and entity type; no public function hands
 out the text a span matched.
 
 ``default_rules`` and ``load_rules`` return a :class:`RuleSet`, an
 immutable tuple of rules that works out once what every text scanned
-under it shares: the distinct prefilter conditions and which of them
-each rule needs, the zero count of each entity type and the placeholder
+under it shares: the distinct prefilter conditions with their regex and
+ASCII tests, the pattern each rule runs on either path and the
+conditions it needs, the zero count of each entity type and the placeholder
 of each type. Every function that takes ``rules`` takes a rule set, or
 None for the default rules, and rejects anything else. Rule sets are
 built once per name dictionary and shared, so passing no rules costs no
@@ -47,7 +55,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ConfigurationError, ValidationError
 from .records import Record, _is_int
@@ -117,18 +125,45 @@ _ID_PATTERN = r"(?<![\w.\-])\d{6,}(?![\w.\-])"
 # ``\s`` are the same Unicode classes the patterns use.
 _HAS_AT = re.compile("@")
 _HAS_DIGIT = re.compile(r"\d")
+_PHONE_TAIL = re.compile(r"\d{3}[\s.-]\d{4}")  # the last two parts
+_HOUSE_NUMBER = re.compile(r"\d\s")  # house number, then space
+_DATE_DIGITS = re.compile(r"\d(?:/|\d{3})")  # d/m/y, or a 4-digit year
+# Every context word, folded as the pattern folds it: born, birth*, b.day, dob.
+_BIRTH_WORD = re.compile(r"(?i)b(?:orn|irth|\.?day)|dob")
+_SIX_DIGITS = re.compile(r"\d{6}")
+_COORDINATE = re.compile(r"\d\.\d{3}")  # the first coordinate
 _PREFILTERS = {
     _EMAIL_PATTERN: (_HAS_AT,),
-    _PHONE_PATTERN: (_HAS_DIGIT, re.compile(r"\d{3}[\s.-]\d{4}")),  # the last two parts
-    _ADDRESS_PATTERN: (_HAS_DIGIT, re.compile(r"\d\s")),  # house number, then space
-    _DOB_PATTERN: (
-        _HAS_DIGIT,
-        re.compile(r"\d(?:/|\d{3})"),  # d/m/y, or a 4-digit year
-        # Every context word, folded as the pattern folds it: born, birth*, b.day, dob.
-        re.compile(r"(?i)b(?:orn|irth|\.?day)|dob"),
+    _PHONE_PATTERN: (_HAS_DIGIT, _PHONE_TAIL),
+    _ADDRESS_PATTERN: (_HAS_DIGIT, _HOUSE_NUMBER),
+    _DOB_PATTERN: (_HAS_DIGIT, _DATE_DIGITS, _BIRTH_WORD),
+    _ID_PATTERN: (_HAS_DIGIT, _SIX_DIGITS),
+    _GEO_PATTERN: (_HAS_DIGIT, _COORDINATE),
+}
+
+# The skeleton of an ASCII text, as bytes: each digit becomes ``0`` and
+# each character ``\s`` matches becomes a space, so a run of classes is
+# one substring. Encoding and a byte table cost a fraction of
+# ``str.translate`` with a mapping.
+_SKELETON = bytes.maketrans(b"0123456789\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f", b"0" * 10 + b" " * 9)
+
+# The ASCII test of each condition, on the lowered text and the skeleton
+# of an ASCII text: true exactly when the condition finds a match in the
+# text. ASCII ``(?i)`` folds only letter case, so the lowered text holds
+# every case spelling of a context word.
+_ASCII_TESTS = {
+    _HAS_AT: lambda low, skel: "@" in low,
+    _HAS_DIGIT: lambda low, skel: b"0" in skel,
+    _PHONE_TAIL: lambda low, skel: (
+        b"000 0000" in skel or b"000.0000" in skel or b"000-0000" in skel
     ),
-    _ID_PATTERN: (_HAS_DIGIT, re.compile(r"\d{6}")),
-    _GEO_PATTERN: (_HAS_DIGIT, re.compile(r"\d\.\d{3}")),  # the first coordinate
+    _HOUSE_NUMBER: lambda low, skel: b"0 " in skel,
+    _DATE_DIGITS: lambda low, skel: b"0/" in skel or b"0000" in skel,
+    _BIRTH_WORD: lambda low, skel: (
+        "born" in low or "birth" in low or "bday" in low or "b.day" in low or "dob" in low
+    ),
+    _SIX_DIGITS: lambda low, skel: b"000000" in skel,
+    _COORDINATE: lambda low, skel: b"0.000" in skel,
 }
 
 
@@ -142,17 +177,27 @@ def name_pattern(
     lookahead on the first characters rejects most positions before any
     name is tried.
     """
-    first = _first_letter_alternation(first_names)
-    last = _first_letter_alternation(last_names)
-    heads = sorted(set(n[:1] for n in first_names))
+    return _name_pattern(first_names, last_names, fold=False)
+
+
+def _name_pattern(first_names: Sequence[str], last_names: Sequence[str], fold: bool) -> str:
+    """:func:`name_pattern`, or with ``fold`` its case-sensitive twin for
+    lowered text: every name lowered, in the same order. The twin is
+    exact only when every name is ASCII."""
+    spell = str.lower if fold else str
+    first = _first_letter_alternation(first_names, spell)
+    last = _first_letter_alternation(last_names, spell)
+    heads = sorted(set(spell(n[:1]) for n in first_names))
     # An empty first name matches without a first character, so it
     # (like an empty list) leaves no lookahead.
     lookahead = f"(?=[{''.join(map(re.escape, heads))}])" if heads and heads[0] else ""
-    return rf"(?i)\b{lookahead}(?:{first})(?:\s+(?:{last}))?\b"
+    flags = "" if fold else "(?i)"
+    return rf"{flags}\b{lookahead}(?:{first})(?:\s+(?:{last}))?\b"
 
 
-def _first_letter_alternation(names: Sequence[str]) -> str:
-    """``sorted(names)`` as one alternation, factored by first character.
+def _first_letter_alternation(names: Sequence[str], spell: Callable[[str], str]) -> str:
+    """``sorted(names)`` as one alternation, factored by first character,
+    each piece spelled by ``spell``.
 
     Names that share a first character are contiguous in sorted order,
     so the alternatives are tried in the same order as the flat
@@ -161,8 +206,20 @@ def _first_letter_alternation(names: Sequence[str]) -> str:
     """
     tails: dict[str, list[str]] = {}
     for name in sorted(names):
-        tails.setdefault(name[:1], []).append(re.escape(name[1:]))
-    return "|".join(f"{re.escape(head)}(?:{'|'.join(t)})" for head, t in tails.items())
+        tails.setdefault(name[:1], []).append(re.escape(spell(name[1:])))
+    return "|".join(f"{re.escape(spell(head))}(?:{'|'.join(t)})" for head, t in tails.items())
+
+
+# Case-sensitive twins of the built-in ``(?i)`` patterns, keyed by pattern
+# text, for the lowered copy of an ASCII text. Every literal in a twin is
+# lower case, and ASCII ``lower()`` keeps each position and each
+# ``\b``/``\w``/``\s``/``\d`` class, so on the lowered copy a twin finds
+# exactly the spans its pattern finds on the text.
+_FOLDED = {
+    _ADDRESS_PATTERN: _ADDRESS_PATTERN.removeprefix("(?i)"),
+    _DOB_PATTERN: _DOB_PATTERN.removeprefix("(?i)"),
+    name_pattern(): _name_pattern(DEFAULT_FIRST_NAMES, DEFAULT_LAST_NAMES, fold=True),
+}
 
 
 @dataclass(frozen=True)
@@ -172,18 +229,26 @@ class RedactionRule:
     A rule also carries its scan plan, which its pattern fixes and which
     is looked up once, when the rule is built: the prefilter conditions
     to pass before the pattern runs (none for a pattern that is not
-    built in) and the group whose span is replaced (``entity`` where the
-    pattern names one, else the whole match).
+    built in), the case-sensitive twin that stands in for a built-in
+    ``(?i)`` pattern on the lowered copy of an ASCII text (None for
+    every other pattern) and the group whose span is replaced
+    (``entity`` where the pattern names one, else the whole match).
     """
 
     entity_type: str
     pattern: "re.Pattern[str]"
     placeholder: str
     prefilters: tuple["re.Pattern[str]", ...] = field(init=False, repr=False, compare=False)
+    folded: Optional["re.Pattern[str]"] = field(init=False, repr=False, compare=False)
     group: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prefilters", _PREFILTERS.get(self.pattern.pattern, ()))
+        text = self.pattern.pattern
+        object.__setattr__(self, "prefilters", _PREFILTERS.get(text, ()))
+        twin = _FOLDED.get(text)
+        # The twin keeps every flag but the case folding it replaces.
+        folded = None if twin is None else re.compile(twin, self.pattern.flags & ~re.IGNORECASE)
+        object.__setattr__(self, "folded", folded)
         object.__setattr__(self, "group", self.pattern.groupindex.get("entity", 0))
 
     @classmethod
@@ -205,8 +270,13 @@ class RuleSet(tuple):
     every text scanned or redacted under it shares, worked out once:
 
     - ``conditions``: the distinct prefilter conditions, in first use;
-    - ``steps``: per rule, in rule order, ``(needs, pattern, group,
-      entity_type)``, where ``needs`` indexes ``conditions``;
+    - ``regex_plan`` and ``ascii_plan``: ``(tests, steps)`` for any text
+      and for ASCII text. ``tests[i]`` answers ``conditions[i]``: its
+      ``search`` on the text, or its ASCII test on the lowered text and
+      the skeleton. ``steps`` holds, per rule in rule order, ``(needs,
+      pattern, view, group, entity_type)``, where ``needs`` indexes
+      ``conditions`` and ``view`` is 1 when ``pattern`` is the rule's
+      folded twin, to run on the lowered text, else 0;
     - ``zero_counts``: each entity type mapped to 0, in rule order, the
       template of ``redact``'s counts;
     - ``placeholders``: each entity type's placeholder, taken from the
@@ -218,17 +288,18 @@ class RuleSet(tuple):
         if not all(isinstance(rule, RedactionRule) for rule in self):
             raise ValidationError("a RuleSet holds RedactionRule items only")
         index: dict["re.Pattern[str]", int] = {}
-        steps = tuple(
-            (
-                tuple(index.setdefault(c, len(index)) for c in rule.prefilters),
-                rule.pattern,
-                rule.group,
-                rule.entity_type,
-            )
-            for rule in self
-        )
-        object.__setattr__(self, "conditions", tuple(index))
-        object.__setattr__(self, "steps", steps)
+        regex_steps, ascii_steps = [], []
+        for rule in self:
+            needs = tuple(index.setdefault(c, len(index)) for c in rule.prefilters)
+            regex_steps.append((needs, rule.pattern, 0, rule.group, rule.entity_type))
+            pattern, view = (rule.pattern, 0) if rule.folded is None else (rule.folded, 1)
+            ascii_steps.append((needs, pattern, view, rule.group, rule.entity_type))
+        conditions = tuple(index)
+        object.__setattr__(self, "conditions", conditions)
+        searches = tuple(c.search for c in conditions)
+        object.__setattr__(self, "regex_plan", (searches, tuple(regex_steps)))
+        ascii_tests = tuple(_ASCII_TESTS[c] for c in conditions)
+        object.__setattr__(self, "ascii_plan", (ascii_tests, tuple(ascii_steps)))
         # Read-only views: the default rule set is shared by every caller.
         zero_counts = {rule.entity_type: 0 for rule in self}
         object.__setattr__(self, "zero_counts", MappingProxyType(zero_counts))
@@ -303,19 +374,31 @@ def load_rules(path: str) -> RuleSet:
 
 def _candidates(text: str, rules: RuleSet) -> list[tuple[int, int, str]]:
     """Every non-empty match of every rule as ``(start, end, entity_type)``,
-    in rule order; each prefilter condition runs at most once."""
+    in rule order; each prefilter condition runs at most once.
+
+    An ASCII text is lowered once for the folded twins and the ASCII
+    tests, and mapped once to its skeleton; any other text takes the
+    regex plan."""
+    if text.isascii():
+        lowered = text.lower()
+        views = (text, lowered)
+        probe = (lowered, text.encode().translate(_SKELETON))
+        tests, steps = rules.ascii_plan
+    else:
+        views = probe = (text,)
+        tests, steps = rules.regex_plan
     spans = []
-    conditions = rules.conditions
-    found: list[Optional[bool]] = [None] * len(conditions)
-    for needs, pattern, group, entity_type in rules.steps:
+    found: list[Any] = [None] * len(tests)
+    for needs, pattern, view, group, entity_type in steps:
         for i in needs:
             hit = found[i]
             if hit is None:
-                hit = found[i] = conditions[i].search(text) is not None
+                # A search gives a match or None, an ASCII test a bool.
+                hit = found[i] = tests[i](*probe) or False
             if not hit:
                 break
         else:
-            for m in pattern.finditer(text):
+            for m in pattern.finditer(views[view]):
                 start, end = m.span(group)
                 if start != end:
                     spans.append((start, end, entity_type))

@@ -421,13 +421,26 @@ class VaultRecord:
 
 @dataclass(frozen=True)
 class RestorationRequest:
-    """Who asks, in what role and MFA state, for whose identity and why."""
+    """Who asks, in what role and MFA state, for whose identity and why.
+
+    Every field has its type checked when the request is built, so the
+    vault evaluates and audits only well-typed requests: a truthy
+    non-bool never passes for verified MFA.
+    """
 
     requester_id: str
     role: str
     mfa_verified: bool
     user_token: UserToken
     purpose: str
+
+    def __post_init__(self) -> None:
+        if not all(isinstance(v, str) for v in (self.requester_id, self.role, self.purpose)):
+            raise ValidationError("requester_id, role and purpose must be strings")
+        if type(self.mfa_verified) is not bool:
+            raise ValidationError("mfa_verified must be a bool")
+        if not isinstance(self.user_token, UserToken):
+            raise ValidationError("user_token must be a UserToken")
 
 
 @dataclass(frozen=True)

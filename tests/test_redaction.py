@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import tempfile
 
 import numpy as np
@@ -22,6 +23,9 @@ from conftest import (
 
 from prism.errors import ConfigurationError, ValidationError
 from prism.redaction import (
+    _ASCII_TESTS,
+    _PREFILTERS,
+    _SKELETON,
     DEFAULT_FIRST_NAMES,
     DEFAULT_LAST_NAMES,
     ENTITY_TYPES,
@@ -287,11 +291,11 @@ _IDENTIFIER_PIECES = (
 
 
 @st.composite
-def _spelled(draw, names):
+def _spelled(draw, names, traps=_FOLD_TRAPS):
     """One of ``names``, each letter in a random case or a fold-equivalent trap."""
     name = draw(st.sampled_from(names))
     return "".join(
-        draw(st.sampled_from(sorted({c, c.lower(), c.upper()} | set(_FOLD_TRAPS.get(c.lower(), "")))))
+        draw(st.sampled_from(sorted({c, c.lower(), c.upper()} | set(traps.get(c.lower(), "")))))
         for c in name
     )
 
@@ -356,7 +360,7 @@ class TestScanMatchesReference:
 # Loaded rule files: built-in patterns under any type, other patterns
 # (one matches only the empty string), repeated types and placeholders.
 _LOADED_PATTERNS = sorted({r.pattern.pattern for r in default_rules()}) + [
-    r"\bhotline\b", r"\d+", r"(?i)kate", r"(?P<entity>\d{3})-\d", r"x*",
+    r"\bhotline\b", r"\d+", r"(?i)kate", r"(?P<entity>\d{3})-\d", r"x*", r"\b[A-Z][a-z]+",
 ]
 _RULE_DOCS = st.lists(
     st.fixed_dictionaries({
@@ -397,6 +401,125 @@ _METADATA = st.dictionaries(
     st.text(max_size=3) | st.integers(-(2**63), 2**63 - 1) | st.booleans(),
     max_size=3,
 )
+
+
+# ASCII text for the plan's ASCII path: case-mixed context words, ASCII
+# control whitespace, and digit and separator runs on each side of the
+# prefilters.
+_ASCII_PIECES = (
+    "BORN ", "Born On ", "Dob: ", "dOB", "B.DAY ", "bDay", "BIRTHDAY", "Birth\x1cDate ",
+    "DATE OF BIRTH: ", "b day", "@", "x@Y.org", "613-555-0142", "(613) 555-0142",
+    "+1 613.555.0142", "613\x0b555\x1f0142", "1985-03-12", "12/3/1999", "Mar 4, 1990",
+    "SEP. 30 2001", "12 Maple STREET", "7\x0cElm rd.", "12\x1d Oak Ave", "45.1234, -75.5678",
+    "-1.234,5.6789", "12345678", "123456", "12345", "123 4567", "123.456", "1.234", "1/",
+)
+_ASCII_RUNS = "0123456789 .-/,:+()@\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"
+
+
+def _ascii_texts(names):
+    piece = st.one_of(
+        _spelled(names, traps={}),
+        st.sampled_from(_ASCII_PIECES),
+        st.sampled_from(sorted(PLACEHOLDERS.values())),
+        st.text(alphabet=_ASCII_RUNS, max_size=8),
+        st.text(alphabet=st.characters(max_codepoint=127), max_size=4),
+    )
+    separator = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "-", ".", "/"])
+    return st.lists(st.tuples(piece, separator), max_size=10).map(
+        lambda parts: "".join(p + sep for p, sep in parts)
+    )
+
+
+_NAMES = DEFAULT_FIRST_NAMES + DEFAULT_LAST_NAMES + ("Kate", "hotline")
+
+
+def _skeleton(text):
+    return text.encode().translate(_SKELETON)
+
+
+class TestAsciiPlan:
+    def test_every_condition_has_an_ascii_test(self):
+        conditions = {c for needs in _PREFILTERS.values() for c in needs}
+        assert conditions == set(_ASCII_TESTS)
+        for rules in (default_rules(), default_rules(["Kate"], [])):
+            assert len(rules.ascii_plan[0]) == len(rules.regex_plan[0]) == len(rules.conditions)
+
+    def test_every_builtin_case_folding_pattern_has_a_twin(self):
+        for rule in default_rules():
+            if rule.pattern.flags & re.IGNORECASE:
+                assert rule.folded is not None, rule.entity_type
+                assert not rule.folded.flags & re.IGNORECASE
+            else:
+                assert rule.folded is None, rule.entity_type
+
+    def test_skeleton_maps_exactly_the_digit_and_space_classes(self):
+        for code in range(128):
+            char = chr(code)
+            expected = "0" if re.match(r"\d", char) else " " if re.match(r"\s", char) else char
+            assert _skeleton(char) == expected.encode(), hex(code)
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=_ascii_texts(_NAMES))
+    def test_each_ascii_test_equals_its_condition(self, text):
+        low, skel = text.lower(), _skeleton(text)
+        for condition, test in _ASCII_TESTS.items():
+            assert test(low, skel) is (condition.search(text) is not None), condition.pattern
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_ascii_texts(_NAMES))
+    def test_each_twin_finds_its_pattern_spans_on_the_lowered_text(self, text):
+        for rule in default_rules():
+            if rule.folded is not None:
+                twin = [m.span(rule.group) for m in rule.folded.finditer(text.lower())]
+                assert twin == [m.span(rule.group) for m in rule.pattern.finditer(text)]
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=_ascii_texts(_NAMES))
+    def test_ascii_candidates_equal_reference(self, text):
+        assert _candidates(text, default_rules()) == reference_detect(text, reference_rules())
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=_rule_sets(), data=st.data())
+    def test_ascii_text_under_any_rule_set(self, pair, data):
+        rules, reference = pair
+        text = data.draw(_ascii_texts(_NAMES))
+        assert _candidates(text, rules) == reference_detect(text, reference)
+
+    def test_case_sensitive_patterns_run_on_the_text(self, tmp_path):
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps([
+            {"entity_type": "NAME", "pattern": r"\bHotline\b", "placeholder": "[NAME]"},
+            {"entity_type": "ID_NUMBER", "pattern": r"\b[A-Z]{2}\d{2}\b", "placeholder": "[ID]"},
+        ]))
+        rules = load_rules(str(path))
+        text = "call the HOTLINE, the hotline or the Hotline; code ab12 or AB12"
+        assert _candidates(text, rules) == [(37, 44, "NAME"), (59, 63, "ID_NUMBER")]
+
+    def test_a_twin_keeps_its_pattern_flags(self):
+        # Under re.ASCII, \s does not match \x1c, so neither may the twin.
+        (address,) = [r for r in default_rules() if r.entity_type == "ADDRESS"]
+        rule = RedactionRule("ADDRESS", re.compile(address.pattern.pattern, re.ASCII), "[ADDRESS]")
+        assert rule.folded.flags & re.ASCII
+        rules = RuleSet([rule])
+        assert _candidates("12\x1cMaple STREET", rules) == []
+        assert _candidates("12 Maple STREET", rules) == [(0, 15, "ADDRESS")]
+
+    @pytest.mark.parametrize("text", [
+        "thanks \u212aeiko Ogawa",
+        "\u017fantiago, born 1985-03-12",
+        "\u0130ngrid IYER 12 Elm st",
+        "\u0131mani at 12 Maple Street",
+        "\u0130\u0130 Marisol, dob 3/4/1990",
+        "MAR\u0130SOL born Mar 4, 1990",
+        "\u0130 bday 12/3/1999 call 613-555-0142",
+        "caf\u00e9 \u212aate 45.1234, -75.5678 \u0663\u0663\u0663",
+    ])
+    def test_non_ascii_text_takes_the_regex_plan(self, text):
+        # Lowering these shifts positions or unfolds a trap, so only the
+        # regex plan gives the reference spans.
+        assert not text.isascii()
+        assert _candidates(text, default_rules()) == reference_detect(text, reference_rules())
+        assert _candidates(text, default_rules()), text
 
 
 class TestInternalScan:
@@ -488,7 +611,7 @@ class TestRuleSets:
         with pytest.raises(AttributeError):
             rules.placeholders = {}
         with pytest.raises(AttributeError):
-            del rules.steps
+            del rules.ascii_plan
         with pytest.raises(TypeError):
             rules.zero_counts["EMAIL"] = 1
         with pytest.raises(TypeError):

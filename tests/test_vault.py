@@ -9,6 +9,8 @@ from datetime import datetime
 
 import pytest
 from conftest import (
+    ENC_KEY_HEX,
+    TOKEN_KEY_HEX,
     reference_chain_hash,
     reference_line,
     reference_payload,
@@ -389,6 +391,54 @@ class TestRestorationPolicy:
         for times in granted.values():
             for end in times:
                 assert sum(1 for t in times if end - window < t <= end) <= max_events
+
+
+class TestRequestTypes:
+    @pytest.mark.parametrize("change", [
+        {"purpose": 5},
+        {"requester_id": ["r1"]},
+        {"role": ["coach"]},
+        {"mfa_verified": "yes"},
+        {"mfa_verified": 1},
+        {"purpose": None},
+        {"user_token": "cd" * 32},
+    ])
+    def test_malformed_request_rejected_before_the_vault(self, keys, change):
+        vault = Vault(keys)
+        token = vault.register(IDENTITY)
+        fields_ = {"requester_id": "r1", "role": "coach", "mfa_verified": True,
+                   "user_token": token, "purpose": "deliver message"}
+        with pytest.raises(ValidationError):
+            RestorationRequest(**{**fields_, **change})
+        assert len(vault.audit_log) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        requester=st.text(max_size=4) | st.integers() | st.lists(st.text(max_size=2), max_size=2),
+        role=st.sampled_from(sorted(RESTORE_ALLOWED_ROLES) + ["analyst"]) | st.text(max_size=4)
+        | st.none() | st.lists(st.just("coach"), max_size=1),
+        mfa=st.booleans() | st.sampled_from(["yes", "", 0, 1, None, 1.0]),
+        known=st.booleans() | st.none(),
+        purpose=st.text(max_size=6) | st.integers() | st.none() | st.binary(max_size=2),
+    )
+    def test_every_accepted_request_leaves_one_audit_entry(
+        self, requester, role, mfa, known, purpose
+    ):
+        vault = Vault(KeyRing.from_hex(TOKEN_KEY_HEX, ENC_KEY_HEX))
+        registered = vault.register(IDENTITY)
+        token = {True: registered, False: UserToken("ab" * 32), None: registered.value}[known]
+        try:
+            request = RestorationRequest(requester, role, mfa, token, purpose)
+        except ValidationError:
+            return
+        for n in (1, 2):
+            result = vault.restore_identity(request)
+            assert len(vault.audit_log) == n
+            assert result.audit_seq == vault.audit_log.entries()[-1].seq
+            assert result.granted is (
+                mfa is True and role in RESTORE_ALLOWED_ROLES and bool(purpose.strip())
+                and known is True
+            )
 
 
 def _unavailable(**kwargs):
