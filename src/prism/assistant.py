@@ -187,12 +187,13 @@ def generate_draft(
     context: LearningContext,
     template: DraftTemplate,
     *,
+    draft_id: str,
+    created_at: str,
     rules: Optional[RuleSet] = None,
-    draft_id: Optional[str] = None,
-    created_at: Optional[str] = None,
     memo: Optional[ScanMemo] = None,
 ) -> Draft:
-    """Render a pending draft by deterministic slot substitution.
+    """Render the pending draft ``draft_id``, created at ``created_at``,
+    by deterministic slot substitution.
 
     The rendered text is re-scanned with the redaction rules (None means
     the default rules), through ``memo`` when one is given; any hit
@@ -214,15 +215,6 @@ def generate_draft(
     except KeyError as exc:
         raise ValidationError(f"template slot {exc} has no value") from exc
     _leak_check(rendered, rules, f"draft from template {template.template_id}", memo)
-    if draft_id is None:
-        import hashlib
-
-        digest = hashlib.sha256(
-            "\x1f".join(
-                (summary.source_user_token.value, template.template_id, rendered, created_at or "")
-            ).encode("utf-8")
-        ).hexdigest()
-        draft_id = f"d-{digest[:12]}"
     return Draft(
         draft_id=draft_id,
         user_token=summary.source_user_token.value,

@@ -36,6 +36,9 @@ DAYS_PER_WEEK = 7
 TRAILING_WEEKS = 4
 
 _WEIGHT_SUM_TOL = 1e-12
+# Added to each clamp band's width: a score stays below 1, and a band of
+# zero width divides by it, not by zero.
+_SCORE_EPSILON = 1e-6
 _RANGE_TOL = 1e-9
 
 
@@ -105,16 +108,15 @@ def adherence(series: Iterable[Sequence[int]]) -> float:
 
 @dataclass(frozen=True)
 class EngagementWeights:
-    """Action-type weights plus pre-period winsorization percentiles."""
+    """Weights plus pre-period winsorization percentiles, one of each per
+    action type in ``ACTION_TYPES`` order."""
 
-    action_types: tuple[str, ...] = ACTION_TYPES
     alphas: tuple[float, ...] = DEFAULT_ACTION_WEIGHTS
     p5: tuple[float, ...] = (0.0,) * len(ACTION_TYPES)
     p95: tuple[float, ...] = (10.0,) * len(ACTION_TYPES)
-    epsilon: float = 1e-6
 
     def __post_init__(self) -> None:
-        k = len(self.action_types)
+        k = len(ACTION_TYPES)
         if not (len(self.alphas) == len(self.p5) == len(self.p95) == k):
             raise ValidationError("weights and percentiles must align with action types")
         if not all(0 <= a < math.inf for a in self.alphas):
@@ -129,16 +131,14 @@ class EngagementWeights:
         cls,
         counts: np.ndarray,
         alphas: tuple[float, ...] = DEFAULT_ACTION_WEIGHTS,
-        action_types: tuple[str, ...] = ACTION_TYPES,
-        epsilon: float = 1e-6,
     ) -> "EngagementWeights":
         """Estimate [5, 95] percentile clamps per action type from pre-period user-weeks."""
         arr = np.asarray(counts, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != len(action_types):
+        if arr.ndim != 2 or arr.shape[1] != len(ACTION_TYPES):
             raise ValidationError("counts must be (user_weeks, action_types)")
         p5 = tuple(float(v) for v in np.percentile(arr, 5, axis=0))
         p95 = tuple(float(v) for v in np.percentile(arr, 95, axis=0))
-        return cls(action_types=action_types, alphas=tuple(alphas), p5=p5, p95=p95, epsilon=epsilon)
+        return cls(alphas=tuple(alphas), p5=p5, p95=p95)
 
 
 def engagement_scores(counts: np.ndarray, weights: EngagementWeights) -> np.ndarray:
@@ -149,12 +149,12 @@ def engagement_scores(counts: np.ndarray, weights: EngagementWeights) -> np.ndar
     by (x - p5) / (p95 - p5 + eps), so a score sits in [0, 1).
     """
     arr = np.asarray(counts, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != len(weights.action_types):
+    if arr.ndim != 2 or arr.shape[1] != len(ACTION_TYPES):
         raise ValidationError("counts must be (rows, action_types)")
     p5 = np.asarray(weights.p5)
     p95 = np.asarray(weights.p95)
     clamped = np.clip(arr, p5, p95)
-    scaled = (clamped - p5) / (p95 - p5 + weights.epsilon)
+    scaled = (clamped - p5) / (p95 - p5 + _SCORE_EPSILON)
     return scaled @ np.asarray(weights.alphas)
 
 

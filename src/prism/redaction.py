@@ -1,11 +1,12 @@
 """Rule-based free-text de-identification and residual-leak auditing.
 
-Detection is deterministic: regular expressions plus a configurable
-name dictionary. Overlapping matches resolve longest-first, then
-leftmost, then by a fixed entity-type priority, so output never depends
-on rule ordering. Matches are replaced by typed placeholders; rare
-identifiers (long digit runs) and sub-city geolocation are generalized
-rather than deleted so sentence structure survives.
+Detection is deterministic: regular expressions plus a built-in name
+dictionary, or the patterns of a rules file read by ``load_rules``.
+Overlapping matches resolve longest-first, then leftmost, then by a
+fixed entity-type priority, so output never depends on rule ordering.
+Matches are replaced by typed placeholders; rare identifiers (long
+digit runs) and sub-city geolocation are generalized rather than
+deleted so sentence structure survives.
 
 Three rewrites keep scans cheap without changing a span. The NAME
 dictionary is factored by first letter behind a lookahead on those
@@ -30,15 +31,16 @@ when it is built, and one internal scan serves every caller. A span is a
 :class:`SpanAt`, its position and entity type; no public function hands
 out the text a span matched.
 
-``default_rules`` and ``load_rules`` return a :class:`RuleSet`, an
-immutable tuple of rules that works out once what every text scanned
-under it shares: the distinct prefilter conditions with their regex and
-ASCII tests, the pattern each rule runs on either path and the
-conditions it needs, the zero count of each entity type and the placeholder
-of each type. Every function that takes ``rules`` takes a rule set, or
-None for the default rules, and rejects anything else. Rule sets are
-built once per name dictionary and shared, so passing no rules costs no
-compiling.
+``default_rules`` returns the built-in rules and ``load_rules`` custom
+ones, a NAME pattern over another dictionary among them. Each returns a
+:class:`RuleSet`, an immutable tuple of rules that works out once what
+every text scanned under it shares: the distinct prefilter conditions
+with their regex and ASCII tests, the pattern each rule runs on either
+path and the conditions it needs, the zero count of each entity type
+and the placeholder of each type. Every function that takes ``rules``
+takes a rule set, or None for the default rules, and rejects anything
+else. The default rule set is built on first use and shared, so passing
+no rules costs no compiling.
 
 A :class:`ScanMemo` scans each distinct text once under one rule set and
 keeps its resolved spans, for callers whose texts repeat, such as the
@@ -52,7 +54,6 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -167,23 +168,16 @@ _ASCII_TESTS = {
 }
 
 
-def name_pattern(
-    first_names: Sequence[str] = DEFAULT_FIRST_NAMES,
-    last_names: Sequence[str] = DEFAULT_LAST_NAMES,
-) -> str:
-    """Dictionary matcher: a known first name, optionally followed by a known last name.
+def _name_pattern(first_names: Sequence[str], last_names: Sequence[str], fold: bool) -> str:
+    """Dictionary matcher: a known first name, optionally followed by a
+    known last name, or with ``fold`` its case-sensitive twin for lowered
+    text: every name lowered, in the same order. The twin is exact only
+    when every name is ASCII.
 
     Names are tried in sorted order, grouped by first character; a
     lookahead on the first characters rejects most positions before any
     name is tried.
     """
-    return _name_pattern(first_names, last_names, fold=False)
-
-
-def _name_pattern(first_names: Sequence[str], last_names: Sequence[str], fold: bool) -> str:
-    """:func:`name_pattern`, or with ``fold`` its case-sensitive twin for
-    lowered text: every name lowered, in the same order. The twin is
-    exact only when every name is ASCII."""
     spell = str.lower if fold else str
     first = _first_letter_alternation(first_names, spell)
     last = _first_letter_alternation(last_names, spell)
@@ -210,6 +204,8 @@ def _first_letter_alternation(names: Sequence[str], spell: Callable[[str], str])
     return "|".join(f"{re.escape(spell(head))}(?:{'|'.join(t)})" for head, t in tails.items())
 
 
+_NAME_PATTERN = _name_pattern(DEFAULT_FIRST_NAMES, DEFAULT_LAST_NAMES, fold=False)
+
 # Case-sensitive twins of the built-in ``(?i)`` patterns, keyed by pattern
 # text, for the lowered copy of an ASCII text. Every literal in a twin is
 # lower case, and ASCII ``lower()`` keeps each position and each
@@ -218,7 +214,7 @@ def _first_letter_alternation(names: Sequence[str], spell: Callable[[str], str])
 _FOLDED = {
     _ADDRESS_PATTERN: _ADDRESS_PATTERN.removeprefix("(?i)"),
     _DOB_PATTERN: _DOB_PATTERN.removeprefix("(?i)"),
-    name_pattern(): _name_pattern(DEFAULT_FIRST_NAMES, DEFAULT_LAST_NAMES, fold=True),
+    _NAME_PATTERN: _name_pattern(DEFAULT_FIRST_NAMES, DEFAULT_LAST_NAMES, fold=True),
 }
 
 
@@ -324,29 +320,27 @@ def _rule_set(rules: Optional[RuleSet]) -> RuleSet:
     return rules
 
 
-def default_rules(
-    first_names: Sequence[str] = DEFAULT_FIRST_NAMES,
-    last_names: Sequence[str] = DEFAULT_LAST_NAMES,
-) -> RuleSet:
-    """The built-in rules over a name dictionary. Rule sets are immutable,
-    so equal dictionaries share one: the defaults compile once."""
-    return _default_rules(tuple(first_names), tuple(last_names))
+_default_rule_set: Optional[RuleSet] = None
 
 
-@lru_cache(maxsize=8)
-def _default_rules(first_names: tuple[str, ...], last_names: tuple[str, ...]) -> RuleSet:
-    specs = (
-        ("EMAIL", _EMAIL_PATTERN),
-        ("PHONE", _PHONE_PATTERN),
-        ("NAME", name_pattern(first_names, last_names)),
-        ("ADDRESS", _ADDRESS_PATTERN),
-        ("DOB", _DOB_PATTERN),
-        ("ID_NUMBER", _ID_PATTERN),
-        ("GEO_FINE", _GEO_PATTERN),
-    )
-    return RuleSet(
-        RedactionRule.compile(etype, pattern, PLACEHOLDERS[etype]) for etype, pattern in specs
-    )
+def default_rules() -> RuleSet:
+    """The built-in rules, over the default name dictionary. Rule sets are
+    immutable, so every caller shares one, compiled on the first call."""
+    global _default_rule_set
+    if _default_rule_set is None:
+        specs = (
+            ("EMAIL", _EMAIL_PATTERN),
+            ("PHONE", _PHONE_PATTERN),
+            ("NAME", _NAME_PATTERN),
+            ("ADDRESS", _ADDRESS_PATTERN),
+            ("DOB", _DOB_PATTERN),
+            ("ID_NUMBER", _ID_PATTERN),
+            ("GEO_FINE", _GEO_PATTERN),
+        )
+        _default_rule_set = RuleSet(
+            RedactionRule.compile(etype, pattern, PLACEHOLDERS[etype]) for etype, pattern in specs
+        )
+    return _default_rule_set
 
 
 def load_rules(path: str) -> RuleSet:

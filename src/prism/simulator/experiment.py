@@ -62,6 +62,7 @@ from ..errors import ConstraintViolationError, InternalError, ValidationError
 from ..features import (
     ACTION_TYPES,
     DAYS_PER_WEEK,
+    DEFAULT_ACTION_WEIGHTS,
     GOAL_CATEGORIES,
     ContextBatch,
     EngagementWeights,
@@ -345,11 +346,10 @@ def _normalization_window(world: World, epoch: int) -> NormalizationWindow:
     )
 
 
-def _freeze_engagement_weights(world: World, alphas: Optional[tuple]) -> EngagementWeights:
+def _freeze_engagement_weights(world: World, alphas: tuple) -> EngagementWeights:
     scenario = world.scenario
     pre_counts = world.actions[:, : scenario.w_pre, :].reshape(-1, len(ACTION_TYPES))
-    kwargs = {} if alphas is None else {"alphas": tuple(alphas)}
-    weights = EngagementWeights.from_pre_period(pre_counts, **kwargs)
+    weights = EngagementWeights.from_pre_period(pre_counts, alphas)
     world.weekly_scores[:, : scenario.w_pre] = np.column_stack(
         [engagement_scores(world.actions[:, w, :], weights) for w in range(scenario.w_pre)]
     )
@@ -453,7 +453,7 @@ def run_experiment(
     keys: KeyRing,
     *,
     policy: Optional[PolicyConfig] = None,
-    engagement_alphas: Optional[tuple] = None,
+    engagement_alphas: tuple = DEFAULT_ACTION_WEIGHTS,
     out_dir: Optional[str] = None,
     key_source: str = "explicit",
 ) -> RunResult:
@@ -512,7 +512,7 @@ def _run_epochs(
     traces: Optional[TextIO],
     drafts: list[Draft],
     counters: dict,
-    engagement_alphas: Optional[tuple],
+    engagement_alphas: tuple,
 ) -> EngagementWeights:
     scenario = world.scenario
     t0 = scenario.w_pre
@@ -593,7 +593,6 @@ def _decide(
     tables: FeatureTables,
     traces: Optional[TextIO],
     counters: dict,
-    user_tags: frozenset = LANGUAGE_TAGS,
 ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Decide every user row at ``epoch`` through :func:`decide_epoch`,
     write each decision's trace line, and count decisions and moves.
@@ -608,7 +607,7 @@ def _decide(
     penalties = np.empty(n_users, dtype=np.int64)
     scored = row = 0
     for decided in decide_epoch(
-        roster, model, epoch, config, tables=tables, user_tags=user_tags, step=assign
+        roster, model, epoch, config, tables=tables, user_tags=LANGUAGE_TAGS, step=assign
     ):
         if isinstance(decided, DecisionPass):
             counters["decisions"] += decided.chosen.size
@@ -844,15 +843,11 @@ def compare_arms(report_a: MetricsReport, report_b: MetricsReport) -> Comparison
     )
 
 
-def run_paired(
-    scenario: Scenario,
-    keys: KeyRing,
-    *,
-    policy: Optional[PolicyConfig] = None,
-) -> tuple[MetricsReport, MetricsReport]:
-    """Static and adaptive arms of the same scenario under a shared seed."""
+def run_paired(scenario: Scenario, keys: KeyRing) -> tuple[MetricsReport, MetricsReport]:
+    """Static and adaptive arms of the same scenario under a shared seed
+    and the default policy."""
     from dataclasses import replace
 
-    static = run_experiment(replace(scenario, policy="static"), keys, policy=policy)
-    adaptive = run_experiment(replace(scenario, policy="adaptive"), keys, policy=policy)
+    static = run_experiment(replace(scenario, policy="static"), keys)
+    adaptive = run_experiment(replace(scenario, policy="adaptive"), keys)
     return static.report, adaptive.report

@@ -37,7 +37,10 @@ STREAM_REVIEW = 0xD4
 
 WEEK_SECONDS = 7 * 24 * 3600
 SIM_EPOCH_BASE = datetime(2025, 1, 6, tzinfo=timezone.utc).timestamp()
-_RESTORE_SPACING_SECONDS = 600.0  # keeps routine deliveries under the rate-limit cap
+# One vault call per tick puts at most 3600 / 600 = 6 calls of any requester
+# in an hour, under the vault's cap of 10 grants an hour, so a routine
+# delivery is never rate limited.
+_RESTORE_SPACING_SECONDS = 600.0
 LANGUAGE_TAGS = frozenset({"en"})  # what every synthetic user and group speaks
 
 

@@ -107,8 +107,8 @@ class FieldToken:
     field_context: str
 
     def __post_init__(self) -> None:
-        if len(self.value) != 64 or not _is_hex(self.value):
-            raise ValidationError("field token must be 64 lowercase hex chars")
+        if not (isinstance(self.value, str) and len(self.value) == 64 and _is_hex(self.value)):
+            raise ValidationError("field token must be a str of 64 lowercase hex chars")
         if self.field_context not in FIELD_CONTEXTS:
             raise ValidationError(f"unknown field context: {self.field_context!r}")
 
@@ -122,8 +122,8 @@ class UserToken:
     value: str
 
     def __post_init__(self) -> None:
-        if len(self.value) != 64 or not _is_hex(self.value):
-            raise ValidationError("user token must be 64 lowercase hex chars")
+        if not (isinstance(self.value, str) and len(self.value) == 64 and _is_hex(self.value)):
+            raise ValidationError("user token must be a str of 64 lowercase hex chars")
 
     def __str__(self) -> str:
         return self.value
@@ -162,10 +162,9 @@ class KeyRing:
             raise ConfigurationError("keys must be 64 hex characters each") from exc
 
     @classmethod
-    def from_env(cls, environ: Mapping[str, str] | None = None) -> "KeyRing":
-        env = os.environ if environ is None else environ
-        token_hex = env.get(TOKEN_KEY_ENV)
-        enc_hex = env.get(ENC_KEY_ENV)
+    def from_env(cls) -> "KeyRing":
+        token_hex = os.environ.get(TOKEN_KEY_ENV)
+        enc_hex = os.environ.get(ENC_KEY_ENV)
         if not token_hex or not enc_hex:
             raise ConfigurationError(
                 f"{TOKEN_KEY_ENV} and {ENC_KEY_ENV} must be set (64 hex chars each)"
@@ -382,24 +381,26 @@ def verify_audit_chain(entries: Sequence[AuditEntry]) -> tuple[bool, Optional[in
 # ---------------------------------------------------------------------------
 
 
-class SlidingWindowRateLimiter:
-    """Per-requester sliding window over granted restorations."""
+# At most this many grants per requester in any window of this many seconds.
+RATE_LIMIT_GRANTS = 10
+RATE_LIMIT_WINDOW_SECONDS = 3600.0
 
-    def __init__(self, max_events: int = 10, window_seconds: float = 3600.0) -> None:
-        if max_events < 1 or window_seconds <= 0:
-            raise ValidationError("rate limiter needs max_events >= 1 and a positive window")
-        self.max_events = max_events
-        self.window_seconds = window_seconds
+
+class SlidingWindowRateLimiter:
+    """Per-requester sliding window over granted restorations: at most
+    ``RATE_LIMIT_GRANTS`` in the last ``RATE_LIMIT_WINDOW_SECONDS``."""
+
+    def __init__(self) -> None:
         self._events: dict[str, list[float]] = {}
 
     def would_allow(self, key: str, now: float) -> bool:
         bucket = self._events.get(key)
         if not bucket:
             return True
-        cutoff = now - self.window_seconds
+        cutoff = now - RATE_LIMIT_WINDOW_SECONDS
         live = [t for t in bucket if t > cutoff]
         self._events[key] = live
-        return len(live) < self.max_events
+        return len(live) < RATE_LIMIT_GRANTS
 
     def record(self, key: str, now: float) -> None:
         self._events.setdefault(key, []).append(now)
@@ -465,16 +466,17 @@ class Vault:
     ``entropy`` supplies subject-id and nonce randomness and defaults to
     the OS CSPRNG; the simulator injects a seeded source so synthetic
     worlds are reproducible. ``clock`` is the only time a restoration
-    sees: it stamps the audit entry and times the rate limiter. The audit
-    log is the vault's own: ``audit_log`` is a read-only view of it, and
-    only :meth:`restore_identity` appends.
+    sees: it stamps the audit entry and times the fixed rate limit of
+    ``RATE_LIMIT_GRANTS`` grants per requester in any
+    ``RATE_LIMIT_WINDOW_SECONDS``. The audit log is the vault's own:
+    ``audit_log`` is a read-only view of it, and only
+    :meth:`restore_identity` appends.
     """
 
     def __init__(
         self,
         keys: KeyRing,
         *,
-        rate_limiter: Optional[SlidingWindowRateLimiter] = None,
         clock: Callable[[], float] = time.time,
         entropy: Callable[[int], bytes] = secrets.token_bytes,
     ) -> None:
@@ -482,7 +484,7 @@ class Vault:
         self._user_mac = hmac.new(keys.token_key, digestmod=hashlib.sha256)
         self._records: dict[str, VaultRecord] = {}
         self._audit = AuditLog()
-        self._limiter = rate_limiter or SlidingWindowRateLimiter()
+        self._limiter = SlidingWindowRateLimiter()
         self._clock = clock
         self._entropy = entropy
         self._lock = threading.Lock()

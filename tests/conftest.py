@@ -31,6 +31,8 @@ from prism.redaction import (
     DEFAULT_FIRST_NAMES,
     DEFAULT_LAST_NAMES,
     RedactionRule,
+    RuleSet,
+    _name_pattern,
     _rehydrate_deid,
     default_rules,
 )
@@ -139,14 +141,25 @@ def write_rules(rules, path) -> None:
 def reference_name_pattern(
     first_names=DEFAULT_FIRST_NAMES, last_names=DEFAULT_LAST_NAMES
 ) -> str:
-    """The flat NAME alternation that ``name_pattern`` factors by first letter."""
+    """The flat NAME alternation that ``_name_pattern`` factors by first letter."""
     first = "|".join(re.escape(n) for n in sorted(first_names))
     last = "|".join(re.escape(n) for n in sorted(last_names))
     return rf"(?i)\b(?:{first})(?:\s+(?:{last}))?\b"
 
 
+def name_rules(first_names, last_names) -> RuleSet:
+    """The default rules with NAME over another dictionary, as a rules file
+    holding that NAME pattern loads them."""
+    return RuleSet(
+        RedactionRule.compile("NAME", _name_pattern(first_names, last_names, fold=False), r.placeholder)
+        if r.entity_type == "NAME"
+        else r
+        for r in default_rules()
+    )
+
+
 def reference_rules(first_names=DEFAULT_FIRST_NAMES, last_names=DEFAULT_LAST_NAMES):
-    """``default_rules`` with the flat NAME alternation."""
+    """``default_rules``, or :func:`name_rules`, with the flat NAME alternation."""
     return tuple(
         RedactionRule.compile(
             r.entity_type,
@@ -155,7 +168,7 @@ def reference_rules(first_names=DEFAULT_FIRST_NAMES, last_names=DEFAULT_LAST_NAM
             else r.pattern.pattern,
             r.placeholder,
         )
-        for r in default_rules(first_names, last_names)
+        for r in default_rules()
     )
 
 

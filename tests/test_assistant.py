@@ -26,6 +26,8 @@ from prism.simulator.scenario import synth_identity, synth_message
 from prism.vault import UserToken
 
 TOKEN = UserToken("ee" * 32)
+# The draft id and creation time every generated draft takes from its caller.
+STAMP = {"draft_id": "d-7-09-0001", "created_at": "2025-03-10T00:00:00.000000+00:00"}
 
 
 def make_context(streak=0, slope=0.0):
@@ -98,7 +100,9 @@ class TestTemplateLint:
 class TestGenerateDraft:
     def test_render_includes_streak_value(self):
         summary = redact("missed 5 recent check-ins", TOKEN)
-        draft = generate_draft(summary, make_context(streak=5), default_templates()["reengage-streak"])
+        draft = generate_draft(
+            summary, make_context(streak=5), default_templates()["reengage-streak"], **STAMP
+        )
         assert "missed 5 recent check-ins" in draft.rendered_text
         assert draft.status == "pending"
         assert draft.user_token == TOKEN.value
@@ -107,29 +111,31 @@ class TestGenerateDraft:
 
     def test_raw_string_summary_rejected(self):
         with pytest.raises(ValidationError):
-            generate_draft("raw text", make_context(), default_templates()["reengage-streak"])  # type: ignore[arg-type]
+            generate_draft(  # type: ignore[arg-type]
+                "raw text", make_context(), default_templates()["reengage-streak"], **STAMP
+            )
 
     def test_injected_identifier_fails_closed(self):
         # Bypass the constructor guard via the trusted-path hook to model an
         # upstream failure; generation must still refuse to emit.
         poisoned = _rehydrate_deid("reach me at bob@x.org", TOKEN)
         with pytest.raises(LeakageError) as err:
-            generate_draft(poisoned, make_context(), default_templates()["reengage-streak"])
+            generate_draft(poisoned, make_context(), default_templates()["reengage-streak"], **STAMP)
         assert "bob@x.org" not in str(err.value)
 
     def test_missing_slot_value_rejected(self):
         template = DraftTemplate("t", "milestone", "{summary} and {unknown_slot}")
         summary = redact("great week", TOKEN)
         with pytest.raises(ValidationError):
-            generate_draft(summary, make_context(), template)
+            generate_draft(summary, make_context(), template, **STAMP)
 
     def test_deterministic_rendering(self):
         summary = redact("missed 3 recent check-ins", TOKEN)
         template = default_templates()["reengage-streak"]
-        a = generate_draft(summary, make_context(streak=3), template, created_at="t0")
-        b = generate_draft(summary, make_context(streak=3), template, created_at="t0")
+        a = generate_draft(summary, make_context(streak=3), template, **STAMP)
+        b = generate_draft(summary, make_context(streak=3), template, **STAMP)
         assert a.rendered_text == b.rendered_text
-        assert a.draft_id == b.draft_id
+        assert (a.draft_id, a.created_at) == (STAMP["draft_id"], STAMP["created_at"])
 
 
 # Raw posts that self-disclose an identifier: every message variant but the
@@ -154,15 +160,17 @@ class TestLeakChecksThroughOneMemo:
         template = default_templates()["reengage-streak"]
         for _ in range(uses):
             with pytest.raises(LeakageError):
-                generate_draft(poisoned, make_context(), template, rules=memo.rules, memo=memo)
-            assert generate_draft(clean, make_context(), template, rules=memo.rules, memo=memo)
+                generate_draft(poisoned, make_context(), template, rules=memo.rules, memo=memo, **STAMP)
+            assert generate_draft(clean, make_context(), template, rules=memo.rules, memo=memo, **STAMP)
 
     @settings(max_examples=50, deadline=None)
     @given(text=_LEAKY_TEXTS, uses=st.integers(1, 4))
     def test_every_leaky_edit_fails(self, text, uses):
         memo = ScanMemo(default_rules())
         summary = redact("missed 4 recent check-ins", TOKEN, memo.rules, memo=memo)
-        draft = generate_draft(summary, make_context(streak=4), default_templates()["reengage-streak"])
+        draft = generate_draft(
+            summary, make_context(streak=4), default_templates()["reengage-streak"], **STAMP
+        )
         for _ in range(uses):
             with pytest.raises(LeakageError):
                 review(draft, "coach-1", "edit", new_text=text, rules=memo.rules, memo=memo)
@@ -174,7 +182,9 @@ class TestLeakChecksThroughOneMemo:
 class TestReview:
     def _pending(self):
         summary = redact("missed 4 recent check-ins", TOKEN)
-        return generate_draft(summary, make_context(streak=4), default_templates()["reengage-streak"])
+        return generate_draft(
+            summary, make_context(streak=4), default_templates()["reengage-streak"], **STAMP
+        )
 
     def test_approve(self):
         draft = review(self._pending(), "coach-1", "approve")
@@ -222,7 +232,7 @@ class TestReview:
         with pytest.raises(ValidationError, match="RuleSet"):
             generate_draft(
                 summary, make_context(), default_templates()["reengage-streak"],
-                rules=form(default_rules()),
+                rules=form(default_rules()), **STAMP,
             )
 
     def test_jsonl_round_trip(self, tmp_path):

@@ -14,7 +14,6 @@ from prism.features import LearningContext
 from prism.redaction import redact
 from prism.vault import (
     RestorationRequest,
-    SlidingWindowRateLimiter,
     UserToken,
     Vault,
     tokenize_field,
@@ -25,17 +24,16 @@ N_THREADS = 8
 
 
 def test_parallel_restorations_fully_audited(keys):
-    vault = Vault(
-        keys, rate_limiter=SlidingWindowRateLimiter(max_events=100_000, window_seconds=3600)
-    )
+    vault = Vault(keys)
     token = vault.register({"email": "p@example-mail.test"})
     per_thread = 50
 
     def hammer(worker: int) -> int:
         granted = 0
         for i in range(per_thread):
+            # One attempt per requester id, so no grant is rate limited.
             request = RestorationRequest(
-                requester_id=f"w{worker}",
+                requester_id=f"w{worker}-{i}",
                 role="coach" if i % 4 else "analyst",
                 mfa_verified=True,
                 user_token=token,
@@ -67,7 +65,10 @@ def test_concurrent_review_first_decision_wins():
         engagement_slope=0.0,
     )
     summary = redact("missed 5 recent check-ins", token)
-    draft = generate_draft(summary, context, default_templates()["reengage-streak"])
+    draft = generate_draft(
+        summary, context, default_templates()["reengage-streak"],
+        draft_id="d-1", created_at="2025-03-10T00:00:00.000000+00:00",
+    )
 
     outcomes = []
 

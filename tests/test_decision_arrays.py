@@ -59,6 +59,7 @@ from prism.features import (
     build_context,
     engagement_scores,
 )
+from prism.simulator import experiment
 from prism.simulator.experiment import TraceLegend, _decide, _pass_lines, _trace_line
 from prism.vault import UserToken
 
@@ -312,11 +313,14 @@ def epochs(draw, max_users=12, max_capacity=4, min_users=1):
 def assert_same_epoch(roster, model, epoch, config, tables, user_tags):
     """``_decide``, which decides the epoch through ``decide_epoch``,
     writes the lines, leaves the roster and returns the pending batch of
-    the per-user loop, byte for byte."""
+    the per-user loop, byte for byte. ``_decide`` reads the users'
+    language tags from the simulator's ``LANGUAGE_TAGS``, set here to the
+    drawn tags."""
     expected = copy.deepcopy(roster)
     lines, pending = reference_epoch(expected, model, epoch, config, tables, user_tags)
     out, counters = io.StringIO(), Counter()
-    batch = _decide(roster, model, epoch, config, tables, out, counters, user_tags)
+    with mock.patch.object(experiment, "LANGUAGE_TAGS", user_tags):
+        batch = _decide(roster, model, epoch, config, tables, out, counters)
     assert out.getvalue() == lines
     for name in ROSTER_ARRAYS:
         assert getattr(roster, name).tobytes() == getattr(expected, name).tobytes(), name

@@ -110,26 +110,30 @@ class TestAdherence:
 
 
 def _weights(alphas, p5, p95):
-    k = len(alphas)
+    """Weights over the first action types; every later type has alpha 0
+    and the band [0, 1], so it adds nothing to a score."""
+    pad = len(ACTION_TYPES) - len(alphas)
     return EngagementWeights(
-        action_types=ACTION_TYPES[:k], alphas=tuple(alphas), p5=tuple(p5), p95=tuple(p95)
+        alphas=tuple(alphas) + (0.0,) * pad,
+        p5=tuple(p5) + (0.0,) * pad,
+        p95=tuple(p95) + (1.0,) * pad,
     )
 
 
 class TestEngagementScore:
     def test_all_counts_at_or_below_p5_give_zero(self):
         w = _weights((0.5, 0.5), (2.0, 2.0), (10.0, 10.0))
-        assert engagement_score((0, 2), w) == 0.0
+        assert engagement_score((0, 2, 0, 0, 0), w) == 0.0
 
     def test_upper_bound_is_one_minus_epsilon_term(self):
         w = _weights((0.5, 0.5), (0.0, 0.0), (10.0, 10.0))
-        score = engagement_score((50, 10), w)
+        score = engagement_score((50, 10, 0, 0, 0), w)
         assert 0.999 < score < 1.0
 
     def test_two_action_worked_example(self):
         w = _weights((0.5, 0.5), (0.0, 0.0), (10.0, 10.0))
         # 0.5 * 5/(10+1e-6) + 0.5 * 10/(10+1e-6)
-        assert engagement_score((5, 10), w) == pytest.approx(0.7499999, abs=1e-6)
+        assert engagement_score((5, 10, 0, 0, 0), w) == pytest.approx(0.7499999, abs=1e-6)
 
     def test_monotone_in_every_count(self):
         rng = np.random.default_rng(5)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    name_rules,
     reference_detect,
     reference_redact,
     reference_resolve,
@@ -37,13 +38,13 @@ from prism.redaction import (
     ScanMemo,
     SpanAt,
     _candidates,
+    _name_pattern,
     _rehydrate_deid,
     _scan,
     default_rules,
     leak_audit,
     load_deid_corpus,
     load_rules,
-    name_pattern,
     redact,
     scan_for_identifiers,
 )
@@ -329,7 +330,7 @@ _CUSTOM_NAMES = st.lists(_CUSTOM_NAME, max_size=6)
 
 class TestScanMatchesReference:
     def test_name_pattern_groups_by_first_letter(self):
-        assert name_pattern(["Matteo", "Omar", "Marisol"], ["Ogawa"]) == (
+        assert _name_pattern(["Matteo", "Omar", "Marisol"], ["Ogawa"], fold=False) == (
             r"(?i)\b(?=[MO])(?:M(?:arisol|atteo)|O(?:mar))(?:\s+(?:O(?:gawa)))?\b"
         )
 
@@ -352,7 +353,7 @@ class TestScanMatchesReference:
     @given(first=_CUSTOM_NAMES, last=_CUSTOM_NAMES, data=st.data())
     def test_custom_name_lists(self, first, last, data):
         text = data.draw(_texts(tuple(first) + tuple(last) + ("Kate",)))
-        assert _candidates(text, default_rules(first, last)) == reference_detect(
+        assert _candidates(text, name_rules(first, last)) == reference_detect(
             text, reference_rules(first, last)
         )
 
@@ -390,7 +391,7 @@ def _rule_sets(draw):
         return default_rules(), reference_rules()
     if kind == "names":
         first, last = draw(_CUSTOM_NAMES), draw(_CUSTOM_NAMES)
-        return default_rules(first, last), reference_rules(first, last)
+        return name_rules(first, last), reference_rules(first, last)
     rules = _loaded(draw(_RULE_DOCS))
     return rules, rules
 
@@ -441,7 +442,7 @@ class TestAsciiPlan:
     def test_every_condition_has_an_ascii_test(self):
         conditions = {c for needs in _PREFILTERS.values() for c in needs}
         assert conditions == set(_ASCII_TESTS)
-        for rules in (default_rules(), default_rules(["Kate"], [])):
+        for rules in (default_rules(), name_rules(["Kate"], [])):
             assert len(rules.ascii_plan[0]) == len(rules.regex_plan[0]) == len(rules.conditions)
 
     def test_every_builtin_case_folding_pattern_has_a_twin(self):
@@ -574,7 +575,6 @@ class TestRuleSets:
         rules = default_rules()
         assert isinstance(rules, RuleSet) and isinstance(rules, tuple)
         assert default_rules() is rules
-        assert default_rules(list(DEFAULT_FIRST_NAMES), list(DEFAULT_LAST_NAMES)) is rules
 
     def test_rules_none_equals_the_default_rules(self):
         identity = synth_identity(np.random.default_rng(7), 3)
@@ -727,9 +727,9 @@ class TestScanMemo:
         assert memo.spans("hi Marisol", RuleSet(rules)) == (SpanAt(3, 10, "NAME"),)
         assert memo.spans("hi Marisol", None) == (SpanAt(3, 10, "NAME"),)
         with pytest.raises(ValidationError, match="other redaction rules"):
-            memo.spans("hi Kate", default_rules(["Kate"], []))
+            memo.spans("hi Kate", name_rules(["Kate"], []))
         with pytest.raises(ValidationError, match="other redaction rules"):
-            redact("hi Kate", TOKEN, default_rules(["Kate"], []), memo=memo)
+            redact("hi Kate", TOKEN, name_rules(["Kate"], []), memo=memo)
         for plain in (tuple(rules), list(rules)):
             with pytest.raises(ValidationError, match="RuleSet"):
                 memo.spans("hi Marisol", plain)

@@ -67,10 +67,11 @@ from prism.simulator.world import (
     group_engagement_means,
 )
 from prism.vault import (
+    RATE_LIMIT_GRANTS,
+    RATE_LIMIT_WINDOW_SECONDS,
     AuditLog,
     KeyRing,
     RestorationRequest,
-    SlidingWindowRateLimiter,
     UserToken,
     verify_audit_chain,
 )
@@ -548,8 +549,8 @@ class TestRunExperiment:
         scenario = small_scenario(seed=77, n_users=120, n_groups=8, capacity_min=20, capacity_max=26)
         base = PolicyConfig(lam=0.0)
         penalized = PolicyConfig(lam=0.5)
-        _, adaptive_base = run_paired(scenario, keys, policy=base)
-        _, adaptive_pen = run_paired(scenario, keys, policy=penalized)
+        adaptive_base = run_experiment(scenario, keys, policy=base).report
+        adaptive_pen = run_experiment(scenario, keys, policy=penalized).report
         assert adaptive_pen.reassignments <= adaptive_base.reassignments
 
     def test_dwell_respected_in_traces(self, keys, tmp_path):
@@ -780,10 +781,11 @@ class TestDeterminismAndPrivacy:
                 granted[entry["requester_id"]].append(stamp)
         assert granted, "the run should deliver drafts"
         busiest = max(
-            int((np.searchsorted(times, np.add(times, 3600.0)) - np.arange(len(times))).max())
+            int((np.searchsorted(times, np.add(times, RATE_LIMIT_WINDOW_SECONDS))
+                 - np.arange(len(times))).max())
             for times in granted.values()
         )
-        assert busiest <= 6 < SlidingWindowRateLimiter().max_events
+        assert busiest <= RATE_LIMIT_WINDOW_SECONDS / 600.0 == 6 < RATE_LIMIT_GRANTS
 
     def test_traces_match_schema(self, keys, tmp_path):
         out = str(tmp_path / "run")

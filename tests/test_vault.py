@@ -31,9 +31,12 @@ from prism.vault import (
     DENY_RATE,
     DENY_ROLE,
     GENESIS_HASH,
+    RATE_LIMIT_GRANTS,
+    RATE_LIMIT_WINDOW_SECONDS,
     RESTORE_ALLOWED_ROLES,
     AuditEntry,
     AuditLog,
+    FieldToken,
     KeyRing,
     RestorationRequest,
     SlidingWindowRateLimiter,
@@ -126,6 +129,13 @@ class TestHexCheck:
     )
     def test_accepts_exactly_lowercase_ascii_hex(self, text):
         assert _is_hex(text) == all(c in "0123456789abcdef" for c in text)
+
+    @pytest.mark.parametrize("value", [5, None, b"ab" * 32, ["ab" * 32]], ids=type)
+    @pytest.mark.parametrize("build", [UserToken, lambda v: FieldToken(v, "email")],
+                             ids=["UserToken", "FieldToken"])
+    def test_a_non_str_token_value_is_a_validation_error(self, build, value):
+        with pytest.raises(ValidationError, match="str of 64 lowercase hex"):
+            build(value)
 
 
 def _fixed_entropy(draw: bytes):
@@ -317,12 +327,9 @@ class TestRestorationPolicy:
 
     def test_rate_limit_cap(self, keys):
         now = [1000.0]
-        vault = Vault(
-            keys,
-            rate_limiter=SlidingWindowRateLimiter(max_events=10, window_seconds=3600),
-            clock=lambda: now[0],
-        )
+        vault = Vault(keys, clock=lambda: now[0])
         token = vault.register(IDENTITY)
+        assert (RATE_LIMIT_GRANTS, RATE_LIMIT_WINDOW_SECONDS) == (10, 3600.0)
         for i in range(10):
             now[0] += 1.0
             assert vault.restore_identity(_request(token)).granted
@@ -334,18 +341,18 @@ class TestRestorationPolicy:
 
     def test_rate_limit_window_slides(self, keys):
         now = [0.0]
-        vault = Vault(
-            keys,
-            rate_limiter=SlidingWindowRateLimiter(max_events=2, window_seconds=100),
-            clock=lambda: now[0],
-        )
+        vault = Vault(keys, clock=lambda: now[0])
         token = vault.register(IDENTITY)
-        for t in (1.0, 2.0):
-            now[0] = t
+        for t in range(1, 11):
+            now[0] = float(t)
             assert vault.restore_identity(_request(token)).granted
-        now[0] = 3.0
+        now[0] = 11.0
         assert not vault.restore_identity(_request(token)).granted
-        now[0] = 150.0  # both grants aged out
+        now[0] = 3601.0  # the grant at 1 s has aged out, the one at 2 s has not
+        assert vault.restore_identity(_request(token)).granted
+        now[0] = 3601.5
+        assert not vault.restore_identity(_request(token)).granted
+        now[0] = 7210.0  # every grant has aged out
         assert vault.restore_identity(_request(token)).granted
 
     def test_the_vault_clock_is_the_only_time(self, keys):
@@ -364,21 +371,20 @@ class TestRestorationPolicy:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        max_events=st.integers(1, 4),
-        window=st.sampled_from([1.0, 2.5, 10.0]),
         steps=st.lists(
             st.tuples(
-                st.sampled_from("abc"),
-                st.sampled_from([0.0, 0.5, 1.0, 2.5, 10.0]) | st.floats(0, 20),
+                st.sampled_from("aab"),
+                st.sampled_from([0.0, 60.0, 360.0, 3600.0]) | st.floats(0, 7200),
             ),
             max_size=60,
         ),
     )
-    def test_rate_limiter_contract_over_monotone_time(self, max_events, window, steps):
+    def test_rate_limiter_contract_over_monotone_time(self, steps):
         # The caller's contract: time never decreases, and a request that is
         # allowed is recorded, as restore_identity does for a grant.
-        limiter = SlidingWindowRateLimiter(max_events=max_events, window_seconds=window)
-        granted = {key: [] for key in "abc"}
+        max_events, window = RATE_LIMIT_GRANTS, RATE_LIMIT_WINDOW_SECONDS
+        limiter = SlidingWindowRateLimiter()
+        granted = {key: [] for key in "ab"}
         now = 0.0
         for key, dt in steps:
             now += dt
@@ -703,11 +709,13 @@ class TestKeyHygiene:
 class VaultMachine(RuleBasedStateMachine):
     """Registrations, restorations by every role with and without MFA,
     reads of the log view, and a clock that only moves forward, checked
-    against the governance invariants after every step. Two grants an hour per requester, so
-    steps reach the rate limit."""
+    against the governance invariants after every step. A restoration
+    step repeats its request up to twelve times at one instant, and most
+    clock steps stay well inside the window, so runs reach the rate limit
+    of ten grants an hour per requester."""
 
     tokens = Bundle("tokens")
-    LIMIT, WINDOW = 2, 3600.0
+    LIMIT, WINDOW = RATE_LIMIT_GRANTS, RATE_LIMIT_WINDOW_SECONDS
 
     def __init__(self) -> None:
         super().__init__()
@@ -715,7 +723,6 @@ class VaultMachine(RuleBasedStateMachine):
         counter = itertools.count(1)
         self.vault = Vault(
             KeyRing.from_hex("11" * 32, "22" * 32),
-            rate_limiter=SlidingWindowRateLimiter(self.LIMIT, self.WINDOW),
             clock=lambda: self.now,
             # Little-endian, so draws differ in their subject-id bytes.
             entropy=lambda n: next(counter).to_bytes(n, "little"),
@@ -723,6 +730,7 @@ class VaultMachine(RuleBasedStateMachine):
         self.identities: dict[str, dict] = {}
         self.granted_at: dict[str, list[float]] = {"r0": [], "r1": []}
         self.attempts = 0
+        self.rate_denials = 0
         self.decrypts = 0
         decrypt = self.vault._decrypt
 
@@ -741,34 +749,37 @@ class VaultMachine(RuleBasedStateMachine):
 
     @rule(
         token=tokens,
-        role=st.sampled_from(sorted(RESTORE_ALLOWED_ROLES) + ["analyst", "auditor"]),
-        mfa=st.booleans(),
+        # Mostly grantable requests, so repeats run into the limit.
+        role=st.sampled_from(sorted(RESTORE_ALLOWED_ROLES) * 2 + ["analyst", "auditor"]),
+        mfa=st.sampled_from([True, True, True, False]),
         requester=st.sampled_from(["r0", "r1"]),
+        repeats=st.integers(1, 12) | st.just(RATE_LIMIT_GRANTS + 1),
     )
-    def restore(self, token, role, mfa, requester):
-        decrypts = self.decrypts
-        result = self.vault.restore_identity(
-            RestorationRequest(requester, role, mfa, token, "check-in follow-up")
-        )
-        self.attempts += 1
-        recent = [t for t in self.granted_at[requester] if t > self.now - self.WINDOW]
-        if role not in RESTORE_ALLOWED_ROLES:
-            assert result.denial_reason == DENY_ROLE
-        elif not mfa:
-            assert result.denial_reason == DENY_MFA
-        elif len(recent) >= self.LIMIT:
-            assert result.denial_reason == DENY_RATE
-        else:
-            assert result.granted
-            self.granted_at[requester].append(self.now)
-        if result.granted:
-            assert result.fields == self.identities[token.value]
-            assert self.decrypts == decrypts + 1
-        else:
-            assert result.fields is None
-            assert self.decrypts == decrypts
+    def restore(self, token, role, mfa, requester, repeats):
+        request = RestorationRequest(requester, role, mfa, token, "check-in follow-up")
+        for _ in range(repeats):
+            decrypts = self.decrypts
+            result = self.vault.restore_identity(request)
+            self.attempts += 1
+            recent = [t for t in self.granted_at[requester] if t > self.now - self.WINDOW]
+            if role not in RESTORE_ALLOWED_ROLES:
+                assert result.denial_reason == DENY_ROLE
+            elif not mfa:
+                assert result.denial_reason == DENY_MFA
+            elif len(recent) >= self.LIMIT:
+                assert result.denial_reason == DENY_RATE
+                self.rate_denials += 1
+            else:
+                assert result.granted
+                self.granted_at[requester].append(self.now)
+            if result.granted:
+                assert result.fields == self.identities[token.value]
+                assert self.decrypts == decrypts + 1
+            else:
+                assert result.fields is None
+                assert self.decrypts == decrypts
 
-    @rule(seconds=st.integers(0, 7200))
+    @rule(seconds=st.integers(0, 900) | st.sampled_from([3600, 7200]))
     def advance_clock(self, seconds):
         self.now += seconds
 
@@ -795,3 +806,19 @@ class VaultMachine(RuleBasedStateMachine):
 
 TestVaultMachine = VaultMachine.TestCase
 TestVaultMachine.settings = settings(max_examples=40, stateful_step_count=40, deadline=None)
+
+
+def test_the_vault_machine_reaches_the_rate_limit():
+    # The fixed limit is reachable from the machine's own steps: eleven
+    # grantable requests of one requester at one instant.
+    machine = VaultMachine()
+    token = machine.register(n=1)
+    machine.restore(token, "coach", True, "r0", repeats=RATE_LIMIT_GRANTS + 1)
+    machine.advance_clock(seconds=900)
+    machine.restore(token, "admin", True, "r0", repeats=1)
+    assert machine.rate_denials == 2
+    machine.advance_clock(seconds=3600)
+    machine.restore(token, "operator", True, "r0", repeats=1)
+    assert machine.rate_denials == 2 and len(machine.granted_at["r0"]) == RATE_LIMIT_GRANTS + 1
+    machine.chain_verifies()
+    machine.attempts_equal_audit_entries()
