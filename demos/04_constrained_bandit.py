@@ -85,14 +85,16 @@ print("within dwell:", feasible(locked))
 model = BanditModel(ridge=config.ridge)
 decision = assign(user, roster, model, 8, config, tables=feature_tables(week, roster))
 print("\ndecision trace:")
-scored = zip(*decision.scores)  # the feasible groups' terms, in group order
-for gid, code in zip(roster.group_ids, decision.reason_codes.tolist()):
+# The decision is a one-row pass: the row's reason code per group, and the
+# terms of the feasible groups, in group order.
+scored = zip(*decision.scores)
+for gid, code in zip(roster.group_ids, decision.codes[0].tolist()):
     if code:
         print(f"  {gid}: infeasible ({', '.join(REASONS_OF_CODE[code])})")
     else:
         mu, sigma, penalty, score = next(scored)
         print(f"  {gid}: mu={mu:+.3f} sigma={sigma:.3f} penalty={penalty} score={score:+.3f}")
-print("chosen:", decision.chosen, "changed:", decision.changed)
+print("chosen:", roster.group_ids[decision.chosen[0]], "changed:", decision.changed)
 
 # ---------------------------------------------------------------------------
 # The model learns once per epoch: each epoch's matured rewards arrive as

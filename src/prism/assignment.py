@@ -7,7 +7,8 @@ vector on a joint user-by-group feature map, with a stability penalty
 against reassignments inside the oscillation horizon. An epoch's users
 are decided in row order by :func:`decide_epoch`, in passes between
 moves; :func:`assign` is the per-user step and the reference a pass
-must equal. Rewards are within-user deltas against the fixed
+must equal, and returns its decision as a one-row pass, so both paths
+give one record, :class:`DecisionPass`. Rewards are within-user deltas against the fixed
 pre-assignment baseline window and arrive after the evaluation window,
 so the caller queues each epoch's decisions and feeds the model one
 batch per epoch once they mature.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -590,93 +591,10 @@ def compute_reward(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AssignmentDecision:
-    """Result of one :func:`assign` call, the per-user step, plus the
-    coach-facing rationale trace.
-
-    The trace is held as arrays: a reason code per roster group row (0
-    for feasible), and ``scores``, the UCB terms of the feasible rows in
-    row order, or None when no group was feasible and nothing was scored.
-    ``chosen`` is None for a waitlisted user.
-    """
-
-    epoch: int
-    user_token: str
-    reason_codes: np.ndarray
-    scores: Optional[CandidateScores]
-    chosen: Optional[str]
-    changed: bool
-    phi_chosen: Optional[np.ndarray] = None
-    churn_penalty: int = 0
-
-
-def assign(
-    user: int,
-    roster: Roster,
-    model: BanditModel,
-    epoch: int,
-    config: PolicyConfig,
-    *,
-    tables: FeatureTables,
-    user_tags: frozenset[str] = frozenset(),
-) -> AssignmentDecision:
-    """Filter, score, select, and apply one assignment decision for user
-    row ``user``.
-
-    The roster changes only when the chosen group differs from the
-    current one. A placed user with no feasible alternative stays put; an
-    unplaced user with no feasible group is waitlisted for the next epoch.
-    ``tables`` are the epoch's :func:`feature_tables`; the user's goal
-    is read from them, so eligibility and features agree on it.
-
-    This is the per-user step of :func:`decide_epoch` and the reference
-    its passes must equal.
-    """
-    codes = feasibility_report(user, int(tables.goal[user]), roster, epoch, config, user_tags).codes
-    feasible = (codes == 0).nonzero()[0]
-    current = chosen = int(roster.group_of[user])
-    scores = phi_chosen = None
-    penalty = 0
-    if feasible.size:
-        best, scores, phi_chosen = score_and_select(
-            user, feasible, model, roster, epoch, config, tables
-        )
-        chosen, penalty = int(feasible[best]), int(scores.penalty[best])
-        if chosen != current:
-            roster.move(user, chosen, epoch, config.dwell)
-
-    return AssignmentDecision(
-        epoch=epoch,
-        user_token=roster.user_tokens[user],
-        reason_codes=codes,
-        scores=scores,
-        chosen=roster.group_ids[chosen] if chosen >= 0 else None,
-        changed=chosen != current,
-        phi_chosen=phi_chosen,
-        churn_penalty=penalty,
-    )
-
-
-# ---------------------------------------------------------------------------
-# An epoch's decisions, in passes between moves
-# ---------------------------------------------------------------------------
-
-# The most user rows one pass decides. A pass holds a row of codes per
-# user and group and a feature row per feasible pair, and every row after
-# the pass's first move is decided again, so larger passes cost memory
-# and, in epochs with many moves, wasted work.
-_MAX_PASS_ROWS = 128
-# A pass costs about two per-user steps plus up to a sixth of one per
-# row (24 to 96 groups), and keeps about two thirds of a window sized to
-# the mean stretch between moves; below 8 rows one at a time costs no
-# more.
-_MIN_PASS_ROWS = 8
-
-
 class DecisionPass(NamedTuple):
     """The decisions of user rows ``start`` to ``start + len(chosen)``,
-    made in one pass against one roster state.
+    made in one pass against one roster state: a window of rows from
+    :func:`decide_epoch`, or the one row of an :func:`assign` step.
 
     ``codes`` holds each row's reason code per group row and ``chosen``
     the group row each user sits in after the decision (-1 while
@@ -698,6 +616,80 @@ class DecisionPass(NamedTuple):
     penalty: np.ndarray
 
 
+# The pair fields of a row with nothing scored.
+_NOTHING_SCORED = (
+    np.zeros(2, dtype=np.int64),
+    CandidateScores(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64), np.empty(0)),
+    np.empty(0, dtype=np.int64),
+    np.empty((0, FEATURE_DIM)),
+    np.empty(0, dtype=np.int64),
+)
+
+
+def assign(
+    user: int,
+    roster: Roster,
+    model: BanditModel,
+    epoch: int,
+    config: PolicyConfig,
+    *,
+    tables: FeatureTables,
+    user_tags: frozenset[str] = frozenset(),
+) -> DecisionPass:
+    """Filter, score, select, and apply one assignment decision for user
+    row ``user``, and return it as a one-row :class:`DecisionPass`.
+
+    The roster changes only when the chosen group differs from the
+    current one. A placed user with no feasible alternative stays put; an
+    unplaced user with no feasible group is waitlisted for the next epoch.
+    Either way nothing was scored: the row's ``bounds`` are ``[0, 0]``
+    and its ``users``, ``phi`` and ``penalty`` are empty. ``tables`` are
+    the epoch's :func:`feature_tables`; the user's goal is read from
+    them, so eligibility and features agree on it.
+
+    This is the per-user step of :func:`decide_epoch` and the reference
+    its passes must equal.
+    """
+    codes = feasibility_report(user, int(tables.goal[user]), roster, epoch, config, user_tags).codes
+    feasible = (codes == 0).nonzero()[0]
+    if not feasible.size:
+        return DecisionPass(
+            user, codes[None], roster.group_of[user : user + 1].copy(), False, *_NOTHING_SCORED
+        )
+    best, scores, phi = score_and_select(user, feasible, model, roster, epoch, config, tables)
+    chosen = feasible[best : best + 1]
+    changed = bool(chosen[0] != roster.group_of[user])
+    if changed:
+        roster.move(user, int(chosen[0]), epoch, config.dwell)
+    return DecisionPass(
+        start=user,
+        codes=codes[None],
+        chosen=chosen,
+        changed=changed,
+        bounds=np.array([0, feasible.size]),
+        scores=scores,
+        users=np.array([user]),
+        phi=phi[None],
+        penalty=scores.penalty[best : best + 1],
+    )
+
+
+# ---------------------------------------------------------------------------
+# An epoch's decisions, in passes between moves
+# ---------------------------------------------------------------------------
+
+# The most user rows one pass decides. A pass holds a row of codes per
+# user and group and a feature row per feasible pair, and every row after
+# the pass's first move is decided again, so larger passes cost memory
+# and, in epochs with many moves, wasted work.
+_MAX_PASS_ROWS = 128
+# A pass costs about two per-user steps plus up to a sixth of one per
+# row (24 to 96 groups), and keeps about two thirds of a window sized to
+# the mean stretch between moves; below 8 rows one at a time costs no
+# more.
+_MIN_PASS_ROWS = 8
+
+
 def decide_epoch(
     roster: Roster,
     model: BanditModel,
@@ -706,8 +698,8 @@ def decide_epoch(
     *,
     tables: FeatureTables,
     user_tags: frozenset[str] = frozenset(),
-    step: Callable[..., AssignmentDecision] = assign,
-) -> Iterator[Union[AssignmentDecision, DecisionPass]]:
+    step: Callable[..., DecisionPass] = assign,
+) -> Iterator[DecisionPass]:
     """Decide every roster user row in row order, as :func:`assign` one
     row at a time would, and yield the decisions as they are made.
 
@@ -722,7 +714,7 @@ def decide_epoch(
     between the epoch's moves so far, up to ``_MAX_PASS_ROWS`` rows. When
     that is under ``_MIN_PASS_ROWS`` rows, the rows are decided one at a
     time by ``step``, :func:`assign` or the caller's own reference to it,
-    and each yields its :class:`AssignmentDecision`.
+    and each yields its one-row pass.
     """
     if model.dim != FEATURE_DIM:
         raise InternalError(f"the feature map has dim {FEATURE_DIM}, the model expects {model.dim}")

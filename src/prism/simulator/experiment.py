@@ -12,8 +12,9 @@ An epoch's users are decided by ``decide_epoch``, in passes between
 moves: each pass decides a window of user rows against the roster as it
 stands and keeps them up to and including the first move. Where moves
 come close together, it decides one user at a time through ``assign``,
-the per-user step and the reference every pass equals. Both paths write
-their trace lines through one writer, so the file is the same either way.
+the per-user step and the reference every pass equals, which returns its
+decision as a one-row pass. So every decision arrives as a
+``DecisionPass``, and ``_pass_lines`` writes every trace line.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .._version import __version__
 from ..assignment import (
     FEATURE_DIM,
     REASONS_OF_CODE,
-    AssignmentDecision,
     BanditModel,
     DecisionPass,
     FeatureTables,
@@ -114,27 +114,11 @@ def _digits(values: np.ndarray) -> str:
     return values.astype(np.uint8).tobytes().translate(_DIGIT_OF_BYTE).decode("ascii")
 
 
-def _b64(values: np.ndarray) -> str:
-    """Little-endian float64 bytes of ``values`` as base64 text."""
-    return b2a_base64(values.astype("<f8", copy=False).tobytes(), newline=False).decode("ascii")
-
-
-def _trace_line(decision: AssignmentDecision) -> str:
-    """A per-user decision's rationale as one line of trace schema 3."""
-    scores = decision.scores
-    if scores is None:
-        mu = sigma = penalty = ""
-    else:
-        mu, sigma, penalty = _b64(scores.mu), _b64(scores.sigma), _digits(scores.penalty)
-    return _line(
-        decision.epoch, decision.user_token, decision.chosen, decision.changed,
-        _digits(decision.reason_codes), mu, sigma, penalty,
-    )
-
-
 def _pass_lines(decided: DecisionPass, epoch: int, roster: Roster) -> str:
     """The trace lines of a pass's decisions, in row order: each row's
-    slice of the pass's code digits, penalty digits and float bytes."""
+    slice of the pass's code digits, penalty digits and float bytes.
+    This is the one trace writer, for a window of rows and for the one
+    row of an ``assign`` step alike."""
     n_groups = len(roster.group_ids)
     codes = _digits(decided.codes)
     scores = decided.scores
@@ -163,7 +147,7 @@ def _line(
     epoch: int, token: str, chosen: Optional[str], changed: bool,
     codes: str, mu: str, sigma: str, penalty: str,
 ) -> str:
-    """One line of trace schema 3, the writer of both decision paths.
+    """One line of trace schema 3.
 
     ``codes`` holds one reason code per group row (``0`` for scored) as
     the character ``chr(48 + code)``. ``mu`` and ``sigma`` are base64 of
@@ -246,8 +230,9 @@ class TraceLegend:
 
     @staticmethod
     def _float_values(text, name: str, size: int) -> np.ndarray:
-        """The inverse of :func:`_b64`, for ``size`` values. Only the text
-        ``_b64`` writes is accepted, so a line decodes one way or not at all."""
+        """The inverse of the base64 text :func:`_pass_lines` writes, for
+        ``size`` little-endian float64 values. Only that text is accepted,
+        so a line decodes one way or not at all."""
         if not isinstance(text, str) or not text.isascii():
             raise ValidationError(f"trace {name} must be an ASCII base64 string")
         try:
@@ -605,33 +590,19 @@ def _decide(
     users = np.empty(n_users, dtype=np.int64)
     phi = np.empty((n_users, FEATURE_DIM))
     penalties = np.empty(n_users, dtype=np.int64)
-    scored = row = 0
+    scored = 0
     for decided in decide_epoch(
         roster, model, epoch, config, tables=tables, user_tags=LANGUAGE_TAGS, step=assign
     ):
-        if isinstance(decided, DecisionPass):
-            counters["decisions"] += decided.chosen.size
-            counters["reassignments"] += decided.changed
-            if traces is not None:
-                traces.write(_pass_lines(decided, epoch, roster))
-            end = scored + decided.users.size
-            users[scored:end] = decided.users
-            phi[scored:end] = decided.phi
-            penalties[scored:end] = decided.penalty
-            scored = end
-            row += decided.chosen.size
-            continue
-        counters["decisions"] += 1
+        counters["decisions"] += decided.chosen.size
+        counters["reassignments"] += decided.changed
         if traces is not None:
-            traces.write(_trace_line(decided))
-        if decided.changed:
-            counters["reassignments"] += 1
-        if decided.phi_chosen is not None:
-            users[scored] = row
-            phi[scored] = decided.phi_chosen
-            penalties[scored] = decided.churn_penalty
-            scored += 1
-        row += 1
+            traces.write(_pass_lines(decided, epoch, roster))
+        end = scored + decided.users.size
+        users[scored:end] = decided.users
+        phi[scored:end] = decided.phi
+        penalties[scored:end] = decided.penalty
+        scored = end
     return (users[:scored], phi[:scored], penalties[:scored]) if scored else None
 
 

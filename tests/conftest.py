@@ -238,15 +238,14 @@ def reference_widths(model, phi) -> np.ndarray:
     return np.sqrt(np.maximum(0.0, np.einsum("ij,jk,ik->i", phi, model._a_inv, phi)))
 
 
-def trace_dict(decision, group_ids) -> dict:
-    """A decision's rationale trace as a dict with one entry per group, in
-    the order of the roster's ``group_ids``: the reference that each trace
-    line must decode to. Its ``json.dumps(..., sort_keys=True)`` text is
-    the line of trace schema 1."""
-    scores = decision.scores
-    scored = iter(zip(*(a.tolist() for a in scores)) if scores is not None else ())
+def trace_dict(decided, epoch, roster) -> dict:
+    """A one-row pass's rationale trace as a dict with one entry per group,
+    in the order of the roster's ``group_ids``: the reference that each
+    trace line must decode to. Its ``json.dumps(..., sort_keys=True)``
+    text is the line of trace schema 1."""
+    scored = zip(*(a.tolist() for a in decided.scores))
     candidates = []
-    for group_id, code in zip(group_ids, decision.reason_codes.tolist()):
+    for group_id, code in zip(roster.group_ids, decided.codes[0].tolist()):
         mu, sigma, penalty, score = next(scored) if code == 0 else (None,) * 4
         candidates.append({
             "group": group_id,
@@ -257,12 +256,13 @@ def trace_dict(decision, group_ids) -> dict:
             "feasible": code == 0,
             "reasons": list(REASONS_OF_CODE[code]),
         })
+    (group,) = decided.chosen.tolist()
     return {
         "candidates": candidates,
-        "epoch": decision.epoch,
-        "user_token": decision.user_token,
-        "chosen": decision.chosen,
-        "changed": decision.changed,
+        "epoch": epoch,
+        "user_token": roster.user_tokens[decided.start],
+        "chosen": roster.group_ids[group] if group >= 0 else None,
+        "changed": decided.changed,
     }
 
 

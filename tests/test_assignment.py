@@ -39,7 +39,7 @@ from prism.assignment import (
 )
 from prism.errors import ConstraintViolationError, InternalError, ValidationError
 from prism.features import GOAL_CATEGORIES, ContextBatch, EngagementWeights, engagement_scores
-from prism.simulator.experiment import _trace_line
+from prism.simulator.experiment import _pass_lines
 from prism.vault import UserToken
 
 USER = "aa" * 32
@@ -596,7 +596,7 @@ class TestAssign:
         model = BanditModel(dim=FEATURE_DIM)
         before = [a.copy() for a in (roster.group_of, roster.last_change, roster.count, roster.load)]
         decision = assign(USER_ROW, roster, model, epoch=8, config=CONFIG, tables=tables_for(roster))
-        assert decision.chosen == "g001"
+        assert decision.chosen.tolist() == [roster.group_row["g001"]]
         assert not decision.changed
         after = (roster.group_of, roster.last_change, roster.count, roster.load)
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
@@ -606,15 +606,19 @@ class TestAssign:
         roster = make_world(goal="maintenance")
         model = BanditModel(dim=FEATURE_DIM)
         decision = assign(USER_ROW, roster, model, 8, CONFIG, tables=tables_for(roster))
-        assert decision.chosen is None
+        assert decision.chosen.tolist() == [-1] and not decision.changed
         assert roster.group_id(USER_ROW) is None
+        # Nothing was scored, so the one row has no pair to learn from.
+        assert decision.bounds.tolist() == [0, 0]
+        assert decision.users.size == decision.phi.size == decision.penalty.size == 0
 
     def test_placed_user_with_no_feasible_alternative_stays(self):
         roster = make_world(n_groups=1, goal="maintenance", seats=[(USER, "g000", 0)])
         model = BanditModel(dim=FEATURE_DIM)
         decision = assign(USER_ROW, roster, model, 8, CONFIG, tables=tables_for(roster))
-        assert decision.chosen == "g000"
+        assert decision.chosen.tolist() == [roster.group_row["g000"]]
         assert not decision.changed
+        assert decision.bounds.tolist() == [0, 0] and decision.users.size == 0
 
     def test_mutation_and_trace_on_change(self):
         roster = make_world(
@@ -623,15 +627,17 @@ class TestAssign:
         )
         model = BanditModel(dim=FEATURE_DIM)
         decision = assign(USER_ROW, roster, model, 8, CONFIG, tables=tables_for(roster))
-        assert decision.chosen == "g000"
+        assert decision.chosen.tolist() == [roster.group_row["g000"]]
         assert decision.changed
-        assert decision.user_token == USER
+        assert decision.start == decision.users[0] == USER_ROW
         assert roster.group_id(USER_ROW) == "g000"
         assert roster.count.tolist() == [1, 0, 0]
         assert roster.last_change[USER_ROW] == 8
         # Read back through the trace line, as a coach's tool reads it.
-        trace = decode_trace_line(_trace_line(decision), legend_of(roster.group_ids, CONFIG))
-        assert trace == trace_dict(decision, roster.group_ids)
+        line = _pass_lines(decision, 8, roster)
+        trace = decode_trace_line(line, legend_of(roster.group_ids, CONFIG))
+        assert trace == trace_dict(decision, 8, roster)
+        assert trace["user_token"] == USER and trace["chosen"] == "g000"
         assert set(trace) == {"epoch", "user_token", "candidates", "chosen", "changed"}
         by_group = {c["group"]: c for c in trace["candidates"]}
         assert by_group["g000"]["feasible"]
@@ -662,12 +668,12 @@ class TestAssign:
         model = BanditModel(dim=FEATURE_DIM)
         for user, goal in enumerate(goals.tolist()):
             decision = assign(user, roster, model, 8, CONFIG, tables=tables)
-            assert decision.user_token == tokens[user]
-            goal_bits = decision.reason_codes & CODE_GOAL != 0
+            assert decision.start == user
+            goal_bits = decision.codes[0] & CODE_GOAL != 0
             assert goal_bits.tolist() == (roster.goal_index != goal).tolist()
-            assert roster.goal_index[roster.group_row[decision.chosen]] == goal
+            assert roster.goal_index[decision.chosen].tolist() == [goal]
             onehot = np.eye(len(GOAL_CATEGORIES))[goal].tolist()
-            phi = decision.phi_chosen
+            (phi,) = decision.phi
             assert phi[N_NUMERIC : N_NUMERIC + len(GOAL_CATEGORIES)].tolist() == onehot
             assert phi[-len(GOAL_CATEGORIES) :].tolist() == onehot  # goal interaction
 
@@ -721,7 +727,7 @@ class TestAssign:
                     if u in last_move:
                         assert epoch - last_move[u] >= dwell
                     last_move[u] = epoch
-                assert roster.group_id(u) == decision.chosen
+                assert decision.chosen.tolist() == [roster.group_of[u]]
                 seated = roster.group_of[roster.group_of >= 0]
                 count = np.bincount(seated, minlength=len(groups))
                 load = np.bincount(roster.coach_of[seated], minlength=n_coaches)

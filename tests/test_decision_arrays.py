@@ -13,6 +13,7 @@ import io
 import json
 import struct
 from collections import Counter
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -33,14 +34,16 @@ from conftest import (
 from prism import assignment
 
 from prism.assignment import (
+    CODE_CAPACITY,
     CODE_DWELL,
+    CODE_GOAL,
     FEATURE_DIM,
     GOAL_CATEGORIES,
     N_REASON_CODES,
-    AssignmentDecision,
     BanditModel,
     CandidateScores,
     CoachState,
+    DecisionPass,
     GroupState,
     PolicyConfig,
     Roster,
@@ -60,7 +63,7 @@ from prism.features import (
     engagement_scores,
 )
 from prism.simulator import experiment
-from prism.simulator.experiment import TraceLegend, _decide, _pass_lines, _trace_line
+from prism.simulator.experiment import TraceLegend, _decide, _pass_lines
 from prism.vault import UserToken
 
 TAGS = ("en", "fr", "de")
@@ -258,19 +261,35 @@ ROSTER_ARRAYS = ("group_of", "last_change", "count", "load", "capacity_code", "f
 
 def reference_epoch(roster, model, epoch, config, tables, user_tags):
     """The per-user loop: every row through ``assign`` in row order, with
-    its trace line and, for a scored row, its pending entry."""
+    its reference trace line and, for a scored row, its pending entry."""
     lines, users, phi, penalties = [], [], [], []
     for user in range(len(roster.user_tokens)):
         decision = assign(user, roster, model, epoch, config, tables=tables, user_tags=user_tags)
-        lines.append(_trace_line(decision))
-        if decision.phi_chosen is not None:
+        lines.append(reference_trace_line(decision, epoch, roster))
+        if decision.users.size:
             users.append(user)
-            phi.append(decision.phi_chosen)
-            penalties.append(decision.churn_penalty)
+            phi.append(decision.phi[0])
+            penalties.append(int(decision.penalty[0]))
     pending = None
     if users:
         pending = (np.array(users), np.array(phi), np.array(penalties, dtype=np.int64))
     return "".join(lines), pending
+
+
+def joined(steps):
+    """One-row passes of consecutive rows as the one pass that decides
+    them all: what a pass over those rows must equal."""
+    return DecisionPass(
+        start=steps[0].start,
+        codes=np.concatenate([d.codes for d in steps]),
+        chosen=np.concatenate([d.chosen for d in steps]),
+        changed=steps[-1].changed,
+        bounds=np.concatenate([[0], np.cumsum([d.bounds[1] for d in steps])]),
+        scores=CandidateScores(*(np.concatenate(terms) for terms in zip(*(d.scores for d in steps)))),
+        users=np.concatenate([d.users for d in steps]),
+        phi=np.concatenate([d.phi for d in steps]),
+        penalty=np.concatenate([d.penalty for d in steps]),
+    )
 
 
 @st.composite
@@ -377,13 +396,19 @@ def test_one_pass_equals_per_user_steps(case, data):
     ]
     assert [d.changed for d in decisions] == [False] * (kept - 1) + [decided.changed]
     assert decided.changed or kept == rows
-    assert _pass_lines(decided, epoch, roster) == "".join(_trace_line(d) for d in decisions)
+    assert _pass_lines(decided, epoch, roster) == "".join(
+        reference_trace_line(d, epoch, roster) for d in decisions
+    )
     for name in ROSTER_ARRAYS:
         assert getattr(roster, name).tobytes() == getattr(expected, name).tobytes(), name
-    scored = [(start + i, d) for i, d in enumerate(decisions) if d.phi_chosen is not None]
-    assert decided.users.tolist() == [user for user, _ in scored]
-    assert decided.phi.tobytes() == np.array([d.phi_chosen for _, d in scored]).reshape(-1, FEATURE_DIM).tobytes()
-    assert decided.penalty.tolist() == [d.churn_penalty for _, d in scored]
+    reference = joined(decisions)
+    assert (decided.start, decided.changed) == (reference.start, reference.changed)
+    for name in ("codes", "chosen", "bounds", "users", "phi", "penalty"):
+        got, want = getattr(decided, name), getattr(reference, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    for got, want in zip(decided.scores, reference.scores):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     event(f"kept {'one row' if kept == 1 else 'every row' if kept == rows else 'some rows'}"
           f"{', last one moved' if decided.changed else ''}")
 
@@ -522,56 +547,70 @@ group_ids = st.lists(
 )
 
 
-def decision_with(codes, draw_float, chosen, changed, legend, epoch=5, token="t0"):
-    """A decision over ``codes`` with drawn ``mu`` and ``sigma``, and the
-    score derived as ``score_and_select`` derives it, with the legend's
-    ``beta`` and ``lam``."""
+def decision_with(codes, draw_float, chosen, changed, legend, token="t0"):
+    """A one-row pass over ``codes``, with drawn ``mu`` and ``sigma`` and
+    the score derived as ``score_and_select`` derives it, with the
+    legend's ``beta`` and ``lam``; and the stand-in roster its line is
+    written against, the legend's group ids and the one user ``token``.
+    ``chosen`` is a group id or None, and a scored ``chosen`` has its
+    pair in the pass, as ``assign`` records it."""
+    ids = legend["group_ids"]
     codes = np.asarray(codes, dtype=np.int64)
     rows = np.flatnonzero(codes == 0)
-    scores = None
-    if rows.size:
-        draw = lambda: np.array([draw_float() for _ in rows.tolist()], dtype=float)
-        mu, sigma, penalty = draw(), draw(), rows % 2
-        policy = legend["policy"]
-        score = mu + policy["beta"] * sigma - policy["lam"] * penalty
-        scores = CandidateScores(mu=mu, sigma=sigma, penalty=penalty, score=score)
-    return AssignmentDecision(
-        epoch=epoch, user_token=token, reason_codes=codes,
-        scores=scores, chosen=chosen, changed=changed,
+    draw = lambda: np.array([draw_float() for _ in rows.tolist()], dtype=float)
+    mu, sigma, penalty = draw(), draw(), rows % 2
+    policy = legend["policy"]
+    score = mu + policy["beta"] * sigma - policy["lam"] * penalty
+    group = -1 if chosen is None else ids.index(chosen)
+    pair = np.flatnonzero(rows == group)
+    decided = DecisionPass(
+        start=0,
+        codes=codes[None],
+        chosen=np.array([group]),
+        changed=changed,
+        bounds=np.array([0, rows.size]),
+        scores=CandidateScores(mu=mu, sigma=sigma, penalty=penalty, score=score),
+        users=np.zeros(pair.size, dtype=np.int64),
+        phi=np.zeros((pair.size, FEATURE_DIM)),
+        penalty=penalty[pair],
     )
+    return decided, SimpleNamespace(group_ids=ids, user_tokens=[token])
 
 
 def pack_floats(values) -> str:
     return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
 
 
-def reference_trace_line(decision) -> str:
-    """The schema-3 line as one ``json.dumps`` of its fields, the floats
-    packed by ``struct`` and encoded by ``base64``."""
-    scores = decision.scores
-    mu, sigma, penalty = ([],) * 3 if scores is None else (a.tolist() for a in scores[:3])
+def line_fields(decided, epoch, roster) -> dict:
+    """The fields every trace schema shares, for a one-row pass."""
+    (group,) = decided.chosen.tolist()
+    return {
+        "epoch": epoch,
+        "user_token": roster.user_tokens[decided.start],
+        "chosen": roster.group_ids[group] if group >= 0 else None,
+        "changed": decided.changed,
+    }
+
+
+def reference_trace_line(decided, epoch, roster) -> str:
+    """A one-row pass's schema-3 line as one ``json.dumps`` of its fields,
+    the floats packed by ``struct`` and encoded by ``base64``."""
+    mu, sigma, penalty = (a.tolist() for a in decided.scores[:3])
     return json.dumps({
-        "epoch": decision.epoch,
-        "user_token": decision.user_token,
-        "chosen": decision.chosen,
-        "changed": decision.changed,
-        "codes": "".join(chr(48 + code) for code in decision.reason_codes.tolist()),
+        **line_fields(decided, epoch, roster),
+        "codes": "".join(chr(48 + code) for code in decided.codes[0].tolist()),
         "mu": pack_floats(mu),
         "sigma": pack_floats(sigma),
         "penalty": "".join(str(p) for p in penalty),
     }) + "\n"
 
 
-def reference_schema2_line(decision) -> str:
+def reference_schema2_line(decided, epoch, roster) -> str:
     """The line trace schema 2 wrote: one ``json.dumps`` of its fields."""
-    scores = decision.scores
-    mu, sigma, penalty, score = ([],) * 4 if scores is None else (a.tolist() for a in scores)
+    mu, sigma, penalty, score = (a.tolist() for a in decided.scores)
     return json.dumps({
-        "epoch": decision.epoch,
-        "user_token": decision.user_token,
-        "chosen": decision.chosen,
-        "changed": decision.changed,
-        "codes": decision.reason_codes.tolist(),
+        **line_fields(decided, epoch, roster),
+        "codes": decided.codes[0].tolist(),
         "mu": mu,
         "sigma": sigma,
         "penalty": penalty,
@@ -579,18 +618,18 @@ def reference_schema2_line(decision) -> str:
     }) + "\n"
 
 
-def assert_decodes_to_reference(decision, ids, legend):
-    line = _trace_line(decision)
-    assert line == reference_trace_line(decision)
+def assert_decodes_to_reference(decided, epoch, roster, legend):
+    line = _pass_lines(decided, epoch, roster)
+    assert line == reference_trace_line(decided, epoch, roster)
     assert line.endswith("\n") and "\n" not in line[:-1]
     # Compared as text: dict equality would take -0.0 for 0.0 and fail NaN
     # against NaN. The derived score must come back bit for bit.
     decoded = TraceLegend.from_manifest(legend).decode(line)
-    assert json.dumps(decoded) + "\n" == reference_schema2_line(decision)
-    assert bits(decoded["score"]) == bits([] if decision.scores is None else decision.scores.score)
+    assert json.dumps(decoded) + "\n" == reference_schema2_line(decided, epoch, roster)
+    assert bits(decoded["score"]) == bits(decided.scores.score)
     # The schema-1 text.
     assert json.dumps(decode_trace_line(line, legend), sort_keys=True) == json.dumps(
-        trace_dict(decision, ids), sort_keys=True
+        trace_dict(decided, epoch, roster), sort_keys=True
     )
 
 
@@ -629,29 +668,66 @@ def test_trace_line_decodes_to_reference(ids, policy, data, n_decisions):
         # decisions of an epoch do.
         if codes is None or not data.draw(st.booleans()):
             codes, chosen = draw_codes(data, ids)
-        decision = decision_with(
+        decided, roster = decision_with(
             codes, draw_float, chosen, data.draw(st.booleans()), legend,
-            epoch=data.draw(st.integers(0, 10**6)), token=data.draw(st.text(max_size=8)),
+            token=data.draw(st.text(max_size=8)),
         )
-        assert_decodes_to_reference(decision, ids, legend)
+        assert_decodes_to_reference(decided, data.draw(st.integers(0, 10**6)), roster, legend)
 
 
 def test_trace_line_covers_every_reason_code():
     ids = [f"g{c:02d}" for c in range(N_REASON_CODES)]
     legend = legend_of(ids)
     values = iter(SPECIAL_FLOATS * 3)
-    decision = decision_with(range(N_REASON_CODES), lambda: next(values), "g00", True, legend)
-    assert_decodes_to_reference(decision, ids, legend)
-    line = json.loads(_trace_line(decision))
+    decided, roster = decision_with(range(N_REASON_CODES), lambda: next(values), "g00", True, legend)
+    assert_decodes_to_reference(decided, 5, roster, legend)
+    line = json.loads(_pass_lines(decided, 5, roster))
     assert line["codes"] == "".join(chr(48 + code) for code in range(N_REASON_CODES))
     assert line["codes"][-1] == "P" and line["penalty"] == "0"
     assert len(line["mu"]) == len(line["sigma"]) == 12 and "score" not in line
-    reasons = [c["reasons"] for c in decode_trace_line(_trace_line(decision), legend)["candidates"]]
+    reasons = [
+        c["reasons"] for c in decode_trace_line(_pass_lines(decided, 5, roster), legend)["candidates"]
+    ]
     assert reasons[0] == []
     assert reasons[N_REASON_CODES - 1] == ["dwell_lock"]
     assert reasons[31] == [
         "goal_mismatch", "inactive", "language_mismatch", "capacity_full", "coach_load_full",
     ]
+
+
+def test_trace_lines_of_a_churned_and_a_waitlisted_assign():
+    # Row 0 sits in a goal-mismatched group since epoch 2: past the dwell
+    # but inside the oscillation horizon, so its one feasible move costs a
+    # churn penalty of 1. That move fills the only fitness group, and
+    # unplaced row 1 is waitlisted.
+    groups = {
+        "g000": GroupState("g000", "c00", capacity=2, goal_category="maintenance"),
+        "g001": GroupState("g001", "c00", capacity=1, goal_category="fitness"),
+    }
+    roster = Roster(groups, {"c00": CoachState("c00", load_limit=9)}, ["aa" * 32, "bb" * 32])
+    roster.move(0, 0, 2, dwell=0)
+    tables = tables_for(roster, "fitness")
+    config, model = PolicyConfig(), BanditModel(dim=FEATURE_DIM)
+    legend = legend_of(roster.group_ids, config)
+    before = copy.deepcopy(roster)
+
+    churned = assign(0, roster, model, 8, config, tables=tables)
+    assert (churned.chosen.tolist(), churned.changed) == ([1], True)
+    assert churned.bounds.tolist() == [0, 1] and churned.users.tolist() == [0]
+    assert churned.penalty.tolist() == churned.scores.penalty.tolist() == [1]
+    assert churned.phi.tobytes() == joint_features(tables, 0, before, np.array([1])).tobytes()
+    assert_decodes_to_reference(churned, 8, roster, legend)
+    assert json.loads(_pass_lines(churned, 8, roster))["penalty"] == "1"
+
+    waitlisted = assign(1, roster, model, 8, config, tables=tables)
+    assert (waitlisted.chosen.tolist(), waitlisted.changed) == ([-1], False)
+    assert waitlisted.bounds.tolist() == [0, 0]
+    assert waitlisted.users.size == waitlisted.phi.size == waitlisted.penalty.size == 0
+    assert waitlisted.phi.shape == (0, FEATURE_DIM)
+    assert_decodes_to_reference(waitlisted, 8, roster, legend)
+    line = json.loads(_pass_lines(waitlisted, 8, roster))
+    codes = chr(48 + CODE_GOAL) + chr(48 + CODE_CAPACITY)
+    assert [line[k] for k in ("chosen", "codes", "mu", "sigma", "penalty")] == [None, codes, "", "", ""]
 
 
 def outside(valid: str):
@@ -702,8 +778,8 @@ def test_malformed_trace_line_raises(ids, data):
     legend = legend_of(ids)
     codes, chosen = draw_codes(data, ids)
     codes[0] = 0  # at least one scored row
-    decision = decision_with(codes, lambda: data.draw(floats), chosen or ids[0], False, legend)
-    doc = json.loads(_trace_line(decision))
+    decided, roster = decision_with(codes, lambda: data.draw(floats), chosen or ids[0], False, legend)
+    doc = json.loads(_pass_lines(decided, 5, roster))
     broken = data.draw(malformed_fields(doc))
     with pytest.raises(ValidationError):
         TraceLegend.from_manifest(legend).decode(json.dumps(broken))

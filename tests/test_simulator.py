@@ -30,7 +30,6 @@ from prism.assignment import (
     REASONS_OF_CODE,
     CandidateScores,
     CoachState,
-    DecisionPass,
     GroupState,
     PolicyConfig,
     Roster,
@@ -816,33 +815,33 @@ class TestDeterminismAndPrivacy:
         # The decoder derives score from mu, sigma, penalty and the
         # manifest's policy; every term must come back with the bits the
         # decision held, whether a pass or a per-user step made it.
-        decisions, kinds = [], set()
+        decisions, by_step = [], set()
 
-        def recording_decide_epoch(roster, *args, **kwargs):
-            for decided in decide_epoch(roster, *args, **kwargs):
-                kinds.add(type(decided))
-                if isinstance(decided, DecisionPass):
-                    bounds, last = decided.bounds.tolist(), decided.chosen.size - 1
-                    for i, group in enumerate(decided.chosen.tolist()):
-                        pairs = slice(bounds[i], bounds[i + 1])
-                        decisions.append((
-                            decided.codes[i].tolist(),
-                            roster.group_ids[group] if group >= 0 else None,
-                            decided.changed and i == last,
-                            [] if pairs.start == pairs.stop else [a[pairs] for a in decided.scores],
-                        ))
-                else:
-                    scores = [] if decided.scores is None else decided.scores
-                    decisions.append(
-                        (decided.reason_codes.tolist(), decided.chosen, decided.changed, scores)
-                    )
+        def recording_decide_epoch(roster, *args, step, **kwargs):
+            stepped = []
+
+            def recording_step(*step_args, **step_kwargs):
+                stepped.append(step(*step_args, **step_kwargs))
+                return stepped[-1]
+
+            for decided in decide_epoch(roster, *args, step=recording_step, **kwargs):
+                by_step.add(bool(stepped) and stepped[-1] is decided)
+                bounds, last = decided.bounds.tolist(), decided.chosen.size - 1
+                for i, group in enumerate(decided.chosen.tolist()):
+                    pairs = slice(bounds[i], bounds[i + 1])
+                    decisions.append((
+                        decided.codes[i].tolist(),
+                        roster.group_ids[group] if group >= 0 else None,
+                        decided.changed and i == last,
+                        [a[pairs] for a in decided.scores],
+                    ))
                 yield decided
 
         monkeypatch.setattr(experiment, "decide_epoch", recording_decide_epoch)
         config = PolicyConfig(beta=0.6, lam=0.45)
         run_experiment(small_scenario(seed=17), keys, policy=config, out_dir=str(tmp_path))
         traces = read_traces(tmp_path)
-        assert len(traces) == len(decisions) and len(kinds) == 2
+        assert len(traces) == len(decisions) and by_step == {True, False}
         checked = 0
         for trace, (codes, chosen, changed, terms) in zip(traces, decisions):
             assert trace["codes"] == codes
