@@ -35,10 +35,13 @@ week = ContextBatch(
     slope=[-0.06, 0.02, 0.0],
 )
 user, goal = 0, int(week.goal[0])
+speaks = frozenset({"en"})  # user 0's language
 
 groups = {
     "g000": GroupState("g000", "c00", capacity=10, goal_category="weight_loss"),
-    "g001": GroupState("g001", "c00", capacity=10, goal_category="weight_loss", active=False),
+    "g001": GroupState(
+        "g001", "c00", capacity=10, goal_category="weight_loss", language_tags=frozenset({"fr"})
+    ),
     "g002": GroupState("g002", "c01", capacity=10, goal_category="maintenance"),
     "g003": GroupState("g003", "c01", capacity=2, goal_category="weight_loss"),
 }
@@ -66,7 +69,7 @@ roster = seated_roster(last_change=0)
 # ---------------------------------------------------------------------------
 # Hard constraints run before any learning-based scoring.
 # ---------------------------------------------------------------------------
-report = feasibility_report(user, goal, roster, 8, config)
+report = feasibility_report(user, goal, roster, 8, config, speaks)
 print("feasibility at epoch 8:")
 for gid, reasons in report.items():
     print(f"  {gid}: {'feasible' if not reasons else ', '.join(reasons)}")
@@ -74,7 +77,7 @@ print("eligible:", feasible(report))
 print("coach loads:", {cid: coach.load(roster) for cid, coach in coaches.items()})
 
 # Inside the dwell window the only admissible action is the current group.
-locked = feasibility_report(user, goal, seated_roster(last_change=6), 8, config)
+locked = feasibility_report(user, goal, seated_roster(last_change=6), 8, config, speaks)
 print("within dwell:", feasible(locked))
 
 # ---------------------------------------------------------------------------
@@ -83,7 +86,9 @@ print("within dwell:", feasible(locked))
 # fixed through the week; each decision adds the groups' fill ratios.
 # ---------------------------------------------------------------------------
 model = BanditModel(ridge=config.ridge)
-decision = assign(user, roster, model, 8, config, tables=feature_tables(week, roster))
+decision = assign(
+    user, roster, model, 8, config, tables=feature_tables(week, roster), user_tags=speaks
+)
 print("\ndecision trace:")
 # The decision is a one-row pass: the row's reason code per group, and the
 # terms of the feasible groups, in group order.

@@ -1,7 +1,7 @@
 """Privacy-constrained contextual-bandit group assignment.
 
 Candidate groups are filtered by hard feasibility first — capacity,
-coach load, minimum dwell, goal/language/activity eligibility — and only
+coach load, minimum dwell, goal/language eligibility — and only
 then scored. Scoring is linear-UCB over a single shared coefficient
 vector on a joint user-by-group feature map, with a stability penalty
 against reassignments inside the oscillation horizon. An epoch's users
@@ -43,7 +43,6 @@ class GroupState:
     coach_id: str
     capacity: int
     goal_category: str
-    active: bool = True
     language_tags: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
@@ -79,8 +78,8 @@ class Roster:
     (``CODE_COACH_LOAD`` when the coach is at the load limit, else 0).
 
     The groups' static attributes are arrays too: ``capacity``,
-    ``coach_of``, ``goal_index`` (into ``GOAL_CATEGORIES``), ``active``,
-    and ``speaks``, a group-by-language-tag mask.
+    ``coach_of``, ``goal_index`` (into ``GOAL_CATEGORIES``) and
+    ``speaks``, a group-by-language-tag mask.
     """
 
     def __init__(
@@ -105,7 +104,6 @@ class Roster:
             [GOAL_CATEGORIES.index(groups[gid].goal_category) for gid in self.group_ids],
             dtype=np.int64,
         )
-        self.active = np.array([groups[gid].active for gid in self.group_ids], dtype=bool)
         tags = sorted(set().union(*(groups[gid].language_tags for gid in self.group_ids)))
         self._tag_col = {tag: t for t, tag in enumerate(tags)}
         self.speaks = np.array(
@@ -126,7 +124,7 @@ class Roster:
         return self.group_ids[group] if group >= 0 else None
 
     def eligibility_codes(self, goal: int, user_tags: frozenset[str]) -> np.ndarray:
-        """Per group, the goal, inactive and language reason bits for a user
+        """Per group, the goal and language reason bits for a user
         with goal index ``goal`` and language ``user_tags``.
 
         They depend only on static attributes, so each (goal, tags) pair
@@ -136,11 +134,7 @@ class Roster:
         if codes is None:
             shared = self.speaks[:, [self._tag_col[t] for t in user_tags if t in self._tag_col]]
             language = bool(user_tags) & self.speaks.any(axis=1) & ~shared.any(axis=1)
-            codes = (
-                (self.goal_index != goal) * CODE_GOAL
-                | ~self.active * CODE_INACTIVE
-                | language * CODE_LANGUAGE
-            )
+            codes = (self.goal_index != goal) * CODE_GOAL | language * CODE_LANGUAGE
             codes.flags.writeable = False
             self._eligibility[(goal, user_tags)] = codes
         return codes
@@ -400,7 +394,6 @@ class BanditModel:
 
 REASON_DWELL = "dwell_lock"
 REASON_GOAL = "goal_mismatch"
-REASON_INACTIVE = "inactive"
 REASON_LANGUAGE = "language_mismatch"
 REASON_CAPACITY = "capacity_full"
 REASON_COACH_LOAD = "coach_load_full"
@@ -408,8 +401,8 @@ REASON_COACH_LOAD = "coach_load_full"
 # A reason code per group: one bit per reason, in report order, and 0
 # for feasible. Dwell is a code of its own because it overrides every
 # other filter.
-_REASON_BITS = (REASON_GOAL, REASON_INACTIVE, REASON_LANGUAGE, REASON_CAPACITY, REASON_COACH_LOAD)
-CODE_GOAL, CODE_INACTIVE, CODE_LANGUAGE, CODE_CAPACITY, CODE_COACH_LOAD = (
+_REASON_BITS = (REASON_GOAL, REASON_LANGUAGE, REASON_CAPACITY, REASON_COACH_LOAD)
+CODE_GOAL, CODE_LANGUAGE, CODE_CAPACITY, CODE_COACH_LOAD = (
     1 << bit for bit in range(len(_REASON_BITS))
 )
 CODE_DWELL = 1 << len(_REASON_BITS)

@@ -111,9 +111,9 @@ class EngagementWeights:
     """Weights plus pre-period winsorization percentiles, one of each per
     action type in ``ACTION_TYPES`` order."""
 
-    alphas: tuple[float, ...] = DEFAULT_ACTION_WEIGHTS
-    p5: tuple[float, ...] = (0.0,) * len(ACTION_TYPES)
-    p95: tuple[float, ...] = (10.0,) * len(ACTION_TYPES)
+    alphas: tuple[float, ...]
+    p5: tuple[float, ...]
+    p95: tuple[float, ...]
 
     def __post_init__(self) -> None:
         k = len(ACTION_TYPES)

@@ -108,8 +108,8 @@ _DIGIT_OF_BYTE = bytes((_ZERO + b) % 256 for b in range(256))
 def _digits(values: np.ndarray) -> str:
     """Small non-negative integers as one character each, ``chr(48 + v)``.
 
-    Reason codes are at most ``CODE_DWELL`` (32), so every character lies
-    in ``0``..``P`` and needs no JSON escape. One byte translation is
+    Reason codes are at most ``CODE_DWELL`` (16), so every character lies
+    in ``0``..``@`` and needs no JSON escape. One byte translation is
     cheaper than adding 48 in numpy."""
     return values.astype(np.uint8).tobytes().translate(_DIGIT_OF_BYTE).decode("ascii")
 

@@ -20,7 +20,13 @@ import pytest
 from conftest import ACCEPTANCE_LINES, ENC_KEY_HEX, TOKEN_KEY_HEX
 
 from prism.assignment import BanditModel, PolicyConfig
-from prism.features import EngagementWeights, adherence, engagement_index, engagement_scores
+from prism.features import (
+    DEFAULT_ACTION_WEIGHTS,
+    EngagementWeights,
+    adherence,
+    engagement_index,
+    engagement_scores,
+)
 from prism.metrics import mann_whitney_u
 from prism.redaction import _rehydrate_deid, default_rules, leak_audit, redact
 from prism.simulator import Scenario, run_paired
@@ -398,7 +404,7 @@ def test_criterion_11_metric_formulas():
     idx = engagement_index([0.3, 0.5, 0.7], [0.3, 0.5, 0.7])
     index_ok = abs(idx - 1.0) <= 1e-9
 
-    weights = EngagementWeights(p5=(2.0,) * 5, p95=(12.0,) * 5)
+    weights = EngagementWeights(alphas=DEFAULT_ACTION_WEIGHTS, p5=(2.0,) * 5, p95=(12.0,) * 5)
     lower, upper = engagement_scores([(0, 1, 2, 2, 0), (99, 99, 99, 99, 99)], weights)
     score_ok = lower == 0.0 and 0.999 < upper < 1.0
 

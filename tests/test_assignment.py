@@ -38,7 +38,13 @@ from prism.assignment import (
     score_and_select,
 )
 from prism.errors import ConstraintViolationError, InternalError, ValidationError
-from prism.features import GOAL_CATEGORIES, ContextBatch, EngagementWeights, engagement_scores
+from prism.features import (
+    DEFAULT_ACTION_WEIGHTS,
+    GOAL_CATEGORIES,
+    ContextBatch,
+    EngagementWeights,
+    engagement_scores,
+)
 from prism.simulator.experiment import _pass_lines
 from prism.vault import UserToken
 
@@ -133,12 +139,23 @@ class TestEligibility:
         assert "g001" in feasible(report)
 
     def test_eligibility_truth_table(self):
-        # goal-match+active, goal-match+inactive, mismatch+active: only the first survives.
+        # Goal and language, matched or not: only the group matching both survives.
+        english, french = frozenset({"en"}), frozenset({"fr"})
         roster = make_world(
-            edits={"g001": {"active": False}, "g002": {"goal_category": "maintenance"}}
+            n_groups=4,
+            edits={
+                "g000": {"language_tags": english},
+                "g001": {"language_tags": french},
+                "g002": {"goal_category": "maintenance", "language_tags": english},
+                "g003": {"goal_category": "maintenance", "language_tags": french},
+            },
         )
-        report = feasibility_report(USER_ROW, FITNESS, roster, epoch=8, config=CONFIG)
-        assert feasible(report) == ["g000"]
+        report = feasibility_report(
+            USER_ROW, FITNESS, roster, epoch=8, config=CONFIG, user_tags=english
+        )
+        assert list(report.values()) == [
+            [], ["language_mismatch"], ["goal_mismatch"], ["goal_mismatch", "language_mismatch"],
+        ]
 
     def test_coach_load_binding(self):
         roster = make_world(
@@ -162,16 +179,16 @@ class TestEligibility:
         assert feasible(report) == ["g001"]
 
     def test_reasons_reported(self):
-        roster = make_world(edits={"g001": {"active": False}})
+        roster = make_world(edits={"g001": {"goal_category": "maintenance"}})
         report = feasibility_report(USER_ROW, FITNESS, roster, epoch=8, config=CONFIG)
-        assert report["g001"] == ["inactive"]
+        assert report["g001"] == ["goal_mismatch"]
         assert report["g000"] == []
 
     def test_group_attributes_are_frozen(self):
         # The roster copies them into arrays once, so an edit could not reach feasibility.
         group = GroupState(group_id="g001", coach_id="c00", capacity=5, goal_category="fitness")
         with pytest.raises(FrozenInstanceError):
-            group.active = False
+            group.capacity = 9
 
 
 def use_feature_map(monkeypatch, feature_map):
@@ -491,7 +508,7 @@ def _events_with_adherence(pre_rate: float, post_rate: float, epoch: int, config
     return events
 
 
-WEIGHTS = EngagementWeights(p5=(0.0,) * 5, p95=(10.0,) * 5)
+WEIGHTS = EngagementWeights(alphas=DEFAULT_ACTION_WEIGHTS, p5=(0.0,) * 5, p95=(10.0,) * 5)
 
 
 def reward_of(events, *, epoch, churn_penalty, config):
@@ -684,16 +701,16 @@ class TestAssign:
         n_coaches = data.draw(st.integers(1, 3))
         specs = data.draw(
             st.lists(
-                st.tuples(st.integers(1, 4), st.sampled_from(goals), st.booleans()),
+                st.tuples(st.integers(1, 4), st.sampled_from(goals)),
                 min_size=1, max_size=6,
             )
         )
         groups = {
             f"g{i:03d}": GroupState(
                 group_id=f"g{i:03d}", coach_id=f"c{i % n_coaches:02d}",
-                capacity=capacity, goal_category=goal, active=active,
+                capacity=capacity, goal_category=goal,
             )
-            for i, (capacity, goal, active) in enumerate(specs)
+            for i, (capacity, goal) in enumerate(specs)
         }
         coaches = {
             f"c{c:02d}": CoachState(f"c{c:02d}", load_limit=data.draw(st.integers(1, 8)))

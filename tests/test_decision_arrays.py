@@ -87,8 +87,6 @@ def reference_report(goal, roster, groups, coaches, user, epoch, dwell, user_tag
         reasons = []
         if group.goal_category != goal:
             reasons.append("goal_mismatch")
-        if not group.active:
-            reasons.append("inactive")
         if user_tags and group.language_tags and not (user_tags & group.language_tags):
             reasons.append("language_mismatch")
         if count[g] - (gid == current) >= group.capacity:
@@ -129,7 +127,6 @@ def worlds(draw, max_users=12, max_capacity=4, min_users=1):
             st.tuples(
                 st.integers(1, max_capacity),
                 st.sampled_from(GOAL_CATEGORIES),
-                st.booleans(),
                 st.frozensets(st.sampled_from(TAGS)),
                 st.integers(0, n_coaches - 1),
             ),
@@ -139,9 +136,9 @@ def worlds(draw, max_users=12, max_capacity=4, min_users=1):
     groups = {
         f"g{i:03d}": GroupState(
             group_id=f"g{i:03d}", coach_id=f"c{coach:02d}", capacity=capacity,
-            goal_category=goal, active=active, language_tags=tags,
+            goal_category=goal, language_tags=tags,
         )
-        for i, (capacity, goal, active, tags, coach) in enumerate(specs)
+        for i, (capacity, goal, tags, coach) in enumerate(specs)
     }
     coaches = {
         f"c{c:02d}": CoachState(f"c{c:02d}", load_limit=draw(st.integers(1, 6)))
@@ -683,15 +680,15 @@ def test_trace_line_covers_every_reason_code():
     assert_decodes_to_reference(decided, 5, roster, legend)
     line = json.loads(_pass_lines(decided, 5, roster))
     assert line["codes"] == "".join(chr(48 + code) for code in range(N_REASON_CODES))
-    assert line["codes"][-1] == "P" and line["penalty"] == "0"
+    assert line["codes"][-1] == "@" and line["penalty"] == "0"
     assert len(line["mu"]) == len(line["sigma"]) == 12 and "score" not in line
     reasons = [
         c["reasons"] for c in decode_trace_line(_pass_lines(decided, 5, roster), legend)["candidates"]
     ]
     assert reasons[0] == []
     assert reasons[N_REASON_CODES - 1] == ["dwell_lock"]
-    assert reasons[31] == [
-        "goal_mismatch", "inactive", "language_mismatch", "capacity_full", "coach_load_full",
+    assert reasons[CODE_DWELL - 1] == [
+        "goal_mismatch", "language_mismatch", "capacity_full", "coach_load_full",
     ]
 
 

@@ -9,6 +9,7 @@ from conftest import empty_events, goal_onehot
 from prism.errors import ValidationError
 from prism.features import (
     ACTION_TYPES,
+    DEFAULT_ACTION_WEIGHTS,
     GOAL_CATEGORIES,
     EngagementWeights,
     LearningContext,
@@ -138,7 +139,9 @@ class TestEngagementScore:
     def test_monotone_in_every_count(self):
         rng = np.random.default_rng(5)
         w = EngagementWeights(
-            p5=(0.0, 1.0, 0.0, 2.0, 0.0), p95=(8.0, 9.0, 20.0, 12.0, 4.0)
+            alphas=DEFAULT_ACTION_WEIGHTS,
+            p5=(0.0, 1.0, 0.0, 2.0, 0.0),
+            p95=(8.0, 9.0, 20.0, 12.0, 4.0),
         )
         for _ in range(200):
             counts = rng.integers(0, 25, size=len(ACTION_TYPES)).astype(float)
@@ -165,7 +168,7 @@ class TestEngagementScore:
         assert (scores >= 0).all() and (scores < 1).all()
 
     def test_vector_matches_scalar(self):
-        w = EngagementWeights(p5=(0,) * 5, p95=(7, 8, 9, 10, 11))
+        w = EngagementWeights(alphas=DEFAULT_ACTION_WEIGHTS, p5=(0,) * 5, p95=(7, 8, 9, 10, 11))
         counts = np.array([[1, 2, 3, 4, 5], [9, 9, 9, 9, 9]], dtype=float)
         vec = engagement_scores(counts, w)
         assert vec[0] == pytest.approx(engagement_score(counts[0], w))
@@ -177,7 +180,7 @@ class TestEngagementScore:
             _weights((alpha, 0.5), (0.0, 0.0), (10.0, 10.0))
 
     def test_counts_must_align_with_action_types(self):
-        w = EngagementWeights()
+        w = EngagementWeights(alphas=DEFAULT_ACTION_WEIGHTS, p5=(0.0,) * 5, p95=(10.0,) * 5)
         with pytest.raises(ValidationError):
             engagement_scores(np.zeros((2, 4)), w)
         with pytest.raises(ValidationError):
@@ -234,7 +237,7 @@ class TestBuildContext:
     WINDOW = NormalizationWindow(
         bounds={"weekly_actions": (0.0, 40.0), "tenure_weeks": (0.0, 20.0)}
     )
-    WEIGHTS = EngagementWeights(p5=(0,) * 5, p95=(10.0,) * 5)
+    WEIGHTS = EngagementWeights(alphas=DEFAULT_ACTION_WEIGHTS, p5=(0,) * 5, p95=(10.0,) * 5)
 
     def test_cold_start_user(self):
         context = context_of(

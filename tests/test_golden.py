@@ -39,15 +39,15 @@ GOLDEN = {
     "effect-seed-1": (
         effect_scenario(1),
         "372e6991f1637f6e297925e97f60c3f4bc8b60c09b43e91b1913d21feec46fcf",
-        "60d0d7eae54a3a69d0c97b497a487fbb47b86b7291e949a2ededfe8fe4ddf734",
-        "462c065310fa280fc0d8caf498edefbae908ff0e36b226983b57847f58e1b4b9",
+        "708aaaf0dd1a72187ad6fd2438d4d8f36d92571e437b7fdfeaeea795d1cb0b6e",
+        "779143c774de626462b837764f10dfc3fd027fe59bbfdb9894038d8aaedd5d49",
         "bf693120e884228d383a28bbe267a22789168c0ed1b3ec214cb72bf9295ae192",
     ),
     "null-seed-201": (
         null_scenario(201),
         "ac77c62a374e489c395a1b53154c4e60facb96acd95b1cbb37ae1da3233b81d3",
-        "6ac536712644a4d2acb27a00e43fa4062c76d0b04fce8541001f73603a0bc3ac",
-        "2103db3d4a505dfe9b941b0e1ea4641b55a030a86e4f1412ac54b7ff594613b6",
+        "acf0ce6ba8d20fd141a5a16dd28924a19da1296066c9e2ec9d4dc1a8b5ea946c",
+        "46098217a99b7e5c6300ddc937f4cc83107b92665cbdebe42d21d24406bc5037",
         "e7e492578523fb8396b1559a0b20e4c03321f36b0723243d8d95628a0f0e8576",
     ),
     "coach-bound-seed-1": (
@@ -57,8 +57,8 @@ GOLDEN = {
             horizon_weeks=10, w_pre=4, w_post=5,
         ),
         "3fe09370ccdd2c7ff8517384c2ebe5315681cee467b299e0f8f3f8057660960b",
-        "6e278f61e256a4684e30fe77227479628870e3e69451ca9edbeec0a3a6f7c2c5",
-        "6f97a674003c29f941a90ea040315a9b5a058c4e728681dd78c77784aef9b4ff",
+        "a8c8204a630df276816d326c50a17da5b5bd88cbae6567f4bcd0912c112eb683",
+        "35baa72f7af8c488578b307e2ade735b9155124cf81e39cf34961ef6c7225b38",
         "c97f44471aca61745f52174bcefbfc71b069d2fbfb90634c73fdc3006308cee9",
     ),
 }

@@ -14,9 +14,11 @@ Every defaulted parameter of a function, method or constructor
 included, must be passed by some call in program code: by keyword, by
 position, or through ``**``. A call is matched to a definition by the
 name it calls (a class's name for its constructor), so two definitions
-that share a name share their callers. The fields of a dataclass are not
-parameters of a ``def`` and are not scanned: records are rebuilt through
-``Record.from_dict``'s ``cls(**doc)``, which no name ties to a class.
+that share a name share their callers. A plain field default of a
+dataclass, a value rather than a ``field(...)`` call, is a defaulted
+parameter of its constructor and is scanned too, except in a subclass of
+``Record``: records are rebuilt through ``Record.from_dict``'s
+``cls(**doc)``, which no name ties to a class.
 """
 
 import ast
@@ -119,6 +121,10 @@ def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
     def visit(body: list, cls: str | None) -> None:
         for node in body:
             if isinstance(node, ast.ClassDef):
+                if is_dataclass(node) and not any(
+                    isinstance(base, ast.Name) and base.id == "Record" for base in node.bases
+                ):
+                    found.extend(field_defaults(node))
                 visit(node.body, node.name)
             elif isinstance(node, ast.FunctionDef):
                 static = any(
@@ -131,6 +137,34 @@ def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
                         add(inner, inner.name, False)
 
     visit(ast.parse(source).body, None)
+    return found
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether ``node`` is decorated with ``dataclass``, called or not."""
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def field_defaults(node: ast.ClassDef) -> list[tuple[str, str, int]]:
+    """The plain field defaults of dataclass ``node`` as ``(class, field,
+    position)``. The position counts the constructor's fields before it;
+    a ``field(init=False)`` is not one of them, and neither is a
+    ``ClassVar``."""
+    found, position = [], 0
+    for item in node.body:
+        if not isinstance(item, ast.AnnAssign) or "ClassVar" in ast.unparse(item.annotation):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            if any(kw.arg == "init" and getattr(kw.value, "value", True) is False for kw in value.keywords):
+                continue
+        elif value is not None:
+            found.append((node.name, item.target.id, position))
+        position += 1
     return found
 
 
@@ -180,6 +214,34 @@ def test_the_scan_finds_an_unpassed_default():
         ("f", "never", 1), ("g", "by_keyword", None), ("C", "by_position", 1), ("m", "through", 0),
     ]
     assert unpassed(source, passed_arguments([source])) == [("f", "never")]
+
+
+def test_the_scan_finds_an_unpassed_field_default():
+    source = (
+        "@dataclass\n"
+        "class A:\n"
+        "    x: int\n"
+        "    never: int = 0\n"
+        "    by_keyword: int = 0\n"
+        "    made: list = field(default_factory=list)\n"
+        "    derived: int = field(init=False)\n"
+        "    shared: ClassVar[int] = 0\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class B:\n"
+        "    x: int\n"
+        "    by_position: int = 0\n"
+        "    through: int = 0\n"
+        "@dataclass\n"
+        "class R(Record):\n"
+        "    rebuilt: int = 0\n"
+        "class Plain:\n"
+        "    attribute: int = 0\n"
+        "A(1, by_keyword=2)\nB(1, 2, **{'through': 3})\n"
+    )
+    assert defaulted_parameters(source) == [
+        ("A", "never", 1), ("A", "by_keyword", 2), ("B", "by_position", 1), ("B", "through", 2),
+    ]
+    assert unpassed(source, passed_arguments([source])) == [("A", "never")]
 
 
 def test_every_defaulted_parameter_is_passed():
