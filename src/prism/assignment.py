@@ -7,11 +7,11 @@ vector on a joint user-by-group feature map, with a stability penalty
 against reassignments inside the oscillation horizon. An epoch's users
 are decided in row order by :func:`decide_epoch`, in passes between
 moves; :func:`assign` is the per-user step and the reference a pass
-must equal, and returns its decision as a one-row pass, so both paths
-give one record, :class:`DecisionPass`. Rewards are within-user deltas against the fixed
-pre-assignment baseline window and arrive after the evaluation window,
-so the caller queues each epoch's decisions and feeds the model one
-batch per epoch once they mature.
+must equal. It returns its decision as a one-row pass, so both paths
+give one record, :class:`DecisionPass`. Rewards are within-user deltas
+against the fixed pre-assignment baseline window and arrive after the
+evaluation window, so the caller queues each epoch's decisions and
+feeds the model one batch per epoch once they mature.
 """
 
 from __future__ import annotations

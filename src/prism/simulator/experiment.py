@@ -115,10 +115,20 @@ def _digits(values: np.ndarray) -> str:
 
 
 def _pass_lines(decided: DecisionPass, epoch: int, roster: Roster) -> str:
-    """The trace lines of a pass's decisions, in row order: each row's
+    """The trace lines of a pass's decisions, in row order, one line of
+    trace schema 3 each. This is the one trace writer, for a window of
+    rows and for the one row of an ``assign`` step alike.
+
+    ``codes`` holds one reason code per group row (``0`` for scored) as
+    the character ``chr(48 + code)``. ``mu`` and ``sigma`` are base64 of
+    the little-endian float64 terms of the code-0 rows, in row order, and
+    ``penalty`` one ``0``/``1`` character per code-0 row. ``score`` is not
+    written: :meth:`TraceLegend.decode` recomputes it bit for bit from the
+    other three terms and the manifest's policy, through ``ucb_score`` as
+    the policy scored it. A line is the text ``json.dumps`` gives for the
+    fields of ``TRACE_FIELDS`` in that order. Each row's fields are its
     slice of the pass's code digits, penalty digits and float bytes.
-    This is the one trace writer, for a window of rows and for the one
-    row of an ``assign`` step alike."""
+    """
     n_groups = len(roster.group_ids)
     codes = _digits(decided.codes)
     scores = decided.scores
@@ -130,41 +140,17 @@ def _pass_lines(decided: DecisionPass, epoch: int, roster: Roster) -> str:
     lines = []
     for i, group in enumerate(decided.chosen.tolist()):
         lo, hi = bounds[i], bounds[i + 1]
-        lines.append(_line(
-            epoch,
-            roster.user_tokens[decided.start + i],
-            roster.group_ids[group] if group >= 0 else None,
-            decided.changed and i == last,
-            codes[i * n_groups : (i + 1) * n_groups],
-            b2a_base64(mu[8 * lo : 8 * hi], newline=False).decode("ascii"),
-            b2a_base64(sigma[8 * lo : 8 * hi], newline=False).decode("ascii"),
-            penalty[lo:hi],
-        ))
+        token = encode_basestring_ascii(roster.user_tokens[decided.start + i])
+        chosen = encode_basestring_ascii(roster.group_ids[group]) if group >= 0 else "null"
+        changed = "true" if decided.changed and i == last else "false"
+        mu_text = b2a_base64(mu[8 * lo : 8 * hi], newline=False).decode("ascii")
+        sigma_text = b2a_base64(sigma[8 * lo : 8 * hi], newline=False).decode("ascii")
+        lines.append(
+            f'{{"epoch": {epoch}, "user_token": {token}, "chosen": {chosen}, '
+            f'"changed": {changed}, "codes": "{codes[i * n_groups : (i + 1) * n_groups]}", '
+            f'"mu": "{mu_text}", "sigma": "{sigma_text}", "penalty": "{penalty[lo:hi]}"}}\n'
+        )
     return "".join(lines)
-
-
-def _line(
-    epoch: int, token: str, chosen: Optional[str], changed: bool,
-    codes: str, mu: str, sigma: str, penalty: str,
-) -> str:
-    """One line of trace schema 3.
-
-    ``codes`` holds one reason code per group row (``0`` for scored) as
-    the character ``chr(48 + code)``. ``mu`` and ``sigma`` are base64 of
-    the little-endian float64 terms of the code-0 rows, in row order, and
-    ``penalty`` one ``0``/``1`` character per code-0 row. ``score`` is not
-    written: :meth:`TraceLegend.decode` recomputes it bit for bit from the
-    other three terms and the manifest's policy, through ``ucb_score`` as
-    the policy scored it. The line is the text
-    ``json.dumps`` gives for the fields of ``TRACE_FIELDS`` in that order.
-    """
-    chosen = "null" if chosen is None else encode_basestring_ascii(chosen)
-    return (
-        f'{{"epoch": {epoch}, "user_token": {encode_basestring_ascii(token)}, '
-        f'"chosen": {chosen}, "changed": {"true" if changed else "false"}, '
-        f'"codes": "{codes}", "mu": "{mu}", "sigma": "{sigma}", '
-        f'"penalty": "{penalty}"}}\n'
-    )
 
 
 def _trace_fields_in_order(pairs: list) -> dict:
