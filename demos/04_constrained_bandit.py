@@ -35,15 +35,11 @@ week = ContextBatch(
     slope=[-0.06, 0.02, 0.0],
 )
 user, goal = 0, int(week.goal[0])
-speaks = frozenset({"en"})  # user 0's language
 
 groups = {
     "g000": GroupState("g000", "c00", capacity=10, goal_category="weight_loss"),
-    "g001": GroupState(
-        "g001", "c00", capacity=10, goal_category="weight_loss", language_tags=frozenset({"fr"})
-    ),
-    "g002": GroupState("g002", "c01", capacity=10, goal_category="maintenance"),
-    "g003": GroupState("g003", "c01", capacity=2, goal_category="weight_loss"),
+    "g001": GroupState("g001", "c01", capacity=10, goal_category="maintenance"),
+    "g002": GroupState("g002", "c01", capacity=2, goal_category="weight_loss"),
 }
 coaches = {
     "c00": CoachState("c00", load_limit=18),
@@ -52,11 +48,11 @@ coaches = {
 
 
 def seated_roster(last_change: int) -> Roster:
-    """The user in g002 (goal-mismatched) since ``last_change``; g003 full."""
+    """The user in g001 (goal-mismatched) since ``last_change``; g002 full."""
     roster = Roster(groups, coaches, [token.value for token in tokens])
-    roster.move(0, roster.group_row["g002"], last_change, dwell=0)
-    roster.move(1, roster.group_row["g003"], 0, dwell=0)
-    roster.move(2, roster.group_row["g003"], 0, dwell=0)
+    roster.move(0, roster.group_row["g001"], last_change, dwell=0)
+    roster.move(1, roster.group_row["g002"], 0, dwell=0)
+    roster.move(2, roster.group_row["g002"], 0, dwell=0)
     return roster
 
 
@@ -69,7 +65,7 @@ roster = seated_roster(last_change=0)
 # ---------------------------------------------------------------------------
 # Hard constraints run before any learning-based scoring.
 # ---------------------------------------------------------------------------
-report = feasibility_report(user, goal, roster, 8, config, speaks)
+report = feasibility_report(user, goal, roster, 8, config)
 print("feasibility at epoch 8:")
 for gid, reasons in report.items():
     print(f"  {gid}: {'feasible' if not reasons else ', '.join(reasons)}")
@@ -77,7 +73,7 @@ print("eligible:", feasible(report))
 print("coach loads:", {cid: coach.load(roster) for cid, coach in coaches.items()})
 
 # Inside the dwell window the only admissible action is the current group.
-locked = feasibility_report(user, goal, seated_roster(last_change=6), 8, config, speaks)
+locked = feasibility_report(user, goal, seated_roster(last_change=6), 8, config)
 print("within dwell:", feasible(locked))
 
 # ---------------------------------------------------------------------------
@@ -86,9 +82,7 @@ print("within dwell:", feasible(locked))
 # fixed through the week; each decision adds the groups' fill ratios.
 # ---------------------------------------------------------------------------
 model = BanditModel(ridge=config.ridge)
-decision = assign(
-    user, roster, model, 8, config, tables=feature_tables(week, roster), user_tags=speaks
-)
+decision = assign(user, roster, model, 8, config, tables=feature_tables(week, roster))
 print("\ndecision trace:")
 # The decision is a one-row pass: the row's reason code per group, and the
 # terms of the feasible groups, in group order.

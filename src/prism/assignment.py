@@ -1,7 +1,7 @@
 """Privacy-constrained contextual-bandit group assignment.
 
 Candidate groups are filtered by hard feasibility first — capacity,
-coach load, minimum dwell, goal/language eligibility — and only
+coach load, minimum dwell, goal eligibility — and only
 then scored. Scoring is linear-UCB over a single shared coefficient
 vector on a joint user-by-group feature map, with a stability penalty
 against reassignments inside the oscillation horizon. An epoch's users
@@ -43,7 +43,6 @@ class GroupState:
     coach_id: str
     capacity: int
     goal_category: str
-    language_tags: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -78,8 +77,10 @@ class Roster:
     (``CODE_COACH_LOAD`` when the coach is at the load limit, else 0).
 
     The groups' static attributes are arrays too: ``capacity``,
-    ``coach_of``, ``goal_index`` (into ``GOAL_CATEGORIES``) and
-    ``speaks``, a group-by-language-tag mask.
+    ``coach_of``, ``goal_index`` (into ``GOAL_CATEGORIES``) and the
+    read-only ``goal_code``, whose entry ``[goal, group]`` is
+    ``CODE_GOAL`` when the group does not serve goal index ``goal``,
+    else 0.
     """
 
     def __init__(
@@ -104,13 +105,9 @@ class Roster:
             [GOAL_CATEGORIES.index(groups[gid].goal_category) for gid in self.group_ids],
             dtype=np.int64,
         )
-        tags = sorted(set().union(*(groups[gid].language_tags for gid in self.group_ids)))
-        self._tag_col = {tag: t for t, tag in enumerate(tags)}
-        self.speaks = np.array(
-            [[tag in groups[gid].language_tags for tag in tags] for gid in self.group_ids],
-            dtype=bool,
-        ).reshape(len(self.group_ids), len(tags))
-        self._eligibility: dict[tuple[int, frozenset[str]], np.ndarray] = {}
+        goals = np.arange(len(GOAL_CATEGORIES))[:, None]
+        self.goal_code = (self.goal_index != goals) * CODE_GOAL
+        self.goal_code.flags.writeable = False
         self.group_of = np.full(len(user_tokens), -1, dtype=np.int64)
         self.last_change = np.zeros(len(user_tokens), dtype=np.int64)
         self.count = np.zeros(len(self.group_ids), dtype=np.int64)
@@ -118,26 +115,6 @@ class Roster:
         self.capacity_code = (self.count >= self.capacity) * CODE_CAPACITY
         self.fill = self.count / self.capacity
         self.load_code = (self.load >= self.load_limit) * CODE_COACH_LOAD
-
-    def group_id(self, user: int) -> Optional[str]:
-        group = self.group_of[user]
-        return self.group_ids[group] if group >= 0 else None
-
-    def eligibility_codes(self, goal: int, user_tags: frozenset[str]) -> np.ndarray:
-        """Per group, the goal and language reason bits for a user
-        with goal index ``goal`` and language ``user_tags``.
-
-        They depend only on static attributes, so each (goal, tags) pair
-        is computed once and the read-only result is reused.
-        """
-        codes = self._eligibility.get((goal, user_tags))
-        if codes is None:
-            shared = self.speaks[:, [self._tag_col[t] for t in user_tags if t in self._tag_col]]
-            language = bool(user_tags) & self.speaks.any(axis=1) & ~shared.any(axis=1)
-            codes = (self.goal_index != goal) * CODE_GOAL | language * CODE_LANGUAGE
-            codes.flags.writeable = False
-            self._eligibility[(goal, user_tags)] = codes
-        return codes
 
     def move(self, user: int, group: int, epoch: int, dwell: int) -> None:
         """Seat ``user`` in ``group`` at ``epoch``.
@@ -394,15 +371,14 @@ class BanditModel:
 
 REASON_DWELL = "dwell_lock"
 REASON_GOAL = "goal_mismatch"
-REASON_LANGUAGE = "language_mismatch"
 REASON_CAPACITY = "capacity_full"
 REASON_COACH_LOAD = "coach_load_full"
 
 # A reason code per group: one bit per reason, in report order, and 0
 # for feasible. Dwell is a code of its own because it overrides every
 # other filter.
-_REASON_BITS = (REASON_GOAL, REASON_LANGUAGE, REASON_CAPACITY, REASON_COACH_LOAD)
-CODE_GOAL, CODE_LANGUAGE, CODE_CAPACITY, CODE_COACH_LOAD = (
+_REASON_BITS = (REASON_GOAL, REASON_CAPACITY, REASON_COACH_LOAD)
+CODE_GOAL, CODE_CAPACITY, CODE_COACH_LOAD = (
     1 << bit for bit in range(len(_REASON_BITS))
 )
 CODE_DWELL = 1 << len(_REASON_BITS)
@@ -444,10 +420,9 @@ def feasibility_report(
     roster: Roster,
     epoch: int,
     config: PolicyConfig,
-    user_tags: frozenset[str] = frozenset(),
 ) -> FeasibilityReport:
     """Which constraints each group violates at ``epoch`` for user row
-    ``user``, whose goal index is ``goal`` and language ``user_tags``.
+    ``user``, whose goal index is ``goal``.
 
     Inside the dwell window every group except the current one is locked
     out. Capacity and coach-load checks exclude the user themself, so a
@@ -462,11 +437,7 @@ def feasibility_report(
         codes = np.full(len(roster.group_ids), CODE_DWELL)
         codes[current] = 0
         return FeasibilityReport(roster, codes)
-    codes = (
-        roster.eligibility_codes(goal, user_tags)
-        | roster.capacity_code
-        | roster.load_code[roster.coach_of]
-    )
+    codes = roster.goal_code[goal] | roster.capacity_code | roster.load_code[roster.coach_of]
     if current >= 0:
         # A placed user's own seat counts against neither limit; a move
         # never overfills, so their group and coach have room for them.
@@ -627,7 +598,6 @@ def assign(
     config: PolicyConfig,
     *,
     tables: FeatureTables,
-    user_tags: frozenset[str] = frozenset(),
 ) -> DecisionPass:
     """Filter, score, select, and apply one assignment decision for user
     row ``user``, and return it as a one-row :class:`DecisionPass`.
@@ -643,7 +613,7 @@ def assign(
     This is the per-user step of :func:`decide_epoch` and the reference
     its passes must equal.
     """
-    codes = feasibility_report(user, int(tables.goal[user]), roster, epoch, config, user_tags).codes
+    codes = feasibility_report(user, int(tables.goal[user]), roster, epoch, config).codes
     feasible = (codes == 0).nonzero()[0]
     if not feasible.size:
         return DecisionPass(
@@ -690,7 +660,6 @@ def decide_epoch(
     config: PolicyConfig,
     *,
     tables: FeatureTables,
-    user_tags: frozenset[str] = frozenset(),
     step: Callable[..., DecisionPass] = assign,
 ) -> Iterator[DecisionPass]:
     """Decide every roster user row in row order, as :func:`assign` one
@@ -711,9 +680,6 @@ def decide_epoch(
     """
     if model.dim != FEATURE_DIM:
         raise InternalError(f"the feature map has dim {FEATURE_DIM}, the model expects {model.dim}")
-    eligibility = np.stack(
-        [roster.eligibility_codes(goal, user_tags) for goal in range(len(GOAL_CATEGORIES))]
-    )
     n_users = len(roster.user_tokens)
     user = moves = 0
     while user < n_users:
@@ -725,14 +691,14 @@ def decide_epoch(
             n_users - user,
         )
         if rows >= _MIN_PASS_ROWS:
-            decided = _decide_pass(user, rows, roster, model, epoch, config, tables, eligibility)
+            decided = _decide_pass(user, rows, roster, model, epoch, config, tables)
             user += decided.chosen.size
             moves += decided.changed
             yield decided
             continue
         # One row at a time until the mean stretch reaches a pass.
         while True:
-            decision = step(user, roster, model, epoch, config, tables=tables, user_tags=user_tags)
+            decision = step(user, roster, model, epoch, config, tables=tables)
             user += 1
             moves += decision.changed
             yield decision
@@ -748,7 +714,6 @@ def _decide_pass(
     epoch: int,
     config: PolicyConfig,
     tables: FeatureTables,
-    eligibility: np.ndarray,
 ) -> DecisionPass:
     """Decide user rows ``start`` to ``start + rows`` against the current
     roster, keep the decisions up to and including the first move, and
@@ -763,7 +728,7 @@ def _decide_pass(
     locked = placed & (since_change < config.dwell)
     goal = tables.goal[start:stop]
 
-    codes = eligibility[goal] | roster.capacity_code | roster.load_code[roster.coach_of]
+    codes = roster.goal_code[goal] | roster.capacity_code | roster.load_code[roster.coach_of]
     # A placed user's own seat counts against neither limit.
     seated = np.flatnonzero(placed)
     codes[seated, current[seated]] &= ~CODE_CAPACITY

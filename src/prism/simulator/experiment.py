@@ -79,7 +79,6 @@ from ..redaction import DeidText, LeakReport, ScanMemo, _rehydrate_deid, leak_au
 from ..vault import KeyRing, RestorationRequest, UserToken, rfc3339, verify_audit_chain
 from .scenario import POLICY_ADAPTIVE, Scenario
 from .world import (
-    LANGUAGE_TAGS,
     SIM_EPOCH_BASE,
     WEEK_SECONDS,
     World,
@@ -108,8 +107,8 @@ _DIGIT_OF_BYTE = bytes((_ZERO + b) % 256 for b in range(256))
 def _digits(values: np.ndarray) -> str:
     """Small non-negative integers as one character each, ``chr(48 + v)``.
 
-    Reason codes are at most ``CODE_DWELL`` (16), so every character lies
-    in ``0``..``@`` and needs no JSON escape. One byte translation is
+    Reason codes are at most ``CODE_DWELL`` (8), so every character lies
+    in ``0``..``8`` and needs no JSON escape. One byte translation is
     cheaper than adding 48 in numpy."""
     return values.astype(np.uint8).tobytes().translate(_DIGIT_OF_BYTE).decode("ascii")
 
@@ -577,9 +576,7 @@ def _decide(
     phi = np.empty((n_users, FEATURE_DIM))
     penalties = np.empty(n_users, dtype=np.int64)
     scored = 0
-    for decided in decide_epoch(
-        roster, model, epoch, config, tables=tables, user_tags=LANGUAGE_TAGS, step=assign
-    ):
+    for decided in decide_epoch(roster, model, epoch, config, tables=tables, step=assign):
         counters["decisions"] += decided.chosen.size
         counters["reassignments"] += decided.changed
         if traces is not None:

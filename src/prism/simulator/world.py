@@ -41,7 +41,6 @@ SIM_EPOCH_BASE = datetime(2025, 1, 6, tzinfo=timezone.utc).timestamp()
 # in an hour, under the vault's cap of 10 grants an hour, so a routine
 # delivery is never rate limited.
 _RESTORE_SPACING_SECONDS = 600.0
-LANGUAGE_TAGS = frozenset({"en"})  # what every synthetic user and group speaks
 
 
 def substream(seed: int, tag: int, *extra: int) -> np.random.Generator:
@@ -185,7 +184,6 @@ def generate_cohort(scenario: Scenario, keys: KeyRing) -> World:
             coach_id=f"c{g % scenario.n_coaches:02d}",
             capacity=capacity,
             goal_category=GOAL_CATEGORIES[g % len(GOAL_CATEGORIES)],
-            language_tags=LANGUAGE_TAGS,
         )
     load_limits = coach_load_limits(capacities, scenario.n_coaches, scenario.coach_load_factor)
     coaches = {
@@ -287,7 +285,6 @@ def _place_initially(world: World) -> None:
     scenario = world.scenario
     roster = world.roster
     rng = substream(scenario.seed, _STREAM_PLACEMENT)
-    right_of_goal = [roster.goal_index == goal for goal in range(len(GOAL_CATEGORIES))]
     open_rows: dict[tuple[int, bool], np.ndarray] = {}
     for user, goal in enumerate(world.goal_index.tolist()):
         mismatched = rng.random() < scenario.misgroup_fraction
@@ -295,7 +292,7 @@ def _place_initially(world: World) -> None:
         if rows is None:
             # The user is still unplaced, so no own seat needs excluding.
             is_open = (roster.capacity_code | roster.load_code[roster.coach_of]) == 0
-            right = right_of_goal[goal]
+            right = roster.goal_code[goal] == 0
             for pool in (~right, right) if mismatched else (right, ~right):
                 rows = np.flatnonzero(pool & is_open)
                 if rows.size:

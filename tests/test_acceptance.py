@@ -19,7 +19,7 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES, ENC_KEY_HEX, TOKEN_KEY_HEX
 
-from prism.assignment import BanditModel, PolicyConfig
+from prism.assignment import BanditModel
 from prism.features import (
     DEFAULT_ACTION_WEIGHTS,
     EngagementWeights,

@@ -139,22 +139,14 @@ class TestEligibility:
         assert "g001" in feasible(report)
 
     def test_eligibility_truth_table(self):
-        # Goal and language, matched or not: only the group matching both survives.
-        english, french = frozenset({"en"}), frozenset({"fr"})
+        # One group per goal: only the group serving the user's goal survives.
         roster = make_world(
-            n_groups=4,
-            edits={
-                "g000": {"language_tags": english},
-                "g001": {"language_tags": french},
-                "g002": {"goal_category": "maintenance", "language_tags": english},
-                "g003": {"goal_category": "maintenance", "language_tags": french},
-            },
+            n_groups=len(GOAL_CATEGORIES),
+            edits={f"g{g:03d}": {"goal_category": goal} for g, goal in enumerate(GOAL_CATEGORIES)},
         )
-        report = feasibility_report(
-            USER_ROW, FITNESS, roster, epoch=8, config=CONFIG, user_tags=english
-        )
+        report = feasibility_report(USER_ROW, FITNESS, roster, epoch=8, config=CONFIG)
         assert list(report.values()) == [
-            [], ["language_mismatch"], ["goal_mismatch"], ["goal_mismatch", "language_mismatch"],
+            [] if goal == "fitness" else ["goal_mismatch"] for goal in GOAL_CATEGORIES
         ]
 
     def test_coach_load_binding(self):
@@ -164,19 +156,6 @@ class TestEligibility:
         )
         report = feasibility_report(USER_ROW, FITNESS, roster, epoch=8, config=CONFIG)
         assert feasible(report) == []
-
-    def test_language_intersection(self):
-        roster = make_world(
-            n_groups=2,
-            edits={
-                "g000": {"language_tags": frozenset({"fr"})},
-                "g001": {"language_tags": frozenset({"en", "fr"})},
-            },
-        )
-        report = feasibility_report(
-            USER_ROW, FITNESS, roster, epoch=8, config=CONFIG, user_tags=frozenset({"en"})
-        )
-        assert feasible(report) == ["g001"]
 
     def test_reasons_reported(self):
         roster = make_world(edits={"g001": {"goal_category": "maintenance"}})
@@ -624,7 +603,7 @@ class TestAssign:
         model = BanditModel(dim=FEATURE_DIM)
         decision = assign(USER_ROW, roster, model, 8, CONFIG, tables=tables_for(roster))
         assert decision.chosen.tolist() == [-1] and not decision.changed
-        assert roster.group_id(USER_ROW) is None
+        assert roster.group_of[USER_ROW] == -1
         # Nothing was scored, so the one row has no pair to learn from.
         assert decision.bounds.tolist() == [0, 0]
         assert decision.users.size == decision.phi.size == decision.penalty.size == 0
@@ -647,7 +626,7 @@ class TestAssign:
         assert decision.chosen.tolist() == [roster.group_row["g000"]]
         assert decision.changed
         assert decision.start == decision.users[0] == USER_ROW
-        assert roster.group_id(USER_ROW) == "g000"
+        assert roster.group_ids[roster.group_of[USER_ROW]] == "g000"
         assert roster.count.tolist() == [1, 0, 0]
         assert roster.last_change[USER_ROW] == 8
         # Read back through the trace line, as a coach's tool reads it.

@@ -4,7 +4,6 @@ and freely parallel pure operations."""
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-import pytest
 
 from conftest import goal_onehot
 

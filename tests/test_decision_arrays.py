@@ -62,16 +62,13 @@ from prism.features import (
     build_context,
     engagement_scores,
 )
-from prism.simulator import experiment
 from prism.simulator.experiment import TraceLegend, _decide, _pass_lines
 from prism.vault import UserToken
 
-TAGS = ("en", "fr", "de")
 
-
-def reference_report(goal, roster, groups, coaches, user, epoch, dwell, user_tags):
+def reference_report(goal, roster, groups, coaches, user, epoch, dwell):
     """Feasibility one group at a time, from the group objects and a recount."""
-    current = roster.group_id(user)
+    current = roster.group_ids[roster.group_of[user]] if roster.group_of[user] >= 0 else None
     if current is not None and epoch - roster.last_change[user] < dwell:
         return {gid: ([] if gid == current else ["dwell_lock"]) for gid in roster.group_ids}
     seated = roster.group_of[roster.group_of >= 0]
@@ -87,8 +84,6 @@ def reference_report(goal, roster, groups, coaches, user, epoch, dwell, user_tag
         reasons = []
         if group.goal_category != goal:
             reasons.append("goal_mismatch")
-        if user_tags and group.language_tags and not (user_tags & group.language_tags):
-            reasons.append("language_mismatch")
         if count[g] - (gid == current) >= group.capacity:
             reasons.append("capacity_full")
         if load[group.coach_id] - (group.coach_id == own_coach) >= coaches[group.coach_id].load_limit:
@@ -127,7 +122,6 @@ def worlds(draw, max_users=12, max_capacity=4, min_users=1):
             st.tuples(
                 st.integers(1, max_capacity),
                 st.sampled_from(GOAL_CATEGORIES),
-                st.frozensets(st.sampled_from(TAGS)),
                 st.integers(0, n_coaches - 1),
             ),
             min_size=1, max_size=8,
@@ -136,9 +130,9 @@ def worlds(draw, max_users=12, max_capacity=4, min_users=1):
     groups = {
         f"g{i:03d}": GroupState(
             group_id=f"g{i:03d}", coach_id=f"c{coach:02d}", capacity=capacity,
-            goal_category=goal, language_tags=tags,
+            goal_category=goal,
         )
-        for i, (capacity, goal, tags, coach) in enumerate(specs)
+        for i, (capacity, goal, coach) in enumerate(specs)
     }
     coaches = {
         f"c{c:02d}": CoachState(f"c{c:02d}", load_limit=draw(st.integers(1, 6)))
@@ -163,24 +157,33 @@ def worlds(draw, max_users=12, max_capacity=4, min_users=1):
         st.tuples(
             st.integers(0, 11), st.integers(0, len(GOAL_CATEGORIES) - 1),
             st.integers(0, 15), st.integers(0, 4),
-            st.frozensets(st.sampled_from(TAGS + ("xx",))),
         ),
         min_size=1, max_size=6,
     ),
 )
 def test_feasibility_report_matches_per_group_rules(world, queries):
     groups, coaches, roster = world
-    for user, goal, epoch, dwell, user_tags in queries:
+    for user, goal, epoch, dwell in queries:
         user %= len(roster.user_tokens)
         config = PolicyConfig(dwell=dwell, oscillation=dwell)
-        report = feasibility_report(user, goal, roster, epoch, config, user_tags)
-        expected = reference_report(
-            GOAL_CATEGORIES[goal], roster, groups, coaches, user, epoch, dwell, user_tags
-        )
+        report = feasibility_report(user, goal, roster, epoch, config)
+        expected = reference_report(GOAL_CATEGORIES[goal], roster, groups, coaches, user, epoch, dwell)
         assert list(report) == list(expected)
         assert list(report.values()) == list(expected.values())
         assert dict(report.items()) == expected
         assert len(report) == len(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(world=worlds())
+def test_goal_code_is_the_read_only_goal_table(world):
+    _, _, roster = world
+    assert roster.goal_code.shape == (len(GOAL_CATEGORIES), len(roster.group_ids))
+    for goal in range(len(GOAL_CATEGORIES)):
+        assert roster.goal_code[goal].tolist() == ((roster.goal_index != goal) * CODE_GOAL).tolist()
+    assert not roster.goal_code.flags.writeable
+    with pytest.raises(ValueError):
+        roster.goal_code[0, 0] = 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -256,12 +259,12 @@ def test_feature_tables_need_one_context_per_roster_user():
 ROSTER_ARRAYS = ("group_of", "last_change", "count", "load", "capacity_code", "fill", "load_code")
 
 
-def reference_epoch(roster, model, epoch, config, tables, user_tags):
+def reference_epoch(roster, model, epoch, config, tables):
     """The per-user loop: every row through ``assign`` in row order, with
     its reference trace line and, for a scored row, its pending entry."""
     lines, users, phi, penalties = [], [], [], []
     for user in range(len(roster.user_tokens)):
-        decision = assign(user, roster, model, epoch, config, tables=tables, user_tags=user_tags)
+        decision = assign(user, roster, model, epoch, config, tables=tables)
         lines.append(reference_trace_line(decision, epoch, roster))
         if decision.users.size:
             users.append(user)
@@ -322,21 +325,17 @@ def epochs(draw, max_users=12, max_capacity=4, min_users=1):
         lam=draw(st.sampled_from([0.0, 0.3, 1.0])),
     )
     epoch = draw(st.integers(0, 14))
-    user_tags = draw(st.frozensets(st.sampled_from(TAGS + ("xx",))))
-    return roster, model, epoch, config, tables, user_tags
+    return roster, model, epoch, config, tables
 
 
-def assert_same_epoch(roster, model, epoch, config, tables, user_tags):
+def assert_same_epoch(roster, model, epoch, config, tables):
     """``_decide``, which decides the epoch through ``decide_epoch``,
     writes the lines, leaves the roster and returns the pending batch of
-    the per-user loop, byte for byte. ``_decide`` reads the users'
-    language tags from the simulator's ``LANGUAGE_TAGS``, set here to the
-    drawn tags."""
+    the per-user loop, byte for byte."""
     expected = copy.deepcopy(roster)
-    lines, pending = reference_epoch(expected, model, epoch, config, tables, user_tags)
+    lines, pending = reference_epoch(expected, model, epoch, config, tables)
     out, counters = io.StringIO(), Counter()
-    with mock.patch.object(experiment, "LANGUAGE_TAGS", user_tags):
-        batch = _decide(roster, model, epoch, config, tables, out, counters)
+    batch = _decide(roster, model, epoch, config, tables, out, counters)
     assert out.getvalue() == lines
     for name in ROSTER_ARRAYS:
         assert getattr(roster, name).tobytes() == getattr(expected, name).tobytes(), name
@@ -369,26 +368,25 @@ def test_epoch_longer_than_a_pass_equals_per_user_loop(case):
 def test_one_pass_equals_per_user_steps(case, data):
     # Any window: the pass keeps its rows up to and including the first
     # move, each as assign decides it, and applies that move.
-    roster, model, epoch, config, tables, user_tags = case
+    roster, model, epoch, config, tables = case
     n = len(roster.user_tokens)
     start = data.draw(st.integers(0, n - 1))
     # Half the windows end on the row that makes the first move.
     probe = copy.deepcopy(roster)
     first_move = next(
         (i for i, user in enumerate(range(start, n))
-         if assign(user, probe, model, epoch, config, tables=tables, user_tags=user_tags).changed),
+         if assign(user, probe, model, epoch, config, tables=tables).changed),
         None,
     )
     windows = st.integers(1, n - start)
     if first_move is not None and data.draw(st.booleans()):
         windows = st.just(first_move + 1)
     rows = data.draw(windows)
-    eligibility = np.stack([roster.eligibility_codes(g, user_tags) for g in range(len(GOAL_CATEGORIES))])
     expected = copy.deepcopy(roster)
-    decided = _decide_pass(start, rows, roster, model, epoch, config, tables, eligibility)
+    decided = _decide_pass(start, rows, roster, model, epoch, config, tables)
     kept = decided.chosen.size
     decisions = [
-        assign(user, expected, model, epoch, config, tables=tables, user_tags=user_tags)
+        assign(user, expected, model, epoch, config, tables=tables)
         for user in range(start, start + kept)
     ]
     assert [d.changed for d in decisions] == [False] * (kept - 1) + [decided.changed]
@@ -680,16 +678,14 @@ def test_trace_line_covers_every_reason_code():
     assert_decodes_to_reference(decided, 5, roster, legend)
     line = json.loads(_pass_lines(decided, 5, roster))
     assert line["codes"] == "".join(chr(48 + code) for code in range(N_REASON_CODES))
-    assert line["codes"][-1] == "@" and line["penalty"] == "0"
+    assert line["codes"][-1] == "8" and line["penalty"] == "0"
     assert len(line["mu"]) == len(line["sigma"]) == 12 and "score" not in line
     reasons = [
         c["reasons"] for c in decode_trace_line(_pass_lines(decided, 5, roster), legend)["candidates"]
     ]
     assert reasons[0] == []
     assert reasons[N_REASON_CODES - 1] == ["dwell_lock"]
-    assert reasons[CODE_DWELL - 1] == [
-        "goal_mismatch", "language_mismatch", "capacity_full", "coach_load_full",
-    ]
+    assert reasons[CODE_DWELL - 1] == ["goal_mismatch", "capacity_full", "coach_load_full"]
 
 
 def test_trace_lines_of_a_churned_and_a_waitlisted_assign():

@@ -39,15 +39,15 @@ GOLDEN = {
     "effect-seed-1": (
         effect_scenario(1),
         "372e6991f1637f6e297925e97f60c3f4bc8b60c09b43e91b1913d21feec46fcf",
-        "708aaaf0dd1a72187ad6fd2438d4d8f36d92571e437b7fdfeaeea795d1cb0b6e",
-        "779143c774de626462b837764f10dfc3fd027fe59bbfdb9894038d8aaedd5d49",
+        "31b457786a623b60f321a085b096a9c629bab508b10a562e250181dfbc8d05b5",
+        "2e56ebe382dc4b274089a75a8587195695adaaf88ecb90dfffa5fc858cfcec7e",
         "bf693120e884228d383a28bbe267a22789168c0ed1b3ec214cb72bf9295ae192",
     ),
     "null-seed-201": (
         null_scenario(201),
         "ac77c62a374e489c395a1b53154c4e60facb96acd95b1cbb37ae1da3233b81d3",
-        "acf0ce6ba8d20fd141a5a16dd28924a19da1296066c9e2ec9d4dc1a8b5ea946c",
-        "46098217a99b7e5c6300ddc937f4cc83107b92665cbdebe42d21d24406bc5037",
+        "ad6c6fb118275ef9d0aad2395766898e47b7b4736609209122a21ccd214b00f8",
+        "0769962563f85b3fc00326389221c31f6403b0cc4f7adc768c6a8cd8368e2aa1",
         "e7e492578523fb8396b1559a0b20e4c03321f36b0723243d8d95628a0f0e8576",
     ),
     "coach-bound-seed-1": (
@@ -57,8 +57,8 @@ GOLDEN = {
             horizon_weeks=10, w_pre=4, w_post=5,
         ),
         "3fe09370ccdd2c7ff8517384c2ebe5315681cee467b299e0f8f3f8057660960b",
-        "a8c8204a630df276816d326c50a17da5b5bd88cbae6567f4bcd0912c112eb683",
-        "35baa72f7af8c488578b307e2ade735b9155124cf81e39cf34961ef6c7225b38",
+        "ea79296cb3da0207ac6c4af176fd590886c3505ee0f84c46db428cd7e48bb728",
+        "74661779021d5bcd5671084156815e7aa7d925b79dd207a04bf40af4747c9c31",
         "c97f44471aca61745f52174bcefbfc71b069d2fbfb90634c73fdc3006308cee9",
     ),
 }

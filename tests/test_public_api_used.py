@@ -35,15 +35,6 @@ CALLERS = MODULES + sorted(
 # README's library quick start calls it.
 DOCUMENTED_ENTRY_POINTS = {"run_paired"}
 
-# Defaulted parameters that a program caller passes where the scan cannot
-# see it, each with the reason.
-UNPASSED_DEFAULTS = {
-    ("assign", "user_tags"): (
-        "decide_epoch calls assign as step, step(..., user_tags=user_tags), "
-        "and a call is matched by the name it calls"
-    ),
-}
-
 
 def public_definitions(source: str) -> list[str]:
     """Public top-level functions and classes, and public methods as ``Class.name``."""
@@ -246,13 +237,9 @@ def test_the_scan_finds_an_unpassed_field_default():
 
 def test_every_defaulted_parameter_is_passed():
     calls = passed_arguments([path.read_text(encoding="utf-8") for path in CALLERS])
-    found = {
-        (callee, parameter): path.relative_to(SRC)
+    missing = [
+        f"{path.relative_to(SRC)}: {callee}({parameter}=)"
         for path in MODULES
         for callee, parameter in unpassed(path.read_text(encoding="utf-8"), calls)
-    }
-    missing = [f"{path}: {callee}({parameter}=)" for (callee, parameter), path in found.items()
-               if (callee, parameter) not in UNPASSED_DEFAULTS]
+    ]
     assert missing == []
-    # An allowed entry that a call now passes has to go.
-    assert set(UNPASSED_DEFAULTS) <= set(found)

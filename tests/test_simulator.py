@@ -59,7 +59,6 @@ from prism.simulator.scenario import (
     synth_identity,
 )
 from prism.simulator.world import (
-    LANGUAGE_TAGS,
     _goal_cdf,
     _place_initially,
     coach_load_limits,
@@ -300,7 +299,6 @@ def _placement_world(
             coach_id=f"c{g % n_coaches:02d}",
             capacity=capacity,
             goal_category=GOAL_CATEGORIES[group_goals[g]],
-            language_tags=LANGUAGE_TAGS,
         )
         for g, capacity in enumerate(capacities)
     }

@@ -1,7 +1,9 @@
-"""No module under ``src/prism`` imports a name it never uses.
+"""No module under ``src/prism``, test or demo imports a name it never uses.
 
 Package ``__init__.py`` files re-export names and ``from __future__``
-imports switch on compiler features, so neither counts.
+imports switch on compiler features, so neither counts. ``perfbench/``
+is not scanned: its setup probe imports ``prism`` only to time the
+import.
 """
 
 import ast
@@ -9,8 +11,10 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "prism"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "prism"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,6 +36,10 @@ def test_the_scan_finds_an_unused_import():
     assert unused_imports(source) == ["line 2: Optional"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+@pytest.mark.parametrize(
+    "path",
+    MODULES + SCRIPTS,
+    ids=lambda p: str(p.relative_to(SRC if p.is_relative_to(SRC) else ROOT)),
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
