@@ -167,7 +167,9 @@ def test_feasibility_report_matches_per_group_rules(world, queries):
         user %= len(roster.user_tokens)
         config = PolicyConfig(dwell=dwell, oscillation=dwell)
         report = feasibility_report(user, goal, roster, epoch, config)
-        expected = reference_report(GOAL_CATEGORIES[goal], roster, groups, coaches, user, epoch, dwell)
+        expected = reference_report(
+            GOAL_CATEGORIES[goal], roster, groups, coaches, user, epoch, dwell
+        )
         assert list(report) == list(expected)
         assert list(report.values()) == list(expected.values())
         assert dict(report.items()) == expected
