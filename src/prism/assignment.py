@@ -316,10 +316,6 @@ class BanditModel:
         self._a_inv = np.eye(dim) / ridge
         self._theta = np.zeros(dim)
 
-    @property
-    def theta(self) -> np.ndarray:
-        return self._theta.copy()
-
     # Both use einsum without its optimizer, which computes every output
     # element by the same loop over the summed index: a BLAS product would
     # block the rows and give identical rows different values, breaking
@@ -414,6 +410,9 @@ class FeasibilityReport(Mapping[str, list]):
         return [list(REASONS_OF_CODE[code]) for code in self.codes.tolist()]
 
 
+_GOAL_ROWS = range(len(GOAL_CATEGORIES))
+
+
 def feasibility_report(
     user: int,
     goal: int,
@@ -428,8 +427,11 @@ def feasibility_report(
     out. Capacity and coach-load checks exclude the user themself, so a
     member's own full group stays feasible for staying put. Every check
     reads the roster's arrays; the capacity and coach-load bits are the
-    codes :meth:`Roster.move` keeps.
+    codes :meth:`Roster.move` keeps. A ``goal`` that is not an index into
+    ``GOAL_CATEGORIES`` raises ``ValidationError``.
     """
+    if not isinstance(goal, (int, np.integer)) or goal not in _GOAL_ROWS:
+        raise ValidationError(f"goal must be an index into GOAL_CATEGORIES, got {goal!r}")
     current = roster.group_of[user]
     if current >= 0 and (epoch - roster.last_change[user]) < config.dwell:
         # The dwell rule overrides every other filter: staying put is the

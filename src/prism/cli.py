@@ -25,7 +25,7 @@ from .errors import (
     PrismError,
     ValidationError,
 )
-from .features import DEFAULT_ACTION_WEIGHTS
+from .features import DEFAULT_ACTION_WEIGHTS, check_engagement_alphas
 from .metrics import MetricsReport
 from .records import Record
 from .redaction import default_rules, leak_audit, load_deid_corpus, load_rules
@@ -115,6 +115,10 @@ class RunConfig(Record):
     policy: PolicyConfig = PolicyConfig()
     engagement_alphas: tuple[float, ...] = DEFAULT_ACTION_WEIGHTS
     keys: str = ""
+
+    def __post_init__(self) -> None:
+        # Checked where the file is read, not when the pre-period ends.
+        check_engagement_alphas(self.engagement_alphas)
 
 
 def _load_config(config_path: Optional[str]) -> RunConfig:

@@ -106,6 +106,18 @@ def adherence(series: Iterable[Sequence[int]]) -> float:
 # ---------------------------------------------------------------------------
 
 
+def check_engagement_alphas(alphas: Sequence[float]) -> None:
+    """The rule for weekly-score weights, wherever they are read: one
+    finite, non-negative weight per action type, summing to 1. Raises
+    ``ValidationError`` otherwise."""
+    if len(alphas) != len(ACTION_TYPES):
+        raise ValidationError("weights must align with action types")
+    if not all(0 <= a < math.inf for a in alphas):
+        raise ValidationError("weights must be finite and non-negative")
+    if abs(sum(alphas) - 1.0) > _WEIGHT_SUM_TOL:
+        raise ValidationError("weights must sum to 1")
+
+
 @dataclass(frozen=True)
 class EngagementWeights:
     """Weights plus pre-period winsorization percentiles, one of each per
@@ -116,13 +128,9 @@ class EngagementWeights:
     p95: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        k = len(ACTION_TYPES)
-        if not (len(self.alphas) == len(self.p5) == len(self.p95) == k):
-            raise ValidationError("weights and percentiles must align with action types")
-        if not all(0 <= a < math.inf for a in self.alphas):
-            raise ValidationError("weights must be finite and non-negative")
-        if abs(sum(self.alphas) - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValidationError("weights must sum to 1")
+        check_engagement_alphas(self.alphas)
+        if not len(self.p5) == len(self.p95) == len(ACTION_TYPES):
+            raise ValidationError("percentiles must align with action types")
         if any(lo > hi for lo, hi in zip(self.p5, self.p95)):
             raise ValidationError("p5 must not exceed p95")
 

@@ -46,6 +46,11 @@ A :class:`ScanMemo` scans each distinct text once under one rule set and
 keeps its resolved spans, for callers whose texts repeat, such as the
 coaching assistant's summaries and drafts. ``leak_audit`` keeps a memo
 of its own per call.
+
+A :class:`DeidPool` keeps one object per distinct part of a run's
+de-identified output, so every post redacted through it shares its text,
+cohort mapping and count mapping with the equal posts before it. Every
+:class:`DeidText` holds read-only mappings, pooled or not.
 """
 
 from __future__ import annotations
@@ -443,7 +448,10 @@ class ScanMemo:
     it is given as it is, so a caller that passes the same rule set back
     skips the comparison. It keeps every text it was asked about, so it
     belongs to one owner with a bounded set of texts and dies with it,
-    and is never handed raw posts.
+    and is never handed raw posts. A simulated run keeps one for its
+    assistant pass, whose summaries and drafts repeat a few texts; what
+    ``redact`` returns for them is shared through the run's
+    :class:`DeidPool`, which holds de-identified output only.
     """
 
     __slots__ = ("rules", "_spans")
@@ -471,7 +479,13 @@ class DeidText:
     Instances are built only by :func:`redact` (or trusted rehydration
     of previously redacted corpora), never by calling the class; the
     coaching assistant accepts nothing else, which is what keeps raw
-    text out of templates.
+    text out of templates. ``cohort_metadata`` and
+    ``redaction_count_by_type`` are read-only mappings
+    (``MappingProxyType``) over dicts no caller holds, so neither the
+    caller's metadata nor anyone holding the instance can change them.
+    Texts redacted through one :class:`DeidPool` share their equal parts:
+    one text object, one cohort mapping and one count mapping each.
+    :meth:`to_dict` returns plain dicts.
     """
 
     __slots__ = ("text", "source_user_token", "cohort_metadata", "redaction_count_by_type")
@@ -486,8 +500,8 @@ class DeidText:
         return {
             "text": self.text,
             "user_token": self.source_user_token.value,
-            "cohort": self.cohort_metadata,
-            "counts": self.redaction_count_by_type,
+            "cohort": dict(self.cohort_metadata),
+            "counts": dict(self.redaction_count_by_type),
         }
 
 
@@ -495,10 +509,10 @@ _SLOT_SETTERS = tuple(getattr(DeidText, name).__set__ for name in DeidText.__slo
 
 
 def _own_deid(
-    text: str, user_token: UserToken, metadata: dict, counts: dict[str, int]
+    text: str, user_token: UserToken, metadata: Mapping[str, Any], counts: Mapping[str, int]
 ) -> DeidText:
-    """The trusted path: a :class:`DeidText` that takes ownership of the
-    two dicts, which the caller has just built and shares with no one."""
+    """The trusted path: a :class:`DeidText` holding the two read-only
+    mappings as they are given."""
     deid = object.__new__(DeidText)
     set_text, set_token, set_metadata, set_counts = _SLOT_SETTERS
     set_text(deid, text)
@@ -524,6 +538,74 @@ def _validate_metadata(metadata: Mapping[str, Any]) -> None:
             raise ValidationError(f"cohort metadata value of {key!r} does not fit in int64")
 
 
+def _metadata_copy(metadata: Optional[Mapping[str, Any]]) -> dict:
+    """A validated copy of ``metadata``, which no caller holds."""
+    copy = dict(metadata or {})
+    _validate_metadata(copy)
+    return copy
+
+
+class DeidPool:
+    """One shared object per distinct part of a run's de-identified texts.
+
+    Through ``redact(..., pool=pool)`` equal de-identified texts, cohort
+    mappings and count mappings are one object each, so a corpus that
+    repeats a few texts under a few cohorts costs about one
+    :class:`DeidText` a post. Mappings are read-only views over dicts only
+    the pool holds. Two mappings share a view only when they encode
+    alike: metadata is keyed by its items in insertion order with each
+    value's type, and a float value by its ``repr``, so ``True``, ``1``
+    and ``1.0``, or ``0.0`` and ``-0.0``, never share one; counts are
+    keyed by their items in key order, so a rule set in two orders gives
+    two count mappings.
+
+    :meth:`cohort` checks metadata as ``redact`` does and returns the
+    pool's view of it; ``redact`` takes a view the pool issued as it is,
+    with no copy and no second check, and copies and checks any other
+    mapping. A pool keeps everything it was given, so it belongs to one
+    run and dies with it. It only ever sees de-identified output, never
+    raw posts.
+    """
+
+    __slots__ = ("_texts", "_cohorts", "_issued", "_counts")
+
+    def __init__(self) -> None:
+        self._texts: dict[str, str] = {}
+        self._cohorts: dict[tuple, Mapping[str, Any]] = {}
+        # The ids of the cohort views handed out. The pool holds each
+        # view as long as it lives, so no other object can take its id.
+        self._issued: set[int] = set()
+        self._counts: dict[tuple, Mapping[str, int]] = {}
+
+    def cohort(self, metadata: Optional[Mapping[str, Any]]) -> Mapping[str, Any]:
+        """The pool's read-only view of ``metadata``, which must pass
+        ``redact``'s checks."""
+        if id(metadata) in self._issued:
+            return metadata  # type: ignore[return-value]
+        copy = _metadata_copy(metadata)
+        key = tuple(
+            (name, type(value), repr(value) if isinstance(value, float) else value)
+            for name, value in copy.items()
+        )
+        view = self._cohorts.get(key)
+        if view is None:
+            view = self._cohorts[key] = MappingProxyType(copy)
+            self._issued.add(id(view))
+        return view
+
+    def _text(self, text: str) -> str:
+        return self._texts.setdefault(text, text)
+
+    def _count_view(self, counts: dict[str, int]) -> Mapping[str, int]:
+        # The entity types in key order, then their int counts: one flat
+        # tuple is cheaper to build and hash than a tuple of item pairs.
+        key = (*counts, *counts.values())
+        view = self._counts.get(key)
+        if view is None:
+            view = self._counts[key] = MappingProxyType(counts)
+        return view
+
+
 def redact(
     text: str,
     user_token: UserToken,
@@ -531,13 +613,17 @@ def redact(
     cohort_metadata: Optional[Mapping[str, Any]] = None,
     *,
     memo: Optional[ScanMemo] = None,
+    pool: Optional[DeidPool] = None,
 ) -> DeidText:
     """Replace every detected identifier with its typed placeholder.
 
-    The result carries only the user token plus a copy of the supplied
-    cohort metadata; matched text is not retained. With a ``memo`` built
-    for the same rules, the spans come from it. Where rules repeat an
-    entity type, its spans take the last such rule's placeholder.
+    The result carries only the user token plus a read-only copy of the
+    supplied cohort metadata and of its counts; matched text is not
+    retained. With a ``memo`` built for the same rules, the spans come
+    from it. With a ``pool``, the result's text and mappings are the
+    pool's shared objects, and a cohort mapping the pool issued is taken
+    without a copy. Where rules repeat an entity type, its spans take the
+    last such rule's placeholder.
     """
     if not isinstance(text, str):
         raise ValidationError("text must be a str")
@@ -549,8 +635,10 @@ def redact(
             raise ValidationError(f"text is not valid Unicode: {exc.reason}") from exc
     if not isinstance(user_token, UserToken):
         raise ValidationError("user_token must be a UserToken")
-    metadata = dict(cohort_metadata or {})
-    _validate_metadata(metadata)
+    if pool is None:
+        metadata = MappingProxyType(_metadata_copy(cohort_metadata))
+    else:
+        metadata = pool.cohort(cohort_metadata)
     rule_set = _rule_set(rules)
 
     spans = _scan(text, rule_set) if memo is None else memo.spans(text, rule_set)
@@ -564,7 +652,9 @@ def redact(
         counts[entity_type] += 1
         cursor = end
     pieces.append(text[cursor:])
-    return _own_deid("".join(pieces), user_token, metadata, counts)
+    if pool is None:
+        return _own_deid("".join(pieces), user_token, metadata, MappingProxyType(counts))
+    return _own_deid(pool._text("".join(pieces)), user_token, metadata, pool._count_view(counts))
 
 
 def _rehydrate_deid(
@@ -575,7 +665,10 @@ def _rehydrate_deid(
 ) -> DeidText:
     """Trusted-path constructor for corpora this pipeline already produced."""
     return _own_deid(
-        text, user_token, dict(cohort_metadata or {}), dict(redaction_count_by_type or {})
+        text,
+        user_token,
+        MappingProxyType(dict(cohort_metadata or {})),
+        MappingProxyType(dict(redaction_count_by_type or {})),
     )
 
 

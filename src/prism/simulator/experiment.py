@@ -374,10 +374,13 @@ def _assistant_pass(
 
     Only flagged rows get a context view. The summaries, rendered drafts
     and edits of a run repeat a few texts, so their scans go through the
-    run's ``memo``.
+    run's ``memo``, and each summary is redacted through the world's
+    ``deid_pool`` under the pool's cohort mapping of the user's goal.
     """
     scenario = world.scenario
     roster = world.roster
+    pool = world.deid_pool
+    cohort_of_goal = [pool.cohort({"goal": goal}) for goal in GOAL_CATEGORIES]
     templates = default_templates()
     rng = substream(scenario.seed, STREAM_REVIEW, epoch)
     created_at = rfc3339(SIM_EPOCH_BASE + epoch * WEEK_SECONDS)
@@ -390,8 +393,8 @@ def _assistant_pass(
             f"missed {context.missed_checkin_streak} recent check-ins; "
             f"engagement slope {context.engagement_slope:+.2f} per week."
         )
-        goal = GOAL_CATEGORIES[world.goal_index[user]]
-        summary = redact(summary_text, token, world.rules, {"goal": goal}, memo=memo)
+        cohort = cohort_of_goal[world.goal_index[user]]
+        summary = redact(summary_text, token, world.rules, cohort, memo=memo, pool=pool)
         draft = generate_draft(
             summary,
             context,
@@ -689,43 +692,27 @@ _encode_sorted = json.JSONEncoder(sort_keys=True).encode
 def _write_deid_messages(path: str, messages: list[DeidText]) -> None:
     """One ``json.dumps(message.to_dict(), sort_keys=True)`` line per message.
 
-    Placeholders make the corpus repeat itself. From the second message
-    with a text on, the line's head, its sorted keys before
-    ``user_token`` (``cohort``, ``counts``, ``text``), is encoded once
-    per distinct content and only the token per line. A text seen once
-    costs no key. The content key holds the counts' items, which are
-    plain ints as ``redact`` builds them, and the cohort's items where
-    every value is a string, else its ``repr``, which tells apart values
-    that compare equal but encode differently (``True``, ``1``, ``1.0``;
-    ``0.0``, ``-0.0``). A token is 64 lowercase hex characters, which
-    JSON writes as they are. Lines go to the file as they are made.
+    Messages redacted through one :class:`DeidPool` share their text,
+    cohort and count objects, and the pool shares an object only between
+    messages whose part encodes alike. So a line's head, its sorted keys
+    before ``user_token`` (``cohort``, ``counts``, ``text``), is encoded
+    once per distinct triple of those objects, and only the token per
+    line. A message built without a pool shares no mapping, so its head
+    is encoded for it alone. A token is 64 lowercase hex characters,
+    which JSON writes as they are. Lines go to the file as they are made.
     """
-    heads_of_text: dict[str, dict[tuple, str]] = {}
+    # Each head keeps its message, so no id in a key is reused meanwhile.
+    heads: dict[tuple[int, int, int], tuple[str, DeidText]] = {}
     with open(path, "w", encoding="utf-8") as fh:
         write = fh.write
         for message in messages:
-            text = message.text
-            heads = heads_of_text.get(text)
-            if heads is None:
-                heads_of_text[text] = {}
-                write(_encode_sorted(message.to_dict()) + "\n")
-                continue
             cohort, counts = message.cohort_metadata, message.redaction_count_by_type
-            key = (_cohort_key(cohort), tuple(counts.items()))
+            key = (id(message.text), id(cohort), id(counts))
             head = heads.get(key)
             if head is None:
-                doc = {"cohort": cohort, "counts": counts, "text": text}
-                head = heads[key] = _encode_sorted(doc)[:-1]
-            write(f'{head}, "user_token": "{message.source_user_token.value}"}}\n')
-
-
-def _cohort_key(cohort: dict) -> object:
-    """The cohort's items if every value is a str, else its ``repr``."""
-    items = tuple(cohort.items())
-    for _, value in items:
-        if type(value) is not str:
-            return repr(cohort)
-    return items
+                doc = {"cohort": dict(cohort), "counts": dict(counts), "text": message.text}
+                head = heads[key] = (_encode_sorted(doc)[:-1], message)
+            write(f'{head[0]}, "user_token": "{message.source_user_token.value}"}}\n')
 
 
 # ---------------------------------------------------------------------------

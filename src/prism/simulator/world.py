@@ -19,7 +19,7 @@ import numpy as np
 from ..assignment import CoachState, GroupState, PolicyConfig, Roster
 from ..errors import ValidationError
 from ..features import ACTION_TYPES, DAYS_PER_WEEK, GOAL_CATEGORIES
-from ..redaction import DeidText, RuleSet, default_rules, redact
+from ..redaction import DeidPool, DeidText, RuleSet, default_rules, redact
 from ..vault import KeyRing, UserToken, Vault
 from .scenario import (
     N_MESSAGE_VARIANTS,
@@ -125,6 +125,9 @@ class World:
     # synthesis; never serialized into any output.
     _raw_identities: dict[str, dict] = field(default_factory=dict)
     deid_messages: list[DeidText] = field(default_factory=list)
+    # The run's shared de-identified texts and mappings: the learning
+    # view's posts and the assistant's summaries are redacted through it.
+    deid_pool: DeidPool = field(default_factory=DeidPool)
     # (group_of, last_change) as of the last constraint audit.
     _audited: tuple[np.ndarray, np.ndarray] = field(init=False)
 
@@ -401,7 +404,8 @@ def step_messages(world: World, epoch: int) -> None:
     """Synthesize this week's free-text posts and push them through redaction.
 
     Raw text (which may self-disclose registered identifiers) exists
-    only inside this function; only the de-identified result is kept.
+    only inside this function; only the de-identified result is kept,
+    its text and mappings shared through the world's ``deid_pool``.
     """
     scenario = world.scenario
     n = world.n_users
@@ -412,11 +416,13 @@ def step_messages(world: World, epoch: int) -> None:
     aux_ids = rng.integers(0, 10**8, size=n).tolist()
     lat, lon = rng.integers(0, 10000, size=(n, 2)).T.tolist()
     goal_rows = world.goal_index.tolist()
-    # One metadata mapping per goal serves the week: redact copies it.
-    metadata_of_goal = [{"goal": goal} for goal in GOAL_CATEGORIES]
+    # The pool's cohort mapping of each goal, checked once: redact takes
+    # it as it is, and every post of a goal shares it.
+    pool = world.deid_pool
+    metadata_of_goal = [pool.cohort({"goal": goal}) for goal in GOAL_CATEGORIES]
     tokens, identities, rules = world.tokens, world._raw_identities, world.rules
     keep = world.deid_messages.append
     for i in np.flatnonzero(post_draw < scenario.message_prob).tolist():
         token = tokens[i]
         text = synth_message(variants[i], identities[token.value], aux_ids[i], lat[i], lon[i])
-        keep(redact(text, token, rules, metadata_of_goal[goal_rows[i]]))
+        keep(redact(text, token, rules, metadata_of_goal[goal_rows[i]], pool=pool))

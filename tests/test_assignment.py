@@ -149,6 +149,17 @@ class TestEligibility:
             [] if goal == "fitness" else ["goal_mismatch"] for goal in GOAL_CATEGORIES
         ]
 
+    @pytest.mark.parametrize("goal", [-1, len(GOAL_CATEGORIES)])
+    def test_goal_outside_the_categories_rejected(self, goal):
+        # One group per goal: -1 would read the last goal's row of the
+        # goal table, and 4 would index past it.
+        roster = make_world(
+            n_groups=len(GOAL_CATEGORIES),
+            edits={f"g{g:03d}": {"goal_category": name} for g, name in enumerate(GOAL_CATEGORIES)},
+        )
+        with pytest.raises(ValidationError, match="GOAL_CATEGORIES"):
+            feasibility_report(USER_ROW, goal, roster, epoch=8, config=CONFIG)
+
     def test_coach_load_binding(self):
         roster = make_world(
             n_groups=2, capacity=5, coach_limit=3,
@@ -378,7 +389,7 @@ class TestModelUpdate:
         model.update(np.array([[1.0]]), np.array([1.0]))
         assert model.A[0, 0] == pytest.approx(2.0)
         assert model.b[0] == pytest.approx(1.0)
-        assert model.theta[0] == pytest.approx(0.5)
+        assert model.means(np.eye(model.dim))[0] == pytest.approx(0.5)
 
     def test_non_finite_rejected(self):
         # One NaN row or one inf reward rejects the whole batch, and the
@@ -387,7 +398,7 @@ class TestModelUpdate:
         model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
         model.update(rng.uniform(-1, 1, (30, FEATURE_DIM)), rng.normal(size=30))
         probe = rng.uniform(-1, 1, (4, FEATURE_DIM))
-        before = (model.A.copy(), model.b.copy(), model.theta, model.widths(probe))
+        before = (model.A.copy(), model.b.copy(), model.means(np.eye(model.dim)), model.widths(probe))
         phi, rewards = rng.uniform(-1, 1, (12, FEATURE_DIM)), rng.normal(size=12)
         nan_phi, inf_rewards = phi.copy(), rewards.copy()
         nan_phi[5] = np.nan
@@ -395,7 +406,7 @@ class TestModelUpdate:
         for batch in ((nan_phi, rewards), (phi, inf_rewards)):
             with pytest.raises(ValidationError):
                 model.update(*batch)
-            after = (model.A, model.b, model.theta, model.widths(probe))
+            after = (model.A, model.b, model.means(np.eye(model.dim)), model.widths(probe))
             assert all(np.array_equal(x, y) for x, y in zip(before, after))
 
     @pytest.mark.filterwarnings("ignore:(invalid value|overflow) encountered:RuntimeWarning")
@@ -407,17 +418,17 @@ class TestModelUpdate:
         model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
         model.update(rng.uniform(-1, 1, (30, FEATURE_DIM)), rng.normal(size=30))
         probe = rng.uniform(-1, 1, (4, FEATURE_DIM))
-        before = (model.A.copy(), model.b.copy(), model.theta, model.widths(probe))
+        before = (model.A.copy(), model.b.copy(), model.means(np.eye(model.dim)), model.widths(probe))
         with pytest.raises(ValidationError, match="non-finite"):
             model.update(np.ones((2, FEATURE_DIM)), np.full(2, 1e308))
-        after = (model.A, model.b, model.theta, model.widths(probe))
+        after = (model.A, model.b, model.means(np.eye(model.dim)), model.widths(probe))
         assert all(np.array_equal(x, y) for x, y in zip(before, after))
 
         tiny = BanditModel(dim=2, ridge=1e-300)
         with pytest.raises(ValidationError, match="singular"):
             tiny.update(np.ones((1, 2)), np.ones(1))
         assert np.array_equal(tiny.A, 1e-300 * np.eye(2))
-        assert np.array_equal(tiny.theta, np.zeros(2))
+        assert np.array_equal(tiny.means(np.eye(2)), np.zeros(2))
 
     @pytest.mark.parametrize("phi_shape, rewards_shape", [
         ((FEATURE_DIM,), (1,)),        # one row, not a batch
@@ -445,7 +456,7 @@ class TestModelUpdate:
         gram = ridge * np.eye(d) + phis.T @ phis
         rhs = phis.T @ rewards
         theta_star = np.linalg.solve(gram, rhs)
-        assert np.max(np.abs(model.theta - theta_star)) < 1e-8
+        assert np.max(np.abs(model.means(np.eye(model.dim)) - theta_star)) < 1e-8
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -465,7 +476,7 @@ class TestModelUpdate:
             model.update(phis[lo:hi], rewards[lo:hi])
         eye = np.eye(FEATURE_DIM)
         theta_star = np.linalg.solve(ridge * eye + phis.T @ phis, phis.T @ rewards)
-        assert np.max(np.abs(model.theta - theta_star)) <= 1e-10
+        assert np.max(np.abs(model.means(np.eye(model.dim)) - theta_star)) <= 1e-10
         assert np.max(np.abs(model._a_inv @ model.A - eye)) <= 1e-10
 
     def test_theta_consistent_with_direct_solve(self):
@@ -473,7 +484,7 @@ class TestModelUpdate:
         model = BanditModel(dim=6, ridge=0.5)
         for _ in range(300):
             model.update(rng.normal(size=(1, 6)), rng.normal(size=1))
-        assert np.max(np.abs(model.theta - solve_theta(model))) < 1e-9
+        assert np.max(np.abs(model.means(np.eye(model.dim)) - solve_theta(model))) < 1e-9
 
 
 def _events_with_adherence(pre_rate: float, post_rate: float, epoch: int, config: PolicyConfig):

@@ -290,6 +290,25 @@ class TestSimulate:
             "--out", str(tmp_path / "x"), "--config", str(config_path),
         )
 
+    @pytest.mark.parametrize("alphas", [
+        [0.5, 0.5, 0, 0, 0.1], [0.5, 0.5], [1.5, -0.5, 0, 0, 0],
+    ], ids=["sum-not-one", "too-few", "negative"])
+    def test_bad_engagement_alphas_exit_one_before_any_week(
+        self, keys_env, scenario_file, tmp_path, capsys, alphas
+    ):
+        # Such weights once ran every pre-period week, and left an empty
+        # traces.jsonl, before the weights froze and were rejected.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"engagement_alphas": alphas}))
+        out = tmp_path / "run"
+        with mock.patch.object(experiment, "step_week") as step_week:
+            assert_exits_one(
+                capsys, "simulate", "--scenario", scenario_file, "--out", str(out),
+                "--config", str(config_path),
+            )
+        step_week.assert_not_called()
+        assert not out.exists()
+
     @pytest.mark.parametrize("policy, first_update", [
         # Decisions start at the scenario's w_pre, 6. The batches of epochs
         # 6 and 7 lack the policy's 8 baseline weeks and are dropped when

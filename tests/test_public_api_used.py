@@ -4,10 +4,13 @@ caller outside the tests.
 A public top-level function or class of a module under ``src/prism``, or
 a public method of one of its classes, must be referenced from program
 code: a module under ``src/prism`` or a non-test file of ``perfbench/``.
-A reference is a name, an attribute, an imported name or a string that
-is an identifier, since the benchmark's tracer names what it wraps as
-strings. Package ``__init__.py`` files only re-export, so they neither
-define nor reference. A definition does not reference itself.
+A function or class is referenced by a name, an attribute, an imported
+name or a string that is an identifier, since the benchmark's tracer
+names what it wraps as strings. A method is referenced only by an
+attribute (``.name``) or an identifier string: a local variable or
+parameter that happens to share its name calls nothing. Package
+``__init__.py`` files only re-export, so they neither define nor
+reference. A definition does not reference itself.
 
 Every defaulted parameter of a function, method or constructor
 (``__init__`` or ``__new__``) under ``src/prism``, private ones
@@ -51,41 +54,55 @@ def public_definitions(source: str) -> list[str]:
     return found
 
 
-def references(source: str) -> set[str]:
-    names = set()
+def references(source: str) -> tuple[set[str], set[str]]:
+    """The names ``source`` references, and the subset that can reach a
+    method: attributes and identifier strings."""
+    names, attributes = set(), set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name.rpartition(".")[2])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
-                names.add(node.value)
-    return names
+                attributes.add(node.value)
+    return names | attributes, attributes
+
+
+def unreferenced(defined: list[str], names: set[str], attributes: set[str]) -> list[str]:
+    """The definitions no reference reaches: a method ``Class.name`` needs
+    ``name`` among the attributes, anything else among the names."""
+    return [
+        d for d in defined
+        if d.rpartition(".")[2] not in (attributes if "." in d else names)
+    ]
 
 
 def test_the_scan_finds_an_unreferenced_definition():
     source = (
         "class A:\n    def used(self): ...\n    def spare(self): ...\n    def _own(self): ...\n"
+        "    def local(self): ...\n"
         "def f(): return A().used()\ndef g(): ...\ndef _h(): ...\nTRACED = 'g'\n"
+        "def k(local): spare = local; return spare\nk(1)\n"
     )
     defined = public_definitions(source)
-    assert defined == ["A", "A.used", "A.spare", "f", "g"]
-    used = references(source)
-    assert [d for d in defined if d.rpartition(".")[2] not in used] == ["A.spare", "f"]
+    assert defined == ["A", "A.used", "A.spare", "A.local", "f", "g", "k"]
+    # A local variable or parameter of a method's name is not a caller.
+    assert unreferenced(defined, *references(source)) == ["A.spare", "A.local", "f"]
 
 
 def test_every_public_name_has_a_caller():
-    used = DOCUMENTED_ENTRY_POINTS.union(
-        *(references(path.read_text(encoding="utf-8")) for path in CALLERS)
-    )
+    names, attributes = set(DOCUMENTED_ENTRY_POINTS), set()
+    for path in CALLERS:
+        found, found_attributes = references(path.read_text(encoding="utf-8"))
+        names |= found
+        attributes |= found_attributes
     unused = [
         f"{path.relative_to(SRC)}: {name}"
         for path in MODULES
-        for name in public_definitions(path.read_text(encoding="utf-8"))
-        if name.rpartition(".")[2] not in used
+        for name in unreferenced(public_definitions(path.read_text(encoding="utf-8")), names, attributes)
     ]
     assert unused == []
 

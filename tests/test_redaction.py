@@ -7,6 +7,7 @@ import os
 import random
 import re
 import tempfile
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from prism.redaction import (
     DEFAULT_LAST_NAMES,
     ENTITY_TYPES,
     PLACEHOLDERS,
+    DeidPool,
     DeidText,
     LeakReport,
     RedactionRule,
@@ -620,28 +622,130 @@ class TestRuleSets:
 
 class TestOwnership:
     @settings(max_examples=150, deadline=None)
-    @given(metadata=_METADATA, key=st.text(max_size=3), use_memo=st.booleans())
-    def test_no_two_deid_texts_share_a_dict(self, metadata, key, use_memo):
+    @given(metadata=_METADATA, key=st.text(max_size=3), use_memo=st.booleans(), use_pool=st.booleans())
+    def test_mappings_are_read_only_and_never_the_callers(self, metadata, key, use_memo, use_pool):
         caller = dict(metadata)
         rules = default_rules()
         memo = ScanMemo(rules) if use_memo else None
-        first = redact("mail bob@x.org", TOKEN, rules, caller, memo=memo)
-        second = redact("mail bob@x.org", TOKEN, rules, caller, memo=memo)
+        pool = DeidPool() if use_pool else None
+        first = redact("mail bob@x.org", TOKEN, rules, caller, memo=memo, pool=pool)
+        second = redact("mail bob@x.org", TOKEN, rules, caller, memo=memo, pool=pool)
         loaded = _rehydrate_deid(first.text, TOKEN, caller, first.redaction_count_by_type)
-        before = [json.dumps(d.to_dict()) for d in (first, second, loaded)]
-        dicts = [caller] + [
-            mapping
-            for deid in (first, second, loaded)
-            for mapping in (deid.cohort_metadata, deid.redaction_count_by_type)
-        ]
-        assert len({id(mapping) for mapping in dicts}) == len(dicts)
+        deids = (first, second, loaded)
+        before = [json.dumps(d.to_dict()) for d in deids]
+        mappings = [m for d in deids for m in (d.cohort_metadata, d.redaction_count_by_type)]
+        assert all(type(m) is MappingProxyType and m is not caller for m in mappings)
+        for mapping in mappings:
+            with pytest.raises(TypeError):
+                mapping[key] = "changed"
+            with pytest.raises(TypeError):
+                del mapping[key]
+        # to_dict hands out plain dicts of its own.
+        doc = first.to_dict()
+        assert type(doc["cohort"]) is dict and type(doc["counts"]) is dict
+        doc["cohort"][key] = "changed"
+        doc["counts"]["EMAIL"] = 99
         # The caller's metadata changes after the call; no DeidText sees it.
         caller[key] = "changed"
         caller.pop(next(iter(caller)))
-        assert [json.dumps(d.to_dict()) for d in (first, second, loaded)] == before
-        # Nor does the next call see a change to a returned counts dict.
-        first.redaction_count_by_type["EMAIL"] = 99
-        assert redact("mail bob@x.org", TOKEN, rules).redaction_count_by_type["EMAIL"] == 1
+        assert [json.dumps(d.to_dict()) for d in deids] == before
+        assert redact("mail bob@x.org", TOKEN, rules, pool=pool).redaction_count_by_type["EMAIL"] == 1
+
+
+# Metadata values that compare equal across types or signs but encode
+# apart, so a pool keyed on equality would hand one the other's mapping.
+_LOOKALIKE_METADATA = st.dictionaries(
+    st.sampled_from(["goal", "arm", "\u00fcber"]),
+    st.sampled_from([True, False, 1, 0, 1.0, 0.0, -0.0, "1", "0", ""])
+    | st.integers(-(2**63), 2**63 - 1)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    max_size=3,
+)
+
+
+def _encoded(mapping) -> str:
+    """A mapping's items in order as JSON, which tells apart every value
+    a pool must keep apart."""
+    return json.dumps(list(mapping.items()))
+
+
+class TestDeidPool:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        texts=st.lists(_texts(DEFAULT_FIRST_NAMES + DEFAULT_LAST_NAMES), min_size=1, max_size=4),
+        cohorts=st.lists(_LOOKALIKE_METADATA, min_size=1, max_size=4),
+        picks=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3), st.booleans(), st.booleans()),
+            min_size=1, max_size=30,
+        ),
+    )
+    def test_pooled_redact_equals_reference(self, texts, cohorts, picks):
+        # The default rules in two orders give their counts in two orders.
+        orders = (default_rules(), RuleSet(reversed(default_rules())))
+        references = (reference_rules(), tuple(reversed(reference_rules())))
+        pool = DeidPool()
+        outs = []
+        for text, cohort, reverse_items, reverse_rules in picks:
+            items = list(cohorts[cohort % len(cohorts)].items())
+            metadata = dict(reversed(items) if reverse_items else items)
+            raw = texts[text % len(texts)]
+            out = redact(raw, TOKEN, orders[reverse_rules], metadata, pool=pool)
+            expected = reference_redact(raw, TOKEN, references[reverse_rules], metadata)
+            assert out.text == expected.text
+            assert out.source_user_token is TOKEN
+            for got, want in (
+                (out.cohort_metadata, expected.cohort_metadata),
+                (out.redaction_count_by_type, expected.redaction_count_by_type),
+            ):
+                assert [(k, type(v), repr(v)) for k, v in got.items()] == [
+                    (k, type(v), repr(v)) for k, v in want.items()
+                ]
+            assert json.dumps(out.to_dict()) == json.dumps(expected.to_dict())
+            outs.append(out)
+        # One object per distinct part, and parts that encode apart never share.
+        for part in (lambda d: d.cohort_metadata, lambda d: d.redaction_count_by_type):
+            views = [part(d) for d in outs]
+            assert len({id(v) for v in views}) == len({_encoded(v) for v in views})
+        assert len({id(d.text) for d in outs}) == len({d.text for d in outs})
+        # The pool holds de-identified output only.
+        assert set(pool._texts) == {d.text for d in outs}
+
+    def test_n_posts_of_k_contents_leave_k_objects_of_each_part(self):
+        identity = synth_identity(np.random.default_rng(11), 0)
+        raws = [synth_message(v, identity, 12345678, 1, 2) for v in range(N_MESSAGE_VARIANTS)]
+        goals = ("fitness", "nutrition")
+        contents = [(raw, goal) for raw in raws for goal in goals]
+        pool = DeidPool()
+        outs = []
+        for i in range(600):
+            raw, goal = contents[(7 * i) % len(contents)]
+            outs.append(redact(raw, TOKEN, None, {"goal": goal}, pool=pool))
+        k = len(contents)
+        assert len({id(d.text) for d in outs}) <= k
+        assert len({id(d.cohort_metadata) for d in outs}) == len(goals)
+        assert len({id(d.redaction_count_by_type) for d in outs}) <= k
+
+    def test_an_issued_cohort_is_taken_as_it_is(self):
+        pool = DeidPool()
+        view = pool.cohort({"goal": "fitness"})
+        assert pool.cohort(view) is view
+        assert pool.cohort({"goal": "fitness"}) is view
+        assert redact("hi Marisol", TOKEN, None, view, pool=pool).cohort_metadata is view
+        with pytest.raises(TypeError):
+            view["goal"] = "x"
+        # Another pool's view, or any other mapping, is copied and checked.
+        other = DeidPool()
+        assert other.cohort(view) is not view and other.cohort(view) == view
+        assert redact("hi", TOKEN, None, view).cohort_metadata is not view
+        with pytest.raises(ValidationError, match="finite"):
+            redact("hi", TOKEN, None, MappingProxyType({"x": math.nan}), pool=pool)
+        with pytest.raises(ValidationError, match="scalars"):
+            pool.cohort({"nested": {"a": 1}})
+        # Values that compare equal but encode apart keep their own views.
+        values = [True, 1, 1.0, False, 0, 0.0, -0.0]
+        views = [pool.cohort({"goal": v}) for v in values]
+        assert len({id(v) for v in views}) == len(values)
+        assert all(pool.cohort({"goal": v}) is view for v, view in zip(values, views))
 
 
 def reference_leak_audit(samples, rules) -> LeakReport:

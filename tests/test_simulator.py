@@ -37,7 +37,14 @@ from prism.assignment import (
 )
 from prism.errors import ValidationError
 from prism.metrics import MetricsReport
-from prism.redaction import DEFAULT_FIRST_NAMES, DEFAULT_LAST_NAMES, RuleSet, default_rules, redact
+from prism.redaction import (
+    DEFAULT_FIRST_NAMES,
+    DEFAULT_LAST_NAMES,
+    DeidPool,
+    RuleSet,
+    default_rules,
+    redact,
+)
 from prism.simulator import (
     Scenario,
     TraceLegend,
@@ -887,37 +894,41 @@ class TestDeidCorpusWrite:
         rule_orders = (default_rules(), RuleSet(reversed(default_rules())))
         with pytest.raises(ValidationError, match="RuleSet"):
             redact("call 613-555-0142", UserToken("ab" * 32), tuple(reversed(default_rules())))
-        messages = []
-        for text, cohort, user, reverse, reverse_rules in picks:
-            items = list(cohorts[cohort % len(cohorts)].items())
-            metadata = dict(reversed(items) if reverse else items)  # insertion order varies
-            token = UserToken(f"{user:02x}" * 32)
-            rules = rule_orders[reverse_rules]
-            messages.append(redact(texts[text % len(texts)], token, rules, metadata))
-        path = tmp_path / "deid_messages.jsonl"
-        experiment._write_deid_messages(str(path), messages)
-        expected = "".join(json.dumps(m.to_dict(), sort_keys=True) + "\n" for m in messages)
-        assert path.read_text(encoding="utf-8") == expected
+        # Unpooled messages share nothing; pooled ones share equal parts.
+        for pool in (None, DeidPool()):
+            messages = []
+            for text, cohort, user, reverse, reverse_rules in picks:
+                items = list(cohorts[cohort % len(cohorts)].items())
+                metadata = dict(reversed(items) if reverse else items)  # insertion order varies
+                token = UserToken(f"{user:02x}" * 32)
+                rules = rule_orders[reverse_rules]
+                messages.append(redact(texts[text % len(texts)], token, rules, metadata, pool=pool))
+            path = tmp_path / "deid_messages.jsonl"
+            experiment._write_deid_messages(str(path), messages)
+            expected = "".join(json.dumps(m.to_dict(), sort_keys=True) + "\n" for m in messages)
+            assert path.read_text(encoding="utf-8") == expected
 
     def test_one_text_with_other_counts_keeps_its_counts(self, tmp_path):
         token = UserToken("ab" * 32)
         raws = ("Marisol here", "[NAME] here", "Marisol here", "[NAME] here")
-        messages = [redact(raw, token, None, {"goal": "fitness"}) for raw in raws]
-        assert {m.text for m in messages} == {"[NAME] here"}
-        path = tmp_path / "deid_messages.jsonl"
-        experiment._write_deid_messages(str(path), messages)
-        lines = path.read_text().splitlines()
-        assert lines == [json.dumps(m.to_dict(), sort_keys=True) for m in messages]
-        assert ['"NAME": 1' in line for line in lines] == [True, False, True, False]
+        for pool in (None, DeidPool()):
+            messages = [redact(raw, token, None, {"goal": "fitness"}, pool=pool) for raw in raws]
+            assert {m.text for m in messages} == {"[NAME] here"}
+            path = tmp_path / "deid_messages.jsonl"
+            experiment._write_deid_messages(str(path), messages)
+            lines = path.read_text().splitlines()
+            assert lines == [json.dumps(m.to_dict(), sort_keys=True) for m in messages]
+            assert ['"NAME": 1' in line for line in lines] == [True, False, True, False]
 
     def test_equal_values_of_other_types_keep_their_own_line(self, tmp_path):
         token = UserToken("ab" * 32)
         values = [True, 1, 1.0, 0.0, -0.0, False, 0, 1, True]
-        messages = [redact("same text", token, None, {"goal": v}) for v in values]
-        path = tmp_path / "deid_messages.jsonl"
-        experiment._write_deid_messages(str(path), messages)
-        cohorts = [line.split('"counts"')[0] for line in path.read_text().splitlines()]
-        assert cohorts == [f'{{"cohort": {{"goal": {json.dumps(v)}}}, ' for v in values]
+        for pool in (None, DeidPool()):
+            messages = [redact("same text", token, None, {"goal": v}, pool=pool) for v in values]
+            path = tmp_path / "deid_messages.jsonl"
+            experiment._write_deid_messages(str(path), messages)
+            cohorts = [line.split('"counts"')[0] for line in path.read_text().splitlines()]
+            assert cohorts == [f'{{"cohort": {{"goal": {json.dumps(v)}}}, ' for v in values]
 
 
 class TestScaleLadder:
