@@ -47,10 +47,10 @@ keeps its resolved spans, for callers whose texts repeat, such as the
 coaching assistant's summaries and drafts. ``leak_audit`` keeps a memo
 of its own per call.
 
-A :class:`DeidPool` keeps one object per distinct part of a run's
-de-identified output, so every post redacted through it shares its text,
-cohort mapping and count mapping with the equal posts before it. Every
-:class:`DeidText` holds read-only mappings, pooled or not.
+A :class:`DeidPool` keeps one read-only mapping per distinct cohort
+and per distinct count of a run's de-identified output, so every post
+redacted through it shares its cohort and count mappings with the equal
+posts before it. Every :class:`DeidText` holds read-only mappings.
 """
 
 from __future__ import annotations
@@ -449,8 +449,8 @@ class ScanMemo:
     skips the comparison. It keeps every text it was asked about, so it
     belongs to one owner with a bounded set of texts and dies with it,
     and is never handed raw posts. A simulated run keeps one for its
-    assistant pass, whose summaries and drafts repeat a few texts; what
-    ``redact`` returns for them is shared through the run's
+    assistant pass, whose summaries and drafts repeat a few texts; the
+    redacted summaries share their mappings through the run's
     :class:`DeidPool`, which holds de-identified output only.
     """
 
@@ -483,8 +483,8 @@ class DeidText:
     ``redaction_count_by_type`` are read-only mappings
     (``MappingProxyType``) over dicts no caller holds, so neither the
     caller's metadata nor anyone holding the instance can change them.
-    Texts redacted through one :class:`DeidPool` share their equal parts:
-    one text object, one cohort mapping and one count mapping each.
+    Texts redacted through one :class:`DeidPool` share their equal
+    mappings: one cohort mapping and one count mapping each.
     :meth:`to_dict` returns plain dicts.
     """
 
@@ -538,20 +538,15 @@ def _validate_metadata(metadata: Mapping[str, Any]) -> None:
             raise ValidationError(f"cohort metadata value of {key!r} does not fit in int64")
 
 
-def _metadata_copy(metadata: Optional[Mapping[str, Any]]) -> dict:
-    """A validated copy of ``metadata``, which no caller holds."""
-    copy = dict(metadata or {})
-    _validate_metadata(copy)
-    return copy
-
-
 class DeidPool:
-    """One shared object per distinct part of a run's de-identified texts.
+    """One shared read-only mapping per distinct cohort and count of a
+    run's de-identified texts.
 
-    Through ``redact(..., pool=pool)`` equal de-identified texts, cohort
-    mappings and count mappings are one object each, so a corpus that
-    repeats a few texts under a few cohorts costs about one
-    :class:`DeidText` a post. Mappings are read-only views over dicts only
+    Through ``redact(..., pool=pool)`` equal cohort mappings and equal
+    count mappings are one object each, so a post costs its
+    :class:`DeidText` and its text. The texts are not pooled: a real
+    corpus's posts are mostly distinct, and an intern table would cost
+    each of them a slot. Mappings are read-only views over dicts only
     the pool holds. Two mappings share a view only when they encode
     alike: metadata is keyed by its items in insertion order with each
     value's type, and a float value by its ``repr``, so ``True``, ``1``
@@ -567,10 +562,9 @@ class DeidPool:
     raw posts.
     """
 
-    __slots__ = ("_texts", "_cohorts", "_issued", "_counts")
+    __slots__ = ("_cohorts", "_issued", "_counts")
 
     def __init__(self) -> None:
-        self._texts: dict[str, str] = {}
         self._cohorts: dict[tuple, Mapping[str, Any]] = {}
         # The ids of the cohort views handed out. The pool holds each
         # view as long as it lives, so no other object can take its id.
@@ -582,7 +576,8 @@ class DeidPool:
         ``redact``'s checks."""
         if id(metadata) in self._issued:
             return metadata  # type: ignore[return-value]
-        copy = _metadata_copy(metadata)
+        copy = dict(metadata or {})
+        _validate_metadata(copy)
         key = tuple(
             (name, type(value), repr(value) if isinstance(value, float) else value)
             for name, value in copy.items()
@@ -592,9 +587,6 @@ class DeidPool:
             view = self._cohorts[key] = MappingProxyType(copy)
             self._issued.add(id(view))
         return view
-
-    def _text(self, text: str) -> str:
-        return self._texts.setdefault(text, text)
 
     def _count_view(self, counts: dict[str, int]) -> Mapping[str, int]:
         # The entity types in key order, then their int counts: one flat
@@ -620,10 +612,11 @@ def redact(
     The result carries only the user token plus a read-only copy of the
     supplied cohort metadata and of its counts; matched text is not
     retained. With a ``memo`` built for the same rules, the spans come
-    from it. With a ``pool``, the result's text and mappings are the
-    pool's shared objects, and a cohort mapping the pool issued is taken
-    without a copy. Where rules repeat an entity type, its spans take the
-    last such rule's placeholder.
+    from it. With a ``pool``, the result's mappings are the pool's shared
+    objects, and a cohort mapping the pool issued is taken without a
+    copy; without one, the call uses a pool of its own and shares
+    nothing. Where rules repeat an entity type, its spans take the last
+    such rule's placeholder.
     """
     if not isinstance(text, str):
         raise ValidationError("text must be a str")
@@ -636,9 +629,8 @@ def redact(
     if not isinstance(user_token, UserToken):
         raise ValidationError("user_token must be a UserToken")
     if pool is None:
-        metadata = MappingProxyType(_metadata_copy(cohort_metadata))
-    else:
-        metadata = pool.cohort(cohort_metadata)
+        pool = DeidPool()
+    metadata = pool.cohort(cohort_metadata)
     rule_set = _rule_set(rules)
 
     spans = _scan(text, rule_set) if memo is None else memo.spans(text, rule_set)
@@ -652,9 +644,7 @@ def redact(
         counts[entity_type] += 1
         cursor = end
     pieces.append(text[cursor:])
-    if pool is None:
-        return _own_deid("".join(pieces), user_token, metadata, MappingProxyType(counts))
-    return _own_deid(pool._text("".join(pieces)), user_token, metadata, pool._count_view(counts))
+    return _own_deid("".join(pieces), user_token, metadata, pool._count_view(counts))
 
 
 def _rehydrate_deid(

@@ -692,27 +692,30 @@ _encode_sorted = json.JSONEncoder(sort_keys=True).encode
 def _write_deid_messages(path: str, messages: list[DeidText]) -> None:
     """One ``json.dumps(message.to_dict(), sort_keys=True)`` line per message.
 
-    Messages redacted through one :class:`DeidPool` share their text,
-    cohort and count objects, and the pool shares an object only between
-    messages whose part encodes alike. So a line's head, its sorted keys
-    before ``user_token`` (``cohort``, ``counts``, ``text``), is encoded
-    once per distinct triple of those objects, and only the token per
-    line. A message built without a pool shares no mapping, so its head
-    is encoded for it alone. A token is 64 lowercase hex characters,
-    which JSON writes as they are. Lines go to the file as they are made.
+    Messages redacted through one :class:`DeidPool` share their cohort
+    and count objects, and the pool shares an object only between
+    messages whose mapping encodes alike. So a line's head, its sorted
+    keys before ``user_token`` (``cohort``, ``counts``, ``text``), is
+    encoded once per distinct text under each pair of those objects, and
+    only the token per line. A message built without a pool shares no
+    mapping, so its head is encoded for it alone. A token is 64
+    lowercase hex characters, which JSON writes as they are. Lines go to
+    the file as they are made.
     """
-    # Each head keeps its message, so no id in a key is reused meanwhile.
-    heads: dict[tuple[int, int, int], tuple[str, DeidText]] = {}
+    # ``messages`` keeps every mapping alive during the write, so no id
+    # in a key is reused meanwhile.
+    heads: dict[tuple[str, int, int], str] = {}
     with open(path, "w", encoding="utf-8") as fh:
         write = fh.write
         for message in messages:
+            text = message.text
             cohort, counts = message.cohort_metadata, message.redaction_count_by_type
-            key = (id(message.text), id(cohort), id(counts))
+            key = (text, id(cohort), id(counts))
             head = heads.get(key)
             if head is None:
-                doc = {"cohort": dict(cohort), "counts": dict(counts), "text": message.text}
-                head = heads[key] = (_encode_sorted(doc)[:-1], message)
-            write(f'{head[0]}, "user_token": "{message.source_user_token.value}"}}\n')
+                doc = {"cohort": dict(cohort), "counts": dict(counts), "text": text}
+                head = heads[key] = _encode_sorted(doc)[:-1]
+            write(f'{head}, "user_token": "{message.source_user_token.value}"}}\n')
 
 
 # ---------------------------------------------------------------------------

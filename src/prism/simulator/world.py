@@ -125,8 +125,8 @@ class World:
     # synthesis; never serialized into any output.
     _raw_identities: dict[str, dict] = field(default_factory=dict)
     deid_messages: list[DeidText] = field(default_factory=list)
-    # The run's shared de-identified texts and mappings: the learning
-    # view's posts and the assistant's summaries are redacted through it.
+    # The run's shared cohort and count mappings: the learning view's
+    # posts and the assistant's summaries are redacted through it.
     deid_pool: DeidPool = field(default_factory=DeidPool)
     # (group_of, last_change) as of the last constraint audit.
     _audited: tuple[np.ndarray, np.ndarray] = field(init=False)
@@ -405,7 +405,7 @@ def step_messages(world: World, epoch: int) -> None:
 
     Raw text (which may self-disclose registered identifiers) exists
     only inside this function; only the de-identified result is kept,
-    its text and mappings shared through the world's ``deid_pool``.
+    its cohort and count mappings shared through the world's ``deid_pool``.
     """
     scenario = world.scenario
     n = world.n_users

@@ -707,15 +707,13 @@ class TestDeidPool:
                 ]
             assert json.dumps(out.to_dict()) == json.dumps(expected.to_dict())
             outs.append(out)
-        # One object per distinct part, and parts that encode apart never share.
+        # One object per distinct mapping, and mappings that encode apart
+        # never share.
         for part in (lambda d: d.cohort_metadata, lambda d: d.redaction_count_by_type):
             views = [part(d) for d in outs]
             assert len({id(v) for v in views}) == len({_encoded(v) for v in views})
-        assert len({id(d.text) for d in outs}) == len({d.text for d in outs})
-        # The pool holds de-identified output only.
-        assert set(pool._texts) == {d.text for d in outs}
 
-    def test_n_posts_of_k_contents_leave_k_objects_of_each_part(self):
+    def test_n_posts_of_k_contents_leave_one_mapping_per_distinct_mapping(self):
         identity = synth_identity(np.random.default_rng(11), 0)
         raws = [synth_message(v, identity, 12345678, 1, 2) for v in range(N_MESSAGE_VARIANTS)]
         goals = ("fitness", "nutrition")
@@ -725,10 +723,10 @@ class TestDeidPool:
         for i in range(600):
             raw, goal = contents[(7 * i) % len(contents)]
             outs.append(redact(raw, TOKEN, None, {"goal": goal}, pool=pool))
-        k = len(contents)
-        assert len({id(d.text) for d in outs}) <= k
         assert len({id(d.cohort_metadata) for d in outs}) == len(goals)
-        assert len({id(d.redaction_count_by_type) for d in outs}) <= k
+        counts = {id(d.redaction_count_by_type) for d in outs}
+        assert len(counts) == len({tuple(d.redaction_count_by_type.items()) for d in outs})
+        assert len(counts) <= N_MESSAGE_VARIANTS
 
     def test_an_issued_cohort_is_taken_as_it_is(self):
         pool = DeidPool()
