@@ -9,13 +9,12 @@ import numpy as np
 from prism.assignment import (
     REASONS_OF_CODE,
     BanditModel,
-    CoachState,
-    GroupState,
     PolicyConfig,
     Roster,
     assign,
     feasibility_report,
     feature_tables,
+    ucb_score,
 )
 from prism.features import GOAL_CATEGORIES, ContextBatch
 from prism.vault import UserToken
@@ -36,20 +35,20 @@ week = ContextBatch(
 )
 user, goal = 0, int(week.goal[0])
 
-groups = {
-    "g000": GroupState("g000", "c00", capacity=10, goal_category="weight_loss"),
-    "g001": GroupState("g001", "c01", capacity=10, goal_category="maintenance"),
-    "g002": GroupState("g002", "c01", capacity=2, goal_category="weight_loss"),
-}
-coaches = {
-    "c00": CoachState("c00", load_limit=18),
-    "c01": CoachState("c01", load_limit=18),
-}
-
 
 def seated_roster(last_change: int) -> Roster:
-    """The user in g001 (goal-mismatched) since ``last_change``; g002 full."""
-    roster = Roster(groups, coaches, [token.value for token in tokens])
+    """Three groups under two coaches: g000 (weight loss, coach c00), g001
+    (maintenance, c01) and g002 (weight loss, c01, two seats). The user
+    sits in g001 (goal-mismatched) since ``last_change``; g002 is full."""
+    roster = Roster(
+        ["g000", "g001", "g002"],
+        ["c00", "c01"],
+        [token.value for token in tokens],
+        capacity=[10, 10, 2],
+        goal_index=[GOAL_CATEGORIES.index(goal) for goal in ("weight_loss", "maintenance", "weight_loss")],
+        coach_of=[0, 1, 1],
+        load_limit=[18, 18],
+    )
     roster.move(0, roster.group_row["g001"], last_change, dwell=0)
     roster.move(1, roster.group_row["g002"], 0, dwell=0)
     roster.move(2, roster.group_row["g002"], 0, dwell=0)
@@ -70,7 +69,7 @@ print("feasibility at epoch 8:")
 for gid, reasons in report.items():
     print(f"  {gid}: {'feasible' if not reasons else ', '.join(reasons)}")
 print("eligible:", feasible(report))
-print("coach loads:", {cid: coach.load(roster) for cid, coach in coaches.items()})
+print("coach loads:", dict(zip(roster.coach_ids, roster.load.tolist())))
 
 # Inside the dwell window the only admissible action is the current group.
 locked = feasibility_report(user, goal, seated_roster(last_change=6), 8, config)
@@ -91,7 +90,8 @@ for gid, code in zip(roster.group_ids, decision.codes[0].tolist()):
     if code:
         print(f"  {gid}: infeasible ({', '.join(REASONS_OF_CODE[code])})")
     else:
-        mu, sigma, penalty, score = next(scored)
+        mu, sigma, penalty = next(scored)
+        score = ucb_score(mu, sigma, penalty, config.beta, config.lam)
         print(f"  {gid}: mu={mu:+.3f} sigma={sigma:.3f} penalty={penalty} score={score:+.3f}")
 print("chosen:", roster.group_ids[decision.chosen[0]], "changed:", decision.changed)
 

@@ -2,7 +2,10 @@
 
 Candidate groups are filtered by hard feasibility first — capacity,
 coach load, minimum dwell, goal eligibility — and only
-then scored. Scoring is linear-UCB over a single shared coefficient
+then scored. Placement is one :class:`Roster`, the Operational view of
+groups and coaches: the roster takes the group and coach ids with their
+static arrays, orders their rows itself, and keeps every placement
+array. Scoring is linear-UCB over a single shared coefficient
 vector on a joint user-by-group feature map, with a stability penalty
 against reassignments inside the oscillation horizon. An epoch's users
 are decided in row order by :func:`decide_epoch`, in passes between
@@ -26,39 +29,23 @@ from .errors import ConstraintViolationError, InternalError, ValidationError
 from .features import DAYS_PER_WEEK, GOAL_CATEGORIES, ContextBatch, engagement_scores
 from .records import Record
 
-# perfbench/tracing.py wraps engagement_scores here too; nothing in this module calls it.
-_TRACED_NAMES = (engagement_scores,)
-
 _STREAK_CAP_DAYS = 14
 
 
-@dataclass(frozen=True)
-class GroupState:
-    """Static attributes of one peer group; who sits in it lives in the Roster.
-
-    Frozen because the roster copies these attributes into arrays once.
-    """
-
-    group_id: str
-    coach_id: str
-    capacity: int
-    goal_category: str
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValidationError("group capacity must be at least 1")
-        if self.goal_category not in GOAL_CATEGORIES:
-            raise ValidationError(f"unknown goal category: {self.goal_category!r}")
-
-
-@dataclass
 class CoachState:
-    coach_id: str
-    load_limit: int = 0
+    """Only a name: ``perfbench/tracing.py`` counts calls to
+    ``CoachState.load``, and no program code makes one. A coach's load is
+    ``Roster.load`` at the coach's row. ROADMAP item 1, which moves the
+    benchmark's layer timing into ``src/``, deletes this class."""
 
-    def load(self, roster: Roster) -> int:
-        """Members across this coach's groups, read from the roster's counter."""
-        return int(roster.load[roster.coach_row[self.coach_id]])
+    @staticmethod
+    def load(roster: Roster, coach: int) -> int:
+        return int(roster.load[coach])
+
+
+# perfbench/tracing.py wraps engagement_scores here too and counts
+# CoachState.load; nothing in this module calls either.
+_TRACED_NAMES = (engagement_scores, CoachState)
 
 
 class Roster:
@@ -68,50 +55,72 @@ class Roster:
     unplaced) and ``last_change`` (epoch of the last move, the initial
     placement included); per group, the member ``count``; per coach, the
     ``load``. Users are rows in the order of ``user_tokens``, which the
-    roster keeps, and a user's row is their only handle; group rows
-    follow ``sorted(group_id)``, which is the lexicographic candidate
-    order. :meth:`move` is the only writer of these four and of what it
-    keeps current from them: per group, ``capacity_code``
-    (``CODE_CAPACITY`` when the group is at capacity, else 0) and
-    ``fill`` (count over capacity); per coach, ``load_code``
-    (``CODE_COACH_LOAD`` when the coach is at the load limit, else 0).
+    roster keeps, and a user's row is their only handle. :meth:`move` is
+    the only writer of these four and of what it keeps current from
+    them: per group, ``capacity_code`` (``CODE_CAPACITY`` when the group
+    is at capacity, else 0) and ``fill`` (count over capacity); per
+    coach, ``load_code`` (``CODE_COACH_LOAD`` when the coach is at the
+    load limit, else 0).
 
-    The groups' static attributes are arrays too: ``capacity``,
-    ``coach_of``, ``goal_index`` (into ``GOAL_CATEGORIES``) and the
-    read-only ``goal_code``, whose entry ``[goal, group]`` is
-    ``CODE_GOAL`` when the group does not serve goal index ``goal``,
-    else 0.
+    The static attributes are read-only arrays: per group, ``capacity``,
+    ``coach_of`` (a coach row) and ``goal_index`` (into
+    ``GOAL_CATEGORIES``); per coach, ``load_limit``; and ``goal_code``,
+    whose entry ``[goal, group]`` is ``CODE_GOAL`` when the group does
+    not serve goal index ``goal``, else 0. The roster alone orders the
+    rows: group rows follow ``sorted(group_ids)``, which is the
+    lexicographic candidate order, and coach rows ``sorted(coach_ids)``.
+    The constructor takes each group's ``capacity``, ``goal_index`` and
+    ``coach_of`` (an index into ``coach_ids``) in the order of
+    ``group_ids``, and each coach's ``load_limit`` in the order of
+    ``coach_ids``. A capacity below 1 or an unknown goal raises
+    ``ValidationError``.
     """
 
     def __init__(
         self,
-        groups: Mapping[str, GroupState],
-        coaches: Mapping[str, CoachState],
+        group_ids: Sequence[str],
+        coach_ids: Sequence[str],
         user_tokens: Sequence[str],
+        *,
+        capacity: Sequence[int],
+        goal_index: Sequence[int],
+        coach_of: Sequence[int],
+        load_limit: Sequence[int],
     ) -> None:
-        self.group_ids = sorted(groups)
+        n_groups, n_coaches = len(group_ids), len(coach_ids)
+        group_sizes = {len(set(group_ids)), len(capacity), len(goal_index), len(coach_of)}
+        if group_sizes != {n_groups} or {len(set(coach_ids)), len(load_limit)} != {n_coaches}:
+            raise ValidationError(
+                "group and coach ids must be distinct, with a capacity, goal and coach "
+                "per group and a load limit per coach"
+            )
+        group_order = sorted(range(n_groups), key=group_ids.__getitem__)
+        coach_order = sorted(range(n_coaches), key=coach_ids.__getitem__)
+        self.group_ids = [group_ids[g] for g in group_order]
         self.group_row = {gid: g for g, gid in enumerate(self.group_ids)}
-        self.coach_ids = sorted(coaches)
-        self.coach_row = {cid: c for c, cid in enumerate(self.coach_ids)}
+        self.coach_ids = [coach_ids[c] for c in coach_order]
         self.user_tokens = list(user_tokens)
-        self.capacity = np.array([groups[gid].capacity for gid in self.group_ids], dtype=np.int64)
-        self.coach_of = np.array(
-            [self.coach_row[groups[gid].coach_id] for gid in self.group_ids], dtype=np.int64
-        )
-        self.load_limit = np.array(
-            [coaches[cid].load_limit for cid in self.coach_ids], dtype=np.int64
-        )
-        self.goal_index = np.array(
-            [GOAL_CATEGORIES.index(groups[gid].goal_category) for gid in self.group_ids],
-            dtype=np.int64,
-        )
+        self.capacity = np.array(capacity, dtype=np.int64)[group_order]
+        self.goal_index = np.array(goal_index, dtype=np.int64)[group_order]
+        coaches = np.array(coach_of, dtype=np.int64)[group_order]
+        if (self.capacity < 1).any():
+            raise ValidationError("group capacity must be at least 1")
+        if not ((self.goal_index >= 0) & (self.goal_index < len(GOAL_CATEGORIES))).all():
+            raise ValidationError("unknown goal index: each group's goal indexes GOAL_CATEGORIES")
+        if not ((coaches >= 0) & (coaches < n_coaches)).all():
+            raise ValidationError("unknown coach index: each group's coach indexes coach_ids")
+        coach_row = np.empty(n_coaches, dtype=np.int64)
+        coach_row[coach_order] = np.arange(n_coaches)
+        self.coach_of = coach_row[coaches]
+        self.load_limit = np.array(load_limit, dtype=np.int64)[coach_order]
         goals = np.arange(len(GOAL_CATEGORIES))[:, None]
         self.goal_code = (self.goal_index != goals) * CODE_GOAL
-        self.goal_code.flags.writeable = False
+        for static in (self.capacity, self.goal_index, self.coach_of, self.load_limit, self.goal_code):
+            static.flags.writeable = False
         self.group_of = np.full(len(user_tokens), -1, dtype=np.int64)
         self.last_change = np.zeros(len(user_tokens), dtype=np.int64)
-        self.count = np.zeros(len(self.group_ids), dtype=np.int64)
-        self.load = np.zeros(len(self.coach_ids), dtype=np.int64)
+        self.count = np.zeros(n_groups, dtype=np.int64)
+        self.load = np.zeros(n_coaches, dtype=np.int64)
         self.capacity_code = (self.count >= self.capacity) * CODE_CAPACITY
         self.fill = self.count / self.capacity
         self.load_code = (self.load >= self.load_limit) * CODE_COACH_LOAD
@@ -456,12 +465,13 @@ def feasibility_report(
 
 
 class CandidateScores(NamedTuple):
-    """The UCB terms of the scored group rows, one array each, in candidate order."""
+    """The UCB terms of the scored group rows, one array each, in candidate
+    order. A score is not kept: :func:`ucb_score` derives it from the
+    three terms and the policy's ``beta`` and ``lam``."""
 
     mu: np.ndarray
     sigma: np.ndarray
     penalty: np.ndarray
-    score: np.ndarray
 
 
 def ucb_score(
@@ -488,7 +498,7 @@ def score_and_select(
     Score is mean estimate plus beta times the confidence width, minus
     the churn penalty for moves inside the oscillation horizon. Ties
     break to the lowest current load, then lexicographic group id.
-    Returns the index of the chosen candidate, the scores in candidate
+    Returns the index of the chosen candidate, the UCB terms in candidate
     order, and the chosen row's features as scored. ``tables`` are the
     epoch's :func:`feature_tables`.
     """
@@ -512,7 +522,7 @@ def score_and_select(
     # Least significant key first; group rows are in group-id order. A
     # dwell-locked user has one candidate and needs no sort.
     best = 0 if rows.size == 1 else int(np.lexsort((rows, roster.count[rows], -score))[0])
-    return best, CandidateScores(mu, sigma, penalty, score), phi[best]
+    return best, CandidateScores(mu, sigma, penalty), phi[best]
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +595,7 @@ class DecisionPass(NamedTuple):
 # The pair fields of a row with nothing scored.
 _NOTHING_SCORED = (
     np.zeros(2, dtype=np.int64),
-    CandidateScores(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64), np.empty(0)),
+    CandidateScores(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)),
     np.empty(0, dtype=np.int64),
     np.empty((0, FEATURE_DIM)),
     np.empty(0, dtype=np.int64),
@@ -784,7 +794,7 @@ def _decide_pass(
         chosen=chosen[:kept],
         changed=bool(moves.size),
         bounds=bounds[: kept + 1],
-        scores=CandidateScores(mu[:pairs], sigma[:pairs], penalty[:pairs], score[:pairs]),
+        scores=CandidateScores(mu[:pairs], sigma[:pairs], penalty[:pairs]),
         users=start + scored[:n_kept_scored],
         phi=phi[best],
         penalty=penalty[best],

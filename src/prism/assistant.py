@@ -13,7 +13,7 @@ import json
 import logging
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -129,12 +129,10 @@ class Draft(Record):
 
 @dataclass(frozen=True)
 class RiskFlag:
-    """Disengagement signal surfaced to coaches; evidence is Learning-view only."""
+    """Disengagement signal surfaced to coaches: whose, and which kind."""
 
     user_token: str
     kind: str
-    severity: str
-    evidence: Mapping[str, float]
 
 
 STREAK_THRESHOLD = 3       # days
@@ -144,25 +142,10 @@ DECLINE_THRESHOLD = 0.05   # weekly-score drop per week
 def flag_risks(context: LearningContext) -> list[RiskFlag]:
     """Fixed-threshold checks over the context's disengagement signals."""
     flags = []
-    streak = context.missed_checkin_streak
-    if streak >= STREAK_THRESHOLD:
-        flags.append(
-            RiskFlag(
-                user_token=context.user_token.value,
-                kind="missed_streak",
-                severity="high" if streak >= 2 * STREAK_THRESHOLD else "medium",
-                evidence={"missed_checkin_streak": float(streak)},
-            )
-        )
+    if context.missed_checkin_streak >= STREAK_THRESHOLD:
+        flags.append(RiskFlag(user_token=context.user_token.value, kind="missed_streak"))
     if context.engagement_slope <= -DECLINE_THRESHOLD:
-        flags.append(
-            RiskFlag(
-                user_token=context.user_token.value,
-                kind="engagement_decline",
-                severity="medium",
-                evidence={"engagement_slope": context.engagement_slope},
-            )
-        )
+        flags.append(RiskFlag(user_token=context.user_token.value, kind="engagement_decline"))
     return flags
 
 

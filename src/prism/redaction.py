@@ -647,50 +647,64 @@ def redact(
     return _own_deid("".join(pieces), user_token, metadata, pool._count_view(counts))
 
 
-def _rehydrate_deid(
-    text: str,
-    user_token: UserToken,
-    cohort_metadata: Optional[Mapping[str, Any]] = None,
-    redaction_count_by_type: Optional[Mapping[str, int]] = None,
-) -> DeidText:
-    """Trusted-path constructor for corpora this pipeline already produced."""
-    return _own_deid(
-        text,
-        user_token,
-        MappingProxyType(dict(cohort_metadata or {})),
-        MappingProxyType(dict(redaction_count_by_type or {})),
-    )
+def _rehydrate_deid(text: str, user_token: UserToken) -> DeidText:
+    """Trusted-path constructor for text this pipeline already produced,
+    with no cohort metadata and no counts."""
+    return _own_deid(text, user_token, MappingProxyType({}), MappingProxyType({}))
 
 
 def load_deid_corpus(path: str) -> list[DeidText]:
-    """Rehydrate a JSON-lines corpus previously written by this pipeline."""
+    """Rehydrate a JSON-lines corpus previously written by this pipeline.
+
+    The file is read a line at a time. The samples share their equal
+    cohort and count mappings through a :class:`DeidPool` of the call's
+    own, and one :class:`UserToken` per token. A file that is not UTF-8
+    is reported as such even when a line before the bad byte is
+    malformed; otherwise the first malformed line is.
+    """
     samples = []
+    pool, tokens = DeidPool(), {}
+    malformed: Optional[ValidationError] = None
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+            for number, line in enumerate(fh, 1):
+                if malformed is None and line.strip():
+                    try:
+                        samples.append(_load_sample(path, number, line, pool, tokens))
+                    except ValidationError as exc:
+                        malformed = exc  # raised once the rest of the file has decoded
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not UTF-8: {exc}") from exc
-    for number, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-            text, token = doc["text"], doc["user_token"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValidationError(f"{path} line {number} is not a record: {exc!r}") from exc
-        if not (isinstance(text, str) and isinstance(token, str)):
-            raise ValidationError(f"{path} line {number}: text and user_token must be strings")
-        cohort, counts = doc.get("cohort", {}), doc.get("counts", {})
-        if not (isinstance(cohort, dict) and isinstance(counts, dict)):
-            raise ValidationError(f"{path} line {number}: cohort and counts must be objects")
-        try:
-            _validate_metadata(cohort)
-        except ValidationError as exc:
-            raise ValidationError(f"{path} line {number}: {exc}") from exc
-        if not all(type(n) is int for n in counts.values()):
-            raise ValidationError(f"{path} line {number}: counts must be integers")
-        samples.append(_rehydrate_deid(text, UserToken(token), cohort, counts))
+    if malformed is not None:
+        raise malformed
     return samples
+
+
+def _load_sample(
+    path: str, number: int, line: str, pool: DeidPool, tokens: dict[str, UserToken]
+) -> DeidText:
+    """Line ``number`` of the corpus at ``path``, with the pool's mappings
+    and the token of ``tokens``, which it adds to."""
+    try:
+        doc = json.loads(line)
+        text, token = doc["text"], doc["user_token"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"{path} line {number} is not a record: {exc!r}") from exc
+    if not (isinstance(text, str) and isinstance(token, str)):
+        raise ValidationError(f"{path} line {number}: text and user_token must be strings")
+    cohort, counts = doc.get("cohort", {}), doc.get("counts", {})
+    if not (isinstance(cohort, dict) and isinstance(counts, dict)):
+        raise ValidationError(f"{path} line {number}: cohort and counts must be objects")
+    try:
+        metadata = pool.cohort(cohort)
+    except ValidationError as exc:
+        raise ValidationError(f"{path} line {number}: {exc}") from exc
+    if not all(type(n) is int for n in counts.values()):
+        raise ValidationError(f"{path} line {number}: counts must be integers")
+    user_token = tokens.get(token)
+    if user_token is None:
+        user_token = tokens[token] = UserToken(token)
+    return _own_deid(text, user_token, metadata, pool._count_view(counts))
 
 
 @dataclass(frozen=True)

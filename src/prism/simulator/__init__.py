@@ -3,7 +3,6 @@
 from .experiment import (
     ComparisonTable,
     RunManifest,
-    RunResult,
     TraceLegend,
     compare_arms,
     run_experiment,
@@ -28,7 +27,6 @@ __all__ = [
     "POLICY_ADAPTIVE",
     "POLICY_STATIC",
     "RunManifest",
-    "RunResult",
     "Scenario",
     "SimClock",
     "TraceLegend",

@@ -297,14 +297,6 @@ class RunManifest(Record):
         }
 
 
-@dataclass
-class RunResult:
-    report: MetricsReport
-    manifest: RunManifest
-    world: World
-    drafts: list[Draft]
-
-
 def _normalization_window(world: World, epoch: int) -> NormalizationWindow:
     start = max(0, epoch - _WINDOW_WEEKS)
     weekly_totals = world.actions[:, start:epoch, :].sum(axis=2)
@@ -429,8 +421,8 @@ def run_experiment(
     engagement_alphas: tuple = DEFAULT_ACTION_WEIGHTS,
     out_dir: Optional[str] = None,
     key_source: str = "explicit",
-) -> RunResult:
-    """Run one arm end-to-end and assemble its metrics report.
+) -> MetricsReport:
+    """Run one arm end-to-end and return its metrics report.
 
     The pre-period always runs under the initial static placement; the
     configured policy takes over at the intervention epoch. Writes the
@@ -460,23 +452,22 @@ def run_experiment(
             traces.close()
 
     report = _build_report(world, counters, drafts)
-    manifest = RunManifest(
-        scenario=scenario.to_dict(),
-        policy=config.to_dict(),
-        engagement_alphas=[float(a) for a in eng_weights.alphas],
-        redaction_rules={
-            "count": len(world.rules),
-            "entity_types": sorted(r.entity_type for r in world.rules),
-        },
-        code_version=__version__,
-        seed=scenario.seed,
-        key_source=key_source,
-        group_ids=list(world.roster.group_ids),
-    )
-
     if out_dir:
+        manifest = RunManifest(
+            scenario=scenario.to_dict(),
+            policy=config.to_dict(),
+            engagement_alphas=[float(a) for a in eng_weights.alphas],
+            redaction_rules={
+                "count": len(world.rules),
+                "entity_types": sorted(r.entity_type for r in world.rules),
+            },
+            code_version=__version__,
+            seed=scenario.seed,
+            key_source=key_source,
+            group_ids=list(world.roster.group_ids),
+        )
         _write_run_dir(out_dir, world, report, manifest, drafts)
-    return RunResult(report=report, manifest=manifest, world=world, drafts=drafts)
+    return report
 
 
 def _run_epochs(
@@ -794,4 +785,4 @@ def run_paired(scenario: Scenario, keys: KeyRing) -> tuple[MetricsReport, Metric
 
     static = run_experiment(replace(scenario, policy="static"), keys)
     adaptive = run_experiment(replace(scenario, policy="adaptive"), keys)
-    return static.report, adaptive.report
+    return static, adaptive

@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from ..assignment import CoachState, GroupState, PolicyConfig, Roster
+from ..assignment import PolicyConfig, Roster
 from ..errors import ValidationError
 from ..features import ACTION_TYPES, DAYS_PER_WEEK, GOAL_CATEGORIES
 from ..redaction import DeidPool, DeidText, RuleSet, default_rules, redact
@@ -179,20 +179,7 @@ def generate_cohort(scenario: Scenario, keys: KeyRing) -> World:
             f"capacity constraint infeasible: {scenario.n_users} users exceed "
             f"total group capacity {total_capacity}"
         )
-    groups: dict[str, GroupState] = {}
-    for g, capacity in enumerate(capacities):
-        gid = f"g{g:03d}"
-        groups[gid] = GroupState(
-            group_id=gid,
-            coach_id=f"c{g % scenario.n_coaches:02d}",
-            capacity=capacity,
-            goal_category=GOAL_CATEGORIES[g % len(GOAL_CATEGORIES)],
-        )
     load_limits = coach_load_limits(capacities, scenario.n_coaches, scenario.coach_load_factor)
-    coaches = {
-        f"c{i:02d}": CoachState(coach_id=f"c{i:02d}", load_limit=limit)
-        for i, limit in enumerate(load_limits)
-    }
     total_load = sum(load_limits)
     if scenario.n_users > total_load:
         raise ValidationError(
@@ -230,13 +217,25 @@ def generate_cohort(scenario: Scenario, keys: KeyRing) -> World:
             "lower engagement_rate_means or engagement_match_bonus"
         )
 
+    # Group g is g{g:03d}, serves goal index g % 4 (GOAL_CATEGORIES) and has
+    # coach c{g % n_coaches:02d}; the roster puts the rows in id order.
+    group_rows = np.arange(scenario.n_groups)
+    roster = Roster(
+        [f"g{g:03d}" for g in range(scenario.n_groups)],
+        [f"c{c:02d}" for c in range(scenario.n_coaches)],
+        [token.value for token in tokens],
+        capacity=capacities,
+        goal_index=group_rows % len(GOAL_CATEGORIES),
+        coach_of=group_rows % scenario.n_coaches,
+        load_limit=load_limits,
+    )
     horizon = scenario.horizon_weeks
     world = World(
         scenario=scenario,
         vault=vault,
         clock=clock,
         tokens=tuple(tokens),
-        roster=Roster(groups, coaches, [token.value for token in tokens]),
+        roster=roster,
         rules=default_rules(),
         goal_index=goal_index,
         base_logit=base_logit,

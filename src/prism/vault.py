@@ -417,7 +417,6 @@ class VaultRecord:
 
     user_token: UserToken
     ciphertext: bytes
-    created_at: float
 
 
 @dataclass(frozen=True)
@@ -526,9 +525,9 @@ class Vault:
                 )
             nonce = draw[_SID_BYTES:]
             user_token = UserToken(token)
-            self._records[token] = VaultRecord(
-                user_token, nonce + self._aead.encrypt(nonce, plaintext, None), self._clock()
-            )
+            ciphertext = nonce + self._aead.encrypt(nonce, plaintext, None)
+            self._records[token] = VaultRecord(user_token, ciphertext)
+            self._clock()  # one tick per registration: later audit timestamps count on it
             return user_token
 
     def _decrypt(self, record: VaultRecord) -> dict:

@@ -3,6 +3,7 @@ import json
 import re
 from dataclasses import dataclass
 from datetime import datetime
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from prism.assignment import (
     GOAL_CATEGORIES,
     REASONS_OF_CODE,
     PolicyConfig,
+    Roster,
     feature_tables,
+    ucb_score,
 )
 from prism.errors import ValidationError
 from prism.simulator.world import _STREAM_PLACEMENT, substream
@@ -33,7 +36,7 @@ from prism.redaction import (
     RedactionRule,
     RuleSet,
     _name_pattern,
-    _rehydrate_deid,
+    _own_deid,
     default_rules,
 )
 from prism.simulator.experiment import RunManifest, TraceLegend
@@ -214,7 +217,8 @@ def reference_redact(text, user_token, rules, cohort_metadata=None):
         counts[entity_type] += 1
         cursor = end
     pieces.append(text[cursor:])
-    return _rehydrate_deid("".join(pieces), user_token, cohort_metadata, counts)
+    metadata = MappingProxyType(dict(cohort_metadata or {}))
+    return _own_deid("".join(pieces), user_token, metadata, MappingProxyType(counts))
 
 
 # -- references for the decision path ----------------------------------------------
@@ -233,17 +237,40 @@ def reference_full_for(roster, user) -> tuple[np.ndarray, np.ndarray]:
     return capacity_full, coach_full
 
 
+def make_roster(groups, load_limits, user_tokens) -> Roster:
+    """A roster over ``groups``, each ``(group_id, coach_id, capacity,
+    goal)`` with the goal by name, under the coaches of ``load_limits``
+    (coach id to load limit), with ``user_tokens`` as its user rows."""
+    coach_ids = list(load_limits)
+    return Roster(
+        [gid for gid, _, _, _ in groups],
+        coach_ids,
+        list(user_tokens),
+        capacity=[capacity for _, _, capacity, _ in groups],
+        goal_index=[GOAL_CATEGORIES.index(goal) for _, _, _, goal in groups],
+        coach_of=[coach_ids.index(coach) for _, coach, _, _ in groups],
+        load_limit=list(load_limits.values()),
+    )
+
+
+def score_of(scores, policy) -> np.ndarray:
+    """Each scored pair's UCB score, derived from its terms and the
+    policy's ``beta`` and ``lam`` as ``TraceLegend.decode`` derives it."""
+    return ucb_score(scores.mu, scores.sigma, scores.penalty, policy.beta, policy.lam)
+
+
 def reference_widths(model, phi) -> np.ndarray:
     """Confidence widths from the single three-operand einsum."""
     return np.sqrt(np.maximum(0.0, np.einsum("ij,jk,ik->i", phi, model._a_inv, phi)))
 
 
-def trace_dict(decided, epoch, roster) -> dict:
+def trace_dict(decided, epoch, roster, policy=PolicyConfig()) -> dict:
     """A one-row pass's rationale trace as a dict with one entry per group,
     in the order of the roster's ``group_ids``: the reference that each
-    trace line must decode to. Its ``json.dumps(..., sort_keys=True)``
-    text is the line of trace schema 1."""
-    scored = zip(*(a.tolist() for a in decided.scores))
+    trace line must decode to, its scores derived under ``policy``. Its
+    ``json.dumps(..., sort_keys=True)`` text is the line of trace schema 1."""
+    scores = (*decided.scores, score_of(decided.scores, policy))
+    scored = zip(*(a.tolist() for a in scores))
     candidates = []
     for group_id, code in zip(roster.group_ids, decided.codes[0].tolist()):
         mu, sigma, penalty, score = next(scored) if code == 0 else (None,) * 4

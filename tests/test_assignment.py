@@ -1,8 +1,6 @@
 """Constrained bandit tests: feasibility filtering, UCB scoring, the
 incremental-vs-batch ridge oracle, reward arithmetic, end-to-end assign."""
 
-from dataclasses import FrozenInstanceError, replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +10,10 @@ from conftest import (
     decode_trace_line,
     empty_events,
     legend_of,
+    make_roster,
     reference_full_for,
     reference_widths,
+    score_of,
     solve_theta,
     tables_for,
     trace_dict,
@@ -28,7 +28,6 @@ from prism.assignment import (
     N_NUMERIC,
     BanditModel,
     CoachState,
-    GroupState,
     PolicyConfig,
     Roster,
     assign,
@@ -53,23 +52,19 @@ USER_ROW = 0  # make_world puts USER first
 FITNESS = GOAL_CATEGORIES.index("fitness")
 
 
-def make_world(n_groups=3, capacity=5, goal="fitness", coach_limit=50, seats=(), edits=None):
+def make_world(n_groups=3, capacity=5, goal="fitness", coach_limit=50, seats=(), goal_of=None):
     """A roster of groups under one coach, with USER plus every seated token.
 
     ``seats`` is a sequence of (token, group_id, epoch) placements;
-    ``edits`` maps a group id to attributes that differ from the defaults.
+    ``goal_of`` maps a group id to a goal other than ``goal``.
     """
-    edits = edits or {}
-    groups = {
-        gid: replace(
-            GroupState(group_id=gid, coach_id="c00", capacity=capacity, goal_category=goal),
-            **edits.get(gid, {}),
-        )
+    goal_of = goal_of or {}
+    groups = [
+        (gid, "c00", capacity, goal_of.get(gid, goal))
         for gid in (f"g{i:03d}" for i in range(n_groups))
-    }
-    coaches = {"c00": CoachState(coach_id="c00", load_limit=coach_limit)}
+    ]
     tokens = [USER] + [token for token, _, _ in seats if token != USER]
-    roster = Roster(groups, coaches, tokens)
+    roster = make_roster(groups, {"c00": coach_limit}, tokens)
     for token, gid, epoch in seats:
         roster.move(tokens.index(token), roster.group_row[gid], epoch, dwell=0)
     return roster
@@ -116,7 +111,7 @@ class TestEligibility:
     def test_dwell_overrides_eligibility_for_current_group(self):
         # Even a goal-mismatched current group is the whole set inside dwell.
         roster = make_world(
-            seats=[(USER, "g001", 7)], edits={"g001": {"goal_category": "maintenance"}}
+            seats=[(USER, "g001", 7)], goal_of={"g001": "maintenance"}
         )
         report = feasibility_report(USER_ROW, FITNESS, roster, epoch=8, config=CONFIG)
         assert feasible(report) == ["g001"]
@@ -142,7 +137,7 @@ class TestEligibility:
         # One group per goal: only the group serving the user's goal survives.
         roster = make_world(
             n_groups=len(GOAL_CATEGORIES),
-            edits={f"g{g:03d}": {"goal_category": goal} for g, goal in enumerate(GOAL_CATEGORIES)},
+            goal_of={f"g{g:03d}": goal for g, goal in enumerate(GOAL_CATEGORIES)},
         )
         report = feasibility_report(USER_ROW, FITNESS, roster, epoch=8, config=CONFIG)
         assert list(report.values()) == [
@@ -155,7 +150,7 @@ class TestEligibility:
         # goal table, and 4 would index past it.
         roster = make_world(
             n_groups=len(GOAL_CATEGORIES),
-            edits={f"g{g:03d}": {"goal_category": name} for g, name in enumerate(GOAL_CATEGORIES)},
+            goal_of={f"g{g:03d}": name for g, name in enumerate(GOAL_CATEGORIES)},
         )
         with pytest.raises(ValidationError, match="GOAL_CATEGORIES"):
             feasibility_report(USER_ROW, goal, roster, epoch=8, config=CONFIG)
@@ -169,16 +164,18 @@ class TestEligibility:
         assert feasible(report) == []
 
     def test_reasons_reported(self):
-        roster = make_world(edits={"g001": {"goal_category": "maintenance"}})
+        roster = make_world(goal_of={"g001": "maintenance"})
         report = feasibility_report(USER_ROW, FITNESS, roster, epoch=8, config=CONFIG)
         assert report["g001"] == ["goal_mismatch"]
         assert report["g000"] == []
 
     def test_group_attributes_are_frozen(self):
-        # The roster copies them into arrays once, so an edit could not reach feasibility.
-        group = GroupState(group_id="g001", coach_id="c00", capacity=5, goal_category="fitness")
-        with pytest.raises(FrozenInstanceError):
-            group.capacity = 9
+        # The roster's static arrays are read-only: the kept codes and
+        # fill ratios are derived from them, so an edit would desynchronize them.
+        roster = make_world()
+        for name in ("capacity", "goal_index", "coach_of", "load_limit", "goal_code"):
+            with pytest.raises(ValueError):
+                getattr(roster, name)[0] = 9
 
 
 def use_feature_map(monkeypatch, feature_map):
@@ -198,7 +195,7 @@ class TestScoring:
         )
         # equal unit-norm features -> equal scores -> lowest load wins
         assert roster.group_ids[best] == "g001"
-        assert len({round(score, 12) for score in scores.score.tolist()}) == 1
+        assert len({round(score, 12) for score in score_of(scores, CONFIG).tolist()}) == 1
 
     def test_pure_exploitation_with_zero_beta(self, monkeypatch):
         model = BanditModel(dim=2, ridge=1.0)
@@ -218,17 +215,18 @@ class TestScoring:
         model.update(np.array([[1.0, 0.0]]), np.array([1.0]))
         roster = make_world(n_groups=2)
         use_feature_map(monkeypatch, lambda r: np.eye(2)[r])
+        config = PolicyConfig(beta=1.0, lam=0.0)
         best, scores, phi_chosen = score_and_select(
-            USER_ROW, np.arange(2), model, roster, epoch=8,
-            config=PolicyConfig(beta=1.0, lam=0.0), tables=None,
+            USER_ROW, np.arange(2), model, roster, epoch=8, config=config, tables=None,
         )
+        score = score_of(scores, config)
         g000, g001 = 0, 1  # candidate order is group-id order
         assert scores.mu[g000] == pytest.approx(0.5)
         assert scores.sigma[g000] == pytest.approx(1 / np.sqrt(2))
-        assert scores.score[g000] == pytest.approx(1.2071067811865475)
+        assert score[g000] == pytest.approx(1.2071067811865475)
         assert scores.mu[g001] == pytest.approx(0.0)
         assert scores.sigma[g001] == pytest.approx(1.0)
-        assert scores.score[g001] == pytest.approx(1.0)
+        assert score[g001] == pytest.approx(1.0)
         assert roster.group_ids[best] == "g000"
         assert phi_chosen.tolist() == [1.0, 0.0]
 
@@ -270,16 +268,17 @@ class TestScoring:
                 USER_ROW, candidates, TermModel(), roster, epoch=8, config=config, tables=None
             )
         rows = candidates.tolist()
+        score = score_of(scores, config)
         reference = min(
             range(len(rows)),
-            key=lambda i: (-scores.score[i], roster.count[rows[i]], roster.group_ids[rows[i]]),
+            key=lambda i: (-score[i], roster.count[rows[i]], roster.group_ids[rows[i]]),
         )
         assert best == reference
         for i, row in enumerate(rows):
             seat, since = user_seat if user_seat is not None else (row, 0)
             penalty = int(row != seat and 8 - since < config.oscillation)
             assert scores.penalty[i] == penalty
-            assert scores.score[i] == mu[row] + config.beta * sigma[row] - config.lam * penalty
+            assert score[i] == mu[row] + config.beta * sigma[row] - config.lam * penalty
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -313,7 +312,7 @@ class TestScoring:
         }
         for d in range(len(distinct)):
             same = which == d
-            for terms in (scores.mu, scores.sigma, scores.score):
+            for terms in (scores.mu, scores.sigma, score_of(scores, CONFIG)):
                 assert np.unique(terms[same]).size <= 1
             if same.any():
                 assert scores.mu[same][0] == alone[d][0]
@@ -358,7 +357,7 @@ class TestScoring:
             USER_ROW, np.arange(3), model, roster, epoch=8, config=config,
             tables=tables_for(roster),
         )
-        for mu, sigma, penalty, score in zip(*(a.tolist() for a in scores)):
+        for mu, sigma, penalty, score in zip(*(a.tolist() for a in (*scores, score_of(scores, config)))):
             expected = mu + config.beta * sigma - config.lam * penalty
             assert abs(score - expected) < 1e-12
 
@@ -630,7 +629,7 @@ class TestAssign:
     def test_mutation_and_trace_on_change(self):
         roster = make_world(
             seats=[(USER, "g001", 0)],
-            edits={gid: {"goal_category": "maintenance"} for gid in ("g001", "g002")},
+            goal_of={gid: "maintenance" for gid in ("g001", "g002")},
         )
         model = BanditModel(dim=FEATURE_DIM)
         decision = assign(USER_ROW, roster, model, 8, CONFIG, tables=tables_for(roster))
@@ -657,12 +656,9 @@ class TestAssign:
         # The epoch's tables are the one source of a user's goal: the goal
         # bits of the reason codes and the goal parts of the scored row
         # both follow tables.goal[user], user by user.
-        groups = {
-            f"g{g:03d}": GroupState(f"g{g:03d}", "c00", capacity=5, goal_category=goal)
-            for g, goal in enumerate(GOAL_CATEGORIES)
-        }
+        groups = [(f"g{g:03d}", "c00", 5, goal) for g, goal in enumerate(GOAL_CATEGORIES)]
         tokens = [f"{u:02x}" * 32 for u in range(len(GOAL_CATEGORIES))]
-        roster = Roster(groups, {"c00": CoachState("c00", load_limit=50)}, tokens)
+        roster = make_roster(groups, {"c00": 50}, tokens)
         goals = np.array([2, 0, 3, 1])
         n = goals.size
         tables = feature_tables(
@@ -695,20 +691,14 @@ class TestAssign:
                 min_size=1, max_size=6,
             )
         )
-        groups = {
-            f"g{i:03d}": GroupState(
-                group_id=f"g{i:03d}", coach_id=f"c{i % n_coaches:02d}",
-                capacity=capacity, goal_category=goal,
-            )
+        groups = [
+            (f"g{i:03d}", f"c{i % n_coaches:02d}", capacity, goal)
             for i, (capacity, goal) in enumerate(specs)
-        }
-        coaches = {
-            f"c{c:02d}": CoachState(f"c{c:02d}", load_limit=data.draw(st.integers(1, 8)))
-            for c in range(n_coaches)
-        }
+        ]
+        coaches = {f"c{c:02d}": data.draw(st.integers(1, 8)) for c in range(n_coaches)}
         user_goals = data.draw(st.lists(st.sampled_from(goals), min_size=1, max_size=12))
         tokens = [f"{u:02x}" * 32 for u in range(len(user_goals))]
-        roster = Roster(groups, coaches, tokens)
+        roster = make_roster(groups, coaches, tokens)
         dwell = data.draw(st.integers(0, 4))
         config = PolicyConfig(dwell=dwell, oscillation=dwell + data.draw(st.integers(0, 4)))
         start = data.draw(st.integers(0, 10))
@@ -744,17 +734,50 @@ class TestAssign:
                 assert (roster.load <= roster.load_limit).all()
 
 
+class TestRosterArrays:
+    # Groups g10 and g09, coaches c1 and c0, each in the caller's order.
+    ARRAYS = dict(capacity=[2, 3], goal_index=[0, 3], coach_of=[1, 0], load_limit=[5, 6])
+
+    def make(self, group_ids=("g10", "g09"), coach_ids=("c1", "c0"), **edits):
+        return Roster(list(group_ids), list(coach_ids), ["aa" * 32], **{**self.ARRAYS, **edits})
+
+    def test_rows_follow_sorted_ids(self):
+        roster = self.make()
+        assert roster.group_ids == ["g09", "g10"] and roster.coach_ids == ["c0", "c1"]
+        assert roster.group_row == {"g09": 0, "g10": 1}
+        assert roster.capacity.tolist() == [3, 2]
+        assert roster.goal_index.tolist() == [3, 0]
+        # g09's coach is c1 and g10's is c0, as coach rows.
+        assert roster.coach_of.tolist() == [1, 0]
+        assert roster.load_limit.tolist() == [6, 5]
+        assert roster.goal_code[0].tolist() == [CODE_GOAL, 0]
+
+    def test_caller_arrays_are_copied(self):
+        capacity = np.array([2, 3])
+        roster = self.make(capacity=capacity)
+        capacity[:] = 1
+        assert roster.capacity.tolist() == [3, 2]
+
+    @pytest.mark.parametrize("edit, match", [
+        (dict(capacity=[0, 3]), "capacity must be at least 1"),
+        (dict(goal_index=[0, len(GOAL_CATEGORIES)]), "unknown goal"),
+        (dict(goal_index=[-1, 0]), "unknown goal"),
+        (dict(coach_of=[2, 0]), "unknown coach"),
+        (dict(coach_of=[0, -1]), "unknown coach"),
+        (dict(capacity=[2]), "per group"),
+        (dict(load_limit=[5, 6, 7]), "per coach"),
+        (dict(group_ids=("g10", "g10")), "distinct"),
+        (dict(coach_ids=("c0", "c0")), "distinct"),
+    ])
+    def test_bad_static_arrays_rejected(self, edit, match):
+        with pytest.raises(ValidationError, match=match):
+            self.make(**edit)
+
+
 class TestRosterMove:
     def make(self, capacity=2, coach_limit=10):
-        groups = {
-            "g000": GroupState("g000", "c00", capacity=capacity, goal_category="fitness"),
-            "g001": GroupState("g001", "c01", capacity=capacity, goal_category="fitness"),
-        }
-        coaches = {
-            "c00": CoachState("c00", load_limit=coach_limit),
-            "c01": CoachState("c01", load_limit=coach_limit),
-        }
-        return Roster(groups, coaches, ["u0", "u1", "u2"])
+        groups = [("g000", "c00", capacity, "fitness"), ("g001", "c01", capacity, "fitness")]
+        return make_roster(groups, {"c00": coach_limit, "c01": coach_limit}, ["u0", "u1", "u2"])
 
     def assert_raises_unchanged(self, roster, *move_args):
         before = [a.copy() for a in (roster.group_of, roster.last_change, roster.count, roster.load)]
@@ -796,16 +819,10 @@ class TestRosterMove:
         # their limit; refused moves change nothing.
         n_coaches = data.draw(st.integers(1, 3))
         capacities = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
-        groups = {
-            f"g{i:03d}": GroupState(f"g{i:03d}", f"c{i % n_coaches:02d}", capacity=c, goal_category="fitness")
-            for i, c in enumerate(capacities)
-        }
-        coaches = {
-            f"c{c:02d}": CoachState(f"c{c:02d}", load_limit=data.draw(st.integers(0, 5)))
-            for c in range(n_coaches)
-        }
+        groups = [(f"g{i:03d}", f"c{i % n_coaches:02d}", c, "fitness") for i, c in enumerate(capacities)]
+        coaches = {f"c{c:02d}": data.draw(st.integers(0, 5)) for c in range(n_coaches)}
         n_users = data.draw(st.integers(1, 10))
-        roster = Roster(groups, coaches, [f"{u:02x}" * 32 for u in range(n_users)])
+        roster = make_roster(groups, coaches, [f"{u:02x}" * 32 for u in range(n_users)])
         config = PolicyConfig(dwell=0, oscillation=0)
         moves = st.tuples(st.integers(0, n_users - 1), st.integers(0, len(groups) - 1))
         for user, group in data.draw(st.lists(moves, max_size=30)):
@@ -827,5 +844,6 @@ class TestRosterMove:
         roster = self.make()
         roster.move(0, 0, 0, dwell=0)
         roster.move(1, 0, 0, dwell=0)
-        assert CoachState("c00", load_limit=10).load(roster) == 2
-        assert CoachState("c01", load_limit=10).load(roster) == 0
+        # The benchmark counts calls to CoachState.load, so it must still read the counter.
+        assert CoachState.load(roster, 0) == 2
+        assert CoachState.load(roster, 1) == 0

@@ -47,14 +47,17 @@ class TestRiskFlags:
 
     def test_missed_streak_flag(self):
         flags = flag_risks(make_context(streak=7))
-        assert [f.kind for f in flags] == ["missed_streak"]
-        assert flags[0].evidence == {"missed_checkin_streak": 7.0}
-        assert flags[0].severity == "high"
+        assert [(f.user_token, f.kind) for f in flags] == [(TOKEN.value, "missed_streak")]
+        # The streak threshold is inclusive.
+        assert [f.kind for f in flag_risks(make_context(streak=STREAK_THRESHOLD))] == ["missed_streak"]
+        assert flag_risks(make_context(streak=STREAK_THRESHOLD - 1)) == []
 
     def test_engagement_decline_flag(self):
         flags = flag_risks(make_context(slope=-0.1))
-        assert [f.kind for f in flags] == ["engagement_decline"]
-        assert flags[0].evidence["engagement_slope"] == pytest.approx(-0.1)
+        assert [(f.user_token, f.kind) for f in flags] == [(TOKEN.value, "engagement_decline")]
+        # Both signals flag, streak first.
+        both = flag_risks(make_context(streak=STREAK_THRESHOLD, slope=-DECLINE_THRESHOLD))
+        assert [f.kind for f in both] == ["missed_streak", "engagement_decline"]
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 12))

@@ -25,8 +25,10 @@ from conftest import (
     UserEvents,
     decode_trace_line,
     legend_of,
+    make_roster,
     reference_context,
     reference_joint_features,
+    score_of,
     tables_for,
     trace_dict,
 )
@@ -42,11 +44,8 @@ from prism.assignment import (
     N_REASON_CODES,
     BanditModel,
     CandidateScores,
-    CoachState,
     DecisionPass,
-    GroupState,
     PolicyConfig,
-    Roster,
     _decide_pass,
     assign,
     feasibility_report,
@@ -67,26 +66,26 @@ from prism.vault import UserToken
 
 
 def reference_report(goal, roster, groups, coaches, user, epoch, dwell):
-    """Feasibility one group at a time, from the group objects and a recount."""
+    """Feasibility one group at a time, from the group specs and a recount."""
     current = roster.group_ids[roster.group_of[user]] if roster.group_of[user] >= 0 else None
     if current is not None and epoch - roster.last_change[user] < dwell:
         return {gid: ([] if gid == current else ["dwell_lock"]) for gid in roster.group_ids}
     seated = roster.group_of[roster.group_of >= 0]
     count = np.bincount(seated, minlength=len(roster.group_ids))
-    coach_of = {gid: groups[gid].coach_id for gid in roster.group_ids}
+    coach_of = {gid: groups[gid][0] for gid in roster.group_ids}
     load = {cid: 0 for cid in coaches}
     for g in seated.tolist():
         load[coach_of[roster.group_ids[g]]] += 1
     own_coach = coach_of[current] if current is not None else None
     report = {}
     for g, gid in enumerate(roster.group_ids):
-        group = groups[gid]
+        coach, capacity, goal_category = groups[gid]
         reasons = []
-        if group.goal_category != goal:
+        if goal_category != goal:
             reasons.append("goal_mismatch")
-        if count[g] - (gid == current) >= group.capacity:
+        if count[g] - (gid == current) >= capacity:
             reasons.append("capacity_full")
-        if load[group.coach_id] - (group.coach_id == own_coach) >= coaches[group.coach_id].load_limit:
+        if load[coach] - (coach == own_coach) >= coaches[coach]:
             reasons.append("coach_load_full")
         report[gid] = reasons
     return report
@@ -115,7 +114,8 @@ def reference_features(context, goal_category, fill_ratio, group_engagement=0.5)
 
 @st.composite
 def worlds(draw, max_users=12, max_capacity=4, min_users=1):
-    """Groups, coaches and a roster with some users seated at random epochs."""
+    """Groups (id to coach id, capacity and goal), coaches (id to load
+    limit) and a roster with some users seated at random epochs."""
     n_coaches = draw(st.integers(1, 3))
     specs = draw(
         st.lists(
@@ -128,18 +128,14 @@ def worlds(draw, max_users=12, max_capacity=4, min_users=1):
         )
     )
     groups = {
-        f"g{i:03d}": GroupState(
-            group_id=f"g{i:03d}", coach_id=f"c{coach:02d}", capacity=capacity,
-            goal_category=goal,
-        )
+        f"g{i:03d}": (f"c{coach:02d}", capacity, goal)
         for i, (capacity, goal, coach) in enumerate(specs)
     }
-    coaches = {
-        f"c{c:02d}": CoachState(f"c{c:02d}", load_limit=draw(st.integers(1, 6)))
-        for c in range(n_coaches)
-    }
+    coaches = {f"c{c:02d}": draw(st.integers(1, 6)) for c in range(n_coaches)}
     n_users = draw(st.integers(min_users, max_users))
-    roster = Roster(groups, coaches, [f"{u:064x}" for u in range(n_users)])
+    roster = make_roster(
+        [(gid, *spec) for gid, spec in groups.items()], coaches, [f"{u:064x}" for u in range(n_users)]
+    )
     for u in range(n_users):
         seat = draw(st.one_of(st.none(), st.tuples(st.integers(0, len(groups) - 1), st.integers(0, 10))))
         if seat is not None:
@@ -224,7 +220,7 @@ def test_joint_feature_rows_match_per_candidate_map(world, seed, data):
         for i, row in enumerate(rows.tolist()):
             expected = reference_features(
                 contexts[user],
-                groups[roster.group_ids[row]].goal_category,
+                groups[roster.group_ids[row]][2],
                 roster.count[row] / roster.capacity[row],
                 0.5 if engagement is None else engagement[row],
             )
@@ -237,9 +233,8 @@ def test_joint_feature_rows_match_per_candidate_map(world, seed, data):
 
 
 def test_feature_tables_need_one_context_per_roster_user():
-    groups = {"g000": GroupState("g000", "c00", capacity=3, goal_category="fitness")}
     tokens = [UserToken(f"{u:02x}" * 32) for u in range(3)]
-    roster = Roster(groups, {"c00": CoachState("c00", load_limit=9)}, [t.value for t in tokens])
+    roster = make_roster([("g000", "c00", 3, "fitness")], {"c00": 9}, [t.value for t in tokens])
 
     def batch(rows):
         return ContextBatch(
@@ -545,9 +540,8 @@ group_ids = st.lists(
 
 
 def decision_with(codes, draw_float, chosen, changed, legend, token="t0"):
-    """A one-row pass over ``codes``, with drawn ``mu`` and ``sigma`` and
-    the score derived as ``score_and_select`` derives it, with the
-    legend's ``beta`` and ``lam``; and the stand-in roster its line is
+    """A one-row pass over ``codes``, with drawn ``mu`` and ``sigma``; and
+    the stand-in roster its line is
     written against, the legend's group ids and the one user ``token``.
     ``chosen`` is a group id or None, and a scored ``chosen`` has its
     pair in the pass, as ``assign`` records it."""
@@ -556,8 +550,6 @@ def decision_with(codes, draw_float, chosen, changed, legend, token="t0"):
     rows = np.flatnonzero(codes == 0)
     draw = lambda: np.array([draw_float() for _ in rows.tolist()], dtype=float)
     mu, sigma, penalty = draw(), draw(), rows % 2
-    policy = legend["policy"]
-    score = mu + policy["beta"] * sigma - policy["lam"] * penalty
     group = -1 if chosen is None else ids.index(chosen)
     pair = np.flatnonzero(rows == group)
     decided = DecisionPass(
@@ -566,7 +558,7 @@ def decision_with(codes, draw_float, chosen, changed, legend, token="t0"):
         chosen=np.array([group]),
         changed=changed,
         bounds=np.array([0, rows.size]),
-        scores=CandidateScores(mu=mu, sigma=sigma, penalty=penalty, score=score),
+        scores=CandidateScores(mu=mu, sigma=sigma, penalty=penalty),
         users=np.zeros(pair.size, dtype=np.int64),
         phi=np.zeros((pair.size, FEATURE_DIM)),
         penalty=penalty[pair],
@@ -592,7 +584,7 @@ def line_fields(decided, epoch, roster) -> dict:
 def reference_trace_line(decided, epoch, roster) -> str:
     """A one-row pass's schema-3 line as one ``json.dumps`` of its fields,
     the floats packed by ``struct`` and encoded by ``base64``."""
-    mu, sigma, penalty = (a.tolist() for a in decided.scores[:3])
+    mu, sigma, penalty = (a.tolist() for a in decided.scores)
     return json.dumps({
         **line_fields(decided, epoch, roster),
         "codes": "".join(chr(48 + code) for code in decided.codes[0].tolist()),
@@ -602,9 +594,13 @@ def reference_trace_line(decided, epoch, roster) -> str:
     }) + "\n"
 
 
-def reference_schema2_line(decided, epoch, roster) -> str:
-    """The line trace schema 2 wrote: one ``json.dumps`` of its fields."""
-    mu, sigma, penalty, score = (a.tolist() for a in decided.scores)
+def reference_schema2_line(decided, epoch, roster, policy) -> str:
+    """The line trace schema 2 wrote: one ``json.dumps`` of its fields,
+    the score derived as ``score_and_select`` derives it, with the legend
+    ``policy``'s ``beta`` and ``lam``."""
+    mu, sigma, penalty = decided.scores
+    score = (mu + policy["beta"] * sigma - policy["lam"] * penalty).tolist()
+    mu, sigma, penalty = mu.tolist(), sigma.tolist(), penalty.tolist()
     return json.dumps({
         **line_fields(decided, epoch, roster),
         "codes": decided.codes[0].tolist(),
@@ -622,11 +618,12 @@ def assert_decodes_to_reference(decided, epoch, roster, legend):
     # Compared as text: dict equality would take -0.0 for 0.0 and fail NaN
     # against NaN. The derived score must come back bit for bit.
     decoded = TraceLegend.from_manifest(legend).decode(line)
-    assert json.dumps(decoded) + "\n" == reference_schema2_line(decided, epoch, roster)
-    assert bits(decoded["score"]) == bits(decided.scores.score)
+    assert json.dumps(decoded) + "\n" == reference_schema2_line(decided, epoch, roster, legend["policy"])
+    policy = PolicyConfig.from_dict(legend["policy"])
+    assert bits(decoded["score"]) == bits(score_of(decided.scores, policy))
     # The schema-1 text.
     assert json.dumps(decode_trace_line(line, legend), sort_keys=True) == json.dumps(
-        trace_dict(decided, epoch, roster), sort_keys=True
+        trace_dict(decided, epoch, roster, policy), sort_keys=True
     )
 
 
@@ -695,11 +692,8 @@ def test_trace_lines_of_a_churned_and_a_waitlisted_assign():
     # but inside the oscillation horizon, so its one feasible move costs a
     # churn penalty of 1. That move fills the only fitness group, and
     # unplaced row 1 is waitlisted.
-    groups = {
-        "g000": GroupState("g000", "c00", capacity=2, goal_category="maintenance"),
-        "g001": GroupState("g001", "c00", capacity=1, goal_category="fitness"),
-    }
-    roster = Roster(groups, {"c00": CoachState("c00", load_limit=9)}, ["aa" * 32, "bb" * 32])
+    groups = [("g000", "c00", 2, "maintenance"), ("g001", "c00", 1, "fitness")]
+    roster = make_roster(groups, {"c00": 9}, ["aa" * 32, "bb" * 32])
     roster.move(0, 0, 2, dwell=0)
     tables = tables_for(roster, "fitness")
     config, model = PolicyConfig(), BanditModel(dim=FEATURE_DIM)

@@ -22,6 +22,13 @@ dataclass, a value rather than a ``field(...)`` call, is a defaulted
 parameter of its constructor and is scanned too, except in a subclass of
 ``Record``: records are rebuilt through ``Record.from_dict``'s
 ``cls(**doc)``, which no name ties to a class.
+
+Every public field of a class under ``src/prism`` must be read as an
+attribute (``.name`` in a load) by program code. A field is a dataclass
+field or an attribute that ``__init__`` sets on ``self``. A store is not
+a read, so state that is written and never read is caught. Subclasses of
+``Record`` are left out, since they are serialized field by field, and
+so are NamedTuples, which are read by unpacking.
 """
 
 import ast
@@ -260,3 +267,89 @@ def test_every_defaulted_parameter_is_passed():
         for callee, parameter in unpassed(path.read_text(encoding="utf-8"), calls)
     ]
     assert missing == []
+
+
+
+def public_fields(source: str) -> list[str]:
+    """The public fields of each top-level class as ``Class.name``, in
+    order: its dataclass fields (a ``ClassVar`` is none), then each
+    attribute ``__init__`` sets on ``self``. Subclasses of ``Record`` and
+    NamedTuples are skipped."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        bases = {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases}
+        if bases & {"Record", "NamedTuple"}:
+            continue
+        names = []
+        for item in node.body:
+            if is_dataclass(node) and isinstance(item, ast.AnnAssign):
+                if "ClassVar" not in ast.unparse(item.annotation):
+                    names.append(item.target.id)
+            elif isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                names += [
+                    inner.attr for inner in ast.walk(item)
+                    if isinstance(inner, ast.Attribute) and isinstance(inner.ctx, ast.Store)
+                    and isinstance(inner.value, ast.Name) and inner.value.id == "self"
+                ]
+        found += [f"{node.name}.{name}" for name in dict.fromkeys(names) if not name.startswith("_")]
+    return found
+
+
+def attribute_reads(source: str) -> set[str]:
+    """The names ``source`` reads as an attribute: ``.name`` in a load."""
+    return {
+        node.attr for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unread(fields: list[str], reads: set[str]) -> list[str]:
+    return [f for f in fields if f.rpartition(".")[2] not in reads]
+
+
+def test_the_scan_finds_an_unread_field():
+    source = (
+        "@dataclass\n"
+        "class A:\n"
+        "    read: int\n"
+        "    spare: int\n"
+        "    _own: int = 0\n"
+        "    shared: ClassVar[int] = 0\n"
+        "class B:\n"
+        "    def __init__(self, other):\n"
+        "        self.read_too = 1\n"
+        "        self.stored_only = 2\n"
+        "        self._private = 3\n"
+        "        other.elsewhere = 4\n"
+        "        for _ in range(2):\n"
+        "            self.nested = 5\n"
+        "    def later(self):\n"
+        "        self.not_in_init = 6\n"
+        "@dataclass\n"
+        "class R(Record):\n"
+        "    serialized: int\n"
+        "class T(NamedTuple):\n"
+        "    unpacked: int\n"
+        "def f(a, b, spare):\n"
+        "    a.stored_only = b.read + b.read_too + b.nested\n"
+        "    a.stored_only += 1\n"
+        "    return spare, getattr(a, 'stored_only')\n"
+    )
+    fields = public_fields(source)
+    assert fields == ["A.read", "A.spare", "B.read_too", "B.stored_only", "B.nested"]
+    # A store, an augmented store, a bare name and a string are not reads.
+    assert unread(fields, attribute_reads(source)) == ["A.spare", "B.stored_only"]
+
+
+def test_every_public_field_is_read():
+    reads = set()
+    for path in CALLERS:
+        reads |= attribute_reads(path.read_text(encoding="utf-8"))
+    unused = [
+        f"{path.relative_to(SRC)}: {name}"
+        for path in MODULES
+        for name in unread(public_fields(path.read_text(encoding="utf-8")), reads)
+    ]
+    assert unused == []

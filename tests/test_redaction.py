@@ -260,6 +260,36 @@ class TestLeakAudit:
         assert loaded[0].text == "call [PHONE] ok"
         assert leak_audit(loaded).leak_rate == 0.0
 
+    def test_corpus_load_shares_equal_mappings_and_tokens(self, tmp_path):
+        other = UserToken("cd" * 32)
+        samples = [
+            redact("call 613-555-0111 ok", TOKEN, cohort_metadata={"goal": "fitness"}),
+            redact("mail bob@x.org", other, cohort_metadata={"goal": "fitness"}),
+            redact("call 613-555-0112 ok", TOKEN, cohort_metadata={"goal": "maintenance"}),
+        ]
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(json.dumps(s.to_dict()) + "\n" for s in samples), encoding="utf-8")
+        loaded = load_deid_corpus(str(path))
+        assert [s.to_dict() for s in loaded] == [s.to_dict() for s in samples]
+        a, b, c = loaded
+        assert a.cohort_metadata is b.cohort_metadata and a.cohort_metadata is not c.cohort_metadata
+        assert a.redaction_count_by_type is c.redaction_count_by_type
+        assert a.redaction_count_by_type is not b.redaction_count_by_type
+        assert a.source_user_token is c.source_user_token and b.source_user_token == other
+        assert all(type(m) is MappingProxyType for m in (a.cohort_metadata, a.redaction_count_by_type))
+
+    def test_corpus_load_reports_bad_utf8_before_a_malformed_line(self, tmp_path):
+        # The file is read a line at a time, but a byte that is not UTF-8
+        # anywhere in it still wins over a malformed line before it.
+        path = tmp_path / "corpus.jsonl"
+        good = json.dumps(redact("see you", TOKEN).to_dict()).encode()
+        path.write_bytes(good + b"\n{not json\n" + b"x" * 20000 + b"\n\xff\xfe\n")
+        with pytest.raises(ValidationError, match="is not UTF-8"):
+            load_deid_corpus(str(path))
+        path.write_bytes(good + b"\n{not json\n[]\n")
+        with pytest.raises(ValidationError, match="line 2 is not a record"):
+            load_deid_corpus(str(path))
+
 
 class TestDictionaryHygiene:
     def test_names_cannot_hide_in_hex_tokens(self):
@@ -630,7 +660,11 @@ class TestOwnership:
         pool = DeidPool() if use_pool else None
         first = redact("mail bob@x.org", TOKEN, rules, caller, memo=memo, pool=pool)
         second = redact("mail bob@x.org", TOKEN, rules, caller, memo=memo, pool=pool)
-        loaded = _rehydrate_deid(first.text, TOKEN, caller, first.redaction_count_by_type)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "corpus.jsonl")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(first.to_dict()) + "\n")
+            (loaded,) = load_deid_corpus(path)
         deids = (first, second, loaded)
         before = [json.dumps(d.to_dict()) for d in deids]
         mappings = [m for d in deids for m in (d.cohort_metadata, d.redaction_count_by_type)]

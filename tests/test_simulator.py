@@ -20,8 +20,10 @@ from hypothesis import strategies as st
 from conftest import (
     ENC_KEY_HEX,
     TOKEN_KEY_HEX,
+    make_roster,
     reference_place_initially,
     registered_identity_strings,
+    score_of,
 )
 from test_golden import GOLDEN
 
@@ -29,10 +31,7 @@ from prism.assignment import (
     GOAL_CATEGORIES,
     REASONS_OF_CODE,
     CandidateScores,
-    CoachState,
-    GroupState,
     PolicyConfig,
-    Roster,
     decide_epoch,
 )
 from prism.errors import ValidationError
@@ -66,10 +65,12 @@ from prism.simulator.scenario import (
     synth_identity,
 )
 from prism.simulator.world import (
+    _STREAM_COHORT,
     _goal_cdf,
     _place_initially,
     coach_load_limits,
     group_engagement_means,
+    substream,
 )
 from prism.vault import (
     RATE_LIMIT_GRANTS,
@@ -193,6 +194,30 @@ class TestGeneration:
             assert limit == max(1, int(np.floor(load_factor * cap_sum)))
         assert len(limits) == n_coaches
 
+    def test_rows_follow_sorted_ids_beyond_1000_groups(self, keys):
+        # Past g999 and c99 the ids no longer sort in generation order:
+        # g1000 sorts between g100 and g101, and c100 between c10 and c11.
+        scenario = small_scenario(
+            n_users=400, n_groups=1001, n_coaches=111, capacity_min=1, capacity_max=6,
+            coach_load_factor=0.8,
+        )
+        roster = generate_cohort(scenario, keys).roster
+        assert roster.group_ids == sorted(f"g{g:03d}" for g in range(1001))
+        assert roster.coach_ids == sorted(f"c{c:02d}" for c in range(111))
+        assert roster.group_ids[101] == "g1000" and roster.coach_ids[11] == "c100"
+        # Group g's capacity is the g-th draw of the cohort stream, its
+        # goal g % 4 and its coach c{g % n_coaches}; coach c's load limit
+        # comes from the capacities of its groups.
+        capacities = substream(scenario.seed, _STREAM_COHORT).integers(1, 7, 1001).tolist()
+        limits = coach_load_limits(capacities, 111, 0.8)
+        for row, gid in enumerate(roster.group_ids):
+            g = int(gid[1:])
+            assert roster.capacity[row] == capacities[g]
+            assert roster.goal_index[row] == g % len(GOAL_CATEGORIES)
+            assert roster.coach_ids[roster.coach_of[row]] == f"c{g % 111:02d}"
+        for row, cid in enumerate(roster.coach_ids):
+            assert roster.load_limit[row] == limits[int(cid[1:])]
+
     def test_misgroup_fraction_realized(self, keys):
         world = generate_cohort(
             small_scenario(n_users=200, n_groups=8, capacity_min=32, capacity_max=40,
@@ -300,19 +325,14 @@ def _placement_world(
     and after them one more row per entry of ``seated``, each seated in that
     group beforehand where its group and coach have room, so groups can
     start full and coaches at their load limit."""
-    groups = {
-        f"g{g:03d}": GroupState(
-            group_id=f"g{g:03d}",
-            coach_id=f"c{g % n_coaches:02d}",
-            capacity=capacity,
-            goal_category=GOAL_CATEGORIES[group_goals[g]],
-        )
+    groups = [
+        (f"g{g:03d}", f"c{g % n_coaches:02d}", capacity, GOAL_CATEGORIES[group_goals[g]])
         for g, capacity in enumerate(capacities)
-    }
+    ]
     limits = coach_load_limits(capacities, n_coaches, load_factor)
-    coaches = {f"c{c:02d}": CoachState(f"c{c:02d}", limit) for c, limit in enumerate(limits)}
+    coaches = {f"c{c:02d}": limit for c, limit in enumerate(limits)}
     n = len(goals)
-    roster = Roster(groups, coaches, [f"{row:064x}" for row in range(n + len(seated))])
+    roster = make_roster(groups, coaches, [f"{row:064x}" for row in range(n + len(seated))])
     for row, group in enumerate(seated, start=n):
         coach = roster.coach_of[group]
         has_room = roster.count[group] < roster.capacity[group]
@@ -527,7 +547,7 @@ class TestRunExperiment:
         scenario = small_scenario(
             policy="static", match_uplift=0.0, fatigue_mean=0.0, engagement_match_bonus=0.0
         )
-        report = run_experiment(scenario, keys).report
+        report = run_experiment(scenario, keys)
         assert report.eng_index == pytest.approx(1.0, abs=0.05)
         assert report.reassignments == 0
         assert report.decisions == 0
@@ -553,17 +573,16 @@ class TestRunExperiment:
         scenario = small_scenario(seed=77, n_users=120, n_groups=8, capacity_min=20, capacity_max=26)
         base = PolicyConfig(lam=0.0)
         penalized = PolicyConfig(lam=0.5)
-        adaptive_base = run_experiment(scenario, keys, policy=base).report
-        adaptive_pen = run_experiment(scenario, keys, policy=penalized).report
+        adaptive_base = run_experiment(scenario, keys, policy=base)
+        adaptive_pen = run_experiment(scenario, keys, policy=penalized)
         assert adaptive_pen.reassignments <= adaptive_base.reassignments
 
     def test_dwell_respected_in_traces(self, keys, tmp_path):
         # Counted from the initial placement at epoch 0, as the filter does.
-        result = run_experiment(
-            small_scenario(seed=13, policy="adaptive"), keys, out_dir=str(tmp_path)
-        )
+        scenario = small_scenario(seed=13, policy="adaptive")
+        run_experiment(scenario, keys, out_dir=str(tmp_path))
         dwell = PolicyConfig().dwell
-        last_change = {token.value: 0 for token in result.world.tokens}
+        last_change = {token.value: 0 for token in generate_cohort(scenario, keys).tokens}
         moves = 0
         for trace in read_traces(tmp_path):
             if trace["changed"]:
@@ -573,7 +592,7 @@ class TestRunExperiment:
         assert moves > 0
 
     def test_governance_counters(self, keys):
-        report = run_experiment(small_scenario(seed=21), keys).report
+        report = run_experiment(small_scenario(seed=21), keys)
         gov = report.governance
         assert gov["restoration_attempts"] == gov["audit_entries"]
         assert gov["analyst_attempts"] > 0
@@ -581,7 +600,7 @@ class TestRunExperiment:
         assert gov["audit_chain_ok"] is True
 
     def test_review_gate_accounting(self, keys):
-        report = run_experiment(small_scenario(seed=31), keys).report
+        report = run_experiment(small_scenario(seed=31), keys)
         a = report.assistant
         assert a["drafts"] == a["approved"] + a["edited"] + a["discarded"] + a["pending"]
         assert a["delivered"] == a["approved"] + a["edited"]
@@ -589,12 +608,12 @@ class TestRunExperiment:
             assert a["delivered_leak_rate"] == 0.0
 
     def test_leak_rate_zero_on_pipeline_output(self, keys):
-        report = run_experiment(small_scenario(seed=41), keys).report
+        report = run_experiment(small_scenario(seed=41), keys)
         assert report.leak.n_samples > 0
         assert report.leak.leak_rate == 0.0
 
     def test_violations_always_reported_zero(self, keys):
-        report = run_experiment(small_scenario(seed=51), keys).report
+        report = run_experiment(small_scenario(seed=51), keys)
         assert report.violations == 0
 
 
@@ -611,7 +630,17 @@ class TestReportLeakAudit:
 
     @pytest.fixture(scope="class")
     def run(self):
-        return run_experiment(small_scenario(seed=31), KeyRing.from_hex(TOKEN_KEY_HEX, ENC_KEY_HEX))
+        """One run's report, and the world and drafts ``_build_report`` built it from."""
+        built, build = [], experiment._build_report
+
+        def recording_build(world, counters, drafts):
+            built.append((world, drafts))
+            return build(world, counters, drafts)
+
+        with mock.patch.object(experiment, "_build_report", recording_build):
+            report = run_experiment(small_scenario(seed=31), KeyRing.from_hex(TOKEN_KEY_HEX, ENC_KEY_HEX))
+        ((world, drafts),) = built
+        return SimpleNamespace(report=report, world=world, drafts=drafts)
 
     def report_with(self, run, monkeypatch, leaky_statuses):
         """The report of ``run`` after the first draft of each status in
@@ -658,7 +687,10 @@ class TestReportLeakAudit:
 
 
 class TestConstraintAudit:
-    """The audit recounts from ``group_of`` and never trusts Roster.move()."""
+    """The audit recounts from ``group_of`` and never trusts Roster.move().
+
+    The roster's limits are read-only arrays, so a test that lifts one
+    rebinds it to a new array."""
 
     def world(self, keys):
         world = generate_cohort(small_scenario(n_users=24, capacity_min=5, capacity_max=5), keys)
@@ -687,7 +719,7 @@ class TestConstraintAudit:
     def test_capacity_breach_caught(self, keys):
         world = self.world(keys)
         roster = world.roster
-        roster.load_limit[:] = 10**6
+        roster.load_limit = np.full_like(roster.load_limit, 10**6)
         for user in np.flatnonzero(roster.group_of != 0)[: roster.capacity[0]]:
             self.write_around_move(roster, user, 0, 6)
         assert roster.count[0] > roster.capacity[0]
@@ -696,8 +728,8 @@ class TestConstraintAudit:
     def test_coach_load_breach_caught(self, keys):
         world = self.world(keys)
         roster = world.roster
-        roster.capacity[:] = 10**6
-        roster.load_limit[:] = roster.load
+        roster.capacity = np.full_like(roster.capacity, 10**6)
+        roster.load_limit = roster.load.copy()
         coach0 = np.flatnonzero(roster.coach_of == 0)[0]
         user = np.flatnonzero(roster.coach_of[roster.group_of] != 0)[0]
         self.write_around_move(roster, user, coach0, 6)
@@ -706,8 +738,8 @@ class TestConstraintAudit:
     def test_dwell_breach_caught(self, keys):
         world = self.world(keys)
         roster = world.roster
-        roster.capacity[:] = 10**6
-        roster.load_limit[:] = 10**6
+        roster.capacity = np.full_like(roster.capacity, 10**6)
+        roster.load_limit = np.full_like(roster.load_limit, 10**6)
         user = int(np.flatnonzero(roster.group_of != 0)[0])
         self.write_around_move(roster, user, 0, 3)
         assert world.audit_constraints(PolicyConfig(dwell=4), 3) == 1
@@ -720,8 +752,8 @@ class TestConstraintAudit:
     def test_unrecorded_move_caught(self, keys):
         world = self.world(keys)
         roster = world.roster
-        roster.capacity[:] = 10**6
-        roster.load_limit[:] = 10**6
+        roster.capacity = np.full_like(roster.capacity, 10**6)
+        roster.load_limit = np.full_like(roster.load_limit, 10**6)
         user = int(np.flatnonzero(roster.group_of != 0)[0])
         self.write_around_move(roster, user, 0, 0)  # last_change left at the old epoch
         assert world.audit_constraints(PolicyConfig(dwell=0), 5) == 1
@@ -745,8 +777,9 @@ class TestDeterminismAndPrivacy:
 
     def test_outputs_contain_no_registered_identity(self, keys, tmp_path):
         out = str(tmp_path / "run")
-        result = run_experiment(small_scenario(seed=7), keys, out_dir=out)
-        identity_strings = registered_identity_strings(result.world)
+        scenario = small_scenario(seed=7)
+        run_experiment(scenario, keys, out_dir=out)
+        identity_strings = registered_identity_strings(generate_cohort(scenario, keys))
         assert identity_strings  # the oracle actually has content
         for name in os.listdir(out):
             blob = pathlib.Path(out, name).read_text(encoding="utf-8")
@@ -793,14 +826,15 @@ class TestDeterminismAndPrivacy:
 
     def test_traces_match_schema(self, keys, tmp_path):
         out = str(tmp_path / "run")
-        result = run_experiment(small_scenario(seed=9), keys, out_dir=out)
+        scenario = small_scenario(seed=9)
+        report = run_experiment(scenario, keys, out_dir=out)
         manifest = json.loads(pathlib.Path(out, "manifest.json").read_text(encoding="utf-8"))
         assert manifest["trace_schema"] == 3
-        assert manifest["group_ids"] == result.world.roster.group_ids
+        assert manifest["group_ids"] == generate_cohort(scenario, keys).roster.group_ids
         assert manifest["reasons_of_code"] == [list(reasons) for reasons in REASONS_OF_CODE]
         with open(os.path.join(out, "traces.jsonl"), encoding="utf-8") as fh:
             lines = [json.loads(line) for line in fh]
-        assert len(lines) == result.report.decisions > 0
+        assert len(lines) == report.decisions > 0
         n_groups = len(manifest["group_ids"])
         for line in lines:
             assert list(line) == [
@@ -838,7 +872,7 @@ class TestDeterminismAndPrivacy:
                         decided.codes[i].tolist(),
                         roster.group_ids[group] if group >= 0 else None,
                         decided.changed and i == last,
-                        [a[pairs] for a in decided.scores],
+                        [a[pairs] for a in (*decided.scores, score_of(decided.scores, config))],
                     ))
                 yield decided
 
@@ -851,7 +885,7 @@ class TestDeterminismAndPrivacy:
         for trace, (codes, chosen, changed, terms) in zip(traces, decisions):
             assert trace["codes"] == codes
             assert (trace["chosen"], trace["changed"]) == (chosen, changed)
-            for name, values in zip(CandidateScores._fields, terms):
+            for name, values in zip((*CandidateScores._fields, "score"), terms):
                 assert np.asarray(trace[name], dtype=float).tobytes() == values.astype(float).tobytes()
             checked += len(trace["score"])
         assert checked > 100 and any(any(trace["penalty"]) for trace in traces)
@@ -939,8 +973,7 @@ class TestScaleLadder:
             name="ladder-384", seed=1001, n_users=7520, n_groups=384, n_coaches=64,
             capacity_min=26, capacity_max=34, horizon_weeks=6, w_pre=4, w_post=2,
         )
-        result = run_experiment(scenario, keys, out_dir=str(tmp_path))
-        report = result.report
+        report = run_experiment(scenario, keys, out_dir=str(tmp_path))
         assert report.violations == 0
         assert report.governance["audit_chain_ok"]
         entries = AuditLog.from_jsonl(str(tmp_path / "audit.jsonl")).entries()
@@ -956,8 +989,8 @@ class TestScaleLadder:
 class TestCompareArms:
     def test_identical_arms_zero_differences(self, keys):
         scenario = small_scenario(seed=61, policy="static")
-        a = run_experiment(scenario, keys).report
-        b = run_experiment(scenario, keys).report
+        a = run_experiment(scenario, keys)
+        b = run_experiment(scenario, keys)
         table = compare_arms(a, b)
         assert table.adherence_post["diff"] == 0.0
         assert table.eng_index["diff_pp"] == 0.0
@@ -1000,10 +1033,10 @@ class TestCompareArms:
         assert compare_arms(a, b).mann_whitney["p"] < 0.001
 
     def test_mismatched_windows_rejected(self, keys):
-        a = run_experiment(small_scenario(seed=71, policy="static"), keys).report
+        a = run_experiment(small_scenario(seed=71, policy="static"), keys)
         b = run_experiment(
             small_scenario(seed=71, policy="static", horizon_weeks=16, w_post=9), keys
-        ).report
+        )
         with pytest.raises(ValidationError):
             compare_arms(a, b)
 

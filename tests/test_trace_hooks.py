@@ -10,7 +10,7 @@ import importlib.util
 import pathlib
 from collections import Counter
 
-from conftest import tables_for
+from conftest import make_roster, tables_for
 
 import prism.assignment
 import prism.cli
@@ -19,10 +19,7 @@ from prism.assignment import (
     FEATURE_DIM,
     GOAL_CATEGORIES,
     BanditModel,
-    CoachState,
-    GroupState,
     PolicyConfig,
-    Roster,
     feasibility_report,
 )
 from prism.simulator import Scenario
@@ -42,12 +39,10 @@ FITNESS = GOAL_CATEGORIES.index("fitness")
 
 def small_roster():
     """One unplaced user, row 0, and two of three groups matching their goal."""
-    groups = {
-        "g000": GroupState("g000", "c00", capacity=3, goal_category="fitness"),
-        "g001": GroupState("g001", "c00", capacity=3, goal_category="maintenance"),
-        "g002": GroupState("g002", "c00", capacity=3, goal_category="fitness"),
-    }
-    return Roster(groups, {"c00": CoachState("c00", load_limit=9)}, ["aa" * 32])
+    groups = [
+        ("g000", "c00", 3, "fitness"), ("g001", "c00", 3, "maintenance"), ("g002", "c00", 3, "fitness"),
+    ]
+    return make_roster(groups, {"c00": 9}, ["aa" * 32])
 
 
 def test_tracer_installs_every_name_and_restores_it():
@@ -98,7 +93,7 @@ def test_one_traced_decision_reaches_every_assignment_span():
     assert tracer.counts["moves"] == int(decision.changed) == 1
 
 
-def test_one_traced_adaptive_run_reaches_every_assistant_and_redaction_span(keys):
+def test_one_traced_adaptive_run_reaches_every_assistant_and_redaction_span(keys, tmp_path):
     # A refactor that stopped calling a wrapped name would zero its layer's
     # metrics without failing the benchmark.
     tracing = load_tracing()
@@ -109,13 +104,15 @@ def test_one_traced_adaptive_run_reaches_every_assistant_and_redaction_span(keys
     tracer = tracing.Tracer()
     with tracer.installed():
         tracer.arm = "adaptive"
-        result = prism.cli.run_experiment(scenario, keys)
+        report = prism.cli.run_experiment(scenario, keys, out_dir=str(tmp_path))
         tracer.arm = None
-    assert result.report.assistant["edited"] > 0
+    assert report.assistant["edited"] > 0
+    n_lines = lambda name: len((tmp_path / name).read_text(encoding="utf-8").splitlines())
+    drafts, messages = n_lines("drafts.jsonl"), n_lines("deid_messages.jsonl")
     names = Counter(span[0] for span in tracer.spans)
-    assert names["assistant.flag_risks"] == names["assistant.generate_draft"] == len(result.drafts)
+    assert names["assistant.flag_risks"] == names["assistant.generate_draft"] == drafts
     assert names["assistant.review"] > 0
-    assert names["redaction.redact"] == len(result.drafts) + len(result.world.deid_messages)
+    assert names["redaction.redact"] == drafts + messages
     assert names["redaction.leak_audit"] >= 1
     assert tracer.counts["flagged"] == names["assistant.flag_risks"]
     assert names["simulator.run_experiment"] == 1 and tracer.accounting_errors() == []
