@@ -1,10 +1,12 @@
 """Template-based coaching drafts with a mandatory review gate.
 
-Draft generation is deterministic slot substitution over de-identified
-inputs only: the summary slot accepts nothing but ``DeidText`` and every
-rendered or edited draft is re-scanned with the redaction rules before
-it can move forward. Nothing is deliverable until a reviewer approves or
-edits it; terminal decisions are immutable and the first decision wins.
+Risk flags and drafts read one row of the epoch's ``ContextBatch``, the
+de-identified Learning view. Draft generation is deterministic slot
+substitution over de-identified inputs only: the summary slot accepts
+nothing but ``DeidText`` and every rendered or edited draft is
+re-scanned with the redaction rules before it can move forward. Nothing
+is deliverable until a reviewer approves or edits it; terminal
+decisions are immutable and the first decision wins.
 """
 
 from __future__ import annotations
@@ -18,13 +20,11 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import LeakageError, StateError, ValidationError
-from .features import ContextBatch, LearningContext
+from .features import ContextBatch
 from .records import Record, field_names
 from .redaction import DeidText, RuleSet, ScanMemo, _rule_set, scan_for_identifiers
 
 logger = logging.getLogger(__name__)
-
-TEMPLATE_CATEGORIES = ("reengagement", "milestone", "checkin_reminder")
 
 # Lint list: templates must never steer toward clinical instructions.
 PROHIBITED_CLINICAL_TERMS = ("diagnose", "diagnosis", "prescribe", "prescription", "dosage")
@@ -54,12 +54,9 @@ class DraftTemplate:
     """Message template with named slots; linted at construction."""
 
     template_id: str
-    category: str
     body: str
 
     def __post_init__(self) -> None:
-        if self.category not in TEMPLATE_CATEGORIES:
-            raise ValidationError(f"unknown template category: {self.category!r}")
         lowered = self.body.lower()
         for term in PROHIBITED_CLINICAL_TERMS:
             if term in lowered:
@@ -77,7 +74,6 @@ def default_templates() -> dict[str, DraftTemplate]:
     templates = (
         DraftTemplate(
             template_id="reengage-streak",
-            category="reengagement",
             body=(
                 "Quick nudge from your coach: {summary} "
                 "A single check-in today gets the streak restarted. "
@@ -86,7 +82,6 @@ def default_templates() -> dict[str, DraftTemplate]:
         ),
         DraftTemplate(
             template_id="reengage-decline",
-            category="checkin_reminder",
             body=(
                 "We noticed things slowed down recently ({summary}). "
                 "Want to pick one small goal together for week {epoch}?"
@@ -94,7 +89,6 @@ def default_templates() -> dict[str, DraftTemplate]:
         ),
         DraftTemplate(
             template_id="milestone-cheer",
-            category="milestone",
             body=(
                 "Great momentum: {summary} Keep the daily check-ins coming; "
                 "your group is cheering for you."
@@ -127,25 +121,28 @@ class Draft(Record):
         return {name: getattr(self, name) for name in field_names(Draft)}
 
 
-@dataclass(frozen=True)
-class RiskFlag:
-    """Disengagement signal surfaced to coaches: whose, and which kind."""
-
-    user_token: str
-    kind: str
-
-
 STREAK_THRESHOLD = 3       # days
 DECLINE_THRESHOLD = 0.05   # weekly-score drop per week
 
 
-def flag_risks(context: LearningContext) -> list[RiskFlag]:
-    """Fixed-threshold checks over the context's disengagement signals."""
+def _check_row(contexts: ContextBatch, row: int) -> None:
+    if not isinstance(contexts, ContextBatch):
+        raise ValidationError("contexts must be a ContextBatch")
+    # A bool is an int, but not a row; a negative row must not wrap.
+    if type(row) is not int or not 0 <= row < len(contexts):
+        raise ValidationError(f"row must be an int in range({len(contexts)})")
+
+
+def flag_risks(contexts: ContextBatch, row: int) -> list[str]:
+    """The disengagement signals of row ``row`` of ``contexts``, by kind:
+    ``"missed_streak"``, then ``"engagement_decline"``, each where its
+    fixed threshold is crossed."""
+    _check_row(contexts, row)
     flags = []
-    if context.missed_checkin_streak >= STREAK_THRESHOLD:
-        flags.append(RiskFlag(user_token=context.user_token.value, kind="missed_streak"))
-    if context.engagement_slope <= -DECLINE_THRESHOLD:
-        flags.append(RiskFlag(user_token=context.user_token.value, kind="engagement_decline"))
+    if contexts.streak[row] >= STREAK_THRESHOLD:
+        flags.append("missed_streak")
+    if contexts.slope[row] <= -DECLINE_THRESHOLD:
+        flags.append("engagement_decline")
     return flags
 
 
@@ -167,7 +164,8 @@ def _leak_check(
 
 def generate_draft(
     summary: DeidText,
-    context: LearningContext,
+    contexts: ContextBatch,
+    row: int,
     template: DraftTemplate,
     *,
     draft_id: str,
@@ -176,7 +174,9 @@ def generate_draft(
     memo: Optional[ScanMemo] = None,
 ) -> Draft:
     """Render the pending draft ``draft_id``, created at ``created_at``,
-    by deterministic slot substitution.
+    by deterministic slot substitution; the ``missed_streak``,
+    ``engagement_slope`` and ``epoch`` slots come from row ``row`` of
+    ``contexts``.
 
     The rendered text is re-scanned with the redaction rules (None means
     the default rules), through ``memo`` when one is given; any hit
@@ -184,13 +184,12 @@ def generate_draft(
     """
     if not isinstance(summary, DeidText):
         raise ValidationError("summary must be a DeidText produced by the redaction pipeline")
-    if not isinstance(context, LearningContext):
-        raise ValidationError("context must be a LearningContext")
+    _check_row(contexts, row)
     slots = {
         "summary": summary.text,
-        "missed_streak": context.missed_checkin_streak,
-        "engagement_slope": f"{context.engagement_slope:+.2f}",
-        "epoch": context.epoch,
+        "missed_streak": int(contexts.streak[row]),
+        "engagement_slope": f"{float(contexts.slope[row]):+.2f}",
+        "epoch": contexts.epoch,
     }
     slots.update(summary.cohort_metadata)
     try:

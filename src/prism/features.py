@@ -192,55 +192,17 @@ def pre_period_mean(pre_scores: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_context_values(numeric: np.ndarray, streak, *finite: np.ndarray) -> None:
-    """The context invariants, over one context's values or a batch's arrays."""
-    if not all(np.isfinite(values).all() for values in (numeric, *finite)):
-        raise ValidationError("context features must be finite")
-    if numeric.size and (numeric.min() < -_RANGE_TOL or numeric.max() > 1 + _RANGE_TOL):
-        raise ValidationError("numeric features must lie in [0, 1]")
-    if np.any(np.asarray(streak) < 0):
-        raise ValidationError("missed check-in streak cannot be negative")
-
-
-@dataclass(frozen=True)
-class LearningContext:
-    """De-identified decision context for one user at one weekly epoch.
-
-    The constructor admits only a token plus derived numbers; numeric
-    features must already be normalized into [0, 1].
-    """
-
-    user_token: UserToken
-    epoch: int
-    numeric_features: np.ndarray
-    categorical_features: np.ndarray
-    missed_checkin_streak: int
-    engagement_slope: float
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.user_token, UserToken):
-            raise ValidationError("user_token must be a UserToken")
-        numeric = np.asarray(self.numeric_features, dtype=float)
-        categorical = np.asarray(self.categorical_features, dtype=float)
-        _check_context_values(numeric, self.missed_checkin_streak, categorical)
-        object.__setattr__(self, "numeric_features", numeric)
-        object.__setattr__(self, "categorical_features", categorical)
-
-
-_GOAL_ONEHOTS = np.eye(len(GOAL_CATEGORIES))
-_GOAL_ONEHOTS.flags.writeable = False
-
-
 @dataclass(frozen=True)
 class ContextBatch:
     """Every user's decision context at one epoch, as row-aligned arrays.
 
     Row ``u`` holds user ``user_tokens[u]``: ``numeric`` (n, N) features
     in [0, 1], ``goal`` an index into :data:`GOAL_CATEGORIES`, ``streak``
-    the missed check-in streak and ``slope`` the engagement slope. The
-    arrays are made read-only and checked once, as a whole, against the
-    conditions a :class:`LearningContext` checks per row; ``batch[u]`` is
-    then user ``u``'s context, holding views of the batch's rows.
+    the missed check-in streak and ``slope`` the engagement slope. This
+    is the Learning view: it holds tokens and derived numbers only. The
+    arrays are made read-only and checked once, as a whole: the numerics
+    must be finite and in [0, 1] and no streak may be negative. Both the
+    decision path and the assistant read a user's context as row ``u``.
     """
 
     user_tokens: Sequence[UserToken]
@@ -263,8 +225,13 @@ class ContextBatch:
             "streak": np.array(self.streak, dtype=np.int64).reshape(n),
             "slope": np.array(self.slope, dtype=float).reshape(n),
         }
-        # The goal one-hots are finite by construction.
-        _check_context_values(arrays["numeric"], arrays["streak"])
+        numeric = arrays["numeric"]
+        if not np.isfinite(numeric).all():
+            raise ValidationError("context features must be finite")
+        if numeric.size and (numeric.min() < -_RANGE_TOL or numeric.max() > 1 + _RANGE_TOL):
+            raise ValidationError("numeric features must lie in [0, 1]")
+        if (arrays["streak"] < 0).any():
+            raise ValidationError("missed check-in streak cannot be negative")
         for name, array in arrays.items():
             array.flags.writeable = False
             object.__setattr__(self, name, array)
@@ -272,21 +239,6 @@ class ContextBatch:
 
     def __len__(self) -> int:
         return len(self.user_tokens)
-
-    def __getitem__(self, row: int) -> LearningContext:
-        # The batch passed the checks as a whole, so the row skips
-        # LearningContext.__post_init__; Python scalars keep the fields'
-        # types (a streak must serialize as a JSON int).
-        context = object.__new__(LearningContext)
-        context.__dict__.update(
-            user_token=self.user_tokens[row],
-            epoch=self.epoch,
-            numeric_features=self.numeric[row],
-            categorical_features=_GOAL_ONEHOTS[self.goal[row]],
-            missed_checkin_streak=int(self.streak[row]),
-            engagement_slope=float(self.slope[row]),
-        )
-        return context
 
 
 def _missed_streaks(checkins: np.ndarray, upto_day: int, first_day: np.ndarray) -> np.ndarray:

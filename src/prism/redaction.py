@@ -270,13 +270,12 @@ class RuleSet(tuple):
     ``ValidationError``) with the plan that
     every text scanned or redacted under it shares, worked out once:
 
-    - ``conditions``: the distinct prefilter conditions, in first use;
     - ``regex_plan`` and ``ascii_plan``: ``(tests, steps)`` for any text
-      and for ASCII text. ``tests[i]`` answers ``conditions[i]``: its
-      ``search`` on the text, or its ASCII test on the lowered text and
-      the skeleton. ``steps`` holds, per rule in rule order, ``(needs,
-      pattern, view, group, entity_type)``, where ``needs`` indexes
-      ``conditions`` and ``view`` is 1 when ``pattern`` is the rule's
+      and for ASCII text. ``tests[i]`` answers the i-th distinct
+      prefilter condition of the rules, in first use: its ``search`` on
+      the text, or its ASCII test on the lowered text and the skeleton.
+      ``steps`` holds, per rule in rule order, ``(needs, pattern, view,
+      group, entity_type)``, where ``needs`` indexes ``tests`` and ``view`` is 1 when ``pattern`` is the rule's
       folded twin, to run on the lowered text, else 0;
     - ``zero_counts``: each entity type mapped to 0, in rule order, the
       template of ``redact``'s counts;
@@ -296,7 +295,6 @@ class RuleSet(tuple):
             pattern, view = (rule.pattern, 0) if rule.folded is None else (rule.folded, 1)
             ascii_steps.append((needs, pattern, view, rule.group, rule.entity_type))
         conditions = tuple(index)
-        object.__setattr__(self, "conditions", conditions)
         searches = tuple(c.search for c in conditions)
         object.__setattr__(self, "regex_plan", (searches, tuple(regex_steps)))
         ascii_tests = tuple(_ASCII_TESTS[c] for c in conditions)

@@ -364,10 +364,11 @@ def _assistant_pass(
 ) -> None:
     """Draft, review and deliver a message for each flagged user row.
 
-    Only flagged rows get a context view. The summaries, rendered drafts
-    and edits of a run repeat a few texts, so their scans go through the
-    run's ``memo``, and each summary is redacted through the world's
-    ``deid_pool`` under the pool's cohort mapping of the user's goal.
+    Flags and drafts read the user's row of ``contexts`` in place. The
+    summaries, rendered drafts and edits of a run repeat a few texts, so
+    their scans go through the run's ``memo``, and each summary is
+    redacted through the world's ``deid_pool`` under the pool's cohort
+    mapping of the user's goal.
     """
     scenario = world.scenario
     roster = world.roster
@@ -378,18 +379,18 @@ def _assistant_pass(
     created_at = rfc3339(SIM_EPOCH_BASE + epoch * WEEK_SECONDS)
     for user in np.flatnonzero(risk_mask(contexts)).tolist():
         token = world.tokens[user]
-        context = contexts[user]
-        flag = flag_risks(context)[0]
-        template = templates["reengage-streak" if flag.kind == "missed_streak" else "reengage-decline"]
+        kind = flag_risks(contexts, user)[0]
+        template = templates["reengage-streak" if kind == "missed_streak" else "reengage-decline"]
         summary_text = (
-            f"missed {context.missed_checkin_streak} recent check-ins; "
-            f"engagement slope {context.engagement_slope:+.2f} per week."
+            f"missed {int(contexts.streak[user])} recent check-ins; "
+            f"engagement slope {float(contexts.slope[user]):+.2f} per week."
         )
         cohort = cohort_of_goal[world.goal_index[user]]
         summary = redact(summary_text, token, world.rules, cohort, memo=memo, pool=pool)
         draft = generate_draft(
             summary,
-            context,
+            contexts,
+            user,
             template,
             rules=world.rules,
             draft_id=f"d-{scenario.seed}-{epoch:02d}-{user:04d}",

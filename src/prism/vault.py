@@ -329,7 +329,7 @@ class AuditLog:
 
 
 class AuditView:
-    """Read-only view of a vault's audit log: its entries, length, tip and
+    """Read-only view of a vault's audit log: its entries, length and
     JSONL export. Only the vault's own restorations append to the log."""
 
     __slots__ = ("_log",)
@@ -339,10 +339,6 @@ class AuditView:
 
     def __len__(self) -> int:
         return len(self._log)
-
-    @property
-    def tip(self) -> str:
-        return self._log.tip
 
     def entries(self) -> tuple[AuditEntry, ...]:
         return self._log.entries()

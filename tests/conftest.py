@@ -28,7 +28,6 @@ from prism.features import (
     NUMERIC_FEATURE_NAMES,
     TRAILING_WEEKS,
     ContextBatch,
-    LearningContext,
 )
 from prism.redaction import (
     DEFAULT_FIRST_NAMES,
@@ -107,6 +106,31 @@ def goal_onehot(goal: str) -> np.ndarray:
     onehot = np.zeros(len(GOAL_CATEGORIES))
     onehot[GOAL_CATEGORIES.index(goal)] = 1.0
     return onehot
+
+
+@dataclass(frozen=True)
+class UserContext:
+    """One user's decision context as the tests state it: the values row
+    ``u`` of a ``ContextBatch`` holds, with the goal as its one-hot."""
+
+    user_token: UserToken
+    epoch: int
+    numeric_features: np.ndarray
+    categorical_features: np.ndarray
+    missed_checkin_streak: int
+    engagement_slope: float
+
+
+def context_row(batch: ContextBatch, u: int) -> UserContext:
+    """Row ``u`` of ``batch`` as a :class:`UserContext`."""
+    return UserContext(
+        user_token=batch.user_tokens[u],
+        epoch=batch.epoch,
+        numeric_features=batch.numeric[u],
+        categorical_features=goal_onehot(GOAL_CATEGORIES[batch.goal[u]]),
+        missed_checkin_streak=int(batch.streak[u]),
+        engagement_slope=float(batch.slope[u]),
+    )
 
 
 def solve_theta(model) -> np.ndarray:
@@ -364,7 +388,7 @@ def reference_slope(scores) -> float:
     return float((t_centered @ (arr - arr.mean())) / (t_centered @ t_centered))
 
 
-def reference_context(events, scored_weeks, *, user_token, epoch, goal, window) -> LearningContext:
+def reference_context(events, scored_weeks, *, user_token, epoch, goal, window) -> UserContext:
     """One user's decision context, built from that user's history alone:
     the reference each row of a ``build_context`` batch must equal bit for
     bit. ``scored_weeks`` is the user's row of weekly engagement scores."""
@@ -375,7 +399,7 @@ def reference_context(events, scored_weeks, *, user_token, epoch, goal, window) 
     if not has_history or epoch == 0:
         numeric = np.zeros(len(NUMERIC_FEATURE_NAMES))
         numeric[NUMERIC_FEATURE_NAMES.index("cold_start")] = 1.0
-        return LearningContext(
+        return UserContext(
             user_token=user_token,
             epoch=epoch,
             numeric_features=numeric,
@@ -401,7 +425,7 @@ def reference_context(events, scored_weeks, *, user_token, epoch, goal, window) 
             0.0,
         ]
     )
-    return LearningContext(
+    return UserContext(
         user_token=user_token,
         epoch=epoch,
         numeric_features=numeric,

@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import goal_onehot
-
 from prism.assistant import (
     DECLINE_THRESHOLD,
     STREAK_THRESHOLD,
@@ -20,7 +18,7 @@ from prism.assistant import (
     load_drafts,
 )
 from prism.errors import LeakageError, StateError, ValidationError
-from prism.features import ContextBatch, LearningContext
+from prism.features import GOAL_CATEGORIES, ContextBatch
 from prism.redaction import ScanMemo, _rehydrate_deid, default_rules, redact
 from prism.simulator.scenario import synth_identity, synth_message
 from prism.vault import UserToken
@@ -31,33 +29,51 @@ STAMP = {"draft_id": "d-7-09-0001", "created_at": "2025-03-10T00:00:00.000000+00
 
 
 def make_context(streak=0, slope=0.0):
-    return LearningContext(
-        user_token=TOKEN,
+    """A one-row batch: the context of one user at epoch 9."""
+    return ContextBatch(
+        user_tokens=[TOKEN],
         epoch=9,
-        numeric_features=np.array([0.4, 0.3, 0.5, 0.2, 0.0]),
-        categorical_features=goal_onehot("fitness"),
-        missed_checkin_streak=streak,
-        engagement_slope=slope,
+        numeric=[[0.4, 0.3, 0.5, 0.2, 0.0]],
+        goal=[GOAL_CATEGORIES.index("fitness")],
+        streak=[streak],
+        slope=[slope],
     )
 
 
 class TestRiskFlags:
     def test_healthy_user_no_flags(self):
-        assert flag_risks(make_context(streak=0, slope=0.1)) == []
+        assert flag_risks(make_context(streak=0, slope=0.1), 0) == []
 
     def test_missed_streak_flag(self):
-        flags = flag_risks(make_context(streak=7))
-        assert [(f.user_token, f.kind) for f in flags] == [(TOKEN.value, "missed_streak")]
+        assert flag_risks(make_context(streak=7), 0) == ["missed_streak"]
         # The streak threshold is inclusive.
-        assert [f.kind for f in flag_risks(make_context(streak=STREAK_THRESHOLD))] == ["missed_streak"]
-        assert flag_risks(make_context(streak=STREAK_THRESHOLD - 1)) == []
+        assert flag_risks(make_context(streak=STREAK_THRESHOLD), 0) == ["missed_streak"]
+        assert flag_risks(make_context(streak=STREAK_THRESHOLD - 1), 0) == []
 
     def test_engagement_decline_flag(self):
-        flags = flag_risks(make_context(slope=-0.1))
-        assert [(f.user_token, f.kind) for f in flags] == [(TOKEN.value, "engagement_decline")]
+        assert flag_risks(make_context(slope=-0.1), 0) == ["engagement_decline"]
         # Both signals flag, streak first.
-        both = flag_risks(make_context(streak=STREAK_THRESHOLD, slope=-DECLINE_THRESHOLD))
-        assert [f.kind for f in both] == ["missed_streak", "engagement_decline"]
+        both = flag_risks(make_context(streak=STREAK_THRESHOLD, slope=-DECLINE_THRESHOLD), 0)
+        assert both == ["missed_streak", "engagement_decline"]
+
+    @pytest.mark.parametrize("row", [-1, 1, True, 0.0, np.int64(0), None])
+    def test_row_outside_the_batch_rejected(self, row):
+        # A negative row must not wrap to the last one.
+        with pytest.raises(ValidationError):
+            flag_risks(make_context(streak=7), row)
+        with pytest.raises(ValidationError):
+            generate_draft(
+                redact("great week", TOKEN), make_context(), row,
+                default_templates()["reengage-streak"], **STAMP,
+            )
+
+    def test_a_context_must_be_a_batch(self):
+        with pytest.raises(ValidationError):
+            flag_risks({"streak": [7], "slope": [0.0]}, 0)
+        with pytest.raises(ValidationError):
+            generate_draft(
+                redact("great week", TOKEN), None, 0, default_templates()["reengage-streak"], **STAMP
+            )
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 12))
@@ -77,34 +93,29 @@ class TestRiskFlags:
         )
         mask = risk_mask(batch)
         assert mask.dtype == bool
-        assert mask.tolist() == [bool(flag_risks(batch[u])) for u in range(n)]
+        assert mask.tolist() == [bool(flag_risks(batch, u)) for u in range(n)]
 
 
 class TestTemplateLint:
     def test_clinical_language_rejected(self):
         with pytest.raises(ValidationError):
-            DraftTemplate("t", "reengagement", "we prescribe a stricter plan: {summary}")
+            DraftTemplate("t", "we prescribe a stricter plan: {summary}")
 
     def test_identity_slot_rejected(self):
         with pytest.raises(ValidationError):
-            DraftTemplate("t", "reengagement", "hi {name}, {summary}")
-
-    def test_unknown_category_rejected(self):
-        with pytest.raises(ValidationError):
-            DraftTemplate("t", "marketing", "{summary}")
+            DraftTemplate("t", "hi {name}, {summary}")
 
     def test_default_templates_pass_lint(self):
         templates = default_templates()
-        assert {t.category for t in templates.values()} <= {
-            "reengagement", "milestone", "checkin_reminder"
-        }
+        assert sorted(templates) == ["milestone-cheer", "reengage-decline", "reengage-streak"]
+        assert all(t.template_id == key for key, t in templates.items())
 
 
 class TestGenerateDraft:
     def test_render_includes_streak_value(self):
         summary = redact("missed 5 recent check-ins", TOKEN)
         draft = generate_draft(
-            summary, make_context(streak=5), default_templates()["reengage-streak"], **STAMP
+            summary, make_context(streak=5), 0, default_templates()["reengage-streak"], **STAMP
         )
         assert "missed 5 recent check-ins" in draft.rendered_text
         assert draft.status == "pending"
@@ -115,7 +126,7 @@ class TestGenerateDraft:
     def test_raw_string_summary_rejected(self):
         with pytest.raises(ValidationError):
             generate_draft(  # type: ignore[arg-type]
-                "raw text", make_context(), default_templates()["reengage-streak"], **STAMP
+                "raw text", make_context(), 0, default_templates()["reengage-streak"], **STAMP
             )
 
     def test_injected_identifier_fails_closed(self):
@@ -123,20 +134,20 @@ class TestGenerateDraft:
         # upstream failure; generation must still refuse to emit.
         poisoned = _rehydrate_deid("reach me at bob@x.org", TOKEN)
         with pytest.raises(LeakageError) as err:
-            generate_draft(poisoned, make_context(), default_templates()["reengage-streak"], **STAMP)
+            generate_draft(poisoned, make_context(), 0, default_templates()["reengage-streak"], **STAMP)
         assert "bob@x.org" not in str(err.value)
 
     def test_missing_slot_value_rejected(self):
-        template = DraftTemplate("t", "milestone", "{summary} and {unknown_slot}")
+        template = DraftTemplate("t", "{summary} and {unknown_slot}")
         summary = redact("great week", TOKEN)
         with pytest.raises(ValidationError):
-            generate_draft(summary, make_context(), template, **STAMP)
+            generate_draft(summary, make_context(), 0, template, **STAMP)
 
     def test_deterministic_rendering(self):
         summary = redact("missed 3 recent check-ins", TOKEN)
         template = default_templates()["reengage-streak"]
-        a = generate_draft(summary, make_context(streak=3), template, **STAMP)
-        b = generate_draft(summary, make_context(streak=3), template, **STAMP)
+        a = generate_draft(summary, make_context(streak=3), 0, template, **STAMP)
+        b = generate_draft(summary, make_context(streak=3), 0, template, **STAMP)
         assert a.rendered_text == b.rendered_text
         assert (a.draft_id, a.created_at) == (STAMP["draft_id"], STAMP["created_at"])
 
@@ -163,8 +174,8 @@ class TestLeakChecksThroughOneMemo:
         template = default_templates()["reengage-streak"]
         for _ in range(uses):
             with pytest.raises(LeakageError):
-                generate_draft(poisoned, make_context(), template, rules=memo.rules, memo=memo, **STAMP)
-            assert generate_draft(clean, make_context(), template, rules=memo.rules, memo=memo, **STAMP)
+                generate_draft(poisoned, make_context(), 0, template, rules=memo.rules, memo=memo, **STAMP)
+            assert generate_draft(clean, make_context(), 0, template, rules=memo.rules, memo=memo, **STAMP)
 
     @settings(max_examples=50, deadline=None)
     @given(text=_LEAKY_TEXTS, uses=st.integers(1, 4))
@@ -172,7 +183,7 @@ class TestLeakChecksThroughOneMemo:
         memo = ScanMemo(default_rules())
         summary = redact("missed 4 recent check-ins", TOKEN, memo.rules, memo=memo)
         draft = generate_draft(
-            summary, make_context(streak=4), default_templates()["reengage-streak"], **STAMP
+            summary, make_context(streak=4), 0, default_templates()["reengage-streak"], **STAMP
         )
         for _ in range(uses):
             with pytest.raises(LeakageError):
@@ -186,7 +197,7 @@ class TestReview:
     def _pending(self):
         summary = redact("missed 4 recent check-ins", TOKEN)
         return generate_draft(
-            summary, make_context(streak=4), default_templates()["reengage-streak"], **STAMP
+            summary, make_context(streak=4), 0, default_templates()["reengage-streak"], **STAMP
         )
 
     def test_approve(self):
@@ -234,7 +245,7 @@ class TestReview:
         summary = redact("missed 4 recent check-ins", TOKEN)
         with pytest.raises(ValidationError, match="RuleSet"):
             generate_draft(
-                summary, make_context(), default_templates()["reengage-streak"],
+                summary, make_context(), 0, default_templates()["reengage-streak"],
                 rules=form(default_rules()), **STAMP,
             )
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import ENC_KEY_HEX, TOKEN_KEY_HEX, write_rules
 
-from prism.assignment import PolicyConfig
+from prism.assignment import _POLICY_BOUNDS, PolicyConfig
 from prism.assistant import DRAFT_STATUSES
 from prism.cli import main
 from prism.errors import ValidationError
@@ -526,6 +526,75 @@ class TestAnyScenario:
             assert metrics["decisions"] == 0 and metrics["assistant"]["drafts"] == 0
             if doc["message_prob"] == 0.0:
                 assert metrics["leak"]["n_samples"] == 0
+
+
+_CONFIG_FIELDS = (*sorted(_POLICY_BOUNDS), "dwell", "oscillation", "w_pre", "w_post", "engagement_alphas")
+
+
+@st.composite
+def _configs(draw):
+    """A ``--config`` for ``SCENARIO`` with every value inside or on the
+    rules ``PolicyConfig`` and the alpha check state, except, about half
+    the time, one value just outside them; and whether it is accepted."""
+    broken = draw(st.none() | st.sampled_from(_CONFIG_FIELDS))
+
+    def pick(name, valid, invalid):
+        return draw(invalid if name == broken else valid)
+
+    policy = {}
+    for name, (low, high) in sorted(_POLICY_BOUNDS.items()):
+        if name == broken or draw(st.booleans()):
+            inside = st.floats(math.log10(max(low, 1e-4)), math.log10(high)).map(lambda e: 10.0**e)
+            outside = [math.nextafter(low, -math.inf), math.nextafter(high, math.inf)]
+            policy[name] = pick(name, st.sampled_from([low, high]) | inside, st.sampled_from(outside))
+    horizon = SCENARIO["horizon_weeks"]
+    dwell = pick("dwell", st.sampled_from([0, 1, 4, horizon + 1]), st.just(-1))
+    # The oscillation horizon equal to the dwell, above it or one under it.
+    oscillation = dwell + pick("oscillation", st.sampled_from([0, 1, horizon]), st.just(-1))
+    policy.update(dwell=dwell, oscillation=oscillation)
+    # Reward windows of one week or more, longer than the horizon among
+    # them, or of none.
+    for name in ("w_pre", "w_post"):
+        policy[name] = pick(name, st.sampled_from([1, 4, horizon + 1, 2 * horizon]), st.just(0))
+    doc = {"policy": policy}
+    if broken == "engagement_alphas" or draw(st.booleans()):
+        weights = draw(st.lists(st.floats(0.05, 1.0), min_size=5, max_size=5))
+        alphas = [w / sum(weights) for w in weights]
+        # Normalized weights sum to 1 within a few ulps; a miss leaves it.
+        alphas[0] += pick("engagement_alphas", st.just(0.0), st.sampled_from([1e-9, -1e-9, 0.1]))
+        doc["engagement_alphas"] = alphas
+    return doc, broken is None
+
+
+class TestAnyConfig:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(drawn=_configs())
+    def test_runs_or_exits_one_before_any_week(self, keys_env, scenario_file, capsys, tmp_path, drawn):
+        # Accepted: exit 0 with no violation, no leak and no float overflow
+        # or invalid operation. Rejected: exit 1 with one error line, before
+        # any week runs and before the run directory exists.
+        doc, ok = drawn
+        path, out = tmp_path / "config.json", tmp_path / "run"
+        shutil.rmtree(out, ignore_errors=True)
+        path.write_text(json.dumps(doc))
+        with (
+            mock.patch.object(experiment, "step_week", wraps=experiment.step_week) as weeks,
+            np.errstate(over="raise", invalid="raise"),
+        ):
+            code, _, stderr = run_cli(
+                capsys, "simulate", "--scenario", scenario_file, "--out", str(out),
+                "--config", str(path),
+            )
+        event(f"exit {code}")
+        assert code == (0 if ok else 1), stderr
+        if not ok:
+            assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+            assert weeks.call_count == 0 and not out.exists()
+            return
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["violations"] == 0
+        assert metrics["leak"]["n_hits"] == 0 and metrics["leak"]["leak_rate"] == 0.0
+        assert metrics["decisions"] == SCENARIO["n_users"] * (SCENARIO["horizon_weeks"] - SCENARIO["w_pre"])
 
 
 def test_cli_import_leaves_out_the_process_pool():

@@ -3,13 +3,9 @@ and freely parallel pure operations."""
 
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
-from conftest import goal_onehot
-
 from prism.assistant import default_templates, generate_draft, review
 from prism.errors import StateError
-from prism.features import LearningContext
+from prism.features import ContextBatch
 from prism.redaction import redact
 from prism.vault import (
     RestorationRequest,
@@ -55,17 +51,12 @@ def test_parallel_restorations_fully_audited(keys):
 
 def test_concurrent_review_first_decision_wins():
     token = UserToken("ee" * 32)
-    context = LearningContext(
-        user_token=token,
-        epoch=9,
-        numeric_features=np.zeros(5),
-        categorical_features=goal_onehot("fitness"),
-        missed_checkin_streak=5,
-        engagement_slope=0.0,
+    contexts = ContextBatch(
+        user_tokens=[token], epoch=9, numeric=[[0.0] * 5], goal=[3], streak=[5], slope=[0.0]
     )
     summary = redact("missed 5 recent check-ins", token)
     draft = generate_draft(
-        summary, context, default_templates()["reengage-streak"],
+        summary, contexts, 0, default_templates()["reengage-streak"],
         draft_id="d-1", created_at="2025-03-10T00:00:00.000000+00:00",
     )
 

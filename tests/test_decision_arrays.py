@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     UserEvents,
+    context_row,
     decode_trace_line,
     legend_of,
     make_roster,
@@ -56,7 +57,6 @@ from prism.errors import ConstraintViolationError, ValidationError
 from prism.features import (
     ContextBatch,
     EngagementWeights,
-    LearningContext,
     NormalizationWindow,
     build_context,
     engagement_scores,
@@ -216,10 +216,11 @@ def test_joint_feature_rows_match_per_candidate_map(world, seed, data):
         )
         phi = joint_features(tables, user, roster, rows)
         assert phi.shape == (rows.size, FEATURE_DIM)
-        assert phi.tobytes() == reference_joint_features(contexts[user], roster, rows, engagement).tobytes()
+        context = context_row(contexts, user)
+        assert phi.tobytes() == reference_joint_features(context, roster, rows, engagement).tobytes()
         for i, row in enumerate(rows.tolist()):
             expected = reference_features(
-                contexts[user],
+                context,
                 groups[roster.group_ids[row]][2],
                 roster.count[row] / roster.capacity[row],
                 0.5 if engagement is None else engagement[row],
@@ -451,19 +452,18 @@ def test_batch_contexts_match_per_user_reference(cohort):
         user_tokens=tokens, goals=goals, epoch=epoch, window=window,
     )
     assert len(batch) == len(tokens)
+    assert (batch.streak.dtype, batch.slope.dtype) == (np.int64, np.float64)
     for u, token in enumerate(tokens):
         events = UserEvents(checkins[u], counts[u], int(first_day[u]))
         expected = reference_context(
             events, scores[u], user_token=token, epoch=epoch,
             goal=GOAL_CATEGORIES[goals[u]], window=window,
         )
-        context = batch[u]
+        context = context_row(batch, u)
         assert context.user_token == token and context.epoch == epoch
         assert bits(context.numeric_features) == bits(expected.numeric_features)
         assert bits(context.categorical_features) == bits(expected.categorical_features)
-        assert type(context.missed_checkin_streak) is int
         assert context.missed_checkin_streak == expected.missed_checkin_streak
-        assert type(context.engagement_slope) is float
         assert bits(context.engagement_slope) == bits(expected.engagement_slope)
 
 
@@ -492,15 +492,9 @@ def test_batch_rejects_every_value_a_context_rejects(field, value):
     batch[field][1] = value
     with pytest.raises(ValidationError):
         ContextBatch(**batch)
+    # The bad row alone, as a one-row batch.
     with pytest.raises(ValidationError):
-        LearningContext(
-            user_token=batch["user_tokens"][1],
-            epoch=3,
-            numeric_features=batch["numeric"][1],
-            categorical_features=np.eye(len(GOAL_CATEGORIES))[3],
-            missed_checkin_streak=int(batch["streak"][1]),
-            engagement_slope=-0.1,
-        )
+        ContextBatch(**{name: rows if name == "epoch" else rows[1:] for name, rows in batch.items()})
 
 
 @pytest.mark.parametrize(

@@ -4,15 +4,15 @@ engagement scores, the engagement index, and context assembly."""
 import numpy as np
 import pytest
 
-from conftest import empty_events, goal_onehot
+from conftest import context_row, empty_events, goal_onehot
 
 from prism.errors import ValidationError
 from prism.features import (
     ACTION_TYPES,
     DEFAULT_ACTION_WEIGHTS,
     GOAL_CATEGORIES,
+    ContextBatch,
     EngagementWeights,
-    LearningContext,
     NormalizationWindow,
     adherence,
     build_context,
@@ -43,7 +43,7 @@ def context_of(events, *, epoch, goal, window, weights):
         epoch=epoch,
         window=window,
     )
-    return batch[0]
+    return context_row(batch, 0)
 
 
 class TestNormalize:
@@ -302,33 +302,28 @@ class TestBuildContext:
 
 
 class TestLearningContextBoundary:
+    """The Learning view's constructor is ``ContextBatch``'s: a token plus
+    derived numbers, numerics already normalized into [0, 1]."""
+
+    @staticmethod
+    def batch(**fields):
+        values = dict(
+            user_tokens=[TOKEN], epoch=1, numeric=np.zeros((1, 2)),
+            goal=[GOAL_CATEGORIES.index("fitness")], streak=[0], slope=[0.0],
+        )
+        return ContextBatch(**dict(values, **fields))
+
     def test_numeric_range_enforced(self):
+        self.batch()
         with pytest.raises(ValidationError):
-            LearningContext(
-                user_token=TOKEN,
-                epoch=1,
-                numeric_features=np.array([1.4]),
-                categorical_features=goal_onehot("fitness"),
-                missed_checkin_streak=0,
-                engagement_slope=0.0,
-            )
+            self.batch(numeric=np.array([[1.4]]))
 
     def test_token_type_enforced(self):
         with pytest.raises(ValidationError):
-            LearningContext(
-                user_token="raw-string",  # type: ignore[arg-type]
-                epoch=1,
-                numeric_features=np.zeros(2),
-                categorical_features=goal_onehot("fitness"),
-                missed_checkin_streak=0,
-                engagement_slope=0.0,
-            )
+            self.batch(user_tokens=["raw-string"])
 
     def test_no_identity_fields_exist(self):
         from dataclasses import fields
 
-        names = {f.name for f in fields(LearningContext)}
-        assert names == {
-            "user_token", "epoch", "numeric_features", "categorical_features",
-            "missed_checkin_streak", "engagement_slope",
-        }
+        names = {f.name for f in fields(ContextBatch)}
+        assert names == {"user_tokens", "epoch", "numeric", "goal", "streak", "slope"}

@@ -26,9 +26,12 @@ parameter of its constructor and is scanned too, except in a subclass of
 Every public field of a class under ``src/prism`` must be read as an
 attribute (``.name`` in a load) by program code. A field is a dataclass
 field or an attribute that ``__init__`` sets on ``self``. A store is not
-a read, so state that is written and never read is caught. Subclasses of
-``Record`` are left out, since they are serialized field by field, and
-so are NamedTuples, which are read by unpacking.
+a read, so state that is written and never read is caught. Neither is a
+class's read of ``self.name`` in its own constructor (``__init__``,
+``__post_init__`` or ``__new__``), so state kept only to be checked
+there is caught too. Subclasses of ``Record`` are left out, since they
+are serialized field by field, and so are NamedTuples, which are read
+by unpacking.
 """
 
 import ast
@@ -297,11 +300,23 @@ def public_fields(source: str) -> list[str]:
     return found
 
 
+CONSTRUCTORS = ("__init__", "__post_init__", "__new__")
+
+
 def attribute_reads(source: str) -> set[str]:
-    """The names ``source`` reads as an attribute: ``.name`` in a load."""
+    """The names ``source`` reads as an attribute: ``.name`` in a load,
+    except ``self.name`` in a class's own constructor."""
+    tree = ast.parse(source)
+    own = {
+        id(node)
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for item in cls.body if isinstance(item, ast.FunctionDef) and item.name in CONSTRUCTORS
+        for node in ast.walk(item)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self"
+    }
     return {
-        node.attr for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in own
     }
 
 
@@ -341,6 +356,29 @@ def test_the_scan_finds_an_unread_field():
     assert fields == ["A.read", "A.spare", "B.read_too", "B.stored_only", "B.nested"]
     # A store, an augmented store, a bare name and a string are not reads.
     assert unread(fields, attribute_reads(source)) == ["A.spare", "B.stored_only"]
+
+
+def test_a_read_in_the_own_constructor_is_not_a_read():
+    source = (
+        "@dataclass\n"
+        "class A:\n"
+        "    checked: int\n"
+        "    used: int\n"
+        "    def __post_init__(self):\n"
+        "        if self.checked < 0 or self.used < 0: raise ValueError\n"
+        "class B:\n"
+        "    def __init__(self, other):\n"
+        "        self.kept = other.used\n"
+        "        self.copied = self.kept\n"
+        "    def __new__(cls, other):\n"
+        "        self = object.__new__(cls); self.copied; return self\n"
+        "    def later(self):\n"
+        "        return self.used\n"
+    )
+    fields = public_fields(source)
+    assert fields == ["A.checked", "A.used", "B.kept", "B.copied"]
+    # ``other.used`` in a constructor and ``self.used`` in a method read.
+    assert unread(fields, attribute_reads(source)) == ["A.checked", "B.kept", "B.copied"]
 
 
 def test_every_public_field_is_read():

@@ -475,7 +475,10 @@ class TestAsciiPlan:
         conditions = {c for needs in _PREFILTERS.values() for c in needs}
         assert conditions == set(_ASCII_TESTS)
         for rules in (default_rules(), name_rules(["Kate"], [])):
-            assert len(rules.ascii_plan[0]) == len(rules.regex_plan[0]) == len(rules.conditions)
+            # The distinct prefilter conditions of the rules, in first use.
+            distinct = tuple(dict.fromkeys(c for rule in rules for c in rule.prefilters))
+            assert rules.regex_plan[0] == tuple(c.search for c in distinct)
+            assert rules.ascii_plan[0] == tuple(_ASCII_TESTS[c] for c in distinct)
 
     def test_every_builtin_case_folding_pattern_has_a_twin(self):
         for rule in default_rules():
