@@ -107,4 +107,5 @@ rewards = phis @ np.array([0.5, -0.2, 0.1, 0.0, 0.3, 0.0, -0.1, 0.2]) + 0.05 * r
 for epoch_rows in np.array_split(np.arange(1000), 10):
     probe.update(phis[epoch_rows], rewards[epoch_rows])
 batch = np.linalg.solve(np.eye(8) + phis.T @ phis, phis.T @ rewards)
-print("\nten batch updates vs one-shot ridge, max abs gap:", float(np.max(np.abs(probe.means(np.eye(8)) - batch))))
+theta = np.linalg.solve(probe.A, probe.b)
+print("\nten batch updates vs one-shot ridge, max abs gap:", float(np.max(np.abs(theta - batch))))

@@ -7,11 +7,15 @@ groups and coaches: the roster takes the group and coach ids with their
 static arrays, orders their rows itself, and keeps every placement
 array. Scoring is linear-UCB over a single shared coefficient
 vector on a joint user-by-group feature map, with a stability penalty
-against reassignments inside the oscillation horizon. An epoch's users
-are decided in row order by :func:`decide_epoch`, in passes between
-moves; :func:`assign` is the per-user step and the reference a pass
-must equal. It returns its decision as a one-row pass, so both paths
-give one record, :class:`DecisionPass`. Rewards are within-user deltas
+against reassignments inside the oscillation horizon. The model scores
+through :class:`UcbTerms`, its mean and width factored once per epoch
+into a part per user row, a part per (goal, group row) and terms in the
+group's fill ratio, so a scored pair costs a few elementwise operations
+and only a chosen pair's feature row is built. An epoch's users are
+decided in row order by :func:`decide_epoch`, in passes between moves;
+:func:`assign` is the per-user step and the reference a pass must
+equal. It returns its decision as a one-row pass, so both paths give
+one record, :class:`DecisionPass`. Rewards are within-user deltas
 against the fixed pre-assignment baseline window and arrive after the
 evaluation window, so the caller queues each epoch's decisions and
 feeds the model one batch per epoch once they mature.
@@ -235,8 +239,26 @@ _USER_BLOCK = N_NUMERIC + len(GOAL_CATEGORIES) + 2
 _GROUP_BLOCK = 2 + len(GOAL_CATEGORIES)
 FEATURE_DIM = _USER_BLOCK + _GROUP_BLOCK + len(GOAL_CATEGORIES)
 
+# Columns of the group part, the rest of a joint row after the user block.
+_ENGAGEMENT, _FILL = 0, 1
+_FILL_RATIO = _USER_BLOCK + _FILL
 
-_FILL_RATIO = _USER_BLOCK + 1
+
+def _goal_part() -> np.ndarray:
+    """``[goal, group goal]``: the group part of a row for a user with goal
+    index ``goal`` in a group with goal index ``group goal``, with its
+    engagement and fill columns at 0. That leaves the group goal one-hot
+    and the goal interaction, the elementwise product of the user and
+    group goal one-hots, so goal agreement is directly learnable."""
+    onehots = np.eye(len(GOAL_CATEGORIES))
+    part = np.zeros((len(GOAL_CATEGORIES), len(GOAL_CATEGORIES), FEATURE_DIM - _USER_BLOCK))
+    part[:, :, 2:_GROUP_BLOCK] = onehots
+    part[:, :, _GROUP_BLOCK:] = onehots[:, None, :] * onehots
+    part.flags.writeable = False
+    return part
+
+
+_GOAL_PART = _goal_part()
 
 
 class FeatureTables(NamedTuple):
@@ -246,15 +268,16 @@ class FeatureTables(NamedTuple):
     features, the goal one-hot, the capped missed-check-in streak and the
     clipped engagement slope. ``goal`` is each user row's goal index.
     ``group_block[goal, group row]`` is the rest of a row for a user with
-    that goal: the group aggregates (last week's member engagement,
-    clipped to [0, 1], and the fill ratio, left at 0 here), the group goal
-    one-hot, and the goal interaction, the elementwise product of the user
-    and group goal one-hots, so goal agreement is directly learnable.
+    that goal, with the fill ratio at 0: last week's member engagement,
+    clipped to [0, 1], in the engagement column, and the ``_GOAL_PART`` of
+    the two goals. ``group_goal`` is each group row's goal index, the
+    roster's ``goal_index``.
     """
 
     user_block: np.ndarray
     goal: np.ndarray
     group_block: np.ndarray
+    group_goal: np.ndarray
 
 
 def feature_tables(
@@ -270,23 +293,32 @@ def feature_tables(
         raise ValidationError(
             "feature tables need one context per roster user, in roster row order"
         )
-    onehots = np.eye(len(GOAL_CATEGORIES))
     user_block = np.column_stack(
         [
             contexts.numeric,
-            onehots[contexts.goal],
+            np.eye(len(GOAL_CATEGORIES))[contexts.goal],
             np.minimum(contexts.streak, _STREAK_CAP_DAYS) / _STREAK_CAP_DAYS,
             np.clip(contexts.slope, -1.0, 1.0),
         ]
     )
     n_groups = len(roster.group_ids)
     engagement = np.full(n_groups, 0.5) if group_engagement is None else group_engagement
-    group_goal = onehots[roster.goal_index]
-    group_block = np.zeros((len(GOAL_CATEGORIES), n_groups, FEATURE_DIM - _USER_BLOCK))
-    group_block[:, :, 0] = np.clip(engagement, 0.0, 1.0)
-    group_block[:, :, 2:_GROUP_BLOCK] = group_goal
-    group_block[:, :, _GROUP_BLOCK:] = onehots[:, None, :] * group_goal
-    return FeatureTables(user_block, contexts.goal, group_block)
+    group_block = _GOAL_PART[:, roster.goal_index]
+    group_block[:, :, _ENGAGEMENT] = np.clip(engagement, 0.0, 1.0)
+    return FeatureTables(user_block, contexts.goal, group_block, roster.goal_index)
+
+
+def _feature_rows(
+    tables: FeatureTables, users: np.ndarray, groups: np.ndarray, fill: np.ndarray
+) -> np.ndarray:
+    """The joint feature rows of the pairs of user rows ``users`` (or one
+    user row for every pair) and group rows ``groups``, at the fill ratios
+    ``fill`` of every group row."""
+    phi = np.empty((groups.size, FEATURE_DIM))
+    phi[:, :_USER_BLOCK] = tables.user_block[users]
+    phi[:, _USER_BLOCK:] = tables.group_block[tables.goal[users], groups]
+    phi[:, _FILL_RATIO] = fill[groups]
+    return phi
 
 
 def joint_features(
@@ -295,11 +327,7 @@ def joint_features(
     """The joint feature rows of user row ``user`` and each group row in
     ``rows``, as a (k, FEATURE_DIM) matrix: the user's block, the group
     part for the user's goal, and each group's current fill ratio."""
-    phi = np.empty((rows.size, FEATURE_DIM))
-    phi[:, :_USER_BLOCK] = tables.user_block[user]
-    phi[:, _USER_BLOCK:] = tables.group_block[tables.goal[user], rows]
-    phi[:, _FILL_RATIO] = roster.fill[rows]
-    return phi
+    return _feature_rows(tables, user, rows, roster.fill)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +340,10 @@ class BanditModel:
 
     State is the ridge-initialized design accumulator ``A`` and response
     vector ``b``. Each :meth:`update` adds a batch of observations and
-    re-solves the coefficients through one exact inverse of ``A``.
+    re-solves the coefficients through one exact inverse of ``A``. The
+    model scores through :meth:`terms`, the factored UCB terms of an
+    epoch's feature tables, which it keeps until the next update, the
+    next tables or :meth:`drop_terms`.
     """
 
     def __init__(self, dim: int = FEATURE_DIM, ridge: float = 1.0) -> None:
@@ -324,24 +355,19 @@ class BanditModel:
         self.b = np.zeros(dim)
         self._a_inv = np.eye(dim) / ridge
         self._theta = np.zeros(dim)
+        self._terms: Optional[UcbTerms] = None
 
-    # Both use einsum without its optimizer, which computes every output
-    # element by the same loop over the summed index: a BLAS product would
-    # block the rows and give identical rows different values, breaking
-    # exact ties.
-    def means(self, phi: np.ndarray) -> np.ndarray:
-        """Mean estimate theta^T phi of each row of ``phi``."""
-        return np.einsum("ij,j->i", phi, self._theta)
+    def terms(self, tables: FeatureTables) -> UcbTerms:
+        """The factored UCB terms of the current model over ``tables``."""
+        if self.dim != FEATURE_DIM:
+            raise InternalError(f"the feature map has dim {FEATURE_DIM}, the model expects {self.dim}")
+        if self._terms is None or self._terms.tables is not tables:
+            self._terms = UcbTerms(self._theta, self._a_inv, tables)
+        return self._terms
 
-    def widths(self, phi: np.ndarray) -> np.ndarray:
-        """Ellipsoidal confidence width sqrt(phi^T A^-1 phi) of each row of ``phi``.
-
-        ``phi A^-1`` first, then a row-wise dot with ``phi``: a single
-        three-operand einsum does the same O(k d^2) work several times
-        slower.
-        """
-        quad = np.einsum("ik,ik->i", np.einsum("ij,jk->ik", phi, self._a_inv), phi)
-        return np.sqrt(np.maximum(0.0, quad))
+    def drop_terms(self) -> None:
+        """Free the kept terms, and the tables they hold, once an epoch is decided."""
+        self._terms = None
 
     def update(self, phi: np.ndarray, rewards: np.ndarray) -> None:
         """Add the observations of a (m, dim) batch ``phi`` with their (m,)
@@ -368,6 +394,117 @@ class BanditModel:
         if not all(np.all(np.isfinite(x)) for x in (A, b, a_inv, theta)):
             raise ValidationError("update would leave the model non-finite")
         self.A, self.b, self._a_inv, self._theta = A, b, a_inv, theta
+        self.drop_terms()
+
+
+# User rows whose bases UcbTerms.row builds at once, against every group
+# row. Per-user steps come in stretches between passes; a window serves a
+# stretch, so a row pays about 1/64 of a window and reads its bases.
+_WINDOW_ROWS = 64
+
+
+class UcbTerms:
+    """The UCB terms of one model over one epoch's feature tables, factored
+    into a part per user row, a part per (goal, group row) and terms in
+    the group's fill ratio, which alone changes within an epoch.
+
+    Split a joint row into its user block ``u`` and its group part ``s +
+    f e_fill``, where ``s`` is the static group part and ``f`` the fill
+    ratio, and let ``S`` be the symmetric part of ``A^-1`` (its quadratic
+    form is that of ``A^-1``). Then ``mu = theta^T phi`` and ``sigma^2 =
+    phi^T S phi`` are, for user row ``r`` with goal ``k`` and group row
+    ``g`` with goal ``j``::
+
+        mu      = (user_mu[r] + group_mu[k, g]) + f * theta_fill
+        sigma^2 = ((user_q[r] + group_q[k, g])
+                   + 2 * (user_engagement[r] * engagement[g] + user_goal[r, j]))
+                  + f * ((user_fill[r] + group_fill[k, g]) + f * a_inv_fill)
+
+    with ``user_mu = u.theta_u``, ``user_q = u^T S_uu u``, ``x = u S_ug``
+    (``user_engagement`` its engagement entry, ``user_fill`` twice its fill
+    entry, ``user_goal[r, j]`` its dot with the goal part of ``(k, j)``),
+    ``group_mu = s.theta_g``, ``group_q = s^T S_gg s`` and ``group_fill``
+    twice the fill entry of ``S_gg s``. Each is an einsum computed once per
+    epoch. A pair then costs a few elementwise operations, not the
+    ``O(d^2)`` of ``phi^T A^-1 phi``.
+
+    A pass takes the terms of its scored pairs through :meth:`pairs`. The
+    per-user step takes its row's through :meth:`row`, which reads the
+    three bracketed sums, the bases, from a window of user rows built at
+    once against every group row. Both compute the bases through one
+    method and apply the fill ratio through another, and every operation
+    after the einsums is elementwise, so a pair gets the same bits on
+    either path. The einsums compute every output element by the same
+    loop over the summed index, so identical user rows get identical
+    terms, as do identical group parts at equal fill ratios: exact ties
+    reach the tie-break.
+    """
+
+    def __init__(self, theta: np.ndarray, a_inv: np.ndarray, tables: FeatureTables) -> None:
+        self.tables = tables
+        sym = (a_inv + a_inv.T) / 2
+        users = tables.user_block
+        u, g = slice(None, _USER_BLOCK), slice(_USER_BLOCK, None)
+        # Without the einsum optimizer; see the class docstring.
+        user_inv = np.einsum("ij,jk->ik", users, sym[u])
+        cross = user_inv[:, g]
+        self.user_mu = np.einsum("ij,j->i", users, theta[u])
+        self.user_q = np.einsum("ik,ik->i", user_inv[:, u], users)
+        self.user_engagement = cross[:, _ENGAGEMENT].copy()
+        self.user_fill = 2 * cross[:, _FILL]
+        self.user_goal = np.empty((len(users), len(GOAL_CATEGORIES)))
+        for goal, part in enumerate(_GOAL_PART):
+            mine = tables.goal == goal
+            self.user_goal[mine] = np.einsum("ik,jk->ij", cross[mine], part)
+        static = tables.group_block
+        static_inv = np.einsum("kgi,ij->kgj", static, sym[g, g])
+        self.group_mu = np.einsum("kgi,i->kg", static, theta[g])
+        self.group_q = np.einsum("kgi,kgi->kg", static_inv, static)
+        self.group_fill = 2 * static_inv[:, :, _FILL]
+        self.engagement = static[0, :, _ENGAGEMENT].copy()
+        self.theta_fill = theta[_FILL_RATIO]
+        self.a_inv_fill = sym[_FILL_RATIO, _FILL_RATIO]
+        self._window = (0, 0, None)
+
+    def _bases(self, users: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The three bracketed sums of the pairs of user rows ``users`` and
+        group rows ``groups``, whose shapes broadcast."""
+        goal = self.tables.goal[users]
+        cross = self.user_engagement[users] * self.engagement[groups]
+        cross = cross + self.user_goal[users, self.tables.group_goal[groups]]
+        return (
+            self.user_mu[users] + self.group_mu[goal, groups],
+            (self.user_q[users] + self.group_q[goal, groups]) + 2 * cross,
+            self.user_fill[users] + self.group_fill[goal, groups],
+        )
+
+    def _at_fill(
+        self, mu: np.ndarray, q: np.ndarray, linear: np.ndarray, fill: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``mu`` and ``sigma`` from the bases of pairs at fill ratios ``fill``."""
+        sigma = np.sqrt(np.maximum(0.0, q + fill * (linear + fill * self.a_inv_fill)))
+        return mu + fill * self.theta_fill, sigma
+
+    def pairs(
+        self, users: np.ndarray, groups: np.ndarray, fill: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``mu`` and ``sigma`` of the pairs of user rows ``users`` and group
+        rows ``groups``, at the fill ratios ``fill`` of every group row."""
+        return self._at_fill(*self._bases(users, groups), fill[groups])
+
+    def row(
+        self, user: int, groups: np.ndarray, fill: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`pairs` of user row ``user`` and each of ``groups``, read
+        from the bases of a window of user rows from ``user`` on, against
+        every group row: one window serves the per-user steps that follow."""
+        first, last, bases = self._window
+        if not first <= user < last:
+            first, last = user, min(user + _WINDOW_ROWS, len(self.user_mu))
+            every_group = np.arange(len(self.engagement))
+            bases = np.stack(self._bases(np.arange(first, last)[:, None], every_group))
+            self._window = (first, last, bases)
+        return self._at_fill(*bases[:, user - first, groups], fill[groups])
 
 
 # ---------------------------------------------------------------------------
@@ -500,20 +637,15 @@ def score_and_select(
     break to the lowest current load, then lexicographic group id.
     Returns the index of the chosen candidate, the UCB terms in candidate
     order, and the chosen row's features as scored. ``tables`` are the
-    epoch's :func:`feature_tables`.
+    epoch's :func:`feature_tables`, and the terms are the model's
+    :class:`UcbTerms` over them, so only the chosen row is built.
     """
     rows = np.asarray(candidates, dtype=np.int64)
     if rows.size == 0:
         raise ValidationError("score_and_select requires a non-empty candidate set")
-    phi = joint_features(tables, user, roster, rows)
-    if phi.shape != (rows.size, model.dim):
-        raise InternalError(f"feature map produced shape {phi.shape}, model expects dim {model.dim}")
+    mu, sigma = model.terms(tables).row(user, rows, roster.fill)
     current = roster.group_of[user]
     may_churn = current >= 0 and (epoch - roster.last_change[user]) < config.oscillation
-    # Each term is one per-row einsum pass, so identical rows get identical
-    # terms and exact ties reach the tie-break below.
-    mu = model.means(phi)
-    sigma = model.widths(phi)
     if may_churn:
         penalty = (rows != current).astype(np.int64)
     else:
@@ -522,7 +654,8 @@ def score_and_select(
     # Least significant key first; group rows are in group-id order. A
     # dwell-locked user has one candidate and needs no sort.
     best = 0 if rows.size == 1 else int(np.lexsort((rows, roster.count[rows], -score))[0])
-    return best, CandidateScores(mu, sigma, penalty), phi[best]
+    phi = joint_features(tables, user, roster, rows[best : best + 1])
+    return best, CandidateScores(mu, sigma, penalty), phi[0]
 
 
 # ---------------------------------------------------------------------------
@@ -654,14 +787,17 @@ def assign(
 # ---------------------------------------------------------------------------
 
 # The most user rows one pass decides. A pass holds a row of codes per
-# user and group and a feature row per feasible pair, and every row after
+# user and group and the terms of each feasible pair, and every row after
 # the pass's first move is decided again, so larger passes cost memory
 # and, in epochs with many moves, wasted work.
 _MAX_PASS_ROWS = 128
-# A pass costs about two per-user steps plus up to a sixth of one per
-# row (24 to 96 groups), and keeps about two thirds of a window sized to
-# the mean stretch between moves; below 8 rows one at a time costs no
-# more.
+# A pass costs about 2.4 per-user steps, plus 1/70 (24 groups) to 1/11
+# (384 groups) of one per row it scores. A window sized to the mean
+# stretch between moves keeps, on average, fewer rows than it scores, so
+# a pass pays off from a stretch of about 4 rows. Whole move-dense
+# epochs decided with a lower bound of 4 to 16 rows, and an upper one of
+# 64 to 256, came out within their run-to-run spread of each other, so
+# the bounds keep the margin of 8.
 _MIN_PASS_ROWS = 8
 
 
@@ -688,7 +824,8 @@ def decide_epoch(
     between the epoch's moves so far, up to ``_MAX_PASS_ROWS`` rows. When
     that is under ``_MIN_PASS_ROWS`` rows, the rows are decided one at a
     time by ``step``, :func:`assign` or the caller's own reference to it,
-    and each yields its one-row pass.
+    and each yields its one-row pass. Once every row is decided, the
+    model drops its terms of ``tables``.
     """
     if model.dim != FEATURE_DIM:
         raise InternalError(f"the feature map has dim {FEATURE_DIM}, the model expects {model.dim}")
@@ -716,6 +853,7 @@ def decide_epoch(
             yield decision
             if user == n_users or (user >= _MIN_PASS_ROWS * moves and n_users - user >= _MIN_PASS_ROWS):
                 break
+    model.drop_terms()
 
 
 def _decide_pass(
@@ -731,8 +869,9 @@ def _decide_pass(
     roster, keep the decisions up to and including the first move, and
     apply that move. Every term is the one :func:`assign` computes for
     the same row and roster: the codes of :func:`feasibility_report`, the
-    rows of :func:`joint_features`, the same row-wise ``means`` and
-    ``widths``, and the tie-break of :func:`score_and_select`."""
+    ``mu`` and ``sigma`` the model's :class:`UcbTerms` give, the tie-break
+    of :func:`score_and_select` and the chosen rows of
+    :func:`joint_features`."""
     stop = start + rows
     current = roster.group_of[start:stop]
     since_change = epoch - roster.last_change[start:stop]
@@ -758,12 +897,7 @@ def _decide_pass(
     per_row = np.bincount(pair_row, minlength=rows)
     bounds = np.zeros(rows + 1, dtype=np.int64)
     np.cumsum(per_row, out=bounds[1:])
-    phi = np.empty((pair_row.size, FEATURE_DIM))
-    phi[:, :_USER_BLOCK] = tables.user_block[start:stop][pair_row]
-    phi[:, _USER_BLOCK:] = tables.group_block[goal[pair_row], pair_group]
-    phi[:, _FILL_RATIO] = roster.fill[pair_group]
-    mu = model.means(phi)
-    sigma = model.widths(phi)
+    mu, sigma = model.terms(tables).pairs(start + pair_row, pair_group, roster.fill)
     may_churn = placed & (since_change < config.oscillation)
     penalty = ((pair_group != current[pair_row]) & may_churn[pair_row]).astype(np.int64)
     score = ucb_score(mu, sigma, penalty, config.beta, config.lam)
@@ -783,10 +917,13 @@ def _decide_pass(
 
     moves = np.flatnonzero(chosen != current)
     kept = int(moves[0]) + 1 if moves.size else rows
-    if moves.size:
-        roster.move(start + kept - 1, int(chosen[kept - 1]), epoch, config.dwell)
     n_kept_scored = int(np.searchsorted(scored, kept))
     best = best[:n_kept_scored]
+    users = start + scored[:n_kept_scored]
+    # The chosen rows as scored, before the move changes a fill ratio.
+    phi = _feature_rows(tables, users, pair_group[best], roster.fill)
+    if moves.size:
+        roster.move(start + kept - 1, int(chosen[kept - 1]), epoch, config.dwell)
     pairs = bounds[kept]
     return DecisionPass(
         start=start,
@@ -795,7 +932,7 @@ def _decide_pass(
         changed=bool(moves.size),
         bounds=bounds[: kept + 1],
         scores=CandidateScores(mu[:pairs], sigma[:pairs], penalty[:pairs]),
-        users=start + scored[:n_kept_scored],
-        phi=phi[best],
+        users=users,
+        phi=phi,
         penalty=penalty[best],
     )

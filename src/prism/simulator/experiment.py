@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import json
 import os
+import secrets
+import shutil
 from binascii import Error as BinasciiError
 from binascii import a2b_base64, b2a_base64
 from dataclasses import dataclass, field
@@ -427,13 +429,16 @@ def run_experiment(
 
     The pre-period always runs under the initial static placement; the
     configured policy takes over at the intervention epoch. Writes the
-    run directory when ``out_dir`` is given.
+    run directory when ``out_dir`` is given: into a new directory beside
+    it, renamed to ``out_dir`` once the run has succeeded, so a run that
+    fails leaves no ``out_dir`` behind. An existing ``out_dir`` must be a
+    directory; it keeps any file the run does not write.
     """
     config = policy or PolicyConfig()
+    if out_dir and os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise ValidationError(f"run directory {out_dir} exists and is not a directory")
     world = generate_cohort(scenario, keys)
-
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+    staging = _staging_dir(out_dir) if out_dir else None
 
     drafts: list[Draft] = []
     counters = {
@@ -445,30 +450,55 @@ def run_experiment(
         "violations": 0,
     }
 
-    traces = open(os.path.join(out_dir, "traces.jsonl"), "w", encoding="utf-8") if out_dir else None
     try:
-        eng_weights = _run_epochs(world, config, traces, drafts, counters, engagement_alphas)
-    finally:
-        if traces is not None:
-            traces.close()
+        traces = open(os.path.join(staging, "traces.jsonl"), "w", encoding="utf-8") if staging else None
+        try:
+            eng_weights = _run_epochs(world, config, traces, drafts, counters, engagement_alphas)
+        finally:
+            if traces is not None:
+                traces.close()
 
-    report = _build_report(world, counters, drafts)
-    if out_dir:
-        manifest = RunManifest(
-            scenario=scenario.to_dict(),
-            policy=config.to_dict(),
-            engagement_alphas=[float(a) for a in eng_weights.alphas],
-            redaction_rules={
-                "count": len(world.rules),
-                "entity_types": sorted(r.entity_type for r in world.rules),
-            },
-            code_version=__version__,
-            seed=scenario.seed,
-            key_source=key_source,
-            group_ids=list(world.roster.group_ids),
-        )
-        _write_run_dir(out_dir, world, report, manifest, drafts)
+        report = _build_report(world, counters, drafts)
+        if staging:
+            manifest = RunManifest(
+                scenario=scenario.to_dict(),
+                policy=config.to_dict(),
+                engagement_alphas=[float(a) for a in eng_weights.alphas],
+                redaction_rules={
+                    "count": len(world.rules),
+                    "entity_types": sorted(r.entity_type for r in world.rules),
+                },
+                code_version=__version__,
+                seed=scenario.seed,
+                key_source=key_source,
+                group_ids=list(world.roster.group_ids),
+            )
+            _write_run_dir(staging, world, report, manifest, drafts)
+            _publish(staging, out_dir)
+    except BaseException:
+        if staging:
+            shutil.rmtree(staging, ignore_errors=True)
+        raise
     return report
+
+
+def _staging_dir(out_dir: str) -> str:
+    """A new, empty directory beside ``out_dir`` for a run to write into."""
+    parent, name = os.path.split(os.path.abspath(out_dir))
+    os.makedirs(parent, exist_ok=True)
+    staging = os.path.join(parent, f".{name}.{secrets.token_hex(8)}.partial")
+    os.mkdir(staging)
+    return staging
+
+
+def _publish(staging: str, out_dir: str) -> None:
+    """Move a finished run directory from ``staging`` to ``out_dir``."""
+    if not os.path.isdir(out_dir) or not os.listdir(out_dir):
+        os.replace(staging, out_dir)
+        return
+    for name in os.listdir(staging):
+        os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
+    os.rmdir(staging)
 
 
 def _run_epochs(

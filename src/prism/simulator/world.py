@@ -53,22 +53,27 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def poisson_from_uniform(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Inverse-CDF Poisson draw: one uniform per element, so stream
-    consumption never depends on the rate."""
-    lam = np.asarray(lam, dtype=float)
-    u = np.asarray(u, dtype=float)
+    consumption never depends on the rate.
+
+    Each step advances only the elements still undrawn, through the same
+    elementwise arithmetic, so a draw depends on its own uniform and rate
+    alone."""
+    u, lam = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(lam, dtype=float))
     k = np.zeros(lam.shape, dtype=np.int64)
     pmf = np.exp(-lam)
-    cdf = pmf.copy()
-    remaining = u > cdf
+    left = np.flatnonzero(u > pmf)
+    u, lam, pmf = u.ravel()[left], lam.ravel()[left], pmf.ravel()[left]
+    cdf = pmf
     step = 0
-    while remaining.any():
+    while left.size:
         step += 1
         if step > 1000:
             raise ValidationError("poisson rate too large for inverse-CDF draw")
-        pmf = np.where(remaining, pmf * lam / step, pmf)
-        cdf = np.where(remaining, cdf + pmf, cdf)
-        k = np.where(remaining, step, k)
-        remaining = u > cdf
+        pmf = pmf * lam / step
+        cdf = cdf + pmf
+        more = u > cdf
+        k.flat[left[~more]] = step
+        left, u, lam, pmf, cdf = left[more], u[more], lam[more], pmf[more], cdf[more]
     return k
 
 

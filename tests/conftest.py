@@ -283,9 +283,36 @@ def score_of(scores, policy) -> np.ndarray:
     return ucb_score(scores.mu, scores.sigma, scores.penalty, policy.beta, policy.lam)
 
 
-def reference_widths(model, phi) -> np.ndarray:
-    """Confidence widths from the single three-operand einsum."""
-    return np.sqrt(np.maximum(0.0, np.einsum("ij,jk,ik->i", phi, model._a_inv, phi)))
+def reference_terms(model, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's mean estimate ``theta^T phi`` and confidence width
+    ``sqrt(phi^T A^-1 phi)``, one per-pair einsum each over the whole row:
+    the unfactored reference for the model's ``UcbTerms``."""
+    mu = np.einsum("ij,j->i", phi, model._theta)
+    quad = np.einsum("ij,jk,ik->i", phi, model._a_inv, phi)
+    return mu, np.sqrt(np.maximum(0.0, quad))
+
+
+# Set from an error bound, not from measured gaps. A term is a float64
+# sum of at most 441 products (sigma^2 with d = 21), which the factored
+# terms and the reference each take in their own order. Each order is
+# within 441 roundings of 1.1e-16 of the exact sum, relative to the sum
+# of the products' magnitudes, so the two differ by at most about 1e-13
+# of that sum. 1e-12 of it leaves an order of magnitude to spare and
+# holds whatever the ridge, where a tolerance relative to sigma would
+# not: sigma^2 may cancel to far below its products.
+TERMS_TOL = 1e-12
+
+
+def assert_terms_close(model, phi, mu, sigma) -> None:
+    """``mu`` and ``sigma`` of the rows of ``phi`` equal :func:`reference_terms`
+    within ``TERMS_TOL`` of each term's sum of product magnitudes: ``|phi|
+    . |theta|`` for ``mu`` and ``|phi|^T |A^-1| |phi|`` for ``sigma^2``."""
+    want_mu, want_sigma = reference_terms(model, phi)
+    magnitude = np.abs(phi)
+    mu_scale = magnitude @ np.abs(model._theta)
+    quad_scale = np.einsum("ij,jk,ik->i", magnitude, np.abs(model._a_inv), magnitude)
+    assert np.all(np.abs(mu - want_mu) <= TERMS_TOL * mu_scale)
+    assert np.all(np.abs(sigma**2 - want_sigma**2) <= TERMS_TOL * quad_scale)
 
 
 def trace_dict(decided, epoch, roster, policy=PolicyConfig()) -> dict:
@@ -353,6 +380,27 @@ def decode_trace_line(line: str, legend: dict) -> dict:
         "chosen": doc["chosen"],
         "changed": doc["changed"],
     }
+
+
+def reference_poisson(u, lam) -> np.ndarray:
+    """The inverse-CDF Poisson draw over the whole array at every step: the
+    reference ``poisson_from_uniform`` must equal bit for bit."""
+    lam = np.asarray(lam, dtype=float)
+    u = np.asarray(u, dtype=float)
+    k = np.zeros(lam.shape, dtype=np.int64)
+    pmf = np.exp(-lam)
+    cdf = pmf.copy()
+    remaining = u > cdf
+    step = 0
+    while remaining.any():
+        step += 1
+        if step > 1000:
+            raise ValidationError("poisson rate too large for inverse-CDF draw")
+        pmf = np.where(remaining, pmf * lam / step, pmf)
+        cdf = np.where(remaining, cdf + pmf, cdf)
+        k = np.where(remaining, step, k)
+        remaining = u > cdf
+    return k
 
 
 # -- per-user references for the epoch-batched decision path ---------------------

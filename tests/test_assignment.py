@@ -7,19 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    assert_terms_close,
     decode_trace_line,
     empty_events,
     legend_of,
     make_roster,
     reference_full_for,
-    reference_widths,
+    reference_terms,
     score_of,
     solve_theta,
     tables_for,
     trace_dict,
 )
 
-import prism.assignment
 from prism.assignment import (
     CODE_CAPACITY,
     CODE_COACH_LOAD,
@@ -34,6 +34,7 @@ from prism.assignment import (
     compute_reward,
     feasibility_report,
     feature_tables,
+    joint_features,
     score_and_select,
 )
 from prism.errors import ConstraintViolationError, InternalError, ValidationError
@@ -178,95 +179,120 @@ class TestEligibility:
                 getattr(roster, name)[0] = 9
 
 
-def use_feature_map(monkeypatch, feature_map):
-    """Score with a toy map of the candidate rows in place of joint_features."""
-    monkeypatch.setattr(
-        prism.assignment, "joint_features", lambda tables, user, roster, rows: feature_map(rows)
+def random_tables(roster, rng, engagement=None):
+    """Feature tables with a drawn context per roster user."""
+    n = len(roster.user_tokens)
+    contexts = ContextBatch(
+        user_tokens=[UserToken(token) for token in roster.user_tokens],
+        epoch=8,
+        numeric=rng.random((n, N_NUMERIC)),
+        goal=rng.integers(0, len(GOAL_CATEGORIES), size=n),
+        streak=rng.integers(0, 30, size=n),
+        slope=rng.uniform(-2, 2, size=n),
     )
+    return feature_tables(contexts, roster, engagement)
+
+
+def seated_world(groups, seats):
+    """A roster of ``groups`` under one coach, with USER unplaced at row 0
+    and ``seats[g]`` members in group row ``g`` since epoch 0."""
+    tokens = [USER] + [f"{g:02x}{k:02x}" * 16 for g, n in enumerate(seats) for k in range(n)]
+    roster = make_roster(groups, {"c00": 500}, tokens)
+    row = 1
+    for g, n in enumerate(seats):
+        for _ in range(n):
+            roster.move(row, g, 0, dwell=0)
+            row += 1
+    return roster
 
 
 class TestScoring:
-    def test_cold_model_tie_breaks_to_lowest_load_then_id(self, monkeypatch):
-        roster = make_world(seats=[("m1", "g000", 0), ("m2", "g000", 0), ("m3", "g002", 0)])
+    def test_cold_model_tie_breaks_to_lowest_load_then_id(self):
+        # Every group is half full, with one goal and one engagement, so
+        # every pair has the same joint row and the same terms: the tie
+        # goes to the lowest member count, then the lowest group id.
+        groups = [
+            (gid, "c00", capacity, "fitness")
+            for gid, capacity in (("g000", 4), ("g001", 2), ("g002", 4), ("g003", 2))
+        ]
+        roster = seated_world(groups, (2, 1, 2, 1))
         model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
-        use_feature_map(monkeypatch, lambda r: np.ones((r.size, FEATURE_DIM)) / np.sqrt(FEATURE_DIM))
         best, scores, _ = score_and_select(
-            USER_ROW, np.arange(3), model, roster, epoch=8, config=CONFIG, tables=None
+            USER_ROW, np.arange(4), model, roster, epoch=8, config=CONFIG, tables=tables_for(roster)
         )
-        # equal unit-norm features -> equal scores -> lowest load wins
         assert roster.group_ids[best] == "g001"
-        assert len({round(score, 12) for score in score_of(scores, CONFIG).tolist()}) == 1
+        assert len(set(score_of(scores, CONFIG).tolist())) == 1
 
-    def test_pure_exploitation_with_zero_beta(self, monkeypatch):
-        model = BanditModel(dim=2, ridge=1.0)
-        model.update(np.array([[1.0, 0.0]]), np.array([1.0]))
+    def test_pure_exploitation_with_zero_beta(self):
+        # One reward of 1 on USER in g000 (engagement 1); g001 (engagement 0)
+        # has the larger width but the smaller mean.
         roster = make_world(n_groups=2)
-        config = PolicyConfig(beta=0.0)
-        # g000 -> [1, 0], g001 -> [0, 1]
-        use_feature_map(monkeypatch, lambda r: np.eye(2)[r])
-        best, _, _ = score_and_select(
-            USER_ROW, np.arange(2), model, roster, epoch=8, config=config, tables=None
-        )
-        assert roster.group_ids[best] == "g000"
+        tables = tables_for(roster, group_engagement=np.array([1.0, 0.0]))
+        model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
+        model.update(joint_features(tables, USER_ROW, roster, np.array([0])), np.array([1.0]))
+        for beta, chosen in ((0.0, "g000"), (1e3, "g001")):
+            best, scores, _ = score_and_select(
+                USER_ROW, np.arange(2), model, roster, epoch=8, config=PolicyConfig(beta=beta),
+                tables=tables,
+            )
+            assert roster.group_ids[best] == chosen
+        assert scores.mu[0] > scores.mu[1] and scores.sigma[0] < scores.sigma[1]
 
-    def test_one_dimensional_toy_example(self, monkeypatch):
-        # Joint map with disjoint per-group basis vectors; one update on g000.
-        model = BanditModel(dim=2, ridge=1.0)
-        model.update(np.array([[1.0, 0.0]]), np.array([1.0]))
+    def test_one_dimensional_toy_example(self):
+        # One observation phi0 with reward 1 on a unit ridge: by
+        # Sherman-Morrison, A^-1 = I - phi0 phi0^T / (1 + s) with s = |phi0|^2,
+        # so mu(phi) = phi.phi0 / (1 + s) and sigma(phi)^2 = |phi|^2 - (phi.phi0)^2 / (1 + s).
         roster = make_world(n_groups=2)
-        use_feature_map(monkeypatch, lambda r: np.eye(2)[r])
+        tables = tables_for(roster, group_engagement=np.array([1.0, 0.0]))
+        phi = joint_features(tables, USER_ROW, roster, np.arange(2))
+        model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
+        model.update(phi[:1], np.array([1.0]))
         config = PolicyConfig(beta=1.0, lam=0.0)
         best, scores, phi_chosen = score_and_select(
-            USER_ROW, np.arange(2), model, roster, epoch=8, config=config, tables=None,
+            USER_ROW, np.arange(2), model, roster, epoch=8, config=config, tables=tables
         )
-        score = score_of(scores, config)
-        g000, g001 = 0, 1  # candidate order is group-id order
-        assert scores.mu[g000] == pytest.approx(0.5)
-        assert scores.sigma[g000] == pytest.approx(1 / np.sqrt(2))
-        assert score[g000] == pytest.approx(1.2071067811865475)
-        assert scores.mu[g001] == pytest.approx(0.0)
-        assert scores.sigma[g001] == pytest.approx(1.0)
-        assert score[g001] == pytest.approx(1.0)
-        assert roster.group_ids[best] == "g000"
-        assert phi_chosen.tolist() == [1.0, 0.0]
+        s, dots = phi[0] @ phi[0], phi @ phi[0]
+        mu = dots / (1 + s)
+        sigma = np.sqrt(np.einsum("ij,ij->i", phi, phi) - dots**2 / (1 + s))
+        assert scores.mu == pytest.approx(mu, rel=1e-12)
+        assert scores.sigma == pytest.approx(sigma, rel=1e-12)
+        assert score_of(scores, config) == pytest.approx(mu + sigma, rel=1e-12)
+        assert best == int(np.argmax(mu + sigma))
+        assert phi_chosen.tobytes() == phi[best].tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_tie_break_matches_reference_order(self, data):
-        # Few distinct terms force exact ties in score and in load, so many
-        # draws are decided by the load or by the group id alone.
+        # Few distinct groups force exact ties in score and in load: groups
+        # with one goal, engagement and fill ratio have equal terms, and
+        # one fill ratio can come with two member counts (1 of 3, 2 of 6).
         n_groups = data.draw(st.integers(1, 6))
-        terms = st.sampled_from([0.0, 0.25, 0.5])
-        mu = np.array(data.draw(st.lists(terms, min_size=n_groups, max_size=n_groups)))
-        sigma = np.array(data.draw(st.lists(terms, min_size=n_groups, max_size=n_groups)))
+        capacities = data.draw(st.lists(st.sampled_from([3, 6]), min_size=n_groups, max_size=n_groups))
         loads = data.draw(st.lists(st.integers(0, 2), min_size=n_groups, max_size=n_groups))
-        seats = [
-            (f"{g:02x}{k:02x}" * 16, f"g{g:03d}", 0)
-            for g, load in enumerate(loads) for k in range(load)
-        ]
+        engagement = np.array(
+            data.draw(st.lists(st.sampled_from([0.0, 0.5]), min_size=n_groups, max_size=n_groups))
+        )
+        groups = [(f"g{g:03d}", "c00", capacities[g], "fitness") for g in range(n_groups)]
+        roster = seated_world(groups, loads)
         user_seat = data.draw(st.none() | st.tuples(st.integers(0, n_groups - 1), st.integers(0, 8)))
         if user_seat is not None:
-            seats.append((USER, f"g{user_seat[0]:03d}", user_seat[1]))
-        roster = make_world(n_groups=n_groups, seats=seats)
+            roster.move(USER_ROW, user_seat[0], user_seat[1], dwell=0)
         candidates = np.array(
             data.draw(st.permutations(range(n_groups)).flatmap(
                 lambda rows: st.integers(1, n_groups).map(lambda k: rows[:k])
             )),
             dtype=np.int64,
         )
+        model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
+        if data.draw(st.booleans()):
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            model.update(rng.uniform(-1, 1, (5, FEATURE_DIM)), rng.normal(size=5))
+        terms = st.sampled_from([0.0, 0.25, 0.5])
         config = PolicyConfig(beta=data.draw(st.sampled_from([0.0, 0.5, 1.0])), lam=data.draw(terms))
-
-        class TermModel:
-            """mu and sigma are a feature row's two entries."""
-            dim = 2
-            means = staticmethod(lambda phi: phi[:, 0])
-            widths = staticmethod(lambda phi: phi[:, 1])
-
-        with pytest.MonkeyPatch.context() as patch:
-            use_feature_map(patch, lambda rows: np.column_stack([mu[rows], sigma[rows]]))
-            best, scores, _ = score_and_select(
-                USER_ROW, candidates, TermModel(), roster, epoch=8, config=config, tables=None
-            )
+        best, scores, _ = score_and_select(
+            USER_ROW, candidates, model, roster, epoch=8, config=config,
+            tables=tables_for(roster, group_engagement=engagement),
+        )
         rows = candidates.tolist()
         score = score_of(scores, config)
         reference = min(
@@ -278,7 +304,7 @@ class TestScoring:
             seat, since = user_seat if user_seat is not None else (row, 0)
             penalty = int(row != seat and 8 - since < config.oscillation)
             assert scores.penalty[i] == penalty
-            assert score[i] == mu[row] + config.beta * sigma[row] - config.lam * penalty
+            assert score[i] == scores.mu[i] + config.beta * scores.sigma[i] - config.lam * penalty
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -288,52 +314,87 @@ class TestScoring:
         updates=st.integers(0, 40),
     )
     def test_identical_rows_get_identical_terms(self, seed, k, offset, updates):
-        # Exact ties must stay ties wherever a row sits, so the tie-break
-        # decides them: a row's terms may not depend on its position, on k
-        # or on the alignment of the matrix in memory.
+        # Exact ties must stay ties wherever a pair sits, so the tie-break
+        # decides them: a pair's terms may depend neither on the group
+        # row, nor on the user row, nor on k. Users 0 and offset share a
+        # context, and the k empty groups are copies of a few distinct ones.
         rng = np.random.default_rng(seed)
         model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
         for _ in range(updates):
             model.update(rng.uniform(-1, 1, (1, FEATURE_DIM)), rng.normal(size=1))
-        distinct = rng.uniform(-1, 1, (int(rng.integers(1, 4)), FEATURE_DIM))
-        which = rng.integers(0, len(distinct), size=k)
-        buffer = np.empty(k * FEATURE_DIM + offset)
-        phi = buffer[offset:].reshape(k, FEATURE_DIM)
-        phi[:] = distinct[which]
-        roster = make_world(n_groups=k, capacity=k)
-        with pytest.MonkeyPatch.context() as patch:
-            use_feature_map(patch, lambda rows: phi[rows])
-            _, scores, _ = score_and_select(
-                USER_ROW, np.arange(k), model, roster, epoch=8, config=CONFIG, tables=None
-            )
-        alone = {
-            d: (model.means(row[None])[0], model.widths(row[None])[0])
-            for d, row in enumerate(distinct)
-        }
-        for d in range(len(distinct)):
-            same = which == d
-            for terms in (scores.mu, scores.sigma, score_of(scores, CONFIG)):
-                assert np.unique(terms[same]).size <= 1
-            if same.any():
-                assert scores.mu[same][0] == alone[d][0]
-                assert scores.sigma[same][0] == alone[d][1]
+        n_distinct = int(rng.integers(1, 4))
+        goals = rng.choice(GOAL_CATEGORIES, size=n_distinct)
+        engagement = rng.uniform(0, 1, n_distinct)
+        which = rng.integers(0, n_distinct, size=k)
 
-    # Fixed before measuring: float64 sums of 21 products taken in another
-    # order differ by a few ulps (up to about 3e-15 relative was seen), so
-    # 1e-12 leaves over two orders of magnitude to spare.
-    WIDTH_RTOL = 1e-12
+        def roster_of(kinds, n_users):
+            groups = [(f"g{g:03d}", "c00", 5, goals[d]) for g, d in enumerate(kinds)]
+            return make_roster(groups, {"c00": 500}, [f"{u:02x}" * 32 for u in range(n_users)])
+
+        roster = roster_of(which, offset + 1)
+        tables = tables_for(roster, group_engagement=engagement[which])
+        per_user = [
+            score_and_select(user, np.arange(k), model, roster, 8, CONFIG, tables)[1]
+            for user in (0, offset)
+        ]
+        for d in range(n_distinct):
+            same = which == d
+            alone = roster_of([d], 1)
+            _, lone, _ = score_and_select(
+                0, np.arange(1), model, alone, 8, CONFIG,
+                tables_for(alone, group_engagement=engagement[[d]]),
+            )
+            for scores in per_user:
+                for terms in (scores.mu, scores.sigma, score_of(scores, CONFIG)):
+                    assert np.unique(terms[same]).size <= 1
+                if same.any():
+                    assert scores.mu[same][0] == lone.mu[0]
+                    assert scores.sigma[same][0] == lone.sigma[0]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_widths_match_three_operand_reference(self, seed):
+        # The factored terms of every pair against the per-pair einsums,
+        # with TERMS_TOL fixed in conftest from an error bound.
         rng = np.random.default_rng(seed)
         model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
         for _ in range(40):
             model.update(rng.uniform(-1, 1, (1, FEATURE_DIM)), rng.normal(size=1))
-        for k in range(1, 100):
-            phi = rng.uniform(-1, 1, (k, FEATURE_DIM))
-            np.testing.assert_allclose(
-                model.widths(phi), reference_widths(model, phi), rtol=self.WIDTH_RTOL, atol=0
+        for k in range(1, 100, 7):
+            groups = [(f"g{g:03d}", "c00", 4, GOAL_CATEGORIES[g % 4]) for g in range(k)]
+            roster = seated_world(groups, rng.integers(0, 4, size=k))
+            tables = random_tables(roster, rng, rng.uniform(0, 1, k))
+            for user in (USER_ROW, len(roster.user_tokens) - 1):
+                _, scores, _ = score_and_select(user, np.arange(k), model, roster, 8, CONFIG, tables)
+                phi = joint_features(tables, user, roster, np.arange(k))
+                assert_terms_close(model, phi, scores.mu, scores.sigma)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ridge=st.sampled_from([1e-4, 1e8]) | st.floats(1e-4, 1e8),
+        batches=st.lists(st.integers(1, 60), max_size=4),
+        reward_scale=st.sampled_from([1.0, 3e6]),
+    )
+    def test_factored_terms_match_per_pair_reference(self, seed, ridge, batches, reward_scale):
+        # Models anywhere inside the PolicyConfig bounds: the ridge at both
+        # ends, rewards up to w_adh + w_eng + lam = 3e6, feature rows in
+        # [-1, 1], as a run's are.
+        rng = np.random.default_rng(seed)
+        model = BanditModel(dim=FEATURE_DIM, ridge=ridge)
+        for size in batches:
+            model.update(
+                rng.uniform(-1, 1, (size, FEATURE_DIM)), reward_scale * rng.uniform(-1, 1, size)
             )
+        k = int(rng.integers(1, 40))
+        groups = [(f"g{g:03d}", "c00", 4, GOAL_CATEGORIES[int(rng.integers(4))]) for g in range(k)]
+        roster = seated_world(groups, rng.integers(0, 5, size=k))
+        tables = random_tables(roster, rng, rng.uniform(-1, 2, k))
+        for user in rng.integers(0, len(roster.user_tokens), size=3).tolist():
+            rows = np.flatnonzero(rng.random(k) < 0.7) if k > 1 else np.arange(1)
+            if not rows.size:
+                continue
+            _, scores, _ = score_and_select(user, rows, model, roster, 8, CONFIG, tables)
+            assert_terms_close(model, joint_features(tables, user, roster, rows), scores.mu, scores.sigma)
 
     def test_churn_penalty_applies_inside_oscillation_horizon(self):
         model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
@@ -367,12 +428,11 @@ class TestScoring:
         with pytest.raises(ValidationError):
             score_and_select(USER_ROW, [], model, roster, 8, CONFIG, tables_for(roster))
 
-    def test_dimension_mismatch_is_internal_error(self, monkeypatch):
+    def test_dimension_mismatch_is_internal_error(self):
         model = BanditModel(dim=3)
         roster = make_world(n_groups=1)
-        use_feature_map(monkeypatch, lambda r: np.ones((r.size, 5)))
         with pytest.raises(InternalError):
-            score_and_select(USER_ROW, np.arange(1), model, roster, 8, CONFIG, None)
+            score_and_select(USER_ROW, np.arange(1), model, roster, 8, CONFIG, tables_for(roster))
 
 
 class TestModelUpdate:
@@ -388,7 +448,7 @@ class TestModelUpdate:
         model.update(np.array([[1.0]]), np.array([1.0]))
         assert model.A[0, 0] == pytest.approx(2.0)
         assert model.b[0] == pytest.approx(1.0)
-        assert model.means(np.eye(model.dim))[0] == pytest.approx(0.5)
+        assert reference_terms(model, np.eye(model.dim))[0][0] == pytest.approx(0.5)
 
     def test_non_finite_rejected(self):
         # One NaN row or one inf reward rejects the whole batch, and the
@@ -397,7 +457,7 @@ class TestModelUpdate:
         model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
         model.update(rng.uniform(-1, 1, (30, FEATURE_DIM)), rng.normal(size=30))
         probe = rng.uniform(-1, 1, (4, FEATURE_DIM))
-        before = (model.A.copy(), model.b.copy(), model.means(np.eye(model.dim)), model.widths(probe))
+        before = (model.A.copy(), model.b.copy(), reference_terms(model, np.eye(model.dim))[0], reference_terms(model, probe)[1])
         phi, rewards = rng.uniform(-1, 1, (12, FEATURE_DIM)), rng.normal(size=12)
         nan_phi, inf_rewards = phi.copy(), rewards.copy()
         nan_phi[5] = np.nan
@@ -405,7 +465,7 @@ class TestModelUpdate:
         for batch in ((nan_phi, rewards), (phi, inf_rewards)):
             with pytest.raises(ValidationError):
                 model.update(*batch)
-            after = (model.A, model.b, model.means(np.eye(model.dim)), model.widths(probe))
+            after = (model.A, model.b, reference_terms(model, np.eye(model.dim))[0], reference_terms(model, probe)[1])
             assert all(np.array_equal(x, y) for x, y in zip(before, after))
 
     @pytest.mark.filterwarnings("ignore:(invalid value|overflow) encountered:RuntimeWarning")
@@ -417,17 +477,17 @@ class TestModelUpdate:
         model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
         model.update(rng.uniform(-1, 1, (30, FEATURE_DIM)), rng.normal(size=30))
         probe = rng.uniform(-1, 1, (4, FEATURE_DIM))
-        before = (model.A.copy(), model.b.copy(), model.means(np.eye(model.dim)), model.widths(probe))
+        before = (model.A.copy(), model.b.copy(), reference_terms(model, np.eye(model.dim))[0], reference_terms(model, probe)[1])
         with pytest.raises(ValidationError, match="non-finite"):
             model.update(np.ones((2, FEATURE_DIM)), np.full(2, 1e308))
-        after = (model.A, model.b, model.means(np.eye(model.dim)), model.widths(probe))
+        after = (model.A, model.b, reference_terms(model, np.eye(model.dim))[0], reference_terms(model, probe)[1])
         assert all(np.array_equal(x, y) for x, y in zip(before, after))
 
         tiny = BanditModel(dim=2, ridge=1e-300)
         with pytest.raises(ValidationError, match="singular"):
             tiny.update(np.ones((1, 2)), np.ones(1))
         assert np.array_equal(tiny.A, 1e-300 * np.eye(2))
-        assert np.array_equal(tiny.means(np.eye(2)), np.zeros(2))
+        assert np.array_equal(reference_terms(tiny, np.eye(2))[0], np.zeros(2))
 
     @pytest.mark.parametrize("phi_shape, rewards_shape", [
         ((FEATURE_DIM,), (1,)),        # one row, not a batch
@@ -455,7 +515,7 @@ class TestModelUpdate:
         gram = ridge * np.eye(d) + phis.T @ phis
         rhs = phis.T @ rewards
         theta_star = np.linalg.solve(gram, rhs)
-        assert np.max(np.abs(model.means(np.eye(model.dim)) - theta_star)) < 1e-8
+        assert np.max(np.abs(reference_terms(model, np.eye(model.dim))[0] - theta_star)) < 1e-8
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -475,7 +535,7 @@ class TestModelUpdate:
             model.update(phis[lo:hi], rewards[lo:hi])
         eye = np.eye(FEATURE_DIM)
         theta_star = np.linalg.solve(ridge * eye + phis.T @ phis, phis.T @ rewards)
-        assert np.max(np.abs(model.means(np.eye(model.dim)) - theta_star)) <= 1e-10
+        assert np.max(np.abs(reference_terms(model, np.eye(model.dim))[0] - theta_star)) <= 1e-10
         assert np.max(np.abs(model._a_inv @ model.A - eye)) <= 1e-10
 
     def test_theta_consistent_with_direct_solve(self):
@@ -483,7 +543,7 @@ class TestModelUpdate:
         model = BanditModel(dim=6, ridge=0.5)
         for _ in range(300):
             model.update(rng.normal(size=(1, 6)), rng.normal(size=1))
-        assert np.max(np.abs(model.means(np.eye(model.dim)) - solve_theta(model))) < 1e-9
+        assert np.max(np.abs(reference_terms(model, np.eye(model.dim))[0] - solve_theta(model))) < 1e-9
 
 
 def _events_with_adherence(pre_rate: float, post_rate: float, epoch: int, config: PolicyConfig):

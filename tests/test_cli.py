@@ -309,6 +309,44 @@ class TestSimulate:
         step_week.assert_not_called()
         assert not out.exists()
 
+    @pytest.mark.parametrize("policy", ["static", "adaptive"])
+    def test_run_that_fails_after_week_zero_leaves_no_out(
+        self, keys_env, tmp_path, capsys, policy
+    ):
+        # Rates this small draw no action in the pre-period, so the run
+        # exits at the weight freeze, after w_pre simulated weeks. Its files
+        # went to a directory beside --out, and that directory is gone too.
+        path, out = tmp_path / "scenario.json", tmp_path / "runs" / "run"
+        path.write_text(json.dumps(dict(SCENARIO, engagement_rate_means=[1e-9, 0, 0, 0, 0])))
+        with mock.patch.object(experiment, "step_week", wraps=experiment.step_week) as weeks:
+            assert_exits_one(
+                capsys, "simulate", "--scenario", str(path), "--out", str(out), "--policy", policy
+            )
+        assert weeks.call_count == SCENARIO["w_pre"]
+        assert not out.exists() and list((tmp_path / "runs").iterdir()) == []
+
+    def test_out_that_is_a_file_exits_one_before_any_week(
+        self, keys_env, scenario_file, tmp_path, capsys
+    ):
+        out = tmp_path / "run"
+        out.write_text("not a run")
+        with mock.patch.object(experiment, "step_week") as step_week:
+            assert_exits_one(capsys, "simulate", "--scenario", scenario_file, "--out", str(out))
+        step_week.assert_not_called()
+        assert out.read_text() == "not a run"
+
+    def test_rerun_into_an_existing_run_directory(self, keys_env, scenario_file, tmp_path, capsys):
+        # A second run into the same --out replaces the files it writes and
+        # keeps any other file there.
+        out = tmp_path / "run"
+        argv = ("simulate", "--scenario", scenario_file, "--out", str(out), "--policy", "adaptive")
+        assert run_cli(capsys, *argv)[0] == 0
+        first = {f.name: f.read_bytes() for f in out.iterdir()}
+        (out / "notes.txt").write_text("kept")
+        assert run_cli(capsys, *argv)[0] == 0
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == {**first, "notes.txt": b"kept"}
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
+
     @pytest.mark.parametrize("policy, first_update", [
         # Decisions start at the scenario's w_pre, 6. The batches of epochs
         # 6 and 7 lack the policy's 8 baseline weeks and are dropped when
@@ -516,6 +554,7 @@ class TestAnyScenario:
             # freeze on the last pre-period week, before any later week.
             assert stderr == "error: pre-period mean engagement must be positive\n"
             assert weeks.call_count == doc["w_pre"]
+            assert not out.exists()
             return
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["violations"] == 0

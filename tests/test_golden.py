@@ -39,16 +39,16 @@ GOLDEN = {
     "effect-seed-1": (
         effect_scenario(1),
         "372e6991f1637f6e297925e97f60c3f4bc8b60c09b43e91b1913d21feec46fcf",
-        "31b457786a623b60f321a085b096a9c629bab508b10a562e250181dfbc8d05b5",
-        "2e56ebe382dc4b274089a75a8587195695adaaf88ecb90dfffa5fc858cfcec7e",
-        "bf693120e884228d383a28bbe267a22789168c0ed1b3ec214cb72bf9295ae192",
+        "258e09be6c446c0ab80ef288ee78b7e794d9c5fc9cb0efb3402631f481b63c18",
+        "8eea676572d674af75392fb93e00e288ef2db002cbf63cf900d3f8ea1bcae376",
+        "c8c927f3ee5da7eebebeda172d87ac30acc3de53007c08ff316df22ccd9c7bfa",
     ),
     "null-seed-201": (
         null_scenario(201),
         "ac77c62a374e489c395a1b53154c4e60facb96acd95b1cbb37ae1da3233b81d3",
-        "ad6c6fb118275ef9d0aad2395766898e47b7b4736609209122a21ccd214b00f8",
-        "0769962563f85b3fc00326389221c31f6403b0cc4f7adc768c6a8cd8368e2aa1",
-        "e7e492578523fb8396b1559a0b20e4c03321f36b0723243d8d95628a0f0e8576",
+        "2f80f728be3846bd5b8a433bc397404b98d371632c8fd3a56aa68afd8d7ac9ef",
+        "bc407fdff6083d76971f47cf6e63a638e8f6f7d67bee7c10748ad66d8afeda52",
+        "14259860c445207d66e806efd5736497eafb567fbc677a2c79b5c7385aa96a32",
     ),
     "coach-bound-seed-1": (
         Scenario(
@@ -57,9 +57,9 @@ GOLDEN = {
             horizon_weeks=10, w_pre=4, w_post=5,
         ),
         "3fe09370ccdd2c7ff8517384c2ebe5315681cee467b299e0f8f3f8057660960b",
-        "ea79296cb3da0207ac6c4af176fd590886c3505ee0f84c46db428cd7e48bb728",
-        "74661779021d5bcd5671084156815e7aa7d925b79dd207a04bf40af4747c9c31",
-        "c97f44471aca61745f52174bcefbfc71b069d2fbfb90634c73fdc3006308cee9",
+        "2a2f77862bd6ed29d7f9a079e989b8f19baff8c852db6f0f277d2d012b2db4c7",
+        "948cccae5ce5ef2bf9454dd96a74cbd05caf352591418faad6591cc08b675ebc",
+        "23043710cb33e923f8e68dd4ad5fa6e2674ce7f869e69aea7800128e40d21007",
     ),
 }
 

@@ -22,6 +22,7 @@ from conftest import (
     TOKEN_KEY_HEX,
     make_roster,
     reference_place_initially,
+    reference_poisson,
     registered_identity_strings,
     score_of,
 )
@@ -60,6 +61,7 @@ from prism.simulator import experiment
 from prism.simulator.scenario import (
     MAX_GROUPS_OR_COACHES,
     MAX_USER_WEEKS,
+    POISSON_RATE_MAX,
     STREET_NAMES,
     STREET_SUFFIXES,
     synth_identity,
@@ -420,6 +422,33 @@ class TestPrimitives:
     def test_poisson_zero_rate(self):
         u = np.random.default_rng(0).random(100)
         assert (poisson_from_uniform(u, np.zeros(100)) == 0).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from([(0,), (1,), (7,), (40, 5), (3, 1, 4)]),
+        high=st.sampled_from([1e-9, 1.0, 10.0, POISSON_RATE_MAX]),
+        top=st.booleans(),
+    )
+    def test_poisson_matches_whole_array_reference(self, seed, shape, high, top):
+        # Rates up to the Scenario limit, zeros included; uniforms from the
+        # 2**-53 grid a stream gives, its two ends included. At the top end
+        # the summed pmf can stall below u, and both then hit the step cap.
+        rng = np.random.default_rng(seed)
+        lam = rng.uniform(0.0, high, shape) * (rng.random(shape) < 0.9)
+        u = rng.random(shape)
+        u.flat[: u.size // 7] = 0.0
+        if top and u.size:
+            u.flat[-1] = 1.0 - 2.0**-53
+        try:
+            want = reference_poisson(u, lam)
+        except ValidationError:
+            with pytest.raises(ValidationError, match="poisson rate too large"):
+                poisson_from_uniform(u, lam)
+            return
+        got = poisson_from_uniform(u, lam)
+        assert got.dtype == np.int64 and got.shape == shape
+        assert np.array_equal(got, want)
 
     def test_poisson_elementwise_pairing(self):
         # Same uniform, same rate -> same draw regardless of neighbors.
