@@ -7,8 +7,10 @@ Run:  python demos/04_constrained_bandit.py
 import numpy as np
 
 from prism.assignment import (
+    FEATURE_DIM,
     REASONS_OF_CODE,
     BanditModel,
+    FeasibilityReport,
     PolicyConfig,
     Roster,
     assign,
@@ -49,14 +51,15 @@ def seated_roster(last_change: int) -> Roster:
         coach_of=[0, 1, 1],
         load_limit=[18, 18],
     )
-    roster.move(0, roster.group_row["g001"], last_change, dwell=0)
-    roster.move(1, roster.group_row["g002"], 0, dwell=0)
-    roster.move(2, roster.group_row["g002"], 0, dwell=0)
+    g001, g002 = roster.group_ids.index("g001"), roster.group_ids.index("g002")
+    roster.move(0, g001, last_change, dwell=0)
+    roster.move(1, g002, 0, dwell=0)
+    roster.move(2, g002, 0, dwell=0)
     return roster
 
 
-def feasible(report: dict) -> list[str]:
-    return [gid for gid, reasons in report.items() if not reasons]
+def feasible(roster: Roster, report: FeasibilityReport) -> list[str]:
+    return [gid for gid, code in zip(roster.group_ids, report.codes.tolist()) if not code]
 
 
 roster = seated_roster(last_change=0)
@@ -66,14 +69,15 @@ roster = seated_roster(last_change=0)
 # ---------------------------------------------------------------------------
 report = feasibility_report(user, goal, roster, 8, config)
 print("feasibility at epoch 8:")
-for gid, reasons in report.items():
+for gid, reasons in zip(roster.group_ids, report.values()):
     print(f"  {gid}: {'feasible' if not reasons else ', '.join(reasons)}")
-print("eligible:", feasible(report))
+print("eligible:", feasible(roster, report))
 print("coach loads:", dict(zip(roster.coach_ids, roster.load.tolist())))
 
 # Inside the dwell window the only admissible action is the current group.
-locked = feasibility_report(user, goal, seated_roster(last_change=6), 8, config)
-print("within dwell:", feasible(locked))
+locked_roster = seated_roster(last_change=6)
+locked = feasibility_report(user, goal, locked_roster, 8, config)
+print("within dwell:", feasible(locked_roster, locked))
 
 # ---------------------------------------------------------------------------
 # Scoring: mean estimate + confidence width - churn penalty; the cold model
@@ -101,11 +105,11 @@ print("chosen:", roster.group_ids[decision.chosen[0]], "changed:", decision.chan
 # split of the same observations gives the one-shot ridge solution.
 # ---------------------------------------------------------------------------
 rng = np.random.default_rng(0)
-probe = BanditModel(dim=8, ridge=1.0)
-phis = rng.normal(size=(1000, 8))
-rewards = phis @ np.array([0.5, -0.2, 0.1, 0.0, 0.3, 0.0, -0.1, 0.2]) + 0.05 * rng.normal(size=1000)
+probe = BanditModel(1.0)
+phis = rng.normal(size=(1000, FEATURE_DIM))
+rewards = phis @ rng.uniform(-0.5, 0.5, FEATURE_DIM) + 0.05 * rng.normal(size=1000)
 for epoch_rows in np.array_split(np.arange(1000), 10):
     probe.update(phis[epoch_rows], rewards[epoch_rows])
-batch = np.linalg.solve(np.eye(8) + phis.T @ phis, phis.T @ rewards)
+batch = np.linalg.solve(np.eye(FEATURE_DIM) + phis.T @ phis, phis.T @ rewards)
 theta = np.linalg.solve(probe.A, probe.b)
 print("\nten batch updates vs one-shot ridge, max abs gap:", float(np.max(np.abs(theta - batch))))

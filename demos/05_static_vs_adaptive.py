@@ -9,7 +9,6 @@ import os
 os.environ.setdefault("PRISM_TOKEN_KEY", "5c" * 32)   # demo-only keys
 os.environ.setdefault("PRISM_ENC_KEY", "9e" * 32)
 
-from prism.metrics import render_report
 from prism.simulator import Scenario, compare_arms, run_paired
 from prism.vault import KeyRing
 
@@ -35,11 +34,7 @@ scenario = Scenario(
 
 static, adaptive = run_paired(scenario, keys)
 
-print(render_report(static)["text"])
-print()
-print(render_report(adaptive)["text"])
-
-print("\nside-by-side comparison")
+print("side-by-side comparison")
 print("-" * 50)
 print(compare_arms(static, adaptive).render_text())
 

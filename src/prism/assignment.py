@@ -23,7 +23,7 @@ feeds the model one batch per epoch once they mature.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -101,7 +101,6 @@ class Roster:
         group_order = sorted(range(n_groups), key=group_ids.__getitem__)
         coach_order = sorted(range(n_coaches), key=coach_ids.__getitem__)
         self.group_ids = [group_ids[g] for g in group_order]
-        self.group_row = {gid: g for g, gid in enumerate(self.group_ids)}
         self.coach_ids = [coach_ids[c] for c in coach_order]
         self.user_tokens = list(user_tokens)
         self.capacity = np.array(capacity, dtype=np.int64)[group_order]
@@ -336,31 +335,29 @@ def joint_features(
 
 
 class BanditModel:
-    """Shared linear model over the joint feature map.
+    """Shared linear model over the joint feature map, ``FEATURE_DIM``
+    wide.
 
-    State is the ridge-initialized design accumulator ``A`` and response
-    vector ``b``. Each :meth:`update` adds a batch of observations and
-    re-solves the coefficients through one exact inverse of ``A``. The
+    State is the design accumulator ``A``, initialized to ``ridge`` times
+    the identity, and the response vector ``b``. Each :meth:`update` adds
+    a batch of observations and re-solves the coefficients through one
+    exact inverse of ``A``. The
     model scores through :meth:`terms`, the factored UCB terms of an
     epoch's feature tables, which it keeps until the next update, the
     next tables or :meth:`drop_terms`.
     """
 
-    def __init__(self, dim: int = FEATURE_DIM, ridge: float = 1.0) -> None:
-        if dim < 1 or ridge <= 0:
-            raise ValidationError("model needs dim >= 1 and ridge > 0")
-        self.dim = dim
-        self.ridge = ridge
-        self.A = ridge * np.eye(dim)
-        self.b = np.zeros(dim)
-        self._a_inv = np.eye(dim) / ridge
-        self._theta = np.zeros(dim)
+    def __init__(self, ridge: float) -> None:
+        if ridge <= 0:
+            raise ValidationError("model needs ridge > 0")
+        self.A = ridge * np.eye(FEATURE_DIM)
+        self.b = np.zeros(FEATURE_DIM)
+        self._a_inv = np.eye(FEATURE_DIM) / ridge
+        self._theta = np.zeros(FEATURE_DIM)
         self._terms: Optional[UcbTerms] = None
 
     def terms(self, tables: FeatureTables) -> UcbTerms:
         """The factored UCB terms of the current model over ``tables``."""
-        if self.dim != FEATURE_DIM:
-            raise InternalError(f"the feature map has dim {FEATURE_DIM}, the model expects {self.dim}")
         if self._terms is None or self._terms.tables is not tables:
             self._terms = UcbTerms(self._theta, self._a_inv, tables)
         return self._terms
@@ -370,17 +367,17 @@ class BanditModel:
         self._terms = None
 
     def update(self, phi: np.ndarray, rewards: np.ndarray) -> None:
-        """Add the observations of a (m, dim) batch ``phi`` with their (m,)
-        ``rewards``: ``A += phi^T phi`` and ``b += phi^T rewards``, then
-        ``theta = A^-1 b`` from one exact inverse. Any split of the same
-        observations into batches gives the same ridge solution. A bad
-        batch, or one that would leave ``A`` singular or any state
-        non-finite, raises before the model changes."""
+        """Add the observations of a (m, FEATURE_DIM) batch ``phi`` with
+        their (m,) ``rewards``: ``A += phi^T phi`` and ``b += phi^T
+        rewards``, then ``theta = A^-1 b`` from one exact inverse. Any split
+        of the same observations into batches gives the same ridge
+        solution. A bad batch, or one that would leave ``A`` singular or
+        any state non-finite, raises before the model changes."""
         phi = np.asarray(phi, dtype=float)
         rewards = np.asarray(rewards, dtype=float)
-        if phi.ndim != 2 or phi.shape[1] != self.dim or rewards.shape != phi.shape[:1]:
+        if phi.ndim != 2 or phi.shape[1] != FEATURE_DIM or rewards.shape != phi.shape[:1]:
             raise InternalError(
-                f"update batch shapes {phi.shape}, {rewards.shape} do not fit model dim {self.dim}"
+                f"update batch shapes {phi.shape}, {rewards.shape} do not fit model dim {FEATURE_DIM}"
             )
         if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(rewards))):
             raise ValidationError("update requires finite features and rewards")
@@ -531,26 +528,18 @@ REASONS_OF_CODE: tuple[tuple[str, ...], ...] = tuple(
 ) + ((REASON_DWELL,),)
 
 
-class FeasibilityReport(Mapping[str, list]):
-    """Per-group list of violated constraints, in group-id order; an empty
-    list means feasible.
-
-    Holds one reason code per group row (``codes``) and decodes a group's
-    list only when it is read.
+class FeasibilityReport:
+    """The violated constraints of each group row: ``codes`` holds one
+    reason code per row, in group-id order, and 0 means feasible.
+    :meth:`values` decodes every row's list of reasons through
+    ``REASONS_OF_CODE``.
     """
 
-    def __init__(self, roster: Roster, codes: np.ndarray) -> None:
-        self._roster = roster
+    def __init__(self, codes: np.ndarray) -> None:
         self.codes = codes
 
-    def __getitem__(self, group_id: str) -> list[str]:
-        return list(REASONS_OF_CODE[self.codes[self._roster.group_row[group_id]]])
-
-    def __iter__(self):
-        return iter(self._roster.group_ids)
-
     def __len__(self) -> int:
-        return len(self._roster.group_ids)
+        return len(self.codes)
 
     def values(self) -> list[list[str]]:
         return [list(REASONS_OF_CODE[code]) for code in self.codes.tolist()]
@@ -584,7 +573,7 @@ def feasibility_report(
         # only admissible action, whatever the current group looks like.
         codes = np.full(len(roster.group_ids), CODE_DWELL)
         codes[current] = 0
-        return FeasibilityReport(roster, codes)
+        return FeasibilityReport(codes)
     codes = roster.goal_code[goal] | roster.capacity_code | roster.load_code[roster.coach_of]
     if current >= 0:
         # A placed user's own seat counts against neither limit; a move
@@ -593,7 +582,7 @@ def feasibility_report(
         coach = roster.coach_of[current]
         if roster.load_code[coach]:
             codes[roster.coach_of == coach] &= ~CODE_COACH_LOAD
-    return FeasibilityReport(roster, codes)
+    return FeasibilityReport(codes)
 
 
 # ---------------------------------------------------------------------------
@@ -827,8 +816,6 @@ def decide_epoch(
     and each yields its one-row pass. Once every row is decided, the
     model drops its terms of ``tables``.
     """
-    if model.dim != FEATURE_DIM:
-        raise InternalError(f"the feature map has dim {FEATURE_DIM}, the model expects {model.dim}")
     n_users = len(roster.user_tokens)
     user = moves = 0
     while user < n_users:

@@ -2,8 +2,8 @@
 
 Adherence and engagement formulas live in :mod:`prism.features`; this
 module adds the rank-sum significance test used for arm comparisons and
-the serialization of run-level metric reports to JSON, CSV, and a plain
-text table.
+the serialization of run-level metric reports to JSON and CSV. The text
+table of two arms is :meth:`prism.simulator.experiment.ComparisonTable.render_text`.
 """
 
 from __future__ import annotations
@@ -159,8 +159,8 @@ def format_eng_index(value: float) -> str:
 
 
 def render_report(report: MetricsReport) -> dict[str, str]:
-    """Render a report as JSON, a fixed-column CSV row, and a text table,
-    with 4 decimals for every rate and mean."""
+    """Render a report as JSON and a fixed-column CSV row, with 4 decimals
+    for every rate and mean in the row."""
     p = 4
     csv_buf = io.StringIO()
     writer = csv.writer(csv_buf, lineterminator="\n")
@@ -177,18 +177,4 @@ def render_report(report: MetricsReport) -> dict[str, str]:
             f"{report.weight_delta_mean:.{p}f}",
         ]
     )
-    lines = [
-        f"arm:            {report.arm}",
-        f"adherence pre:  {report.adherence_pre:.{p}f}",
-        f"adherence post: {report.adherence_post:.{p}f}",
-        f"eng index:      {format_eng_index(report.eng_index)}",
-        f"reassignments:  {report.reassignments}",
-        f"violations:     {report.violations}",
-        f"leak rate:      {report.leak.leak_rate:.{p}f}",
-        f"weight delta:   {report.weight_delta_mean:.{p}f} kg",
-    ]
-    return {
-        "json": report.to_json(),
-        "csv": csv_buf.getvalue(),
-        "text": "\n".join(lines),
-    }
+    return {"json": report.to_json(), "csv": csv_buf.getvalue()}

@@ -483,7 +483,6 @@ class DeidText:
     caller's metadata nor anyone holding the instance can change them.
     Texts redacted through one :class:`DeidPool` share their equal
     mappings: one cohort mapping and one count mapping each.
-    :meth:`to_dict` returns plain dicts.
     """
 
     __slots__ = ("text", "source_user_token", "cohort_metadata", "redaction_count_by_type")
@@ -493,14 +492,6 @@ class DeidText:
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("DeidText is immutable")
-
-    def to_dict(self) -> dict:
-        return {
-            "text": self.text,
-            "user_token": self.source_user_token.value,
-            "cohort": dict(self.cohort_metadata),
-            "counts": dict(self.redaction_count_by_type),
-        }
 
 
 _SLOT_SETTERS = tuple(getattr(DeidText, name).__set__ for name in DeidText.__slots__)

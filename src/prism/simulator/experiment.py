@@ -65,7 +65,6 @@ from ..features import (
     ACTION_TYPES,
     DAYS_PER_WEEK,
     DEFAULT_ACTION_WEIGHTS,
-    GOAL_CATEGORIES,
     ContextBatch,
     EngagementWeights,
     NormalizationWindow,
@@ -374,8 +373,7 @@ def _assistant_pass(
     """
     scenario = world.scenario
     roster = world.roster
-    pool = world.deid_pool
-    cohort_of_goal = [pool.cohort({"goal": goal}) for goal in GOAL_CATEGORIES]
+    pool, cohort_of_goal = world.deid_pool, world.cohort_of_goal
     templates = default_templates()
     rng = substream(scenario.seed, STREAM_REVIEW, epoch)
     created_at = rfc3339(SIM_EPOCH_BASE + epoch * WEEK_SECONDS)
@@ -512,7 +510,7 @@ def _run_epochs(
     scenario = world.scenario
     t0 = scenario.w_pre
     adaptive = scenario.policy == POLICY_ADAPTIVE
-    model = BanditModel(dim=FEATURE_DIM, ridge=config.ridge)
+    model = BanditModel(config.ridge)
     # Per decision epoch, the scored users' rows, chosen feature rows and
     # churn penalties, until their evaluation window has passed.
     pending: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -712,7 +710,11 @@ _encode_sorted = json.JSONEncoder(sort_keys=True).encode
 
 
 def _write_deid_messages(path: str, messages: list[DeidText]) -> None:
-    """One ``json.dumps(message.to_dict(), sort_keys=True)`` line per message.
+    """One JSON object per message, with sorted keys as
+    ``json.dumps(doc, sort_keys=True)`` writes them: ``cohort`` and
+    ``counts`` (the message's two mappings as plain objects), ``text``
+    and ``user_token`` (its source token's value). This is the form
+    :func:`prism.redaction.load_deid_corpus` reads.
 
     Messages redacted through one :class:`DeidPool` share their cohort
     and count objects, and the pool shares an object only between

@@ -41,8 +41,9 @@ MAX_GROUPS_OR_COACHES = 10**5
 NORMAL_DRAW_MAX = 16.0
 # The largest weekly Poisson rate a user may have. exp(-700) is still a
 # normal float, so the inverse-CDF draw (``poisson_from_uniform``) starts at
-# full precision, and a Poisson(700) count passes the draw's cap of 1000
-# with probability below 1e-24, far under the 2**-53 step of its uniform.
+# full precision. Its float sum of the pmf stops growing by step 927 at this
+# rate, below the draw's cap of 1000 steps, and a uniform above that sum is
+# drawn where it stops, so no accepted rate reaches the cap.
 POISSON_RATE_MAX = 700.0
 
 

@@ -11,6 +11,7 @@ users whose group placement actually differs.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -57,12 +58,18 @@ def poisson_from_uniform(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
     Each step advances only the elements still undrawn, through the same
     elementwise arithmetic, so a draw depends on its own uniform and rate
-    alone."""
+    alone. Past the mode the float sum of the pmf stops growing a little
+    below 1 (below 1 - 3.7e-15 at a rate of 700, from step 927), and a
+    uniform above it is drawn at the step where its sum stops growing. A
+    rate whose ``exp(-rate)`` underflows to 0 starts no sum, and raises
+    unless its uniform is 0."""
     u, lam = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(lam, dtype=float))
     k = np.zeros(lam.shape, dtype=np.int64)
     pmf = np.exp(-lam)
     left = np.flatnonzero(u > pmf)
     u, lam, pmf = u.ravel()[left], lam.ravel()[left], pmf.ravel()[left]
+    if not pmf.all():
+        raise ValidationError("poisson rate too large for inverse-CDF draw")
     cdf = pmf
     step = 0
     while left.size:
@@ -70,10 +77,10 @@ def poisson_from_uniform(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
         if step > 1000:
             raise ValidationError("poisson rate too large for inverse-CDF draw")
         pmf = pmf * lam / step
-        cdf = cdf + pmf
-        more = u > cdf
+        grown = cdf + pmf
+        more = (u > grown) & (grown > cdf)
         k.flat[left[~more]] = step
-        left, u, lam, pmf, cdf = left[more], u[more], lam[more], pmf[more], cdf[more]
+        left, u, lam, pmf, cdf = left[more], u[more], lam[more], pmf[more], grown[more]
     return k
 
 
@@ -126,15 +133,22 @@ class World:
     actions: np.ndarray         # (n, horizon, K) int32
     weights_kg: np.ndarray      # (n, horizon+1)
     weekly_scores: np.ndarray   # (n, horizon), NaN until scored
-    # Environment-private registration payloads, kept only for message
-    # synthesis; never serialized into any output.
-    _raw_identities: dict[str, dict] = field(default_factory=dict)
+    # Environment-private registration payloads by user row, kept only
+    # for message synthesis; never serialized into any output.
+    _raw_identities: tuple[dict, ...]
     deid_messages: list[DeidText] = field(default_factory=list)
     # The run's shared cohort and count mappings: the learning view's
     # posts and the assistant's summaries are redacted through it.
     deid_pool: DeidPool = field(default_factory=DeidPool)
+    # The pool's cohort mapping of each goal index, checked once: redact
+    # takes it as it is, and every post and summary of a goal shares it.
+    cohort_of_goal: tuple[Mapping[str, str], ...] = field(init=False)
     # (group_of, last_change) as of the last constraint audit.
     _audited: tuple[np.ndarray, np.ndarray] = field(init=False)
+
+    def __post_init__(self) -> None:
+        pool = self.deid_pool
+        self.cohort_of_goal = tuple(pool.cohort({"goal": goal}) for goal in GOAL_CATEGORIES)
 
     @property
     def n_users(self) -> int:
@@ -195,7 +209,7 @@ def generate_cohort(scenario: Scenario, keys: KeyRing) -> World:
     # Users: identity through the vault, behavioral parameters kept.
     n = scenario.n_users
     tokens: list[UserToken] = []
-    raw_identities: dict[str, dict] = {}
+    raw_identities: list[dict] = []
     goal_cdf = _goal_cdf(scenario.goal_weights)
     goal_index = np.empty(n, dtype=np.int64)
     base_logit = np.empty(n)
@@ -212,9 +226,8 @@ def generate_cohort(scenario: Scenario, keys: KeyRing) -> World:
             0.3 * rng.normal(size=len(ACTION_TYPES))
         )
         weights0_col[i] = scenario.weight_start_mean + scenario.weight_start_sd * float(rng.normal())
-        token = vault.register(identity)
-        tokens.append(token)
-        raw_identities[token.value] = identity
+        tokens.append(vault.register(identity))
+        raw_identities.append(identity)
     # A goal-matched user's weekly rates are its drawn rates times 1 + bonus.
     if engagement_rates.max() * max(1.0, 1.0 + scenario.engagement_match_bonus) > POISSON_RATE_MAX:
         raise ValidationError(
@@ -250,7 +263,7 @@ def generate_cohort(scenario: Scenario, keys: KeyRing) -> World:
         actions=np.zeros((n, horizon, len(ACTION_TYPES)), dtype=np.int32),
         weights_kg=np.zeros((n, horizon + 1)),
         weekly_scores=np.full((n, horizon), np.nan),
-        _raw_identities=raw_identities,
+        _raw_identities=tuple(raw_identities),
     )
     world.weights_kg[:, 0] = weights0_col
 
@@ -420,13 +433,9 @@ def step_messages(world: World, epoch: int) -> None:
     aux_ids = rng.integers(0, 10**8, size=n).tolist()
     lat, lon = rng.integers(0, 10000, size=(n, 2)).T.tolist()
     goal_rows = world.goal_index.tolist()
-    # The pool's cohort mapping of each goal, checked once: redact takes
-    # it as it is, and every post of a goal shares it.
-    pool = world.deid_pool
-    metadata_of_goal = [pool.cohort({"goal": goal}) for goal in GOAL_CATEGORIES]
+    pool, cohort_of_goal = world.deid_pool, world.cohort_of_goal
     tokens, identities, rules = world.tokens, world._raw_identities, world.rules
     keep = world.deid_messages.append
     for i in np.flatnonzero(post_draw < scenario.message_prob).tolist():
-        token = tokens[i]
-        text = synth_message(variants[i], identities[token.value], aux_ids[i], lat[i], lon[i])
-        keep(redact(text, token, rules, metadata_of_goal[goal_rows[i]], pool=pool))
+        text = synth_message(variants[i], identities[i], aux_ids[i], lat[i], lon[i])
+        keep(redact(text, tokens[i], rules, cohort_of_goal[goal_rows[i]], pool=pool))

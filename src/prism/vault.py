@@ -208,9 +208,6 @@ class AuditEntry:
     ts: str
     chain_hash: str
 
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in AUDIT_FIELDS}
-
     @classmethod
     def from_dict(cls, doc: Mapping) -> "AuditEntry":
         return cls(**{name: doc[name] for name in AUDIT_FIELDS})
@@ -262,9 +259,10 @@ def _chain_hash(prev_hash: str, payload: str) -> str:
 
 
 def _export_line(entry: AuditEntry) -> str:
-    parts = _scalar_json(_line_values(entry))
+    values = _line_values(entry)
+    parts = _scalar_json(values)
     if parts is None:
-        return json.dumps(entry.to_dict(), sort_keys=True) + "\n"
+        return json.dumps(dict(zip(_LINE_FIELDS, values)), sort_keys=True) + "\n"
     return _LINE_TEMPLATE % parts
 
 
@@ -408,14 +406,6 @@ class SlidingWindowRateLimiter:
 
 
 @dataclass(frozen=True)
-class VaultRecord:
-    """Encrypted identity payload; ciphertext is nonce || AEAD output."""
-
-    user_token: UserToken
-    ciphertext: bytes
-
-
-@dataclass(frozen=True)
 class RestorationRequest:
     """Who asks, in what role and MFA state, for whose identity and why.
 
@@ -477,7 +467,8 @@ class Vault:
     ) -> None:
         self._aead = AESGCM(keys.encryption_key)
         self._user_mac = hmac.new(keys.token_key, digestmod=hashlib.sha256)
-        self._records: dict[str, VaultRecord] = {}
+        # A user token's value -> its sealed identity, nonce || AEAD output.
+        self._records: dict[str, bytes] = {}
         self._audit = AuditLog()
         self._limiter = SlidingWindowRateLimiter()
         self._clock = clock
@@ -521,13 +512,12 @@ class Vault:
                 )
             nonce = draw[_SID_BYTES:]
             user_token = UserToken(token)
-            ciphertext = nonce + self._aead.encrypt(nonce, plaintext, None)
-            self._records[token] = VaultRecord(user_token, ciphertext)
+            self._records[token] = nonce + self._aead.encrypt(nonce, plaintext, None)
             self._clock()  # one tick per registration: later audit timestamps count on it
             return user_token
 
-    def _decrypt(self, record: VaultRecord) -> dict:
-        nonce, body = record.ciphertext[:_GCM_NONCE_BYTES], record.ciphertext[_GCM_NONCE_BYTES:]
+    def _decrypt(self, sealed: bytes) -> dict:
+        nonce, body = sealed[:_GCM_NONCE_BYTES], sealed[_GCM_NONCE_BYTES:]
         try:
             plaintext = self._aead.decrypt(nonce, body, None)
         except InvalidTag as exc:

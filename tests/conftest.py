@@ -39,7 +39,7 @@ from prism.redaction import (
     default_rules,
 )
 from prism.simulator.experiment import RunManifest, TraceLegend
-from prism.vault import ENC_KEY_ENV, GENESIS_HASH, TOKEN_KEY_ENV, KeyRing, UserToken
+from prism.vault import AUDIT_FIELDS, ENC_KEY_ENV, GENESIS_HASH, TOKEN_KEY_ENV, KeyRing, UserToken
 
 TOKEN_KEY_HEX = "11" * 32
 ENC_KEY_HEX = "22" * 32
@@ -142,7 +142,7 @@ def registered_identity_strings(world) -> set[str]:
     """Raw and normalized identity values of a simulated cohort, for
     output-separation scans."""
     values: set[str] = set()
-    for identity in world._raw_identities.values():
+    for identity in world._raw_identities:
         for key, value in identity.items():
             values.add(value)
             if key in ("email", "full_name", "first_name", "last_name"):
@@ -384,7 +384,8 @@ def decode_trace_line(line: str, legend: dict) -> dict:
 
 def reference_poisson(u, lam) -> np.ndarray:
     """The inverse-CDF Poisson draw over the whole array at every step: the
-    reference ``poisson_from_uniform`` must equal bit for bit."""
+    reference ``poisson_from_uniform`` must equal bit for bit. An element
+    whose positive cdf stops growing is drawn at that step."""
     lam = np.asarray(lam, dtype=float)
     u = np.asarray(u, dtype=float)
     k = np.zeros(lam.shape, dtype=np.int64)
@@ -397,9 +398,11 @@ def reference_poisson(u, lam) -> np.ndarray:
         if step > 1000:
             raise ValidationError("poisson rate too large for inverse-CDF draw")
         pmf = np.where(remaining, pmf * lam / step, pmf)
-        cdf = np.where(remaining, cdf + pmf, cdf)
+        grown = np.where(remaining, cdf + pmf, cdf)
+        stalled = (grown == cdf) & (cdf > 0)
+        cdf = grown
         k = np.where(remaining, step, k)
-        remaining = u > cdf
+        remaining &= (u > cdf) & ~stalled
     return k
 
 
@@ -525,6 +528,22 @@ def tables_for(roster, goal="fitness", group_engagement=None):
     return feature_tables(batch, roster, group_engagement)
 
 
+def audit_dict(entry) -> dict:
+    """An audit entry's fields by name."""
+    return {name: getattr(entry, name) for name in AUDIT_FIELDS}
+
+
+def deid_dict(deid) -> dict:
+    """A de-identified text as a ``deid_messages.jsonl`` line holds it,
+    with the cohort metadata's keys in their own order."""
+    return {
+        "text": deid.text,
+        "user_token": deid.source_user_token.value,
+        "cohort": dict(deid.cohort_metadata),
+        "counts": dict(deid.redaction_count_by_type),
+    }
+
+
 def reference_payload(fields) -> bytes:
     """An audit entry's chained payload: every field but the hash, as
     ``json.dumps`` writes them with sorted keys and no spaces."""
@@ -538,7 +557,7 @@ def reference_chain_hash(prev_hash: str, fields) -> str:
 
 def reference_line(entry) -> str:
     """An audit entry's export line, as ``json.dumps`` writes it with sorted keys."""
-    return json.dumps(entry.to_dict(), sort_keys=True) + "\n"
+    return json.dumps(audit_dict(entry), sort_keys=True) + "\n"
 
 
 def reference_verify(entries) -> tuple[bool, int | None]:
@@ -550,7 +569,7 @@ def reference_verify(entries) -> tuple[bool, int | None]:
         if entry.seq != i:
             return False, i
         try:
-            expected = reference_chain_hash(prev, entry.to_dict())
+            expected = reference_chain_hash(prev, audit_dict(entry))
         except (TypeError, ValueError):
             return False, i
         if entry.chain_hash != expected:

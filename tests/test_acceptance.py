@@ -19,7 +19,7 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES, ENC_KEY_HEX, TOKEN_KEY_HEX, reference_terms
 
-from prism.assignment import BanditModel
+from prism.assignment import FEATURE_DIM, BanditModel
 from prism.features import (
     DEFAULT_ACTION_WEIGHTS,
     EngagementWeights,
@@ -154,8 +154,8 @@ def test_criterion_03_null_effect_symmetry(paired_null_runs):
 
 def test_criterion_04_bandit_oracle_equivalence():
     rng = np.random.default_rng(404)
-    d, ridge = 21, 1.0
-    model = BanditModel(dim=d, ridge=ridge)
+    d, ridge = FEATURE_DIM, 1.0
+    model = BanditModel(ridge)
     phis = rng.normal(size=(1000, d))
     rewards = rng.normal(size=1000)
     for i in range(1000):

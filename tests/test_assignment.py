@@ -26,6 +26,7 @@ from prism.assignment import (
     CODE_GOAL,
     FEATURE_DIM,
     N_NUMERIC,
+    REASONS_OF_CODE,
     BanditModel,
     CoachState,
     PolicyConfig,
@@ -67,12 +68,12 @@ def make_world(n_groups=3, capacity=5, goal="fitness", coach_limit=50, seats=(),
     tokens = [USER] + [token for token, _, _ in seats if token != USER]
     roster = make_roster(groups, {"c00": coach_limit}, tokens)
     for token, gid, epoch in seats:
-        roster.move(tokens.index(token), roster.group_row[gid], epoch, dwell=0)
+        roster.move(tokens.index(token), roster.group_ids.index(gid), epoch, dwell=0)
     return roster
 
 
-def feasible(report):
-    return [gid for gid, reasons in report.items() if not reasons]
+def feasible(roster, report):
+    return [gid for gid, code in zip(roster.group_ids, report.codes.tolist()) if not code]
 
 
 CONFIG = PolicyConfig()
@@ -107,7 +108,7 @@ class TestEligibility:
     def test_dwell_lock_returns_only_current_group(self):
         roster = make_world(seats=[(USER, "g001", 7)])
         report = feasibility_report(USER_ROW, FITNESS, roster, epoch=8, config=CONFIG)
-        assert feasible(report) == ["g001"]
+        assert feasible(roster, report) == ["g001"]
 
     def test_dwell_overrides_eligibility_for_current_group(self):
         # Even a goal-mismatched current group is the whole set inside dwell.
@@ -115,24 +116,24 @@ class TestEligibility:
             seats=[(USER, "g001", 7)], goal_of={"g001": "maintenance"}
         )
         report = feasibility_report(USER_ROW, FITNESS, roster, epoch=8, config=CONFIG)
-        assert feasible(report) == ["g001"]
+        assert feasible(roster, report) == ["g001"]
 
     def test_past_dwell_opens_alternatives(self):
         roster = make_world(seats=[(USER, "g001", 4)])
         report = feasibility_report(USER_ROW, FITNESS, roster, epoch=8, config=CONFIG)
-        assert feasible(report) == ["g000", "g001", "g002"]
+        assert feasible(roster, report) == ["g000", "g001", "g002"]
 
     def test_full_group_excluded_for_non_members(self):
         roster = make_world(
             capacity=2, seats=[("x1", "g000", 0), ("x2", "g000", 0), (USER, "g001", 0)]
         )
         report = feasibility_report(USER_ROW, FITNESS, roster, epoch=8, config=CONFIG)
-        assert "g000" not in feasible(report)
+        assert "g000" not in feasible(roster, report)
 
     def test_member_keeps_own_full_group(self):
         roster = make_world(capacity=2, seats=[(USER, "g001", 0), ("x2", "g001", 0)])
         report = feasibility_report(USER_ROW, FITNESS, roster, epoch=8, config=CONFIG)
-        assert "g001" in feasible(report)
+        assert "g001" in feasible(roster, report)
 
     def test_eligibility_truth_table(self):
         # One group per goal: only the group serving the user's goal survives.
@@ -162,13 +163,14 @@ class TestEligibility:
             seats=[("x1", "g000", 0), ("x2", "g000", 0), ("x3", "g000", 0)],
         )
         report = feasibility_report(USER_ROW, FITNESS, roster, epoch=8, config=CONFIG)
-        assert feasible(report) == []
+        assert feasible(roster, report) == []
 
     def test_reasons_reported(self):
         roster = make_world(goal_of={"g001": "maintenance"})
         report = feasibility_report(USER_ROW, FITNESS, roster, epoch=8, config=CONFIG)
-        assert report["g001"] == ["goal_mismatch"]
-        assert report["g000"] == []
+        codes = dict(zip(roster.group_ids, report.codes.tolist()))
+        assert REASONS_OF_CODE[codes["g001"]] == ("goal_mismatch",)
+        assert REASONS_OF_CODE[codes["g000"]] == ()
 
     def test_group_attributes_are_frozen(self):
         # The roster's static arrays are read-only: the kept codes and
@@ -216,7 +218,7 @@ class TestScoring:
             for gid, capacity in (("g000", 4), ("g001", 2), ("g002", 4), ("g003", 2))
         ]
         roster = seated_world(groups, (2, 1, 2, 1))
-        model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
+        model = BanditModel(1.0)
         best, scores, _ = score_and_select(
             USER_ROW, np.arange(4), model, roster, epoch=8, config=CONFIG, tables=tables_for(roster)
         )
@@ -228,7 +230,7 @@ class TestScoring:
         # has the larger width but the smaller mean.
         roster = make_world(n_groups=2)
         tables = tables_for(roster, group_engagement=np.array([1.0, 0.0]))
-        model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
+        model = BanditModel(1.0)
         model.update(joint_features(tables, USER_ROW, roster, np.array([0])), np.array([1.0]))
         for beta, chosen in ((0.0, "g000"), (1e3, "g001")):
             best, scores, _ = score_and_select(
@@ -245,7 +247,7 @@ class TestScoring:
         roster = make_world(n_groups=2)
         tables = tables_for(roster, group_engagement=np.array([1.0, 0.0]))
         phi = joint_features(tables, USER_ROW, roster, np.arange(2))
-        model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
+        model = BanditModel(1.0)
         model.update(phi[:1], np.array([1.0]))
         config = PolicyConfig(beta=1.0, lam=0.0)
         best, scores, phi_chosen = score_and_select(
@@ -283,7 +285,7 @@ class TestScoring:
             )),
             dtype=np.int64,
         )
-        model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
+        model = BanditModel(1.0)
         if data.draw(st.booleans()):
             rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
             model.update(rng.uniform(-1, 1, (5, FEATURE_DIM)), rng.normal(size=5))
@@ -319,7 +321,7 @@ class TestScoring:
         # row, nor on the user row, nor on k. Users 0 and offset share a
         # context, and the k empty groups are copies of a few distinct ones.
         rng = np.random.default_rng(seed)
-        model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
+        model = BanditModel(1.0)
         for _ in range(updates):
             model.update(rng.uniform(-1, 1, (1, FEATURE_DIM)), rng.normal(size=1))
         n_distinct = int(rng.integers(1, 4))
@@ -356,7 +358,7 @@ class TestScoring:
         # The factored terms of every pair against the per-pair einsums,
         # with TERMS_TOL fixed in conftest from an error bound.
         rng = np.random.default_rng(seed)
-        model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
+        model = BanditModel(1.0)
         for _ in range(40):
             model.update(rng.uniform(-1, 1, (1, FEATURE_DIM)), rng.normal(size=1))
         for k in range(1, 100, 7):
@@ -380,7 +382,7 @@ class TestScoring:
         # ends, rewards up to w_adh + w_eng + lam = 3e6, feature rows in
         # [-1, 1], as a run's are.
         rng = np.random.default_rng(seed)
-        model = BanditModel(dim=FEATURE_DIM, ridge=ridge)
+        model = BanditModel(ridge)
         for size in batches:
             model.update(
                 rng.uniform(-1, 1, (size, FEATURE_DIM)), reward_scale * rng.uniform(-1, 1, size)
@@ -397,7 +399,7 @@ class TestScoring:
             assert_terms_close(model, joint_features(tables, user, roster, rows), scores.mu, scores.sigma)
 
     def test_churn_penalty_applies_inside_oscillation_horizon(self):
-        model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
+        model = BanditModel(1.0)
         roster = make_world(n_groups=2, seats=[(USER, "g000", 4)])
         _, scores, _ = score_and_select(
             USER_ROW, np.arange(2), model, roster, epoch=8, config=PolicyConfig(lam=0.5),
@@ -408,7 +410,7 @@ class TestScoring:
         assert scores.penalty[g001] == 1
 
     def test_score_decomposition(self):
-        model = BanditModel(dim=FEATURE_DIM, ridge=2.0)
+        model = BanditModel(2.0)
         rng = np.random.default_rng(0)
         for _ in range(50):
             model.update(rng.normal(size=(1, FEATURE_DIM)) * 0.3, rng.normal(size=1))
@@ -423,41 +425,37 @@ class TestScoring:
             assert abs(score - expected) < 1e-12
 
     def test_empty_candidates_rejected(self):
-        model = BanditModel(dim=FEATURE_DIM)
+        model = BanditModel(1.0)
         roster = make_world()
         with pytest.raises(ValidationError):
             score_and_select(USER_ROW, [], model, roster, 8, CONFIG, tables_for(roster))
 
-    def test_dimension_mismatch_is_internal_error(self):
-        model = BanditModel(dim=3)
-        roster = make_world(n_groups=1)
-        with pytest.raises(InternalError):
-            score_and_select(USER_ROW, np.arange(1), model, roster, 8, CONFIG, tables_for(roster))
-
 
 class TestModelUpdate:
     def test_zero_update_is_identity(self):
-        model = BanditModel(dim=3, ridge=1.0)
+        model = BanditModel(1.0)
         before_a, before_b = model.A.copy(), model.b.copy()
-        model.update(np.zeros((1, 3)), np.zeros(1))
+        model.update(np.zeros((1, FEATURE_DIM)), np.zeros(1))
         assert np.array_equal(model.A, before_a)
         assert np.array_equal(model.b, before_b)
 
     def test_scalar_update(self):
-        model = BanditModel(dim=1, ridge=1.0)
-        model.update(np.array([[1.0]]), np.array([1.0]))
-        assert model.A[0, 0] == pytest.approx(2.0)
-        assert model.b[0] == pytest.approx(1.0)
-        assert reference_terms(model, np.eye(model.dim))[0][0] == pytest.approx(0.5)
+        # One observation along the first axis moves that axis alone.
+        model = BanditModel(1.0)
+        unit = np.eye(FEATURE_DIM)[:1]
+        model.update(unit, np.array([1.0]))
+        assert np.array_equal(model.A, np.eye(FEATURE_DIM) + unit.T @ unit)
+        assert np.array_equal(model.b, unit[0])
+        assert reference_terms(model, np.eye(FEATURE_DIM))[0] == pytest.approx(0.5 * unit[0])
 
     def test_non_finite_rejected(self):
         # One NaN row or one inf reward rejects the whole batch, and the
         # model is left as it was.
         rng = np.random.default_rng(3)
-        model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
+        model = BanditModel(1.0)
         model.update(rng.uniform(-1, 1, (30, FEATURE_DIM)), rng.normal(size=30))
         probe = rng.uniform(-1, 1, (4, FEATURE_DIM))
-        before = (model.A.copy(), model.b.copy(), reference_terms(model, np.eye(model.dim))[0], reference_terms(model, probe)[1])
+        before = (model.A.copy(), model.b.copy(), reference_terms(model, np.eye(FEATURE_DIM))[0], reference_terms(model, probe)[1])
         phi, rewards = rng.uniform(-1, 1, (12, FEATURE_DIM)), rng.normal(size=12)
         nan_phi, inf_rewards = phi.copy(), rewards.copy()
         nan_phi[5] = np.nan
@@ -465,7 +463,7 @@ class TestModelUpdate:
         for batch in ((nan_phi, rewards), (phi, inf_rewards)):
             with pytest.raises(ValidationError):
                 model.update(*batch)
-            after = (model.A, model.b, reference_terms(model, np.eye(model.dim))[0], reference_terms(model, probe)[1])
+            after = (model.A, model.b, reference_terms(model, np.eye(FEATURE_DIM))[0], reference_terms(model, probe)[1])
             assert all(np.array_equal(x, y) for x, y in zip(before, after))
 
     @pytest.mark.filterwarnings("ignore:(invalid value|overflow) encountered:RuntimeWarning")
@@ -474,20 +472,20 @@ class TestModelUpdate:
         # the ridge vanishes next to the batch; either raises before any
         # state changes.
         rng = np.random.default_rng(5)
-        model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
+        model = BanditModel(1.0)
         model.update(rng.uniform(-1, 1, (30, FEATURE_DIM)), rng.normal(size=30))
         probe = rng.uniform(-1, 1, (4, FEATURE_DIM))
-        before = (model.A.copy(), model.b.copy(), reference_terms(model, np.eye(model.dim))[0], reference_terms(model, probe)[1])
+        before = (model.A.copy(), model.b.copy(), reference_terms(model, np.eye(FEATURE_DIM))[0], reference_terms(model, probe)[1])
         with pytest.raises(ValidationError, match="non-finite"):
             model.update(np.ones((2, FEATURE_DIM)), np.full(2, 1e308))
-        after = (model.A, model.b, reference_terms(model, np.eye(model.dim))[0], reference_terms(model, probe)[1])
+        after = (model.A, model.b, reference_terms(model, np.eye(FEATURE_DIM))[0], reference_terms(model, probe)[1])
         assert all(np.array_equal(x, y) for x, y in zip(before, after))
 
-        tiny = BanditModel(dim=2, ridge=1e-300)
+        tiny = BanditModel(1e-300)
         with pytest.raises(ValidationError, match="singular"):
-            tiny.update(np.ones((1, 2)), np.ones(1))
-        assert np.array_equal(tiny.A, 1e-300 * np.eye(2))
-        assert np.array_equal(reference_terms(tiny, np.eye(2))[0], np.zeros(2))
+            tiny.update(np.ones((1, FEATURE_DIM)), np.ones(1))
+        assert np.array_equal(tiny.A, 1e-300 * np.eye(FEATURE_DIM))
+        assert np.array_equal(reference_terms(tiny, np.eye(FEATURE_DIM))[0], np.zeros(FEATURE_DIM))
 
     @pytest.mark.parametrize("phi_shape, rewards_shape", [
         ((FEATURE_DIM,), (1,)),        # one row, not a batch
@@ -496,7 +494,7 @@ class TestModelUpdate:
         ((2, FEATURE_DIM), ()),        # a scalar reward
     ])
     def test_batch_shape_checked(self, phi_shape, rewards_shape):
-        model = BanditModel(dim=FEATURE_DIM, ridge=1.0)
+        model = BanditModel(1.0)
         with pytest.raises(InternalError):
             model.update(np.ones(phi_shape), np.ones(rewards_shape))
         assert np.array_equal(model.A, np.eye(FEATURE_DIM))
@@ -506,8 +504,8 @@ class TestModelUpdate:
         # Oracle: theta* = (ridge I + sum phi phi^T)^-1 (sum r phi), solved
         # directly; the model takes one observation per update.
         rng = np.random.default_rng(42)
-        d, ridge = 12, 1.7
-        model = BanditModel(dim=d, ridge=ridge)
+        d, ridge = FEATURE_DIM, 1.7
+        model = BanditModel(ridge)
         phis = rng.normal(size=(1000, d))
         rewards = rng.normal(size=1000)
         for i in range(1000):
@@ -515,7 +513,7 @@ class TestModelUpdate:
         gram = ridge * np.eye(d) + phis.T @ phis
         rhs = phis.T @ rewards
         theta_star = np.linalg.solve(gram, rhs)
-        assert np.max(np.abs(reference_terms(model, np.eye(model.dim))[0] - theta_star)) < 1e-8
+        assert np.max(np.abs(reference_terms(model, np.eye(FEATURE_DIM))[0] - theta_star)) < 1e-8
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -530,20 +528,20 @@ class TestModelUpdate:
         phis = rng.uniform(-1, 1, (n, FEATURE_DIM))
         rewards = rng.normal(size=n)
         bounds = sorted([0, n, *(min(c, n) for c in cuts)])
-        model = BanditModel(dim=FEATURE_DIM, ridge=ridge)
+        model = BanditModel(ridge)
         for lo, hi in zip(bounds, bounds[1:]):
             model.update(phis[lo:hi], rewards[lo:hi])
         eye = np.eye(FEATURE_DIM)
         theta_star = np.linalg.solve(ridge * eye + phis.T @ phis, phis.T @ rewards)
-        assert np.max(np.abs(reference_terms(model, np.eye(model.dim))[0] - theta_star)) <= 1e-10
+        assert np.max(np.abs(reference_terms(model, np.eye(FEATURE_DIM))[0] - theta_star)) <= 1e-10
         assert np.max(np.abs(model._a_inv @ model.A - eye)) <= 1e-10
 
     def test_theta_consistent_with_direct_solve(self):
         rng = np.random.default_rng(1)
-        model = BanditModel(dim=6, ridge=0.5)
+        model = BanditModel(0.5)
         for _ in range(300):
-            model.update(rng.normal(size=(1, 6)), rng.normal(size=1))
-        assert np.max(np.abs(reference_terms(model, np.eye(model.dim))[0] - solve_theta(model))) < 1e-9
+            model.update(rng.normal(size=(1, FEATURE_DIM)), rng.normal(size=1))
+        assert np.max(np.abs(reference_terms(model, np.eye(FEATURE_DIM))[0] - solve_theta(model))) < 1e-9
 
 
 def _events_with_adherence(pre_rate: float, post_rate: float, epoch: int, config: PolicyConfig):
@@ -659,10 +657,10 @@ class TestReward:
 class TestAssign:
     def test_dwell_locked_user_stays_with_zero_mutation(self):
         roster = make_world(seats=[(USER, "g001", 7)])
-        model = BanditModel(dim=FEATURE_DIM)
+        model = BanditModel(1.0)
         before = [a.copy() for a in (roster.group_of, roster.last_change, roster.count, roster.load)]
         decision = assign(USER_ROW, roster, model, epoch=8, config=CONFIG, tables=tables_for(roster))
-        assert decision.chosen.tolist() == [roster.group_row["g001"]]
+        assert decision.chosen.tolist() == [roster.group_ids.index("g001")]
         assert not decision.changed
         after = (roster.group_of, roster.last_change, roster.count, roster.load)
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
@@ -670,7 +668,7 @@ class TestAssign:
 
     def test_waitlist_for_unplaced_user_with_no_feasible_group(self):
         roster = make_world(goal="maintenance")
-        model = BanditModel(dim=FEATURE_DIM)
+        model = BanditModel(1.0)
         decision = assign(USER_ROW, roster, model, 8, CONFIG, tables=tables_for(roster))
         assert decision.chosen.tolist() == [-1] and not decision.changed
         assert roster.group_of[USER_ROW] == -1
@@ -680,9 +678,9 @@ class TestAssign:
 
     def test_placed_user_with_no_feasible_alternative_stays(self):
         roster = make_world(n_groups=1, goal="maintenance", seats=[(USER, "g000", 0)])
-        model = BanditModel(dim=FEATURE_DIM)
+        model = BanditModel(1.0)
         decision = assign(USER_ROW, roster, model, 8, CONFIG, tables=tables_for(roster))
-        assert decision.chosen.tolist() == [roster.group_row["g000"]]
+        assert decision.chosen.tolist() == [roster.group_ids.index("g000")]
         assert not decision.changed
         assert decision.bounds.tolist() == [0, 0] and decision.users.size == 0
 
@@ -691,9 +689,9 @@ class TestAssign:
             seats=[(USER, "g001", 0)],
             goal_of={gid: "maintenance" for gid in ("g001", "g002")},
         )
-        model = BanditModel(dim=FEATURE_DIM)
+        model = BanditModel(1.0)
         decision = assign(USER_ROW, roster, model, 8, CONFIG, tables=tables_for(roster))
-        assert decision.chosen.tolist() == [roster.group_row["g000"]]
+        assert decision.chosen.tolist() == [roster.group_ids.index("g000")]
         assert decision.changed
         assert decision.start == decision.users[0] == USER_ROW
         assert roster.group_ids[roster.group_of[USER_ROW]] == "g000"
@@ -728,7 +726,7 @@ class TestAssign:
             ),
             roster,
         )
-        model = BanditModel(dim=FEATURE_DIM)
+        model = BanditModel(1.0)
         for user, goal in enumerate(goals.tolist()):
             decision = assign(user, roster, model, 8, CONFIG, tables=tables)
             assert decision.start == user
@@ -764,7 +762,7 @@ class TestAssign:
         start = data.draw(st.integers(0, 10))
         steps = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        model = BanditModel(dim=FEATURE_DIM)
+        model = BanditModel(1.0)
         last_move = {}
         epoch = start
         for step in steps:
@@ -804,7 +802,6 @@ class TestRosterArrays:
     def test_rows_follow_sorted_ids(self):
         roster = self.make()
         assert roster.group_ids == ["g09", "g10"] and roster.coach_ids == ["c0", "c1"]
-        assert roster.group_row == {"g09": 0, "g10": 1}
         assert roster.capacity.tolist() == [3, 2]
         assert roster.goal_index.tolist() == [3, 0]
         # g09's coach is c1 and g10's is c0, as coach rows.

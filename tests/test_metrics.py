@@ -135,11 +135,6 @@ class TestRendering:
         assert format_eng_index(1.33) == "1.33 (+33%)"
         assert format_eng_index(0.90) == "0.90 (-10%)"
 
-    def test_text_table_contains_violations_line(self):
-        rendered = render_report(make_report())
-        assert "violations:     0" in rendered["text"]
-        assert "1.33 (+33%)" in rendered["text"]
-
     def test_csv_column_order(self):
         rendered = render_report(make_report())
         header = rendered["csv"].splitlines()[0]

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    deid_dict,
     name_rules,
     reference_detect,
     reference_redact,
@@ -181,7 +182,7 @@ class TestDeidBoundary:
 
     def test_matched_text_not_retained(self):
         out = redact("contact bob@x.org", TOKEN, cohort_metadata={"goal": "fitness"})
-        serialized = json.dumps(out.to_dict())
+        serialized = json.dumps(deid_dict(out))
         assert "bob@x.org" not in serialized
 
     def test_invalid_text_type_rejected(self):
@@ -255,7 +256,7 @@ class TestLeakAudit:
         path = tmp_path / "corpus.jsonl"
         with open(path, "w") as fh:
             for s in samples:
-                fh.write(json.dumps(s.to_dict()) + "\n")
+                fh.write(json.dumps(deid_dict(s)) + "\n")
         loaded = load_deid_corpus(str(path))
         assert loaded[0].text == "call [PHONE] ok"
         assert leak_audit(loaded).leak_rate == 0.0
@@ -268,9 +269,9 @@ class TestLeakAudit:
             redact("call 613-555-0112 ok", TOKEN, cohort_metadata={"goal": "maintenance"}),
         ]
         path = tmp_path / "corpus.jsonl"
-        path.write_text("".join(json.dumps(s.to_dict()) + "\n" for s in samples), encoding="utf-8")
+        path.write_text("".join(json.dumps(deid_dict(s)) + "\n" for s in samples), encoding="utf-8")
         loaded = load_deid_corpus(str(path))
-        assert [s.to_dict() for s in loaded] == [s.to_dict() for s in samples]
+        assert [deid_dict(s) for s in loaded] == [deid_dict(s) for s in samples]
         a, b, c = loaded
         assert a.cohort_metadata is b.cohort_metadata and a.cohort_metadata is not c.cohort_metadata
         assert a.redaction_count_by_type is c.redaction_count_by_type
@@ -282,7 +283,7 @@ class TestLeakAudit:
         # The file is read a line at a time, but a byte that is not UTF-8
         # anywhere in it still wins over a malformed line before it.
         path = tmp_path / "corpus.jsonl"
-        good = json.dumps(redact("see you", TOKEN).to_dict()).encode()
+        good = json.dumps(deid_dict(redact("see you", TOKEN))).encode()
         path.write_bytes(good + b"\n{not json\n" + b"x" * 20000 + b"\n\xff\xfe\n")
         with pytest.raises(ValidationError, match="is not UTF-8"):
             load_deid_corpus(str(path))
@@ -576,7 +577,7 @@ class TestInternalScan:
         for form in (rules, RuleSet(rules)):
             out = redact(text, TOKEN, form, metadata)
             # Key order too: it is the order the run files hold.
-            assert json.dumps(out.to_dict()) == json.dumps(expected.to_dict())
+            assert json.dumps(deid_dict(out)) == json.dumps(deid_dict(expected))
             assert out.source_user_token is TOKEN
         # A plain tuple or list of rules is not a rule set.
         for plain in (tuple(rules), list(rules)):
@@ -617,7 +618,7 @@ class TestRuleSets:
         for text in texts:
             implicit = redact(text, TOKEN, None, {"goal": "fitness"})
             explicit = redact(text, TOKEN, default_rules(), {"goal": "fitness"})
-            assert json.dumps(implicit.to_dict()) == json.dumps(explicit.to_dict())
+            assert json.dumps(deid_dict(implicit)) == json.dumps(deid_dict(explicit))
         samples = [redact(text, TOKEN) for text in texts] + [_rehydrate_deid("cheers, Thaddeus", TOKEN)]
         assert leak_audit(samples) == leak_audit(samples, default_rules())
 
@@ -666,10 +667,10 @@ class TestOwnership:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "corpus.jsonl")
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(first.to_dict()) + "\n")
+                fh.write(json.dumps(deid_dict(first)) + "\n")
             (loaded,) = load_deid_corpus(path)
         deids = (first, second, loaded)
-        before = [json.dumps(d.to_dict()) for d in deids]
+        before = [json.dumps(deid_dict(d)) for d in deids]
         mappings = [m for d in deids for m in (d.cohort_metadata, d.redaction_count_by_type)]
         assert all(type(m) is MappingProxyType and m is not caller for m in mappings)
         for mapping in mappings:
@@ -677,15 +678,10 @@ class TestOwnership:
                 mapping[key] = "changed"
             with pytest.raises(TypeError):
                 del mapping[key]
-        # to_dict hands out plain dicts of its own.
-        doc = first.to_dict()
-        assert type(doc["cohort"]) is dict and type(doc["counts"]) is dict
-        doc["cohort"][key] = "changed"
-        doc["counts"]["EMAIL"] = 99
         # The caller's metadata changes after the call; no DeidText sees it.
         caller[key] = "changed"
         caller.pop(next(iter(caller)))
-        assert [json.dumps(d.to_dict()) for d in deids] == before
+        assert [json.dumps(deid_dict(d)) for d in deids] == before
         assert redact("mail bob@x.org", TOKEN, rules, pool=pool).redaction_count_by_type["EMAIL"] == 1
 
 
@@ -742,7 +738,7 @@ class TestDeidPool:
                 assert [(k, type(v), repr(v)) for k, v in got.items()] == [
                     (k, type(v), repr(v)) for k, v in want.items()
                 ]
-            assert json.dumps(out.to_dict()) == json.dumps(expected.to_dict())
+            assert json.dumps(deid_dict(out)) == json.dumps(deid_dict(expected))
             outs.append(out)
         # One object per distinct mapping, and mappings that encode apart
         # never share.
@@ -854,7 +850,7 @@ class TestScanMemo:
         for text in [pool[k % len(pool)] for k in picks] + pool:
             direct = redact(text, TOKEN, rules, {"goal": "fitness"})
             cached = redact(text, TOKEN, rules, {"goal": "fitness"}, memo=memo)
-            assert cached.to_dict() == direct.to_dict()
+            assert deid_dict(cached) == deid_dict(direct)
             assert cached.source_user_token is direct.source_user_token
         # Positions and entity types only, never the matched text.
         assert set(memo._spans) == set(pool)

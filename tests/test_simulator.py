@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from conftest import (
     ENC_KEY_HEX,
     TOKEN_KEY_HEX,
+    deid_dict,
     make_roster,
     reference_place_initially,
     reference_poisson,
@@ -168,7 +169,7 @@ class TestGeneration:
                 RestorationRequest(f"coach-{user}", "coach", True, token, "check")
             )
             assert result.granted
-            assert result.fields == world._raw_identities[token.value]
+            assert result.fields == world._raw_identities[user]
 
     def test_user_weeks_bounded_before_any_array(self):
         users = MAX_USER_WEEKS // 20
@@ -432,23 +433,30 @@ class TestPrimitives:
     )
     def test_poisson_matches_whole_array_reference(self, seed, shape, high, top):
         # Rates up to the Scenario limit, zeros included; uniforms from the
-        # 2**-53 grid a stream gives, its two ends included. At the top end
-        # the summed pmf can stall below u, and both then hit the step cap.
+        # 2**-53 grid a stream gives, its two ends included. Near the top
+        # end the summed pmf stops growing below u, and both draw there.
         rng = np.random.default_rng(seed)
         lam = rng.uniform(0.0, high, shape) * (rng.random(shape) < 0.9)
         u = rng.random(shape)
         u.flat[: u.size // 7] = 0.0
         if top and u.size:
-            u.flat[-1] = 1.0 - 2.0**-53
-        try:
-            want = reference_poisson(u, lam)
-        except ValidationError:
-            with pytest.raises(ValidationError, match="poisson rate too large"):
-                poisson_from_uniform(u, lam)
-            return
+            tops = 1.0 - 2.0 ** -np.arange(53, 45, -1)
+            u.flat[-tops.size:] = tops[-u.size:]
         got = poisson_from_uniform(u, lam)
         assert got.dtype == np.int64 and got.shape == shape
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, reference_poisson(u, lam))
+
+    @pytest.mark.parametrize("lam, stop", [(0.1, 10), (50.0, 119), (POISSON_RATE_MAX, 927)])
+    def test_poisson_top_uniform_draws_where_the_sum_stops(self, lam, stop):
+        # The summed pmf stops growing below 1 - 2**-53 at these rates.
+        u = np.array([0.5, 1.0 - 2.0**-53])
+        draws = poisson_from_uniform(u, np.full(2, lam))
+        assert draws[1] == stop and draws[0] < stop
+
+    def test_poisson_rate_past_the_float_range_raises(self):
+        # exp(-rate) underflows to 0, so the sum never starts.
+        with pytest.raises(ValidationError, match="poisson rate too large"):
+            poisson_from_uniform(np.array([0.5]), np.array([800.0]))
 
     def test_poisson_elementwise_pairing(self):
         # Same uniform, same rate -> same draw regardless of neighbors.
@@ -968,7 +976,7 @@ class TestDeidCorpusWrite:
                 messages.append(redact(texts[text % len(texts)], token, rules, metadata, pool=pool))
             path = tmp_path / "deid_messages.jsonl"
             experiment._write_deid_messages(str(path), messages)
-            expected = "".join(json.dumps(m.to_dict(), sort_keys=True) + "\n" for m in messages)
+            expected = "".join(json.dumps(deid_dict(m), sort_keys=True) + "\n" for m in messages)
             assert path.read_text(encoding="utf-8") == expected
 
     def test_one_text_with_other_counts_keeps_its_counts(self, tmp_path):
@@ -980,7 +988,7 @@ class TestDeidCorpusWrite:
             path = tmp_path / "deid_messages.jsonl"
             experiment._write_deid_messages(str(path), messages)
             lines = path.read_text().splitlines()
-            assert lines == [json.dumps(m.to_dict(), sort_keys=True) for m in messages]
+            assert lines == [json.dumps(deid_dict(m), sort_keys=True) for m in messages]
             assert ['"NAME": 1' in line for line in lines] == [True, False, True, False]
 
     def test_equal_values_of_other_types_keep_their_own_line(self, tmp_path):

@@ -16,7 +16,6 @@ import prism.assignment
 import prism.cli
 import prism.simulator.experiment
 from prism.assignment import (
-    FEATURE_DIM,
     GOAL_CATEGORIES,
     BanditModel,
     PolicyConfig,
@@ -77,7 +76,7 @@ def test_one_traced_decision_reaches_every_assignment_span():
     with tracer.installed():
         tracer.arm = "adaptive"
         decision = prism.simulator.experiment.assign(
-            0, roster, BanditModel(dim=FEATURE_DIM), 8, PolicyConfig(), tables=tables
+            0, roster, BanditModel(1.0), 8, PolicyConfig(), tables=tables
         )
         tracer.arm = None
     assert prism.assignment.assign is prism.simulator.experiment.assign
