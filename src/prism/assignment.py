@@ -12,18 +12,19 @@ through :class:`UcbTerms`, its mean and width factored once per epoch
 into a part per user row, a part per (goal, group row) and terms in the
 group's fill ratio, so a scored pair costs a few elementwise operations
 and only a chosen pair's feature row is built. An epoch's users are
-decided in row order by :func:`decide_epoch`, in passes between moves;
-:func:`assign` is the per-user step and the reference a pass must
-equal. It returns its decision as a one-row pass, so both paths give
-one record, :class:`DecisionPass`. Rewards are within-user deltas
-against the fixed pre-assignment baseline window and arrive after the
-evaluation window, so the caller queues each epoch's decisions and
-feeds the model one batch per epoch once they mature.
+decided in row order by :func:`decide_epoch`, in passes between moves,
+and where moves come close together in stretches of rows decided one at
+a time. :func:`assign` is the public one-row decision and the reference
+both paths must equal. It returns its decision as a one-row pass, so
+every path gives one record, :class:`DecisionPass`. Rewards are
+within-user deltas against the fixed pre-assignment baseline window and
+arrive after the evaluation window, so the caller queues each epoch's
+decisions and feeds the model one batch per epoch once they mature.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -311,12 +312,12 @@ def _feature_rows(
     tables: FeatureTables, users: np.ndarray, groups: np.ndarray, fill: np.ndarray
 ) -> np.ndarray:
     """The joint feature rows of the pairs of user rows ``users`` (or one
-    user row for every pair) and group rows ``groups``, at the fill ratios
-    ``fill`` of every group row."""
+    user row for every pair) and group rows ``groups``, at the fill ratio
+    ``fill`` of each pair's group."""
     phi = np.empty((groups.size, FEATURE_DIM))
     phi[:, :_USER_BLOCK] = tables.user_block[users]
     phi[:, _USER_BLOCK:] = tables.group_block[tables.goal[users], groups]
-    phi[:, _FILL_RATIO] = fill[groups]
+    phi[:, _FILL_RATIO] = fill
     return phi
 
 
@@ -326,7 +327,7 @@ def joint_features(
     """The joint feature rows of user row ``user`` and each group row in
     ``rows``, as a (k, FEATURE_DIM) matrix: the user's block, the group
     part for the user's goal, and each group's current fill ratio."""
-    return _feature_rows(tables, user, rows, roster.fill)
+    return _feature_rows(tables, user, rows, roster.fill[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +395,6 @@ class BanditModel:
         self.drop_terms()
 
 
-# User rows whose bases UcbTerms.row builds at once, against every group
-# row. Per-user steps come in stretches between passes; a window serves a
-# stretch, so a row pays about 1/64 of a window and reads its bases.
-_WINDOW_ROWS = 64
-
-
 class UcbTerms:
     """The UCB terms of one model over one epoch's feature tables, factored
     into a part per user row, a part per (goal, group row) and terms in
@@ -425,16 +420,17 @@ class UcbTerms:
     epoch. A pair then costs a few elementwise operations, not the
     ``O(d^2)`` of ``phi^T A^-1 phi``.
 
-    A pass takes the terms of its scored pairs through :meth:`pairs`. The
-    per-user step takes its row's through :meth:`row`, which reads the
-    three bracketed sums, the bases, from a window of user rows built at
-    once against every group row. Both compute the bases through one
-    method and apply the fill ratio through another, and every operation
-    after the einsums is elementwise, so a pair gets the same bits on
-    either path. The einsums compute every output element by the same
-    loop over the summed index, so identical user rows get identical
-    terms, as do identical group parts at equal fill ratios: exact ties
-    reach the tie-break.
+    A pass and :func:`score_and_select` take the terms of their scored
+    pairs through :meth:`pairs`. A stretch of per-user decisions reads the
+    bases, the three bracketed sums, from a window of user rows built at
+    once against the groups of each row's goal (:func:`_stretch_window`),
+    and applies each row's fill ratios itself. All compute the bases through
+    :meth:`_bases` and apply the fill ratio through :meth:`_at_fill`, and
+    every operation after the einsums is elementwise, so a pair gets the
+    same bits on every path. The einsums compute every output element by
+    the same loop over the summed index, so identical user rows get
+    identical terms, as do identical group parts at equal fill ratios:
+    exact ties reach the tie-break.
     """
 
     def __init__(self, theta: np.ndarray, a_inv: np.ndarray, tables: FeatureTables) -> None:
@@ -461,7 +457,6 @@ class UcbTerms:
         self.engagement = static[0, :, _ENGAGEMENT].copy()
         self.theta_fill = theta[_FILL_RATIO]
         self.a_inv_fill = sym[_FILL_RATIO, _FILL_RATIO]
-        self._window = (0, 0, None)
 
     def _bases(self, users: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, ...]:
         """The three bracketed sums of the pairs of user rows ``users`` and
@@ -488,20 +483,6 @@ class UcbTerms:
         """``mu`` and ``sigma`` of the pairs of user rows ``users`` and group
         rows ``groups``, at the fill ratios ``fill`` of every group row."""
         return self._at_fill(*self._bases(users, groups), fill[groups])
-
-    def row(
-        self, user: int, groups: np.ndarray, fill: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`pairs` of user row ``user`` and each of ``groups``, read
-        from the bases of a window of user rows from ``user`` on, against
-        every group row: one window serves the per-user steps that follow."""
-        first, last, bases = self._window
-        if not first <= user < last:
-            first, last = user, min(user + _WINDOW_ROWS, len(self.user_mu))
-            every_group = np.arange(len(self.engagement))
-            bases = np.stack(self._bases(np.arange(first, last)[:, None], every_group))
-            self._window = (first, last, bases)
-        return self._at_fill(*bases[:, user - first, groups], fill[groups])
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +613,7 @@ def score_and_select(
     rows = np.asarray(candidates, dtype=np.int64)
     if rows.size == 0:
         raise ValidationError("score_and_select requires a non-empty candidate set")
-    mu, sigma = model.terms(tables).row(user, rows, roster.fill)
+    mu, sigma = model.terms(tables).pairs(user, rows, roster.fill)
     current = roster.group_of[user]
     may_churn = current >= 0 and (epoch - roster.last_change[user]) < config.oscillation
     if may_churn:
@@ -690,28 +671,36 @@ def compute_reward(
 
 
 class DecisionPass(NamedTuple):
-    """The decisions of user rows ``start`` to ``start + len(chosen)``,
-    made in one pass against one roster state: a window of rows from
-    :func:`decide_epoch`, or the one row of an :func:`assign` step.
+    """The decisions of user rows ``start`` to ``start + len(chosen)``, in
+    row order: a pass of rows decided against one roster state, a stretch
+    of rows decided one at a time, or the one row of an :func:`assign`
+    step.
 
     ``codes`` holds each row's reason code per group row and ``chosen``
     the group row each user sits in after the decision (-1 while
-    waitlisted). Only the last row can have moved, and ``changed`` says
-    whether it did. Row ``i``'s scored pairs, its code-0 groups in row
-    order, are ``bounds[i]:bounds[i + 1]`` of ``scores``. ``users`` are
-    the rows with a scored pair, and ``phi`` and ``penalty`` the feature
-    row and churn penalty of each one's chosen pair.
+    waitlisted). ``moved`` says per row whether its decision moved the
+    user; in a pass only the last row can have moved. Row ``i``'s scored
+    pairs, its code-0 groups in row order, are ``bounds[i]:bounds[i + 1]``
+    of ``scores``. ``users`` are the rows with a scored pair, and ``phi``
+    and ``penalty`` the feature row and churn penalty of each one's chosen
+    pair.
     """
 
     start: int
     codes: np.ndarray
     chosen: np.ndarray
-    changed: bool
+    moved: np.ndarray
     bounds: np.ndarray
     scores: CandidateScores
     users: np.ndarray
     phi: np.ndarray
     penalty: np.ndarray
+
+    @property
+    def changed(self) -> bool:
+        """Whether any row moved: for the one row of an :func:`assign`
+        step, whether it did."""
+        return bool(self.moved.any())
 
 
 # The pair fields of a row with nothing scored.
@@ -744,25 +733,26 @@ def assign(
     the epoch's :func:`feature_tables`; the user's goal is read from
     them, so eligibility and features agree on it.
 
-    This is the per-user step of :func:`decide_epoch` and the reference
-    its passes must equal.
+    This is the one-row decision and the reference that the passes and
+    stretches of :func:`decide_epoch` must equal.
     """
     codes = feasibility_report(user, int(tables.goal[user]), roster, epoch, config).codes
     feasible = (codes == 0).nonzero()[0]
     if not feasible.size:
         return DecisionPass(
-            user, codes[None], roster.group_of[user : user + 1].copy(), False, *_NOTHING_SCORED
+            user, codes[None], roster.group_of[user : user + 1].copy(), np.zeros(1, dtype=bool),
+            *_NOTHING_SCORED,
         )
     best, scores, phi = score_and_select(user, feasible, model, roster, epoch, config, tables)
     chosen = feasible[best : best + 1]
-    changed = bool(chosen[0] != roster.group_of[user])
-    if changed:
+    moved = chosen != roster.group_of[user]
+    if moved[0]:
         roster.move(user, int(chosen[0]), epoch, config.dwell)
     return DecisionPass(
         start=user,
         codes=codes[None],
         chosen=chosen,
-        changed=changed,
+        moved=moved,
         bounds=np.array([0, feasible.size]),
         scores=scores,
         users=np.array([user]),
@@ -772,7 +762,7 @@ def assign(
 
 
 # ---------------------------------------------------------------------------
-# An epoch's decisions, in passes between moves
+# An epoch's decisions, in passes between moves and stretches of single rows
 # ---------------------------------------------------------------------------
 
 # The most user rows one pass decides. A pass holds a row of codes per
@@ -780,14 +770,19 @@ def assign(
 # the pass's first move is decided again, so larger passes cost memory
 # and, in epochs with many moves, wasted work.
 _MAX_PASS_ROWS = 128
-# A pass costs about 2.4 per-user steps, plus 1/70 (24 groups) to 1/11
-# (384 groups) of one per row it scores. A window sized to the mean
-# stretch between moves keeps, on average, fewer rows than it scores, so
-# a pass pays off from a stretch of about 4 rows. Whole move-dense
-# epochs decided with a lower bound of 4 to 16 rows, and an upper one of
-# 64 to 256, came out within their run-to-run spread of each other, so
-# the bounds keep the margin of 8.
+# A pass and its trace lines cost about 3 stretch rows (3.2 at 24
+# groups, 3.1 at 96 and 2.7 at 384), plus 1/12 (24 groups) to 1/4 (384
+# groups) of one per row it scores. A window sized to the mean stretch
+# between moves keeps, on average, fewer rows than it scores, so a pass
+# pays off only from a stretch of several rows. Whole move-dense epochs
+# decided with a lower bound of 4 to 16 rows came out within their
+# run-to-run spread of each other, so the bound stays at 8.
 _MIN_PASS_ROWS = 8
+# The user rows whose stretch window is built at once. The window serves
+# every stretch of the epoch that starts inside it, so a stretch that
+# hands back to passes after a few rows leaves the rest of its window to
+# the next stretch.
+_STRETCH_ROWS = 64
 
 
 def decide_epoch(
@@ -797,7 +792,6 @@ def decide_epoch(
     config: PolicyConfig,
     *,
     tables: FeatureTables,
-    step: Callable[..., DecisionPass] = assign,
 ) -> Iterator[DecisionPass]:
     """Decide every roster user row in row order, as :func:`assign` one
     row at a time would, and yield the decisions as they are made.
@@ -811,13 +805,15 @@ def decide_epoch(
     :meth:`Roster.move`, and yields a :class:`DecisionPass`; the next
     pass starts at the row after. Each pass spans the mean stretch
     between the epoch's moves so far, up to ``_MAX_PASS_ROWS`` rows. When
-    that is under ``_MIN_PASS_ROWS`` rows, the rows are decided one at a
-    time by ``step``, :func:`assign` or the caller's own reference to it,
-    and each yields its one-row pass. Once every row is decided, the
-    model drops its terms of ``tables``.
+    that is under ``_MIN_PASS_ROWS`` rows, moves come too close together
+    for a pass, and :func:`_decide_stretch` decides the rows one at a time
+    until the mean stretch reaches a pass again, yielding them as one
+    :class:`DecisionPass`. Once every row is decided, the model drops its
+    terms of ``tables``.
     """
     n_users = len(roster.user_tokens)
     user = moves = 0
+    window = None
     while user < n_users:
         # A pass spans the mean stretch between the epoch's moves so far;
         # before the first move, twice the rows decided.
@@ -828,18 +824,14 @@ def decide_epoch(
         )
         if rows >= _MIN_PASS_ROWS:
             decided = _decide_pass(user, rows, roster, model, epoch, config, tables)
-            user += decided.chosen.size
-            moves += decided.changed
-            yield decided
-            continue
-        # One row at a time until the mean stretch reaches a pass.
-        while True:
-            decision = step(user, roster, model, epoch, config, tables=tables)
-            user += 1
-            moves += decision.changed
-            yield decision
-            if user == n_users or (user >= _MIN_PASS_ROWS * moves and n_users - user >= _MIN_PASS_ROWS):
-                break
+        else:
+            if window is None or user >= window.last:
+                last = min(user + _STRETCH_ROWS, n_users)
+                window = _stretch_window(user, last, roster, model.terms(tables), epoch, config)
+            decided = _decide_stretch(user, window, moves, roster, model, epoch, config, tables)
+        user += decided.chosen.size
+        moves += int(np.count_nonzero(decided.moved))
+        yield decided
     model.drop_terms()
 
 
@@ -908,7 +900,9 @@ def _decide_pass(
     best = best[:n_kept_scored]
     users = start + scored[:n_kept_scored]
     # The chosen rows as scored, before the move changes a fill ratio.
-    phi = _feature_rows(tables, users, pair_group[best], roster.fill)
+    groups = pair_group[best]
+    phi = _feature_rows(tables, users, groups, roster.fill[groups])
+    moved = chosen[:kept] != current[:kept]
     if moves.size:
         roster.move(start + kept - 1, int(chosen[kept - 1]), epoch, config.dwell)
     pairs = bounds[kept]
@@ -916,10 +910,157 @@ def _decide_pass(
         start=start,
         codes=codes[:kept],
         chosen=chosen[:kept],
-        changed=bool(moves.size),
+        moved=moved,
         bounds=bounds[: kept + 1],
         scores=CandidateScores(mu[:pairs], sigma[:pairs], penalty[:pairs]),
         users=users,
         phi=phi,
         penalty=penalty[best],
+    )
+
+
+class _StretchWindow(NamedTuple):
+    """What no move in the epoch changes about user rows ``first`` to
+    ``last``: per row, its goal index, as they stand until the row's own
+    decision its group and whether it is dwell-locked or would pay a churn
+    penalty for leaving, and the three bases of its pairs with the groups
+    of its goal. ``bases[row - first]`` holds a row's bases, and group
+    row ``g``'s are in column ``column[g]``."""
+
+    first: int
+    last: int
+    goal: list[int]
+    current: list[int]
+    locked: list[bool]
+    may_churn: list[bool]
+    bases: np.ndarray
+    column: np.ndarray
+
+
+def _stretch_window(
+    first: int, last: int, roster: Roster, terms: UcbTerms, epoch: int, config: PolicyConfig
+) -> _StretchWindow:
+    """The window of user rows ``first`` to ``last`` at ``epoch``. Within
+    an epoch the model and tables are fixed, and a row's group and last
+    change move only at its own decision, so the window holds for every
+    row not yet decided.
+
+    Each group serves one goal, and a row that is not dwell-locked can
+    only score groups of its own goal, so the window builds the bases of
+    those pairs alone: ``goal_groups[goal]`` lists the goal's group rows,
+    padded with row 0, and ``column[g]`` is group row ``g``'s place in its
+    goal's list."""
+    goal_index = roster.goal_index
+    column = np.empty(goal_index.size, dtype=np.int64)
+    per_goal = np.bincount(goal_index, minlength=len(GOAL_CATEGORIES))
+    goal_groups = np.zeros((len(GOAL_CATEGORIES), per_goal.max()), dtype=np.int64)
+    for goal in _GOAL_ROWS:
+        groups = np.flatnonzero(goal_index == goal)
+        column[groups] = np.arange(groups.size)
+        goal_groups[goal, : groups.size] = groups
+    current = roster.group_of[first:last]
+    since_change = epoch - roster.last_change[first:last]
+    placed = current >= 0
+    goal = terms.tables.goal[first:last]
+    bases = terms._bases(np.arange(first, last)[:, None], goal_groups[goal])
+    return _StretchWindow(
+        first=first,
+        last=last,
+        goal=goal.tolist(),
+        current=current.tolist(),
+        locked=(placed & (since_change < config.dwell)).tolist(),
+        may_churn=(placed & (since_change < config.oscillation)).tolist(),
+        bases=np.stack(bases, axis=1),
+        column=column,
+    )
+
+
+def _decide_stretch(
+    start: int,
+    window: _StretchWindow,
+    moves: int,
+    roster: Roster,
+    model: BanditModel,
+    epoch: int,
+    config: PolicyConfig,
+    tables: FeatureTables,
+) -> DecisionPass:
+    """Decide user rows from ``start`` on one at a time, each as
+    :func:`assign` would and each move applied before the next row, and
+    return them as one :class:`DecisionPass`.
+
+    The stretch runs to the end of ``window``, or stops after the first
+    row that brings the epoch's mean stretch between moves, ``moves``
+    made before ``start`` and those of the stretch, to ``_MIN_PASS_ROWS``
+    rows with at least as many rows left, where :func:`decide_epoch`
+    hands back to passes. A row reads its codes from
+    :func:`feasibility_report` and its bases from the window (a
+    dwell-locked row's one pair from :meth:`UcbTerms.pairs`), and does
+    only the work a move can change: the fill ratios of its feasible
+    groups, the penalty, :func:`ucb_score`, the tie-break of
+    :func:`score_and_select` and the move. Each chosen pair's fill ratio
+    is taken before its move, and the chosen feature rows are built once
+    at the end."""
+    terms = model.terms(tables)
+    n_users, n_groups = len(roster.user_tokens), len(roster.group_ids)
+    fill, count = roster.fill, roster.count
+    codes, chosen, moved, widths = [], [], [], []
+    mus, sigmas, penalties = [np.empty(0)], [np.empty(0)], [np.empty(0, dtype=np.int64)]
+    users, groups, fills, picked = [], [], [], []
+    for user in range(start, window.last):
+        row = user - window.first
+        current = window.current[row]
+        report = feasibility_report(user, window.goal[row], roster, epoch, config)
+        feasible = (report.codes == 0).nonzero()[0]
+        codes.append(report.codes)
+        widths.append(feasible.size)
+        group = current
+        if feasible.size:
+            if window.locked[row]:
+                # Its one feasible group, its own, may serve another goal.
+                mu, sigma = terms.pairs(user, feasible, fill)
+            else:
+                bases = window.bases[row][:, window.column[feasible]]
+                mu, sigma = terms._at_fill(*bases, fill[feasible])
+            if window.may_churn[row]:
+                penalty = (feasible != current).astype(np.int64)
+            else:
+                penalty = np.zeros(feasible.size, dtype=np.int64)
+            score = ucb_score(mu, sigma, penalty, config.beta, config.lam)
+            # The first highest score is the lowest group row among the
+            # best; only an exact tie needs the member counts.
+            best = int(score.argmax())
+            tied = (score == score[best]).nonzero()[0]
+            if tied.size > 1:
+                tied_groups = feasible[tied]
+                best = int(tied[(count[tied_groups] * n_groups + tied_groups).argmin()])
+            group = int(feasible[best])
+            mus.append(mu)
+            sigmas.append(sigma)
+            penalties.append(penalty)
+            users.append(user)
+            groups.append(group)
+            fills.append(fill[group])
+            picked.append(penalty[best])
+        chosen.append(group)
+        moved.append(group != current)
+        if group != current:
+            roster.move(user, group, epoch, config.dwell)
+            moves += 1
+        done = user + 1
+        if done >= _MIN_PASS_ROWS * moves and n_users - done >= _MIN_PASS_ROWS:
+            break
+    bounds = np.zeros(len(chosen) + 1, dtype=np.int64)
+    np.cumsum(widths, out=bounds[1:])
+    users = np.array(users, dtype=np.int64)
+    return DecisionPass(
+        start=start,
+        codes=np.stack(codes),
+        chosen=np.array(chosen, dtype=np.int64),
+        moved=np.array(moved),
+        bounds=bounds,
+        scores=CandidateScores(np.concatenate(mus), np.concatenate(sigmas), np.concatenate(penalties)),
+        users=users,
+        phi=_feature_rows(tables, users, np.array(groups, dtype=np.int64), np.array(fills)),
+        penalty=np.array(picked, dtype=np.int64),
     )

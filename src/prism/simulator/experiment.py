@@ -11,9 +11,9 @@ implementation bug, never a tolerable outcome.
 An epoch's users are decided by ``decide_epoch``, in passes between
 moves: each pass decides a window of user rows against the roster as it
 stands and keeps them up to and including the first move. Where moves
-come close together, it decides one user at a time through ``assign``,
-the per-user step and the reference every pass equals, which returns its
-decision as a one-row pass. So every decision arrives as a
+come close together, a stretch decides the rows one at a time, each as
+``assign``, the one-row decision and the reference both paths equal,
+would decide it. Passes and stretches alike arrive as a
 ``DecisionPass``, and ``_pass_lines`` writes every trace line.
 """
 
@@ -92,6 +92,9 @@ from .world import (
     STREAM_REVIEW,
 )
 
+# perfbench/tracing.py wraps assign here; no code in this module calls it.
+_TRACED_NAMES = (assign,)
+
 _WINDOW_WEEKS = 8
 _EDIT_TEXT = (
     "Checking in from your coach: last week looked quieter than usual. "
@@ -116,8 +119,8 @@ def _digits(values: np.ndarray) -> str:
 
 def _pass_lines(decided: DecisionPass, epoch: int, roster: Roster) -> str:
     """The trace lines of a pass's decisions, in row order, one line of
-    trace schema 3 each. This is the one trace writer, for a window of
-    rows and for the one row of an ``assign`` step alike.
+    trace schema 3 each. This is the one trace writer, for a pass, a
+    stretch and the one row of an ``assign`` step alike.
 
     ``codes`` holds one reason code per group row (``0`` for scored) as
     the character ``chr(48 + code)``. ``mu`` and ``sigma`` are base64 of
@@ -136,13 +139,13 @@ def _pass_lines(decided: DecisionPass, epoch: int, roster: Roster) -> str:
     mu = scores.mu.astype("<f8", copy=False).tobytes()
     sigma = scores.sigma.astype("<f8", copy=False).tobytes()
     bounds = decided.bounds.tolist()
-    last = len(bounds) - 2
+    moved = decided.moved.tolist()
     lines = []
     for i, group in enumerate(decided.chosen.tolist()):
         lo, hi = bounds[i], bounds[i + 1]
         token = encode_basestring_ascii(roster.user_tokens[decided.start + i])
         chosen = encode_basestring_ascii(roster.group_ids[group]) if group >= 0 else "null"
-        changed = "true" if decided.changed and i == last else "false"
+        changed = "true" if moved[i] else "false"
         mu_text = b2a_base64(mu[8 * lo : 8 * hi], newline=False).decode("ascii")
         sigma_text = b2a_base64(sigma[8 * lo : 8 * hi], newline=False).decode("ascii")
         lines.append(
@@ -599,9 +602,9 @@ def _decide(
     phi = np.empty((n_users, FEATURE_DIM))
     penalties = np.empty(n_users, dtype=np.int64)
     scored = 0
-    for decided in decide_epoch(roster, model, epoch, config, tables=tables, step=assign):
+    for decided in decide_epoch(roster, model, epoch, config, tables=tables):
         counters["decisions"] += decided.chosen.size
-        counters["reassignments"] += decided.changed
+        counters["reassignments"] += int(np.count_nonzero(decided.moved))
         if traces is not None:
             traces.write(_pass_lines(decided, epoch, roster))
         end = scored + decided.users.size

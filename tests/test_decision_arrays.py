@@ -48,6 +48,8 @@ from prism.assignment import (
     DecisionPass,
     PolicyConfig,
     _decide_pass,
+    _decide_stretch,
+    _stretch_window,
     assign,
     feasibility_report,
     feature_tables,
@@ -280,7 +282,7 @@ def joined(steps):
         start=steps[0].start,
         codes=np.concatenate([d.codes for d in steps]),
         chosen=np.concatenate([d.chosen for d in steps]),
-        changed=steps[-1].changed,
+        moved=np.concatenate([d.moved for d in steps]),
         bounds=np.concatenate([[0], np.cumsum([d.bounds[1] for d in steps])]),
         scores=CandidateScores(*(np.concatenate(terms) for terms in zip(*(d.scores for d in steps)))),
         users=np.concatenate([d.users for d in steps]),
@@ -345,12 +347,21 @@ def assert_same_epoch(roster, model, epoch, config, tables):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=epochs(max_users=40), max_rows=st.integers(1, 16), min_rows=st.integers(1, 18))
-def test_epoch_in_passes_equals_per_user_loop(case, max_rows, min_rows):
+@given(
+    case=epochs(max_users=40),
+    max_rows=st.integers(1, 16),
+    min_rows=st.integers(1, 18),
+    stretch_rows=st.integers(1, 16),
+)
+def test_epoch_in_passes_equals_per_user_loop(case, max_rows, min_rows, stretch_rows):
     # Small pass bounds put many passes, and passes cut by a move on any
     # row, into a small epoch; a lower bound above the upper one decides
-    # every row one at a time.
-    with mock.patch.multiple(assignment, _MAX_PASS_ROWS=max_rows, _MIN_PASS_ROWS=min_rows):
+    # every row in stretches. Small stretch windows cut stretches at the
+    # window's end as well as at the epoch's last row and at the hand-back
+    # to passes.
+    with mock.patch.multiple(
+        assignment, _MAX_PASS_ROWS=max_rows, _MIN_PASS_ROWS=min_rows, _STRETCH_ROWS=stretch_rows
+    ):
         assert_same_epoch(*case)
 
 
@@ -388,6 +399,73 @@ def test_one_pass_equals_per_user_steps(case, data):
     ]
     assert [d.changed for d in decisions] == [False] * (kept - 1) + [decided.changed]
     assert decided.changed or kept == rows
+    assert_same_steps(decided, decisions, epoch, roster, expected)
+    event(f"kept {'one row' if kept == 1 else 'every row' if kept == rows else 'some rows'}"
+          f"{', last one moved' if decided.changed else ''}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=epochs(max_users=40), data=st.data())
+def test_one_stretch_equals_per_user_steps(case, data):
+    # Any window, entered at any of its rows after any number of the
+    # epoch's moves: the stretch keeps its rows up to the window's end or
+    # the hand-back to passes, each as assign decides it, and applies
+    # every move before the next row.
+    roster, model, epoch, config, tables = case
+    n = len(roster.user_tokens)
+    first = data.draw(st.integers(0, n - 1))
+    last = data.draw(st.integers(first + 1, n))
+    start = data.draw(st.integers(first, last - 1))
+    moves = data.draw(st.integers(0, n))
+    # Small lower pass bounds let a small epoch hand back.
+    min_rows = data.draw(st.integers(1, 10))
+    window = _stretch_window(first, last, roster, model.terms(tables), epoch, config)
+    expected = copy.deepcopy(roster)
+    with mock.patch.object(assignment, "_MIN_PASS_ROWS", min_rows):
+        decided = _decide_stretch(start, window, moves, roster, model, epoch, config, tables)
+    kept = decided.chosen.size
+    decisions = [
+        assign(user, expected, model, epoch, config, tables=tables)
+        for user in range(start, start + kept)
+    ]
+    # The stretch hands back after the first row where decide_epoch would.
+    done = np.arange(start + 1, start + kept + 1)
+    made = moves + np.cumsum([d.changed for d in decisions])
+    hand_back = (done >= min_rows * made) & (n - done >= min_rows)
+    assert not hand_back[:-1].any()
+    assert hand_back[-1] or start + kept == last
+    assert_same_steps(decided, decisions, epoch, roster, expected)
+    ties = [
+        d for d in decisions
+        if np.count_nonzero((score := score_of(d.scores, config)) == score.max(initial=-np.inf)) > 1
+    ]
+    event(f"{'a row broke an exact tie' if ties else 'no exact tie'}; "
+          f"{'handed back' if hand_back[-1] else 'ran to the window end'}"
+          f"{', moved' if decided.changed else ''}")
+
+
+def test_a_stretch_breaks_an_exact_tie_by_member_count():
+    # Both fitness groups are half full, so a cold model scores the new
+    # user's two pairs equal to the bit; the first highest score is g000,
+    # but the tie goes to g001, which has fewer members.
+    groups = [("g000", "c00", 4, "fitness"), ("g001", "c00", 2, "fitness")]
+    roster = make_roster(groups, {"c00": 9}, [f"{u:02x}" * 32 for u in range(4)])
+    for user, group in ((0, 0), (1, 0), (2, 1)):
+        roster.move(user, group, 0, dwell=0)
+    tables, config, model = tables_for(roster, "fitness"), PolicyConfig(), BanditModel(1.0)
+    expected = copy.deepcopy(roster)
+    window = _stretch_window(3, 4, roster, model.terms(tables), 8, config)
+    decided = _decide_stretch(3, window, 0, roster, model, 8, config, tables)
+    (mu_0, mu_1), (sigma_0, sigma_1) = decided.scores.mu, decided.scores.sigma
+    assert (mu_0, sigma_0) == (mu_1, sigma_1)
+    assert decided.chosen.tolist() == [1] and decided.moved.tolist() == [True]
+    assert_same_steps(decided, [assign(3, expected, model, 8, config, tables=tables)], 8, roster, expected)
+
+
+def assert_same_steps(decided, decisions, epoch, roster, expected):
+    """A pass or stretch, its trace lines and the roster it leaves equal
+    the one-row ``assign`` decisions of its rows and their roster
+    ``expected``, byte for byte."""
     assert _pass_lines(decided, epoch, roster) == "".join(
         reference_trace_line(d, epoch, roster) for d in decisions
     )
@@ -395,14 +473,12 @@ def test_one_pass_equals_per_user_steps(case, data):
         assert getattr(roster, name).tobytes() == getattr(expected, name).tobytes(), name
     reference = joined(decisions)
     assert (decided.start, decided.changed) == (reference.start, reference.changed)
-    for name in ("codes", "chosen", "bounds", "users", "phi", "penalty"):
+    for name in ("codes", "chosen", "moved", "bounds", "users", "phi", "penalty"):
         got, want = getattr(decided, name), getattr(reference, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
     for got, want in zip(decided.scores, reference.scores):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    event(f"kept {'one row' if kept == 1 else 'every row' if kept == rows else 'some rows'}"
-          f"{', last one moved' if decided.changed else ''}")
 
 
 # -- contexts ------------------------------------------------------------------
@@ -549,7 +625,7 @@ def decision_with(codes, draw_float, chosen, changed, legend, token="t0"):
         start=0,
         codes=codes[None],
         chosen=np.array([group]),
-        changed=changed,
+        moved=np.array([changed]),
         bounds=np.array([0, rows.size]),
         scores=CandidateScores(mu=mu, sigma=sigma, penalty=penalty),
         users=np.zeros(pair.size, dtype=np.int64),

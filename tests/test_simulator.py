@@ -34,6 +34,7 @@ from prism.assignment import (
     REASONS_OF_CODE,
     CandidateScores,
     PolicyConfig,
+    _decide_stretch,
     decide_epoch,
 )
 from prism.errors import ValidationError
@@ -58,6 +59,7 @@ from prism.simulator import (
     step_week,
     group_activity_flags,
 )
+from prism import assignment
 from prism.simulator import experiment
 from prism.simulator.scenario import (
     MAX_GROUPS_OR_COACHES,
@@ -890,34 +892,33 @@ class TestDeterminismAndPrivacy:
     def test_score_decomposition_in_traces(self, keys, tmp_path, monkeypatch):
         # The decoder derives score from mu, sigma, penalty and the
         # manifest's policy; every term must come back with the bits the
-        # decision held, whether a pass or a per-user step made it.
-        decisions, by_step = [], set()
+        # decision held, whether a pass or a stretch made it.
+        decisions, by_stretch, stretches = [], set(), []
 
-        def recording_decide_epoch(roster, *args, step, **kwargs):
-            stepped = []
+        def recording_stretch(*args):
+            stretches.append(_decide_stretch(*args))
+            return stretches[-1]
 
-            def recording_step(*step_args, **step_kwargs):
-                stepped.append(step(*step_args, **step_kwargs))
-                return stepped[-1]
-
-            for decided in decide_epoch(roster, *args, step=recording_step, **kwargs):
-                by_step.add(bool(stepped) and stepped[-1] is decided)
-                bounds, last = decided.bounds.tolist(), decided.chosen.size - 1
+        def recording_decide_epoch(roster, *args, **kwargs):
+            for decided in decide_epoch(roster, *args, **kwargs):
+                by_stretch.add(bool(stretches) and stretches[-1] is decided)
+                bounds = decided.bounds.tolist()
                 for i, group in enumerate(decided.chosen.tolist()):
                     pairs = slice(bounds[i], bounds[i + 1])
                     decisions.append((
                         decided.codes[i].tolist(),
                         roster.group_ids[group] if group >= 0 else None,
-                        decided.changed and i == last,
+                        bool(decided.moved[i]),
                         [a[pairs] for a in (*decided.scores, score_of(decided.scores, config))],
                     ))
                 yield decided
 
+        monkeypatch.setattr(assignment, "_decide_stretch", recording_stretch)
         monkeypatch.setattr(experiment, "decide_epoch", recording_decide_epoch)
         config = PolicyConfig(beta=0.6, lam=0.45)
         run_experiment(small_scenario(seed=17), keys, policy=config, out_dir=str(tmp_path))
         traces = read_traces(tmp_path)
-        assert len(traces) == len(decisions) and by_step == {True, False}
+        assert len(traces) == len(decisions) and by_stretch == {True, False}
         checked = 0
         for trace, (codes, chosen, changed, terms) in zip(traces, decisions):
             assert trace["codes"] == codes
