@@ -216,29 +216,29 @@ _IDENTITY_HIGHS = (
 )
 
 
-def synth_identity(rng: np.random.Generator, index: int) -> dict[str, str]:
-    """One registration payload; every field matches a redaction-covered grammar.
+def synth_identities(rng: np.random.Generator, n: int) -> list[dict[str, str]]:
+    """The registration payloads of rows 0 to ``n - 1``; every field matches
+    a redaction-covered grammar, and row ``i``'s email carries ``i``.
 
-    The nine integers come from one broadcast ``integers`` call, which
-    draws them in order exactly as nine scalar calls would."""
-    first_i, last_i, line, year, month, day, street_no, street_i, suffix_i = rng.integers(
-        _IDENTITY_LOWS, _IDENTITY_HIGHS
-    ).tolist()
-    first = DEFAULT_FIRST_NAMES[first_i]
-    last = DEFAULT_LAST_NAMES[last_i]
-    phone = f"613-555-{line:04d}"
-    dob = f"{year}-{month:02d}-{day:02d}"
-    street = STREET_NAMES[street_i]
-    suffix = STREET_SUFFIXES[suffix_i]
-    return {
-        "full_name": f"{first} {last}",
-        "first_name": first,
-        "last_name": last,
-        "email": f"{first}.{last}{index}@example-mail.test".lower(),
-        "phone": phone,
-        "dob": dob,
-        "address": f"{street_no} {street} {suffix}",
-    }
+    The nine integers of all ``n`` rows come from one ``(n, 9)``
+    ``integers`` call, which draws them row by row, in field order, exactly
+    as ``9 * n`` scalar calls would."""
+    draws = rng.integers(_IDENTITY_LOWS, _IDENTITY_HIGHS, size=(n, len(_IDENTITY_LOWS)))
+    identities = []
+    for index, row in enumerate(draws):
+        first_i, last_i, line, year, month, day, street_no, street_i, suffix_i = row.tolist()
+        first = DEFAULT_FIRST_NAMES[first_i]
+        last = DEFAULT_LAST_NAMES[last_i]
+        identities.append({
+            "full_name": f"{first} {last}",
+            "first_name": first,
+            "last_name": last,
+            "email": f"{first}.{last}{index}@example-mail.test".lower(),
+            "phone": f"613-555-{line:04d}",
+            "dob": f"{year}-{month:02d}-{day:02d}",
+            "address": f"{street_no} {STREET_NAMES[street_i]} {STREET_SUFFIXES[suffix_i]}",
+        })
+    return identities
 
 
 # ---------------------------------------------------------------------------

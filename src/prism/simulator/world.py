@@ -10,7 +10,6 @@ users whose group placement actually differs.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -21,12 +20,12 @@ from ..assignment import PolicyConfig, Roster
 from ..errors import ValidationError
 from ..features import ACTION_TYPES, DAYS_PER_WEEK, GOAL_CATEGORIES
 from ..redaction import DeidPool, DeidText, RuleSet, default_rules, redact
-from ..vault import KeyRing, UserToken, Vault
+from ..vault import REGISTRATION_BYTES, KeyRing, UserToken, Vault
 from .scenario import (
     N_MESSAGE_VARIANTS,
     POISSON_RATE_MAX,
     Scenario,
-    synth_identity,
+    synth_identities,
     synth_message,
 )
 
@@ -178,15 +177,48 @@ class World:
         return int(violations)
 
 
+class _IntakeEntropy:
+    """The vault's entropy source for one cohort's intake.
+
+    A draw set as ``pending`` is the next draw: ``generate_cohort`` sets
+    each row's 28 bytes of the intake block before registering the row. Every
+    other draw, a token-collision retry or a registration after intake,
+    reads from the cohort stream, past the block, so a retry leaves every
+    other row's draw as it was."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self.pending: bytes | None = None
+
+    def __call__(self, size: int) -> bytes:
+        draw, self.pending = self.pending, None
+        return self._rng.bytes(size) if draw is None else draw
+
+
 def generate_cohort(scenario: Scenario, keys: KeyRing) -> World:
     """Deterministically build users, groups, coaches, and vault registrations.
 
     Every synthetic user is registered through the vault, so nothing
-    downstream of this function handles anything but tokens.
+    downstream of this function handles anything but tokens. The cohort
+    stream draws each field once for all ``n`` users, in this order:
+
+    1. the ``n_groups`` group capacities;
+    2. the identity integers, one ``(n, 9)`` ``integers`` call
+       (:func:`synth_identities`);
+    3. the goals, one ``choice`` over ``GOAL_CATEGORIES`` with
+       ``goal_weights``;
+    4. the base logits (``normal``), the fatigue rates (``uniform`` on
+       [0.5, 1.5)), the ``(n, K)`` normals of the engagement rates and the
+       start weights (``normal``);
+    5. one block of ``28 n`` bytes: row ``i``'s registration draw, its
+       subject id then its nonce, is bytes ``[28 i, 28 i + 28)``.
+
+    A drawn rate over the Poisson draw's limit raises before any user is
+    registered. The users are then registered one ``Vault.register`` call
+    each, in row order; a token-collision retry draws from the stream
+    after the block.
     """
     rng = substream(scenario.seed, _STREAM_COHORT)
-    clock = SimClock()
-    vault = Vault(keys, clock=clock, entropy=rng.bytes)
 
     # Groups, coaches, capacity feasibility.
     capacities = rng.integers(
@@ -206,34 +238,34 @@ def generate_cohort(scenario: Scenario, keys: KeyRing) -> World:
             f"total coach load limit {total_load}"
         )
 
-    # Users: identity through the vault, behavioral parameters kept.
+    # Users: one draw per field, identities kept only for the vault and
+    # message synthesis.
     n = scenario.n_users
-    tokens: list[UserToken] = []
-    raw_identities: list[dict] = []
-    goal_cdf = _goal_cdf(scenario.goal_weights)
-    goal_index = np.empty(n, dtype=np.int64)
-    base_logit = np.empty(n)
-    fatigue_rate = np.empty(n)
-    engagement_rates = np.empty((n, len(ACTION_TYPES)))
-    weights0_col = np.empty(n)
-    rate_means = np.asarray(scenario.engagement_rate_means)
-    for i in range(n):
-        identity = synth_identity(rng, i)
-        goal_index[i] = bisect_right(goal_cdf, rng.random())
-        base_logit[i] = scenario.base_logit_mean + scenario.base_logit_sd * float(rng.normal())
-        fatigue_rate[i] = scenario.fatigue_mean * float(rng.uniform(0.5, 1.5))
-        engagement_rates[i] = rate_means * np.exp(
-            0.3 * rng.normal(size=len(ACTION_TYPES))
-        )
-        weights0_col[i] = scenario.weight_start_mean + scenario.weight_start_sd * float(rng.normal())
-        tokens.append(vault.register(identity))
-        raw_identities.append(identity)
+    identities = synth_identities(rng, n)
+    goal_index = rng.choice(len(GOAL_CATEGORIES), size=n, p=scenario.goal_weights)
+    base_logit = scenario.base_logit_mean + scenario.base_logit_sd * rng.normal(size=n)
+    fatigue_rate = scenario.fatigue_mean * rng.uniform(0.5, 1.5, n)
+    engagement_rates = np.asarray(scenario.engagement_rate_means) * np.exp(
+        0.3 * rng.normal(size=(n, len(ACTION_TYPES)))
+    )
+    weights0_col = scenario.weight_start_mean + scenario.weight_start_sd * rng.normal(size=n)
+    block = rng.bytes(REGISTRATION_BYTES * n)
     # A goal-matched user's weekly rates are its drawn rates times 1 + bonus.
     if engagement_rates.max() * max(1.0, 1.0 + scenario.engagement_match_bonus) > POISSON_RATE_MAX:
         raise ValidationError(
             f"a drawn engagement rate exceeds the Poisson draw's limit of {POISSON_RATE_MAX:g}; "
             "lower engagement_rate_means or engagement_match_bonus"
         )
+
+    clock = SimClock()
+    entropy = _IntakeEntropy(rng)
+    vault = Vault(keys, clock=clock, entropy=entropy)
+    tokens: list[UserToken] = []
+    for row, identity in enumerate(identities):
+        entropy.pending = block[REGISTRATION_BYTES * row : REGISTRATION_BYTES * (row + 1)]
+        tokens.append(vault.register(identity))
+    # Not needed past intake: dropped before the world's arrays are allocated.
+    del block
 
     # Group g is g{g:03d}, serves goal index g % 4 (GOAL_CATEGORIES) and has
     # coach c{g % n_coaches:02d}; the roster puts the rows in id order.
@@ -263,23 +295,12 @@ def generate_cohort(scenario: Scenario, keys: KeyRing) -> World:
         actions=np.zeros((n, horizon, len(ACTION_TYPES)), dtype=np.int32),
         weights_kg=np.zeros((n, horizon + 1)),
         weekly_scores=np.full((n, horizon), np.nan),
-        _raw_identities=tuple(raw_identities),
+        _raw_identities=tuple(identities),
     )
     world.weights_kg[:, 0] = weights0_col
 
     _place_initially(world)
     return world
-
-
-def _goal_cdf(goal_weights: tuple[float, ...]) -> list[float]:
-    """The cdf ``Generator.choice(p=goal_weights)`` searches: the float
-    cumulative sum, divided by its last entry. ``bisect_right(cdf,
-    rng.random())`` then draws the goal ``choice`` would, from the same one
-    uniform, without its per-call checks; Scenario already rejects every
-    vector ``choice`` would reject."""
-    cdf = np.cumsum(np.asarray(goal_weights, dtype=float))
-    cdf /= cdf[-1]
-    return cdf.tolist()
 
 
 def coach_load_limits(capacities: list[int], n_coaches: int, load_factor: float) -> list[int]:

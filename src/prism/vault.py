@@ -57,7 +57,7 @@ _KEY_BYTES = 32
 _SID_BYTES = 16
 # One registration draw: the subject id, then the nonce. Both are whole
 # 32-bit words, so a seeded numpy source yields the same bytes as two draws.
-_REGISTRATION_BYTES = _SID_BYTES + _GCM_NONCE_BYTES
+REGISTRATION_BYTES = _SID_BYTES + _GCM_NONCE_BYTES
 
 _IDENTITY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
@@ -498,8 +498,8 @@ class Vault:
             raise ValidationError(f"identity fields are not serializable: {exc}") from exc
         with self._lock:
             for _ in range(3):
-                draw = self._entropy(_REGISTRATION_BYTES)
-                if len(draw) != _REGISTRATION_BYTES:
+                draw = self._entropy(REGISTRATION_BYTES)
+                if len(draw) != REGISTRATION_BYTES:
                     raise InternalError("entropy source returned the wrong number of bytes")
                 mac = self._user_mac.copy()
                 mac.update(draw[:_SID_BYTES].hex().encode("ascii") + _USER_SUFFIX)

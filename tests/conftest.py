@@ -21,7 +21,7 @@ from prism.assignment import (
     ucb_score,
 )
 from prism.errors import ValidationError
-from prism.simulator.world import _STREAM_PLACEMENT, substream
+from prism.simulator.world import _STREAM_COHORT, _STREAM_PLACEMENT, SimClock, substream
 from prism.features import (
     ACTION_TYPES,
     DAYS_PER_WEEK,
@@ -39,7 +39,16 @@ from prism.redaction import (
     default_rules,
 )
 from prism.simulator.experiment import RunManifest, TraceLegend
-from prism.vault import AUDIT_FIELDS, ENC_KEY_ENV, GENESIS_HASH, TOKEN_KEY_ENV, KeyRing, UserToken
+from prism.simulator.scenario import STREET_NAMES, STREET_SUFFIXES
+from prism.vault import (
+    AUDIT_FIELDS,
+    ENC_KEY_ENV,
+    GENESIS_HASH,
+    TOKEN_KEY_ENV,
+    KeyRing,
+    UserToken,
+    Vault,
+)
 
 TOKEN_KEY_HEX = "11" * 32
 ENC_KEY_HEX = "22" * 32
@@ -582,6 +591,78 @@ def reference_verify(entries) -> tuple[bool, int | None]:
             return False, i
         prev, prev_ts = entry.chain_hash, ts
     return True, None
+
+
+def reference_identity(rng, index) -> dict[str, str]:
+    """One registration payload with its nine integers drawn one scalar
+    call at a time, in field order: the reference each row of
+    ``synth_identities`` must equal."""
+    first = DEFAULT_FIRST_NAMES[int(rng.integers(len(DEFAULT_FIRST_NAMES)))]
+    last = DEFAULT_LAST_NAMES[int(rng.integers(len(DEFAULT_LAST_NAMES)))]
+    phone = f"613-555-{int(rng.integers(10000)):04d}"
+    dob = (
+        f"{int(rng.integers(1960, 2001))}-"
+        f"{int(rng.integers(1, 13)):02d}-{int(rng.integers(1, 29)):02d}"
+    )
+    street_no = int(rng.integers(10, 900))
+    street = STREET_NAMES[int(rng.integers(len(STREET_NAMES)))]
+    suffix = STREET_SUFFIXES[int(rng.integers(len(STREET_SUFFIXES)))]
+    return {
+        "full_name": f"{first} {last}",
+        "first_name": first,
+        "last_name": last,
+        "email": f"{first}.{last}{index}@example-mail.test".lower(),
+        "phone": phone,
+        "dob": dob,
+        "address": f"{street_no} {street} {suffix}",
+    }
+
+
+@dataclass
+class ReferenceIntake:
+    """A cohort's draws, restated from the documented order of the cohort
+    stream, and what registering them gives. ``rng`` is the stream just
+    past the entropy block; ``vault`` registered row ``i`` with bytes
+    ``[28 i, 28 i + 28)`` of ``block``."""
+
+    capacities: list[int]
+    identities: list[dict[str, str]]
+    goal_index: np.ndarray
+    base_logit: np.ndarray
+    fatigue_rate: np.ndarray
+    engagement_rates: np.ndarray
+    weights_start: np.ndarray
+    block: bytes
+    rng: np.random.Generator
+    tokens: list[str]
+    vault: Vault
+
+
+def reference_intake(scenario, keys) -> ReferenceIntake:
+    """The cohort stream drawn field by field in the documented order,
+    without the feasibility checks: the capacities; each row's nine
+    identity integers (one scalar call each); the goals; the base logits,
+    the fatigue rates, the rate normals and the start weights; the
+    ``28 n``-byte entropy block. The users are then registered in row
+    order in a vault of their own that reads the block 28 bytes a call."""
+    rng = substream(scenario.seed, _STREAM_COHORT)
+    n = scenario.n_users
+    capacities = rng.integers(scenario.capacity_min, scenario.capacity_max + 1, scenario.n_groups)
+    identities = [reference_identity(rng, i) for i in range(n)]
+    goal_index = rng.choice(len(GOAL_CATEGORIES), size=n, p=scenario.goal_weights)
+    base_logit = scenario.base_logit_mean + scenario.base_logit_sd * rng.normal(size=n)
+    fatigue_rate = scenario.fatigue_mean * rng.uniform(0.5, 1.5, n)
+    normals = rng.normal(size=(n, len(ACTION_TYPES)))
+    engagement_rates = np.asarray(scenario.engagement_rate_means) * np.exp(0.3 * normals)
+    weights_start = scenario.weight_start_mean + scenario.weight_start_sd * rng.normal(size=n)
+    block = rng.bytes(28 * n)
+    draws = iter(block[i : i + 28] for i in range(0, len(block), 28))
+    vault = Vault(keys, clock=SimClock(), entropy=lambda size: next(draws))
+    tokens = [vault.register(identity).value for identity in identities]
+    return ReferenceIntake(
+        capacities.tolist(), identities, goal_index, base_logit, fatigue_rate,
+        engagement_rates, weights_start, block, rng, tokens, vault,
+    )
 
 
 def reference_place_initially(world) -> None:

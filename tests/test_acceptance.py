@@ -30,7 +30,7 @@ from prism.features import (
 from prism.metrics import mann_whitney_u
 from prism.redaction import _rehydrate_deid, default_rules, leak_audit, redact
 from prism.simulator import Scenario, run_paired
-from prism.simulator.scenario import N_MESSAGE_VARIANTS, synth_identity, synth_message
+from prism.simulator.scenario import N_MESSAGE_VARIANTS, synth_identities, synth_message
 from prism.vault import (
     KeyRing,
     RestorationRequest,
@@ -244,8 +244,7 @@ def test_criterion_07_redaction_completeness(any_token):
     rules = default_rules()
     samples = []
     idempotent = True
-    for i in range(N_MESSAGES):
-        identity = synth_identity(rng, i)
+    for identity in synth_identities(rng, N_MESSAGES):
         text = synth_message(
             int(rng.integers(N_MESSAGE_VARIANTS)),
             identity,

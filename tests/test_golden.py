@@ -38,17 +38,17 @@ from prism.simulator import Scenario, TraceLegend, generate_cohort, run_experime
 GOLDEN = {
     "effect-seed-1": (
         effect_scenario(1),
-        "372e6991f1637f6e297925e97f60c3f4bc8b60c09b43e91b1913d21feec46fcf",
-        "258e09be6c446c0ab80ef288ee78b7e794d9c5fc9cb0efb3402631f481b63c18",
-        "8eea676572d674af75392fb93e00e288ef2db002cbf63cf900d3f8ea1bcae376",
-        "c8c927f3ee5da7eebebeda172d87ac30acc3de53007c08ff316df22ccd9c7bfa",
+        "200bb1e6ca1d11328a1657c1605358a3226bfb2127a6d340d3aa5e58ecbe220b",
+        "23efea944a3e94aa223cc13e657d0cbf35c174857e257e2420e900dd96c2d7d7",
+        "76f496b1ddd61a0c075573deeb7d0ff02f9d0b5679df342484c5af13ed9e223a",
+        "6a256e5c7a29da1dd74fb6078fd4633506a54d93b2158e1e928d832e7978c997",
     ),
     "null-seed-201": (
         null_scenario(201),
-        "ac77c62a374e489c395a1b53154c4e60facb96acd95b1cbb37ae1da3233b81d3",
-        "2f80f728be3846bd5b8a433bc397404b98d371632c8fd3a56aa68afd8d7ac9ef",
-        "bc407fdff6083d76971f47cf6e63a638e8f6f7d67bee7c10748ad66d8afeda52",
-        "14259860c445207d66e806efd5736497eafb567fbc677a2c79b5c7385aa96a32",
+        "025c5bb6ff68a21c7150163003e2794135576cdd173e7881a9c4314e2f7cabc5",
+        "83cfaee322fa9e77709cb7862cdaf1d3221954e5d627968db68883b1d7b924e3",
+        "03342cef270c7f0ca2ef37074065afc1a9d80fa6a7ce3fc9a286c3753b56bd09",
+        "7959ee983ca31e99b04dbc76a1bfd9582b27684e0a64da7fdd00e92958fb6549",
     ),
     "coach-bound-seed-1": (
         Scenario(
@@ -56,10 +56,10 @@ GOLDEN = {
             capacity_min=20, capacity_max=26, coach_load_factor=0.9,
             horizon_weeks=10, w_pre=4, w_post=5,
         ),
-        "3fe09370ccdd2c7ff8517384c2ebe5315681cee467b299e0f8f3f8057660960b",
-        "2a2f77862bd6ed29d7f9a079e989b8f19baff8c852db6f0f277d2d012b2db4c7",
-        "948cccae5ce5ef2bf9454dd96a74cbd05caf352591418faad6591cc08b675ebc",
-        "23043710cb33e923f8e68dd4ad5fa6e2674ce7f869e69aea7800128e40d21007",
+        "68be1a0ef82c895040d0fba18bbb1eb099f6794e6592edd117f5bbfd67541894",
+        "f247a79a739862b61b845feee7a444245edf684a2d61210efb3efe12414df772",
+        "946fb8ffaceb7d59e88a3c2153b68f957a477c38d6afd9c83ed9cc47b6fd4a1c",
+        "d8c97e56b4f20cbede49c2865a8c6ff9a1c7ad5b4a48845532e85e68652d2f5b",
     ),
 }
 
@@ -67,16 +67,16 @@ GOLDEN = {
 # (audit.jsonl, cohort rows) per run, as above.
 VAULT_GOLDEN = {
     "effect-seed-1": (
-        "efb1de81a6fb0a420ea8a7be5745ee489cf28ab03c46c098b51cc58d862c4552",
-        "462ba3eadae0b49cb65fa54b5dd243148e397e5f9eab8f46a93acec6266c4db2",
+        "fe38a86c33e75f70e2fcfe706a34b19222dcd7ecc400c6f7821502a169eb790e",
+        "5dc2538dd61198df6ca60212bad8f6ee74bfb1bc2ae8234262885e15934c0061",
     ),
     "null-seed-201": (
-        "9e6da7f6a63037e99a6b577763d5e2eb4124ee1581c5ff24db301f4039fc417e",
-        "067d8eede877d762b3ca4d7a38066cd31af4d0c18e44a9737ff7be1a953ff3f2",
+        "f159a05ea6a13720dfd73006f46e23e707074c9b6d6cd8d1a1bb870cd300fc22",
+        "5cb3b6b2a4c89a501f351b8baeddaaf67d77891ee706da5b2835293f4d114c19",
     ),
     "coach-bound-seed-1": (
-        "01418c902703d9d36a8a75911e76101d53d3affb764442b1422a78b9a6313f22",
-        "cb2370be21338dd78938e323aac6974722cd4826f0d5d47add53f607644dca54",
+        "3c0c1d77221f762bc3dbffc8a0d9ab28d55997e2176def45cf23ff20094b6583",
+        "38f52ae0b65b7eb93bd15f2bada69346971ab261b9489f88fb3a471cb9cbff09",
     ),
 }
 

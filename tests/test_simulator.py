@@ -5,7 +5,6 @@ import base64
 import json
 import os
 import pathlib
-from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import replace
 from datetime import datetime
@@ -14,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -22,11 +21,14 @@ from conftest import (
     TOKEN_KEY_HEX,
     deid_dict,
     make_roster,
+    reference_identity,
+    reference_intake,
     reference_place_initially,
     reference_poisson,
     registered_identity_strings,
     score_of,
 )
+from test_cli import _small_scenarios
 from test_golden import GOLDEN
 
 from prism.assignment import (
@@ -40,8 +42,6 @@ from prism.assignment import (
 from prism.errors import ValidationError
 from prism.metrics import MetricsReport
 from prism.redaction import (
-    DEFAULT_FIRST_NAMES,
-    DEFAULT_LAST_NAMES,
     DeidPool,
     RuleSet,
     default_rules,
@@ -61,17 +61,17 @@ from prism.simulator import (
 )
 from prism import assignment
 from prism.simulator import experiment
+from prism.simulator import world as world_module
 from prism.simulator.scenario import (
     MAX_GROUPS_OR_COACHES,
     MAX_USER_WEEKS,
     POISSON_RATE_MAX,
-    STREET_NAMES,
-    STREET_SUFFIXES,
-    synth_identity,
+    synth_identities,
 )
 from prism.simulator.world import (
+    _RESTORE_SPACING_SECONDS,
     _STREAM_COHORT,
-    _goal_cdf,
+    SIM_EPOCH_BASE,
     _place_initially,
     coach_load_limits,
     group_engagement_means,
@@ -84,6 +84,7 @@ from prism.vault import (
     KeyRing,
     RestorationRequest,
     UserToken,
+    Vault,
     verify_audit_chain,
 )
 
@@ -233,29 +234,6 @@ class TestGeneration:
         assert 0.2 <= mismatched / 200 <= 0.4
 
 
-def reference_synth_identity(rng, index):
-    """``synth_identity`` with its nine integers drawn one scalar call at a time."""
-    first = DEFAULT_FIRST_NAMES[int(rng.integers(len(DEFAULT_FIRST_NAMES)))]
-    last = DEFAULT_LAST_NAMES[int(rng.integers(len(DEFAULT_LAST_NAMES)))]
-    phone = f"613-555-{int(rng.integers(10000)):04d}"
-    dob = (
-        f"{int(rng.integers(1960, 2001))}-"
-        f"{int(rng.integers(1, 13)):02d}-{int(rng.integers(1, 29)):02d}"
-    )
-    street_no = int(rng.integers(10, 900))
-    street = STREET_NAMES[int(rng.integers(len(STREET_NAMES)))]
-    suffix = STREET_SUFFIXES[int(rng.integers(len(STREET_SUFFIXES)))]
-    return {
-        "full_name": f"{first} {last}",
-        "first_name": first,
-        "last_name": last,
-        "email": f"{first}.{last}{index}@example-mail.test".lower(),
-        "phone": phone,
-        "dob": dob,
-        "address": f"{street_no} {street} {suffix}",
-    }
-
-
 def _generators(seed, warmup):
     """Two generators in one state, part way through a stream: ``warmup``
     draws of each kind leave a half-used 32-bit word behind at odd counts."""
@@ -268,36 +246,23 @@ def _generators(seed, warmup):
     return pair
 
 
-# Goal weights Scenario accepts: a probability vector, zeros included.
-_GOAL_WEIGHTS = st.one_of(
-    st.permutations((1.0, 0.0, 0.0, 0.0)),
-    st.permutations((0.5, 0.5, 0.0, 0.0)),
-    st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=4, max_size=4)
-    .filter(lambda w: sum(w) > 0)
-    .map(lambda w: [x / sum(w) for x in w]),
-)
+def _intake_scenarios():
+    """Scenario documents that ``Scenario`` accepts, with small sizes."""
+    def accepted(doc):
+        try:
+            return Scenario.from_dict(doc)
+        except ValidationError:
+            return None
+
+    return _small_scenarios().map(accepted).filter(lambda scenario: scenario is not None)
 
 
 class TestCohortDraws:
     @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**64 - 1), warmup=st.integers(0, 3), index=st.integers(0, 10**9))
-    def test_identity_equals_scalar_draws(self, seed, warmup, index):
+    @given(seed=st.integers(0, 2**64 - 1), warmup=st.integers(0, 3), n=st.integers(0, 12))
+    def test_identity_equals_scalar_draws(self, seed, warmup, n):
         rng, reference = _generators(seed, warmup)
-        for i in range(index, index + 3):
-            assert synth_identity(rng, i) == reference_synth_identity(reference, i)
-        assert rng.bit_generator.state == reference.bit_generator.state
-
-    @settings(max_examples=200, deadline=None)
-    @given(weights=_GOAL_WEIGHTS, seed=st.integers(0, 2**64 - 1), warmup=st.integers(0, 3))
-    def test_goal_draw_equals_choice(self, weights, seed, warmup):
-        try:
-            Scenario(goal_weights=tuple(weights))
-        except ValidationError:
-            return  # a sum outside 1e-9 of one; choice is not asked to match
-        rng, reference = _generators(seed, warmup)
-        cdf = _goal_cdf(tuple(weights))
-        for _ in range(20):
-            assert bisect_right(cdf, rng.random()) == reference.choice(4, p=weights)
+        assert synth_identities(rng, n) == [reference_identity(reference, i) for i in range(n)]
         assert rng.bit_generator.state == reference.bit_generator.state
 
     @settings(max_examples=200, deadline=None)
@@ -310,6 +275,79 @@ class TestCohortDraws:
         for _ in range(3):
             assert rng.bytes(28) == reference.bytes(16) + reference.bytes(12)
         assert rng.bit_generator.state == reference.bit_generator.state
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(scenario=_intake_scenarios())
+    @example(scenario=small_scenario(engagement_rate_means=(0.0, 0.0, 0.0, 0.0, 400.0)))
+    @example(scenario=small_scenario(n_users=200, n_groups=10, capacity_min=15, capacity_max=15))
+    def test_intake_equals_reference(self, keys, scenario):
+        ref = reference_intake(scenario, keys)
+        n = scenario.n_users
+        with mock.patch.object(Vault, "register", autospec=True, side_effect=Vault.register) as register:
+            try:
+                world = generate_cohort(scenario, keys)
+            except ValidationError as exc:
+                message = str(exc)
+                event(message.split(":")[0])
+                limits = coach_load_limits(ref.capacities, scenario.n_coaches, scenario.coach_load_factor)
+                bonus = max(1.0, 1.0 + scenario.engagement_match_bonus)
+                if n > sum(ref.capacities) or n > sum(limits):
+                    assert "constraint infeasible" in message
+                elif ref.engagement_rates.max() * bonus > POISSON_RATE_MAX:
+                    assert "Poisson draw's limit" in message
+                else:
+                    assert message.startswith("placement infeasible")
+                    assert register.call_count == n
+                    return
+                # Every check on the draws raises before the first registration.
+                assert register.call_count == 0
+                return
+        event("generated")
+        assert register.call_count == n
+        assert [token.value for token in world.tokens] == ref.tokens
+        assert list(world.vault._records.items()) == list(ref.vault._records.items())
+        assert world._raw_identities == tuple(ref.identities)
+        for got, want in (
+            (world.goal_index, ref.goal_index),
+            (world.base_logit, ref.base_logit),
+            (world.fatigue_rate, ref.fatigue_rate),
+            (world.engagement_rates, ref.engagement_rates),
+            (world.weights_kg[:, 0], ref.weights_start),
+        ):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        roster = world.roster
+        assert [roster.capacity[roster.group_ids.index(f"g{g:03d}")] for g in range(scenario.n_groups)] == ref.capacities
+        for row, token in enumerate(world.tokens):
+            assert world.vault._decrypt(world.vault._records[token.value]) == world._raw_identities[row]
+        # One clock tick per registration: the next tick is the n-th.
+        assert world.clock() == SIM_EPOCH_BASE + n * _RESTORE_SPACING_SECONDS
+
+    def test_collision_retry_reads_past_the_block(self, keys, monkeypatch):
+        # Every row's block draw is row 0's, so each later row collides
+        # once and retries from the cohort stream after the block.
+        scenario = small_scenario(n_users=30)
+
+        class Repeating(world_module._IntakeEntropy):
+            first = None
+
+            def __call__(self, size):
+                if self.pending is not None:
+                    self.first = self.first or self.pending
+                    self.pending = self.first
+                return super().__call__(size)
+
+        monkeypatch.setattr(world_module, "_IntakeEntropy", Repeating)
+        a, b = generate_cohort(scenario, keys), generate_cohort(scenario, keys)
+        tokens = [token.value for token in a.tokens]
+        assert len(set(tokens)) == scenario.n_users
+        assert cohort_fingerprint(a) == cohort_fingerprint(b)
+        assert list(a.vault._records.items()) == list(b.vault._records.items())
+        ref = reference_intake(scenario, keys)
+        draws = [ref.block[:28]] + [ref.rng.bytes(28) for _ in range(scenario.n_users - 1)]
+        assert [a.vault._records[token][:12] for token in tokens] == [d[16:] for d in draws]
+        assert tokens[0] == ref.tokens[0]
+        for row, token in enumerate(tokens):
+            assert a.vault._decrypt(a.vault._records[token]) == a._raw_identities[row]
 
     def test_integer_goal_weights(self, keys):
         world = generate_cohort(small_scenario(goal_weights=(0, 1, 0, 0)), keys)

@@ -1,4 +1,5 @@
-"""Time the decision path of two checkouts on a ladder of group counts.
+"""Time the decision path and the cohort intake of two checkouts on a
+ladder of group counts.
 
 Usage, from anywhere:
 
@@ -14,14 +15,18 @@ each epoch, writing the trace lines into a buffer, with garbage
 collection off inside the timed call as ``timeit`` has it. It also times
 the rung's last epoch with every row decided one at a time, the lower
 pass bound set above the epoch's row count: the cost of a per-user row.
+Last, it times ``generate_cohort`` once on each rung's scenario (470,
+1880 and 7520 users), garbage collection off as above: the cost of
+intake per user.
 
 The workers alternate between the checkouts, A first on even
 repetitions and B first on odd ones, one process at a time, ``--reps``
 repetitions each (default 9). The report gives, per rung and checkout,
 microseconds per decision: ``best`` sums each epoch's fastest time,
 ``median`` is the median over repetitions of the whole arm's time. It
-also gives the per-user row's best time and checks that both checkouts
-wrote the same trace lines and made the same moves in every epoch.
+also gives the per-user row's best time, intake's microseconds per user,
+best and median over repetitions, and checks that both checkouts wrote
+the same trace lines and made the same moves in every epoch.
 """
 
 from __future__ import annotations
@@ -90,6 +95,23 @@ def time_epoch(snapshot: tuple) -> tuple[float, str, int]:
     return seconds, hashlib.sha256(traces.getvalue().encode()).hexdigest(), counters["reassignments"]
 
 
+def time_cohort(groups: int) -> float:
+    """Microseconds per user that ``generate_cohort`` takes on the rung's scenario."""
+    from prism.simulator import Scenario, generate_cohort
+    from prism.vault import KeyRing
+
+    scenario, keys = Scenario(**rung_scenario(groups)), KeyRing.from_hex(TOKEN_KEY_HEX, ENC_KEY_HEX)
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        generate_cohort(scenario, keys)
+        seconds = time.perf_counter() - start
+    finally:
+        gc.enable()
+    return 1e6 * seconds / scenario.n_users
+
+
 def worker() -> dict:
     """One repetition of every rung with the ``prism`` on the path."""
     from prism import assignment
@@ -105,12 +127,15 @@ def worker() -> dict:
         with mock.patch.object(assignment, "_MIN_PASS_ROWS", n_users + 1):
             seconds, _, _ = time_epoch(captured[-1])
         rungs[groups] = dict(users=n_users, epochs=epochs, per_user_row_us=1e6 * seconds / n_users)
+    for groups in RUNGS:
+        rungs[groups]["cohort_us_per_user"] = time_cohort(groups)
     return rungs
 
 
 def summary(reps: list[dict]) -> dict:
-    """Per rung: microseconds per decision, best and median, and the
-    per-user row's best, over the repetitions of one checkout."""
+    """Per rung: microseconds per decision, best and median, the per-user
+    row's best, and intake's microseconds per user, best and median, over
+    the repetitions of one checkout."""
     out = {}
     for groups in RUNGS:
         runs = [rep[groups] for rep in reps]
@@ -125,6 +150,8 @@ def summary(reps: list[dict]) -> dict:
             us_per_decision_best=round(1e3 * best / decisions, 2),
             us_per_decision_median=round(1e3 * median / decisions, 2),
             per_user_row_us_best=round(min(run["per_user_row_us"] for run in runs), 2),
+            cohort_us_per_user_best=round(min(run["cohort_us_per_user"] for run in runs), 2),
+            cohort_us_per_user_median=round(statistics.median(run["cohort_us_per_user"] for run in runs), 2),
         )
     return out
 
@@ -163,7 +190,9 @@ def main(argv: list[str] | None = None) -> int:
             row = result[str(path)][rung]
             print(
                 f"{rung:>10} {str(path):<40} us/decision best {row['us_per_decision_best']:7.2f} "
-                f"median {row['us_per_decision_median']:7.2f}  per-user row {row['per_user_row_us_best']:6.2f}"
+                f"median {row['us_per_decision_median']:7.2f}  per-user row {row['per_user_row_us_best']:6.2f}  "
+                f"intake us/user best {row['cohort_us_per_user_best']:6.2f} "
+                f"median {row['cohort_us_per_user_median']:6.2f}"
             )
     print(f"same trace lines and moves in every epoch: {'yes' if same else 'no'}")
     if args.json is not None:
