@@ -39,7 +39,7 @@ from prism.redaction import (
     default_rules,
 )
 from prism.simulator.experiment import RunManifest, TraceLegend
-from prism.simulator.scenario import STREET_NAMES, STREET_SUFFIXES
+from prism.simulator.scenario import STREET_NAMES, STREET_SUFFIXES, synth_identities
 from prism.vault import (
     AUDIT_FIELDS,
     ENC_KEY_ENV,
@@ -616,6 +616,15 @@ def reference_identity(rng, index) -> dict[str, str]:
         "dob": dob,
         "address": f"{street_no} {street} {suffix}",
     }
+
+
+def identity_at(rng, index) -> dict[str, str]:
+    """Row ``index``'s registration payload without drawing the rows before
+    it: the first row ``synth_identities`` draws, with the email carrying
+    ``index``, the one field a row's index sets."""
+    (identity,) = synth_identities(rng, 1)
+    identity["email"] = f"{identity['first_name']}.{identity['last_name']}{index}@example-mail.test".lower()
+    return identity
 
 
 @dataclass

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import identity_at
+
 from prism.assistant import (
     DECLINE_THRESHOLD,
     STREAK_THRESHOLD,
@@ -20,7 +22,7 @@ from prism.assistant import (
 from prism.errors import LeakageError, StateError, ValidationError
 from prism.features import GOAL_CATEGORIES, ContextBatch
 from prism.redaction import ScanMemo, _rehydrate_deid, default_rules, redact
-from prism.simulator.scenario import synth_identities, synth_message
+from prism.simulator.scenario import synth_message
 from prism.vault import UserToken
 
 TOKEN = UserToken("ee" * 32)
@@ -157,11 +159,7 @@ class TestGenerateDraft:
 _LEAKY_TEXTS = st.builds(
     synth_message,
     st.integers(2, 9),
-    st.builds(
-        lambda rng, index: synth_identities(rng, index + 1)[index],
-        st.integers(0, 2**32 - 1).map(np.random.default_rng),
-        st.integers(0, 999),
-    ),
+    st.builds(identity_at, st.integers(0, 2**32 - 1).map(np.random.default_rng), st.integers(0, 999)),
     st.integers(0, 10**8 - 1),
     st.integers(0, 9999),
     st.integers(0, 9999),

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     deid_dict,
+    identity_at,
     name_rules,
     reference_detect,
     reference_redact,
@@ -881,14 +882,14 @@ class TestGeneratedTraffic:
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        index=st.integers(0, 999),
+        index=st.integers(0, 10**6),
         variant=st.integers(0, N_MESSAGE_VARIANTS - 1),
         aux_id=st.integers(0, 10**8 - 1),
         lat=st.integers(0, 9999),
         lon=st.integers(0, 9999),
     )
     def test_redaction_is_idempotent_and_leaves_nothing(self, seed, index, variant, aux_id, lat, lon):
-        identity = synth_identities(np.random.default_rng(seed), index + 1)[index]
+        identity = identity_at(np.random.default_rng(seed), index)
         for text in (synth_message(variant, identity, aux_id, lat, lon), *identity.values()):
             once = redact(text, TOKEN)
             twice = redact(once.text, TOKEN)
@@ -899,13 +900,13 @@ class TestGeneratedTraffic:
     @settings(max_examples=100, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        index=st.integers(0, 999),
+        index=st.integers(0, 10**6),
         aux_id=st.integers(0, 10**8 - 1),
         lat=st.integers(0, 9999),
         lon=st.integers(0, 9999),
     )
     def test_spans_show_no_identifier(self, seed, index, aux_id, lat, lon):
-        identity = synth_identities(np.random.default_rng(seed), index + 1)[index]
+        identity = identity_at(np.random.default_rng(seed), index)
         disclosed = [*identity.values(), f"{aux_id:08d}", f"45.{lat:04d}", f"-75.{lon:04d}"]
         memo = ScanMemo()
         for variant in range(N_MESSAGE_VARIANTS):

@@ -20,6 +20,7 @@ from conftest import (
     ENC_KEY_HEX,
     TOKEN_KEY_HEX,
     deid_dict,
+    identity_at,
     make_roster,
     reference_identity,
     reference_intake,
@@ -259,10 +260,17 @@ def _intake_scenarios():
 
 class TestCohortDraws:
     @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**64 - 1), warmup=st.integers(0, 3), n=st.integers(0, 12))
-    def test_identity_equals_scalar_draws(self, seed, warmup, n):
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        warmup=st.integers(0, 3),
+        n=st.integers(0, 12),
+        index=st.integers(0, 10**9),
+    )
+    def test_identity_equals_scalar_draws(self, seed, warmup, n, index):
         rng, reference = _generators(seed, warmup)
         assert synth_identities(rng, n) == [reference_identity(reference, i) for i in range(n)]
+        # A row far into a cohort, as the redaction properties draw it.
+        assert identity_at(rng, index) == reference_identity(reference, index)
         assert rng.bit_generator.state == reference.bit_generator.state
 
     @settings(max_examples=200, deadline=None)
