@@ -15,6 +15,7 @@ import json
 import logging
 import threading
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Optional
 
 import numpy as np
@@ -114,11 +115,6 @@ class Draft(Record):
     def __post_init__(self) -> None:
         if self.status not in DRAFT_STATUSES:
             raise ValidationError(f"unknown draft status: {self.status!r}")
-
-    def to_dict(self) -> dict:
-        # Called once per draft written, and every field holds a string or
-        # None, so no value needs the conversion Record.to_dict makes.
-        return {name: getattr(self, name) for name in field_names(Draft)}
 
 
 STREAK_THRESHOLD = 3       # days
@@ -255,10 +251,50 @@ def review(
     return draft
 
 
+_DRAFT_FIELDS = tuple(sorted(field_names(Draft)))
+_draft_values = attrgetter(*_DRAFT_FIELDS)
+_TEXT_OR_NONE = frozenset({str, type(None)})
+_json_str = json.encoder.encode_basestring_ascii
+
+
 def save_drafts(drafts: Iterable[Draft], path: str) -> None:
+    """Write one line per draft: ``json.dumps(draft.to_dict(), sort_keys=True)``
+    and a newline, the form :func:`load_drafts` reads.
+
+    A draft whose fields are each a str or None has its line filled in
+    between the sorted keys with each value's ``encode_basestring_ascii``
+    text, which is what ``json.dumps`` writes for it. Every value but the
+    draft id repeats across drafts (a timestamp, a reviewer, a status, a
+    rendered text, a user's token), so each distinct one is encoded once
+    per call. A draft holding anything else is written by ``json.dumps``.
+    Lines go to the file as they are made.
+    """
+    encoded: dict[Optional[str], str] = {None: "null"}
+
+    def encode(value: str) -> str:
+        text = encoded[value] = _json_str(value)
+        return text
+
+    get = encoded.get
     with open(path, "w", encoding="utf-8") as fh:
+        write = fh.write
         for draft in drafts:
-            fh.write(json.dumps(draft.to_dict(), sort_keys=True) + "\n")
+            values = _draft_values(draft)
+            if not _TEXT_OR_NONE.issuperset(map(type, values)):
+                write(json.dumps(draft.to_dict(), sort_keys=True) + "\n")
+                continue
+            created, decided, draft_id, text, reviewer, status, template, token = values
+            # The fields in _DRAFT_FIELDS order; an encoded value is never empty.
+            write(
+                f'{{"created_at": {get(created) or encode(created)}, '
+                f'"decided_at": {get(decided) or encode(decided)}, '
+                f'"draft_id": {get(draft_id) or _json_str(draft_id)}, '
+                f'"rendered_text": {get(text) or encode(text)}, '
+                f'"reviewer_id": {get(reviewer) or encode(reviewer)}, '
+                f'"status": {get(status) or encode(status)}, '
+                f'"template_id": {get(template) or encode(template)}, '
+                f'"user_token": {get(token) or encode(token)}}}\n'
+            )
 
 
 def load_drafts(path: str) -> list[Draft]:

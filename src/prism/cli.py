@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import secrets
+import shutil
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -288,9 +290,25 @@ def _cmd_review(args) -> int:
         # approve re-scans the text; a hit leaves the file untouched.
         _leak_check(target.rendered_text, rules, f"draft {target.draft_id}")
     review(target, args.reviewer, args.decision, new_text=args.text, rules=rules)
-    save_drafts(drafts, path)
+    _replace_drafts(drafts, path)
     print(json.dumps(target.to_dict(), sort_keys=True))
     return EXIT_OK
+
+
+def _replace_drafts(drafts, path: str) -> None:
+    """Rewrite the drafts file ``path`` through a new file beside it, with
+    the same permissions, renamed over it once written: a write that fails
+    leaves ``path`` as it was, and no new file behind."""
+    parent, name = os.path.split(os.path.abspath(path))
+    staging = os.path.join(parent, f".{name}.{secrets.token_hex(8)}.partial")
+    try:
+        save_drafts(drafts, staging)
+        shutil.copymode(path, staging)
+        os.replace(staging, path)
+    except BaseException:
+        if os.path.exists(staging):
+            os.remove(staging)
+        raise
 
 
 _COMMANDS = {

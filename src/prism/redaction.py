@@ -551,7 +551,7 @@ class DeidPool:
     raw posts.
     """
 
-    __slots__ = ("_cohorts", "_issued", "_counts")
+    __slots__ = ("_cohorts", "_issued", "_counts", "_zeros")
 
     def __init__(self) -> None:
         self._cohorts: dict[tuple, Mapping[str, Any]] = {}
@@ -559,6 +559,9 @@ class DeidPool:
         # view as long as it lives, so no other object can take its id.
         self._issued: set[int] = set()
         self._counts: dict[tuple, Mapping[str, int]] = {}
+        # By the id of a rule set's zero counts: those counts, held so no
+        # other object can take the id, and their count view.
+        self._zeros: dict[int, tuple[Mapping[str, int], Mapping[str, int]]] = {}
 
     def cohort(self, metadata: Optional[Mapping[str, Any]]) -> Mapping[str, Any]:
         """The pool's read-only view of ``metadata``, which must pass
@@ -585,6 +588,16 @@ class DeidPool:
         if view is None:
             view = self._counts[key] = MappingProxyType(counts)
         return view
+
+    def _zero_view(self, rules: RuleSet) -> Mapping[str, int]:
+        """The count view of a text with no spans under ``rules``: the one
+        ``_count_view`` gives for their zero counts, found without
+        building its key."""
+        zeros = rules.zero_counts
+        held = self._zeros.get(id(zeros))
+        if held is None:
+            held = self._zeros[id(zeros)] = (zeros, self._count_view(dict(zeros)))
+        return held[1]
 
 
 def redact(
@@ -623,6 +636,8 @@ def redact(
     rule_set = _rule_set(rules)
 
     spans = _scan(text, rule_set) if memo is None else memo.spans(text, rule_set)
+    if not spans:
+        return _own_deid(text, user_token, metadata, pool._zero_view(rule_set))
     counts = rule_set.zero_counts.copy()
     placeholders = rule_set.placeholders
     pieces = []
@@ -636,10 +651,14 @@ def redact(
     return _own_deid("".join(pieces), user_token, metadata, pool._count_view(counts))
 
 
+_NO_MAPPING = MappingProxyType({})
+
+
 def _rehydrate_deid(text: str, user_token: UserToken) -> DeidText:
     """Trusted-path constructor for text this pipeline already produced,
-    with no cohort metadata and no counts."""
-    return _own_deid(text, user_token, MappingProxyType({}), MappingProxyType({}))
+    with no cohort metadata and no counts: every such text shares one
+    empty read-only mapping for both."""
+    return _own_deid(text, user_token, _NO_MAPPING, _NO_MAPPING)
 
 
 def load_deid_corpus(path: str) -> list[DeidText]:

@@ -378,18 +378,28 @@ def _assistant_pass(
     roster = world.roster
     pool, cohort_of_goal = world.deid_pool, world.cohort_of_goal
     templates = default_templates()
-    rng = substream(scenario.seed, STREAM_REVIEW, epoch)
     created_at = rfc3339(SIM_EPOCH_BASE + epoch * WEEK_SECONDS)
-    for user in np.flatnonzero(risk_mask(contexts)).tolist():
+    approve = scenario.review_approve_prob
+    edit = approve + scenario.review_edit_prob
+    discard = edit + scenario.review_discard_prob
+    # Each flagged row's inputs, read once for the epoch; the roster does
+    # not change during the pass. One uniform per row, drawn in one call,
+    # is the same stream as one scalar draw per row.
+    users = np.flatnonzero(risk_mask(contexts))
+    rows = zip(
+        users.tolist(),
+        contexts.streak[users].tolist(),
+        contexts.slope[users].tolist(),
+        world.goal_index[users].tolist(),
+        roster.coach_of[roster.group_of[users]].tolist(),
+        substream(scenario.seed, STREAM_REVIEW, epoch).random(users.size).tolist(),
+    )
+    for user, streak, slope, goal, coach, u in rows:
         token = world.tokens[user]
         kind = flag_risks(contexts, user)[0]
         template = templates["reengage-streak" if kind == "missed_streak" else "reengage-decline"]
-        summary_text = (
-            f"missed {int(contexts.streak[user])} recent check-ins; "
-            f"engagement slope {float(contexts.slope[user]):+.2f} per week."
-        )
-        cohort = cohort_of_goal[world.goal_index[user]]
-        summary = redact(summary_text, token, world.rules, cohort, memo=memo, pool=pool)
+        summary_text = f"missed {int(streak)} recent check-ins; engagement slope {slope:+.2f} per week."
+        summary = redact(summary_text, token, world.rules, cohort_of_goal[goal], memo=memo, pool=pool)
         draft = generate_draft(
             summary,
             contexts,
@@ -401,16 +411,15 @@ def _assistant_pass(
             memo=memo,
         )
         drafts.append(draft)
-        coach_id = roster.coach_ids[roster.coach_of[roster.group_of[user]]]
-        u = float(rng.random())
-        if u < scenario.review_approve_prob:
+        coach_id = roster.coach_ids[coach]
+        if u < approve:
             review(draft, coach_id, "approve", decided_at=created_at)
-        elif u < scenario.review_approve_prob + scenario.review_edit_prob:
+        elif u < edit:
             review(
                 draft, coach_id, "edit",
                 new_text=_EDIT_TEXT, rules=world.rules, decided_at=created_at, memo=memo,
             )
-        elif u < scenario.review_approve_prob + scenario.review_edit_prob + scenario.review_discard_prob:
+        elif u < discard:
             review(draft, coach_id, "discard", decided_at=created_at)
         # else: stays pending in the review queue
         if draft.status in DELIVERABLE_STATUSES:

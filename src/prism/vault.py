@@ -60,6 +60,7 @@ _SID_BYTES = 16
 REGISTRATION_BYTES = _SID_BYTES + _GCM_NONCE_BYTES
 
 _IDENTITY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_IDENTITY_DECODER = json.JSONDecoder()
 
 
 def hmac_sha256(key: bytes, data: bytes) -> bytes:
@@ -194,7 +195,7 @@ def tokenize_field(value: str, field_context: str, keys: KeyRing) -> FieldToken:
 # Audit log
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditEntry:
     """Immutable who/what/when/why record for one restoration attempt."""
 
@@ -219,38 +220,55 @@ AUDIT_FIELDS = field_names(AuditEntry)
 # The chained payload of an entry is its fields but the hash, as
 # ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` writes them,
 # and its export line is all its fields as ``json.dumps(..., sort_keys=True)``
-# writes them. Both are filled in from these templates when every field is
-# a str, an int or None, which ``json.dumps`` writes as the parts below do,
-# and come from ``json.dumps`` itself for anything else (a tampered file).
+# writes them. ``_encoded`` is the one encoder of both: when every field has
+# the type ``append`` gives it (str, with an int ``seq`` and a str or None
+# ``denial_reason``), it returns each field's JSON text, which is what
+# ``json.dumps`` writes for it, and the two layouts below put them between
+# their keys in sorted order. Anything else (a tampered entry) comes from
+# ``json.dumps`` itself.
 _PAYLOAD_FIELDS = tuple(sorted(name for name in AUDIT_FIELDS if name != "chain_hash"))
 _LINE_FIELDS = tuple(sorted(AUDIT_FIELDS))
-_PAYLOAD_TEMPLATE = "{" + ",".join(f'"{name}":%s' for name in _PAYLOAD_FIELDS) + "}"
-_LINE_TEMPLATE = "{" + ", ".join(f'"{name}": %s' for name in _LINE_FIELDS) + "}\n"
 _payload_values = attrgetter(*_PAYLOAD_FIELDS)
 _line_values = attrgetter(*_LINE_FIELDS)
-_SCALAR_JSON = {
-    str: json.encoder.encode_basestring_ascii,
-    int: repr,
-    type(None): lambda _: "null",
-}
+_json_str = json.encoder.encode_basestring_ascii
 
 
-def _scalar_json(values: tuple) -> Optional[tuple[str, ...]]:
-    """Each value's JSON text, or None when one is not exactly a str, an int or None."""
-    try:
-        return tuple([_SCALAR_JSON[type(value)](value) for value in values])
-    except KeyError:
+def _encoded(values: Sequence) -> Optional[tuple[str, ...]]:
+    """The JSON text of each payload field, ``values`` in ``_PAYLOAD_FIELDS``
+    order, when each has the type ``append`` gives it; None otherwise."""
+    decision, denial_reason, purpose, requester_id, role, seq, ts, user_token = values
+    if not (
+        str is type(decision) is type(purpose) is type(requester_id) is type(role)
+        is type(ts) is type(user_token)
+        and type(seq) is int
+        and (denial_reason is None or type(denial_reason) is str)
+    ):
         return None
+    return (
+        _json_str(decision),
+        "null" if denial_reason is None else _json_str(denial_reason),
+        _json_str(purpose),
+        _json_str(requester_id),
+        _json_str(role),
+        int.__repr__(seq),
+        _json_str(ts),
+        _json_str(user_token),
+    )
 
 
-def _canonical_payload(values: tuple) -> str:
+def _canonical_payload(values: Sequence) -> str:
     """The chained payload of the entry whose fields, in ``_PAYLOAD_FIELDS``
     order, are ``values``."""
-    parts = _scalar_json(values)
+    parts = _encoded(values)
     if parts is None:
         doc = dict(zip(_PAYLOAD_FIELDS, values))
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return _PAYLOAD_TEMPLATE % parts
+    decision, denial_reason, purpose, requester_id, role, seq, ts, user_token = parts
+    return (
+        f'{{"decision":{decision},"denial_reason":{denial_reason},"purpose":{purpose},'
+        f'"requester_id":{requester_id},"role":{role},"seq":{seq},"ts":{ts},'
+        f'"user_token":{user_token}}}'
+    )
 
 
 def _chain_hash(prev_hash: str, payload: str) -> str:
@@ -259,14 +277,71 @@ def _chain_hash(prev_hash: str, payload: str) -> str:
 
 
 def _export_line(entry: AuditEntry) -> str:
-    values = _line_values(entry)
-    parts = _scalar_json(values)
+    chain_hash, *values = _line_values(entry)
+    parts = _encoded(values) if type(chain_hash) is str else None
     if parts is None:
-        return json.dumps(dict(zip(_LINE_FIELDS, values)), sort_keys=True) + "\n"
-    return _LINE_TEMPLATE % parts
+        return json.dumps(dict(zip(_LINE_FIELDS, (chain_hash, *values))), sort_keys=True) + "\n"
+    decision, denial_reason, purpose, requester_id, role, seq, ts, user_token = parts
+    return (
+        f'{{"chain_hash": {_json_str(chain_hash)}, "decision": {decision}, '
+        f'"denial_reason": {denial_reason}, "purpose": {purpose}, '
+        f'"requester_id": {requester_id}, "role": {role}, "seq": {seq}, "ts": {ts}, '
+        f'"user_token": {user_token}}}\n'
+    )
+
+
+_new_object = object.__new__
+_ENTRY_SETTERS = tuple(getattr(AuditEntry, name).__set__ for name in AUDIT_FIELDS)
+
+
+def _new_entry(
+    seq: int, requester_id: str, role: str, user_token: str, purpose: str,
+    decision: str, denial_reason: Optional[str], ts: str, chain_hash: str,
+) -> AuditEntry:
+    """The entry of these fields, its slots set directly rather than by the
+    frozen dataclass's ``__init__``, which calls ``object.__setattr__`` per
+    field: for the log's own entries, whose values it has just made."""
+    entry = _new_object(AuditEntry)
+    s0, s1, s2, s3, s4, s5, s6, s7, s8 = _ENTRY_SETTERS
+    s0(entry, seq)
+    s1(entry, requester_id)
+    s2(entry, role)
+    s3(entry, user_token)
+    s4(entry, purpose)
+    s5(entry, decision)
+    s6(entry, denial_reason)
+    s7(entry, ts)
+    s8(entry, chain_hash)
+    return entry
+
+
+_TWO_DIGITS = tuple(f"{i:02d}" for i in range(60))
+# The day number and "YYYY-MM-DDT" prefix of the last integral stamp.
+_day_prefix: tuple[Optional[int], str] = (None, "")
 
 
 def rfc3339(ts: float) -> str:
+    """``ts``, seconds since the Unix epoch, as
+    ``datetime.fromtimestamp(ts, tz=timezone.utc).isoformat(timespec="microseconds")``
+    writes it.
+
+    An integral ``ts`` (an int, or a float with no fraction) on the same
+    UTC day as the last one formatted takes that day's cached date prefix
+    and only formats its time of day; the first stamp of each day, and any
+    other value, is formatted by ``datetime``, which also raises for a
+    value out of its range.
+    """
+    global _day_prefix
+    if type(ts) is int or (type(ts) is float and ts.is_integer()):
+        day, second = divmod(int(ts), 86400)
+        cached_day, prefix = _day_prefix
+        if day == cached_day:
+            hour, second = divmod(second, 3600)
+            minute, second = divmod(second, 60)
+            return f"{prefix}{_TWO_DIGITS[hour]}:{_TWO_DIGITS[minute]}:{_TWO_DIGITS[second]}.000000+00:00"
+        text = datetime.fromtimestamp(ts, tz=timezone.utc).isoformat(timespec="microseconds")
+        _day_prefix = (day, text[:11])
+        return text
     return datetime.fromtimestamp(ts, tz=timezone.utc).isoformat(timespec="microseconds")
 
 
@@ -279,10 +354,6 @@ class AuditLog:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def tip(self) -> str:
-        return self._entries[-1].chain_hash if self._entries else GENESIS_HASH
 
     def entries(self) -> tuple[AuditEntry, ...]:
         return tuple(self._entries)
@@ -298,6 +369,16 @@ class AuditLog:
         denial_reason: Optional[str],
         timestamp: float,
     ) -> AuditEntry:
+        """Chain one entry onto the log and return it.
+
+        The entry is stamped ``rfc3339(timestamp)`` and numbered by the
+        log's length. Its hash is SHA-256 over the previous entry's hash,
+        a newline and the entry's payload, which ``_canonical_payload``
+        builds straight from the field values: their JSON text between
+        the sorted keys when each has the type given here, ``json.dumps``
+        otherwise. The entry's slots are set directly, without the frozen
+        dataclass's ``__init__``.
+        """
         ts = rfc3339(timestamp)
         with self._lock:
             seq = len(self._entries)
@@ -305,16 +386,17 @@ class AuditLog:
             payload = _canonical_payload(
                 (decision, denial_reason, purpose, requester_id, role, seq, ts, user_token)
             )
-            entry = AuditEntry(
+            prev = self._entries[-1].chain_hash if seq else GENESIS_HASH
+            entry = _new_entry(
                 seq, requester_id, role, user_token, purpose, decision, denial_reason, ts,
-                _chain_hash(self.tip, payload),
+                _chain_hash(prev, payload),
             )
             self._entries.append(entry)
             return entry
 
     def to_jsonl(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("".join(map(_export_line, self._entries)))
+            fh.writelines(map(_export_line, self._entries))
 
     @classmethod
     def from_jsonl(cls, path: str) -> "AuditLog":
@@ -389,7 +471,9 @@ class SlidingWindowRateLimiter:
 
     def would_allow(self, key: str, now: float) -> bool:
         bucket = self._events.get(key)
-        if not bucket:
+        # Fewer grants than the cap in all can leave none to expire: the
+        # bucket is pruned only when it holds the cap or more.
+        if bucket is None or len(bucket) < RATE_LIMIT_GRANTS:
             return True
         cutoff = now - RATE_LIMIT_WINDOW_SECONDS
         live = [t for t in bucket if t > cutoff]
@@ -421,7 +505,11 @@ class RestorationRequest:
     purpose: str
 
     def __post_init__(self) -> None:
-        if not all(isinstance(v, str) for v in (self.requester_id, self.role, self.purpose)):
+        if not (
+            isinstance(self.requester_id, str)
+            and isinstance(self.role, str)
+            and isinstance(self.purpose, str)
+        ):
             raise ValidationError("requester_id, role and purpose must be strings")
         if type(self.mfa_verified) is not bool:
             raise ValidationError("mfa_verified must be a bool")
@@ -429,12 +517,28 @@ class RestorationRequest:
             raise ValidationError("user_token must be a UserToken")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RestorationResult:
     granted: bool
     fields: Optional[Mapping[str, str]]
     denial_reason: Optional[str]
     audit_seq: Optional[int]
+
+
+_RESULT_SETTERS = tuple(getattr(RestorationResult, name).__set__ for name in field_names(RestorationResult))
+
+
+def _result(
+    granted: bool, fields: Optional[dict], denial_reason: Optional[str], audit_seq: Optional[int]
+) -> RestorationResult:
+    """The result of these fields, its slots set directly as ``_new_entry`` does."""
+    result = _new_object(RestorationResult)
+    s0, s1, s2, s3 = _RESULT_SETTERS
+    s0(result, granted)
+    s1(result, fields)
+    s2(result, denial_reason)
+    s3(result, audit_seq)
+    return result
 
 
 DENY_EMPTY_PURPOSE = "empty_purpose"
@@ -524,7 +628,9 @@ class Vault:
             raise DecryptionError(
                 "authenticated decryption failed for vault record"
             ) from exc
-        return json.loads(plaintext.decode("utf-8"))
+        # The plaintext is _IDENTITY_ENCODER's output, authenticated by the
+        # AEAD tag: one JSON object with nothing around it.
+        return _IDENTITY_DECODER.raw_decode(plaintext.decode("utf-8"))[0]
 
     # -- controlled restoration ----------------------------------------------
 
@@ -552,22 +658,21 @@ class Vault:
         with self._lock:
             now = self._clock()
             reason = self._evaluate(request, now)
-            decision = "granted" if reason is None else "denied"
+            token = request.user_token.value
             try:
                 entry = self._audit.append(
                     requester_id=request.requester_id,
                     role=request.role,
-                    user_token=request.user_token.value,
+                    user_token=token,
                     purpose=request.purpose,
-                    decision=decision,
+                    decision="granted" if reason is None else "denied",
                     denial_reason=reason,
                     timestamp=now,
                 )
             except Exception:
                 # Governance-first ordering: no audit record, no restoration.
-                return RestorationResult(False, None, DENY_AUDIT_UNAVAILABLE, None)
+                return _result(False, None, DENY_AUDIT_UNAVAILABLE, None)
             if reason is not None:
-                return RestorationResult(False, None, reason, entry.seq)
+                return _result(False, None, reason, entry.seq)
             self._limiter.record(request.requester_id, now)
-            fields = self._decrypt(self._records[request.user_token.value])
-            return RestorationResult(True, fields, None, entry.seq)
+            return _result(True, self._decrypt(self._records[token]), None, entry.seq)

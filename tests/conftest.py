@@ -2,7 +2,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from types import MappingProxyType
 
 import numpy as np
@@ -21,7 +21,23 @@ from prism.assignment import (
     ucb_score,
 )
 from prism.errors import ValidationError
-from prism.simulator.world import _STREAM_COHORT, _STREAM_PLACEMENT, SimClock, substream
+from prism.assistant import (
+    DELIVERABLE_STATUSES,
+    default_templates,
+    flag_risks,
+    generate_draft,
+    review,
+    risk_mask,
+)
+from prism.simulator.world import (
+    _STREAM_COHORT,
+    _STREAM_PLACEMENT,
+    SIM_EPOCH_BASE,
+    STREAM_REVIEW,
+    WEEK_SECONDS,
+    SimClock,
+    substream,
+)
 from prism.features import (
     ACTION_TYPES,
     DAYS_PER_WEEK,
@@ -37,8 +53,9 @@ from prism.redaction import (
     _name_pattern,
     _own_deid,
     default_rules,
+    redact,
 )
-from prism.simulator.experiment import RunManifest, TraceLegend
+from prism.simulator.experiment import _EDIT_TEXT, RunManifest, TraceLegend
 from prism.simulator.scenario import STREET_NAMES, STREET_SUFFIXES, synth_identities
 from prism.vault import (
     AUDIT_FIELDS,
@@ -46,6 +63,7 @@ from prism.vault import (
     GENESIS_HASH,
     TOKEN_KEY_ENV,
     KeyRing,
+    RestorationRequest,
     UserToken,
     Vault,
 )
@@ -694,3 +712,51 @@ def reference_place_initially(world) -> None:
             )
         roster.move(user, open_rows[rng.integers(open_rows.size)], 0, dwell=0)
     world._audited = (roster.group_of.copy(), roster.last_change.copy())
+
+
+def reference_assistant_pass(world, epoch, contexts, drafts, counters, memo) -> None:
+    """The assistant pass one flagged row at a time: each row's streak,
+    slope, goal and coach read from the arrays in place, one scalar
+    ``rng.random()`` per row for its review, and the creation stamp from
+    ``datetime``. Each deliverable draft is delivered through the vault."""
+    scenario, roster = world.scenario, world.roster
+    templates = default_templates()
+    rng = substream(scenario.seed, STREAM_REVIEW, epoch)
+    created_at = datetime.fromtimestamp(
+        SIM_EPOCH_BASE + epoch * WEEK_SECONDS, tz=timezone.utc
+    ).isoformat(timespec="microseconds")
+    for user in np.flatnonzero(risk_mask(contexts)).tolist():
+        token = world.tokens[user]
+        kind = flag_risks(contexts, user)[0]
+        template = templates["reengage-streak" if kind == "missed_streak" else "reengage-decline"]
+        summary_text = (
+            f"missed {int(contexts.streak[user])} recent check-ins; "
+            f"engagement slope {float(contexts.slope[user]):+.2f} per week."
+        )
+        cohort = world.cohort_of_goal[world.goal_index[user]]
+        summary = redact(summary_text, token, world.rules, cohort, memo=memo, pool=world.deid_pool)
+        draft = generate_draft(
+            summary, contexts, user, template, rules=world.rules,
+            draft_id=f"d-{scenario.seed}-{epoch:02d}-{user:04d}", created_at=created_at, memo=memo,
+        )
+        drafts.append(draft)
+        coach_id = roster.coach_ids[roster.coach_of[roster.group_of[user]]]
+        u = float(rng.random())
+        if u < scenario.review_approve_prob:
+            review(draft, coach_id, "approve", decided_at=created_at)
+        elif u < scenario.review_approve_prob + scenario.review_edit_prob:
+            review(
+                draft, coach_id, "edit",
+                new_text=_EDIT_TEXT, rules=world.rules, decided_at=created_at, memo=memo,
+            )
+        elif u < scenario.review_approve_prob + scenario.review_edit_prob + scenario.review_discard_prob:
+            review(draft, coach_id, "discard", decided_at=created_at)
+        if draft.status in DELIVERABLE_STATUSES:
+            result = world.vault.restore_identity(
+                RestorationRequest(
+                    requester_id=coach_id, role="coach", mfa_verified=True,
+                    user_token=token, purpose="deliver coaching message",
+                )
+            )
+            counters["restoration_attempts"] += 1
+            assert result.granted, result.denial_reason

@@ -1,5 +1,8 @@
 """Assistant tests: risk flags, bounded templating, leak-gated review."""
 
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,9 @@ from conftest import identity_at
 
 from prism.assistant import (
     DECLINE_THRESHOLD,
+    DRAFT_STATUSES,
     STREAK_THRESHOLD,
+    Draft,
     DraftTemplate,
     default_templates,
     flag_risks,
@@ -258,3 +263,43 @@ class TestReview:
         loaded = load_drafts(path)
         assert [d.status for d in loaded] == ["pending", "approved"]
         assert loaded[0].rendered_text == drafts[0].rendered_text
+
+
+# Text json.dumps must escape: non-ASCII, quotes, backslashes, control
+# characters and lone surrogates.
+_DRAFT_TEXT = (
+    st.text()
+    | st.text(st.characters(exclude_categories=()))
+    | st.text(st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\udfff\u00e9\U0001f600 a'))
+)
+# Values json.dumps writes but save_drafts leaves to it: not a str or None.
+_NOT_TEXT = (
+    st.integers()
+    | st.floats()
+    | st.booleans()
+    | st.lists(st.integers(), max_size=2)
+    | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
+)
+_DRAFT_FIELD_NAMES = [f.name for f in fields(Draft)]
+
+
+class TestSaveDrafts:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 6))
+    def test_lines_equal_json_dumps(self, tmp_path_factory, data, n):
+        # Values drawn from a small pool repeat within and across drafts.
+        pool = data.draw(st.lists(_DRAFT_TEXT, min_size=1, max_size=4))
+        value = st.none() | st.sampled_from(pool) | _DRAFT_TEXT
+        drafts = []
+        for _ in range(n):
+            draft = Draft(
+                **{name: data.draw(value) for name in _DRAFT_FIELD_NAMES if name != "status"},
+                status=data.draw(st.sampled_from(sorted(DRAFT_STATUSES))),
+            )
+            if data.draw(st.integers(0, 3)) == 0:
+                setattr(draft, data.draw(st.sampled_from(_DRAFT_FIELD_NAMES)), data.draw(_NOT_TEXT))
+            drafts.append(draft)
+        path = tmp_path_factory.mktemp("drafts") / "drafts.jsonl"
+        save_drafts(drafts, str(path))
+        expected = "".join(json.dumps(d.to_dict(), sort_keys=True) + "\n" for d in drafts)
+        assert path.read_bytes() == expected.encode("utf-8")

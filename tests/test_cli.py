@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from conftest import ENC_KEY_HEX, TOKEN_KEY_HEX, write_rules
 
 from prism.assignment import _POLICY_BOUNDS, PolicyConfig
-from prism.assistant import DRAFT_STATUSES
+from prism import cli
+from prism.assistant import DRAFT_STATUSES, save_drafts
 from prism.cli import main
 from prism.errors import ValidationError
 from prism.metrics import MetricsReport
@@ -1011,6 +1012,30 @@ class TestReview:
             capsys, "review", "--run", out, "--draft", "d-nope", "--decision", "approve"
         )
         assert code == 1
+
+    def test_a_failed_write_leaves_the_drafts_file_unchanged(self, keys_env, tmp_path, capsys):
+        out, draft_id = self._run_with_pending(capsys, keys_env, tmp_path)
+        path = pathlib.Path(out) / "drafts.jsonl"
+        path.chmod(0o640)
+        before, names = path.read_bytes(), sorted(os.listdir(out))
+
+        def failing(drafts, target):
+            def first_then_fail():
+                yield drafts[0]
+                raise OSError("no space left on device")
+
+            save_drafts(first_then_fail(), target)
+
+        review = ("review", "--run", out, "--draft", draft_id, "--decision", "approve")
+        with mock.patch.object(cli, "save_drafts", failing):
+            code, _, stderr = run_cli(capsys, *review)
+        assert code == 2 and "no space left" in stderr
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(out)) == names
+        # The same review then goes through, and keeps the file's mode.
+        assert run_cli(capsys, *review)[0] == 0
+        assert path.read_bytes() != before and path.stat().st_mode & 0o777 == 0o640
+        assert sorted(os.listdir(out)) == names
 
 
 _JSON_VALUES = st.recursive(

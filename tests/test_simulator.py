@@ -22,6 +22,7 @@ from conftest import (
     deid_dict,
     identity_at,
     make_roster,
+    reference_assistant_pass,
     reference_identity,
     reference_intake,
     reference_place_initially,
@@ -40,6 +41,7 @@ from prism.assignment import (
     _decide_stretch,
     decide_epoch,
 )
+from prism.assistant import DRAFT_STATUSES
 from prism.errors import ValidationError
 from prism.metrics import MetricsReport
 from prism.redaction import (
@@ -700,6 +702,54 @@ class TestRunExperiment:
     def test_violations_always_reported_zero(self, keys):
         report = run_experiment(small_scenario(seed=51), keys)
         assert report.violations == 0
+
+
+def _assistant_epochs(scenario, keys, assistant_pass) -> list:
+    """What each epoch's assistant pass leaves behind, run by ``assistant_pass``:
+    the drafts so far, the audit entries, the counters and the clock's tick.
+    A run that stops ends the list with its error."""
+    epochs = []
+
+    def recording(world, epoch, contexts, drafts, counters, memo):
+        assistant_pass(world, epoch, contexts, drafts, counters, memo)
+        epochs.append((
+            epoch,
+            [draft.to_dict() for draft in drafts],
+            world.vault.audit_log.entries(),
+            dict(counters),
+            world.clock._tick,
+        ))
+
+    with mock.patch.object(experiment, "_assistant_pass", recording):
+        try:
+            run_experiment(scenario, keys)
+        except ValidationError as exc:
+            epochs.append(str(exc))
+    return epochs
+
+
+# Review odds that leave drafts in every status, over a few post-period weeks.
+_EVERY_OUTCOME = small_scenario(
+    seed=5, n_users=40, horizon_weeks=9, w_pre=3, w_post=5,
+    review_approve_prob=0.4, review_edit_prob=0.2, review_discard_prob=0.2,
+)
+
+
+class TestAssistantPass:
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @example(scenario=_EVERY_OUTCOME)
+    @given(scenario=_intake_scenarios().map(lambda scenario: replace(scenario, policy="adaptive")))
+    def test_pass_equals_reference(self, keys, scenario):
+        epochs = _assistant_epochs(scenario, keys, experiment._assistant_pass)
+        assert epochs == _assistant_epochs(scenario, keys, reference_assistant_pass)
+        drafts = epochs[-1][1] if epochs and not isinstance(epochs[-1], str) else []
+        event(f"statuses {sorted({draft['status'] for draft in drafts})}")
+
+    def test_the_example_reaches_every_review_outcome(self, keys):
+        epochs = _assistant_epochs(_EVERY_OUTCOME, keys, experiment._assistant_pass)
+        assert {draft["status"] for draft in epochs[-1][1]} == set(DRAFT_STATUSES)
 
 
 class TestReportLeakAudit:

@@ -5,7 +5,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import fields, replace
-from datetime import datetime
+from datetime import datetime, timezone
 
 import pytest
 from conftest import (
@@ -49,9 +49,11 @@ from prism.vault import (
     _payload_values,
     hmac_sha256,
     normalize_field,
+    rfc3339,
     tokenize_field,
     verify_audit_chain,
 )
+from prism.simulator.world import SimClock
 
 AUDIT_FIELD_NAMES = [f.name for f in fields(AuditEntry)]
 
@@ -532,8 +534,6 @@ class TestGovernance:
     def test_time_running_backwards_detected(self, keys):
         # A log re-chained after an edit has valid hashes, so only the
         # timestamp order shows the edit.
-        from prism.vault import rfc3339
-
         ticks = iter(range(100))
         vault = Vault(keys, clock=lambda: 1_700_000_000.0 + 60 * next(ticks))
         token = vault.register(IDENTITY)
@@ -610,6 +610,62 @@ _FIELD_TEXT = (
 _STR_FIELDS = ("requester_id", "role", "user_token", "purpose", "decision", "ts", "chain_hash")
 
 
+def reference_rfc3339(ts) -> str:
+    return datetime.fromtimestamp(ts, tz=timezone.utc).isoformat(timespec="microseconds")
+
+
+@st.composite
+def _sim_clock_stamps(draw, n):
+    """``n`` stamps of one ``SimClock``, a few ticks before a midnight to a
+    few after it: a week start, then up to ``n - 1`` ticks before the end
+    of one of the week's days."""
+    clock = SimClock()
+    clock.set_week(draw(st.integers(0, 200)))
+    day, before = draw(st.integers(1, 7)), draw(st.integers(1, n - 1))
+    for _ in range(day * 86400 // 600 - before):
+        clock()
+    stamps = [clock() for _ in range(n)]
+    assert stamps[before - 1] // 86400 < stamps[before] // 86400
+    return stamps
+
+
+_UTC = timezone.utc
+_DAY = 86400
+_FIRST_DAY = int(datetime(1, 1, 1, tzinfo=_UTC).timestamp()) // _DAY
+_LAST_DAY = int(datetime(9999, 12, 31, tzinfo=_UTC).timestamp()) // _DAY
+_day_starts = st.integers(_FIRST_DAY - 1, _LAST_DAY + 1).map(lambda day: day * _DAY)
+_year_starts = st.integers(1, 9999).map(lambda year: int(datetime(year, 1, 1, tzinfo=_UTC).timestamp()))
+# Integral seconds on and around the day and year boundaries datetime can write.
+_BOUNDARIES = st.tuples(_day_starts | _year_starts, st.sampled_from([-1, 0, 1, _DAY - 1])).map(sum)
+_STAMPS = (
+    st.floats(allow_nan=False)
+    | st.floats(_FIRST_DAY * _DAY, (_LAST_DAY + 1) * _DAY)
+    | st.integers(_FIRST_DAY * _DAY, (_LAST_DAY + 1) * _DAY)
+    | _BOUNDARIES
+    | _BOUNDARIES.map(float)
+    | st.sampled_from([0, 0.0, -0.0, 0.5, -0.5, 1e-7, 2**63, float(2**63), 10**30])
+)
+# Several seconds of one day in a row, so the day prefix is reused.
+_SAME_DAY = st.tuples(_day_starts, st.lists(st.integers(0, _DAY - 1), min_size=1, max_size=4)).map(
+    lambda pair: [pair[0] + second for second in pair[1]]
+)
+
+
+class TestTimestamps:
+    @settings(max_examples=500, deadline=None)
+    @example(stamps=[[0], [0.0], [-0.0], [86399.0], [86400]])
+    @given(stamps=st.lists(_STAMPS.map(lambda ts: [ts]) | _SAME_DAY, min_size=1, max_size=5))
+    def test_rfc3339_equals_datetime(self, stamps):
+        for ts in (ts for run in stamps for ts in run):
+            try:
+                expected = reference_rfc3339(ts)
+            except (ValueError, OverflowError, OSError) as exc:
+                with pytest.raises(type(exc)):
+                    rfc3339(ts)
+            else:
+                assert rfc3339(ts) == expected, ts
+
+
 class TestAuditEncoding:
     @settings(max_examples=400, deadline=None)
     @given(
@@ -629,17 +685,19 @@ class TestAuditEncoding:
             st.tuples(_FIELD_TEXT, _FIELD_TEXT, _FIELD_TEXT, st.none() | _FIELD_TEXT),
             min_size=1,
             max_size=6,
-        )
+        ),
+        stamps=st.just([1_700_000_000.0 + k for k in range(6)]) | _sim_clock_stamps(6),
     )
-    def test_appended_chain_and_file_equal_json_dumps(self, rows, tmp_path_factory):
+    def test_appended_chain_and_file_equal_json_dumps(self, rows, stamps, tmp_path_factory):
         log = AuditLog()
-        for k, (requester, role, purpose, reason) in enumerate(rows):
+        for (requester, role, purpose, reason), timestamp in zip(rows, stamps):
             log.append(
                 requester_id=requester, role=role, user_token="ab" * 32, purpose=purpose,
                 decision="granted" if reason is None else "denied", denial_reason=reason,
-                timestamp=1_700_000_000.0 + k,
+                timestamp=timestamp,
             )
         entries = log.entries()
+        assert [entry.ts for entry in entries] == [reference_rfc3339(t) for t in stamps[: len(rows)]]
         assert rechained(entries) == list(entries)
         assert verify_audit_chain(entries) == (True, None)
         path = tmp_path_factory.mktemp("audit") / "audit.jsonl"

@@ -1,5 +1,5 @@
-"""Time the decision path and the cohort intake of two checkouts on a
-ladder of group counts.
+"""Time the decision path, the cohort intake and the assistant pass of two
+checkouts on a ladder of group counts.
 
 Usage, from anywhere:
 
@@ -15,18 +15,25 @@ each epoch, writing the trace lines into a buffer, with garbage
 collection off inside the timed call as ``timeit`` has it. It also times
 the rung's last epoch with every row decided one at a time, the lower
 pass bound set above the epoch's row count: the cost of a per-user row.
-Last, it times ``generate_cohort`` once on each rung's scenario (470,
-1880 and 7520 users), garbage collection off as above: the cost of
-intake per user.
+It times ``generate_cohort`` once on each rung's scenario (470, 1880 and
+7520 users), garbage collection off as above: the cost of intake per
+user. Last, it runs each rung's arm into a run directory with every
+assistant pass timed, garbage collection off inside each: the pass's
+time over the arm, per flagged row (one draft each) and per grant (one
+delivery restoration each), and the digests of the ``audit.jsonl`` and
+``drafts.jsonl`` the arm wrote.
 
 The workers alternate between the checkouts, A first on even
 repetitions and B first on odd ones, one process at a time, ``--reps``
 repetitions each (default 9). The report gives, per rung and checkout,
 microseconds per decision: ``best`` sums each epoch's fastest time,
 ``median`` is the median over repetitions of the whole arm's time. It
-also gives the per-user row's best time, intake's microseconds per user,
-best and median over repetitions, and checks that both checkouts wrote
-the same trace lines and made the same moves in every epoch.
+also gives the per-user row's best time, and intake's microseconds per
+user and the assistant pass's microseconds per flagged row and per
+grant, each best and median over repetitions. It checks that both
+checkouts wrote the same trace lines and made the same moves in every
+epoch, and that they wrote the same ``audit.jsonl`` and ``drafts.jsonl``
+bytes on every rung; it exits 1 when either differs.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from collections import Counter
 from pathlib import Path
@@ -112,6 +120,45 @@ def time_cohort(groups: int) -> float:
     return 1e6 * seconds / scenario.n_users
 
 
+RUN_FILES = ("audit.jsonl", "drafts.jsonl")
+
+
+def time_assistant(groups: int) -> dict:
+    """The rung's arm, run into a run directory with each assistant pass
+    timed: microseconds per flagged row and per grant over the arm, and
+    the digests of the arm's ``audit.jsonl`` and ``drafts.jsonl``."""
+    from prism.simulator import Scenario, experiment, run_experiment
+    from prism.vault import KeyRing
+
+    assistant_pass, totals = experiment._assistant_pass, Counter()
+
+    def timed(world, epoch, contexts, drafts, counters, memo):
+        drafted, granted = len(drafts), counters["restoration_attempts"]
+        gc.collect()
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            assistant_pass(world, epoch, contexts, drafts, counters, memo)
+            totals["seconds"] += time.perf_counter() - start
+        finally:
+            gc.enable()
+        totals["rows"] += len(drafts) - drafted
+        totals["grants"] += counters["restoration_attempts"] - granted
+
+    keys = KeyRing.from_hex(TOKEN_KEY_HEX, ENC_KEY_HEX)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(experiment, "_assistant_pass", timed):
+        out = Path(tmp) / "run"
+        run_experiment(Scenario(**rung_scenario(groups)), keys, out_dir=str(out))
+        files = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in RUN_FILES}
+    return dict(
+        assistant_rows=totals["rows"],
+        assistant_grants=totals["grants"],
+        assistant_us_per_row=1e6 * totals["seconds"] / max(totals["rows"], 1),
+        assistant_us_per_grant=1e6 * totals["seconds"] / max(totals["grants"], 1),
+        files=files,
+    )
+
+
 def worker() -> dict:
     """One repetition of every rung with the ``prism`` on the path."""
     from prism import assignment
@@ -129,6 +176,8 @@ def worker() -> dict:
         rungs[groups] = dict(users=n_users, epochs=epochs, per_user_row_us=1e6 * seconds / n_users)
     for groups in RUNGS:
         rungs[groups]["cohort_us_per_user"] = time_cohort(groups)
+    for groups in RUNGS:
+        rungs[groups].update(time_assistant(groups))
     return rungs
 
 
@@ -152,7 +201,13 @@ def summary(reps: list[dict]) -> dict:
             per_user_row_us_best=round(min(run["per_user_row_us"] for run in runs), 2),
             cohort_us_per_user_best=round(min(run["cohort_us_per_user"] for run in runs), 2),
             cohort_us_per_user_median=round(statistics.median(run["cohort_us_per_user"] for run in runs), 2),
+            assistant_rows=runs[0]["assistant_rows"],
+            assistant_grants=runs[0]["assistant_grants"],
         )
+        for unit in ("row", "grant"):
+            times = [run[f"assistant_us_per_{unit}"] for run in runs]
+            out[f"{groups}_groups"][f"assistant_us_per_{unit}_best"] = round(min(times), 2)
+            out[f"{groups}_groups"][f"assistant_us_per_{unit}_median"] = round(statistics.median(times), 2)
     return out
 
 
@@ -163,6 +218,13 @@ def same_decisions(a: list[dict], b: list[dict]) -> bool:
         for rep in a + b for groups in RUNGS for epoch in rep[groups]["epochs"]
     }
     return len(digests) == len({(groups, epoch) for groups, epoch, _ in digests})
+
+
+def same_files(a: list[dict], b: list[dict]) -> bool:
+    """Whether every repetition of both checkouts wrote the same run files."""
+    return all(
+        len({rep[groups]["files"][name] for rep in a + b}) == 1 for groups in RUNGS for name in RUN_FILES
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -192,12 +254,19 @@ def main(argv: list[str] | None = None) -> int:
                 f"{rung:>10} {str(path):<40} us/decision best {row['us_per_decision_best']:7.2f} "
                 f"median {row['us_per_decision_median']:7.2f}  per-user row {row['per_user_row_us_best']:6.2f}  "
                 f"intake us/user best {row['cohort_us_per_user_best']:6.2f} "
-                f"median {row['cohort_us_per_user_median']:6.2f}"
+                f"median {row['cohort_us_per_user_median']:6.2f}  "
+                f"assistant us/row best {row['assistant_us_per_row_best']:6.2f} "
+                f"median {row['assistant_us_per_row_median']:6.2f}  "
+                f"us/grant best {row['assistant_us_per_grant_best']:6.2f} "
+                f"median {row['assistant_us_per_grant_median']:6.2f}"
             )
+    files = same_files(*reps)
     print(f"same trace lines and moves in every epoch: {'yes' if same else 'no'}")
+    print(f"same {' and '.join(RUN_FILES)} bytes on every rung: {'yes' if files else 'no'}")
     if args.json is not None:
-        args.json.write_text(json.dumps(dict(result, same_decisions=same), indent=2) + "\n")
-    return 0 if same else 1
+        summary_doc = dict(result, same_decisions=same, same_run_files=files)
+        args.json.write_text(json.dumps(summary_doc, indent=2) + "\n")
+    return 0 if same and files else 1
 
 
 if __name__ == "__main__":
